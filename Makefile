@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-json check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence sig-equivalence examples experiments fmt vet clean
+.PHONY: all build test test-race cover bench bench-json bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence sig-equivalence examples experiments fmt vet clean
 
 all: build test
 
@@ -44,9 +44,29 @@ bench-efficiency:
 	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -coarse -gate-coarse-speedup 1.0 > /dev/null
 	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -fine -gate-kernel-speedup 1.8 > /dev/null
 
+# The served-path benchmark (bench/, contract in BENCHMARK.json) as a
+# test: every workload, both trace modes, on a 300-sequence collection,
+# answers checked. ≈ 10 s.
+bench-smoke:
+	$(GO) test -count=1 ./bench
+
+# Two back-to-back 10-second runs of the default-query workload through
+# the real path (HTTP → queue → coarse → fine → traceback → JSON) and
+# their comparison: how far apart two runs of the same tree land on this
+# machine, which is the noise floor any before/after claim has to clear.
+# For a before/after, run the first line in a checkout of the parent
+# commit with --out pointing at the same a.jsonl.
+BENCH_E2E_OUT ?= .bench_build
+bench-e2e:
+	mkdir -p $(BENCH_E2E_OUT) && rm -f $(BENCH_E2E_OUT)/e2e-a.jsonl $(BENCH_E2E_OUT)/e2e-b.jsonl
+	bash bench/run.sh --workload served_default --seconds 10 --out $(BENCH_E2E_OUT)/e2e-a.jsonl
+	bash bench/run.sh --workload served_default --seconds 10 --out $(BENCH_E2E_OUT)/e2e-b.jsonl
+	bash bench/run.sh --compare $(BENCH_E2E_OUT)/e2e-a.jsonl $(BENCH_E2E_OUT)/e2e-b.jsonl
+
 # The full pre-commit gate: static checks (vet plus the repo's own
 # cafe-lint pass suite), the race-enabled test suite, a build of every
-# command-line tool, and a short fuzz smoke over the decode kernels.
+# command-line tool, a short fuzz smoke over the decode and alignment
+# kernels, and the serve, benchmark and equivalence smokes.
 # The race pass runs -short: it is there to catch data races in the
 # concurrent paths, and the full experiment suite under the race
 # detector exceeds the package test timeout (run `make test` /
@@ -57,6 +77,7 @@ check: lint
 	$(GO) build ./cmd/...
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) segments-equivalence
 	$(MAKE) sig-equivalence
 
@@ -92,7 +113,7 @@ lint-budget:
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \
 	[ $$took -le $(LINT_BUDGET) ]
 
-# ~10s total: each native fuzz target gets 2s of mutation on top of its
+# ~14s total: each native fuzz target gets 2s of mutation on top of its
 # committed corpus. CI-sized; run `go test -fuzz` locally for real runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzVarint$$' -fuzztime=2s ./internal/compress
@@ -101,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSequenceDecode$$' -fuzztime=2s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=2s ./internal/segment
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvectorAlign$$' -fuzztime=2s ./internal/align
+	$(GO) test -run='^$$' -fuzz='^FuzzBandedAlign$$' -fuzztime=2s ./internal/align
 
 # End-to-end smoke over cafe-serve: build the binary, start it on a
 # random port, replay testdata/script.json, and diff every response

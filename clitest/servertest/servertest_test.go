@@ -172,12 +172,15 @@ func (s *server) drain(t *testing.T) {
 	}
 }
 
-// step is one scripted request.
+// step is one scripted request. QueryBases, when set, stands for a
+// body too long to write out in the script: {"query":"AAA…"} with that
+// many bases.
 type step struct {
-	Name   string          `json:"name"`
-	Method string          `json:"method"`
-	Path   string          `json:"path"`
-	Body   json.RawMessage `json:"body,omitempty"`
+	Name       string          `json:"name"`
+	Method     string          `json:"method"`
+	Path       string          `json:"path"`
+	Body       json.RawMessage `json:"body,omitempty"`
+	QueryBases int             `json:"query_bases,omitempty"`
 }
 
 // observation is what a step's golden file records.
@@ -223,6 +226,9 @@ func replay(t *testing.T, client *http.Client, base string, st step) observation
 	var body io.Reader
 	if len(st.Body) > 0 {
 		body = bytes.NewReader(st.Body)
+	}
+	if st.QueryBases > 0 {
+		body = strings.NewReader(`{"query":"` + strings.Repeat("A", st.QueryBases) + `"}`)
 	}
 	req, err := http.NewRequest(method, base+st.Path, body)
 	if err != nil {

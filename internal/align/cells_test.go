@@ -33,6 +33,41 @@ func TestBandedCellsMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBandedCellsMatchesKernelWrites pins BandedCells to the cells the
+// traceback kernel actually computes: the direction matrix is poisoned
+// with a byte no cell can hold, and after the pass exactly BandedCells
+// slots have been overwritten — for the whole query and for the query
+// cut at the alignment's end row, which is what the searcher bills.
+func TestBandedCellsMatchesKernelWrites(t *testing.T) {
+	const poison = 0xFF
+	rng := rand.New(rand.NewSource(4))
+	sub := NewSubst(DefaultScoring())
+	var sc BandedScratch
+	for trial := 0; trial < 300; trial++ {
+		a, b := randomSeq(rng, 1+rng.Intn(80)), randomSeq(rng, 1+rng.Intn(80))
+		band := rng.Intn(20)
+		centre := rng.Intn(len(a)+len(b)+2*band) - len(a) - band
+		_, aEnd, _ := sub.BandedLocalScore(a, b, centre, band, &sc)
+		for _, q := range [][]byte{a, a[:aEnd]} {
+			sc.dir = make([]byte, len(q)*(2*band+1))
+			for i := range sc.dir {
+				sc.dir[i] = poison
+			}
+			sub.BandedLocal(q, b, centre, band, &sc)
+			var written int64
+			for _, d := range sc.dir {
+				if d != poison {
+					written++
+				}
+			}
+			if want := BandedCells(len(q), len(b), centre, band); written != want {
+				t.Fatalf("trial %d: kernel wrote %d cells, BandedCells(%d,%d,%d,%d) = %d",
+					trial, written, len(q), len(b), centre, band, want)
+			}
+		}
+	}
+}
+
 func TestCellsEdgeCases(t *testing.T) {
 	if got := LocalCells(0, 10); got != 0 {
 		t.Fatalf("LocalCells(0,10) = %d", got)

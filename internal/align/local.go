@@ -8,6 +8,13 @@ package align
 // This is the exhaustive-search workhorse: the full-scan baseline calls
 // it once per database sequence.
 func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
+	k := getKernel(s)
+	defer kernels.Put(k)
+	return k.subst.LocalScore(a, b)
+}
+
+// LocalScore is the package-level function on a compiled scoring.
+func (t *Subst) LocalScore(a, b []byte) (score, aEnd, bEnd int) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0, 0
 	}
@@ -17,13 +24,12 @@ func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 	n := len(b)
 	h := make([]int32, n+1)
 	e := make([]int32, n+1)
-	openExt := int32(s.GapOpen + s.GapExtend)
-	ext := int32(s.GapExtend)
+	openExt, ext := t.openExt, t.ext
 
 	var best int32
 	for i := 1; i <= len(a); i++ {
 		var diag, f int32 // h[i-1][j-1] and the horizontal gap state
-		ca := a[i-1]
+		sub := t.row(a[i-1])
 		for j := 1; j <= n; j++ {
 			up := h[j]
 			ev := e[j] - ext
@@ -44,7 +50,7 @@ func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 			}
 			f = fv
 
-			hv := diag + int32(s.Score(ca, b[j-1]))
+			hv := diag + sub[b[j-1]]
 			if ev > hv {
 				hv = ev
 			}
@@ -127,25 +133,31 @@ const (
 // larger than maxCells degrade to a score-only result with empty
 // transcript and point spans at the alignment end.
 func Local(a, b []byte, s Scoring) Alignment {
+	k := getKernel(s)
+	defer kernels.Put(k)
+	return k.subst.Local(a, b)
+}
+
+// Local is the package-level function on a compiled scoring.
+func (t *Subst) Local(a, b []byte) Alignment {
 	if len(a) == 0 || len(b) == 0 {
 		return Alignment{}
 	}
 	if int64(len(a)+1)*int64(len(b)+1) > maxCells {
-		score, aEnd, bEnd := LocalScore(a, b, s)
+		score, aEnd, bEnd := t.LocalScore(a, b)
 		return Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
 	}
 	n := len(b)
 	h := make([]int32, n+1)
 	e := make([]int32, n+1)
 	dir := make([]byte, (len(a)+1)*(n+1))
-	openExt := int32(s.GapOpen + s.GapExtend)
-	ext := int32(s.GapExtend)
+	openExt, ext := t.openExt, t.ext
 
 	var best int32
 	bestI, bestJ := 0, 0
 	for i := 1; i <= len(a); i++ {
 		var diag, f int32
-		ca := a[i-1]
+		sub := t.row(a[i-1])
 		row := i * (n + 1)
 		for j := 1; j <= n; j++ {
 			var d byte
@@ -173,7 +185,7 @@ func Local(a, b []byte, s Scoring) Alignment {
 			}
 			f = fv
 
-			hv := diag + int32(s.Score(ca, b[j-1]))
+			hv := diag + sub[b[j-1]]
 			src := byte(hFromDiag)
 			if ev > hv {
 				hv = ev
@@ -220,7 +232,7 @@ loop:
 				break loop
 			case hFromDiag:
 				ops = append(ops, OpMatch)
-				if s.Score(a[i-1], b[j-1]) > 0 {
+				if t.row(a[i-1])[b[j-1]] > 0 {
 					al.Matches++
 				} else {
 					al.Mismatches++

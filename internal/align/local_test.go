@@ -40,13 +40,6 @@ func refLocalScore(a, b []byte, s Scoring) int {
 	return best
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func seqOf(s string) []byte { return dna.MustEncode(s) }
 
 func TestLocalScoreKnownCases(t *testing.T) {

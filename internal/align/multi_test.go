@@ -99,10 +99,3 @@ func TestLocalAllTranscriptsValid(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

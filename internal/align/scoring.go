@@ -8,6 +8,7 @@ package align
 
 import (
 	"fmt"
+	"sync"
 
 	"nucleodb/internal/dna"
 )
@@ -64,4 +65,75 @@ func (s Scoring) Score(a, b byte) int {
 		return s.Match
 	}
 	return -s.Mismatch
+}
+
+// Subst is a Scoring compiled for the scalar kernels' inner loops: the
+// substitution scores as one table row per query code — so a DP row
+// picks its row once and every cell is a single indexed load instead of
+// a Score call — and the gap penalties as int32. A Subst is immutable
+// once built and safe for concurrent use; the searcher builds one per
+// Scoring and shares it across fine workers.
+//
+//cafe:frozen
+type Subst struct {
+	scoring      Scoring
+	openExt, ext int32
+	// tab[a][b] == scoring.Score(a, b). The last row answers for every
+	// query byte outside the alphabet (Masked, junk): all mismatches.
+	tab [dna.NumCodes + 1][256]int32
+}
+
+// NewSubst compiles s.
+func NewSubst(s Scoring) *Subst {
+	t := new(Subst)
+	t.build(s)
+	return t
+}
+
+func (t *Subst) build(s Scoring) {
+	t.scoring = s
+	t.openExt = int32(s.GapOpen + s.GapExtend)
+	t.ext = int32(s.GapExtend)
+	for a := range t.tab {
+		for b := range t.tab[a] {
+			t.tab[a][b] = int32(s.Score(byte(a), byte(b)))
+		}
+	}
+}
+
+// row returns the substitution scores of query code a against every
+// subject byte; indexing it with a byte needs no bounds check.
+//
+//cafe:hotpath
+func (t *Subst) row(a byte) *[256]int32 {
+	if a > dna.NumCodes {
+		a = dna.NumCodes
+	}
+	return &t.tab[a]
+}
+
+// kernel is what a Scoring-taking entry point (Local, LocalScore,
+// BandedLocal, BandedLocalScore) needs for one call: the compiled
+// scoring and the banded scratch. Pooled, so one-shot callers — the
+// baselines, the benchmarks, the tests — neither recompile the table
+// nor reallocate rows per call; a kernel built for another Scoring is
+// recompiled in place.
+type kernel struct {
+	subst  Subst
+	banded BandedScratch
+}
+
+var kernels = sync.Pool{New: func() any {
+	k := new(kernel)
+	k.subst.build(DefaultScoring())
+	return k
+}}
+
+//cafe:pooled the caller returns the kernel with kernels.Put
+func getKernel(s Scoring) *kernel {
+	k := kernels.Get().(*kernel)
+	if k.subst.scoring != s {
+		k.subst.build(s)
+	}
+	return k
 }

@@ -295,6 +295,9 @@ type Searcher struct {
 	segs    []Segment
 	src     Source
 	scoring align.Scoring
+	// subst is scoring compiled for the scalar kernels' inner loops,
+	// built once here and shared read-only by every fine worker.
+	subst *align.Subst
 
 	// coder and opts are shared by every segment (the constructor
 	// enforces equal build options across segments).
@@ -314,6 +317,12 @@ type Searcher struct {
 	acc     accumulators
 	it      postings.Iterator
 	termSet map[kmer.Term][]int //cafe:pooled query-lifetime term map, cleared at the start of each coarse call
+	// termBits is a one-hash Bloom filter over termSet's keys, rebuilt
+	// with it. bestSeed tests it before the map, so the ~97 % of a
+	// candidate's intervals that are not in the query cost a multiply
+	// and a bit test instead of a map lookup; the map stays the single
+	// source of truth. Read-only during the fine phase.
+	termBits termFilter //cafe:pooled query-lifetime filter, cleared with termSet
 
 	// Sharded-coarse scratch: per-worker accumulators and the term
 	// work list, grown to the high-water worker count and reused so
@@ -478,6 +487,7 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		segs:       append([]Segment(nil), segs...),
 		src:        src,
 		scoring:    scoring,
+		subst:      align.NewSubst(scoring),
 		coder:      segs[0].Index.Coder(),
 		opts:       opts,
 		snapshot:   snapshot,
@@ -620,6 +630,9 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 	if st != nil {
 		t0 = time.Now()
 	}
+	// Tracebacks run serially after the fine phase's join, on the first
+	// fine worker's scratch.
+	banded := &s.fineScratch(1)[0].banded
 	for i := range results {
 		r := &results[i]
 		if !r.needsTraceback {
@@ -642,7 +655,7 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			// computes the same optimal score (the differential tests pin
 			// this), so the reported result is byte-identical to the
 			// scalar kernel's.
-			r.Alignment = align.Local(q, subject, s.scoring)
+			r.Alignment = s.subst.Local(q, subject)
 			if st != nil {
 				st.TracebackAlignments++
 				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
@@ -650,10 +663,16 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			r.needsTraceback, r.fullTraceback = false, false
 			continue
 		}
-		al := align.BandedLocal(q, subject, r.bandCentre, opts.Band, s.scoring)
+		// The score pass already reported the alignment's end row, and
+		// no row after it can change the first best cell, so the
+		// direction matrix stops there. One forward pass only: a banded
+		// alignment nearly fills its band, so a reverse pass to bound
+		// the start would cost more cells than it saves.
+		aEnd := r.Alignment.AEnd
+		al := s.subst.BandedLocal(q[:aEnd], subject, r.bandCentre, opts.Band, banded)
 		if st != nil {
 			st.TracebackAlignments++
-			st.TracebackDPCells += align.BandedCells(len(q), len(subject), r.bandCentre, opts.Band)
+			st.TracebackDPCells += align.BandedCells(aEnd, len(subject), r.bandCentre, opts.Band)
 		}
 		if al.Score == r.Score {
 			r.Alignment = al
@@ -665,7 +684,7 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			// score stands (the list is already ordered by it), but
 			// spans, identity and the transcript come from the real
 			// optimal alignment.
-			r.Alignment = align.Local(q, subject, s.scoring)
+			r.Alignment = s.subst.Local(q, subject)
 			if st != nil {
 				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
 			}
@@ -712,11 +731,11 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		t0 = time.Now()
 	}
 	// fine evaluates one candidate; it reads only immutable searcher
-	// state (termSet is not mutated during the fine phase) plus the
-	// caller-owned scratch, so it is safe to run concurrently as long
-	// as each worker passes its own scratch. Its stats contribution
-	// returns by value (fineWork), so the parallel path needs no
-	// shared state.
+	// state (termSet and termBits are not mutated during the fine
+	// phase) plus the caller-owned scratch, so it is safe to run
+	// concurrently as long as each worker passes its own scratch. Its
+	// stats contribution returns by value (fineWork), so the parallel
+	// path needs no shared state.
 	coder := s.coder
 	useBitvector := opts.FineMode == FineFull && opts.Kernel() == FineKernelBitvector
 	if useBitvector && len(cands) > 0 {
@@ -776,7 +795,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			}
 			// Scalar kernel, or the per-candidate fallback when the pair
 			// exceeds the bitvector lanes' capacity.
-			r.Alignment = align.Local(query, seq, s.scoring)
+			r.Alignment = s.subst.Local(query, seq)
 			r.Score = r.Alignment.Score
 			if collect {
 				fw.cells = align.LocalCells(len(query), len(seq))
@@ -792,7 +811,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			// Ranking needs only the score; the traceback matrix is
 			// deferred to the results that survive MinScore and Limit
 			// (see finishTracebacks).
-			score, aEnd, bEnd := align.BandedLocalScore(query, seq, centre, opts.Band, s.scoring)
+			score, aEnd, bEnd := s.subst.BandedLocalScore(query, seq, centre, opts.Band, &sc.banded)
 			r.Score = score
 			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
 			r.bandCentre = centre
@@ -932,8 +951,10 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, backend CoarseBacke
 
 	// Collect the query's distinct terms with their offsets.
 	clear(s.termSet)
+	s.termBits.reset()
 	coder.ExtractFunc(query, func(pos int, t kmer.Term) {
 		s.termSet[t] = append(s.termSet[t], pos)
+		s.termBits.add(t)
 	})
 
 	if st != nil {
@@ -1137,6 +1158,30 @@ func (s *Searcher) accumulateSharded(ctx context.Context, seg Segment, mode Coar
 	return diag, nil
 }
 
+// termFilter is a 64 Kbit one-hash Bloom filter over a query's terms
+// (8 KB; a 2000-base query sets at most 3 % of it). Terms of any width —
+// any k, spaced seeds — hash to 16 bits multiplicatively.
+type termFilter [1 << 10]uint64
+
+//cafe:hotpath
+func termBit(t kmer.Term) (word, mask uint64) {
+	h := uint64(t) * 0x9E3779B97F4A7C15
+	return h >> 54, 1 << (h >> 48 & 63) // top 10 bits pick the word, the next 6 the bit
+}
+
+func (f *termFilter) reset() { *f = termFilter{} }
+
+func (f *termFilter) add(t kmer.Term) {
+	w, m := termBit(t)
+	f[w] |= m
+}
+
+//cafe:hotpath
+func (f *termFilter) has(t kmer.Term) bool {
+	w, m := termBit(t)
+	return f[w]&m != 0
+}
+
 // seedHit is one shared interval on a candidate's strongest diagonal.
 type seedHit struct {
 	diag, qPos, sPos int
@@ -1153,12 +1198,16 @@ type seedScratch struct {
 	// termSet is the current query's term→offsets map, set by bestSeed
 	// before each extraction; extract reads it through the struct so
 	// the callback closes over nothing query-specific.
-	termSet map[kmer.Term][]int //cafe:pooled borrowed from the searcher for the current query only
-	extract func(sPos int, t kmer.Term)
-	// bv is the worker's bitvector-kernel scratch (DP columns), reused
-	// across candidates; it rides in the seed scratch so the fine
-	// phase's one-scratch-per-worker discipline covers both kernels.
-	bv align.StripedScratch
+	termSet  map[kmer.Term][]int //cafe:pooled borrowed from the searcher for the current query only
+	termBits *termFilter         //cafe:pooled borrowed with termSet, read-only here
+	extract  func(sPos int, t kmer.Term)
+	// bv and banded are the worker's kernel scratches (the bitvector
+	// kernel's DP columns; the banded kernels' rows, direction matrix
+	// and transcript), reused across candidates; they ride in the seed
+	// scratch so the fine phase's one-scratch-per-worker discipline
+	// covers every kernel.
+	bv     align.StripedScratch
+	banded align.BandedScratch
 }
 
 func newSeedScratch() *seedScratch {
@@ -1167,6 +1216,9 @@ func newSeedScratch() *seedScratch {
 		firstHit: make(map[int][2]int),
 	}
 	sc.extract = func(sPos int, t kmer.Term) {
+		if !sc.termBits.has(t) {
+			return
+		}
 		for _, qp := range sc.termSet[t] {
 			d := sPos - qp
 			sc.counts[d]++
@@ -1190,7 +1242,7 @@ func newSeedScratch() *seedScratch {
 func (s *Searcher) bestSeed(coder *kmer.Coder, seq []byte, sc *seedScratch) (seedHit, bool) {
 	clear(sc.counts)
 	clear(sc.firstHit)
-	sc.termSet = s.termSet
+	sc.termSet, sc.termBits = s.termSet, &s.termBits
 	coder.ExtractFunc(seq, sc.extract)
 	best, bestDiag, found := 0, 0, false
 	for d, n := range sc.counts {

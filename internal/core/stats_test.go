@@ -255,6 +255,46 @@ func TestStatsCountsRealWork(t *testing.T) {
 	}
 }
 
+// TestStatsCellsMatchKernelWork pins the two cell counters to the
+// matrices the banded kernels walk (align's own tests pin BandedCells to
+// the cells a kernel writes). With MinScore 0 and no limit every
+// candidate is a result, so the fine counter is the sum of the full-query
+// bands; the traceback counter is the sum of the bands cut at each
+// alignment's end row, which is what the truncated traceback computes.
+func TestStatsCellsMatchKernelWork(t *testing.T) {
+	f := makeFixture(t, 43, index.Options{K: 9, StoreOffsets: true})
+	s := newTestSearcher(t, f)
+	opts := DefaultOptions()
+	opts.MinScore, opts.Limit = 0, 0
+	var st SearchStats
+	rs, err := s.SearchWithStats(f.query, opts, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != st.CoarseCandidates || len(rs) == 0 {
+		t.Fatalf("%d results for %d candidates: the fixture must report every candidate", len(rs), st.CoarseCandidates)
+	}
+	var fine, traceback, untruncated int64
+	for _, r := range rs {
+		subject := f.store.Sequence(r.ID)
+		band := align.BandedCells(len(f.query), len(subject), r.bandCentre, opts.Band)
+		fine += band
+		if r.Score > 0 { // score-0 candidates have no alignment to trace
+			traceback += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, opts.Band)
+			untruncated += band
+		}
+	}
+	if st.FineDPCells != fine {
+		t.Errorf("FineDPCells = %d, want %d (the full-query band of every candidate)", st.FineDPCells, fine)
+	}
+	if st.TracebackDPCells != traceback {
+		t.Errorf("TracebackDPCells = %d, want %d (each band cut at its alignment's end row)", st.TracebackDPCells, traceback)
+	}
+	if traceback >= untruncated {
+		t.Errorf("truncation saved nothing: %d cells against %d untruncated — the fixture no longer exercises it", traceback, untruncated)
+	}
+}
+
 // TestStatsPrescreenAccounting: with a prohibitive prescreen threshold
 // every candidate is rejected and no fine alignment runs.
 func TestStatsPrescreenAccounting(t *testing.T) {

@@ -103,11 +103,12 @@ func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
 	}
 	// Every reported traceback agreed with its ranking score (the band
 	// was centred by the search itself), so the billed cells are exactly
-	// the banded matrices — no full-matrix fallback fired.
+	// the banded matrices down to each alignment's end row — no
+	// full-matrix fallback fired.
 	var banded int64
 	for _, r := range rs {
 		subject := f.store.Sequence(r.ID)
-		banded += align.BandedCells(len(f.query), len(subject), r.bandCentre, opts.Band)
+		banded += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, opts.Band)
 		if len(r.Alignment.Ops) == 0 && r.Alignment.Score > 0 {
 			t.Errorf("result %d has no transcript", r.ID)
 		}

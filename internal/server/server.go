@@ -267,15 +267,42 @@ func boolParam(q url.Values, name string) (*bool, error) {
 	return &b, nil
 }
 
+// bodySlack is the room a request body gets beyond its queries: the
+// JSON punctuation and every other parameter.
+const bodySlack = 4 << 10
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes:
+// a body is refused from its size alone, before the query-length checks
+// that could otherwise only run once all of it had been parsed. An
+// oversized body surfaces as *http.MaxBytesError (see failDecode).
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding JSON body: %w", err)
+	}
+	return nil
+}
+
+// failDecode answers a request whose parameters could not be read: 413
+// when the body outgrew its limit, 400 otherwise.
+func failDecode(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			errorResponse{Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooLarge.Limit)})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+}
+
 // parseSearchRequest extracts a searchRequest from r: JSON body for
-// POST, URL parameters for GET.
-func parseSearchRequest(r *http.Request) (searchRequest, error) {
+// POST (at most maxBody bytes), URL parameters for GET.
+func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (searchRequest, error) {
 	var req searchRequest
 	if r.Method == http.MethodPost {
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return req, fmt.Errorf("decoding JSON body: %w", err)
+		if err := decodeBody(w, r, maxBody, &req); err != nil {
+			return req, err
 		}
 		return req, req.validateNames()
 	}
@@ -492,9 +519,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mRequests.Inc()
 	start := time.Now()
-	req, err := parseSearchRequest(r)
+	req, err := parseSearchRequest(w, r, int64(s.cfg.MaxQueryBases)+bodySlack)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		failDecode(w, err)
 		return
 	}
 	if req.Query == "" {
@@ -579,10 +606,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mRequests.Inc()
 	start := time.Now()
 	var req batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("decoding JSON body: %v", err)})
+	// Each query costs its bases plus quotes and a comma.
+	maxBody := int64(s.cfg.MaxBatchQueries)*(int64(s.cfg.MaxQueryBases)+3) + bodySlack
+	if err := decodeBody(w, r, maxBody, &req); err != nil {
+		failDecode(w, err)
 		return
 	}
 	if len(req.Queries) == 0 {

@@ -329,6 +329,17 @@ func TestBadRequests(t *testing.T) {
 			return r
 		}, 413},
 		{"batch via GET", func() *httptest.ResponseRecorder { r, _ := get(t, s.Handler(), "/batch"); return r }, 405},
+		// Bodies past MaxQueryBases (× MaxBatchQueries) + bodySlack are
+		// refused on size, before they are parsed.
+		{"oversized search body", func() *httptest.ResponseRecorder {
+			r, _ := post(t, s.Handler(), "/search", map[string]any{"query": strings.Repeat("ACGT", 1500)})
+			return r
+		}, 413},
+		{"oversized batch body", func() *httptest.ResponseRecorder {
+			q := strings.Repeat("ACGT", 500)
+			r, _ := post(t, s.Handler(), "/batch", map[string]any{"queries": []string{q, q, q, q}})
+			return r
+		}, 413},
 	}
 	for _, tc := range cases {
 		rec := tc.do()
@@ -344,6 +355,56 @@ func TestBadRequests(t *testing.T) {
 
 // TestHealthzAndMetrics: the operational endpoints answer with
 // well-formed JSON.
+// endlessBody is a JSON request body that never ends: an opening
+// {"query":" followed by bases for as long as anyone reads.
+type endlessBody struct {
+	opened bool
+	read   int
+}
+
+func (b *endlessBody) Read(p []byte) (int, error) {
+	n := 0
+	if !b.opened {
+		n = copy(p, `{"query":"`)
+		b.opened = true
+	}
+	for i := n; i < len(p); i++ {
+		p[i] = 'A'
+	}
+	b.read += len(p)
+	return len(p), nil
+}
+
+// TestBodyLimitStopsReading: a body without end is answered 413 after
+// the server has read its limit (plus the decoder's read-ahead), on both
+// POST endpoints — and a query of exactly MaxQueryBases still fits.
+func TestBodyLimitStopsReading(t *testing.T) {
+	db := testDB(t)
+	s := newTestServer(t, db, func(c *Config) { c.MaxQueryBases = 500; c.MaxBatchQueries = 4 })
+	for path, limit := range map[string]int{"/search": 500 + bodySlack, "/batch": 4*503 + bodySlack} {
+		body := &endlessBody{}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", path, rec.Code, rec.Body.String())
+		}
+		var er errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, fmt.Sprint(limit)) {
+			t.Errorf("%s: error body %q does not name the %d-byte limit", path, rec.Body.String(), limit)
+		}
+		if body.read > limit+4096 {
+			t.Errorf("%s: server read %d bytes of an endless body, limit %d", path, body.read, limit)
+		}
+	}
+	atLimit := strings.Repeat("A", 500)
+	if rec, _ := post(t, s.Handler(), "/search", map[string]any{"query": atLimit}); rec.Code != http.StatusOK {
+		t.Errorf("query of exactly MaxQueryBases: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec, _ := post(t, s.Handler(), "/batch", map[string]any{"queries": []string{atLimit, atLimit, atLimit, atLimit}}); rec.Code != http.StatusOK {
+		t.Errorf("full batch of MaxQueryBases queries: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 func TestHealthzAndMetrics(t *testing.T) {
 	db := testDB(t)
 	s := newTestServer(t, db, nil)
