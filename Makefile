@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-json bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence sig-equivalence examples experiments fmt vet clean
+.PHONY: all build test test-race cover bench bench-json bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence examples experiments fmt vet clean
 
 all: build test
 
@@ -79,7 +79,6 @@ check: lint
 	$(MAKE) serve-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) segments-equivalence
-	$(MAKE) sig-equivalence
 
 # cafe-lint enforces the //cafe:hotpath allocation contract, checked
 # errors in the decode packages, nil-guarded SearchStats writes,
@@ -138,20 +137,9 @@ serve-smoke:
 # per-segment equivalence matrix, and the live-compaction serving e2e.
 # Runs without -short so the full matrices execute.
 segments-equivalence:
-	$(GO) test -count=1 -run '^(TestSegmentedEquivalenceProperty|TestSegmentedSaveReloadEquivalence|TestDeleteEquivalence|TestCrashSafety.*|TestSegmentedConcurrentHammer)$$' .
+	$(GO) test -count=1 -run '^(TestSegmentedEquivalenceProperty|TestSegmentedSaveReloadEquivalence|TestOpenDiscardsOldSignatureFiles|TestDeleteEquivalence|TestCrashSafety.*|TestSegmentedConcurrentHammer)$$' .
 	$(GO) test -count=1 -run '^(TestSegmentedSearchEquivalence|TestSegmentedDeletedFilter)$$' ./internal/core
 	$(GO) test -count=1 -run '^TestServeLiveCompactionGolden$$' ./clitest/servertest
-
-# The signature-backend lockdown: the property suite proving the
-# bit-sliced signature coarse backend answers byte-identically to the
-# postings backend (every coarse mode, worker grid, compaction state,
-# persistence round-trip), the mixed-backend concurrency hammer, the
-# core differential matrix, and the sig package's own unit tests.
-# Runs without -short so the full matrices execute.
-sig-equivalence:
-	$(GO) test -count=1 -run '^(TestSignatureEquivalenceProperty|TestSignatureSaveReloadEquivalence|TestSignatureBackendUnavailable|TestSignaturePoolSnapshotStaleness|TestSignatureConcurrentHammer)$$' .
-	$(GO) test -count=1 -run '^(TestSignatureBackend.*|TestCoarseValidationExhaustive)$$' ./internal/core
-	$(GO) test -count=1 ./internal/sig
 
 examples:
 	$(GO) run ./examples/quickstart/

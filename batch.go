@@ -101,10 +101,10 @@ func (d *Database) SearchBatchWithStatsContext(ctx context.Context, queries []st
 		wg.Add(1)
 		go func(s *core.Searcher) {
 			defer wg.Done()
-			var cst core.SearchStats
+			var st SearchStats
 			for i := range work {
-				rs, err := s.SearchWithStatsContext(ctx, encoded[i], opts.internal(), &cst)
-				results <- result{i, rs, searchStatsFrom(cst), err}
+				rs, err := s.SearchWithStatsContext(ctx, encoded[i], opts.internal(), &st)
+				results <- result{i, rs, st, err}
 			}
 		}(searcher)
 	}

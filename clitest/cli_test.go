@@ -139,28 +139,6 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("inspect on spaced db:\n%s", out)
 	}
 
-	// A signature-enabled segmented database builds, reports its
-	// signature bytes, and answers identically under both coarse
-	// backends.
-	dbSig := filepath.Join(work, "db-sig")
-	out = run(t, tools["cafe-build"], "-in", fasta, "-db", dbSig,
-		"-k", "9", "-segment-size", "100", "-signatures")
-	if !strings.Contains(out, "signatures:") {
-		t.Fatalf("signature build did not report signature bytes:\n%s", out)
-	}
-	postings := run(t, tools["cafe-search"], "-db", dbSig, "-queries", queries,
-		"-limit", "3", "-tsv", "-coarse-backend", "postings")
-	signature := run(t, tools["cafe-search"], "-db", dbSig, "-queries", queries,
-		"-limit", "3", "-tsv", "-coarse-backend", "signature")
-	if postings != signature {
-		t.Fatalf("coarse backends disagree:\npostings:\n%s\nsignature:\n%s", postings, signature)
-	}
-	out = run(t, tools["cafe-search"], "-db", dbSig, "-queries", queries,
-		"-limit", "3", "-stats", "-coarse-backend", "signature")
-	if !strings.Contains(out, "backend signature") || !strings.Contains(out, "false positives") {
-		t.Fatalf("signature search stats missing backend line:\n%s", out)
-	}
-
 	// A focused bench experiment (the fastest one) exercises the
 	// experiment runner end to end.
 	out = run(t, tools["cafe-bench"], "-run", "E9", "-bases", "100000", "-queries", "4")

@@ -12,7 +12,6 @@
 //	cafe-bench -json           # per-stage work/latency breakdown as JSON
 //	cafe-bench -coarse         # serial vs sharded coarse trajectory as JSON
 //	cafe-bench -fine           # scalar vs bitvector fine kernel sweep as JSON
-//	cafe-bench -sig            # postings vs bit-sliced signature coarse backends as JSON
 //
 // The -coarse and -fine trajectories are parallelism benchmarks: they
 // refuse to run at GOMAXPROCS=1 (override with -allow-single-core)
@@ -47,7 +46,6 @@ func main() {
 		asJSON  = flag.Bool("json", false, "run the standard workload instrumented and print the per-stage breakdown as JSON instead of the tables")
 		coarse  = flag.Bool("coarse", false, "benchmark serial vs sharded coarse search and print the trajectory as JSON (exits nonzero if sharded results ever differ from serial)")
 		fine    = flag.Bool("fine", false, "benchmark the fine phase across kernels (scalar vs bitvector) and worker counts, print the sweep as JSON (exits nonzero if any cell's results differ from the serial scalar run)")
-		sigRun  = flag.Bool("sig", false, "benchmark the postings vs bit-sliced signature coarse backends per coarse mode and print the shoot-out as JSON (exits nonzero if the signature results ever differ from postings)")
 
 		allowSingleCore = flag.Bool("allow-single-core", false, "run -coarse/-fine even at GOMAXPROCS=1 (the committed trajectories must come from multi-core runs)")
 		gateCoarse      = flag.Float64("gate-coarse-speedup", 0, "with -coarse: fail unless the best sharded coarse speedup at 2+ workers reaches this factor (skipped with a warning when the machine has fewer than 2 CPUs)")
@@ -142,26 +140,6 @@ func main() {
 				log.Fatalf("bitvector kernel speedup regressed: %.2fx over scalar (serial), gate requires %.2fx", got, *gateKernel)
 			}
 			log.Printf("kernel gate passed: bitvector %.2fx over scalar >= %.2fx", got, *gateKernel)
-		}
-		return
-	}
-
-	if *sigRun {
-		// Not a parallelism bench — no GOMAXPROCS=1 refusal: the word-wide
-		// bit-slice scan vs posting-list traversal comparison is serial.
-		rep, err := experiments.SigBench(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		// The benchmark doubles as the equivalence smoke in CI: the
-		// signature backend is contractually result-identical to postings.
-		if !rep.ResultsIdentical {
-			log.Fatal("signature coarse results differ from postings — equivalence contract broken")
 		}
 		return
 	}

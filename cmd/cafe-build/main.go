@@ -39,7 +39,6 @@ func main() {
 		workers = flag.Int("workers", 0, "build parallelism (0 = all CPUs)")
 		mask    = flag.String("mask", "", "spaced seed mask (e.g. 111010010100110111); overrides -k")
 		segSize = flag.Int("segment-size", 0, "records per segment; > 0 writes the segmented layout (enables incremental growth)")
-		sigs    = flag.Bool("signatures", false, "also build bit-sliced interval signatures (enables -coarse-backend signature at search time; persisted only in the segmented layout)")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -60,10 +59,6 @@ func main() {
 	cfg.SkipInterval = *skip
 	cfg.Workers = *workers
 	cfg.SpacedMask = *mask
-	cfg.Signatures = *sigs
-	if *sigs && *segSize <= 0 {
-		log.Fatal("-signatures requires -segment-size (the legacy monolithic layout does not persist signatures)")
-	}
 
 	start := time.Now()
 	var db *nucleodb.Database
@@ -95,9 +90,6 @@ func main() {
 		float64(st.StoreBytes)/1e6, 8*float64(st.StoreBytes)/float64(st.TotalBases))
 	fmt.Printf("  index:          %.2f MB (%d terms, %d stopped)\n",
 		float64(st.IndexBytes)/1e6, st.TermsIndexed, st.TermsStopped)
-	if st.SignatureBytes > 0 {
-		fmt.Printf("  signatures:     %.2f MB\n", float64(st.SignatureBytes)/1e6)
-	}
 }
 
 // buildSegmented streams the FASTA input in batches of segSize records:

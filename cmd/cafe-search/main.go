@@ -44,9 +44,7 @@ func main() {
 		limit      = flag.Int("limit", 20, "answers per query")
 		exact      = flag.Bool("exact", false, "exact (unbanded) fine alignment")
 		fineKernel = flag.String("fine-kernel", "auto", "fine scoring kernel: auto, scalar, or bitvector (bit-parallel; -exact only)")
-		diagonal   = flag.Bool("diagonal", false, "diagonal coarse ranking (needs offsets)")
-		coarseMode = flag.String("coarse-mode", "", "coarse ranking mode: distinct, total, normalised, or diagonal (overrides -diagonal)")
-		coarseBack = flag.String("coarse-backend", "auto", "coarse backend: auto, postings, or signature (needs a database built with -signatures)")
+		coarseMode = flag.String("coarse-mode", "", "coarse ranking mode: distinct, total, normalised, or diagonal (needs offsets)")
 		minScore   = flag.Int("minscore", 1, "minimum alignment score")
 		strands    = flag.Bool("strands", false, "search both strands")
 		show       = flag.Int("show", 0, "print full alignments for the top N answers")
@@ -77,9 +75,7 @@ func main() {
 	opts.Limit = *limit
 	opts.Exact = *exact
 	opts.FineKernel = *fineKernel
-	opts.Diagonal = *diagonal
 	opts.CoarseMode = *coarseMode
-	opts.CoarseBackend = *coarseBack
 	opts.MinScore = *minScore
 	opts.BothStrands = *strands
 	opts.CoarseWorkers = *coarseW
@@ -175,12 +171,8 @@ func main() {
 func printStats(w io.Writer, st nucleodb.SearchStats) {
 	fmt.Fprintf(w, "  stats: strands %d  terms %d  lists %d  postings %d  bytes %d\n",
 		st.Strands, st.QueryTerms, st.PostingLists, st.PostingsDecoded, st.PostingsBytesRead)
-	fmt.Fprintf(w, "    coarse:    %-10v backend %s, sequences %d, candidates %d, shards %d\n",
-		st.CoarseTime.Round(time.Microsecond), st.CoarseBackend, st.CoarseSequences, st.CoarseCandidates, st.CoarseShards)
-	if st.CoarseBackend == "signature" {
-		fmt.Fprintf(w, "    signature: probes %d, candidates %d, false positives %d\n",
-			st.SigProbes, st.SigCandidates, st.SigFalsePositives)
-	}
+	fmt.Fprintf(w, "    coarse:    %-10v sequences %d, candidates %d, shards %d\n",
+		st.CoarseTime.Round(time.Microsecond), st.CoarseSequences, st.CoarseCandidates, st.CoarseShards)
 	fmt.Fprintf(w, "    prescreen: %-10v rejected %d\n",
 		st.PrescreenTime.Round(time.Microsecond), st.PrescreenRejections)
 	fmt.Fprintf(w, "    fine:      %-10v alignments %d, dp-cells %d, kernel %s, bitvector %d\n",

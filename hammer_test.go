@@ -63,7 +63,9 @@ func TestSegmentedConcurrentHammer(t *testing.T) {
 				default:
 				}
 				o := opts
-				o.Diagonal = rng.Intn(2) == 0
+				if rng.Intn(2) == 0 {
+					o.CoarseMode = "diagonal"
+				}
 				o.CoarseWorkers = rng.Intn(3)
 				if rng.Intn(4) == 0 {
 					batch, err := db.SearchBatch([]string{query, query[:100]}, o, 2)

@@ -130,13 +130,6 @@ type Options struct {
 	MinCoarseHits int
 	// CoarseMode selects the coarse ranking function.
 	CoarseMode CoarseMode
-	// CoarseBackend selects the coarse index implementation: the exact
-	// postings-backed inverted index (the default; CoarseBackendAuto
-	// resolves to it) or the bit-sliced signature backend, which
-	// requires every segment to carry a signature index. Final results
-	// are identical either way — the signature path verifies its
-	// approximate candidates exactly.
-	CoarseBackend CoarseBackend
 	// FineMode selects the fine aligner.
 	FineMode FineMode
 	// FineKernel selects the fine scoring kernel. The default
@@ -194,18 +187,13 @@ func (o Options) validate() error {
 	if o.MinCoarseHits < 1 {
 		return fmt.Errorf("core: MinCoarseHits %d must be positive", o.MinCoarseHits)
 	}
-	// Exhaustive switches, not range checks: adding a mode or backend
-	// without teaching validation about it must fail closed, not widen
-	// the accepted range silently.
+	// An exhaustive switch, not a range check: adding a mode without
+	// teaching validation about it must fail closed, not widen the
+	// accepted range silently.
 	switch o.CoarseMode {
 	case CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal:
 	default:
 		return fmt.Errorf("core: unknown coarse mode %d", o.CoarseMode)
-	}
-	switch o.CoarseBackend {
-	case CoarseBackendAuto, CoarseBackendPostings, CoarseBackendSignature:
-	default:
-		return fmt.Errorf("core: unknown coarse backend %d (use auto, postings or signature)", o.CoarseBackend)
 	}
 	if o.FineMode < FineFull || o.FineMode > FineBanded {
 		return fmt.Errorf("core: unknown fine mode %d", o.FineMode)
@@ -280,11 +268,6 @@ type Segment struct {
 	Index   *index.Index
 	Base    int
 	Deleted func(local int) bool
-	// Sig, when non-nil, is the segment's bit-sliced signature index —
-	// the second coarse backend. It must cover exactly the same
-	// sequences as Index; searches selecting CoarseBackendSignature
-	// fail on segments without one.
-	Sig SignatureIndex
 }
 
 // Searcher evaluates partitioned queries against a set of index
@@ -330,10 +313,6 @@ type Searcher struct {
 	shards   []*coarseShard
 	termJobs []termJob //cafe:pooled sharded-coarse work list, rebuilt per query
 
-	// sig is the signature backend's probe/verification scratch,
-	// created on the first signature search and reused after.
-	sig *sigScratch
-
 	// candBuf backs the bounded top-k candidate selection; it holds at
 	// most Candidates entries and is reused across queries (the fine
 	// phase finishes with it before the next coarse call).
@@ -364,9 +343,6 @@ type coarseShard struct {
 	acc  accumulators
 	it   postings.Iterator
 	diag *diagAcc
-	// sigDst is the shard's probe AND buffer for the signature backend
-	// (see Searcher.probeSharded); unused on the postings path.
-	sigDst []uint64
 
 	lists   int
 	decoded int64
@@ -472,9 +448,6 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		if sg.Base != total {
 			return nil, fmt.Errorf("core: segment %d starts at global id %d, want %d (segments must be contiguous)", i, sg.Base, total)
 		}
-		if sg.Sig != nil && sg.Sig.NumSeqs() != sg.Index.NumSeqs() {
-			return nil, fmt.Errorf("core: segment %d signature covers %d sequences, index has %d", i, sg.Sig.NumSeqs(), sg.Index.NumSeqs())
-		}
 		total += sg.Index.NumSeqs()
 		if n := sg.Index.NumSeqs(); n > maxSeqs {
 			maxSeqs = n
@@ -562,7 +535,6 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 		st.Reset()
 		st.Strands = 1
 		st.FineKernel = opts.Kernel().String()
-		st.CoarseBackend = opts.Backend().String()
 		start = time.Now()
 	}
 	forward, err := s.searchStrand(ctx, query, opts, st)
@@ -721,7 +693,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if collect {
 		t0 = time.Now()
 	}
-	cands, err := s.coarse(ctx, query, opts.Backend(), opts.CoarseMode, opts.MinCoarseHits, opts.CoarseWorkers, opts.Candidates, st)
+	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.CoarseWorkers, opts.Candidates, st)
 	if err != nil {
 		return nil, err
 	}
@@ -913,7 +885,7 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	return s.coarse(context.Background(), query, CoarseBackendPostings, mode, minHits, 1, 0, nil) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	return s.coarse(context.Background(), query, mode, minHits, 1, 0, nil) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
 }
 
 // coarse implements the coarse phase: for each segment in order,
@@ -937,7 +909,7 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // caller's job — searchStrand wraps this call in the coarse wall
 // clock). Cancellation is checked once per posting list, so the
 // per-entry accumulator loop stays hot.
-func (s *Searcher) coarse(ctx context.Context, query []byte, backend CoarseBackend, mode CoarseMode, minHits, workers, topK int, st *SearchStats) ([]Candidate, error) {
+func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, workers, topK int, st *SearchStats) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
 	}
@@ -975,12 +947,9 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, backend CoarseBacke
 	for _, seg := range s.segs {
 		var diag *diagAcc
 		var err error
-		switch {
-		case backend == CoarseBackendSignature:
-			diag, err = s.accumulateSignature(ctx, seg, mode, minHits, workers, st)
-		case workers > 1:
+		if workers > 1 {
 			diag, err = s.accumulateSharded(ctx, seg, mode, workers, st)
-		default:
+		} else {
 			diag, err = s.accumulateSerial(ctx, seg, mode, st)
 		}
 		if err != nil {

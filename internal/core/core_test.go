@@ -197,6 +197,39 @@ func TestSearchOptionValidation(t *testing.T) {
 	}
 }
 
+// TestCoarseValidationExhaustive enumerates the accepted coarse modes
+// through their String() coverage: every named value must validate,
+// every value one past the end must be rejected — the exhaustive-switch
+// regression for the old `> CoarseDiagonal` range check, which silently
+// widened whenever a new mode was appended.
+func TestCoarseValidationExhaustive(t *testing.T) {
+	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
+	for _, m := range modes {
+		opts := DefaultOptions()
+		opts.CoarseMode = m
+		if err := opts.validate(); err != nil {
+			t.Errorf("mode %v rejected: %v", m, err)
+		}
+	}
+	for _, m := range []CoarseMode{CoarseMode(-1), CoarseDiagonal + 1, CoarseMode(99)} {
+		opts := DefaultOptions()
+		opts.CoarseMode = m
+		if err := opts.validate(); err == nil {
+			t.Errorf("mode %d accepted", int(m))
+		}
+	}
+
+	// String coverage for the modes: distinct names, no fallthrough.
+	seen := map[string]bool{}
+	for _, m := range modes {
+		s := m.String()
+		if s == "" || seen[s] {
+			t.Errorf("mode %d has String %q", int(m), s)
+		}
+		seen[s] = true
+	}
+}
+
 func TestSearchQueryShorterThanK(t *testing.T) {
 	f := makeFixture(t, 46, index.Options{K: 9})
 	s := newTestSearcher(t, f)

@@ -17,79 +17,62 @@ import "time"
 type SearchStats struct {
 	// Strands is 1, or 2 for a BothStrands search (every per-strand
 	// counter then accumulates over both orientations).
-	Strands int
+	Strands int `json:"strands"`
 	// QueryTerms is the number of distinct query intervals extracted.
-	QueryTerms int
+	QueryTerms int `json:"query_terms"`
 	// PostingLists is the number of non-empty posting lists read.
-	PostingLists int
+	PostingLists int `json:"posting_lists"`
 	// PostingsDecoded is the number of posting entries decoded across
 	// those lists — the coarse phase's unit of work.
-	PostingsDecoded int64
+	PostingsDecoded int64 `json:"postings_decoded"`
 	// PostingsBytesRead is the compressed size of the lists read; on a
 	// paged index this is bytes fetched from disk.
-	PostingsBytesRead int64
+	PostingsBytesRead int64 `json:"postings_bytes_read"`
 	// CoarseSequences is the number of distinct sequences the coarse
 	// accumulator touched (candidates before MinCoarseHits and the
 	// budget).
-	CoarseSequences int
+	CoarseSequences int `json:"coarse_sequences"`
 	// CoarseCandidates is the number of candidates admitted past the
 	// coarse phase — the sequences that may receive fine alignment.
-	CoarseCandidates int
+	CoarseCandidates int `json:"coarse_candidates"`
 	// CoarseShards is the number of coarse accumulation shards used,
 	// summed over strands and segments: 1 per strand per segment on the
 	// serial path, the effective CoarseWorkers per segment when the
 	// posting-list walk was sharded. The per-shard postings counters
 	// (PostingLists, PostingsDecoded, PostingsBytesRead) always sum to
 	// the serial values.
-	CoarseShards int
-	// CoarseBackend is the resolved coarse backend of this search
-	// ("postings" or "signature"); "mixed" after Add over searches that
-	// disagree.
-	CoarseBackend string
-	// SigProbes is the number of distinct query terms probed against
-	// the bit-sliced signatures, summed over strands and segments
-	// (signature backend only).
-	SigProbes int
-	// SigCandidates is the number of approximate candidates the
-	// signature probe admitted to exact verification (signature backend
-	// only).
-	SigCandidates int
-	// SigFalsePositives is the number of those candidates verification
-	// rejected — sequences the Bloom signatures admitted whose exact
-	// distinct-term count fell below MinCoarseHits. Always
-	// ≤ SigCandidates.
-	SigFalsePositives int
+	CoarseShards int `json:"coarse_shards"`
 	// Segments is the number of index segments the coarse phase
 	// evaluated, summed over strands: the segment count of the searcher's
 	// snapshot per strand (so a both-strands search over 3 segments
 	// reports 6).
-	Segments int
+	Segments int `json:"segments"`
 	// PrescreenRejections is the number of candidates the ungapped
 	// x-drop prescreen discarded before fine alignment (including
 	// candidates with no shared seed to extend).
-	PrescreenRejections int
+	PrescreenRejections int `json:"prescreen_rejections"`
 	// FineAlignments is the number of fine-phase alignments run; at
 	// most CoarseCandidates.
-	FineAlignments int
+	FineAlignments int `json:"fine_alignments"`
 	// BitvectorAlignments is the number of fine alignments the
 	// bit-parallel kernel scored (the rest ran the scalar kernel,
 	// either by configuration or as the capacity fallback). Always
 	// ≤ FineAlignments.
-	BitvectorAlignments int
+	BitvectorAlignments int `json:"bitvector_alignments"`
 	// FineKernel is the resolved fine kernel of this search
 	// ("scalar" or "bitvector"); "mixed" after Add over searches that
 	// disagree.
-	FineKernel string
+	FineKernel string `json:"fine_kernel"`
 	// TracebackAlignments is the number of deferred banded tracebacks
 	// run for reported results.
-	TracebackAlignments int
+	TracebackAlignments int `json:"traceback_alignments"`
 	// FineDPCells and TracebackDPCells are the dynamic-programming
 	// cells those alignments evaluated — the paper's "fraction of the
 	// database aligned", in cells.
-	FineDPCells      int64
-	TracebackDPCells int64
+	FineDPCells      int64 `json:"fine_dp_cells"`
+	TracebackDPCells int64 `json:"traceback_dp_cells"`
 	// Results is the number of answers returned.
-	Results int
+	Results int `json:"results"`
 
 	// Per-stage wall time. CoarseTime, FineTime, TracebackTime and
 	// TotalTime are disjoint-interval wall clocks, so the first three
@@ -97,11 +80,11 @@ type SearchStats struct {
 	// result assembly). PrescreenTime is a subset of FineTime measured
 	// per candidate; with FineWorkers > 1 it sums across workers and
 	// may exceed the fine phase's wall time.
-	CoarseTime    time.Duration
-	PrescreenTime time.Duration
-	FineTime      time.Duration
-	TracebackTime time.Duration
-	TotalTime     time.Duration
+	CoarseTime    time.Duration `json:"coarse_ns"`
+	PrescreenTime time.Duration `json:"prescreen_ns"`
+	FineTime      time.Duration `json:"fine_ns"`
+	TracebackTime time.Duration `json:"traceback_ns"`
+	TotalTime     time.Duration `json:"total_ns"`
 }
 
 // Reset zeroes every counter and duration.
@@ -118,15 +101,6 @@ func (st *SearchStats) Add(o SearchStats) {
 	st.CoarseSequences += o.CoarseSequences
 	st.CoarseCandidates += o.CoarseCandidates
 	st.CoarseShards += o.CoarseShards
-	switch {
-	case st.CoarseBackend == "":
-		st.CoarseBackend = o.CoarseBackend
-	case o.CoarseBackend != "" && o.CoarseBackend != st.CoarseBackend:
-		st.CoarseBackend = "mixed"
-	}
-	st.SigProbes += o.SigProbes
-	st.SigCandidates += o.SigCandidates
-	st.SigFalsePositives += o.SigFalsePositives
 	st.Segments += o.Segments
 	st.PrescreenRejections += o.PrescreenRejections
 	st.FineAlignments += o.FineAlignments

@@ -54,9 +54,6 @@ func TestZeroDurationReportsMarshal(t *testing.T) {
 	fine := &FineBenchReport{Runs: []FineBenchRun{
 		{Kernel: "bitvector", KernelSpeedup: ratioNS(0, 5), ParallelSpeedup: ratioNS(5, 0)},
 	}}
-	sigRep := &SigBenchReport{Runs: []SigBenchRun{
-		{Mode: "distinct", SignatureSpeedup: ratioNS(0, 0)},
-	}}
 
 	for _, r := range coarse.Runs {
 		checkFinite("CoarseSpeedup", r.CoarseSpeedup)
@@ -65,12 +62,9 @@ func TestZeroDurationReportsMarshal(t *testing.T) {
 		checkFinite("KernelSpeedup", r.KernelSpeedup)
 		checkFinite("ParallelSpeedup", r.ParallelSpeedup)
 	}
-	for _, r := range sigRep.Runs {
-		checkFinite("SignatureSpeedup", r.SignatureSpeedup)
-	}
 
 	for name, v := range map[string]any{
-		"coarse": coarse, "fine": fine, "sig": sigRep,
+		"coarse": coarse, "fine": fine,
 	} {
 		if _, err := json.Marshal(v); err != nil {
 			t.Errorf("json.Marshal(%s report with 0ns baselines): %v", name, err)

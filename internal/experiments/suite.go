@@ -28,7 +28,6 @@ func Suite() []Runner {
 		{"E10", "query length sweep (extension)", wrap(E10)},
 		{"E11", "paged vs in-memory index residency (extension)", wrap(E11)},
 		{"E12", "spaced vs contiguous seeds at high divergence (extension)", wrap(E12)},
-		{"E17", "coarse backends: postings vs bit-sliced signatures (extension)", wrap(E17)},
 	}
 }
 

@@ -308,10 +308,6 @@ func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, numSeqs 
 // Options returns the build options of the index.
 func (x *Index) Options() Options { return x.opts }
 
-// CoarseBackendName identifies the inverted index as the postings
-// coarse backend (core.CoarseIndex).
-func (x *Index) CoarseBackendName() string { return "postings" }
-
 // K returns the interval length.
 func (x *Index) K() int { return x.opts.K }
 

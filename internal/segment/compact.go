@@ -5,7 +5,6 @@ import (
 
 	"nucleodb/internal/db"
 	"nucleodb/internal/index"
-	"nucleodb/internal/sig"
 )
 
 // DefaultMaxSegments is the default compaction trigger: compaction
@@ -103,32 +102,7 @@ func MergeRun(name string, run []*Segment) (*Segment, error) {
 			return nil, fmt.Errorf("segment: merge: %w", err)
 		}
 	}
-	merged, err := New(name, store, idx, run[0].Base)
-	if err != nil {
-		return nil, err
-	}
-	// Signatures don't merge bit-wise (each input sized its Bloom rows
-	// to its own sequence count), so when every input carries them the
-	// output is rebuilt over the merged store — keeping the writer's
-	// all-or-none invariant across compactions. A mixed run (possible
-	// only on hand-assembled sets) merges to a signature-less segment.
-	all := true
-	for _, g := range run {
-		if g.sig == nil {
-			all = false
-			break
-		}
-	}
-	if all {
-		merged, err = merged.BuildSig(sig.Options{
-			BitsPerKmer: run[0].sig.BitsPerKmer(),
-			Hashes:      run[0].sig.Hashes(),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("segment: merge signatures: %w", err)
-		}
-	}
-	return merged, nil
+	return New(name, store, idx, run[0].Base)
 }
 
 // Flatten reduces a whole set to a single (store, index) pair — the

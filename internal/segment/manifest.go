@@ -10,7 +10,6 @@ import (
 
 	"nucleodb/internal/db"
 	"nucleodb/internal/index"
-	"nucleodb/internal/sig"
 )
 
 // ManifestFile names the segmented layout's root: a small JSON document
@@ -82,7 +81,6 @@ func SegName(n int) string { return fmt.Sprintf("seg-%06d", n) }
 
 func storePath(dir, name string) string { return filepath.Join(dir, name+".store") }
 func indexPath(dir, name string) string { return filepath.Join(dir, name+".ndx") }
-func sigPath(dir, name string) string   { return filepath.Join(dir, name+".sig") }
 
 // IsSegmented reports whether dir holds a segmented database (has a
 // manifest).
@@ -129,11 +127,6 @@ func WriteFiles(dir string, g *Segment) error {
 	if err := writeFileAtomic(indexPath(dir, g.Name), g.Index.Save); err != nil {
 		return err
 	}
-	if g.sig != nil {
-		if err := writeFileAtomic(sigPath(dir, g.Name), g.sig.Save); err != nil {
-			return err
-		}
-	}
 	return fault(FaultSegmentsWritten)
 }
 
@@ -142,7 +135,6 @@ func WriteFiles(dir string, g *Segment) error {
 func RemoveFiles(dir, name string) {
 	os.Remove(storePath(dir, name))
 	os.Remove(indexPath(dir, name))
-	os.Remove(sigPath(dir, name))
 }
 
 // WriteManifest atomically replaces dir's manifest with one describing
@@ -297,26 +289,6 @@ func OpenDir(dir string, paged bool) (*Set, int, error) {
 				return nil, 0, fmt.Errorf("segment: %s: %w", ms.Name, err)
 			}
 		}
-		// Signatures are optional per segment and not manifest-listed:
-		// presence of the .sig file is the source of truth, so older
-		// manifests (and signature-less builds) open unchanged. A present
-		// but unreadable or mismatched file is an error — silently
-		// dropping it would flip the set's HasSignatures under the user.
-		if gf, err := os.Open(sigPath(dir, ms.Name)); err == nil {
-			sx, err := sig.Load(gf)
-			gf.Close()
-			if err != nil {
-				idx.Close()
-				closeAll()
-				return nil, 0, fmt.Errorf("segment: open %s signatures: %w", ms.Name, err)
-			}
-			g, err = g.WithSig(sx)
-			if err != nil {
-				idx.Close()
-				closeAll()
-				return nil, 0, fmt.Errorf("segment: open %s: %w", ms.Name, err)
-			}
-		}
 		segs[i] = g
 		base += g.Len()
 	}
@@ -342,14 +314,15 @@ func OpenDir(dir string, paged bool) (*Set, int, error) {
 // references — the debris of a crash between writing files and
 // renaming the manifest, or of a completed swap killed before cleanup.
 // Best-effort: removal errors are ignored (the next open retries).
+//
+// seg-*.sig files are always stale: they are the signature indexes an
+// older cafe-build could write beside each segment, which nothing
+// reads any more.
 func GC(dir string, set *Set) {
 	live := map[string]bool{ManifestFile: true}
 	for _, g := range set.Segments() {
 		live[g.Name+".store"] = true
 		live[g.Name+".ndx"] = true
-		if g.sig != nil {
-			live[g.Name+".sig"] = true
-		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {

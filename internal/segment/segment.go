@@ -15,8 +15,6 @@ import (
 	"nucleodb/internal/core"
 	"nucleodb/internal/db"
 	"nucleodb/internal/index"
-	"nucleodb/internal/kmer"
-	"nucleodb/internal/sig"
 )
 
 // Segment is one immutable slice of the collection: a compressed
@@ -39,11 +37,6 @@ type Segment struct {
 	deleted    []uint64
 	numDeleted int
 	liveBases  int
-
-	// sig is the optional bit-sliced signature index over the same
-	// sequences, enabling the signature coarse backend. Like the store
-	// and index it is immutable once attached.
-	sig *sig.Index
 }
 
 // New returns a segment over store and idx with its first record at
@@ -104,43 +97,6 @@ func (g *Segment) WithDeleted(locals []int) (*Segment, error) {
 		}
 	}
 	return &out, nil
-}
-
-// Sig returns the segment's signature index, or nil when the segment
-// was built without signatures.
-func (g *Segment) Sig() *sig.Index { return g.sig }
-
-// WithSig returns a copy of the segment with the signature index
-// attached; every other field is shared. The signatures must cover
-// exactly the segment's sequences.
-func (g *Segment) WithSig(sx *sig.Index) (*Segment, error) {
-	if sx != nil {
-		if sx.NumSeqs() != g.Len() {
-			return nil, fmt.Errorf("segment: signature index covers %d sequences, segment has %d", sx.NumSeqs(), g.Len())
-		}
-		if sx.K() != g.Index.Coder().K() {
-			return nil, fmt.Errorf("segment: signature interval length %d, index uses %d", sx.K(), g.Index.Coder().K())
-		}
-	}
-	out := *g
-	out.sig = sx
-	return &out, nil
-}
-
-// BuildSig builds a signature index over the segment's sequences —
-// excluding the segment's stopped terms, so the signatures describe
-// exactly the term sets the posting lists hold — and returns a copy of
-// the segment with it attached.
-func (g *Segment) BuildSig(opts sig.Options) (*Segment, error) {
-	var skip func(t kmer.Term) bool
-	if g.Index.NumStopped() > 0 {
-		skip = g.Index.Stopped
-	}
-	sx, err := sig.Build(g.Store, g.Index.Coder(), skip, opts)
-	if err != nil {
-		return nil, err
-	}
-	return g.WithSig(sx)
 }
 
 // Renamed returns a copy of the segment under a new file stem, sharing
@@ -209,40 +165,9 @@ func NewSet(segs []*Segment) (*Set, error) {
 		if g.NumDeleted() > 0 {
 			cs.Deleted = g.DeletedLocal
 		}
-		// Only assign a non-nil *sig.Index: a nil pointer stored in the
-		// interface field would read as "has signatures" downstream.
-		if g.sig != nil {
-			cs.Sig = g.sig
-		}
 		s.coreSegs[i] = cs
 	}
 	return s, nil
-}
-
-// HasSignatures reports whether every segment carries a signature
-// index — the precondition for the signature coarse backend. Segments
-// are all-or-none by construction (the writer attaches signatures to
-// every new segment or to none), but a set assembled by hand may mix;
-// search treats a mixed set as signature-less.
-func (s *Set) HasSignatures() bool {
-	for _, g := range s.segs {
-		if g.sig == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// SignatureBytes returns the total in-memory size of the segments'
-// signature indexes, 0 when none are attached.
-func (s *Set) SignatureBytes() int64 {
-	var n int64
-	for _, g := range s.segs {
-		if g.sig != nil {
-			n += int64(g.sig.SizeBytes())
-		}
-	}
-	return n
 }
 
 // Len returns the number of segments.

@@ -227,20 +227,19 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 // URL parameters (GET) or a JSON body (POST). Pointer fields
 // distinguish "unset" from an explicit zero.
 type searchRequest struct {
-	Query         string `json:"query"`
-	Limit         *int   `json:"limit"`
-	Candidates    *int   `json:"candidates"`
-	MinScore      *int   `json:"minscore"`
-	Prescreen     *int   `json:"prescreen"`
-	Band          *int   `json:"band"`
-	Strands       *bool  `json:"strands"`
-	Exact         *bool  `json:"exact"`
-	FineKernel    string `json:"fine_kernel"`
-	CoarseMode    string `json:"coarse_mode"`
-	CoarseBackend string `json:"coarse_backend"`
-	Timeout       string `json:"timeout"`
-	Stats         bool   `json:"stats"`
-	NoCache       bool   `json:"nocache"`
+	Query      string `json:"query"`
+	Limit      *int   `json:"limit"`
+	Candidates *int   `json:"candidates"`
+	MinScore   *int   `json:"minscore"`
+	Prescreen  *int   `json:"prescreen"`
+	Band       *int   `json:"band"`
+	Strands    *bool  `json:"strands"`
+	Exact      *bool  `json:"exact"`
+	FineKernel string `json:"fine_kernel"`
+	CoarseMode string `json:"coarse_mode"`
+	Timeout    string `json:"timeout"`
+	Stats      bool   `json:"stats"`
+	NoCache    bool   `json:"nocache"`
 }
 
 func intParam(q url.Values, name string) (*int, error) {
@@ -346,7 +345,6 @@ func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (
 	req.NoCache = b != nil && *b
 	req.FineKernel = q.Get("fine_kernel")
 	req.CoarseMode = q.Get("coarse_mode")
-	req.CoarseBackend = q.Get("coarse_backend")
 	if err := req.validateNames(); err != nil {
 		return req, err
 	}
@@ -355,17 +353,14 @@ func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (
 }
 
 // validateNames rejects unknown enumerated parameter values at the
-// request boundary — a typo'd backend or mode must 400 here, with a
+// request boundary — a typo'd kernel or mode must 400 here, with a
 // friendlier message than the engine's validation, never fall through
 // to a default.
 func (req searchRequest) validateNames() error {
 	if err := validFineKernel(req.FineKernel); err != nil {
 		return err
 	}
-	if err := validCoarseMode(req.CoarseMode); err != nil {
-		return err
-	}
-	return validCoarseBackend(req.CoarseBackend)
+	return validCoarseMode(req.CoarseMode)
 }
 
 // validFineKernel rejects unknown fine_kernel values at the request
@@ -385,15 +380,6 @@ func validCoarseMode(v string) error {
 		return nil
 	}
 	return fmt.Errorf("parameter coarse_mode=%q must be distinct, total, normalised or diagonal", v)
-}
-
-// validCoarseBackend rejects unknown coarse_backend values.
-func validCoarseBackend(v string) error {
-	switch v {
-	case "", "auto", "postings", "signature":
-		return nil
-	}
-	return fmt.Errorf("parameter coarse_backend=%q must be auto, postings or signature", v)
 }
 
 // options resolves the request's search options over the server
@@ -427,9 +413,6 @@ func (s *Server) options(req searchRequest) nucleodb.SearchOptions {
 	if req.CoarseMode != "" {
 		opts.CoarseMode = req.CoarseMode
 	}
-	if req.CoarseBackend != "" {
-		opts.CoarseBackend = req.CoarseBackend
-	}
 	return opts
 }
 
@@ -456,13 +439,13 @@ func (s *Server) timeout(req searchRequest) (time.Duration, error) {
 // (encode/decode normalises case and U→T) plus every option that
 // affects the answer — CoarseMode changes the ranking, so it is part
 // of the key. Execution knobs that are proven result-neutral
-// (CoarseWorkers, FineWorkers, FineKernel, CoarseBackend — the
-// equivalence property tests lock in byte-identical output) are
-// deliberately excluded, so serial, sharded, bitvector-kernel and
-// signature-backend configurations share cache entries.
+// (CoarseWorkers, FineWorkers, FineKernel — the equivalence property
+// tests lock in byte-identical output) are deliberately excluded, so
+// serial, sharded and bitvector-kernel configurations share cache
+// entries.
 func cacheKey(canonical string, opts nucleodb.SearchOptions) string {
-	return fmt.Sprintf("%s|%d|%d|%t|%s|%t|%d|%d|%d|%t|%d",
-		canonical, opts.Candidates, opts.MinCoarseHits, opts.Diagonal, opts.CoarseMode, opts.Exact,
+	return fmt.Sprintf("%s|%d|%d|%s|%t|%d|%d|%d|%t|%d",
+		canonical, opts.Candidates, opts.MinCoarseHits, opts.CoarseMode, opts.Exact,
 		opts.Band, opts.MinScore, opts.Limit, opts.BothStrands, opts.Prescreen)
 }
 

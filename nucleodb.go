@@ -29,7 +29,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nucleodb/internal/align"
 	"nucleodb/internal/core"
@@ -38,7 +37,6 @@ import (
 	"nucleodb/internal/index"
 	"nucleodb/internal/metrics"
 	"nucleodb/internal/segment"
-	"nucleodb/internal/sig"
 	"nucleodb/internal/stats"
 )
 
@@ -76,13 +74,6 @@ type BuildConfig struct {
 	// Workers bounds build parallelism (0 = all CPUs). The built
 	// database is identical at any setting.
 	Workers int
-	// Signatures additionally builds a bit-sliced interval signature
-	// per segment (one Bloom signature per sequence, stored
-	// column-major), enabling the "signature" coarse backend at search
-	// time. Final results are identical to the postings backend's;
-	// only the coarse phase's data structure differs. Appends and
-	// compactions maintain signatures on every new segment.
-	Signatures bool
 	// Scoring sets the alignment parameters used by searches.
 	Scoring Scoring
 }
@@ -254,21 +245,7 @@ func buildFromStore(store *db.Store, cfg BuildConfig) (*Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nucleodb: %w", err)
 	}
-	g, err := segment.New("", store, idx, 0)
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: %w", err)
-	}
-	if cfg.Signatures {
-		g, err = g.BuildSig(sig.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("nucleodb: %w", err)
-		}
-	}
-	set, err := segment.NewSet([]*segment.Segment{g})
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: %w", err)
-	}
-	return newDatabaseSet(set, cfg.Scoring, "", 0)
+	return newDatabase(store, idx, cfg.Scoring)
 }
 
 func newDatabase(store *db.Store, idx *index.Index, scoring Scoring) (*Database, error) {
@@ -496,20 +473,11 @@ type SearchOptions struct {
 	// MinCoarseHits prunes sequences sharing fewer distinct intervals
 	// with the query.
 	MinCoarseHits int
-	// Diagonal selects the FRAMES-style diagonal coarse ranking
-	// (requires a database built with StoreOffsets).
-	Diagonal bool
-	// CoarseMode, when non-empty, selects the coarse ranking by name —
-	// "distinct", "total", "normalised" or "diagonal" — overriding
-	// Diagonal. Unknown names are rejected.
+	// CoarseMode selects the coarse ranking by name: "" or "distinct",
+	// "total", "normalised", or "diagonal" (the FRAMES-style diagonal
+	// ranking; requires a database built with StoreOffsets). Unknown
+	// names are rejected.
 	CoarseMode string
-	// CoarseBackend selects the coarse phase's data structure: "" or
-	// "auto" (the postings index), "postings", or "signature" (the
-	// bit-sliced interval signatures; requires a database built with
-	// Signatures). Final results are identical across backends; only
-	// the coarse phase's cost profile differs. Unknown names are
-	// rejected.
-	CoarseBackend string
 	// Exact runs unrestricted Smith–Waterman in the fine phase instead
 	// of the banded aligner: exact scores, higher cost.
 	Exact bool
@@ -557,13 +525,9 @@ func DefaultSearchOptions() SearchOptions {
 }
 
 func (o SearchOptions) internal() core.Options {
-	mode := core.CoarseDistinct
-	if o.Diagonal {
-		mode = core.CoarseDiagonal
-	}
+	var mode core.CoarseMode
 	switch o.CoarseMode {
-	case "":
-	case "distinct":
+	case "", "distinct":
 		mode = core.CoarseDistinct
 	case "total":
 		mode = core.CoarseTotal
@@ -573,17 +537,6 @@ func (o SearchOptions) internal() core.Options {
 		mode = core.CoarseDiagonal
 	default:
 		mode = core.CoarseMode(-1) // rejected by core's validation
-	}
-	var backend core.CoarseBackend
-	switch o.CoarseBackend {
-	case "", "auto":
-		backend = core.CoarseBackendAuto
-	case "postings":
-		backend = core.CoarseBackendPostings
-	case "signature":
-		backend = core.CoarseBackendSignature
-	default:
-		backend = core.CoarseBackend(-1) // rejected by core's validation
 	}
 	fine := core.FineBanded
 	if o.Exact {
@@ -604,7 +557,6 @@ func (o SearchOptions) internal() core.Options {
 		Candidates:    o.Candidates,
 		MinCoarseHits: o.MinCoarseHits,
 		CoarseMode:    mode,
-		CoarseBackend: backend,
 		FineMode:      fine,
 		FineKernel:    kernel,
 		Band:          o.Band,
@@ -654,153 +606,7 @@ type Result struct {
 // the engine's observability currency — cafe-search prints it behind
 // -stats, cafe-bench emits it in its JSON report, and every search
 // feeds the same numbers into the process-wide metrics registry.
-type SearchStats struct {
-	// Strands is 1, or 2 when both strands were searched.
-	Strands int `json:"strands"`
-	// QueryTerms is the number of distinct query intervals extracted.
-	QueryTerms int `json:"query_terms"`
-	// PostingLists is the number of non-empty posting lists read.
-	PostingLists int `json:"posting_lists"`
-	// PostingsDecoded is the number of posting entries decoded — the
-	// coarse phase's unit of work.
-	PostingsDecoded int64 `json:"postings_decoded"`
-	// PostingsBytesRead is the compressed size of the lists read; on a
-	// paged database this is bytes fetched from disk.
-	PostingsBytesRead int64 `json:"postings_bytes_read"`
-	// CoarseSequences is the number of sequences the coarse ranking
-	// touched before thresholds and the candidate budget.
-	CoarseSequences int `json:"coarse_sequences"`
-	// CoarseCandidates is the number of candidates admitted to the
-	// post-coarse phases.
-	CoarseCandidates int `json:"coarse_candidates"`
-	// CoarseShards is the number of coarse accumulation shards used,
-	// summed over strands and segments: 1 per strand serially, the
-	// effective CoarseWorkers when the posting-list walk was sharded.
-	// The postings counters above are shard sums and always equal the
-	// serial values.
-	CoarseShards int `json:"coarse_shards"`
-	// CoarseBackend is the resolved coarse backend ("postings" or
-	// "signature"); "mixed" after aggregating searches that disagree.
-	CoarseBackend string `json:"coarse_backend"`
-	// SigProbes is the number of query intervals probed against the
-	// bit-sliced signatures (signature backend only).
-	SigProbes int `json:"sig_probes"`
-	// SigCandidates is the number of approximate candidates the
-	// signature probe admitted to exact verification.
-	SigCandidates int `json:"sig_candidates"`
-	// SigFalsePositives is the number of those candidates verification
-	// rejected; always ≤ SigCandidates.
-	SigFalsePositives int `json:"sig_false_positives"`
-	// Segments is the number of index segments the coarse phase
-	// evaluated, summed over strands.
-	Segments int `json:"segments"`
-	// PrescreenRejections is the number of candidates the ungapped
-	// extension prescreen discarded before fine alignment.
-	PrescreenRejections int `json:"prescreen_rejections"`
-	// FineAlignments is the number of fine-phase alignments run; at
-	// most CoarseCandidates.
-	FineAlignments int `json:"fine_alignments"`
-	// BitvectorAlignments is the number of fine alignments scored by
-	// the bit-parallel kernel (the rest ran the scalar kernel, by
-	// configuration or as the lane-capacity fallback).
-	BitvectorAlignments int `json:"bitvector_alignments"`
-	// FineKernel is the resolved fine kernel ("scalar" or
-	// "bitvector"); "mixed" after aggregating searches that disagree.
-	FineKernel string `json:"fine_kernel"`
-	// TracebackAlignments is the number of deferred tracebacks run for
-	// reported results.
-	TracebackAlignments int `json:"traceback_alignments"`
-	// FineDPCells and TracebackDPCells count the dynamic-programming
-	// cells evaluated — the fraction of the database actually aligned.
-	FineDPCells      int64 `json:"fine_dp_cells"`
-	TracebackDPCells int64 `json:"traceback_dp_cells"`
-	// Results is the number of answers returned.
-	Results int `json:"results"`
-	// Stage wall times. Coarse, fine and traceback clocks are disjoint
-	// intervals summing to at most TotalTime; PrescreenTime is a
-	// per-candidate subset of FineTime (summed across workers when the
-	// fine phase is parallel).
-	CoarseTime    time.Duration `json:"coarse_ns"`
-	PrescreenTime time.Duration `json:"prescreen_ns"`
-	FineTime      time.Duration `json:"fine_ns"`
-	TracebackTime time.Duration `json:"traceback_ns"`
-	TotalTime     time.Duration `json:"total_ns"`
-}
-
-// DPCells returns the total dynamic-programming cells evaluated.
-func (s SearchStats) DPCells() int64 { return s.FineDPCells + s.TracebackDPCells }
-
-// Add accumulates o into s field by field, for aggregating the stats
-// of many queries.
-func (s *SearchStats) Add(o SearchStats) {
-	s.Strands += o.Strands
-	s.QueryTerms += o.QueryTerms
-	s.PostingLists += o.PostingLists
-	s.PostingsDecoded += o.PostingsDecoded
-	s.PostingsBytesRead += o.PostingsBytesRead
-	s.CoarseSequences += o.CoarseSequences
-	s.CoarseCandidates += o.CoarseCandidates
-	s.CoarseShards += o.CoarseShards
-	switch {
-	case s.CoarseBackend == "":
-		s.CoarseBackend = o.CoarseBackend
-	case o.CoarseBackend != "" && o.CoarseBackend != s.CoarseBackend:
-		s.CoarseBackend = "mixed"
-	}
-	s.SigProbes += o.SigProbes
-	s.SigCandidates += o.SigCandidates
-	s.SigFalsePositives += o.SigFalsePositives
-	s.Segments += o.Segments
-	s.PrescreenRejections += o.PrescreenRejections
-	s.FineAlignments += o.FineAlignments
-	s.BitvectorAlignments += o.BitvectorAlignments
-	switch {
-	case s.FineKernel == "":
-		s.FineKernel = o.FineKernel
-	case o.FineKernel != "" && o.FineKernel != s.FineKernel:
-		s.FineKernel = "mixed"
-	}
-	s.TracebackAlignments += o.TracebackAlignments
-	s.FineDPCells += o.FineDPCells
-	s.TracebackDPCells += o.TracebackDPCells
-	s.Results += o.Results
-	s.CoarseTime += o.CoarseTime
-	s.PrescreenTime += o.PrescreenTime
-	s.FineTime += o.FineTime
-	s.TracebackTime += o.TracebackTime
-	s.TotalTime += o.TotalTime
-}
-
-func searchStatsFrom(cs core.SearchStats) SearchStats {
-	return SearchStats{
-		Strands:             cs.Strands,
-		QueryTerms:          cs.QueryTerms,
-		PostingLists:        cs.PostingLists,
-		PostingsDecoded:     cs.PostingsDecoded,
-		PostingsBytesRead:   cs.PostingsBytesRead,
-		CoarseSequences:     cs.CoarseSequences,
-		CoarseCandidates:    cs.CoarseCandidates,
-		CoarseShards:        cs.CoarseShards,
-		CoarseBackend:       cs.CoarseBackend,
-		SigProbes:           cs.SigProbes,
-		SigCandidates:       cs.SigCandidates,
-		SigFalsePositives:   cs.SigFalsePositives,
-		Segments:            cs.Segments,
-		PrescreenRejections: cs.PrescreenRejections,
-		FineAlignments:      cs.FineAlignments,
-		BitvectorAlignments: cs.BitvectorAlignments,
-		FineKernel:          cs.FineKernel,
-		TracebackAlignments: cs.TracebackAlignments,
-		FineDPCells:         cs.FineDPCells,
-		TracebackDPCells:    cs.TracebackDPCells,
-		Results:             cs.Results,
-		CoarseTime:          cs.CoarseTime,
-		PrescreenTime:       cs.PrescreenTime,
-		FineTime:            cs.FineTime,
-		TracebackTime:       cs.TracebackTime,
-		TotalTime:           cs.TotalTime,
-	}
-}
+type SearchStats = core.SearchStats
 
 // Handles into the process-wide registry, fetched once: recording a
 // search is a dozen uncontended atomic adds.
@@ -810,9 +616,6 @@ var (
 	mPostingsBytes    = metrics.Default().Counter("postings_bytes_read_total")
 	mCoarseCandidates = metrics.Default().Counter("coarse_candidates_total")
 	mCoarseShards     = metrics.Default().Counter("coarse_shards_total")
-	mSigProbes        = metrics.Default().Counter("sig_probes_total")
-	mSigCandidates    = metrics.Default().Counter("sig_candidates_total")
-	mSigFalsePos      = metrics.Default().Counter("sig_false_positives_total")
 	mPrescreenRejects = metrics.Default().Counter("prescreen_rejections_total")
 	mFineAlignments   = metrics.Default().Counter("fine_alignments_total")
 	mBitvectorAligns  = metrics.Default().Counter("fine_bitvector_alignments_total")
@@ -835,9 +638,6 @@ func recordSearchMetrics(st SearchStats) {
 	mPostingsBytes.Add(st.PostingsBytesRead)
 	mCoarseCandidates.Add(int64(st.CoarseCandidates))
 	mCoarseShards.Add(int64(st.CoarseShards))
-	mSigProbes.Add(int64(st.SigProbes))
-	mSigCandidates.Add(int64(st.SigCandidates))
-	mSigFalsePos.Add(int64(st.SigFalsePositives))
 	mPrescreenRejects.Add(int64(st.PrescreenRejections))
 	mFineAlignments.Add(int64(st.FineAlignments))
 	mBitvectorAligns.Add(int64(st.BitvectorAlignments))
@@ -925,17 +725,16 @@ func (d *Database) SearchCodesWithStats(codes []byte, opts SearchOptions) ([]Res
 // SearchCodesWithStatsContext is the full-generality search entry
 // point: pre-encoded query, cooperative cancellation, and stats.
 func (d *Database) SearchCodesWithStatsContext(ctx context.Context, codes []byte, opts SearchOptions) ([]Result, SearchStats, error) {
-	var cst core.SearchStats
+	var st SearchStats
 	searcher, set, err := d.getSearcher()
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: %w", err)
 	}
-	rs, err := searcher.SearchWithStatsContext(ctx, codes, opts.internal(), &cst)
+	rs, err := searcher.SearchWithStatsContext(ctx, codes, opts.internal(), &st)
 	d.putSearcher(searcher)
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: %w", err)
 	}
-	st := searchStatsFrom(cst)
 	recordSearchMetrics(st)
 	params, statsErr := d.Statistics()
 	out := make([]Result, len(rs))
@@ -1033,16 +832,6 @@ func (d *Database) Append(records []Record) error {
 	if err != nil {
 		return fmt.Errorf("nucleodb: append: %w", err)
 	}
-	// All-or-none: when the existing segments carry signatures, every
-	// appended segment gets them too (same Bloom geometry), so the
-	// signature backend stays available across the database's life.
-	if old.HasSignatures() {
-		first := old.Segments()[0].Sig()
-		g, err = g.BuildSig(sig.Options{BitsPerKmer: first.BitsPerKmer(), Hashes: first.Hashes()})
-		if err != nil {
-			return fmt.Errorf("nucleodb: append: %w", err)
-		}
-	}
 	segs := append(append([]*segment.Segment{}, old.Segments()...), g)
 	set, err := segment.NewSet(segs)
 	if err != nil {
@@ -1122,10 +911,6 @@ func (d *Database) SetMaxSegments(n int) {
 
 // NumSegments returns the number of segments in the current snapshot.
 func (d *Database) NumSegments() int { return d.snap.Load().Len() }
-
-// HasSignatures reports whether every segment carries a bit-sliced
-// signature index — the precondition for CoarseBackend "signature".
-func (d *Database) HasSignatures() bool { return d.snap.Load().HasSignatures() }
 
 // NumDeleted returns the number of tombstoned records not yet
 // reclaimed by compaction.
@@ -1356,24 +1141,20 @@ type Stats struct {
 	StoreBytes    int // compressed sequence data
 	IndexBytes    int // lexicon + postings + tables
 	PostingsBytes int
-	// SignatureBytes is the bit-sliced signature indexes' total size;
-	// 0 for a database built without Signatures.
-	SignatureBytes int64
-	TermsIndexed   int
-	TermsStopped   int
-	IntervalLen    int
+	TermsIndexed  int
+	TermsStopped  int
+	IntervalLen   int
 }
 
 // Stats returns storage and index statistics.
 func (d *Database) Stats() Stats {
 	set := d.snap.Load()
 	st := Stats{
-		NumSequences:   set.NumSeqs(),
-		TotalBases:     set.TotalBases(),
-		Segments:       set.Len(),
-		Deleted:        set.NumDeleted(),
-		SignatureBytes: set.SignatureBytes(),
-		IntervalLen:    set.Segments()[0].Index.K(),
+		NumSequences: set.NumSeqs(),
+		TotalBases:   set.TotalBases(),
+		Segments:     set.Len(),
+		Deleted:      set.NumDeleted(),
+		IntervalLen:  set.Segments()[0].Index.K(),
 	}
 	for _, g := range set.Segments() {
 		st.StoreBytes += g.Store.EncodedBytes()

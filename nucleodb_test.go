@@ -250,7 +250,7 @@ func TestDiagonalSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultSearchOptions()
-	opts.Diagonal = true
+	opts.CoarseMode = "diagonal"
 	rs, err := db.Search(query, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -271,6 +271,12 @@ func TestDiagonalSearch(t *testing.T) {
 	}
 	if _, err := lean.Search(query, opts); err == nil {
 		t.Error("diagonal search accepted without offsets")
+	}
+
+	// An unknown ranking name is rejected, never defaulted.
+	opts.CoarseMode = "cosine"
+	if _, err := db.Search(query, opts); err == nil {
+		t.Error("unknown coarse mode accepted")
 	}
 }
 

@@ -4,22 +4,26 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // searchGrid is the public-API option matrix the equivalence suite
-// compares across: both coarse rankings, both fine phases and kernels,
+// compares across: every coarse ranking, both fine phases and kernels,
 // strand handling, prescreen, and serial vs parallel workers.
 func searchGrid() map[string]SearchOptions {
 	grid := map[string]SearchOptions{}
 	base := DefaultSearchOptions()
 	grid["default"] = base
 
-	diag := base
-	diag.Diagonal = true
-	grid["diagonal"] = diag
+	for _, mode := range []string{"total", "normalised", "diagonal"} {
+		ranked := base
+		ranked.CoarseMode = mode
+		grid[mode] = ranked
+	}
 
 	exact := base
 	exact.Exact = true
@@ -30,6 +34,11 @@ func searchGrid() map[string]SearchOptions {
 	strands.BothStrands = true
 	strands.Prescreen = 60
 	grid["strands-prescreen"] = strands
+
+	strandsTotal := base
+	strandsTotal.CoarseMode = "total"
+	strandsTotal.BothStrands = true
+	grid["strands-total"] = strandsTotal
 
 	parallel := base
 	parallel.CoarseWorkers = 3
@@ -192,6 +201,50 @@ func TestSegmentedSaveReloadEquivalence(t *testing.T) {
 		t.Fatalf("legacy Save kept %d segments", got)
 	}
 	mustEqualResults(t, "flattened", flat, mono, query)
+}
+
+// TestOpenDiscardsOldSignatureFiles: a directory written by an older
+// cafe-build -signatures carries a seg-NNNNNN.sig beside every segment.
+// Nothing reads them any more; both open paths must answer exactly as
+// they do without the files and garbage-collect them.
+func TestOpenDiscardsOldSignatureFiles(t *testing.T) {
+	recs, query, _ := testRecords(330)
+	rng := rand.New(rand.NewSource(331))
+	dir := filepath.Join(t.TempDir(), "segdb")
+	if err := buildSegmented(t, recs, 3, rng).SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Open(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, open := range []struct {
+		name string
+		fn   func(string, Scoring) (*Database, error)
+	}{{"open", Open}, {"paged", OpenPaged}} {
+		stores, err := filepath.Glob(filepath.Join(dir, "seg-*.store"))
+		if err != nil || len(stores) != 3 {
+			t.Fatalf("%s: found segment stores %v (err %v), want 3", open.name, stores, err)
+		}
+		for _, store := range stores {
+			old := strings.TrimSuffix(store, ".store") + ".sig"
+			if err := os.WriteFile(old, []byte("not a signature index"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db, err := open.fn(dir, DefaultScoring())
+		if err != nil {
+			t.Fatalf("%s: directory with old .sig files: %v", open.name, err)
+		}
+		mustEqualResults(t, open.name+"-with-sig", db, clean, query)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if left, _ := filepath.Glob(filepath.Join(dir, "*.sig")); len(left) != 0 {
+			t.Fatalf("%s: old signature files survived the open: %v", open.name, left)
+		}
+	}
 }
 
 // TestDeleteEquivalence: tombstoned records vanish immediately and
