@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-json bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence examples experiments fmt vet clean
+.PHONY: all build test test-race cover bench bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence examples experiments fmt vet clean
 
 all: build test
 
@@ -20,29 +20,6 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Committed benchmark trajectories. Both runs double as equivalence
-# smokes (cafe-bench exits nonzero if any parallel or bitvector run's
-# results differ from the serial scalar run's) and both refuse to run
-# at GOMAXPROCS=1 — a single-core "parallel" trajectory is meaningless.
-BENCH_PROCS ?= 4
-
-# Serial-vs-sharded coarse trajectory, committed as BENCH_coarse.json.
-bench-json:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -coarse > BENCH_coarse.json
-
-# Scalar-vs-bitvector fine kernel sweep, committed as BENCH_fine.json.
-bench-fine:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -fine > BENCH_fine.json
-
-# CI regression gate over both trajectories: coarse parallel efficiency
-# must beat serial at 2+ workers (skipped with a warning on <2-CPU
-# machines, where parallel speedup is physically impossible) and the
-# bitvector kernel must hold a 1.8x serial speedup over scalar (the
-# >=2x acceptance bar minus 10% tolerance).
-bench-efficiency:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -coarse -gate-coarse-speedup 1.0 > /dev/null
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) run ./cmd/cafe-bench -fine -gate-kernel-speedup 1.8 > /dev/null
 
 # The served-path benchmark (bench/, contract in BENCHMARK.json) as a
 # test: every workload, both trace modes, on a 300-sequence collection,

@@ -16,11 +16,10 @@ import (
 // throughput scales with cores. workers ≤ 0 uses all CPUs. The first
 // error aborts the batch.
 //
-// Per-query parallelism knobs compose multiplicatively with the batch
-// fan-out: opts.CoarseWorkers and opts.FineWorkers apply inside every
-// query, so a batch at full CPU width usually wants them at 0 (serial)
-// — the batch is already saturating the cores — while a latency-bound
-// batch of a few heavy queries benefits from setting them.
+// opts.FineWorkers applies inside every query, so it multiplies with
+// the batch fan-out: a batch at full CPU width usually wants it at 0
+// (serial) — the batch is already saturating the cores — while a
+// latency-bound batch of a few heavy queries benefits from setting it.
 func (d *Database) SearchBatch(queries []string, opts SearchOptions, workers int) ([][]Result, error) {
 	out, _, err := d.SearchBatchWithStats(queries, opts, workers)
 	return out, err

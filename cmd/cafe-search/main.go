@@ -51,7 +51,6 @@ func main() {
 		paged      = flag.Bool("paged", false, "read posting lists from disk on demand instead of loading the index")
 		tsv        = flag.Bool("tsv", false, "tab-separated output: query, rank, id, desc, score, bits, evalue, strand, spans")
 		stats      = flag.Bool("stats", false, "print per-stage work counters and latencies after each query, and process totals at the end")
-		coarseW    = flag.Int("coarse-workers", 0, "shard the coarse posting-list walk across this many workers (0 = serial; results are identical)")
 		fineW      = flag.Int("fine-workers", 0, "align candidates concurrently in the fine phase (0 = serial; results are identical)")
 	)
 	flag.Parse()
@@ -78,7 +77,6 @@ func main() {
 	opts.CoarseMode = *coarseMode
 	opts.MinScore = *minScore
 	opts.BothStrands = *strands
-	opts.CoarseWorkers = *coarseW
 	opts.FineWorkers = *fineW
 
 	type namedQuery struct {
@@ -171,8 +169,8 @@ func main() {
 func printStats(w io.Writer, st nucleodb.SearchStats) {
 	fmt.Fprintf(w, "  stats: strands %d  terms %d  lists %d  postings %d  bytes %d\n",
 		st.Strands, st.QueryTerms, st.PostingLists, st.PostingsDecoded, st.PostingsBytesRead)
-	fmt.Fprintf(w, "    coarse:    %-10v sequences %d, candidates %d, shards %d\n",
-		st.CoarseTime.Round(time.Microsecond), st.CoarseSequences, st.CoarseCandidates, st.CoarseShards)
+	fmt.Fprintf(w, "    coarse:    %-10v sequences %d, candidates %d\n",
+		st.CoarseTime.Round(time.Microsecond), st.CoarseSequences, st.CoarseCandidates)
 	fmt.Fprintf(w, "    prescreen: %-10v rejected %d\n",
 		st.PrescreenTime.Round(time.Microsecond), st.PrescreenRejections)
 	fmt.Fprintf(w, "    fine:      %-10v alignments %d, dp-cells %d, kernel %s, bitvector %d\n",

@@ -66,7 +66,7 @@ func TestSegmentedConcurrentHammer(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					o.CoarseMode = "diagonal"
 				}
-				o.CoarseWorkers = rng.Intn(3)
+				o.FineWorkers = rng.Intn(3)
 				if rng.Intn(4) == 0 {
 					batch, err := db.SearchBatch([]string{query, query[:100]}, o, 2)
 					if err != nil {

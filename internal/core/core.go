@@ -158,13 +158,6 @@ type Options struct {
 	// reducing single-query latency on multicore machines. 0 or 1 is
 	// serial. Results are identical at any setting.
 	FineWorkers int
-	// CoarseWorkers partitions the query's posting lists across this
-	// many workers in the coarse phase. Each worker accumulates into a
-	// private per-shard accumulator (and diagonal accumulator under
-	// CoarseDiagonal); the shards are merged deterministically, so
-	// results are byte-identical to the serial path at any setting. 0
-	// or 1 is serial.
-	CoarseWorkers int
 }
 
 // DefaultOptions returns the configuration of the headline experiments.
@@ -180,7 +173,10 @@ func DefaultOptions() Options {
 	}
 }
 
-func (o Options) validate() error {
+// Validate reports the first setting a search would reject. Searches
+// run it themselves; it is exported so a service can refuse bad
+// defaults at start-up instead of on every request.
+func (o Options) Validate() error {
 	if o.Candidates < 1 {
 		return fmt.Errorf("core: candidate budget %d must be positive", o.Candidates)
 	}
@@ -215,9 +211,6 @@ func (o Options) validate() error {
 	}
 	if o.FineWorkers < 0 {
 		return fmt.Errorf("core: negative FineWorkers %d", o.FineWorkers)
-	}
-	if o.CoarseWorkers < 0 {
-		return fmt.Errorf("core: negative CoarseWorkers %d", o.CoarseWorkers)
 	}
 	return nil
 }
@@ -292,11 +285,8 @@ type Searcher struct {
 	// searchers built for a superseded snapshot.
 	snapshot any
 
-	// maxSegSeqs sizes the per-segment accumulators: the largest
-	// segment's sequence count.
-	maxSegSeqs int
-
-	// Scratch reused across queries.
+	// Scratch reused across queries. acc is sized for the largest
+	// segment and reset per segment.
 	acc     accumulators
 	it      postings.Iterator
 	termSet map[kmer.Term][]int //cafe:pooled query-lifetime term map, cleared at the start of each coarse call
@@ -306,12 +296,6 @@ type Searcher struct {
 	// and a bit test instead of a map lookup; the map stays the single
 	// source of truth. Read-only during the fine phase.
 	termBits termFilter //cafe:pooled query-lifetime filter, cleared with termSet
-
-	// Sharded-coarse scratch: per-worker accumulators and the term
-	// work list, grown to the high-water worker count and reused so
-	// steady-state sharded coarse allocates nothing.
-	shards   []*coarseShard
-	termJobs []termJob //cafe:pooled sharded-coarse work list, rebuilt per query
 
 	// candBuf backs the bounded top-k candidate selection; it holds at
 	// most Candidates entries and is reused across queries (the fine
@@ -326,80 +310,6 @@ type Searcher struct {
 	// fine kernel, rebuilt once per strand (Build reuses its backing)
 	// and read-only while fine workers score against it.
 	bvProfile align.StripedProfile
-}
-
-// termJob is one unit of coarse work: a query term and the query
-// offsets it occurs at (offsets drive the diagonal accumulator).
-type termJob struct {
-	t    kmer.Term
-	qPos []int
-}
-
-// coarseShard is one worker's private coarse state: accumulators, a
-// postings iterator, an optional diagonal accumulator, and the shard's
-// share of the postings counters (summed into SearchStats after the
-// join, so the totals equal the serial values exactly).
-type coarseShard struct {
-	acc  accumulators
-	it   postings.Iterator
-	diag *diagAcc
-
-	lists   int
-	decoded int64
-	bytes   int64
-	err     error
-}
-
-// reset prepares the shard for one query, creating or clearing the
-// diagonal accumulator as the mode requires.
-func (sh *coarseShard) reset(diagonal bool) {
-	sh.acc.reset()
-	sh.lists, sh.decoded, sh.bytes, sh.err = 0, 0, 0, nil
-	switch {
-	case !diagonal:
-		sh.diag = nil
-	case sh.diag == nil:
-		sh.diag = newDiagAcc(true)
-	default:
-		clear(sh.diag.counts)
-	}
-}
-
-// accumulate folds one term's posting list into the shard.
-func (sh *coarseShard) accumulate(idx *index.Index, job termJob) {
-	df, listBytes := idx.ReaderStats(job.t, &sh.it)
-	if df == 0 {
-		return
-	}
-	sh.lists++
-	sh.bytes += int64(listBytes)
-	for sh.it.Next() {
-		e := sh.it.Entry()
-		sh.acc.bump(int(e.ID), 1, int(e.Count))
-		if sh.diag != nil {
-			for _, qp := range job.qPos {
-				for _, off := range e.Offsets {
-					sh.diag.add(e.ID, int(off)-qp)
-				}
-			}
-		}
-	}
-	if err := sh.it.Err(); err != nil {
-		sh.err = fmt.Errorf("core: term %d postings: %w", job.t, err)
-		return
-	}
-	sh.decoded += int64(sh.it.Decoded())
-}
-
-// coarseShards returns n pooled shards, growing the pool on first use
-// at each high-water mark.
-//
-//cafe:pooled shard state is reused by the next query on this searcher
-func (s *Searcher) coarseShards(n int) []*coarseShard {
-	for len(s.shards) < n {
-		s.shards = append(s.shards, &coarseShard{acc: newAccumulators(s.maxSegSeqs)})
-	}
-	return s.shards[:n]
 }
 
 // fineScratch returns n pooled bestSeed scratches, one per fine
@@ -457,16 +367,15 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		return nil, fmt.Errorf("core: segments index %d sequences, store has %d", total, src.Len())
 	}
 	return &Searcher{
-		segs:       append([]Segment(nil), segs...),
-		src:        src,
-		scoring:    scoring,
-		subst:      align.NewSubst(scoring),
-		coder:      segs[0].Index.Coder(),
-		opts:       opts,
-		snapshot:   snapshot,
-		maxSegSeqs: maxSeqs,
-		acc:        newAccumulators(maxSeqs),
-		termSet:    make(map[kmer.Term][]int),
+		segs:     append([]Segment(nil), segs...),
+		src:      src,
+		scoring:  scoring,
+		subst:    align.NewSubst(scoring),
+		coder:    segs[0].Index.Coder(),
+		opts:     opts,
+		snapshot: snapshot,
+		acc:      newAccumulators(maxSeqs),
+		termSet:  make(map[kmer.Term][]int),
 	}, nil
 }
 
@@ -524,7 +433,7 @@ func (s *Searcher) SearchWithStats(query []byte, opts Options, st *SearchStats) 
 // SearchWithStatsContext is SearchContext with the stats collection of
 // SearchWithStats.
 func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
-	if err := opts.validate(); err != nil {
+	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -560,11 +469,9 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	for i := range reverse {
 		reverse[i].Reverse = true
 	}
-	// Merge: keep each sequence's best strand. Iterate the two slices
-	// separately — append(forward, reverse...) would copy reverse into
-	// forward's spare backing capacity when cap(forward) allows, and
-	// the sharded coarse path reuses result backing across strands, so
-	// that aliasing would let one strand's merge scribble on the other.
+	// Merge: keep each sequence's best strand. The two slices are read
+	// where they are — append(forward, reverse...) would copy one strand
+	// into the other's backing only to iterate it once.
 	best := make(map[int]Result, len(forward)+len(reverse))
 	for _, r := range forward {
 		if cur, ok := best[r.ID]; !ok || r.Score > cur.Score {
@@ -693,7 +600,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if collect {
 		t0 = time.Now()
 	}
-	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.CoarseWorkers, opts.Candidates, st)
+	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, st)
 	if err != nil {
 		return nil, err
 	}
@@ -885,17 +792,16 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	return s.coarse(context.Background(), query, mode, minHits, 1, 0, nil) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	return s.coarse(context.Background(), query, mode, minHits, 0, nil) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
 }
 
 // coarse implements the coarse phase: for each segment in order,
-// accumulate the query's posting lists (serially, or sharded across
-// workers when workers > 1) and fold the segment's qualifying sequences
-// — rebased to global ids — into one shared selection. topK > 0 selects
-// the best topK with a bounded heap — O(touched·log k) instead of the
-// full sort's O(n·log n) — and reuses the searcher's candidate buffer;
-// topK ≤ 0 full-sorts every qualifying sequence into a fresh slice (the
-// Coarse recall API).
+// accumulate the query's posting lists and fold the segment's
+// qualifying sequences — rebased to global ids — into one shared
+// selection. topK > 0 selects the best topK with a bounded heap —
+// O(touched·log k) instead of the full sort's O(n·log n) — and reuses
+// the searcher's candidate buffer; topK ≤ 0 full-sorts every qualifying
+// sequence into a fresh slice (the Coarse recall API).
 //
 // Per-sequence coarse scores are segment-local quantities (distinct and
 // total counts, the length-normalised ratio, the densest diagonal), so
@@ -909,7 +815,7 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // caller's job — searchStrand wraps this call in the coarse wall
 // clock). Cancellation is checked once per posting list, so the
 // per-entry accumulator loop stays hot.
-func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, workers, topK int, st *SearchStats) ([]Candidate, error) {
+func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, st *SearchStats) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
 	}
@@ -932,9 +838,6 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	if st != nil {
 		st.QueryTerms += len(s.termSet)
 	}
-	if workers > len(s.termSet) {
-		workers = len(s.termSet)
-	}
 
 	// Selection state shared across segments: the bounded heap (or the
 	// full-sort slice) receives every segment's qualifying sequences.
@@ -945,13 +848,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	}
 
 	for _, seg := range s.segs {
-		var diag *diagAcc
-		var err error
-		if workers > 1 {
-			diag, err = s.accumulateSharded(ctx, seg, mode, workers, st)
-		} else {
-			diag, err = s.accumulateSerial(ctx, seg, mode, st)
-		}
+		diag, err := s.accumulate(ctx, seg, mode, st)
 		if err != nil {
 			return nil, err
 		}
@@ -1014,10 +911,10 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	return cands, nil
 }
 
-// accumulateSerial walks every posting list of one segment into the
-// searcher's accumulator on the calling goroutine — the workers ≤ 1
-// path. Accumulator slots are the segment's local ids.
-func (s *Searcher) accumulateSerial(ctx context.Context, seg Segment, mode CoarseMode, st *SearchStats) (*diagAcc, error) {
+// accumulate walks every posting list the query's terms have in one
+// segment into the searcher's accumulator. Accumulator slots are the
+// segment's local ids.
+func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, st *SearchStats) (*diagAcc, error) {
 	s.acc.reset()
 	diag := newDiagAcc(mode == CoarseDiagonal)
 	for t, qPositions := range s.termSet {
@@ -1049,80 +946,6 @@ func (s *Searcher) accumulateSerial(ctx context.Context, seg Segment, mode Coars
 		if st != nil {
 			st.PostingsDecoded += int64(s.it.Decoded())
 		}
-	}
-	if st != nil {
-		st.CoarseShards++
-	}
-	return diag, nil
-}
-
-// accumulateSharded partitions the query's posting lists over one
-// segment across workers, each folding its share into a private
-// per-shard accumulator (and diagonal accumulator under
-// CoarseDiagonal), then merges the shards into the searcher's
-// accumulator. Interval counts are sums, so the merged totals are
-// identical to the serial walk no matter how the lists were partitioned
-// — which is what makes the sharded coarse byte-identical to the serial
-// one. Workers check ctx before claiming each list; on cancellation
-// nothing merges and ctx.Err() is returned.
-func (s *Searcher) accumulateSharded(ctx context.Context, seg Segment, mode CoarseMode, workers int, st *SearchStats) (*diagAcc, error) {
-	jobs := s.termJobs[:0]
-	for t, qPositions := range s.termSet {
-		jobs = append(jobs, termJob{t: t, qPos: qPositions})
-	}
-	s.termJobs = jobs[:0]
-
-	diagonal := mode == CoarseDiagonal
-	shards := s.coarseShards(workers)
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		sh := shards[w]
-		sh.reset(diagonal)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil && sh.err == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(jobs) {
-					return
-				}
-				sh.accumulate(seg.Index, jobs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, sh := range shards {
-		if sh.err != nil {
-			return nil, sh.err //cafe:allow poolescape the error is a fresh fmt.Errorf value, not reused backing; reset clears the shard's reference before the next query
-		}
-	}
-
-	// Deterministic merge: per-sequence counters are order-independent
-	// sums, and the diagonal buckets merge by key, so any partition of
-	// the lists produces the same merged state.
-	s.acc.reset()
-	diag := newDiagAcc(diagonal)
-	for _, sh := range shards {
-		for _, id := range sh.acc.touched {
-			s.acc.bump(id, int(sh.acc.distinct[id]), int(sh.acc.total[id]))
-		}
-		if diag != nil {
-			for key, n := range sh.diag.counts {
-				diag.counts[key] += n
-			}
-		}
-		if st != nil {
-			st.PostingLists += sh.lists
-			st.PostingsDecoded += sh.decoded
-			st.PostingsBytesRead += sh.bytes
-		}
-	}
-	if st != nil {
-		st.CoarseShards += workers
 	}
 	return diag, nil
 }

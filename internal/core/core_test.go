@@ -207,14 +207,14 @@ func TestCoarseValidationExhaustive(t *testing.T) {
 	for _, m := range modes {
 		opts := DefaultOptions()
 		opts.CoarseMode = m
-		if err := opts.validate(); err != nil {
+		if err := opts.Validate(); err != nil {
 			t.Errorf("mode %v rejected: %v", m, err)
 		}
 	}
 	for _, m := range []CoarseMode{CoarseMode(-1), CoarseDiagonal + 1, CoarseMode(99)} {
 		opts := DefaultOptions()
 		opts.CoarseMode = m
-		if err := opts.validate(); err == nil {
+		if err := opts.Validate(); err == nil {
 			t.Errorf("mode %d accepted", int(m))
 		}
 	}

@@ -15,7 +15,7 @@ import (
 // the bitvector kernel: the same search run with the scalar and the
 // bitvector fine kernel must return byte-identical result lists —
 // scores, rankings, spans and transcripts — across every coarse mode,
-// both strand settings, and serial/parallel coarse and fine phases.
+// both strand settings, and a serial and a parallel fine phase.
 func TestFineKernelEquivalence(t *testing.T) {
 	f := makeFixture(t, 61, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
@@ -23,56 +23,53 @@ func TestFineKernelEquivalence(t *testing.T) {
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
 	for _, mode := range modes {
 		for _, both := range []bool{false, true} {
-			for _, cw := range []int{1, 3} {
-				for _, fw := range []int{1, 4} {
-					opts := DefaultOptions()
-					opts.CoarseMode = mode
-					opts.FineMode = FineFull
-					opts.BothStrands = both
-					opts.CoarseWorkers = cw
-					opts.FineWorkers = fw
+			for _, fw := range []int{1, 4} {
+				opts := DefaultOptions()
+				opts.CoarseMode = mode
+				opts.FineMode = FineFull
+				opts.BothStrands = both
+				opts.FineWorkers = fw
 
-					opts.FineKernel = FineKernelScalar
-					var scalarStats SearchStats
-					want, err := s.SearchWithStats(f.query, opts, &scalarStats)
-					if err != nil {
-						t.Fatalf("%v both=%v cw=%d fw=%d scalar: %v", mode, both, cw, fw, err)
-					}
+				opts.FineKernel = FineKernelScalar
+				var scalarStats SearchStats
+				want, err := s.SearchWithStats(f.query, opts, &scalarStats)
+				if err != nil {
+					t.Fatalf("%v both=%v fw=%d scalar: %v", mode, both, fw, err)
+				}
 
-					opts.FineKernel = FineKernelBitvector
-					var bvStats SearchStats
-					got, err := s.SearchWithStats(f.query, opts, &bvStats)
-					if err != nil {
-						t.Fatalf("%v both=%v cw=%d fw=%d bitvector: %v", mode, both, cw, fw, err)
-					}
+				opts.FineKernel = FineKernelBitvector
+				var bvStats SearchStats
+				got, err := s.SearchWithStats(f.query, opts, &bvStats)
+				if err != nil {
+					t.Fatalf("%v both=%v fw=%d bitvector: %v", mode, both, fw, err)
+				}
 
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v both=%v cw=%d fw=%d: bitvector results differ from scalar\n got %+v\nwant %+v",
-							mode, both, cw, fw, got, want)
-					}
-					if len(want) == 0 {
-						t.Fatalf("%v both=%v: degenerate test, no results", mode, both)
-					}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v both=%v fw=%d: bitvector results differ from scalar\n got %+v\nwant %+v",
+						mode, both, fw, got, want)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%v both=%v: degenerate test, no results", mode, both)
+				}
 
-					// The kernels did the same logical work and labelled
-					// themselves truthfully.
-					if scalarStats.FineKernel != "scalar" || scalarStats.BitvectorAlignments != 0 {
-						t.Fatalf("scalar stats: kernel %q, bitvector alignments %d",
-							scalarStats.FineKernel, scalarStats.BitvectorAlignments)
-					}
-					if bvStats.FineKernel != "bitvector" {
-						t.Fatalf("bitvector stats: kernel %q", bvStats.FineKernel)
-					}
-					if bvStats.BitvectorAlignments != bvStats.FineAlignments {
-						t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
-							bvStats.BitvectorAlignments, bvStats.FineAlignments)
-					}
-					if bvStats.FineAlignments != scalarStats.FineAlignments ||
-						bvStats.FineDPCells != scalarStats.FineDPCells {
-						t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
-							bvStats.FineAlignments, bvStats.FineDPCells,
-							scalarStats.FineAlignments, scalarStats.FineDPCells)
-					}
+				// The kernels did the same logical work and labelled
+				// themselves truthfully.
+				if scalarStats.FineKernel != "scalar" || scalarStats.BitvectorAlignments != 0 {
+					t.Fatalf("scalar stats: kernel %q, bitvector alignments %d",
+						scalarStats.FineKernel, scalarStats.BitvectorAlignments)
+				}
+				if bvStats.FineKernel != "bitvector" {
+					t.Fatalf("bitvector stats: kernel %q", bvStats.FineKernel)
+				}
+				if bvStats.BitvectorAlignments != bvStats.FineAlignments {
+					t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
+						bvStats.BitvectorAlignments, bvStats.FineAlignments)
+				}
+				if bvStats.FineAlignments != scalarStats.FineAlignments ||
+					bvStats.FineDPCells != scalarStats.FineDPCells {
+					t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
+						bvStats.FineAlignments, bvStats.FineDPCells,
+						scalarStats.FineAlignments, scalarStats.FineDPCells)
 				}
 			}
 		}
@@ -228,8 +225,8 @@ func TestFineKernelCancellation(t *testing.T) {
 	opts.FineKernel = FineKernelBitvector
 
 	// Measure the poll budget of each stage from an uncancelled run:
-	// 1 entry check + one per query term (serial coarse) + one per
-	// candidate (serial fine) + one per deferred traceback.
+	// 1 entry check + one per query term (coarse) + one per candidate
+	// (serial fine) + one per deferred traceback.
 	var st SearchStats
 	results, err := s.SearchWithStats(f.query, opts, &st)
 	if err != nil {
@@ -266,11 +263,11 @@ func TestFineKernelCancellation(t *testing.T) {
 }
 
 // TestFineKernelScratchHammer drives the pooled bitvector profile and
-// per-worker scratches hard under parallel coarse and fine phases, both
-// strands, across repeated searches — the race detector (make
-// test-race, CI's race job) turns any scratch-sharing bug into a
-// failure, and the result must stay byte-identical to the serial scalar
-// reference every iteration.
+// per-worker scratches hard under a parallel fine phase, both strands,
+// across repeated searches — the race detector (make test-race, CI's
+// race job) turns any scratch-sharing bug into a failure, and the
+// result must stay byte-identical to the serial scalar reference every
+// iteration.
 func TestFineKernelScratchHammer(t *testing.T) {
 	f := makeFixture(t, 66, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
@@ -286,7 +283,6 @@ func TestFineKernelScratchHammer(t *testing.T) {
 
 	opts := ref
 	opts.FineKernel = FineKernelBitvector
-	opts.CoarseWorkers = 4
 	opts.FineWorkers = 8
 	for i := 0; i < 25; i++ {
 		got, err := s.Search(f.query, opts)

@@ -48,8 +48,8 @@ func splitSegments(t *testing.T, f *fixture, rng *rand.Rand, k int) []Segment {
 // TestSegmentedSearchEquivalence is the engine's segmentation
 // invariant: a searcher over any segmentation of the collection
 // returns results byte-identical to the monolithic searcher, for every
-// coarse mode, both fine kernels, and serial and sharded worker
-// settings — segment count 1 through 8 with random boundaries.
+// coarse mode, both fine kernels, and a serial and a parallel fine
+// phase — segment count 1 through 8 with random boundaries.
 func TestSegmentedSearchEquivalence(t *testing.T) {
 	f := makeFixture(t, 77, index.Options{K: 9, StoreOffsets: true})
 	mono := newTestSearcher(t, f)
@@ -65,7 +65,7 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 		{FineFull, FineKernelBitvector},
 	}
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
-	grids := []struct{ coarse, fine int }{{0, 0}, {3, 2}}
+	fineWorkers := []int{0, 2}
 
 	for k := 1; k <= 8; k++ {
 		segs := splitSegments(t, f, rng, k)
@@ -78,16 +78,15 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 		}
 		for _, cm := range modes {
 			for _, fc := range fines {
-				for _, g := range grids {
+				for _, fw := range fineWorkers {
 					opts := DefaultOptions()
 					opts.CoarseMode = cm
 					opts.FineMode = fc.mode
 					opts.FineKernel = fc.kernel
-					opts.CoarseWorkers = g.coarse
-					opts.FineWorkers = g.fine
+					opts.FineWorkers = fw
 					opts.BothStrands = cm == CoarseDiagonal // exercise the strand loop too
-					name := fmt.Sprintf("k=%d mode=%v fine=%v/%v workers=%d/%d",
-						k, cm, fc.mode, fc.kernel, g.coarse, g.fine)
+					name := fmt.Sprintf("k=%d mode=%v fine=%v/%v workers=%d",
+						k, cm, fc.mode, fc.kernel, fw)
 
 					var wantSt, gotSt SearchStats
 					want, err := mono.SearchWithStats(f.query, opts, &wantSt)

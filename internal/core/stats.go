@@ -35,13 +35,6 @@ type SearchStats struct {
 	// CoarseCandidates is the number of candidates admitted past the
 	// coarse phase — the sequences that may receive fine alignment.
 	CoarseCandidates int `json:"coarse_candidates"`
-	// CoarseShards is the number of coarse accumulation shards used,
-	// summed over strands and segments: 1 per strand per segment on the
-	// serial path, the effective CoarseWorkers per segment when the
-	// posting-list walk was sharded. The per-shard postings counters
-	// (PostingLists, PostingsDecoded, PostingsBytesRead) always sum to
-	// the serial values.
-	CoarseShards int `json:"coarse_shards"`
 	// Segments is the number of index segments the coarse phase
 	// evaluated, summed over strands: the segment count of the searcher's
 	// snapshot per strand (so a both-strands search over 3 segments
@@ -100,7 +93,6 @@ func (st *SearchStats) Add(o SearchStats) {
 	st.PostingsBytesRead += o.PostingsBytesRead
 	st.CoarseSequences += o.CoarseSequences
 	st.CoarseCandidates += o.CoarseCandidates
-	st.CoarseShards += o.CoarseShards
 	st.Segments += o.Segments
 	st.PrescreenRejections += o.PrescreenRejections
 	st.FineAlignments += o.FineAlignments

@@ -8,8 +8,11 @@ import (
 
 	"nucleodb/internal/align"
 	"nucleodb/internal/db"
+	"nucleodb/internal/dna"
 	"nucleodb/internal/gen"
 	"nucleodb/internal/index"
+	"nucleodb/internal/kmer"
+	"nucleodb/internal/postings"
 )
 
 // randomFixture builds a small random database with a planted family
@@ -252,6 +255,82 @@ func TestStatsCountsRealWork(t *testing.T) {
 	}
 	if st.TracebackAlignments == 0 || st.TracebackDPCells == 0 {
 		t.Fatalf("tracebacks counted no work: %+v", st)
+	}
+}
+
+// TestStatsPostingsMatchIndexWalk pins the coarse work counters to an
+// independent walk of the index: for each strand, the query's distinct
+// terms; for each segment, the lists those terms have there, their
+// compressed bytes and the entries they hold. These are the quantities
+// the bench's per-layer budget divides coarse time by, so a rebuilt
+// decode loop has to keep them exact.
+func TestStatsPostingsMatchIndexWalk(t *testing.T) {
+	f := makeFixture(t, 47, index.Options{K: 9, StoreOffsets: true})
+	rng := rand.New(rand.NewSource(48))
+	for _, nseg := range []int{1, 3} {
+		segs := []Segment{{Index: f.idx}}
+		if nseg > 1 {
+			segs = splitSegments(t, f, rng, nseg)
+		}
+		s, err := NewSegmentedSearcher(segs, f.store, align.DefaultScoring(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, both := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.BothStrands = both
+			var st SearchStats
+			if _, err := s.SearchWithStats(f.query, opts, &st); err != nil {
+				t.Fatalf("segments=%d both=%v: %v", nseg, both, err)
+			}
+
+			strands := [][]byte{f.query}
+			if both {
+				strands = append(strands, dna.ReverseComplement(f.query))
+			}
+			var terms, lists int
+			var decoded, bytes int64
+			var it postings.Iterator
+			for _, q := range strands {
+				distinct := map[kmer.Term]bool{}
+				for _, term := range f.idx.Coder().Extract(nil, q) {
+					distinct[term] = true
+				}
+				terms += len(distinct)
+				for _, sg := range segs {
+					for term := range distinct {
+						df, b := sg.Index.ReaderStats(term, &it)
+						if df == 0 {
+							continue
+						}
+						lists++
+						bytes += int64(b)
+						for it.Next() {
+							decoded++
+						}
+						if err := it.Err(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if decoded == 0 || bytes == 0 {
+				t.Fatalf("segments=%d both=%v: the reference walk read nothing", nseg, both)
+			}
+			for _, c := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"QueryTerms", int64(st.QueryTerms), int64(terms)},
+				{"PostingLists", int64(st.PostingLists), int64(lists)},
+				{"PostingsDecoded", st.PostingsDecoded, decoded},
+				{"PostingsBytesRead", st.PostingsBytesRead, bytes},
+			} {
+				if c.got != c.want {
+					t.Errorf("segments=%d both=%v: %s = %d, index walk says %d", nseg, both, c.name, c.got, c.want)
+				}
+			}
+		}
 	}
 }
 

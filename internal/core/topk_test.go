@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+
+	"nucleodb/internal/index"
 )
 
 // TestTopKHeapMatchesFullSort pushes random candidate streams — with
@@ -65,5 +68,35 @@ func TestCandBetterTotalOrder(t *testing.T) {
 	}
 	if candBetter(a, a) {
 		t.Error("candBetter must be irreflexive")
+	}
+}
+
+// TestBoundedTopKMatchesFullSort drives the internal coarse call both
+// ways — bounded heap selection versus the Coarse recall API's full
+// sort — and checks the heap's output is exactly the full ranking's
+// prefix, for every mode and several budgets including over-budget.
+func TestBoundedTopKMatchesFullSort(t *testing.T) {
+	f := makeFixture(t, 335, index.Options{K: 9, StoreOffsets: true})
+	s := newTestSearcher(t, f)
+
+	for _, mode := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
+		full, err := s.Coarse(f.query, mode, 2)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
+			got, err := s.coarse(context.Background(), f.query, mode, 2, k, nil)
+			if err != nil {
+				t.Fatalf("%v k=%d: %v", mode, k, err)
+			}
+			want := full
+			if k < len(full) {
+				want = full[:k]
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v k=%d: top-k selection differs from full sort prefix\n got %+v\nwant %+v",
+					mode, k, got, want)
+			}
+		}
 	}
 }

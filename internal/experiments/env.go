@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction of the paper's
-// evaluation: one runner per table/figure (E1–E8 in DESIGN.md), each
+// evaluation: one runner per table/figure (E1–E12 in DESIGN.md), each
 // generating its workload, measuring, and rendering the table the
 // paper reports. The cafe-bench command and the repository benchmarks
 // are thin wrappers over this package.

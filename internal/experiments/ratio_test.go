@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -30,54 +29,18 @@ func TestRatioNS(t *testing.T) {
 	}
 }
 
-// TestZeroDurationReportsMarshal reproduces the original failure mode:
-// a 0ns baseline made a speedup +Inf (or NaN for 0ns/0ns), which
-// encoding/json refuses to marshal — so `cafe-bench -coarse > X.json`
-// died with "unsupported value: +Inf" — and which silently passed
-// `speedup < gate` CI checks because every comparison with NaN is
-// false. Speedup fields built from zero-duration measurements must
-// stay finite all the way through the JSON path.
+// TestZeroDurationReportsMarshal: the table experiments take their row
+// speedups from ratioNS (E3/E6/E10). A 0ns measurement on either side
+// must stay finite — +Inf prints as such and NaN passes every
+// `speedup < floor` check.
 func TestZeroDurationReportsMarshal(t *testing.T) {
-	checkFinite := func(name string, v float64) {
-		t.Helper()
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			t.Errorf("%s = %v is not finite", name, v)
-		}
-	}
-
-	// Each report type with its speedup fields fed the degenerate
-	// inputs: 0ns baseline, 0ns measurement, and 0ns/0ns.
-	coarse := &CoarseBenchReport{Runs: []CoarseBenchRun{
-		{Workers: 2, CoarseSpeedup: ratioNS(0, 5)},
-		{Workers: 4, CoarseSpeedup: ratioNS(5, 0)},
-	}}
-	fine := &FineBenchReport{Runs: []FineBenchRun{
-		{Kernel: "bitvector", KernelSpeedup: ratioNS(0, 5), ParallelSpeedup: ratioNS(5, 0)},
-	}}
-
-	for _, r := range coarse.Runs {
-		checkFinite("CoarseSpeedup", r.CoarseSpeedup)
-	}
-	for _, r := range fine.Runs {
-		checkFinite("KernelSpeedup", r.KernelSpeedup)
-		checkFinite("ParallelSpeedup", r.ParallelSpeedup)
-	}
-
-	for name, v := range map[string]any{
-		"coarse": coarse, "fine": fine,
-	} {
-		if _, err := json.Marshal(v); err != nil {
-			t.Errorf("json.Marshal(%s report with 0ns baselines): %v", name, err)
-		}
-	}
-
-	// The table experiments share ratioNS for their row speedups
-	// (E3/E6/E10); the same degenerate inputs must stay finite there.
 	for _, v := range []float64{
 		ratioNS(0, 0),                // both sides instantaneous
 		ratioNS(0, time.Millisecond), // baseline measured 0
 		ratioNS(time.Millisecond, 0), // subject measured 0
 	} {
-		checkFinite("row speedup", v)
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Errorf("row speedup = %v is not finite", v)
+		}
 	}
 }

@@ -86,7 +86,6 @@ func Observe(cfg Config) (*StatsReport, error) {
 			"postings_bytes_read":  agg.PostingsBytesRead,
 			"coarse_sequences":     int64(agg.CoarseSequences),
 			"coarse_candidates":    int64(agg.CoarseCandidates),
-			"coarse_shards":        int64(agg.CoarseShards),
 			"prescreen_rejections": int64(agg.PrescreenRejections),
 			"fine_alignments":      int64(agg.FineAlignments),
 			"bitvector_alignments": int64(agg.BitvectorAlignments),

@@ -78,89 +78,6 @@ func TestResultCacheHammer(t *testing.T) {
 	}
 }
 
-// TestServerHammerShardedCoarse runs the sharded-coarse configuration
-// under the same concurrent load shape as the Appends hammer: many
-// simultaneous searches, each internally fanning its coarse phase out
-// over CoarseWorkers goroutines, across pooled searchers and an index
-// swap. Two layers of parallelism multiply here (request workers ×
-// coarse shards), so a shard touching searcher state it doesn't own —
-// or a pooled shard accumulator leaking between searchers — shows up
-// under -race or as a wrong answer.
-func TestServerHammerShardedCoarse(t *testing.T) {
-	db := testDB(t)
-	s := newTestServer(t, db, func(cfg *Config) {
-		cfg.Workers = 8
-		cfg.QueueDepth = 64
-		cfg.CacheSize = 0 // every request runs a real sharded search
-		cfg.Options.CoarseWorkers = 4
-	})
-	h := s.Handler()
-
-	// Serial reference answers: the sharded server must reproduce them
-	// exactly, per the coarse equivalence contract.
-	serialDB := db
-	serialOpts := s.cfg.Options
-	serialOpts.CoarseWorkers = 0
-
-	const waves = 2
-	for wave := 0; wave < waves; wave++ {
-		queries := testQueries(db, 16, int64(500+wave))
-		want := make([]string, len(queries))
-		for i, q := range queries {
-			rs, err := serialDB.Search(q, serialOpts)
-			if err != nil {
-				t.Fatalf("wave %d: serial reference: %v", wave, err)
-			}
-			want[i] = fmt.Sprintf("%+v", rs)
-		}
-
-		var waveWG sync.WaitGroup
-		for i, q := range queries {
-			waveWG.Add(1)
-			go func(i int, q string) {
-				defer waveWG.Done()
-				req := httptest.NewRequest(http.MethodGet, "/search?q="+q, nil)
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					t.Errorf("wave %d query %d: status %d: %s", wave, i, rec.Code, rec.Body.String())
-					return
-				}
-				// Cross-check through the library path too, so the
-				// comparison is on typed results rather than JSON.
-				rs, err := db.Search(q, s.cfg.Options)
-				if err != nil {
-					t.Errorf("wave %d query %d: sharded search: %v", wave, i, err)
-					return
-				}
-				if got := fmt.Sprintf("%+v", rs); got != want[i] {
-					t.Errorf("wave %d query %d: sharded results diverge from serial\n got %s\nwant %s", wave, i, got, want[i])
-				}
-			}(i, q)
-		}
-		// Quiescing here is no longer required by any contract (Append is
-		// snapshot-swap safe); it keeps the serial reference comparison
-		// deterministic across waves.
-		waveWG.Wait()
-
-		rng := rand.New(rand.NewSource(int64(900 + wave)))
-		recs := make([]nucleodb.Record, 2)
-		for i := range recs {
-			codes := make([]byte, 200)
-			for j := range codes {
-				codes[j] = byte(rng.Intn(4))
-			}
-			recs[i] = nucleodb.Record{
-				Desc:     fmt.Sprintf("sharded-appended-%d-%d", wave, i),
-				Sequence: dna.String(codes),
-			}
-		}
-		if err := db.Append(recs); err != nil {
-			t.Fatalf("wave %d: append: %v", wave, err)
-		}
-	}
-}
-
 // TestServerHammerAcrossAppends drives the full service path — worker
 // pool, searcher pool, result cache — through waves of concurrent
 // searches separated by Appends. Each wave quiesces before its Append

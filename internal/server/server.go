@@ -60,7 +60,8 @@ type Config struct {
 	// GOMAXPROCS.
 	BatchWorkers int
 	// Options is the search configuration requests start from; request
-	// parameters override individual fields.
+	// parameters override individual fields. New rejects a set no search
+	// would accept.
 	Options nucleodb.SearchOptions
 }
 
@@ -109,6 +110,11 @@ func New(db *nucleodb.Database, cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth < 0 || cfg.MaxQueryBases <= 0 || cfg.MaxBatchQueries <= 0 {
 		return nil, fmt.Errorf("server: invalid config %+v", cfg)
+	}
+	// Checked here, once: left to the engine, a bad default would fail
+	// every request with a 400 that blames the client.
+	if err := cfg.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("server: default search options: %w", err)
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultConfig().MaxTimeout
@@ -439,10 +445,9 @@ func (s *Server) timeout(req searchRequest) (time.Duration, error) {
 // (encode/decode normalises case and U→T) plus every option that
 // affects the answer — CoarseMode changes the ranking, so it is part
 // of the key. Execution knobs that are proven result-neutral
-// (CoarseWorkers, FineWorkers, FineKernel — the equivalence property
-// tests lock in byte-identical output) are deliberately excluded, so
-// serial, sharded and bitvector-kernel configurations share cache
-// entries.
+// (FineWorkers, FineKernel — the equivalence property tests lock in
+// byte-identical output) are deliberately excluded, so serial, parallel
+// and bitvector-kernel configurations share cache entries.
 func cacheKey(canonical string, opts nucleodb.SearchOptions) string {
 	return fmt.Sprintf("%s|%d|%d|%s|%t|%d|%d|%d|%t|%d",
 		canonical, opts.Candidates, opts.MinCoarseHits, opts.CoarseMode, opts.Exact,

