@@ -21,29 +21,17 @@ import (
 // (serial) — the batch is already saturating the cores — while a
 // latency-bound batch of a few heavy queries benefits from setting it.
 func (d *Database) SearchBatch(queries []string, opts SearchOptions, workers int) ([][]Result, error) {
-	out, _, err := d.SearchBatchWithStats(queries, opts, workers)
+	out, _, err := d.SearchBatchWithStatsContext(context.Background(), queries, opts, workers)
 	return out, err
 }
 
-// SearchBatchContext is SearchBatch with cooperative cancellation:
+// SearchBatchWithStatsContext is SearchBatch plus the aggregated work
+// and latency stats of the whole batch — every per-query SearchStats
+// summed field-wise, so TotalTime is accumulated search time across
+// workers, not the batch's wall time — and cooperative cancellation:
 // when ctx ends, in-flight queries stop at their next posting-list or
 // candidate boundary, no further queries start, and the batch returns
 // an error wrapping ctx.Err().
-func (d *Database) SearchBatchContext(ctx context.Context, queries []string, opts SearchOptions, workers int) ([][]Result, error) {
-	out, _, err := d.SearchBatchWithStatsContext(ctx, queries, opts, workers)
-	return out, err
-}
-
-// SearchBatchWithStats is SearchBatch plus the aggregated work and
-// latency stats of the whole batch: every per-query SearchStats summed
-// field-wise (so TotalTime is accumulated search time across workers,
-// not the batch's wall time). Results are identical to SearchBatch's.
-func (d *Database) SearchBatchWithStats(queries []string, opts SearchOptions, workers int) ([][]Result, SearchStats, error) {
-	return d.SearchBatchWithStatsContext(context.Background(), queries, opts, workers)
-}
-
-// SearchBatchWithStatsContext is SearchBatchWithStats with cooperative
-// cancellation (see SearchBatchContext).
 //
 // Significance calibration follows the same contract as Search: when
 // d.Statistics() fails (the scoring scheme admits no local-alignment
@@ -75,7 +63,6 @@ func (d *Database) SearchBatchWithStatsContext(ctx context.Context, queries []st
 		}
 		encoded[i] = codes
 	}
-	params, statsErr := d.Statistics()
 
 	type result struct {
 		i   int
@@ -134,25 +121,7 @@ func (d *Database) SearchBatchWithStatsContext(ctx context.Context, queries []st
 		}
 		agg.Add(r.st)
 		recordSearchMetrics(r.st)
-		rs := make([]Result, len(r.rs))
-		for k, cr := range r.rs {
-			rs[k] = Result{
-				ID:           cr.ID,
-				Desc:         set.Desc(cr.ID),
-				Score:        cr.Score,
-				Identity:     cr.Alignment.Identity(),
-				QueryStart:   cr.Alignment.AStart,
-				QueryEnd:     cr.Alignment.AEnd,
-				SubjectStart: cr.Alignment.BStart,
-				SubjectEnd:   cr.Alignment.BEnd,
-				Reverse:      cr.Reverse,
-			}
-			if statsErr == nil {
-				rs[k].Bits = params.BitScore(cr.Score)
-				rs[k].EValue = params.EValue(cr.Score, len(encoded[r.i]), set.TotalBases())
-			}
-		}
-		out[r.i] = rs
+		out[r.i] = d.results(set, r.rs, len(encoded[r.i]))
 	}
 	if firstErr == nil && ctx.Err() != nil {
 		// The feeder stopped early on a cancelled context without any

@@ -18,7 +18,6 @@ import (
 
 	"nucleodb/internal/align"
 	"nucleodb/internal/baseline"
-	"nucleodb/internal/compress"
 	"nucleodb/internal/core"
 	"nucleodb/internal/db"
 	"nucleodb/internal/dna"
@@ -342,30 +341,6 @@ func BenchmarkStoreBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIntCodes measures raw integer-code throughput, the inner
-// loop of postings decoding (supports E2).
-func BenchmarkIntCodes(b *testing.B) {
-	vals := make([]uint64, 4096)
-	for i := range vals {
-		vals[i] = uint64(1 + i%200)
-	}
-	for _, scheme := range compress.Schemes {
-		buf, err := compress.EncodeStream(scheme, vals)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]uint64, len(vals))
-		b.Run(scheme.String(), func(b *testing.B) {
-			b.SetBytes(int64(8 * len(vals)))
-			for i := 0; i < b.N; i++ {
-				if _, err := compress.DecodeStreamInto(scheme, buf, dst); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkWorkloadGen measures synthetic collection generation, the
 // substrate every experiment rests on.
 func BenchmarkWorkloadGen(b *testing.B) {
@@ -402,7 +377,7 @@ func BenchmarkQueryLength(b *testing.B) {
 }
 
 // BenchmarkAlignVariants measures the extended aligners against the
-// baseline kernels: linear-space traceback, glocal, and repeated HSPs.
+// baseline kernels: linear-space traceback and repeated HSPs.
 func BenchmarkAlignVariants(b *testing.B) {
 	env, _ := benchSetup(b)
 	a := env.Queries[0].Codes
@@ -411,11 +386,6 @@ func BenchmarkAlignVariants(b *testing.B) {
 	b.Run("local-linear", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			align.LocalLinear(a, s, scoring)
-		}
-	})
-	b.Run("glocal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.Glocal(a, s, scoring)
 		}
 	})
 	b.Run("local-all-3", func(b *testing.B) {

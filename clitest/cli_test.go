@@ -11,6 +11,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"nucleodb"
 )
 
 // buildTools compiles every cmd/ binary into a temp dir once per test
@@ -69,6 +71,14 @@ func TestPipeline(t *testing.T) {
 			t.Fatalf("cafe-build output missing %q:\n%s", want, out)
 		}
 	}
+	// There is one on-disk layout: the default build writes a MANIFEST
+	// directory.
+	if _, err := os.Stat(filepath.Join(dbDir, "MANIFEST")); err != nil {
+		t.Fatalf("default cafe-build wrote no MANIFEST: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dbDir, "sequences.ndb")); !os.IsNotExist(err) {
+		t.Fatalf("default cafe-build wrote sequences.ndb (stat err = %v)", err)
+	}
 
 	// Search with the generated query file.
 	out = run(t, tools["cafe-search"], "-db", dbDir, "-queries", queries, "-limit", "5", "-show", "1")
@@ -118,6 +128,18 @@ func TestPipeline(t *testing.T) {
 	if !strings.Contains(out, "merged 300 + 50 sequences") {
 		t.Fatalf("cafe-merge output:\n%s", out)
 	}
+	var mergedSummary struct {
+		Sequences int               `json:"sequences"`
+		Segments  []json.RawMessage `json:"segments"`
+	}
+	out = run(t, tools["cafe-inspect"], "-db", merged, "-json")
+	if err := json.Unmarshal([]byte(out), &mergedSummary); err != nil {
+		t.Fatalf("cafe-inspect -json on merged db: %v\n%s", err, out)
+	}
+	if mergedSummary.Sequences != 350 || len(mergedSummary.Segments) != 2 {
+		t.Fatalf("merged db has %d sequences in %d segments, want 350 in 2:\n%s",
+			mergedSummary.Sequences, len(mergedSummary.Segments), out)
+	}
 	out = run(t, tools["cafe-search"], "-db", merged, "-queries", queries, "-limit", "3")
 	if !strings.Contains(out, "answers in") {
 		t.Fatalf("search on merged db:\n%s", out)
@@ -137,6 +159,36 @@ func TestPipeline(t *testing.T) {
 	out = run(t, tools["cafe-inspect"], "-db", dbSpaced)
 	if !strings.Contains(out, "skip interval:    1") {
 		t.Fatalf("inspect on spaced db:\n%s", out)
+	}
+
+	// A multi-segment database gets the same one inspect view: the
+	// per-segment table and the collection-wide posting statistics.
+	fasta12 := filepath.Join(work, "twelve.fasta")
+	db12 := filepath.Join(work, "db12")
+	run(t, tools["cafe-gen"], "-seqs", "120", "-seed", "7", "-out", fasta12)
+	run(t, tools["cafe-build"], "-in", fasta12, "-db", db12, "-segment-size", "10")
+	out = run(t, tools["cafe-inspect"], "-db", db12, "-top", "3")
+	for _, want := range []string{"segments: 12", "seg-000011", "posting-list lengths", "most frequent intervals"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("cafe-inspect on 12-segment db missing %q:\n%s", want, out)
+		}
+	}
+
+	// A database from the default build is bound to its directory when
+	// opened: an append survives a reopen.
+	d, err := nucleodb.Open(dbDir, nucleodb.DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append([]nucleodb.Record{{Desc: "appended", Sequence: strings.Repeat("ACGTTGCA", 20)}}); err != nil {
+		t.Fatal(err)
+	}
+	d, err = nucleodb.Open(dbDir, nucleodb.DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.NumSequences(); got != 301 || d.Desc(300) != "appended" {
+		t.Fatalf("reopened database has %d sequences (record 300 %q), want the 301st appended", got, d.Desc(got-1))
 	}
 
 	// A focused bench experiment (the fastest one) exercises the

@@ -77,7 +77,7 @@ func buildCorpus(t *testing.T) string {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -390,8 +390,8 @@ func TestServeMatchesCafeSearch(t *testing.T) {
 // searches must all answer 200 with results; the segments_total gauge
 // in /metrics must reach 1; and the committed query script must then
 // replay byte-identically against the committed goldens — the same
-// files the monolithic server produced, proving the segmented layout
-// is invisible on the wire.
+// files the one-segment server produced, proving the segment count is
+// invisible on the wire.
 func TestServeLiveCompactionGolden(t *testing.T) {
 	tools := buildTools(t, "cafe-gen", "cafe-build", "cafe-serve")
 	work := t.TempDir()
@@ -408,8 +408,8 @@ func TestServeLiveCompactionGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cafe-build: %v\n%s", err, out)
 	}
-	if !strings.Contains(string(out), "segmented layout") {
-		t.Fatalf("cafe-build did not report the segmented layout:\n%s", out)
+	if !strings.Contains(string(out), "segments:       12") {
+		t.Fatalf("cafe-build did not report 12 segments:\n%s", out)
 	}
 
 	srv := startServer(t, tools["cafe-serve"], dbDir, "-max-segments", "1")

@@ -3,14 +3,13 @@
 //
 // Usage:
 //
-//	cafe-build -in collection.fasta -db ./mydb -k 9
-//	cafe-build -in collection.fasta -db ./mydb -segment-size 10000
+//	cafe-build -in collection.fasta -db ./mydb -k 9 [-segment-size 10000]
 //
-// With -segment-size the collection is indexed in segments of that
-// many records and saved in the segmented layout (MANIFEST plus one
-// store and index file per segment): the database then supports
-// crash-safe incremental Append, Delete and background compaction when
-// reopened. Without it the legacy monolithic layout is written.
+// The output directory holds a MANIFEST plus one store and index file
+// per segment, and supports crash-safe incremental Append, Delete and
+// background compaction when reopened. -segment-size indexes the
+// collection in segments of that many records; without it the whole
+// collection is one segment.
 package main
 
 import (
@@ -38,7 +37,7 @@ func main() {
 		skip    = flag.Int("skip", 0, "posting-list skip interval (1 = sqrt heuristic, 0 = none)")
 		workers = flag.Int("workers", 0, "build parallelism (0 = all CPUs)")
 		mask    = flag.String("mask", "", "spaced seed mask (e.g. 111010010100110111); overrides -k")
-		segSize = flag.Int("segment-size", 0, "records per segment; > 0 writes the segmented layout (enables incremental growth)")
+		segSize = flag.Int("segment-size", 0, "records per segment (0 = the whole collection in one segment)")
 	)
 	flag.Parse()
 	if *in == "" || *out == "" {
@@ -71,20 +70,13 @@ func main() {
 		log.Fatal(err)
 	}
 	buildTime := time.Since(start)
-	if *segSize > 0 {
-		err = db.SaveSegmented(*out)
-	} else {
-		err = db.Save(*out)
-	}
-	if err != nil {
+	if err := db.SaveSegmented(*out); err != nil {
 		log.Fatal(err)
 	}
 
 	st := db.Stats()
 	fmt.Printf("built %s in %v\n", *out, buildTime.Round(time.Millisecond))
-	if *segSize > 0 {
-		fmt.Printf("  segments:       %d (segmented layout)\n", st.Segments)
-	}
+	fmt.Printf("  segments:       %d\n", st.Segments)
 	fmt.Printf("  sequences:      %d (%.1f Mbases)\n", st.NumSequences, float64(st.TotalBases)/1e6)
 	fmt.Printf("  store:          %.2f MB (%.3f bits/base)\n",
 		float64(st.StoreBytes)/1e6, 8*float64(st.StoreBytes)/float64(st.TotalBases))

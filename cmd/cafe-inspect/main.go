@@ -1,7 +1,11 @@
 // Command cafe-inspect prints diagnostics for a database built by
-// cafe-build: storage breakdown, interval-vocabulary statistics, the
-// posting-list length distribution, and the most frequent intervals —
-// the numbers that inform interval-length and stopping choices.
+// cafe-build: the per-segment table, storage totals, interval-vocabulary
+// statistics, the posting-list length distribution, and the most
+// frequent intervals — the numbers that inform interval-length,
+// stopping and compaction choices. Segments partition the sequences, so
+// an interval's document frequency in the collection is the sum of its
+// per-segment frequencies, and that sum is what the distribution and
+// the top list report.
 //
 // Usage:
 //
@@ -18,11 +22,18 @@ import (
 	"os"
 	"sort"
 
-	"nucleodb/internal/db"
-	"nucleodb/internal/index"
 	"nucleodb/internal/kmer"
 	"nucleodb/internal/segment"
 )
+
+type segSummary struct {
+	Name       string `json:"name"`
+	Seqs       int    `json:"seqs"`
+	Deleted    int    `json:"deleted"`
+	LiveBases  int    `json:"live_bases"`
+	StoreBytes int    `json:"store_bytes"`
+	IndexBytes int    `json:"index_bytes"`
+}
 
 func main() {
 	log.SetFlags(0)
@@ -39,122 +50,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if segment.IsSegmented(*dbDir) {
-		inspectSegmented(*dbDir, *asJSON)
-		return
-	}
-
-	sf, err := os.Open(*dbDir + "/sequences.ndb")
+	set, nextSeg, err := segment.OpenDir(*dbDir, false)
 	if err != nil {
 		log.Fatal(err)
-	}
-	store, err := db.Load(sf)
-	sf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	xf, err := os.Open(*dbDir + "/intervals.ndx")
-	if err != nil {
-		log.Fatal(err)
-	}
-	idx, err := index.Load(xf)
-	xf.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *asJSON {
-		opts := idx.Options()
-		summary := map[string]any{
-			"sequences":       store.Len(),
-			"bases":           store.TotalBases(),
-			"store_bytes":     store.EncodedBytes(),
-			"index_bytes":     idx.SizeBytes(),
-			"postings_bytes":  idx.PostingsBytes(),
-			"total_postings":  idx.TotalPostings(),
-			"interval_length": opts.K,
-			"offsets_stored":  opts.StoreOffsets,
-			"skip_interval":   opts.SkipInterval,
-			"terms_indexed":   idx.NumTermsIndexed(),
-			"terms_stopped":   idx.NumStopped(),
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(summary); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	fmt.Printf("database %s\n\n", *dbDir)
-	fmt.Printf("store:\n")
-	fmt.Printf("  sequences:        %d\n", store.Len())
-	fmt.Printf("  bases:            %d (%.2f Mbases)\n", store.TotalBases(), float64(store.TotalBases())/1e6)
-	fmt.Printf("  compressed:       %d bytes (%.3f bits/base)\n",
-		store.EncodedBytes(), 8*float64(store.EncodedBytes())/float64(store.TotalBases()))
-	lens := make([]int, store.Len())
-	for i := range lens {
-		lens[i] = store.SeqLen(i)
-	}
-	sort.Ints(lens)
-	if len(lens) > 0 {
-		fmt.Printf("  length min/med/max: %d / %d / %d\n", lens[0], lens[len(lens)/2], lens[len(lens)-1])
-	}
-
-	opts := idx.Options()
-	fmt.Printf("\nindex:\n")
-	fmt.Printf("  interval length:  %d (vocabulary %d)\n", opts.K, idx.Coder().NumTerms())
-	fmt.Printf("  offsets stored:   %v\n", opts.StoreOffsets)
-	fmt.Printf("  skip interval:    %d\n", opts.SkipInterval)
-	fmt.Printf("  terms indexed:    %d (%.1f%% of vocabulary)\n",
-		idx.NumTermsIndexed(), 100*float64(idx.NumTermsIndexed())/float64(idx.Coder().NumTerms()))
-	fmt.Printf("  terms stopped:    %d (fraction %.4f)\n", idx.NumStopped(), opts.StopFraction)
-	fmt.Printf("  postings:         %d entries, %d bytes compressed\n", idx.TotalPostings(), idx.PostingsBytes())
-	if idx.TotalPostings() > 0 {
-		fmt.Printf("  bits/posting:     %.2f\n", 8*float64(idx.PostingsBytes())/float64(idx.TotalPostings()))
-	}
-
-	// Posting-list length distribution.
-	var dfs []int
-	var all []termDF
-	idx.Terms(func(t kmer.Term, df int) {
-		dfs = append(dfs, df)
-		all = append(all, termDF{t, df})
-	})
-	if len(dfs) > 0 {
-		sort.Ints(dfs)
-		pct := func(p float64) int { return dfs[int(p*float64(len(dfs)-1))] }
-		fmt.Printf("\nposting-list lengths (sequences per interval):\n")
-		fmt.Printf("  p50 %d   p90 %d   p99 %d   max %d\n", pct(0.50), pct(0.90), pct(0.99), pct(1))
-		singletons := 0
-		for _, df := range dfs {
-			if df == 1 {
-				singletons++
-			}
-		}
-		fmt.Printf("  singleton lists:  %d (%.1f%%)\n", singletons, 100*float64(singletons)/float64(len(dfs)))
-	}
-
-	printTop(*top, all, idx.Coder())
-}
-
-// inspectSegmented prints the layout of a segmented database: the
-// per-segment breakdown plus aggregate storage numbers.
-func inspectSegmented(dir string, asJSON bool) {
-	set, nextSeg, err := segment.OpenDir(dir, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	type segSummary struct {
-		Name       string `json:"name"`
-		Seqs       int    `json:"seqs"`
-		Deleted    int    `json:"deleted"`
-		LiveBases  int    `json:"live_bases"`
-		StoreBytes int    `json:"store_bytes"`
-		IndexBytes int    `json:"index_bytes"`
 	}
 	var segs []segSummary
-	storeBytes, indexBytes := 0, 0
+	var storeBytes, indexBytes, postingsBytes, totalPostings, termsStopped int
+	df := make(map[kmer.Term]int) // collection document frequency per interval
 	for _, g := range set.Segments() {
 		segs = append(segs, segSummary{
 			Name:       g.Name,
@@ -166,11 +68,16 @@ func inspectSegmented(dir string, asJSON bool) {
 		})
 		storeBytes += g.Store.EncodedBytes()
 		indexBytes += g.Index.SizeBytes()
+		postingsBytes += g.Index.PostingsBytes()
+		totalPostings += g.Index.TotalPostings()
+		termsStopped += g.Index.NumStopped()
+		g.Index.Terms(func(t kmer.Term, n int) { df[t] += n })
 	}
 	opts := set.Options()
-	if asJSON {
+	coder := set.Segments()[0].Index.Coder()
+
+	if *asJSON {
 		summary := map[string]any{
-			"segmented":       true,
 			"segments":        segs,
 			"next_seg":        nextSeg,
 			"sequences":       set.NumSeqs(),
@@ -178,9 +85,13 @@ func inspectSegmented(dir string, asJSON bool) {
 			"bases":           set.TotalBases(),
 			"store_bytes":     storeBytes,
 			"index_bytes":     indexBytes,
+			"postings_bytes":  postingsBytes,
+			"total_postings":  totalPostings,
 			"interval_length": opts.K,
 			"offsets_stored":  opts.StoreOffsets,
 			"skip_interval":   opts.SkipInterval,
+			"terms_indexed":   len(df),
+			"terms_stopped":   termsStopped,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -189,7 +100,8 @@ func inspectSegmented(dir string, asJSON bool) {
 		}
 		return
 	}
-	fmt.Printf("database %s (segmented layout)\n\n", dir)
+
+	fmt.Printf("database %s\n\n", *dbDir)
 	fmt.Printf("segments: %d (next file number %d)\n", set.Len(), nextSeg)
 	for _, g := range segs {
 		fmt.Printf("  %-12s %8d seqs", g.Name, g.Seqs)
@@ -198,21 +110,42 @@ func inspectSegmented(dir string, asJSON bool) {
 		}
 		fmt.Printf("  %10d live bases  store %8d B  index %8d B\n", g.LiveBases, g.StoreBytes, g.IndexBytes)
 	}
-	fmt.Printf("\ntotals:\n")
+
+	fmt.Printf("\nstore:\n")
 	fmt.Printf("  sequences:        %d (%d tombstoned)\n", set.NumSeqs(), set.NumDeleted())
 	fmt.Printf("  live bases:       %d (%.2f Mbases)\n", set.TotalBases(), float64(set.TotalBases())/1e6)
-	fmt.Printf("  store:            %d bytes\n", storeBytes)
-	fmt.Printf("  index:            %d bytes (interval length %d, offsets %v)\n", indexBytes, opts.K, opts.StoreOffsets)
-}
+	fmt.Printf("  compressed:       %d bytes", storeBytes)
+	if set.TotalBases() > 0 {
+		fmt.Printf(" (%.3f bits/base)", 8*float64(storeBytes)/float64(set.TotalBases()))
+	}
+	fmt.Println()
+	var lens []int
+	for id := 0; id < set.NumSeqs(); id++ {
+		if !set.Deleted(id) {
+			lens = append(lens, set.SeqLen(id))
+		}
+	}
+	sort.Ints(lens)
+	if len(lens) > 0 {
+		fmt.Printf("  length min/med/max: %d / %d / %d\n", lens[0], lens[len(lens)/2], lens[len(lens)-1])
+	}
 
-type termDF struct {
-	term kmer.Term
-	df   int
-}
+	fmt.Printf("\nindex:\n")
+	fmt.Printf("  size:             %d bytes\n", indexBytes)
+	fmt.Printf("  interval length:  %d (vocabulary %d)\n", opts.K, coder.NumTerms())
+	fmt.Printf("  offsets stored:   %v\n", opts.StoreOffsets)
+	fmt.Printf("  skip interval:    %d\n", opts.SkipInterval)
+	fmt.Printf("  terms indexed:    %d (%.1f%% of vocabulary)\n",
+		len(df), 100*float64(len(df))/float64(coder.NumTerms()))
+	fmt.Printf("  terms stopped:    %d summed over segments (fraction %.4f)\n", termsStopped, opts.StopFraction)
+	fmt.Printf("  postings:         %d entries, %d bytes compressed\n", totalPostings, postingsBytes)
+	if totalPostings > 0 {
+		fmt.Printf("  bits/posting:     %.2f\n", 8*float64(postingsBytes)/float64(totalPostings))
+	}
 
-func printTop(top int, all []termDF, coder *kmer.Coder) {
-	if top <= 0 || len(all) == 0 {
-		return
+	all := make([]termDF, 0, len(df))
+	for t, n := range df {
+		all = append(all, termDF{t, n})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].df != all[j].df {
@@ -220,11 +153,29 @@ func printTop(top int, all []termDF, coder *kmer.Coder) {
 		}
 		return all[i].term < all[j].term
 	})
-	if top > len(all) {
-		top = len(all)
+	if len(all) > 0 {
+		// all is sorted by descending df: percentile p sits p of the way
+		// back from the end.
+		pct := func(p float64) int { return all[len(all)-1-int(p*float64(len(all)-1))].df }
+		fmt.Printf("\nposting-list lengths (sequences per interval):\n")
+		fmt.Printf("  p50 %d   p90 %d   p99 %d   max %d\n", pct(0.50), pct(0.90), pct(0.99), pct(1))
+		singletons := 0
+		for _, e := range all {
+			if e.df == 1 {
+				singletons++
+			}
+		}
+		fmt.Printf("  singleton lists:  %d (%.1f%%)\n", singletons, 100*float64(singletons)/float64(len(all)))
 	}
-	fmt.Printf("\nmost frequent intervals:\n")
-	for _, e := range all[:top] {
-		fmt.Printf("  %s  in %d sequences\n", coder.String(e.term), e.df)
+	if n := min(*top, len(all)); n > 0 {
+		fmt.Printf("\nmost frequent intervals:\n")
+		for _, e := range all[:n] {
+			fmt.Printf("  %s  in %d sequences\n", coder.String(e.term), e.df)
+		}
 	}
+}
+
+type termDF struct {
+	term kmer.Term
+	df   int
 }

@@ -1,32 +1,31 @@
 // Command cafe-merge combines two databases built by cafe-build into
-// one, without re-indexing: the sequence stores are concatenated and
-// the interval indexes merged (see index.Merge). Both databases must
-// have been built with the same index options.
+// one, without re-indexing: B's segments are placed after A's, so B's
+// record ids continue where A's end, tombstones carry over, and every
+// segment's store and index are written out as they are. Both databases
+// must have been built with the same index options.
 //
 // Usage:
 //
 //	cafe-merge -a ./db1 -b ./db2 -out ./combined
-//	cafe-merge -compact ./segdb [-max-segments 1]
+//	cafe-merge -compact ./mydb [-max-segments 1]
 //
-// With -compact it instead folds a segmented database (built by
-// cafe-build -segment-size, or grown by Append) down to at most
-// -max-segments segments in place, reclaiming tombstoned records. The
-// rewrite is crash-safe: each step writes the merged segment files and
-// swaps the manifest atomically before removing superseded files.
+// With -compact it instead folds a database down to at most
+// -max-segments segments in place (index.Merge over adjacent segments),
+// reclaiming tombstoned records — the follow-up to a merge, a
+// cafe-build -segment-size or a run of Appends. The rewrite is
+// crash-safe: each step writes the merged segment files and swaps the
+// manifest atomically before removing superseded files.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"time"
 
 	"nucleodb"
-	"nucleodb/internal/db"
-	"nucleodb/internal/index"
+	"nucleodb/internal/segment"
 )
 
 func main() {
@@ -37,7 +36,7 @@ func main() {
 		aDir    = flag.String("a", "", "first database directory (required unless -compact)")
 		bDir    = flag.String("b", "", "second database directory (required unless -compact)")
 		out     = flag.String("out", "", "output database directory (required unless -compact)")
-		compact = flag.String("compact", "", "segmented database directory to compact in place")
+		compact = flag.String("compact", "", "database directory to compact in place")
 		maxSegs = flag.Int("max-segments", 1, "with -compact: fold down to at most this many segments")
 	)
 	flag.Parse()
@@ -51,30 +50,50 @@ func main() {
 	}
 
 	start := time.Now()
-	storeA, idxA := load(*aDir)
-	storeB, idxB := load(*bDir)
-
-	merged, err := index.Merge(idxA, idxB)
+	a, _, err := segment.OpenDir(*aDir, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var store db.Store
-	for i := 0; i < storeA.Len(); i++ {
-		store.Add(storeA.Desc(i), storeA.Sequence(i))
+	b, _, err := segment.OpenDir(*bDir, false)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for i := 0; i < storeB.Len(); i++ {
-		store.Add(storeB.Desc(i), storeB.Sequence(i))
+	var segs []*segment.Segment
+	base := 0
+	for _, in := range []*segment.Set{a, b} {
+		for _, g := range in.Segments() {
+			r, err := segment.New(segment.SegName(len(segs)), g.Store, g.Index, base)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if r, err = r.WithDeleted(g.DeletedList()); err != nil {
+				log.Fatal(err)
+			}
+			segs = append(segs, r)
+			base += g.Len()
+		}
 	}
-
+	// NewSet refuses segments built with different index options, before
+	// anything is written.
+	set, err := segment.NewSet(segs)
+	if err != nil {
+		log.Fatalf("%s and %s: %v", *aDir, *bDir, err)
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
 	}
-	save(filepath.Join(*out, "sequences.ndb"), store.Save)
-	save(filepath.Join(*out, "intervals.ndx"), merged.Save)
+	for _, g := range segs {
+		if err := segment.WriteFiles(*out, g); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := segment.WriteManifest(*out, set, len(segs)); err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Printf("merged %d + %d sequences (%.1f Mbases) into %s in %v\n",
-		storeA.Len(), storeB.Len(), float64(store.TotalBases())/1e6,
-		*out, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("merged %d + %d sequences (%.1f Mbases) into %s (%d segments) in %v\n",
+		a.NumSeqs(), b.NumSeqs(), float64(set.TotalBases())/1e6,
+		*out, set.Len(), time.Since(start).Round(time.Millisecond))
 }
 
 func compactDir(dir string, maxSegs int) {
@@ -103,41 +122,5 @@ func compactDir(dir string, maxSegs int) {
 	if before.Deleted > 0 {
 		fmt.Printf("  reclaimed %d tombstoned records (%d remain)\n",
 			before.Deleted-after.Deleted, after.Deleted)
-	}
-}
-
-func load(dir string) (*db.Store, *index.Index) {
-	sf, err := os.Open(filepath.Join(dir, "sequences.ndb"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	store, err := db.Load(sf)
-	sf.Close()
-	if err != nil {
-		log.Fatalf("%s: %v", dir, err)
-	}
-	xf, err := os.Open(filepath.Join(dir, "intervals.ndx"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	idx, err := index.Load(xf)
-	xf.Close()
-	if err != nil {
-		log.Fatalf("%s: %v", dir, err)
-	}
-	return store, idx
-}
-
-func save(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 		cacheSize  = flag.Int("cache", defaults.CacheSize, "result cache capacity in entries (0 disables)")
 		candidates = flag.Int("candidates", defaults.Options.Candidates, "default coarse-phase candidate budget")
 		limit      = flag.Int("limit", defaults.Options.Limit, "default answers per query")
-		compact    = flag.Bool("compact", true, "run the background compactor: fold accumulated segments while serving (segmented databases; visible as segments_total in /metrics)")
+		compact    = flag.Bool("compact", true, "run the background compactor: fold accumulated segments while serving (visible as segments_total in /metrics)")
 		maxSegs    = flag.Int("max-segments", 0, "compaction trigger: fold while more than this many segments (0 = library default)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful shutdown grace period")
 	)

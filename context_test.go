@@ -6,10 +6,22 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"nucleodb/internal/dna"
 )
 
+// searchCtx runs a letter query through the context-taking entry point.
+func searchCtx(ctx context.Context, db *Database, query string, opts SearchOptions) ([]Result, error) {
+	codes, err := dna.Encode([]byte(query))
+	if err != nil {
+		return nil, err
+	}
+	rs, _, err := db.SearchCodesWithStatsContext(ctx, codes, opts)
+	return rs, err
+}
+
 // TestSearchContextCancelledProperty: for random corpora and queries,
-// SearchContext with an already-cancelled context returns
+// a search with an already-cancelled context returns
 // context.Canceled and no results — regardless of options (strands,
 // prescreen, parallel fine phase, exact alignment).
 func TestSearchContextCancelledProperty(t *testing.T) {
@@ -32,7 +44,7 @@ func TestSearchContextCancelledProperty(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				q = letters(rng, 120)
 			}
-			rs, err := db.SearchContext(ctx, q, opts)
+			rs, err := searchCtx(ctx, db, q, opts)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("seed %d opts %+v: err = %v, want context.Canceled", seed, opts, err)
 			}
@@ -40,15 +52,15 @@ func TestSearchContextCancelledProperty(t *testing.T) {
 				t.Fatalf("seed %d: cancelled search returned %d results", seed, len(rs))
 			}
 		}
-		if _, err := db.SearchBatchContext(ctx, []string{query, query[:100]}, DefaultSearchOptions(), 2); !errors.Is(err, context.Canceled) {
+		if _, _, err := db.SearchBatchWithStatsContext(ctx, []string{query, query[:100]}, DefaultSearchOptions(), 2); !errors.Is(err, context.Canceled) {
 			t.Fatalf("seed %d: batch err = %v, want context.Canceled", seed, err)
 		}
 	}
 }
 
-// TestSearchContextBackgroundEquivalence: SearchContext under
-// context.Background() is byte-identical to Search — the cancellation
-// checks only observe.
+// TestSearchContextBackgroundEquivalence: the context-taking entry
+// point under a live, cancellable context is byte-identical to Search —
+// the cancellation checks only observe.
 func TestSearchContextBackgroundEquivalence(t *testing.T) {
 	for seed := int64(7); seed <= 9; seed++ {
 		recs, query, _ := testRecords(seed)
@@ -64,12 +76,14 @@ func TestSearchContextBackgroundEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctxed, err := db.SearchContext(context.Background(), query, opts)
+			ctx, cancel := context.WithCancel(context.Background())
+			ctxed, err := searchCtx(ctx, db, query, opts)
+			cancel()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(plain, ctxed) {
-				t.Fatalf("seed %d opts %+v: SearchContext(Background) diverged from Search:\n%v\nvs\n%v",
+				t.Fatalf("seed %d opts %+v: search under a live context diverged from Search:\n%v\nvs\n%v",
 					seed, opts, plain, ctxed)
 			}
 		}
@@ -86,13 +100,13 @@ func TestSearchContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), -1)
 	defer cancel()
-	if _, err := db.SearchContext(ctx, query, DefaultSearchOptions()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := searchCtx(ctx, db, query, DefaultSearchOptions()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestBatchStatsErrorLeavesSignificanceZero is the regression test for
-// SearchBatchWithStats's handling of a failed Karlin–Altschul
+// the batch search's handling of a failed Karlin–Altschul
 // calibration: with a scoring scheme whose expected score is
 // non-negative (statistics undefined), the batch must still return
 // results, with Bits and EValue zero on every result — exactly the
@@ -113,7 +127,7 @@ func TestBatchStatsErrorLeavesSignificanceZero(t *testing.T) {
 		t.Fatal("Statistics() succeeded for a non-negative-expectation scoring; test premise broken")
 	}
 	queries := []string{query, query[:120]}
-	batch, _, err := db.SearchBatchWithStats(queries, DefaultSearchOptions(), 2)
+	batch, err := db.SearchBatch(queries, DefaultSearchOptions(), 2)
 	if err != nil {
 		t.Fatalf("batch failed on statsErr: %v", err)
 	}

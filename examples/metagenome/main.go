@@ -2,7 +2,7 @@
 // some drawn from organisms present in the database, some from
 // organisms that are not — is classified by searching each read and
 // thresholding the best alignment score. Demonstrates persistent
-// databases (Save/Open) and high-throughput batch searching on one
+// databases (SaveSegmented/Open) and high-throughput batch searching on one
 // shared Database.
 package main
 
@@ -40,7 +40,7 @@ func main() {
 	// many runs would.
 	dir := filepath.Join(os.TempDir(), "nucleodb-metagenome-example")
 	defer os.RemoveAll(dir)
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveSegmented(dir); err != nil {
 		log.Fatal(err)
 	}
 	db, err = nucleodb.Open(dir, nucleodb.DefaultScoring())

@@ -1,9 +1,8 @@
 // Package align implements the local-alignment string matching the
 // system uses as its answer semantics: Smith–Waterman local alignment
 // (full dynamic programming with traceback, score-only linear space, and
-// banded variants with affine gap penalties), Needleman–Wunsch global
-// alignment, and the ungapped x-drop extension used by the BLAST-style
-// baseline.
+// banded variants with affine gap penalties) and the ungapped x-drop
+// extension used by the BLAST-style baseline.
 package align
 
 import (

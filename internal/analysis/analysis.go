@@ -25,8 +25,9 @@
 //     an atomic.AddInt64 is a data race the race detector only finds
 //     when the schedules collide.
 //   - ctx: context must propagate. A function that receives a
-//     context.Context may not call a context-free sibling (Search where
-//     SearchContext exists), and the serving packages may not
+//     context.Context may not call a context-free sibling
+//     (SearchWithStats where SearchWithStatsContext exists), and the
+//     serving packages may not
 //     manufacture fresh contexts with context.Background()/TODO().
 //   - goroutine: a go statement must be joined, counted, or
 //     cancellable — a WaitGroup the goroutine counts down, a Done()

@@ -10,17 +10,18 @@ import (
 // when cancellation was threaded through the coarse/fine pipeline:
 //
 //  1. A function that receives a context.Context must not call a
-//     context-free sibling of a context-aware API — calling Search
-//     where SearchContext exists severs the cancellation chain, and the
-//     server's per-request deadline silently stops applying below that
-//     call. Siblings are found by name: for a callee F, a function or
+//     context-free sibling of a context-aware API — calling
+//     SearchWithStats where SearchWithStatsContext exists severs the
+//     cancellation chain, and the server's per-request deadline
+//     silently stops applying below that call. Siblings are found by
+//     name: for a callee F, a function or
 //     method FContext on the same package or receiver whose first
 //     parameter is a context.Context.
 //  2. Inside the serving packages (ForbidBackgroundIn), calls to
 //     context.Background() and context.TODO() are forbidden: a fresh
 //     root context detaches the work under it from the request that
 //     asked for it. The documented context-free wrappers (Search
-//     delegating to SearchContext with no deadline) carry a
+//     delegating to SearchWithStatsContext with no deadline) carry a
 //     //cafe:allow ctx waiver stating exactly that.
 type CtxPass struct {
 	// ForbidBackgroundIn lists the import paths in which

@@ -232,10 +232,3 @@ func (r *BitReader) ReadUnary() (uint64, error) {
 		return v, nil
 	}
 }
-
-// BitPos returns the number of bits consumed so far.
-//
-//cafe:hotpath
-func (r *BitReader) BitPos() int {
-	return r.pos*8 - int(r.ncur)
-}

@@ -70,12 +70,6 @@ func GetDelta(r *BitReader) (uint64, error) {
 	return 1<<(n-1) | low, nil
 }
 
-// DeltaLen returns the length in bits of the delta code of v ≥ 1.
-func DeltaLen(v uint64) int {
-	n := uint64(bits.Len64(v))
-	return GammaLen(n) + int(n) - 1
-}
-
 // GolombParameter returns the textbook parameter b ≈ 0.69·mean for
 // Golomb-coding gaps whose mean is total/count: with n occurrences
 // spread over a universe of size u, b = ⌈0.69·u/n⌉. A parameter of at

@@ -64,16 +64,6 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeltaLenMatchesEncoding(t *testing.T) {
-	for _, v := range []uint64{1, 2, 5, 31, 32, 1000, 1 << 40} {
-		w := NewBitWriter(16)
-		PutDelta(w, v)
-		if got := DeltaLen(v); got != w.BitLen() {
-			t.Errorf("DeltaLen(%d) = %d, actual %d", v, got, w.BitLen())
-		}
-	}
-}
-
 func TestGolombRoundTrip(t *testing.T) {
 	for _, b := range []uint64{1, 2, 3, 4, 7, 8, 10, 100, 1000} {
 		vals := []uint64{1, 2, 3, b, b + 1, 2*b + 1, 10 * b}

@@ -1,9 +1,6 @@
 package compress
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Scheme identifies an integer-coding scheme. The compression experiment
 // (E2) encodes the same gap streams under every scheme and compares size
@@ -49,133 +46,4 @@ func (s Scheme) String() string {
 		return "rice"
 	}
 	return fmt.Sprintf("Scheme(%d)", uint8(s))
-}
-
-// EncodeStream encodes a stream of positive integers under the scheme.
-// For the parameterised schemes (Golomb, Rice) the parameter is derived
-// from the stream itself and stored in the header, so the result is
-// self-describing apart from the scheme and count, which the caller
-// keeps.
-func EncodeStream(s Scheme, values []uint64) ([]byte, error) {
-	for i, v := range values {
-		if v == 0 {
-			return nil, fmt.Errorf("compress: stream value %d at index %d must be positive", v, i)
-		}
-	}
-	switch s {
-	case SchemeNone:
-		out := make([]byte, 8*len(values))
-		for i, v := range values {
-			binary.LittleEndian.PutUint64(out[8*i:], v)
-		}
-		return out, nil
-	case SchemeVByte:
-		var out []byte
-		for _, v := range values {
-			out = PutVByte(out, v)
-		}
-		return out, nil
-	case SchemeGamma, SchemeDelta:
-		w := NewBitWriter(len(values))
-		for _, v := range values {
-			if s == SchemeGamma {
-				PutGamma(w, v)
-			} else {
-				PutDelta(w, v)
-			}
-		}
-		return w.Bytes(), nil
-	case SchemeGolomb, SchemeRice:
-		var sum uint64
-		for _, v := range values {
-			sum += v
-		}
-		w := NewBitWriter(len(values))
-		if s == SchemeGolomb {
-			b := GolombParameter(sum, uint64(len(values)))
-			PutGamma(w, b)
-			for _, v := range values {
-				PutGolomb(w, v, b)
-			}
-		} else {
-			k := RiceParameter(sum, uint64(len(values)))
-			PutGamma(w, uint64(k)+1)
-			for _, v := range values {
-				PutRice(w, v, k)
-			}
-		}
-		return w.Bytes(), nil
-	}
-	return nil, fmt.Errorf("compress: unknown scheme %v", s)
-}
-
-// DecodeStream decodes count integers previously encoded with
-// EncodeStream under the same scheme.
-func DecodeStream(s Scheme, buf []byte, count int) ([]uint64, error) {
-	out := make([]uint64, count)
-	_, err := DecodeStreamInto(s, buf, out)
-	return out, err
-}
-
-// DecodeStreamInto decodes len(dst) integers into dst and returns the
-// number of bytes of buf consumed (for the bit codes this is the padded
-// byte length only when the stream is fully drained).
-func DecodeStreamInto(s Scheme, buf []byte, dst []uint64) (int, error) {
-	switch s {
-	case SchemeNone:
-		if len(buf) < 8*len(dst) {
-			return 0, fmt.Errorf("%w: fixed stream short: need %d bytes, have %d", ErrCorrupt, 8*len(dst), len(buf))
-		}
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint64(buf[8*i:])
-		}
-		return 8 * len(dst), nil
-	case SchemeVByte:
-		pos := 0
-		for i := range dst {
-			v, n, err := GetVByte(buf[pos:])
-			if err != nil {
-				return 0, err
-			}
-			dst[i] = v
-			pos += n
-		}
-		return pos, nil
-	case SchemeGamma, SchemeDelta:
-		r := NewBitReader(buf)
-		for i := range dst {
-			var v uint64
-			var err error
-			if s == SchemeGamma {
-				v, err = GetGamma(r)
-			} else {
-				v, err = GetDelta(r)
-			}
-			if err != nil {
-				return 0, err
-			}
-			dst[i] = v
-		}
-		return (r.BitPos() + 7) / 8, nil
-	case SchemeGolomb, SchemeRice:
-		r := NewBitReader(buf)
-		p, err := GetGamma(r)
-		if err != nil {
-			return 0, err
-		}
-		for i := range dst {
-			var v uint64
-			if s == SchemeGolomb {
-				v, err = GetGolomb(r, p)
-			} else {
-				v, err = GetRice(r, uint(p-1))
-			}
-			if err != nil {
-				return 0, err
-			}
-			dst[i] = v
-		}
-		return (r.BitPos() + 7) / 8, nil
-	}
-	return 0, fmt.Errorf("compress: unknown scheme %v", s)
 }

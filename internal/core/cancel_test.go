@@ -41,7 +41,7 @@ func TestCoarseCancellation(t *testing.T) {
 
 	// Allow exactly the entry check in SearchWithStatsContext; the next
 	// Err poll, between posting lists, observes the cancellation.
-	rs, err := s.SearchContext(newCountdownCtx(1), f.query, opts)
+	rs, err := s.SearchWithStatsContext(newCountdownCtx(1), f.query, opts, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}

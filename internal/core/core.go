@@ -379,19 +379,12 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 	}, nil
 }
 
-// Index returns the first (for NewSearcher callers: the only) segment's
-// index.
-func (s *Searcher) Index() *index.Index { return s.segs[0].Index }
-
 // Snapshot returns the identity token of the segment set this searcher
 // was built over (see NewSegmentedSearcher).
 func (s *Searcher) Snapshot() any { return s.snapshot }
 
 // NumSegments returns the number of segments the searcher evaluates.
 func (s *Searcher) NumSegments() int { return len(s.segs) }
-
-// Scoring returns the alignment parameters in use.
-func (s *Searcher) Scoring() align.Scoring { return s.scoring }
 
 // Candidate is a coarse-phase ranking entry.
 type Candidate struct {
@@ -410,17 +403,6 @@ func (s *Searcher) Search(query []byte, opts Options) ([]Result, error) {
 	return s.SearchWithStatsContext(context.Background(), query, opts, nil) //cafe:allow ctx context-free wrapper; running without a deadline is Search's documented behaviour
 }
 
-// SearchContext is Search with cooperative cancellation: the evaluation
-// checks ctx between posting lists in the coarse phase and between
-// candidates in the prescreen/fine/traceback phases — coarse enough
-// that the hot decode and DP loops stay allocation-free, fine enough
-// that even a long Smith–Waterman fine phase stops within one
-// candidate's alignment. On cancellation it returns ctx.Err() (so
-// errors.Is(err, context.Canceled) works) and no results.
-func (s *Searcher) SearchContext(ctx context.Context, query []byte, opts Options) ([]Result, error) {
-	return s.SearchWithStatsContext(ctx, query, opts, nil)
-}
-
 // SearchWithStats runs Search and, when st is non-nil, fills it with
 // the per-stage work counters and wall times of this evaluation (st is
 // reset first). Collection is allocation-free and does not change
@@ -430,8 +412,14 @@ func (s *Searcher) SearchWithStats(query []byte, opts Options, st *SearchStats) 
 	return s.SearchWithStatsContext(context.Background(), query, opts, st) //cafe:allow ctx context-free wrapper; running without a deadline is SearchWithStats's documented behaviour
 }
 
-// SearchWithStatsContext is SearchContext with the stats collection of
-// SearchWithStats.
+// SearchWithStatsContext is SearchWithStats with cooperative
+// cancellation: the evaluation checks ctx between posting lists in the
+// coarse phase and between candidates in the prescreen/fine/traceback
+// phases — coarse enough that the hot decode and DP loops stay
+// allocation-free, fine enough that even a long Smith–Waterman fine
+// phase stops within one candidate's alignment. On cancellation it
+// returns ctx.Err() (so errors.Is(err, context.Canceled) works) and no
+// results.
 func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -246,7 +246,7 @@ func TestFineKernelCancellation(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			opts.FineWorkers = workers
 			ctx := newCountdownCtx(allow)
-			rs, err := s.SearchContext(ctx, f.query, opts)
+			rs, err := s.SearchWithStatsContext(ctx, f.query, opts, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Errorf("%s workers=%d: err = %v, want context.Canceled", name, workers, err)
 			}

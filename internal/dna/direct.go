@@ -142,34 +142,3 @@ func (dc *DirectCoder) Decode(buf []byte) (codes []byte, n int, err error) {
 	}
 	return codes, pos, nil
 }
-
-// EncodedLen returns the exact byte length Encode would produce for the
-// sequence, without encoding it. Used for the compression experiment's
-// bits-per-base accounting.
-func (dc *DirectCoder) EncodedLen(codes []byte) int {
-	n := len(codes)
-	wilds := 0
-	excBits := 0
-	if CountWildcards(codes) > 0 {
-		var positions []int
-		for i, c := range codes {
-			if IsWildcard(c) {
-				positions = append(positions, i)
-			}
-		}
-		wilds = len(positions)
-		b := compress.GolombParameter(uint64(n), uint64(wilds))
-		excBits = compress.GammaLen(b)
-		prev := -1
-		for _, p := range positions {
-			excBits += compress.GolombLen(uint64(p-prev), b) + 4
-			prev = p
-		}
-	}
-	excBytes := (excBits + 7) / 8
-	var hdr [3 * binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(hdr[:], uint64(n))
-	k += binary.PutUvarint(hdr[k:], uint64(wilds))
-	k += binary.PutUvarint(hdr[k:], uint64(excBytes))
-	return k + excBytes + PackedLen(n)
-}

@@ -72,19 +72,6 @@ func TestDirectCodingAppends(t *testing.T) {
 	}
 }
 
-func TestDirectCodingEncodedLen(t *testing.T) {
-	var dc DirectCoder
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 50; i++ {
-		codes := randomCodes(rng, rng.Intn(500), true)
-		enc := dc.Encode(nil, codes)
-		if got := dc.EncodedLen(codes); got != len(enc) {
-			t.Fatalf("EncodedLen = %d, actual %d (len %d, wild %d)",
-				got, len(enc), len(codes), CountWildcards(codes))
-		}
-	}
-}
-
 func TestDirectCodingCompact(t *testing.T) {
 	// On realistic data (0.1% wildcards) the encoding must stay near
 	// 2 bits/base: headers plus exceptions under 10% overhead at 10kb.

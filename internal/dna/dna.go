@@ -95,10 +95,6 @@ func IsWildcard(code byte) bool { return code >= NumBases && code < NumCodes }
 //cafe:hotpath
 func ValidCode(code byte) bool { return code < NumCodes }
 
-// ValidLetter reports whether the ASCII letter b is a valid IUPAC
-// nucleotide letter (either case, including 'U').
-func ValidLetter(b byte) bool { return codeOf[b] != 0xFF }
-
 // Letter returns the canonical upper-case IUPAC letter for a code.
 // It panics if code is not a valid nucleotide code; codes are internal
 // values so an invalid one indicates a programming error, not bad input.
@@ -232,19 +228,6 @@ func baseSet(code byte) uint8 {
 		return 1<<BaseA | 1<<BaseC | 1<<BaseG | 1<<BaseT
 	}
 	panic(fmt.Sprintf("dna: invalid nucleotide code %d", code))
-}
-
-// SubstituteWildcards returns a copy of the sequence with every wildcard
-// replaced by a deterministic member of its ambiguity set (the lowest
-// base code in the set). Exhaustive aligners that only understand
-// concrete bases use this; the index uses the same rule so coarse and
-// fine phases see consistent data.
-func SubstituteWildcards(codes []byte) []byte {
-	out := make([]byte, len(codes))
-	for i, c := range codes {
-		out[i] = CanonicalBase(c)
-	}
-	return out
 }
 
 // CanonicalBase returns code itself for a base, and the lowest base code

@@ -118,17 +118,6 @@ func TestCanonicalBaseInSet(t *testing.T) {
 	}
 }
 
-func TestSubstituteWildcards(t *testing.T) {
-	seq := MustEncode("ANGT")
-	out := SubstituteWildcards(seq)
-	if CountWildcards(out) != 0 {
-		t.Errorf("SubstituteWildcards left wildcards: %s", String(out))
-	}
-	if out[0] != BaseA || out[2] != BaseG || out[3] != BaseT {
-		t.Errorf("SubstituteWildcards changed concrete bases: %s", String(out))
-	}
-}
-
 func TestCountWildcards(t *testing.T) {
 	if got := CountWildcards(MustEncode("ACGT")); got != 0 {
 		t.Errorf("CountWildcards(ACGT) = %d", got)

@@ -1,28 +1,10 @@
 package dna
 
-import "fmt"
-
-// Pack2 packs a code-form sequence of unambiguous bases into 2 bits per
-// base, four bases per byte, first base in the low-order bits. It
-// returns an error if the sequence contains a wildcard: 2-bit packing is
-// lossy for wildcards, which is exactly the problem the direct-coding
-// scheme (DirectCoder) solves.
-func Pack2(codes []byte) ([]byte, error) {
-	packed := make([]byte, (len(codes)+3)/4)
-	for i, c := range codes {
-		if !IsBase(c) {
-			if !ValidCode(c) {
-				return nil, fmt.Errorf("dna: invalid nucleotide code %d at position %d", c, i)
-			}
-			return nil, fmt.Errorf("dna: cannot 2-bit pack wildcard %q at position %d", Letter(c), i)
-		}
-		packed[i>>2] |= c << uint((i&3)*2)
-	}
-	return packed, nil
-}
-
-// Pack2Lossy packs like Pack2 but silently canonicalises wildcards to a
-// base in their ambiguity set. The returned count is the number of
+// Pack2Lossy packs a code-form sequence into 2 bits per base, four
+// bases per byte, first base in the low-order bits. 2-bit packing has
+// no room for wildcards — exactly the problem the direct-coding scheme
+// (DirectCoder) solves around it — so each wildcard is canonicalised to
+// a base in its ambiguity set; the returned count is the number of
 // wildcards that were substituted.
 func Pack2Lossy(codes []byte) (packed []byte, substituted int) {
 	packed = make([]byte, (len(codes)+3)/4)
@@ -34,18 +16,6 @@ func Pack2Lossy(codes []byte) (packed []byte, substituted int) {
 		packed[i>>2] |= c << uint((i&3)*2)
 	}
 	return packed, substituted
-}
-
-// Unpack2 expands a 2-bit packed buffer back into n base codes.
-// It panics if packed is too short for n bases; the packed form carries
-// no length of its own, so the caller owns the length bookkeeping.
-func Unpack2(packed []byte, n int) []byte {
-	if need := (n + 3) / 4; len(packed) < need {
-		panic(fmt.Sprintf("dna: unpack of %d bases needs %d bytes, have %d", n, need, len(packed)))
-	}
-	codes := make([]byte, n)
-	Unpack2Into(packed, codes)
-	return codes
 }
 
 // Unpack2Into decodes len(dst) bases from packed into dst, avoiding an
@@ -66,14 +36,6 @@ func Unpack2Into(packed []byte, dst []byte) {
 	for i := full * 4; i < n; i++ {
 		dst[i] = (packed[i>>2] >> uint((i&3)*2)) & 3
 	}
-}
-
-// Base2 reads the base at position i of a 2-bit packed buffer without
-// unpacking the rest.
-//
-//cafe:hotpath
-func Base2(packed []byte, i int) byte {
-	return (packed[i>>2] >> uint((i&3)*2)) & 3
 }
 
 // PackedLen returns the number of bytes needed to 2-bit pack n bases.

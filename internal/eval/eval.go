@@ -32,42 +32,6 @@ func RecallAt(ranked []int, relevant map[int]bool, k int) float64 {
 	return float64(found) / float64(len(relevant))
 }
 
-// PrecisionAt returns the fraction of the first k ranked entries that
-// are relevant. k beyond the ranking is clamped; an empty prefix yields
-// precision 0.
-func PrecisionAt(ranked []int, relevant map[int]bool, k int) float64 {
-	if k <= 0 || k > len(ranked) {
-		k = len(ranked)
-	}
-	if k == 0 {
-		return 0
-	}
-	found := 0
-	for _, id := range ranked[:k] {
-		if relevant[id] {
-			found++
-		}
-	}
-	return float64(found) / float64(k)
-}
-
-// AveragePrecision returns the mean of precision values at each
-// relevant rank — the standard single-number effectiveness summary.
-func AveragePrecision(ranked []int, relevant map[int]bool) float64 {
-	if len(relevant) == 0 {
-		return 1
-	}
-	found := 0
-	sum := 0.0
-	for i, id := range ranked {
-		if relevant[id] {
-			found++
-			sum += float64(found) / float64(i+1)
-		}
-	}
-	return sum / float64(len(relevant))
-}
-
 // Mean returns the arithmetic mean of xs, 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

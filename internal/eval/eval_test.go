@@ -2,7 +2,6 @@ package eval
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -32,37 +31,6 @@ func TestRecallAt(t *testing.T) {
 	}
 	if got := RecallAt(nil, rel, 3); got != 0 {
 		t.Errorf("empty ranking recall = %v, want 0", got)
-	}
-}
-
-func TestPrecisionAt(t *testing.T) {
-	ranked := []int{5, 3, 9}
-	rel := map[int]bool{3: true, 5: true}
-	if got := PrecisionAt(ranked, rel, 2); got != 1 {
-		t.Errorf("P@2 = %v", got)
-	}
-	if got := PrecisionAt(ranked, rel, 3); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("P@3 = %v", got)
-	}
-	if got := PrecisionAt(nil, rel, 2); got != 0 {
-		t.Errorf("P on empty ranking = %v", got)
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	// Relevant at ranks 1 and 3: AP = (1/1 + 2/3)/2 = 5/6.
-	ranked := []int{10, 20, 30}
-	rel := map[int]bool{10: true, 30: true}
-	if got := AveragePrecision(ranked, rel); math.Abs(got-5.0/6) > 1e-12 {
-		t.Errorf("AP = %v, want 5/6", got)
-	}
-	if got := AveragePrecision(ranked, nil); got != 1 {
-		t.Errorf("AP with no relevant = %v, want 1", got)
-	}
-	// Relevant item missing from the ranking lowers AP.
-	rel[99] = true
-	if got := AveragePrecision(ranked, rel); got >= 5.0/6 {
-		t.Errorf("AP with missing relevant = %v, want < 5/6", got)
 	}
 }
 

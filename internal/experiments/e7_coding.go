@@ -47,16 +47,23 @@ func E7(w io.Writer, cfg Config) ([]E7Row, error) {
 		directBytes += len(direct[id])
 	}
 
-	const passes = 3
+	// timeIt reports the fastest of nine passes: on a small collection a
+	// pass is well under a millisecond, so one preemption or GC cycle
+	// inside a mean of a few passes moves the ratio between two schemes
+	// several-fold; the minimum is what the decoder costs undisturbed.
+	const passes = 9
 	timeIt := func(fn func() error) (time.Duration, error) {
-		var err error
-		start := time.Now()
+		best := time.Duration(-1)
 		for p := 0; p < passes; p++ {
-			if err = fn(); err != nil {
+			start := time.Now()
+			if err := fn(); err != nil {
 				return 0, err
 			}
+			if d := time.Since(start); best < 0 || d < best {
+				best = d
+			}
 		}
-		return time.Since(start) / passes, nil
+		return best, nil
 	}
 
 	scratch := make([]byte, 1<<16)

@@ -250,7 +250,7 @@ func TestMakeWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultWorkload(10)
+	cfg := WorkloadConfig{Seed: 10, NumHomologous: 40, NumRandom: 10, QueryLength: 400, Divergence: 0.10}
 	qs, err := MakeWorkload(col, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -287,10 +287,10 @@ func TestMakeWorkloadNoFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MakeWorkload(col, DefaultWorkload(1)); err == nil {
+	w := WorkloadConfig{Seed: 1, NumHomologous: 40, NumRandom: 10, QueryLength: 400, Divergence: 0.10}
+	if _, err := MakeWorkload(col, w); err == nil {
 		t.Error("workload without families accepted")
 	}
-	w := DefaultWorkload(1)
 	w.NumHomologous = 0
 	if _, err := MakeWorkload(col, w); err != nil {
 		t.Errorf("random-only workload rejected: %v", err)

@@ -37,18 +37,6 @@ type WorkloadConfig struct {
 	Divergence float64
 }
 
-// DefaultWorkload returns the workload used by the experiment suite:
-// mostly homologous queries with a few negative controls.
-func DefaultWorkload(seed int64) WorkloadConfig {
-	return WorkloadConfig{
-		Seed:          seed,
-		NumHomologous: 40,
-		NumRandom:     10,
-		QueryLength:   400,
-		Divergence:    0.10,
-	}
-}
-
 // MakeWorkload derives a query set from a collection. Homologous
 // queries are drawn from records that belong to families so every such
 // query has at least one true homolog besides its own source.

@@ -103,52 +103,6 @@ func Merge(a, b *Index) (*Index, error) {
 	return out, nil
 }
 
-// BuildSegmented constructs the same index as Build but in segments of
-// segmentSize sequences, merging as it goes. Peak transient memory is
-// bounded by one segment's build state plus two indexes, instead of
-// the whole collection's occurrence table — the recipe for indexing
-// collections whose 8-bytes-per-base build state would not fit.
-// The result is byte-identical to Build's, except under StopFraction,
-// where stopping decisions become per-segment (see Merge).
-func BuildSegmented(src Source, opts Options, segmentSize int) (*Index, error) {
-	if segmentSize < 1 {
-		return nil, fmt.Errorf("index: segment size %d must be positive", segmentSize)
-	}
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	var acc *Index
-	for start := 0; start < src.Len() || acc == nil; start += segmentSize {
-		end := start + segmentSize
-		if end > src.Len() {
-			end = src.Len()
-		}
-		seg, err := Build(&subSource{src, start, end}, opts)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = seg
-			continue
-		}
-		acc, err = Merge(acc, seg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// subSource exposes a contiguous id range of a Source as its own
-// zero-based Source.
-type subSource struct {
-	src        Source
-	start, end int
-}
-
-func (s *subSource) Len() int              { return s.end - s.start }
-func (s *subSource) Sequence(i int) []byte { return s.src.Sequence(s.start + i) }
-
 func mergeSorted(a, b []uint64) []uint64 {
 	out := make([]uint64, 0, len(a)+len(b))
 	i, j := 0, 0

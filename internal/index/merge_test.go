@@ -109,45 +109,6 @@ func TestMergeWithEmptySegment(t *testing.T) {
 	}
 }
 
-func TestBuildSegmentedEqualsBuild(t *testing.T) {
-	s := randomStore(151, 55, 300)
-	opts := Options{K: 5, StoreOffsets: true}
-	direct, err := Build(s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, segSize := range []int{1, 7, 20, 55, 100} {
-		segmented, err := BuildSegmented(s, opts, segSize)
-		if err != nil {
-			t.Fatalf("segment size %d: %v", segSize, err)
-		}
-		var a, b bytes.Buffer
-		if err := direct.Save(&a); err != nil {
-			t.Fatal(err)
-		}
-		if err := segmented.Save(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("segment size %d: segmented build differs from direct", segSize)
-		}
-	}
-	if _, err := BuildSegmented(s, opts, 0); err == nil {
-		t.Error("zero segment size accepted")
-	}
-}
-
-func TestBuildSegmentedEmptySource(t *testing.T) {
-	var empty db.Store
-	idx, err := BuildSegmented(&empty, Options{K: 4}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx.NumSeqs() != 0 || idx.NumTermsIndexed() != 0 {
-		t.Errorf("empty segmented build: %d seqs, %d terms", idx.NumSeqs(), idx.NumTermsIndexed())
-	}
-}
-
 func TestMergeUnionsStopLists(t *testing.T) {
 	// Two segments with different dominant terms stop different sets;
 	// the merge carries the union.

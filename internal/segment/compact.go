@@ -95,29 +95,13 @@ func MergeRun(name string, run []*Segment) (*Segment, error) {
 			}
 		}
 	} else {
-		// Tombstones to reclaim (or a single-segment flatten): rebuild
-		// from the stubbed store rather than aliasing an input index.
+		// Tombstones to reclaim: rebuild from the stubbed store. A run
+		// of one lands here too, so the result never aliases an input
+		// index.
 		idx, err = index.Build(store, run[0].Index.Options())
 		if err != nil {
 			return nil, fmt.Errorf("segment: merge: %w", err)
 		}
 	}
 	return New(name, store, idx, run[0].Base)
-}
-
-// Flatten reduces a whole set to a single (store, index) pair — the
-// legacy monolithic layout. A one-segment set with no tombstones
-// returns its own store and index (so flattening a paged single-segment
-// database preserves its disk-opened index); anything else merges into
-// fresh in-memory structures.
-func Flatten(s *Set) (*db.Store, *index.Index, error) {
-	segs := s.Segments()
-	if len(segs) == 1 && segs[0].NumDeleted() == 0 {
-		return segs[0].Store, segs[0].Index, nil
-	}
-	merged, err := MergeRun("", segs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged.Store, merged.Index, nil
 }

@@ -2,8 +2,10 @@ package segment
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,8 +14,8 @@ import (
 	"nucleodb/internal/index"
 )
 
-// ManifestFile names the segmented layout's root: a small JSON document
-// listing the live segments in order. A directory is a segmented
+// ManifestFile names the database directory's root: a small JSON
+// document listing the live segments in order. A directory is a
 // database exactly when this file exists. Every mutation of the layout
 // follows the same crash-safe discipline: segment files are fully
 // written (and renamed into place) before any manifest references
@@ -23,7 +25,7 @@ import (
 // garbage-collected on the next open.
 const ManifestFile = "MANIFEST"
 
-// manifestVersion is the segmented layout format version.
+// manifestVersion is the on-disk layout format version.
 const manifestVersion = 1
 
 // Fault points, in the order a compaction (or any persisted layout
@@ -81,13 +83,6 @@ func SegName(n int) string { return fmt.Sprintf("seg-%06d", n) }
 
 func storePath(dir, name string) string { return filepath.Join(dir, name+".store") }
 func indexPath(dir, name string) string { return filepath.Join(dir, name+".ndx") }
-
-// IsSegmented reports whether dir holds a segmented database (has a
-// manifest).
-func IsSegmented(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, ManifestFile))
-	return err == nil
-}
 
 // writeFileAtomic writes via a temporary file renamed into place, so a
 // crash leaves either the old content or the new, never a torn file.
@@ -216,16 +211,21 @@ func decodeManifest(buf []byte) (manifest, error) {
 	return m, nil
 }
 
-// readManifest loads and validates dir's manifest.
+// readManifest loads and validates dir's manifest. A directory without
+// one is not a database this build can read; the only remedy is a
+// rebuild from its FASTA source, so the error says that.
 func readManifest(dir string) (manifest, error) {
 	buf, err := os.ReadFile(filepath.Join(dir, ManifestFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return manifest{}, fmt.Errorf("segment: open: %s holds no %s: not a database directory; rebuild it with cafe-build -in <fasta> -db %s", dir, ManifestFile, dir)
+	}
 	if err != nil {
 		return manifest{}, fmt.Errorf("segment: open: %w", err)
 	}
 	return decodeManifest(buf)
 }
 
-// OpenDir opens a segmented database directory: loads the manifest,
+// OpenDir opens a database directory: loads the manifest,
 // loads (or, when paged, disk-opens) every listed segment, validates
 // counts, garbage-collects files a crash left unreferenced, and
 // returns the live Set plus the next unused segment number.

@@ -254,10 +254,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := WriteManifest(dir, set, 2); err != nil {
 		t.Fatal(err)
 	}
-	if !IsSegmented(dir) {
-		t.Fatal("IsSegmented false after WriteManifest")
-	}
-
 	got, nextSeg, err := OpenDir(dir, false)
 	if err != nil {
 		t.Fatal(err)
@@ -402,34 +398,5 @@ func TestOpenDirNextSegDefensive(t *testing.T) {
 	}
 	if nextSeg != 8 {
 		t.Errorf("nextSeg = %d, want 8 (past live seg-000007)", nextSeg)
-	}
-}
-
-func TestFlatten(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := buildSegment(t, rng, "a", 4, 0, testOpts())
-	single, err := NewSet([]*Segment{a})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, idx, err := Flatten(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store != a.Store || idx != a.Index {
-		t.Error("clean single-segment flatten should return the segment's own store and index")
-	}
-
-	b := buildSegment(t, rng, "b", 3, 4, testOpts())
-	multi, err := NewSet([]*Segment{a, b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, idx, err = Flatten(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 7 || idx.NumSeqs() != 7 {
-		t.Errorf("flattened to %d/%d seqs, want 7", store.Len(), idx.NumSeqs())
 	}
 }

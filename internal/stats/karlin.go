@@ -312,8 +312,3 @@ func (p Params) BitScore(raw int) float64 {
 func (p Params) EValue(raw, m, n int) float64 {
 	return p.K * float64(m) * float64(n) * math.Exp(-p.Lambda*float64(raw))
 }
-
-// PValue returns P(S ≥ raw) = 1 − e^{−E}.
-func (p Params) PValue(raw, m, n int) float64 {
-	return -math.Expm1(-p.EValue(raw, m, n))
-}

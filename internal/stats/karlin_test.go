@@ -109,15 +109,6 @@ func TestEValueBehaviour(t *testing.T) {
 	if p.EValue(100, 400, 2e6) <= p.EValue(100, 400, 1e6) {
 		t.Error("E-value not increasing in database size")
 	}
-	// P-value is a probability and ≈ E for small E.
-	e := p.EValue(300, 400, 1e6)
-	pv := p.PValue(300, 400, 1e6)
-	if pv < 0 || pv > 1 {
-		t.Errorf("P-value %v outside [0,1]", pv)
-	}
-	if e < 1e-3 && math.Abs(pv-e)/e > 1e-2 {
-		t.Errorf("small-E approximation violated: E=%v P=%v", e, pv)
-	}
 }
 
 func TestEValueCalibration(t *testing.T) {

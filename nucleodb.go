@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -117,6 +116,9 @@ func DefaultBuildConfig() BuildConfig {
 // (Append, Delete, Compact) build replacement segments off to the side
 // and publish a new snapshot with one pointer swap. A search never
 // blocks on a writer and a writer never waits for searches to drain.
+// A database that came from disk (Open, OpenPaged) or was written to it
+// (SaveSegmented) is bound to that directory, and every later write
+// persists there before it is published.
 type Database struct {
 	// snap is the live segment-set snapshot. Readers Load it once per
 	// operation and use that set throughout; writers publish replacement
@@ -126,9 +128,9 @@ type Database struct {
 	scoring align.Scoring
 
 	// mu serialises layout mutations: Append, Delete, snapshot swaps,
-	// Save/SaveSegmented, compactor start/stop. Searches never take it.
+	// SaveSegmented, compactor start/stop. Searches never take it.
 	mu          sync.Mutex
-	dir         string // segmented directory this database persists to; "" = in-memory
+	dir         string // directory this database persists to; "" = built in memory, never saved
 	nextSeg     int    // next unused segment file number when dir != ""
 	maxSegments int    // compaction trigger (see SetMaxSegments)
 	retired     []*index.Index
@@ -260,7 +262,7 @@ func newDatabase(store *db.Store, idx *index.Index, scoring Scoring) (*Database,
 	return newDatabaseSet(set, scoring, "", 0)
 }
 
-// newDatabaseSet wraps a segment set as a Database. dir binds segmented
+// newDatabaseSet wraps a segment set as a Database. dir binds
 // persistence ("" for in-memory); nextSeg is the next unused segment
 // file number inside dir.
 func newDatabaseSet(set *segment.Set, scoring Scoring, dir string, nextSeg int) (*Database, error) {
@@ -281,41 +283,14 @@ func newDatabaseSet(set *segment.Set, scoring Scoring, dir string, nextSeg int) 
 	return d, nil
 }
 
-// File names used inside a saved database directory.
-const (
-	storeFile = "sequences.ndb"
-	indexFile = "intervals.ndx"
-)
-
-// Save writes the database into directory dir in the legacy monolithic
-// layout (one store file, one index file), creating the directory if
-// needed. A multi-segment database is flattened first — tombstoned
-// records become empty stubs, so ids are preserved. See SaveSegmented
-// for the layout that keeps segments (and incremental Append) across
-// restarts.
-func (d *Database) Save(dir string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	store, idx, err := segment.Flatten(d.snap.Load())
-	if err != nil {
-		return fmt.Errorf("nucleodb: save: %w", err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("nucleodb: save: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, storeFile), store.Save); err != nil {
-		return err
-	}
-	return writeFileAtomic(filepath.Join(dir, indexFile), idx.Save)
-}
-
-// SaveSegmented writes the database into directory dir in the
-// segmented layout — one store and index file per segment plus a
-// MANIFEST — and binds the database to dir: from then on Append,
-// Delete and Compact persist their changes there crash-safely (segment
-// files land before the manifest references them; the manifest is
-// replaced atomically). Open and OpenPaged detect the layout
-// automatically.
+// SaveSegmented writes the database into directory dir — one store and
+// index file per segment plus a MANIFEST, the one on-disk layout — and
+// binds the database to dir: from then on Append, Delete and Compact
+// persist their changes there crash-safely (segment files land before
+// the manifest references them; the manifest is replaced atomically).
+// An unmodified OpenPaged database cannot be re-saved: its disk-backed
+// segments have no in-memory postings to rewrite, so the call fails
+// before any MANIFEST is written.
 func (d *Database) SaveSegmented(dir string) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -344,97 +319,37 @@ func (d *Database) SaveSegmented(dir string) error {
 	return nil
 }
 
-func writeFileAtomic(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("nucleodb: save: %w", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("nucleodb: save %s: %w", filepath.Base(path), err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("nucleodb: save: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("nucleodb: save: %w", err)
-	}
-	return nil
-}
-
-// Open loads a database saved with Save or SaveSegmented (the layout
-// is detected by the presence of a MANIFEST). Scoring is not
-// persisted; pass the scheme searches should use (DefaultScoring for
-// the usual parameters). Opening a segmented directory binds the
-// database to it: Append, Delete and Compact persist there.
+// Open loads a database directory written by SaveSegmented (or
+// cafe-build) fully into memory and binds the database to it: Append,
+// Delete and Compact persist there. A directory without a MANIFEST is
+// an error. Scoring is not persisted; pass the scheme searches should
+// use (DefaultScoring for the usual parameters).
 func Open(dir string, scoring Scoring) (*Database, error) {
-	if segment.IsSegmented(dir) {
-		set, next, err := segment.OpenDir(dir, false)
-		if err != nil {
-			return nil, fmt.Errorf("nucleodb: %w", err)
-		}
-		return newDatabaseSet(set, scoring, dir, next)
-	}
-	sf, err := os.Open(filepath.Join(dir, storeFile))
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	defer sf.Close()
-	store, err := db.Load(sf)
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	xf, err := os.Open(filepath.Join(dir, indexFile))
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	defer xf.Close()
-	idx, err := index.Load(xf)
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	return newDatabase(store, idx, scoring)
+	return openDir(dir, scoring, false)
 }
 
-// OpenPaged opens a saved database with the index in paged (on-disk)
-// mode: the lexicon loads into memory but posting lists are read from
+// OpenPaged is Open with the indexes in paged (on-disk) mode: each
+// segment's lexicon loads into memory but posting lists are read from
 // disk per query — the operating regime for collections larger than
 // memory, and the regime the original system was designed for. Call
 // Close when done. Paged segments are read-only base segments: Append
-// indexes new records as fresh in-memory segments on top of them (and
-// persists the segments when the directory is segmented), so
-// incremental growth works in every mode. Only the legacy monolithic
-// Save of an unmodified paged database is unsupported (its one
-// disk-backed segment has no in-memory postings to rewrite); any
-// append or delete makes Save flatten through memory and succeed.
+// indexes new records as fresh in-memory segments on top of them and
+// persists those to the directory, so incremental growth works in
+// either mode.
 func OpenPaged(dir string, scoring Scoring) (*Database, error) {
-	if segment.IsSegmented(dir) {
-		set, next, err := segment.OpenDir(dir, true)
-		if err != nil {
-			return nil, fmt.Errorf("nucleodb: %w", err)
+	return openDir(dir, scoring, true)
+}
+
+func openDir(dir string, scoring Scoring, paged bool) (*Database, error) {
+	set, next, err := segment.OpenDir(dir, paged)
+	if err != nil {
+		return nil, fmt.Errorf("nucleodb: %w", err)
+	}
+	d, err := newDatabaseSet(set, scoring, dir, next)
+	if err != nil {
+		for _, g := range set.Segments() {
+			g.Index.Close()
 		}
-		return newDatabaseSet(set, scoring, dir, next)
-	}
-	sf, err := os.Open(filepath.Join(dir, storeFile))
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	defer sf.Close()
-	store, err := db.Load(sf)
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	idx, err := index.OpenDisk(filepath.Join(dir, indexFile))
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: open: %w", err)
-	}
-	d, err := newDatabase(store, idx, scoring)
-	if err != nil {
-		idx.Close()
 		return nil, err
 	}
 	return d, nil
@@ -665,39 +580,19 @@ func PublishMetrics() { metrics.PublishExpvar() }
 // Search evaluates a query given as IUPAC letters and returns ranked
 // answers.
 func (d *Database) Search(query string, opts SearchOptions) ([]Result, error) {
-	return d.SearchContext(context.Background(), query, opts)
-}
-
-// SearchContext is Search with cooperative cancellation: when ctx is
-// cancelled or its deadline passes, the evaluation stops at the next
-// posting list (coarse phase) or candidate boundary (prescreen, fine
-// alignment, traceback) and returns an error wrapping ctx.Err() — so a
-// long Smith–Waterman fine phase no longer runs to completion after
-// the caller has gone away. With context.Background() the results are
-// identical to Search's.
-func (d *Database) SearchContext(ctx context.Context, query string, opts SearchOptions) ([]Result, error) {
-	codes, err := dna.Encode([]byte(query))
-	if err != nil {
-		return nil, fmt.Errorf("nucleodb: query: %w", err)
-	}
-	return d.SearchCodesContext(ctx, codes, opts)
+	rs, _, err := d.SearchWithStats(query, opts)
+	return rs, err
 }
 
 // SearchWithStats evaluates a query and also returns the per-stage
 // work and latency breakdown of the evaluation. Results are identical
 // to Search's (the stats collection only observes).
 func (d *Database) SearchWithStats(query string, opts SearchOptions) ([]Result, SearchStats, error) {
-	return d.SearchWithStatsContext(context.Background(), query, opts)
-}
-
-// SearchWithStatsContext is SearchContext with the stats collection of
-// SearchWithStats.
-func (d *Database) SearchWithStatsContext(ctx context.Context, query string, opts SearchOptions) ([]Result, SearchStats, error) {
 	codes, err := dna.Encode([]byte(query))
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: query: %w", err)
 	}
-	return d.SearchCodesWithStatsContext(ctx, codes, opts)
+	return d.SearchCodesWithStats(codes, opts)
 }
 
 // SearchCodes evaluates a query already in internal code form; callers
@@ -707,19 +602,19 @@ func (d *Database) SearchCodes(codes []byte, opts SearchOptions) ([]Result, erro
 	return rs, err
 }
 
-// SearchCodesContext is SearchContext for pre-encoded queries.
-func (d *Database) SearchCodesContext(ctx context.Context, codes []byte, opts SearchOptions) ([]Result, error) {
-	rs, _, err := d.SearchCodesWithStatsContext(ctx, codes, opts)
-	return rs, err
-}
-
 // SearchCodesWithStats is SearchWithStats for pre-encoded queries.
 func (d *Database) SearchCodesWithStats(codes []byte, opts SearchOptions) ([]Result, SearchStats, error) {
 	return d.SearchCodesWithStatsContext(context.Background(), codes, opts)
 }
 
-// SearchCodesWithStatsContext is the full-generality search entry
-// point: pre-encoded query, cooperative cancellation, and stats.
+// SearchCodesWithStatsContext is the search entry point every other
+// form reduces to: pre-encoded query, stats, and cooperative
+// cancellation. When ctx is cancelled or its deadline passes, the
+// evaluation stops at the next posting list (coarse phase) or candidate
+// boundary (prescreen, fine alignment, traceback) and returns an error
+// wrapping ctx.Err() — so a long Smith–Waterman fine phase does not run
+// to completion after the caller has gone away. With
+// context.Background() the results are identical to Search's.
 func (d *Database) SearchCodesWithStatsContext(ctx context.Context, codes []byte, opts SearchOptions) ([]Result, SearchStats, error) {
 	var st SearchStats
 	searcher, set, err := d.getSearcher()
@@ -732,6 +627,14 @@ func (d *Database) SearchCodesWithStatsContext(ctx context.Context, codes []byte
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: %w", err)
 	}
 	recordSearchMetrics(st)
+	return d.results(set, rs, len(codes)), st, nil
+}
+
+// results is the one core → facade conversion: it names each record
+// from set — the snapshot the results were computed on — copies the
+// alignment span, and fills Bits and EValue for a query of queryLen
+// bases when the scoring scheme admits Karlin–Altschul statistics.
+func (d *Database) results(set *segment.Set, rs []core.Result, queryLen int) []Result {
 	params, statsErr := d.Statistics()
 	out := make([]Result, len(rs))
 	for i, r := range rs {
@@ -748,10 +651,10 @@ func (d *Database) SearchCodesWithStatsContext(ctx context.Context, codes []byte
 		}
 		if statsErr == nil {
 			out[i].Bits = params.BitScore(r.Score)
-			out[i].EValue = params.EValue(r.Score, len(codes), set.TotalBases())
+			out[i].EValue = params.EValue(r.Score, queryLen, set.TotalBases())
 		}
 	}
-	return out, st, nil
+	return out
 }
 
 // Statistics returns the Karlin–Altschul parameters for the database's
@@ -781,12 +684,28 @@ func (d *Database) Alignment(query string, id int) (string, error) {
 		return "", fmt.Errorf("nucleodb: query: %w", err)
 	}
 	set := d.snap.Load()
-	if id < 0 || id >= set.NumSeqs() {
-		return "", fmt.Errorf("nucleodb: record id %d out of range [0,%d)", id, set.NumSeqs())
+	if err := checkLive(set, id); err != nil {
+		return "", err
 	}
 	subject := set.Sequence(id)
 	al := align.LocalLinear(codes, subject, d.scoring)
 	return align.Format(codes, subject, al, 60), nil
+}
+
+// checkLive reports why record id cannot be aligned against: out of
+// range, or deleted. A tombstoned record's bases stay in its segment
+// until compaction folds it and leaves an empty stub; refusing both
+// states keeps the answer the same before and after that happens (a
+// record stored empty is indistinguishable from a stub and has nothing
+// to align against either).
+func checkLive(set *segment.Set, id int) error {
+	if id < 0 || id >= set.NumSeqs() {
+		return fmt.Errorf("nucleodb: record id %d out of range [0,%d)", id, set.NumSeqs())
+	}
+	if set.Deleted(id) || set.SeqLen(id) == 0 {
+		return fmt.Errorf("nucleodb: record id %d is deleted", id)
+	}
+	return nil
 }
 
 // Append adds records to the database incrementally: the batch is
@@ -794,7 +713,7 @@ func (d *Database) Alignment(query string, id int) (string, error) {
 // swap, so the cost is proportional to the batch — the existing
 // segments (in-memory or paged) are never touched. Searches running
 // concurrently are unaffected; they finish against the snapshot they
-// started with. When the database is bound to a segmented directory
+// started with. When the database is bound to a directory
 // (SaveSegmented, or opened from one), the new segment is persisted
 // crash-safely before the swap.
 //
@@ -854,8 +773,8 @@ func (d *Database) Append(records []Record) error {
 // reclaimed when compaction next folds their segment (descriptions
 // survive as empty stubs, so ids never renumber). Significance
 // statistics use the live database size, so surviving results score
-// identically before and after the physical reclaim. On a segmented
-// directory the tombstones persist in the manifest.
+// identically before and after the physical reclaim. When the database
+// is bound to a directory the tombstones persist in the manifest.
 func (d *Database) Delete(ids ...int) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -916,18 +835,19 @@ func (d *Database) NumDeleted() int { return d.snap.Load().NumDeleted() }
 func (d *Database) IsDeleted(id int) bool { return d.snap.Load().Deleted(id) }
 
 // Compact folds one run of adjacent segments chosen by the size-tiered
-// policy into a single segment, reclaiming tombstones, and returns how
-// many segments it folded — 0 when the snapshot already satisfies the
-// policy (at most SetMaxSegments segments, none of them tombstoned
-// runs). Call it in a loop (or use StartCompactor) to fold fully.
+// policy into a single segment, reclaiming the tombstones inside that
+// run, and returns how many segments it folded — 0 when the snapshot
+// holds at most SetMaxSegments segments. The policy counts segments
+// only: tombstones in a segment no run covers wait until one does.
+// Call it in a loop (or use StartCompactor) to fold fully.
 //
 // The merge runs outside the writer lock, so searches and appends
 // proceed while it works; the swap revalidates that the merged run is
 // still live (a concurrent Delete replaces segment values) and gives
-// up harmlessly if not. Concurrent Compact calls serialise. On a
-// segmented directory the new segment and manifest are written
-// crash-safely before the swap, and superseded files are removed
-// after.
+// up harmlessly if not. Concurrent Compact calls serialise. When the
+// database is bound to a directory the new segment and manifest are
+// written crash-safely before the swap, and superseded files are
+// removed after.
 func (d *Database) Compact() (int, error) {
 	d.compactMu.Lock()
 	defer d.compactMu.Unlock()
@@ -1087,30 +1007,15 @@ func (d *Database) HSPs(query string, id, max, minScore int) ([]Result, error) {
 		return nil, fmt.Errorf("nucleodb: query: %w", err)
 	}
 	set := d.snap.Load()
-	if id < 0 || id >= set.NumSeqs() {
-		return nil, fmt.Errorf("nucleodb: record id %d out of range [0,%d)", id, set.NumSeqs())
+	if err := checkLive(set, id); err != nil {
+		return nil, err
 	}
-	subject := set.Sequence(id)
-	params, statsErr := d.Statistics()
-	als := align.LocalAll(codes, subject, d.scoring, minScore, max)
-	out := make([]Result, len(als))
+	als := align.LocalAll(codes, set.Sequence(id), d.scoring, minScore, max)
+	rs := make([]core.Result, len(als))
 	for i, al := range als {
-		out[i] = Result{
-			ID:           id,
-			Desc:         set.Desc(id),
-			Score:        al.Score,
-			Identity:     al.Identity(),
-			QueryStart:   al.AStart,
-			QueryEnd:     al.AEnd,
-			SubjectStart: al.BStart,
-			SubjectEnd:   al.BEnd,
-		}
-		if statsErr == nil {
-			out[i].Bits = params.BitScore(al.Score)
-			out[i].EValue = params.EValue(al.Score, len(codes), set.TotalBases())
-		}
+		rs[i] = core.Result{ID: id, Score: al.Score, Alignment: al}
 	}
-	return out, nil
+	return d.results(set, rs, len(codes)), nil
 }
 
 // NumSequences returns the number of records in the database,
@@ -1121,8 +1026,15 @@ func (d *Database) NumSequences() int { return d.snap.Load().NumSeqs() }
 // (non-tombstoned) records.
 func (d *Database) TotalBases() int { return d.snap.Load().TotalBases() }
 
-// Sequence returns record id's sequence as IUPAC letters.
-func (d *Database) Sequence(id int) string { return dna.String(d.snap.Load().Sequence(id)) }
+// Sequence returns record id's sequence as IUPAC letters; a deleted
+// record's is "", before and after compaction reclaims its bases.
+func (d *Database) Sequence(id int) string {
+	set := d.snap.Load()
+	if set.Deleted(id) {
+		return ""
+	}
+	return dna.String(set.Sequence(id))
+}
 
 // Desc returns record id's description.
 func (d *Database) Desc(id int) string { return d.snap.Load().Desc(id) }

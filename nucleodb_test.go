@@ -1,11 +1,17 @@
 package nucleodb
 
 import (
+	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"nucleodb/internal/db"
+	"nucleodb/internal/dna"
+	"nucleodb/internal/index"
 )
 
 // letters draws a random sequence of IUPAC base letters.
@@ -150,7 +156,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := db.Save(dir); err != nil {
+	if err := db.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir, DefaultScoring())
@@ -181,6 +187,50 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 func TestOpenMissingDir(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "nope"), DefaultScoring()); err == nil {
 		t.Error("missing directory accepted")
+	}
+}
+
+// TestOpenRejectsDirectoryWithoutManifest: a directory holding only the
+// store/index pair an older cafe-build wrote is refused by both open
+// paths with an error that names what is missing and the remedy, and
+// nothing in it is touched.
+func TestOpenRejectsDirectoryWithoutManifest(t *testing.T) {
+	recs, _, _ := testRecords(65)
+	var store db.Store
+	for _, r := range recs {
+		store.Add(r.Desc, dna.MustEncode(r.Sequence))
+	}
+	idx, err := index.Build(&store, index.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	files := map[string]func(io.Writer) error{"sequences.ndb": store.Save, "intervals.ndx": idx.Save}
+	for name, save := range files {
+		f, err := os.Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := save(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, open := range map[string]func(string, Scoring) (*Database, error){"Open": Open, "OpenPaged": OpenPaged} {
+		_, err := open(dir, DefaultScoring())
+		if err == nil {
+			t.Fatalf("%s accepted a directory without a MANIFEST", name)
+		}
+		if !strings.Contains(err.Error(), "MANIFEST") || !strings.Contains(err.Error(), "cafe-build") {
+			t.Errorf("%s error names neither MANIFEST nor cafe-build: %v", name, err)
+		}
+		for file := range files {
+			if _, err := os.Stat(filepath.Join(dir, file)); err != nil {
+				t.Errorf("%s removed %s: %v", name, file, err)
+			}
+		}
 	}
 }
 

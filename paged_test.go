@@ -1,6 +1,7 @@
 package nucleodb
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -13,7 +14,7 @@ func TestOpenPagedMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := built.Save(dir); err != nil {
+	if err := built.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +57,7 @@ func TestOpenPagedRejectsMonolithicSave(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := built.Save(dir); err != nil {
+	if err := built.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 	paged, err := OpenPaged(dir, DefaultScoring())
@@ -65,10 +66,14 @@ func TestOpenPagedRejectsMonolithicSave(t *testing.T) {
 	}
 	defer paged.Close()
 	// An unmodified paged database is one disk-backed segment with no
-	// in-memory postings to rewrite; the legacy monolithic Save must
-	// refuse rather than write a torn copy.
-	if err := paged.Save(filepath.Join(t.TempDir(), "copy")); err == nil {
-		t.Error("Save on unmodified paged database accepted")
+	// in-memory postings to rewrite; SaveSegmented must refuse rather
+	// than publish a torn copy.
+	target := filepath.Join(t.TempDir(), "copy")
+	if err := paged.SaveSegmented(target); err == nil {
+		t.Error("SaveSegmented on unmodified paged database accepted")
+	}
+	if _, err := os.Stat(filepath.Join(target, "MANIFEST")); !os.IsNotExist(err) {
+		t.Errorf("refused save left a MANIFEST in the target (stat err = %v)", err)
 	}
 }
 
@@ -83,7 +88,7 @@ func TestPagedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := built.Save(dir); err != nil {
+	if err := built.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 	paged, err := OpenPaged(dir, DefaultScoring())
@@ -137,7 +142,7 @@ func TestOpenPagedFeatureCombos(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "db")
-	if err := built.Save(dir); err != nil {
+	if err := built.SaveSegmented(dir); err != nil {
 		t.Fatal(err)
 	}
 	paged, err := OpenPaged(dir, DefaultScoring())

@@ -2,6 +2,7 @@ package nucleodb
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -61,7 +62,7 @@ func TestSearchBatchWithStatsAggregates(t *testing.T) {
 		}
 		want.Add(st)
 	}
-	batchOut, agg, err := db.SearchBatchWithStats(queries, opts, 2)
+	batchOut, agg, err := db.SearchBatchWithStatsContext(context.Background(), queries, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

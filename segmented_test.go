@@ -155,10 +155,9 @@ func TestSegmentedEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestSegmentedSaveReloadEquivalence checks both persistence paths out
-// of a multi-segment state: SaveSegmented round-trips the layout
-// (in-memory and paged), and legacy Save flattens to a byte-compatible
-// monolithic database.
+// TestSegmentedSaveReloadEquivalence checks persistence out of a
+// multi-segment state: SaveSegmented round-trips the segments, opened
+// in memory and paged.
 func TestSegmentedSaveReloadEquivalence(t *testing.T) {
 	recs, query, _ := testRecords(310)
 	mono, err := Build(recs, DefaultBuildConfig())
@@ -187,19 +186,6 @@ func TestSegmentedSaveReloadEquivalence(t *testing.T) {
 	}
 	defer paged.Close()
 	mustEqualResults(t, "segmented-paged", paged, mono, query)
-
-	flatDir := filepath.Join(t.TempDir(), "flatdb")
-	if err := db.Save(flatDir); err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Open(flatDir, DefaultScoring())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := flat.NumSegments(); got != 1 {
-		t.Fatalf("legacy Save kept %d segments", got)
-	}
-	mustEqualResults(t, "flattened", flat, mono, query)
 }
 
 // TestOpenDiscardsOldSignatureFiles: a directory written by an older
@@ -322,4 +308,46 @@ func TestDeleteEquivalence(t *testing.T) {
 	if err := db.Delete(db.NumSequences()); err == nil {
 		t.Error("out-of-range id accepted")
 	}
+}
+
+// TestDeletedRecordUnreadable: a tombstoned record cannot be read or
+// aligned against through the facade, and the answer is the same while
+// its bases still sit in an unfolded segment as after compaction has
+// reclaimed them.
+func TestDeletedRecordUnreadable(t *testing.T) {
+	recs, query, _ := testRecords(340)
+	db := buildSegmented(t, recs, 2, rand.New(rand.NewSource(341)))
+	if got := db.NumSegments(); got != 2 {
+		t.Fatalf("built %d segments, want 2", got)
+	}
+	if db.Sequence(0) == "" {
+		t.Fatal("record 0 empty before Delete; test premise broken")
+	}
+	if err := db.Delete(0); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := db.Sequence(0); got != "" {
+			t.Errorf("%s: Sequence(0) returned %d bases of a deleted record", when, len(got))
+		}
+		if _, err := db.Alignment(query, 0); err == nil || !strings.Contains(err.Error(), "record id 0 is deleted") {
+			t.Errorf("%s: Alignment on a deleted record: err = %v", when, err)
+		}
+		if rs, err := db.HSPs(query, 0, 3, 1); err == nil || !strings.Contains(err.Error(), "record id 0 is deleted") {
+			t.Errorf("%s: HSPs on a deleted record: %d results, err = %v", when, len(rs), err)
+		}
+		if db.Sequence(1) == "" {
+			t.Errorf("%s: live record 1 unreadable", when)
+		}
+	}
+	check("tombstoned")
+	db.SetMaxSegments(1)
+	if n, err := db.Compact(); err != nil || n != 2 {
+		t.Fatalf("Compact folded %d segments, err %v", n, err)
+	}
+	if db.NumDeleted() != 0 {
+		t.Fatalf("%d tombstones survived compaction", db.NumDeleted())
+	}
+	check("reclaimed")
 }
