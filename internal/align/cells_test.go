@@ -68,6 +68,43 @@ func TestBandedCellsMatchesKernelWrites(t *testing.T) {
 	}
 }
 
+// TestTraceCellsMatchesKernelWrites does the same for the strip
+// LocalEndingAt traces, handed the end cell and handed the end column:
+// exactly TraceCells direction bytes are written, so what the searcher
+// bills for an exact traceback is what the kernel computed.
+func TestTraceCellsMatchesKernelWrites(t *testing.T) {
+	const poison = 0xFF
+	rng := rand.New(rand.NewSource(5))
+	sub := NewSubst(DefaultScoring())
+	var sc BandedScratch
+	for trial := 0; trial < 300; trial++ {
+		b := randomSeq(rng, 20+rng.Intn(200))
+		a := mutate(rng, b[rng.Intn(10):10+rng.Intn(len(b)-9)], 0.1)
+		score, aEnd, bEnd := sub.LocalScore(a, b, &sc)
+		if score == 0 {
+			continue
+		}
+		for _, row := range []int{aEnd, 0} {
+			rows, _, band, _ := sub.traceStrip(len(a), score, row, bEnd)
+			sc.dir = make([]byte, rows*(2*band+1))
+			for i := range sc.dir {
+				sc.dir[i] = poison
+			}
+			sub.LocalEndingAt(a, b, score, row, bEnd, &sc)
+			var written int64
+			for _, d := range sc.dir {
+				if d != poison {
+					written++
+				}
+			}
+			if want := sub.TraceCells(len(a), score, row, bEnd); written != want || want == 0 {
+				t.Fatalf("trial %d: kernel wrote %d cells, TraceCells(%d,%d,%d,%d) = %d",
+					trial, written, len(a), score, row, bEnd, want)
+			}
+		}
+	}
+}
+
 func TestCellsEdgeCases(t *testing.T) {
 	if got := LocalCells(0, 10); got != 0 {
 		t.Fatalf("LocalCells(0,10) = %d", got)

@@ -6,24 +6,31 @@ package align
 // positions of the best-scoring local alignment in a and b.
 //
 // This is the exhaustive-search workhorse: the full-scan baseline calls
-// it once per database sequence.
+// it once per database sequence. Rows are scanned outermost, so of
+// several best cells the end is the one in the smallest query row, then
+// the smallest subject column.
 func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 	k := getKernel(s)
 	defer kernels.Put(k)
-	return k.subst.LocalScore(a, b)
+	return k.subst.LocalScore(a, b, &k.banded)
 }
 
-// LocalScore is the package-level function on a compiled scoring.
-func (t *Subst) LocalScore(a, b []byte) (score, aEnd, bEnd int) {
+// LocalScore is the package-level function on a compiled scoring and
+// caller-owned scratch; it allocates nothing once sc has grown.
+//
+//cafe:hotpath
+func (t *Subst) LocalScore(a, b []byte, sc *BandedScratch) (score, aEnd, bEnd int) {
 	if len(a) == 0 || len(b) == 0 {
 		return 0, 0, 0
 	}
 	// h[j]: best score of an alignment ending at (i, j).
 	// e[j]: best score ending at (i, j) with a vertical gap run
-	// (consuming a only — a gap in b).
+	// (consuming a only — a gap in b). Both start as the zero boundary
+	// row: the band rows' sentinels are cleared.
 	n := len(b)
-	h := make([]int32, n+1)
-	e := make([]int32, n+1)
+	h, e := sc.rows(n)
+	h = h[:n+1]
+	h[0], e[n] = 0, 0
 	openExt, ext := t.openExt, t.ext
 
 	var best int32
@@ -111,8 +118,8 @@ func (al *Alignment) Identity() float64 {
 	return float64(al.Matches) / float64(n)
 }
 
-// maxCells bounds the traceback matrix: alignments whose DP matrix
-// would exceed this fall back to score-only results.
+// maxCells bounds the traceback's direction matrix: alignments whose
+// matrix would exceed this many bytes fall back to score-only results.
 const maxCells = 1 << 28
 
 // Direction-byte layout for the traceback matrix: two bits for the H
@@ -129,143 +136,54 @@ const (
 )
 
 // Local computes the Smith–Waterman local alignment of a and b with an
-// exact affine-gap traceback. Memory is one byte per DP cell; problems
-// larger than maxCells degrade to a score-only result with empty
-// transcript and point spans at the alignment end.
+// exact affine-gap traceback: the best-scoring alignment ending at the
+// smallest query row, then subject column, ties on the way back resolved
+// open over extend and diagonal over vertical over horizontal gap. It is
+// LocalScore's forward pass plus LocalEndingAt's traceback over a strip,
+// so memory is one byte per strip cell. A strip over maxCells bytes
+// degrades to a score-only result with empty transcript and point spans
+// at the alignment end. The strip's size follows from how far the score
+// falls short of a perfect match (traceStrip), not from the subject's
+// length; a matrix under 2²⁸ cells degrades only for a query of some
+// 7 000 bases or more whose hit is worth a small fraction of its length,
+// in a subject about five times as long.
 func Local(a, b []byte, s Scoring) Alignment {
 	k := getKernel(s)
 	defer kernels.Put(k)
-	return k.subst.Local(a, b)
+	return k.subst.Local(a, b, &k.banded)
 }
 
-// Local is the package-level function on a compiled scoring.
-func (t *Subst) Local(a, b []byte) Alignment {
-	if len(a) == 0 || len(b) == 0 {
+// Local is the package-level function on a compiled scoring and
+// caller-owned scratch; its only allocation is the returned transcript.
+//
+//cafe:hotpath
+func (t *Subst) Local(a, b []byte, sc *BandedScratch) Alignment {
+	score, aEnd, bEnd := t.LocalScore(a, b, sc)
+	return t.LocalEndingAt(a, b, score, aEnd, bEnd, sc)
+}
+
+// LocalEndingAt returns Local(a, b) for a caller whose score pass knows
+// its score and where it ends: at cell (aEnd, bEnd) as LocalScore reports
+// it, or — aEnd 0 — somewhere in subject column bEnd, which must then
+// hold every cell of that score (StripedProfile.Score's unique). It runs
+// BandedLocal over traceStrip, which contains every alignment of that
+// score ending there. Restricting the DP to a region only lowers cells
+// and leaves H, E and F exact along alignments inside it, so the first
+// best cell in the strip is Local's end cell, and on the way back from
+// it the full matrix's winning move is still exact while its rivals are
+// no larger: BandedLocal, which breaks ties as Local does, takes it.
+//
+//cafe:hotpath
+func (t *Subst) LocalEndingAt(a, b []byte, score, aEnd, bEnd int, sc *BandedScratch) Alignment {
+	if score <= 0 {
 		return Alignment{}
 	}
-	if int64(len(a)+1)*int64(len(b)+1) > maxCells {
-		score, aEnd, bEnd := t.LocalScore(a, b)
+	rows, centre, band, ok := t.traceStrip(len(a), score, aEnd, bEnd)
+	if !ok {
+		if aEnd == 0 {
+			_, aEnd, _ = t.LocalScore(a, b[:bEnd], sc)
+		}
 		return Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
 	}
-	n := len(b)
-	h := make([]int32, n+1)
-	e := make([]int32, n+1)
-	dir := make([]byte, (len(a)+1)*(n+1))
-	openExt, ext := t.openExt, t.ext
-
-	var best int32
-	bestI, bestJ := 0, 0
-	for i := 1; i <= len(a); i++ {
-		var diag, f int32
-		sub := t.row(a[i-1])
-		row := i * (n + 1)
-		for j := 1; j <= n; j++ {
-			var d byte
-			up := h[j]
-
-			ev := e[j] - ext
-			if v := up - openExt; v >= ev {
-				ev = v
-			} else {
-				d |= eExtend
-			}
-			if ev < 0 {
-				ev = 0
-			}
-			e[j] = ev
-
-			fv := f - ext
-			if v := h[j-1] - openExt; v >= fv {
-				fv = v
-			} else {
-				d |= fExtend
-			}
-			if fv < 0 {
-				fv = 0
-			}
-			f = fv
-
-			hv := diag + sub[b[j-1]]
-			src := byte(hFromDiag)
-			if ev > hv {
-				hv = ev
-				src = hFromE
-			}
-			if fv > hv {
-				hv = fv
-				src = hFromF
-			}
-			if hv <= 0 {
-				hv = 0
-				src = hFromNone
-			}
-			diag = up
-			h[j] = hv
-			dir[row+j] = d | src
-			if hv > best {
-				best = hv
-				bestI, bestJ = i, j
-			}
-		}
-	}
-
-	if best == 0 {
-		return Alignment{}
-	}
-	al := Alignment{Score: int(best), AEnd: bestI, BEnd: bestJ}
-
-	// Traceback with an explicit state machine over H/E/F.
-	const (
-		stH = iota
-		stE
-		stF
-	)
-	i, j, st := bestI, bestJ, stH
-	var ops []byte
-loop:
-	for i > 0 && j > 0 {
-		d := dir[i*(n+1)+j]
-		switch st {
-		case stH:
-			switch d & hMask {
-			case hFromNone:
-				break loop
-			case hFromDiag:
-				ops = append(ops, OpMatch)
-				if t.row(a[i-1])[b[j-1]] > 0 {
-					al.Matches++
-				} else {
-					al.Mismatches++
-				}
-				i--
-				j--
-			case hFromE:
-				st = stE
-			case hFromF:
-				st = stF
-			}
-		case stE:
-			// Vertical gap: consume a[i-1], gap in b.
-			ops = append(ops, OpBGap)
-			al.Gaps++
-			if d&eExtend == 0 {
-				st = stH
-			}
-			i--
-		case stF:
-			// Horizontal gap: consume b[j-1], gap in a.
-			ops = append(ops, OpAGap)
-			al.Gaps++
-			if d&fExtend == 0 {
-				st = stH
-			}
-			j--
-		}
-	}
-	al.AStart, al.BStart = i, j
-	for l, r := 0, len(ops)-1; l < r; l, r = l+1, r-1 {
-		ops[l], ops[r] = ops[r], ops[l]
-	}
-	al.Ops = ops
-	return al
+	return t.BandedLocal(a[:rows], b[:bEnd], centre, band, sc)
 }

@@ -12,32 +12,8 @@ import (
 // implemented with explicit full matrices and no clamping tricks, for
 // cross-checking the optimised versions.
 func refLocalScore(a, b []byte, s Scoring) int {
-	const negInf = -(1 << 28)
-	n, m := len(a), len(b)
-	H := make([][]int, n+1)
-	E := make([][]int, n+1)
-	F := make([][]int, n+1)
-	for i := range H {
-		H[i] = make([]int, m+1)
-		E[i] = make([]int, m+1)
-		F[i] = make([]int, m+1)
-		for j := range E[i] {
-			E[i][j] = negInf
-			F[i][j] = negInf
-		}
-	}
-	best := 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			E[i][j] = max(E[i-1][j]-s.GapExtend, H[i-1][j]-s.GapOpen-s.GapExtend)
-			F[i][j] = max(F[i][j-1]-s.GapExtend, H[i][j-1]-s.GapOpen-s.GapExtend)
-			H[i][j] = max(max(0, H[i-1][j-1]+s.Score(a[i-1], b[j-1])), max(E[i][j], F[i][j]))
-			if H[i][j] > best {
-				best = H[i][j]
-			}
-		}
-	}
-	return best
+	score, _, _ := refBestColumns(a, b, s)
+	return score
 }
 
 func seqOf(s string) []byte { return dna.MustEncode(s) }

@@ -5,8 +5,9 @@ package align
 // uint64 and advances all four with plain word arithmetic — pure Go, no
 // assembly. The kernel computes the exact affine-gap local alignment
 // score (identical to LocalScore, whose recurrences it transposes), but
-// no traceback: the fine phase uses it to rank candidates and falls
-// back to the scalar Local for the transcripts of reported results.
+// no traceback: the fine phase uses it to rank candidates, and it hands
+// the subject column its best cells sit in to LocalEndingAt, which
+// traces the transcripts of reported results on a strip around it.
 //
 // Layout. The query is striped Farrar-style: with segLen = ⌈n/4⌉
 // words, lane l of word w holds query position l·segLen + w. Striping
@@ -38,6 +39,8 @@ const (
 )
 
 // packLane broadcasts v (0 ≤ v ≤ laneCap) into all four lanes.
+//
+//cafe:hotpath
 func packLane(v int) uint64 { return uint64(v) * laneOnes }
 
 // laneSubSat returns x−y per 16-bit lane, saturated at 0 (the DP's
@@ -204,17 +207,21 @@ func (p *StripedProfile) Supports(lb int) bool {
 
 // Score computes the exact Smith–Waterman affine-gap local alignment
 // score of the profile's query against subject b — bit for bit the
-// score LocalScore returns — using sc as scratch. It reports false
-// (and does no work) when the pair exceeds the lanes' capacity; the
-// caller then runs the scalar kernel.
+// score LocalScore returns — using sc as scratch. bEnd is the
+// (exclusive) end of the first subject column holding a cell of that
+// score and unique reports that no other column holds one; only then is
+// bEnd LocalScore's, which takes the smallest query row first where this
+// kernel takes the smallest column. ok is false (and no work is done)
+// when the pair exceeds the lanes' capacity; the caller then runs the
+// scalar kernel.
 //
 //cafe:hotpath
-func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
+func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, unique, ok bool) {
 	if p.n == 0 || len(b) == 0 {
-		return 0, true
+		return 0, 0, false, true
 	}
 	if !p.Supports(len(b)) {
-		return 0, false
+		return 0, 0, false, false
 	}
 	segLen := p.segLen
 	sc.resize(segLen) //cafe:allow amortised scratch; stabilises at the high-water segment length
@@ -225,7 +232,9 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
 	masks := p.masks[:segLen]
 	bias, openExt, ext := p.bias, p.openExt, p.ext
 	hasPad := p.hasPad
-	var best uint64
+	// best is max(score, 1) in every lane: a column is looked at lane by
+	// lane only when some cell in it reaches that.
+	best := packLane(1)
 
 	for i := 0; i < len(b); i++ {
 		c := b[i]
@@ -238,7 +247,7 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
 		// one lane up, so lane l starts from lane l−1's stripe end.
 		// Lane 0 gets the zero boundary.
 		vH := prev[segLen-1] << bvLaneBits
-		var vF uint64
+		var vF, colBest uint64
 		for w := 0; w < segLen; w++ {
 			// H = max(0, diag + W, E, F). The profile is biased by
 			// Mismatch so the add stays non-negative; the saturating
@@ -252,7 +261,7 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
 				vH &= masks[w]
 			}
 			cur[w] = vH
-			best = laneMax(best, vH)
+			colBest = laneMax(colBest, vH)
 
 			// Next-column E and next-word F, both fed by H − (open+ext)
 			// and decayed by ext.
@@ -283,22 +292,29 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
 					vH &= masks[w]
 				}
 				cur[w] = vH
-				best = laneMax(best, vH)
+				colBest = laneMax(colBest, vH)
 				e[w] = laneMax(e[w], laneSubSat(vH, openExt))
 				vF = laneSubSat(vF, ext)
 			}
 		}
 
+		// Top bits survive in the lanes where colBest ≥ best (see laneSubSat).
+		if ((colBest|laneHi)-best)&laneHi != 0 {
+			m := 0
+			for l := 0; l < bvLanes; l++ {
+				m = max(m, int(colBest>>(bvLaneBits*l)&0xFFFF))
+			}
+			if m > score {
+				score, bEnd, unique = m, i+1, true
+				best = packLane(m)
+			} else {
+				unique = false // m == score: a second column ties
+			}
+		}
+
 		cur, prev = prev, cur
 	}
-
-	score := 0
-	for l := 0; l < bvLanes; l++ {
-		if v := int(best >> (bvLaneBits * l) & 0xFFFF); v > score {
-			score = v
-		}
-	}
-	return score, true
+	return score, bEnd, unique, true
 }
 
 // StripedLocalScore is the one-shot form of the bitvector kernel: it
@@ -308,5 +324,6 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (int, bool) {
 // the build across candidates.
 func StripedLocalScore(a, b []byte, s Scoring) (score int, ok bool) {
 	var sc StripedScratch
-	return NewStripedProfile(a, s).Score(b, &sc)
+	score, _, _, ok = NewStripedProfile(a, s).Score(b, &sc)
+	return score, ok
 }

@@ -16,7 +16,8 @@ func fuzzScoring(match, mism, open, ext uint16) Scoring {
 // FuzzBitvectorAlign is the differential fuzz target of the bitvector
 // kernel: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings must score bit-identically to the
-// scalar LocalScore, and the kernel must accept every pair within its
+// scalar LocalScore and report the brute-force first best column and
+// its uniqueness, and the kernel must accept every pair within its
 // declared lane capacity. Run via `make fuzz-smoke` or directly with
 // `go test -fuzz=FuzzBitvectorAlign ./internal/align`.
 func FuzzBitvectorAlign(f *testing.F) {
@@ -37,7 +38,7 @@ func FuzzBitvectorAlign(f *testing.F) {
 		s := fuzzScoring(match, mism, open, ext)
 		p := NewStripedProfile(a, s)
 		var sc StripedScratch
-		got, ok := p.Score(b, &sc)
+		got, _, _, ok := p.Score(b, &sc)
 		if !ok {
 			// With Match+Mismatch ≤ 127 the capacity floor is ≥ 509, far
 			// above the length bound: a refusal here is a kernel bug.
@@ -47,5 +48,6 @@ func FuzzBitvectorAlign(f *testing.F) {
 		if got != want {
 			t.Fatalf("striped %d != scalar %d under %+v\n a=%v\n b=%v", got, want, s, a, b)
 		}
+		checkStripedHandover(t, p, &sc, a, b, s)
 	})
 }

@@ -102,8 +102,9 @@ const (
 	FineKernelScalar
 	// FineKernelBitvector is the bit-parallel striped kernel
 	// (align.StripedProfile): four 16-bit DP lanes per uint64, exact
-	// scores, scalar fallback per candidate when a pair exceeds lane
-	// capacity. FineFull only.
+	// scores and the subject column the best alignment ends in, scalar
+	// fallback per candidate when a pair exceeds lane capacity. FineFull
+	// only.
 	FineKernelBitvector
 )
 
@@ -238,18 +239,20 @@ type Result struct {
 	// of the query (BothStrands searches only). Alignment spans then
 	// refer to the reverse-complemented query.
 	Reverse bool
-	// Alignment carries spans and the transcript when the fine phase
-	// produced one (FineFull on in-budget sizes).
+	// Alignment carries the spans and the transcript of every reported
+	// result with a positive score (finishTracebacks fills them in).
 	Alignment align.Alignment
 
-	// Traceback deferral: candidates are ranked with a cheap score-only
-	// pass (banded, or the bitvector kernel under FineFull) and only
-	// reported results get transcripts. fullTraceback marks results
-	// whose deferred traceback is the unrestricted Smith–Waterman
-	// rather than the banded one.
+	// Traceback deferral: candidates are ranked with a score-only pass
+	// that leaves the alignment's end in Alignment, and only reported
+	// results get transcripts. fullTraceback marks FineFull results,
+	// traced as the unrestricted Smith–Waterman rather than the band;
+	// tiedEnd those whose score pass (the bitvector kernel) saw best
+	// cells in several subject columns and cannot say where Local ends.
 	bandCentre     int
 	needsTraceback bool
 	fullTraceback  bool
+	tiedEnd        bool
 }
 
 // Segment is one immutable slice of the collection as the coarse phase
@@ -487,11 +490,12 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	return out, nil
 }
 
-// finishTracebacks replaces the score-only banded results that made
-// the final list with full traceback alignments. Only the reported
-// results — at most Limit — pay for a direction matrix, so transcript
-// output costs nothing measurable per query. Cancellation is checked
-// once per traceback.
+// finishTracebacks replaces the score-only results that made the final
+// list with traceback alignments. Only the reported results — at most
+// Limit — pay for a direction matrix, and that matrix is a strip around
+// the alignment (the band under FineBanded, align.LocalEndingAt's under
+// FineFull), never the whole query × subject matrix. Cancellation is
+// checked once per traceback.
 func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, results []Result, opts Options, st *SearchStats) ([]Result, error) {
 	var t0 time.Time
 	if st != nil {
@@ -517,17 +521,24 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		}
 		subject := s.src.Sequence(r.ID)
 		if r.fullTraceback {
-			// The bitvector kernel ranked this result score-only; the
-			// transcript comes from the scalar full-matrix aligner, which
-			// computes the same optimal score (the differential tests pin
-			// this), so the reported result is byte-identical to the
-			// scalar kernel's.
-			r.Alignment = s.subst.Local(q, subject)
+			// The score pass knows where align.Local's alignment ends —
+			// the cell (scalar kernel) or the one column holding every
+			// best cell (bitvector) — unless best cells tie across
+			// columns; the scalar forward pass then finds Local's. Either
+			// way the transcript is Local's.
+			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
+			if r.tiedEnd {
+				_, aEnd, bEnd = s.subst.LocalScore(q, subject, banded)
+			}
+			r.Alignment = s.subst.LocalEndingAt(q, subject, r.Score, aEnd, bEnd, banded)
 			if st != nil {
 				st.TracebackAlignments++
-				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
+				st.TracebackDPCells += s.subst.TraceCells(len(q), r.Score, aEnd, bEnd)
+				if r.tiedEnd {
+					st.TracebackDPCells += align.LocalCells(len(q), len(subject))
+				}
 			}
-			r.needsTraceback, r.fullTraceback = false, false
+			r.needsTraceback, r.fullTraceback, r.tiedEnd = false, false, false
 			continue
 		}
 		// The score pass already reported the alignment's end row, and
@@ -551,9 +562,10 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			// score stands (the list is already ordered by it), but
 			// spans, identity and the transcript come from the real
 			// optimal alignment.
-			r.Alignment = s.subst.Local(q, subject)
+			r.Alignment = s.subst.Local(q, subject, banded)
 			if st != nil {
-				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
+				st.TracebackDPCells += align.LocalCells(len(q), len(subject)) +
+					s.subst.TraceCells(len(q), r.Alignment.Score, r.Alignment.AEnd, r.Alignment.BEnd)
 			}
 		}
 		r.needsTraceback = false
@@ -641,31 +653,25 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		}
 		switch opts.FineMode {
 		case FineFull:
+			// Exact score and alignment end, no transcript: the traceback
+			// is deferred to the results that survive MinScore and Limit
+			// (see finishTracebacks), like the banded score-only pass.
+			var score, aEnd, bEnd int
+			var unique, striped bool
 			if useBitvector {
-				if score, ok := s.bvProfile.Score(seq, &sc.bv); ok {
-					// Exact score, no transcript: rank on it and defer
-					// the full traceback to the results that survive
-					// MinScore and Limit (see finishTracebacks), exactly
-					// like the banded score-only pass.
-					r.Score = score
-					r.Alignment = align.Alignment{Score: score}
-					if score > 0 {
-						r.needsTraceback = true
-						r.fullTraceback = true
-					}
-					if collect {
-						fw.cells = align.LocalCells(len(query), len(seq))
-						fw.bitvector = true
-					}
-					break
-				}
+				score, bEnd, unique, striped = s.bvProfile.Score(seq, &sc.bv)
 			}
-			// Scalar kernel, or the per-candidate fallback when the pair
-			// exceeds the bitvector lanes' capacity.
-			r.Alignment = s.subst.Local(query, seq)
-			r.Score = r.Alignment.Score
+			if !striped {
+				// Scalar kernel, or a pair beyond the lanes' capacity.
+				score, aEnd, bEnd = s.subst.LocalScore(query, seq, &sc.banded)
+			}
+			r.Score = score
+			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
+			r.needsTraceback, r.fullTraceback = score > 0, score > 0
+			r.tiedEnd = striped && score > 0 && !unique
 			if collect {
 				fw.cells = align.LocalCells(len(query), len(seq))
+				fw.bitvector = striped
 			}
 		case FineBanded:
 			centre := 0

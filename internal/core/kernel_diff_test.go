@@ -3,73 +3,161 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"nucleodb/internal/align"
 	"nucleodb/internal/dna"
+	"nucleodb/internal/gen"
 	"nucleodb/internal/index"
 )
+
+// tieFixture widens the standard fixture with the subjects and the query
+// that make best cells tie across subject columns, so that the exact
+// traceback's tie path — not only the unique-column hand-over the
+// family members take — runs through the Searcher: "dup" holds the
+// whole query twice (two best cells on one query row), "crossed" is its
+// last 100 bases, noise, its first 100 (equal scores, and the later
+// column holds the smaller query row — the cell align.Local ends at and
+// not the one the striped pass sees first), and "lowcomplexity" holds a
+// 300-base run of a 10-base unit that the second query repeats 12 times
+// (a best cell every 10 columns).
+func tieFixture(t *testing.T, seed int64) (f *fixture, queries [][]byte) {
+	t.Helper()
+	opts := index.Options{K: 9, StoreOffsets: true}
+	f = makeFixture(t, seed, opts)
+	rng := rand.New(rand.NewSource(seed + 1000))
+	noise := func(n int) []byte {
+		return gen.RandomSequence(rng, n, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)
+	}
+	join := func(parts ...[]byte) (out []byte) {
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	q := f.query
+	unit := dna.MustEncode("AAAAAAAAAC")
+	var run, lowQuery []byte
+	for i := 0; i < 30; i++ {
+		run = append(run, unit...)
+	}
+	for i := 0; i < 12; i++ {
+		lowQuery = append(lowQuery, unit...)
+	}
+	f.store.Add("dup", join(noise(200), q, noise(150), q, noise(100)))
+	// Each piece ends where the query or the subject does, so neither
+	// extends by luck and the two score exactly alike.
+	f.store.Add("crossed", join(q[len(q)-100:], noise(80), q[:100]))
+	f.store.Add("lowcomplexity", join(noise(100), run, noise(100)))
+	idx, err := index.Build(f.store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.idx = idx
+	return f, [][]byte{q, lowQuery}
+}
+
+// stripedEnd re-runs the bitvector kernel's hand-over for one reported
+// result: the first subject column holding a best cell and whether it is
+// the only one.
+func stripedEnd(t *testing.T, s *Searcher, strand, subject []byte) (bEnd int, unique bool) {
+	t.Helper()
+	var sc align.StripedScratch
+	_, bEnd, unique, ok := align.NewStripedProfile(strand, s.scoring).Score(subject, &sc)
+	if !ok {
+		t.Fatalf("a %d × %d pair exceeds the lanes: the fixture must stay on the bitvector kernel", len(strand), len(subject))
+	}
+	return bEnd, unique
+}
 
 // TestFineKernelEquivalence is the end-to-end differential harness of
 // the bitvector kernel: the same search run with the scalar and the
 // bitvector fine kernel must return byte-identical result lists —
 // scores, rankings, spans and transcripts — across every coarse mode,
-// both strand settings, and a serial and a parallel fine phase.
+// both strand settings, and a serial and a parallel fine phase, on a
+// collection where the bitvector results reach their transcripts both
+// ways: handed the one column holding every best cell, and through the
+// scalar forward pass when best cells tie across columns.
 func TestFineKernelEquivalence(t *testing.T) {
-	f := makeFixture(t, 61, index.Options{K: 9, StoreOffsets: true})
+	f, queries := tieFixture(t, 61)
 	s := newTestSearcher(t, f)
 
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
 	for _, mode := range modes {
 		for _, both := range []bool{false, true} {
 			for _, fw := range []int{1, 4} {
-				opts := DefaultOptions()
-				opts.CoarseMode = mode
-				opts.FineMode = FineFull
-				opts.BothStrands = both
-				opts.FineWorkers = fw
+				byColumn, tied, crossed := 0, 0, 0
+				for qi, query := range queries {
+					opts := DefaultOptions()
+					opts.CoarseMode = mode
+					opts.FineMode = FineFull
+					opts.BothStrands = both
+					opts.FineWorkers = fw
 
-				opts.FineKernel = FineKernelScalar
-				var scalarStats SearchStats
-				want, err := s.SearchWithStats(f.query, opts, &scalarStats)
-				if err != nil {
-					t.Fatalf("%v both=%v fw=%d scalar: %v", mode, both, fw, err)
-				}
+					opts.FineKernel = FineKernelScalar
+					var scalarStats SearchStats
+					want, err := s.SearchWithStats(query, opts, &scalarStats)
+					if err != nil {
+						t.Fatalf("%v both=%v fw=%d query %d scalar: %v", mode, both, fw, qi, err)
+					}
 
-				opts.FineKernel = FineKernelBitvector
-				var bvStats SearchStats
-				got, err := s.SearchWithStats(f.query, opts, &bvStats)
-				if err != nil {
-					t.Fatalf("%v both=%v fw=%d bitvector: %v", mode, both, fw, err)
-				}
+					opts.FineKernel = FineKernelBitvector
+					var bvStats SearchStats
+					got, err := s.SearchWithStats(query, opts, &bvStats)
+					if err != nil {
+						t.Fatalf("%v both=%v fw=%d query %d bitvector: %v", mode, both, fw, qi, err)
+					}
 
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v both=%v fw=%d: bitvector results differ from scalar\n got %+v\nwant %+v",
-						mode, both, fw, got, want)
-				}
-				if len(want) == 0 {
-					t.Fatalf("%v both=%v: degenerate test, no results", mode, both)
-				}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%v both=%v fw=%d query %d: bitvector results differ from scalar\n got %+v\nwant %+v",
+							mode, both, fw, qi, got, want)
+					}
+					if len(want) == 0 {
+						t.Fatalf("%v both=%v query %d: degenerate test, no results", mode, both, qi)
+					}
+					for _, r := range got {
+						strand := query
+						if r.Reverse {
+							strand = dna.ReverseComplement(query)
+						}
+						if len(r.Alignment.Ops) == 0 {
+							t.Fatalf("%v both=%v fw=%d query %d: result %d has no transcript", mode, both, fw, qi, r.ID)
+						}
+						switch bEnd, unique := stripedEnd(t, s, strand, f.store.Sequence(r.ID)); {
+						case unique:
+							byColumn++
+						case bEnd != r.Alignment.BEnd:
+							crossed++
+						default:
+							tied++
+						}
+					}
 
-				// The kernels did the same logical work and labelled
-				// themselves truthfully.
-				if scalarStats.FineKernel != "scalar" || scalarStats.BitvectorAlignments != 0 {
-					t.Fatalf("scalar stats: kernel %q, bitvector alignments %d",
-						scalarStats.FineKernel, scalarStats.BitvectorAlignments)
+					// The kernels did the same logical work and labelled
+					// themselves truthfully.
+					if scalarStats.FineKernel != "scalar" || scalarStats.BitvectorAlignments != 0 {
+						t.Fatalf("scalar stats: kernel %q, bitvector alignments %d",
+							scalarStats.FineKernel, scalarStats.BitvectorAlignments)
+					}
+					if bvStats.FineKernel != "bitvector" {
+						t.Fatalf("bitvector stats: kernel %q", bvStats.FineKernel)
+					}
+					if bvStats.BitvectorAlignments != bvStats.FineAlignments {
+						t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
+							bvStats.BitvectorAlignments, bvStats.FineAlignments)
+					}
+					if bvStats.FineAlignments != scalarStats.FineAlignments ||
+						bvStats.FineDPCells != scalarStats.FineDPCells {
+						t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
+							bvStats.FineAlignments, bvStats.FineDPCells,
+							scalarStats.FineAlignments, scalarStats.FineDPCells)
+					}
 				}
-				if bvStats.FineKernel != "bitvector" {
-					t.Fatalf("bitvector stats: kernel %q", bvStats.FineKernel)
-				}
-				if bvStats.BitvectorAlignments != bvStats.FineAlignments {
-					t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
-						bvStats.BitvectorAlignments, bvStats.FineAlignments)
-				}
-				if bvStats.FineAlignments != scalarStats.FineAlignments ||
-					bvStats.FineDPCells != scalarStats.FineDPCells {
-					t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
-						bvStats.FineAlignments, bvStats.FineDPCells,
-						scalarStats.FineAlignments, scalarStats.FineDPCells)
+				if byColumn < 3 || tied < 2 || crossed < 1 {
+					t.Fatalf("%v both=%v fw=%d: %d results traced from their end column, %d through the tie fallback and %d of those ending in a later column than the striped pass saw — the collection must force all three",
+						mode, both, fw, byColumn, tied+crossed, crossed)
 				}
 			}
 		}

@@ -56,12 +56,14 @@ type SearchStats struct {
 	// ("scalar" or "bitvector"); "mixed" after Add over searches that
 	// disagree.
 	FineKernel string `json:"fine_kernel"`
-	// TracebackAlignments is the number of deferred banded tracebacks
-	// run for reported results.
+	// TracebackAlignments is the number of deferred tracebacks run for
+	// reported results.
 	TracebackAlignments int `json:"traceback_alignments"`
 	// FineDPCells and TracebackDPCells are the dynamic-programming
 	// cells those alignments evaluated — the paper's "fraction of the
-	// database aligned", in cells.
+	// database aligned", in cells. A traceback is billed the band or
+	// strip it traced, plus a whole matrix when it had to rerun a
+	// forward pass first (a tied end column, a band that missed).
 	FineDPCells      int64 `json:"fine_dp_cells"`
 	TracebackDPCells int64 `json:"traceback_dp_cells"`
 	// Results is the number of answers returned.

@@ -335,42 +335,89 @@ func TestStatsPostingsMatchIndexWalk(t *testing.T) {
 }
 
 // TestStatsCellsMatchKernelWork pins the two cell counters to the
-// matrices the banded kernels walk (align's own tests pin BandedCells to
-// the cells a kernel writes). With MinScore 0 and no limit every
-// candidate is a result, so the fine counter is the sum of the full-query
-// bands; the traceback counter is the sum of the bands cut at each
-// alignment's end row, which is what the truncated traceback computes.
+// matrices the kernels walk (align's own tests pin BandedCells and
+// TraceCells to the cells a kernel writes). With MinScore 0 and no limit
+// every candidate is a result. Banded: the fine counter is the sum of
+// the full-query bands; the traceback counter is the sum of the bands
+// cut at each alignment's end row, which is what the truncated traceback
+// computes. Full, either kernel: the fine counter is the sum of the whole
+// matrices; the traceback counter is the sum of the strips
+// align.LocalEndingAt traces — from the end cell under the scalar kernel,
+// from the end column under the bitvector kernel — plus one more whole
+// matrix for each result whose best cells tie across columns, the scalar
+// forward pass that finds which of them align.Local ends at.
 func TestStatsCellsMatchKernelWork(t *testing.T) {
-	f := makeFixture(t, 43, index.Options{K: 9, StoreOffsets: true})
+	f, queries := tieFixture(t, 43)
 	s := newTestSearcher(t, f)
-	opts := DefaultOptions()
-	opts.MinScore, opts.Limit = 0, 0
-	var st SearchStats
-	rs, err := s.SearchWithStats(f.query, opts, &st)
-	if err != nil {
-		t.Fatal(err)
+	query := queries[0]
+	search := func(mode FineMode, kernel FineKernel) ([]Result, SearchStats) {
+		t.Helper()
+		opts := DefaultOptions()
+		opts.FineMode, opts.FineKernel = mode, kernel
+		opts.MinScore, opts.Limit = 0, 0
+		var st SearchStats
+		rs, err := s.SearchWithStats(query, opts, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != st.CoarseCandidates || len(rs) == 0 {
+			t.Fatalf("%v/%v: %d results for %d candidates: the fixture must report every candidate", mode, kernel, len(rs), st.CoarseCandidates)
+		}
+		return rs, st
 	}
-	if len(rs) != st.CoarseCandidates || len(rs) == 0 {
-		t.Fatalf("%d results for %d candidates: the fixture must report every candidate", len(rs), st.CoarseCandidates)
+	check := func(name string, st SearchStats, fine, traceback int64) {
+		t.Helper()
+		if st.FineDPCells != fine {
+			t.Errorf("%s: FineDPCells = %d, want %d", name, st.FineDPCells, fine)
+		}
+		if st.TracebackDPCells != traceback {
+			t.Errorf("%s: TracebackDPCells = %d, want %d", name, st.TracebackDPCells, traceback)
+		}
 	}
+
+	band := DefaultOptions().Band
+	rs, st := search(FineBanded, FineKernelAuto)
 	var fine, traceback, untruncated int64
 	for _, r := range rs {
 		subject := f.store.Sequence(r.ID)
-		band := align.BandedCells(len(f.query), len(subject), r.bandCentre, opts.Band)
-		fine += band
+		cells := align.BandedCells(len(query), len(subject), r.bandCentre, band)
+		fine += cells
 		if r.Score > 0 { // score-0 candidates have no alignment to trace
-			traceback += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, opts.Band)
-			untruncated += band
+			traceback += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, band)
+			untruncated += cells
 		}
 	}
-	if st.FineDPCells != fine {
-		t.Errorf("FineDPCells = %d, want %d (the full-query band of every candidate)", st.FineDPCells, fine)
-	}
-	if st.TracebackDPCells != traceback {
-		t.Errorf("TracebackDPCells = %d, want %d (each band cut at its alignment's end row)", st.TracebackDPCells, traceback)
-	}
+	check("banded", st, fine, traceback)
 	if traceback >= untruncated {
 		t.Errorf("truncation saved nothing: %d cells against %d untruncated — the fixture no longer exercises it", traceback, untruncated)
+	}
+
+	for _, kernel := range []FineKernel{FineKernelScalar, FineKernelBitvector} {
+		rs, st := search(FineFull, kernel)
+		var fine, traceback int64
+		ties := 0
+		for _, r := range rs {
+			subject := f.store.Sequence(r.ID)
+			matrix := align.LocalCells(len(query), len(subject))
+			fine += matrix
+			if r.Score == 0 {
+				continue
+			}
+			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
+			if kernel == FineKernelBitvector {
+				if col, unique := stripedEnd(t, s, query, subject); unique {
+					aEnd, bEnd = 0, col // handed the column alone
+				} else {
+					ties++
+					traceback += matrix
+				}
+			}
+			traceback += s.subst.TraceCells(len(query), r.Score, aEnd, bEnd)
+		}
+		check("full/"+kernel.String(), st, fine, traceback)
+		if kernel == FineKernelBitvector && (ties == 0 || ties == len(rs)) {
+			t.Errorf("%d of %d bitvector results tied: the fixture must bill both hand-overs", ties, len(rs))
+		}
 	}
 }
 

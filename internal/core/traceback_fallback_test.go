@@ -70,10 +70,12 @@ func TestTracebackFallbackOnBandMismatch(t *testing.T) {
 			full.AStart, full.AEnd, full.BStart, full.BEnd)
 	}
 
-	// Cost accounting: the failed banded pass and the full fallback are
-	// both billed.
+	// Cost accounting: the failed banded pass and the full fallback —
+	// Local's forward pass over the whole matrix plus the strip it
+	// traces — are all billed.
 	wantCells := align.BandedCells(len(f.query), len(subject), centre, opts.Band) +
-		align.LocalCells(len(f.query), len(subject))
+		align.LocalCells(len(f.query), len(subject)) +
+		s.subst.TraceCells(len(f.query), full.Score, full.AEnd, full.BEnd)
 	if st.TracebackDPCells != wantCells {
 		t.Errorf("TracebackDPCells = %d, want %d (banded attempt + full fallback)", st.TracebackDPCells, wantCells)
 	}
