@@ -23,9 +23,13 @@ bench:
 
 # The served-path benchmark (bench/, contract in BENCHMARK.json) as a
 # test: every workload, both trace modes, on a 300-sequence collection,
-# answers checked. ≈ 10 s.
+# answers checked (≈ 10 s) — and the posting decoder's microbenchmark:
+# ns/posting over the lists a 1 000-base query touches in the
+# benchmark's 17 777-sequence index, the production iterator ("word")
+# against the frozen per-call-checked reference ("ref"), ≈ 5 s.
 bench-smoke:
 	$(GO) test -count=1 ./bench
+	$(GO) test -run '^$$' -bench '^BenchmarkPostingsDecode$$' -benchtime 50x ./internal/postings
 
 # Two back-to-back 10-second runs of the default-query workload through
 # the real path (HTTP → queue → coarse → fine → traceback → JSON) and

@@ -59,7 +59,7 @@ func (d *Database) SearchBatchWithStatsContext(ctx context.Context, queries []st
 	for i, q := range queries {
 		codes, err := dna.Encode([]byte(q))
 		if err != nil {
-			return nil, agg, fmt.Errorf("nucleodb: query %d: %w", i, err)
+			return nil, agg, core.Invalid(fmt.Errorf("nucleodb: query %d: %w", i, err))
 		}
 		encoded[i] = codes
 	}

@@ -28,7 +28,10 @@ import (
 type HotpathPass struct {
 	// AllowCalleePackages are import paths hot code may call into
 	// freely. Nil selects the default: math and math/bits, whose
-	// functions compile to branch-free intrinsics.
+	// functions compile to branch-free intrinsics, and encoding/binary,
+	// whose fixed-width byte-order loads and stores compile to one move
+	// (its reflective Read/Write box their arguments and are flagged as
+	// boxing regardless).
 	AllowCalleePackages []string
 }
 
@@ -38,7 +41,7 @@ func (p *HotpathPass) Name() string { return "hotpath" }
 func (p *HotpathPass) allowedPkg(path string) bool {
 	pkgs := p.AllowCalleePackages
 	if pkgs == nil {
-		pkgs = []string{"math", "math/bits"}
+		pkgs = []string{"math", "math/bits", "encoding/binary"}
 	}
 	for _, a := range pkgs {
 		if path == a {

@@ -772,6 +772,11 @@ func boxesParam(sig *types.Signature, i int) bool {
 			pt = sl.Elem()
 		}
 	}
+	if _, generic := pt.(*types.TypeParam); generic {
+		// A type parameter is instantiated with the argument's own type
+		// (slices.Sort(xs) sorts a []T in place); nothing is boxed.
+		return false
+	}
 	return types.IsInterface(pt)
 }
 

@@ -5,7 +5,11 @@
 // and waived shapes that must stay clean.
 package poolesc
 
-import "sync"
+import (
+	"fmt"
+	"slices"
+	"sync"
+)
 
 var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 256) }}
 
@@ -167,4 +171,20 @@ func okContained() int {
 	}
 	bufPool.Put(buf)
 	return n
+}
+
+// okGenericSort passes pooled scratch to a generic function: the type
+// parameter is instantiated with []byte itself, so nothing is boxed and
+// slices.Sort works on the caller's backing array in place.
+func okGenericSort() {
+	buf := bufPool.Get().([]byte)
+	slices.Sort(buf)
+	bufPool.Put(buf)
+}
+
+// leakBoxed hands pooled scratch to an interface parameter outside the
+// module, which may keep it.
+func leakBoxed() string {
+	buf := bufPool.Get().([]byte)
+	return fmt.Sprint(buf) //violation:poolescape
 }

@@ -13,6 +13,7 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -138,11 +139,23 @@ func (w *BitWriter) Reset() {
 }
 
 // BitReader consumes bits most-significant-first from a byte slice.
+//
+// It keeps a 64-bit window, left-aligned, whose top ncur bits are
+// accounted for: pos counts the bytes those bits came from, so
+// 8·pos − ncur bits have been consumed. Below the accounted bits the
+// window may already hold the stream's next bits (the refill ORs in a
+// whole word and counts only whole bytes of it), so consumers trust
+// ncur bits and no more. Past the end of the buffer the reader supplies
+// zero bits instead of failing mid-code — every unary run therefore
+// terminates — and Overrun reports whether a consumed bit lay beyond
+// the buffer. ReadBits, ReadUnary and the Get* codes check it per call;
+// the postings iterator decodes an entry's codes from the window
+// directly (Window/SetWindow) and checks once per entry.
 type BitReader struct {
 	buf  []byte
-	pos  int // byte position of next refill
+	pos  int // bytes accounted into the window; runs past len(buf) over the zero fill
 	cur  uint64
-	ncur uint // valid bits remaining in cur, left-aligned
+	ncur uint // accounted bits in cur, at most 63
 }
 
 // NewBitReader returns a reader over buf. The reader does not copy buf.
@@ -157,50 +170,82 @@ func (r *BitReader) Reset(buf []byte) {
 	r.buf, r.pos, r.cur, r.ncur = buf, 0, 0, 0
 }
 
+// Refill tops the window up to at least 56 accounted bits: one
+// big-endian word while eight bytes remain, byte by byte (then zeros)
+// over the tail.
+//
 //cafe:hotpath
-func (r *BitReader) refill() {
-	for r.ncur <= 56 && r.pos < len(r.buf) {
-		r.cur |= uint64(r.buf[r.pos]) << (56 - r.ncur)
-		r.ncur += 8
+func (r *BitReader) Refill() {
+	if r.pos+8 <= len(r.buf) {
+		r.cur |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.ncur
+		n := (63 - r.ncur) >> 3
+		r.pos += int(n)
+		r.ncur += n << 3
+		return
+	}
+	for r.ncur < 56 {
+		if r.pos < len(r.buf) {
+			r.cur |= uint64(r.buf[r.pos]) << (56 - r.ncur)
+		}
 		r.pos++
+		r.ncur += 8
 	}
 }
 
-// ReadBit reads one bit.
+// Window returns the reader's buffer, position and bit window for a
+// caller that decodes from locals; SetWindow hands the advanced window
+// back. In between the caller keeps the struct's invariants: consume
+// from the top of cur, trust ncur bits at most, refill exactly as Refill
+// does.
 //
 //cafe:hotpath
-func (r *BitReader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
+func (r *BitReader) Window() (buf []byte, pos int, cur uint64, ncur uint) {
+	return r.buf, r.pos, r.cur, r.ncur
+}
+
+// SetWindow stores a window obtained from Window and advanced by the
+// caller.
+//
+//cafe:hotpath
+func (r *BitReader) SetWindow(pos int, cur uint64, ncur uint) { r.pos, r.cur, r.ncur = pos, cur, ncur }
+
+// Overrun reports whether more bits have been consumed than the buffer
+// holds, i.e. whether any value read so far included zero fill. The
+// arithmetic is 64-bit so a list past 256 MB cannot wrap a 32-bit int.
+//
+//cafe:hotpath
+func (r *BitReader) Overrun() bool {
+	return int64(r.pos)*8-int64(r.ncur) > int64(len(r.buf))*8
+}
+
+// take consumes n ≤ 56 bits.
+//
+//cafe:hotpath
+func (r *BitReader) take(n uint) uint64 {
+	if r.ncur < n {
+		r.Refill()
+	}
+	v := r.cur >> (64 - n) // n = 0 shifts every bit out
+	r.cur <<= n
+	r.ncur -= n
+	return v
 }
 
 // ReadBits reads n bits (0 ≤ n ≤ 64), most significant first.
 //
 //cafe:hotpath
 func (r *BitReader) ReadBits(n uint) (uint64, error) {
-	if n == 0 {
-		return 0, nil
-	}
 	if n > 64 {
 		panic(fmt.Sprintf("compress: ReadBits of %d bits", n))
 	}
 	var v uint64
-	need := n
-	for need > 0 {
-		if r.ncur == 0 {
-			r.refill()
-			if r.ncur == 0 {
-				return 0, fmt.Errorf("%w: need %d more bits", ErrCorrupt, need) //cafe:allow cold corruption path; the error message is the product
-			}
-		}
-		take := need
-		if take > r.ncur {
-			take = r.ncur
-		}
-		v = (v << take) | (r.cur >> (64 - take))
-		r.cur <<= take
-		r.ncur -= take
-		need -= take
+	if n > 32 {
+		v = r.take(n-32) << 32
+		n = 32
+	}
+	v |= r.take(n)
+	if r.Overrun() {
+		return 0, fmt.Errorf("%w: fixed-width field runs past the end of the input", ErrCorrupt) //cafe:allow cold corruption path; the error message is the product
 	}
 	return v, nil
 }
@@ -212,23 +257,23 @@ func (r *BitReader) ReadUnary() (uint64, error) {
 	v := uint64(1)
 	for {
 		if r.ncur == 0 {
-			r.refill()
-			if r.ncur == 0 {
-				return 0, fmt.Errorf("%w: unterminated unary code", ErrCorrupt) //cafe:allow cold corruption path; the error message is the product
-			}
+			r.Refill()
 		}
-		// Count leading ones in the available window.
-		window := r.cur | mask(64-r.ncur) // treat exhausted bits as ones so they don't terminate
-		ones := uint(bits.LeadingZeros64(^window))
-		if ones >= r.ncur {
-			v += uint64(r.ncur)
-			r.cur, r.ncur = 0, 0
-			continue
+		ones := uint(bits.LeadingZeros64(^r.cur))
+		if ones < r.ncur {
+			// The terminating zero is an accounted bit: consume it too.
+			v += uint64(ones)
+			r.cur <<= ones + 1
+			r.ncur -= ones + 1
+			break
 		}
-		v += uint64(ones)
-		// Consume the ones and the terminating zero.
-		r.cur <<= ones + 1
-		r.ncur -= ones + 1
-		return v, nil
+		// Every accounted bit is a one: the run continues in the next
+		// window, and the zero fill ends it at the latest.
+		v += uint64(r.ncur)
+		r.cur, r.ncur = 0, 0
 	}
+	if r.Overrun() {
+		return 0, fmt.Errorf("%w: unterminated unary code", ErrCorrupt) //cafe:allow cold corruption path; the error message is the product
+	}
+	return v, nil
 }

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,5 +171,163 @@ func TestPropertyMixedUnaryBits(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bitModel is the obvious one-bit-at-a-time reader the word-at-a-time
+// BitReader is checked against.
+type bitModel struct {
+	buf []byte
+	at  int
+}
+
+func (m *bitModel) bit() (uint64, bool) {
+	if m.at >= len(m.buf)*8 {
+		return 0, false
+	}
+	b := m.buf[m.at/8] >> (7 - m.at%8) & 1
+	m.at++
+	return uint64(b), true
+}
+
+func (m *bitModel) readBits(n uint) (v uint64, ok bool) {
+	for i := uint(0); i < n; i++ {
+		b, ok := m.bit()
+		if !ok {
+			return 0, false
+		}
+		v = v<<1 | b
+	}
+	return v, true
+}
+
+func (m *bitModel) readUnary() (uint64, bool) {
+	for v := uint64(1); ; v++ {
+		b, ok := m.bit()
+		if !ok {
+			return 0, false
+		}
+		if b == 0 {
+			return v, true
+		}
+	}
+}
+
+// TestBitReaderBoundaries drives random reads over buffers of every
+// length from 0 to 17 bytes, so every combination of word refill, byte
+// tail and zero fill is crossed: the values equal the one-bit model's,
+// and the first read that needs a bit the buffer does not have — and
+// only that one — reports ErrCorrupt.
+func TestBitReaderBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for length := 0; length <= 17; length++ {
+		for trial := 0; trial < 400; trial++ {
+			buf := make([]byte, length)
+			rng.Read(buf)
+			if trial%3 == 0 { // long unary runs: mostly ones
+				for i := range buf {
+					buf[i] |= byte(rng.Intn(256)) | byte(rng.Intn(256))
+				}
+			}
+			r := NewBitReader(buf)
+			m := &bitModel{buf: buf}
+			for op := 0; ; op++ {
+				var got, want uint64
+				var err error
+				var ok bool
+				var what string
+				if rng.Intn(3) == 0 {
+					what = "ReadUnary"
+					got, err = r.ReadUnary()
+					want, ok = m.readUnary()
+				} else {
+					n := uint(rng.Intn(65))
+					if rng.Intn(4) == 0 {
+						n = 64
+					}
+					what = fmt.Sprintf("ReadBits(%d)", n)
+					got, err = r.ReadBits(n)
+					want, ok = m.readBits(n)
+				}
+				if !ok {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("len %d buf %x op %d %s: read past the end returned %d, %v", length, buf, op, what, got, err)
+					}
+					break
+				}
+				if err != nil || got != want {
+					t.Fatalf("len %d buf %x op %d %s = %d, %v; want %d", length, buf, op, what, got, err, want)
+				}
+				if r.Overrun() {
+					t.Fatalf("len %d buf %x op %d: Overrun after a read inside the buffer", length, buf, op)
+				}
+			}
+		}
+	}
+}
+
+// TestReadBits64AcrossRefill reads a 64-bit field that starts at every
+// bit offset of a window, so it always straddles a refill.
+func TestReadBits64AcrossRefill(t *testing.T) {
+	const v = 0xDEADBEEFCAFEF00D
+	for lead := uint(0); lead < 64; lead++ {
+		w := NewBitWriter(24)
+		w.WriteBits(0, lead)
+		w.WriteBits(v, 64)
+		w.WriteBits(0b101, 3)
+		r := NewBitReader(w.Bytes())
+		if got, err := r.ReadBits(lead); err != nil || got != 0 {
+			t.Fatalf("lead %d: ReadBits(lead) = %x, %v", lead, got, err)
+		}
+		if got, err := r.ReadBits(64); err != nil || got != v {
+			t.Fatalf("lead %d: ReadBits(64) = %x, %v; want %x", lead, got, err, uint64(v))
+		}
+		if got, err := r.ReadBits(3); err != nil || got != 0b101 {
+			t.Fatalf("lead %d: trailing ReadBits(3) = %b, %v", lead, got, err)
+		}
+	}
+}
+
+// TestReadUnaryLongerThanWindow: unary runs of one to four windows'
+// length, at every starting bit offset within a byte.
+func TestReadUnaryLongerThanWindow(t *testing.T) {
+	for _, v := range []uint64{56, 57, 63, 64, 65, 120, 128, 129, 200, 257} {
+		for lead := uint(0); lead < 8; lead++ {
+			w := NewBitWriter(48)
+			w.WriteBits(0, lead)
+			w.WriteUnary(v)
+			w.WriteBits(0x5A5, 11)
+			r := NewBitReader(w.Bytes())
+			if _, err := r.ReadBits(lead); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := r.ReadUnary(); err != nil || got != v {
+				t.Fatalf("lead %d: ReadUnary = %d, %v; want %d", lead, got, err, v)
+			}
+			if got, err := r.ReadBits(11); err != nil || got != 0x5A5 {
+				t.Fatalf("lead %d after unary %d: ReadBits(11) = %x, %v", lead, v, got, err)
+			}
+		}
+	}
+}
+
+// TestWindowRoundTrip: a caller that lifts the window into locals,
+// consumes from it and hands it back leaves the reader where the same
+// reads through the methods would.
+func TestWindowRoundTrip(t *testing.T) {
+	buf := []byte{0xC3, 0x5A, 0xFF, 0x00, 0x81, 0x7E, 0x12, 0x34, 0x56, 0x78, 0x9A}
+	a, b := NewBitReader(buf), NewBitReader(buf)
+	for i := 0; i < 10; i++ {
+		a.Refill()
+		_, pos, cur, ncur := a.Window()
+		if ncur < 56 {
+			t.Fatalf("Refill left %d accounted bits", ncur)
+		}
+		got := cur >> (64 - 7)
+		a.SetWindow(pos, cur<<7, ncur-7)
+		want, err := b.ReadBits(7)
+		if err != nil || got != want {
+			t.Fatalf("step %d: window read %x, ReadBits(7) = %x, %v", i, got, want, err)
+		}
 	}
 }

@@ -158,11 +158,11 @@ func getTruncated(r *BitReader, b uint64) (uint64, error) {
 	if v < t {
 		return v, nil
 	}
-	bit, err := r.ReadBit()
+	bit, err := r.ReadBits(1)
 	if err != nil {
 		return 0, err
 	}
-	return v<<1 | uint64(bit) - t, nil
+	return v<<1 | bit - t, nil
 }
 
 func truncatedLen(rem, b uint64) int {

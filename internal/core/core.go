@@ -9,8 +9,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,10 +176,33 @@ func DefaultOptions() Options {
 	}
 }
 
+// ErrInvalid marks a search error as the caller's: options Validate
+// rejects, or a query this index cannot evaluate (shorter than its
+// interval, a coarse mode it was not built for). Everything else a
+// search returns — a corrupt posting list, a failed read under a paged
+// index — is the database's or the machine's fault. Test with errors.Is.
+var ErrInvalid = errors.New("invalid search request")
+
+// Invalid marks err as the caller's fault: errors.Is(Invalid(err),
+// ErrInvalid) holds and the error's text is unchanged.
+func Invalid(err error) error { return invalidError{err} }
+
+type invalidError struct{ error }
+
+func (e invalidError) Is(target error) bool { return target == ErrInvalid }
+func (e invalidError) Unwrap() error        { return e.error }
+
 // Validate reports the first setting a search would reject. Searches
 // run it themselves; it is exported so a service can refuse bad
 // defaults at start-up instead of on every request.
 func (o Options) Validate() error {
+	if err := o.validate(); err != nil {
+		return Invalid(err)
+	}
+	return nil
+}
+
+func (o Options) validate() error {
 	if o.Candidates < 1 {
 		return fmt.Errorf("core: candidate budget %d must be positive", o.Candidates)
 	}
@@ -290,15 +315,21 @@ type Searcher struct {
 
 	// Scratch reused across queries. acc is sized for the largest
 	// segment and reset per segment.
-	acc     accumulators
-	it      postings.Iterator
-	termSet map[kmer.Term][]int //cafe:pooled query-lifetime term map, cleared at the start of each coarse call
-	// termBits is a one-hash Bloom filter over termSet's keys, rebuilt
-	// with it. bestSeed tests it before the map, so the ~97 % of a
-	// candidate's intervals that are not in the query cost a multiply
-	// and a bit test instead of a map lookup; the map stays the single
-	// source of truth. Read-only during the fine phase.
-	termBits termFilter //cafe:pooled query-lifetime filter, cleared with termSet
+	acc accumulators
+	it  postings.Iterator
+	// terms is the current query's intervals, one packed (term, query
+	// position) pair each, sorted — so ordered by term, then position —
+	// and rebuilt at the start of each coarse call. It is the one
+	// query-term structure: the coarse walk merge-joins its runs against
+	// the lexicon in ascending term order, and bestSeed binary-searches
+	// it for a candidate's intervals. Read-only during the fine phase.
+	terms []queryTerm //cafe:pooled query-lifetime term array, refilled at the start of each coarse call
+	// termBits is a one-hash Bloom filter over the terms in terms,
+	// rebuilt with it. bestSeed tests it before the array, so the ~97 %
+	// of a candidate's intervals that are not in the query cost a
+	// multiply and a bit test instead of a search; the array stays the
+	// single source of truth. Read-only during the fine phase.
+	termBits termFilter //cafe:pooled query-lifetime filter, cleared with terms
 
 	// candBuf backs the bounded top-k candidate selection; it holds at
 	// most Candidates entries and is reused across queries (the fine
@@ -378,7 +409,6 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		opts:     opts,
 		snapshot: snapshot,
 		acc:      newAccumulators(maxSeqs),
-		termSet:  make(map[kmer.Term][]int),
 	}, nil
 }
 
@@ -610,7 +640,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		t0 = time.Now()
 	}
 	// fine evaluates one candidate; it reads only immutable searcher
-	// state (termSet and termBits are not mutated during the fine
+	// state (terms and termBits are not mutated during the fine
 	// phase) plus the caller-owned scratch, so it is safe to run
 	// concurrently as long as each worker passes its own scratch. Its
 	// stats contribution returns by value (fineWork), so the parallel
@@ -814,23 +844,28 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 		minHits = 1
 	}
 	if mode == CoarseDiagonal && !s.opts.StoreOffsets {
-		return nil, fmt.Errorf("core: diagonal coarse mode needs an index built with offsets")
+		return nil, Invalid(fmt.Errorf("core: diagonal coarse mode needs an index built with offsets"))
 	}
 	coder := s.coder
 	if len(query) < coder.Span() {
-		return nil, fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span())
+		return nil, Invalid(fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span()))
 	}
 
-	// Collect the query's distinct terms with their offsets.
-	clear(s.termSet)
+	if uint64(len(query)) > math.MaxUint32 {
+		return nil, Invalid(fmt.Errorf("core: query length %d does not fit a 32-bit position", len(query)))
+	}
+
+	// Collect the query's intervals, sorted by term then position.
+	s.terms = s.terms[:0]
 	s.termBits.reset()
 	coder.ExtractFunc(query, func(pos int, t kmer.Term) {
-		s.termSet[t] = append(s.termSet[t], pos)
+		s.terms = append(s.terms, packQueryTerm(t, pos))
 		s.termBits.add(t)
 	})
+	slices.Sort(s.terms)
 
 	if st != nil {
-		st.QueryTerms += len(s.termSet)
+		st.QueryTerms += distinctTerms(s.terms)
 	}
 
 	// Selection state shared across segments: the bounded heap (or the
@@ -901,21 +936,32 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 		s.candBuf = out[:0]
 		return out, nil
 	}
-	sort.Slice(cands, func(i, j int) bool { return candBetter(cands[i], cands[j]) })
+	sortCandidates(cands)
 	return cands, nil
 }
 
 // accumulate walks every posting list the query's terms have in one
 // segment into the searcher's accumulator. Accumulator slots are the
-// segment's local ids.
+// segment's local ids. The walk is a merge-join: the query's terms
+// ascend, so each lexicon search resumes where the last one ended and
+// the lists are read in ascending blob offset.
 func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, st *SearchStats) (*diagAcc, error) {
 	s.acc.reset()
 	diag := newDiagAcc(mode == CoarseDiagonal)
-	for t, qPositions := range s.termSet {
+	slot := 0
+	for rest := s.terms; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		df, listBytes := seg.Index.ReaderStats(t, &s.it)
+		t := rest[0].term()
+		n := 1
+		for n < len(rest) && rest[n].term() == t {
+			n++
+		}
+		var run []queryTerm // the query positions of t
+		run, rest = rest[:n], rest[n:]
+		var df, listBytes int
+		df, listBytes, slot = seg.Index.ReaderStatsFrom(t, slot, &s.it)
 		if df == 0 {
 			continue
 		}
@@ -927,9 +973,9 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 			e := s.it.Entry()
 			s.acc.bump(int(e.ID), 1, int(e.Count))
 			if diag != nil {
-				for _, qp := range qPositions {
+				for _, qt := range run {
 					for _, off := range e.Offsets {
-						diag.add(e.ID, int(off)-qp)
+						diag.add(e.ID, int(off)-qt.pos())
 					}
 				}
 			}
@@ -942,6 +988,53 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		}
 	}
 	return diag, nil
+}
+
+// queryTerm is one interval of the query: its term in the high 32 bits
+// (any coder's term fits: kmer.MaxK is 16 bases of 2 bits) and its
+// query position in the low 32, so that sorting the integers orders the
+// intervals by term, then position.
+type queryTerm uint64
+
+//cafe:hotpath
+func packQueryTerm(t kmer.Term, pos int) queryTerm {
+	return queryTerm(uint64(t)<<32 | uint64(uint32(pos)))
+}
+
+//cafe:hotpath
+func (q queryTerm) term() kmer.Term { return kmer.Term(q >> 32) }
+
+//cafe:hotpath
+func (q queryTerm) pos() int { return int(uint32(q)) }
+
+// termRun returns the run of t in a sorted term array — t's query
+// positions, ascending — or an empty slice when the query lacks t.
+//
+//cafe:hotpath
+func termRun(terms []queryTerm, t kmer.Term) []queryTerm {
+	lo, hi := 0, len(terms)
+	for key := packQueryTerm(t, 0); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); terms[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	end := lo
+	for end < len(terms) && terms[end].term() == t {
+		end++
+	}
+	return terms[lo:end]
+}
+
+// distinctTerms counts the runs of a sorted term array.
+func distinctTerms(terms []queryTerm) (n int) {
+	for i, qt := range terms {
+		if i == 0 || qt.term() != terms[i-1].term() {
+			n++
+		}
+	}
+	return n
 }
 
 // termFilter is a 64 Kbit one-hash Bloom filter over a query's terms
@@ -981,11 +1074,11 @@ type seedHit struct {
 type seedScratch struct {
 	counts   map[int]int
 	firstHit map[int][2]int
-	// termSet is the current query's term→offsets map, set by bestSeed
+	// terms is the current query's sorted term array, set by bestSeed
 	// before each extraction; extract reads it through the struct so
 	// the callback closes over nothing query-specific.
-	termSet  map[kmer.Term][]int //cafe:pooled borrowed from the searcher for the current query only
-	termBits *termFilter         //cafe:pooled borrowed with termSet, read-only here
+	terms    []queryTerm //cafe:pooled borrowed from the searcher for the current query only
+	termBits *termFilter //cafe:pooled borrowed with terms, read-only here
 	extract  func(sPos int, t kmer.Term)
 	// bv and banded are the worker's kernel scratches (the bitvector
 	// kernel's DP columns; the banded kernels' rows, direction matrix
@@ -1005,7 +1098,8 @@ func newSeedScratch() *seedScratch {
 		if !sc.termBits.has(t) {
 			return
 		}
-		for _, qp := range sc.termSet[t] {
+		for _, qt := range termRun(sc.terms, t) {
+			qp := qt.pos()
 			d := sPos - qp
 			sc.counts[d]++
 			if _, ok := sc.firstHit[d]; !ok {
@@ -1028,7 +1122,7 @@ func newSeedScratch() *seedScratch {
 func (s *Searcher) bestSeed(coder *kmer.Coder, seq []byte, sc *seedScratch) (seedHit, bool) {
 	clear(sc.counts)
 	clear(sc.firstHit)
-	sc.termSet, sc.termBits = s.termSet, &s.termBits
+	sc.terms, sc.termBits = s.terms, &s.termBits
 	coder.ExtractFunc(seq, sc.extract)
 	best, bestDiag, found := 0, 0, false
 	for d, n := range sc.counts {

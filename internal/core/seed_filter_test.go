@@ -11,8 +11,9 @@ import (
 	"nucleodb/internal/kmer"
 )
 
-// refBestSeed is bestSeed as it was before the term filter: every
-// interval of seq goes to the map. The filter must never change what it
+// refBestSeed is bestSeed as it was before the term filter and the
+// sorted term array: every interval of seq goes to a term→positions map
+// (refTermSet). Neither the filter nor the array may change what it
 // returns.
 func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (seedHit, bool) {
 	counts := map[int]int{}
@@ -40,7 +41,7 @@ func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (se
 }
 
 // loadQueryTerms runs the coarse phase for its side effect: the
-// searcher's term map and filter for query, as the fine phase sees them.
+// searcher's term array and filter for query, as the fine phase sees them.
 func loadQueryTerms(t *testing.T, s *Searcher, query []byte) {
 	t.Helper()
 	if _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 10, nil); err != nil {
@@ -52,7 +53,7 @@ func loadQueryTerms(t *testing.T, s *Searcher, query []byte) {
 // although the query does not contain them.
 func filterFalsePositives(s *Searcher, seq []byte) (n int) {
 	s.coder.ExtractFunc(seq, func(_ int, t kmer.Term) {
-		if _, ok := s.termSet[t]; !ok && s.termBits.has(t) {
+		if len(termRun(s.terms, t)) == 0 && s.termBits.has(t) {
 			n++
 		}
 	})
@@ -75,9 +76,10 @@ func TestBestSeedFilterEquivalence(t *testing.T) {
 			queries := [][]byte{f.query, gen.RandomSequence(rng, 300, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)}
 			for _, q := range queries {
 				loadQueryTerms(t, s, q)
+				termSet := refTermSet(s.coder, q)
 				for id := 0; id < f.store.Len(); id++ {
 					seq := f.store.Sequence(id)
-					want, wantOK := refBestSeed(s.termSet, s.coder, seq)
+					want, wantOK := refBestSeed(termSet, s.coder, seq)
 					got, gotOK := s.bestSeed(s.coder, seq, sc)
 					if got != want || gotOK != wantOK {
 						t.Fatalf("%+v seed %d seq %d: bestSeed = (%+v,%v), map-only reference (%+v,%v)",
@@ -92,7 +94,7 @@ func TestBestSeedFilterEquivalence(t *testing.T) {
 // TestBestSeedFilterCollisions drives the filter's false-positive path
 // on purpose: a query whose two terms share one filter bit, against a
 // subject that holds the query itself and every other 9-mer that lands
-// on that bit. Those pass the filter and must be turned away by the map.
+// on that bit. Those pass the filter and must be turned away by the array.
 func TestBestSeedFilterCollisions(t *testing.T) {
 	f := makeFixture(t, 611, index.Options{K: 9})
 	s := newTestSearcher(t, f)
@@ -111,8 +113,9 @@ func TestBestSeedFilterCollisions(t *testing.T) {
 		}
 	}
 	loadQueryTerms(t, s, query)
-	if len(s.termSet) != 2 {
-		t.Fatalf("query has %d terms, want 2", len(s.termSet))
+	termSet := refTermSet(coder, query)
+	if len(termSet) != 2 || distinctTerms(s.terms) != 2 {
+		t.Fatalf("query has %d terms (%d in the searcher's array), want 2", len(termSet), distinctTerms(s.terms))
 	}
 	set := 0
 	for _, w := range s.termBits {
@@ -126,18 +129,18 @@ func TestBestSeedFilterCollisions(t *testing.T) {
 
 	subject := gen.RandomSequence(rng, 200, uniform, 0)
 	for u := kmer.Term(0); uint64(u) < coder.NumTerms(); u++ {
-		if _, inQuery := s.termSet[u]; !inQuery && s.termBits.has(u) {
+		if _, inQuery := termSet[u]; !inQuery && s.termBits.has(u) {
 			subject = append(subject, coder.Decode(u)...)
 			subject = append(subject, gen.RandomSequence(rng, 5, uniform, 0)...)
 		}
 	}
 	subject = append(subject, query...)
 	if n := filterFalsePositives(s, subject); n == 0 {
-		t.Fatal("subject holds no filter false positive: the test no longer reaches the map's veto")
+		t.Fatal("subject holds no filter false positive: the test no longer reaches the array's veto")
 	}
 
 	sc := newSeedScratch()
-	want, wantOK := refBestSeed(s.termSet, coder, subject)
+	want, wantOK := refBestSeed(termSet, coder, subject)
 	got, gotOK := s.bestSeed(coder, subject, sc)
 	if !wantOK || got != want || gotOK != wantOK {
 		t.Fatalf("bestSeed = (%+v,%v), map-only reference (%+v,%v)", got, gotOK, want, wantOK)

@@ -1,6 +1,6 @@
 package core
 
-import "sort"
+import "slices"
 
 // candBetter reports whether a ranks strictly ahead of b in the coarse
 // ordering: higher score first, ties broken by lower ID. IDs are
@@ -11,6 +11,19 @@ func candBetter(a, b Candidate) bool {
 		return a.Score > b.Score
 	}
 	return a.ID < b.ID
+}
+
+// sortCandidates orders cands best-first in place.
+func sortCandidates(cands []Candidate) {
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		switch {
+		case candBetter(a, b):
+			return -1
+		case candBetter(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // topKHeap selects the k best candidates from a stream: a min-heap of
@@ -73,6 +86,6 @@ func (t *topKHeap) down(i int) {
 // sorted orders the kept candidates best-first in place and returns
 // them. The heap is spent afterwards.
 func (t *topKHeap) sorted() []Candidate {
-	sort.Slice(t.heap, func(i, j int) bool { return candBetter(t.heap[i], t.heap[j]) })
+	sortCandidates(t.heap)
 	return t.heap
 }

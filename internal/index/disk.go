@@ -38,8 +38,12 @@ func OpenDisk(path string) (*Index, error) {
 	}
 	x.blobLen = int(blobLen)
 	x.closer = f
-	x.fetch = func(off uint64, n uint32) ([]byte, error) {
-		buf := make([]byte, n)
+	x.fetch = func(off uint64, n uint32, dst []byte) ([]byte, error) {
+		buf := dst
+		if uint64(len(buf)) < uint64(n) {
+			buf = make([]byte, n)
+		}
+		buf = buf[:n]
 		if _, err := f.ReadAt(buf, blobOffset+int64(off)); err != nil {
 			return nil, fmt.Errorf("index: disk read at %d+%d: %w", blobOffset, off, err)
 		}
@@ -56,7 +60,7 @@ func (x *Index) Close() error {
 	}
 	err := x.closer.Close()
 	x.closer = nil
-	x.fetch = func(off uint64, n uint32) ([]byte, error) {
+	x.fetch = func(uint64, uint32, []byte) ([]byte, error) {
 		return nil, fmt.Errorf("index: read after Close")
 	}
 	return err

@@ -120,8 +120,10 @@ type Index struct {
 	stopped []uint64 // sorted stopped terms
 
 	// Disk-backed access (see OpenDisk): when fetch is non-nil, blob
-	// is empty and list bytes are read on demand.
-	fetch   func(off uint64, n uint32) ([]byte, error)
+	// is empty and list bytes are read on demand, into dst when it is
+	// long enough (the caller's reusable buffer) and a fresh slice
+	// otherwise.
+	fetch   func(off uint64, n uint32, dst []byte) ([]byte, error)
 	blobLen int
 	closer  interface{ Close() error }
 }
@@ -336,10 +338,12 @@ func (x *Index) PostingsBytes() int {
 }
 
 // listBytes returns the raw encoded bytes of lexicon slot i, from
-// memory or disk.
-func (x *Index) listBytes(i int) ([]byte, error) {
+// memory or disk. A disk read lands in dst when dst can hold it, so a
+// caller that is done with one list before it asks for the next pays no
+// allocation per list; nil always gets a fresh slice.
+func (x *Index) listBytes(i int, dst []byte) ([]byte, error) {
 	if x.fetch != nil {
-		return x.fetch(x.offs[i], x.lens[i])
+		return x.fetch(x.offs[i], x.lens[i], dst)
 	}
 	return x.blob[x.offs[i] : x.offs[i]+uint64(x.lens[i])], nil
 }
@@ -383,6 +387,45 @@ func (x *Index) lookup(t kmer.Term) int {
 	return -1
 }
 
+// seek returns the first lexicon slot at or after from whose term is
+// ≥ t (len(x.terms) when there is none), for a caller whose terms only
+// ascend. Lexicon terms are distinct ascending integers, so the slot
+// lies at most t − terms[from] slots ahead — exactly there when every
+// term in between is indexed, which a full lexicon (k ≤ 9 on any sizeable
+// collection) makes the common case: one probe. Otherwise it gallops
+// forward from from — 1, 2, 4, … slots, never past that bound — and
+// binary-searches the last stride, so the probes stay next to the
+// previous hit instead of restarting from the middle of the lexicon.
+//
+//cafe:hotpath
+func (x *Index) seek(t kmer.Term, from int) int {
+	terms, key := x.terms, uint64(t)
+	if from >= len(terms) || terms[from] >= key {
+		return from
+	}
+	end := len(terms) // terms[end] ≥ key, or end is the end
+	if d := key - terms[from]; d < uint64(end-from) {
+		end = from + int(d)
+		if terms[end] == key {
+			return end
+		}
+	}
+	lo, step := from, 1 // terms[lo] < key throughout
+	for lo+step < end && terms[lo+step] < key {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, end)
+	for lo+1 < hi {
+		if mid := int(uint(lo+hi) >> 1); terms[mid] < key {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
 // DF returns the document frequency (number of sequences containing)
 // of term t, 0 if unindexed or stopped.
 func (x *Index) DF(t kmer.Term) int {
@@ -400,8 +443,8 @@ func (x *Index) Stopped(t kmer.Term) bool {
 
 // listPayload returns the plain-encoded payload of lexicon slot i,
 // stepping over the skip header when the index stores skipped lists.
-func (x *Index) listPayload(i int) ([]byte, error) {
-	buf, err := x.listBytes(i)
+func (x *Index) listPayload(i int, dst []byte) ([]byte, error) {
+	buf, err := x.listBytes(i, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -434,12 +477,38 @@ func (x *Index) Reader(t kmer.Term, it *postings.Iterator) int {
 // because the buffer is already in hand. bytes is what a paged index
 // read from disk for this term (zero for absent terms).
 func (x *Index) ReaderStats(t kmer.Term, it *postings.Iterator) (df, bytes int) {
-	i := x.lookup(t)
+	return x.readSlot(x.lookup(t), it)
+}
+
+// ReaderStatsFrom is ReaderStats for a caller that asks for its terms
+// in ascending order, as the coarse walk does: the lexicon search
+// resumes at slot from — the value the previous call returned, 0 before
+// the first — so the walk is a merge-join of the query's sorted terms
+// against the sorted lexicon, and lists are read in ascending blob
+// offset (sequentially, on a paged index).
+func (x *Index) ReaderStatsFrom(t kmer.Term, from int, it *postings.Iterator) (df, bytes, next int) {
+	next = x.seek(t, from)
+	slot := -1
+	if next < len(x.terms) && x.terms[next] == uint64(t) {
+		slot = next
+	}
+	df, bytes = x.readSlot(slot, it)
+	return df, bytes, next
+}
+
+// readSlot positions it over the list of lexicon slot i (-1: no list).
+// A paged index reads the list into the iterator's own buffer, which
+// the iterator is done with by the time it is reset over the next list.
+func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 	if i < 0 {
 		it.Reset(nil, 0, x.numSeqs, x.opts.StoreOffsets)
 		return 0, 0
 	}
-	payload, err := x.listPayload(i)
+	var dst []byte
+	if x.fetch != nil {
+		dst = it.Buffer(int(x.lens[i]))
+	}
+	payload, err := x.listPayload(i, dst)
 	if err != nil {
 		// The blob was written by Build/validated by Load; a bad
 		// header here is internal corruption, surfaced via the
@@ -462,7 +531,7 @@ func (x *Index) SkippedReader(t kmer.Term) (*postings.SkipIterator, error) {
 	if i < 0 {
 		return nil, nil
 	}
-	buf, err := x.listBytes(i)
+	buf, err := x.listBytes(i, nil) // the skipped list keeps the bytes
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +549,7 @@ func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	if i < 0 {
 		return nil, nil
 	}
-	payload, err := x.listPayload(i)
+	payload, err := x.listPayload(i, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"nucleodb/internal/db"
@@ -317,6 +318,53 @@ func TestPostingsSortedWithinTerm(t *testing.T) {
 					t.Fatalf("term %d offsets not ascending", term)
 				}
 			}
+		}
+	}
+}
+
+// TestSeekMatchesSearch: the galloping lexicon search the coarse walk
+// uses returns, from every starting slot at or before the answer, the
+// slot a binary search over the whole lexicon returns — on a full
+// lexicon (k = 3: every term indexed, the one-probe case), a sparse one
+// (k = 9) and one with stopped terms missing.
+func TestSeekMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, opts := range []Options{{K: 3}, {K: 9, StoreOffsets: true}, {K: 5, StopFraction: 0.2}} {
+		idx, err := Build(randomStore(5, 30, 400), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(idx.terms)
+		if n == 0 {
+			t.Fatalf("%+v: empty lexicon", opts)
+		}
+		probe := func(term uint64) {
+			want := sort.Search(n, func(i int) bool { return idx.terms[i] >= term })
+			froms := []int{0, want / 2, want - 3, want - 1, want}
+			for _, from := range froms {
+				if from < 0 {
+					continue
+				}
+				if got := idx.seek(kmer.Term(term), from); got != want {
+					t.Fatalf("%+v: seek(%d, from %d) = %d, binary search = %d", opts, term, from, got, want)
+				}
+			}
+			// The merge-join's use: ReaderStatsFrom agrees with ReaderStats.
+			var a, b postings.Iterator
+			df, bytes := idx.ReaderStats(kmer.Term(term), &a)
+			gdf, gbytes, next := idx.ReaderStatsFrom(kmer.Term(term), want/2, &b)
+			if gdf != df || gbytes != bytes || next != want {
+				t.Fatalf("%+v: ReaderStatsFrom(%d) = (%d, %d, %d), ReaderStats = (%d, %d), slot %d", opts, term, gdf, gbytes, next, df, bytes, want)
+			}
+		}
+		for i := 0; i < n; i++ {
+			probe(idx.terms[i])
+			probe(idx.terms[i] + 1)
+		}
+		probe(0)
+		probe(idx.terms[n-1] + 1000)
+		for i := 0; i < 500; i++ {
+			probe(uint64(rng.Int63n(int64(idx.coder.NumTerms()))))
 		}
 	}
 }

@@ -30,7 +30,8 @@ func fuzzSeedList(t interface{ Fatal(...any) }, withOffsets bool) ([]byte, int) 
 // Whatever the bytes, iteration must terminate with entries that stay
 // inside the declared universe — a decoded id out of range would index
 // past the coarse accumulator arrays — and errors, not panics, must
-// flag the corruption.
+// flag the corruption. The entries and the error/no-error outcome must
+// also equal the frozen reference decoder's (refIterator).
 func FuzzPostingsDecode(f *testing.F) {
 	for _, withOffsets := range []bool{false, true} {
 		buf, _ := fuzzSeedList(f, withOffsets)
@@ -79,6 +80,11 @@ func FuzzPostingsDecode(f *testing.F) {
 		if it.Decoded() != n {
 			t.Fatalf("Decoded() %d after %d entries", it.Decoded(), n)
 		}
+
+		// And it must be the frozen per-call-checked decoder's answer:
+		// the same entries before the first error, an error iff it errs.
+		var ref refIterator
+		checkAgainstReference(t, &it, &ref, data, df, fuzzNumSeqs, withOffsets)
 
 		// The skipped-list reader must show the same discipline, both
 		// scanning and seeking.

@@ -182,15 +182,12 @@ func (si *SkipIterator) reset(entry int, prevID int64, bitPos int) {
 		si.it.Reset(nil, 0, 1, false)
 		return
 	}
-	// The underlying iterator cannot start mid-bitstream, so feed it
-	// the data sliced at a byte boundary and discard the bit remainder
-	// manually via a fresh reader configuration: sync bit offsets are
-	// arbitrary, so rewind to the byte containing bitPos and skip the
-	// leading bits.
-	si.it.Reset(sl.data[bitPos/8:], sl.df-entry, sl.numSeqs, sl.withOffsets)
+	// Sync bit offsets are arbitrary, so enter at the byte containing
+	// bitPos and discard the bit remainder. The Golomb parameter is the
+	// whole list's; only the entry count shrinks.
+	si.it.reset(sl.data[bitPos/8:], sl.df, sl.df-entry, sl.numSeqs, sl.withOffsets)
 	si.it.skipBits(uint(bitPos % 8))
 	si.it.prev = prevID
-	si.it.b = compress.GolombParameter(uint64(sl.numSeqs), uint64(sl.df))
 	si.baseEntry = entry
 	si.consumed = entry
 }

@@ -250,3 +250,59 @@ func TestPropertySkippedMatchesPlain(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSkippedSeekEverySyncPoint enters a 300-entry list over a universe
+// of 2 000 at each of its synchronisation points in turn. The Golomb
+// parameter of the list is ⌈0.69·2000/300⌉ = 5; the one the remaining
+// entry count alone would give (df − entry = 290, 280, …: 5, 5, 6, 6, 7,
+// … up to 138) differs at nearly every point, so an iterator that
+// derives its hoisted k and t from the entries left instead of the
+// list's document frequency mis-decodes here. Every seek must land on
+// the entries a plain Decode of the payload yields.
+func TestSkippedSeekEverySyncPoint(t *testing.T) {
+	const numSeqs, df, interval = 2000, 300, 10
+	rng := rand.New(rand.NewSource(86))
+	for _, withOffsets := range []bool{false, true} {
+		entries := makeEntries(rng, numSeqs, df, withOffsets)
+		plain, err := Encode(entries, numSeqs, withOffsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Decode(plain, df, numSeqs, withOffsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := EncodeSkipped(entries, numSeqs, withOffsets, interval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl, err := OpenSkipped(buf, df, numSeqs, withOffsets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sl.skipEntries) != df/interval-1 {
+			t.Fatalf("list has %d sync points, want %d", len(sl.skipEntries), df/interval-1)
+		}
+		for _, entry := range sl.skipEntries {
+			// A fresh iterator each time: the seek jumps straight to the
+			// sync point and decodes the rest of the list from there.
+			si := sl.Iter()
+			if !si.SeekGE(want[entry].ID) {
+				t.Fatalf("offsets %v: SeekGE(%d) found nothing: %v", withOffsets, want[entry].ID, si.Err())
+			}
+			var got []Entry
+			for ok := true; ok; ok = si.Next() {
+				e := si.Entry()
+				e.Offsets = append([]uint32(nil), e.Offsets...)
+				got = append(got, e)
+			}
+			if err := si.Err(); err != nil {
+				t.Fatalf("offsets %v: from sync entry %d: %v", withOffsets, entry, err)
+			}
+			if !reflect.DeepEqual(got, want[entry:]) {
+				t.Fatalf("offsets %v: from sync entry %d: decoded %d entries starting %+v, plain Decode has %d starting %+v",
+					withOffsets, entry, len(got), got[0], len(want[entry:]), want[entry])
+			}
+		}
+	}
+}

@@ -11,6 +11,11 @@
 //     ?timeout=, capped by the server maximum) and a timed-out search
 //     stops at the next posting-list or candidate boundary and returns
 //     504 — a worker is never wedged on an abandoned query;
+//   - a search that fails for what the request got wrong (options the
+//     engine rejects, a query shorter than the index interval) answers
+//     400; any other failure — a corrupt posting list, a failed disk
+//     read — is the server's, answers 500 and counts in
+//     server_errors_total;
 //   - an LRU cache keyed on (canonical query, options) serves repeated
 //     queries from memory, with hit/miss counters in /metrics;
 //   - /healthz answers liveness probes and /metrics and /debug/vars
@@ -80,12 +85,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// database is what the server asks of a nucleodb.Database; tests
+// substitute one that fails on demand.
+type database interface {
+	SearchCodesWithStatsContext(ctx context.Context, codes []byte, opts nucleodb.SearchOptions) ([]nucleodb.Result, nucleodb.SearchStats, error)
+	SearchBatchWithStatsContext(ctx context.Context, queries []string, opts nucleodb.SearchOptions, workers int) ([][]nucleodb.Result, nucleodb.SearchStats, error)
+	NumSequences() int
+	TotalBases() int
+}
+
 // Server serves search traffic for one Database. Create with New;
 // mount Handler on an http.Server. Graceful drain is the HTTP
 // server's: http.Server.Shutdown stops new connections and in-flight
 // handlers run to completion (each already bounded by its deadline).
 type Server struct {
-	db    *nucleodb.Database
+	db    database
 	cfg   Config
 	cache *resultCache
 	mux   *http.ServeMux
@@ -96,6 +110,7 @@ type Server struct {
 	mRequests    *metrics.Counter
 	mShed        *metrics.Counter
 	mTimeouts    *metrics.Counter
+	mErrors      *metrics.Counter
 	mCacheHits   *metrics.Counter
 	mCacheMisses *metrics.Counter
 	hLatency     *metrics.Histogram
@@ -136,6 +151,7 @@ func New(db *nucleodb.Database, cfg Config) (*Server, error) {
 		mRequests:    reg.Counter("server_requests_total"),
 		mShed:        reg.Counter("server_shed_total"),
 		mTimeouts:    reg.Counter("server_timeouts_total"),
+		mErrors:      reg.Counter("server_errors_total"),
 		mCacheHits:   reg.Counter("server_cache_hits_total"),
 		mCacheMisses: reg.Counter("server_cache_misses_total"),
 		hLatency:     reg.Histogram("server_request_latency"),
@@ -482,8 +498,10 @@ func (s *Server) acquire(ctx context.Context) error {
 func (s *Server) release() { <-s.slots }
 
 // failSearch maps a search error onto the wire: 504 for a deadline,
-// nothing for a vanished client, 400 for option validation, 500
-// otherwise. Returns true when the worker should count a timeout.
+// nothing for a vanished client, 429 for a shed request, 400 for what
+// the request itself got wrong (nucleodb.ErrInvalid: options, query) and
+// 500 — counted in server_errors_total — for everything else: a corrupt
+// posting list or a failed read is the server's fault, not the client's.
 func (s *Server) failSearch(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -495,8 +513,11 @@ func (s *Server) failSearch(w http.ResponseWriter, err error) {
 		s.mShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "server overloaded, retry later"})
-	default:
+	case errors.Is(err, nucleodb.ErrInvalid):
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	default:
+		s.mErrors.Inc()
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 	}
 }
 

@@ -482,6 +482,14 @@ func (o SearchOptions) internal() core.Options {
 // a configuration before serving with it.
 func (o SearchOptions) Validate() error { return o.internal().Validate() }
 
+// ErrInvalid marks a search error as the caller's: options Validate
+// rejects, a query with letters outside the alphabet or shorter than the
+// index's interval, a coarse mode the database was not built for. Every
+// Search form preserves it through its wrapping, so a service can answer
+// errors.Is(err, ErrInvalid) with "bad request" and everything else — a
+// corrupt index, a failed disk read — with "server error".
+var ErrInvalid = core.ErrInvalid
+
 // Result is one answer to a search.
 type Result struct {
 	// ID is the record's position in the database (insertion order).
@@ -590,7 +598,7 @@ func (d *Database) Search(query string, opts SearchOptions) ([]Result, error) {
 func (d *Database) SearchWithStats(query string, opts SearchOptions) ([]Result, SearchStats, error) {
 	codes, err := dna.Encode([]byte(query))
 	if err != nil {
-		return nil, SearchStats{}, fmt.Errorf("nucleodb: query: %w", err)
+		return nil, SearchStats{}, core.Invalid(fmt.Errorf("nucleodb: query: %w", err))
 	}
 	return d.SearchCodesWithStats(codes, opts)
 }

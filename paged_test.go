@@ -181,3 +181,51 @@ func TestOpenPagedMissing(t *testing.T) {
 		t.Error("missing directory accepted")
 	}
 }
+
+// TestPagedSearchAllocs: a warm search against a paged index allocates
+// what the same search allocates in memory plus a constant — the posting
+// lists it reads from disk land in the searcher's iterator buffer, one
+// buffer for every list, not a fresh slice per list per query (the
+// query below reads about 240 lists).
+func TestPagedSearchAllocs(t *testing.T) {
+	recs, query, _ := testRecords(95)
+	built, err := Build(recs, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := built.SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenPaged(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+
+	allocs := func(db *Database) float64 {
+		search := func() {
+			if _, err := db.Search(query, DefaultSearchOptions()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search() // warm: searcher pooled, scratch at its high-water mark
+		return testing.AllocsPerRun(20, search)
+	}
+	_, st, err := paged.SearchWithStats(query, DefaultSearchOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inMemory, onDisk := allocs(mem), allocs(paged)
+	t.Logf("%d posting lists read: %.0f allocations in memory, %.0f paged", st.PostingLists, inMemory, onDisk)
+	if st.PostingLists < 100 {
+		t.Fatalf("the query reads only %d lists; the bound below would not notice a per-list allocation", st.PostingLists)
+	}
+	if onDisk > inMemory+8 {
+		t.Errorf("paged search allocates %.0f objects against %.0f in memory: more than a constant apart", onDisk, inMemory)
+	}
+}
