@@ -63,10 +63,10 @@ check: lint
 
 # cafe-lint enforces the //cafe:hotpath allocation contract, checked
 # errors in the decode packages, nil-guarded SearchStats writes,
-# consistent sync/atomic field access, context propagation, tracked
-# goroutines, and — through the dataflow passes — that pooled scratch
-# (//cafe:pooled) never escapes and no append/slice view of pooled
-# backing outlives its query. lint.baseline suppresses adopted findings
+# context propagation, and — through the dataflow passes — that pooled
+# scratch (//cafe:pooled) never escapes, no append/slice view of pooled
+# backing outlives its query, and published //cafe:frozen values and
+# atomically loaded snapshots are never written through. lint.baseline suppresses adopted findings
 # (it is empty today — keep it that way); regenerate with
 # `make lint-baseline` only when deliberately adopting a finding.
 lint:

@@ -419,6 +419,34 @@ func BenchmarkSearchBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkFineWorkers is the measurement FineWorkers is kept on
+// (EXPERIMENTS E15 epilogue): the shared queries, one pass over all of
+// them per iteration, serial against 2 and 4 fine workers under both
+// fine modes. The gain is the exact mode's — its fine phase is most of
+// the query; the banded default's is too short to split.
+func BenchmarkFineWorkers(b *testing.B) {
+	env, idx := benchSetup(b)
+	searcher, err := core.NewSearcher(idx, env.Store, env.Scoring)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []core.FineMode{core.FineBanded, core.FineFull} {
+		for _, workers := range []int{0, 2, 4} {
+			opts := core.DefaultOptions()
+			opts.FineMode, opts.FineWorkers = mode, workers
+			b.Run(fmt.Sprintf("%v/workers=%d", mode, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, q := range env.Queries {
+						if _, err := searcher.Search(q.Codes, opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkIndexMerge measures segment merging (Database.Append's
 // cost) against a full rebuild of the combined collection.
 func BenchmarkIndexMerge(b *testing.B) {

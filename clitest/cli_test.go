@@ -5,6 +5,7 @@ package clitest
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"nucleodb"
+	"nucleodb/internal/dna"
 )
 
 // buildTools compiles every cmd/ binary into a temp dir once per test
@@ -107,6 +109,52 @@ func TestPipeline(t *testing.T) {
 		if fields := strings.Split(line, "\t"); len(fields) != 12 {
 			t.Fatalf("tsv line has %d fields: %q", len(fields), line)
 		}
+	}
+
+	// The one exact route: -exact -tsv is byte-identical to
+	// testdata/exact.tsv, written by the last binary that still had a
+	// -fine-kernel flag (with "auto", and identically with "scalar") on
+	// this same generated collection, and the library's SearchOptions
+	// with only Exact set over the defaults returns those ids and scores.
+	golden, err := os.ReadFile(filepath.Join("testdata", "exact.tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(t, tools["cafe-search"], "-db", dbDir, "-queries", queries, "-exact", "-limit", "2", "-tsv"); got != string(golden) {
+		t.Fatalf("cafe-search -exact -tsv differs from testdata/exact.tsv:\n got:\n%s\nwant:\n%s", got, golden)
+	}
+	exactDB, err := nucleodb.Open(dbDir, nucleodb.DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exactDB.Close()
+	qf, err := os.Open(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qf.Close()
+	qs, err := dna.ReadAll(qf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := nucleodb.DefaultSearchOptions()
+	exact.Exact, exact.Limit = true, 2
+	var rows, want []string
+	for _, q := range qs {
+		hits, err := exactDB.Search(dna.String(q.Codes), exact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hits {
+			rows = append(rows, fmt.Sprintf("%d\t%d", h.ID, h.Score))
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		f := strings.Split(line, "\t")
+		want = append(want, f[2]+"\t"+f[4])
+	}
+	if strings.Join(rows, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("library Exact search (id, score) rows:\n%s\nwant the golden's:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
 	}
 
 	// Inspect.

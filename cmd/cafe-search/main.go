@@ -43,7 +43,6 @@ func main() {
 		candidates = flag.Int("candidates", 100, "coarse-phase candidate budget")
 		limit      = flag.Int("limit", 20, "answers per query")
 		exact      = flag.Bool("exact", false, "exact (unbanded) fine alignment")
-		fineKernel = flag.String("fine-kernel", "auto", "fine scoring kernel: auto, scalar, or bitvector (bit-parallel; -exact only)")
 		coarseMode = flag.String("coarse-mode", "", "coarse ranking mode: distinct, total, normalised, or diagonal (needs offsets)")
 		minScore   = flag.Int("minscore", 1, "minimum alignment score")
 		strands    = flag.Bool("strands", false, "search both strands")
@@ -73,7 +72,6 @@ func main() {
 	opts.Candidates = *candidates
 	opts.Limit = *limit
 	opts.Exact = *exact
-	opts.FineKernel = *fineKernel
 	opts.CoarseMode = *coarseMode
 	opts.MinScore = *minScore
 	opts.BothStrands = *strands
@@ -173,8 +171,8 @@ func printStats(w io.Writer, st nucleodb.SearchStats) {
 		st.CoarseTime.Round(time.Microsecond), st.CoarseSequences, st.CoarseCandidates)
 	fmt.Fprintf(w, "    prescreen: %-10v rejected %d\n",
 		st.PrescreenTime.Round(time.Microsecond), st.PrescreenRejections)
-	fmt.Fprintf(w, "    fine:      %-10v alignments %d, dp-cells %d, kernel %s, bitvector %d\n",
-		st.FineTime.Round(time.Microsecond), st.FineAlignments, st.FineDPCells, st.FineKernel, st.BitvectorAlignments)
+	fmt.Fprintf(w, "    fine:      %-10v alignments %d, dp-cells %d, bitvector %d\n",
+		st.FineTime.Round(time.Microsecond), st.FineAlignments, st.FineDPCells, st.BitvectorAlignments)
 	fmt.Fprintf(w, "    traceback: %-10v alignments %d, dp-cells %d\n",
 		st.TracebackTime.Round(time.Microsecond), st.TracebackAlignments, st.TracebackDPCells)
 	fmt.Fprintf(w, "    total:     %-10v results %d\n",

@@ -20,20 +20,11 @@
 //     by a nil check (the instrumentation contract PR 1 established by
 //     convention), and sync/atomic values may only be touched through
 //     their methods.
-//   - atomic: a struct field accessed through sync/atomic anywhere must
-//     be accessed that way everywhere; one plain load or store next to
-//     an atomic.AddInt64 is a data race the race detector only finds
-//     when the schedules collide.
 //   - ctx: context must propagate. A function that receives a
 //     context.Context may not call a context-free sibling
 //     (SearchWithStats where SearchWithStatsContext exists), and the
 //     serving packages may not
 //     manufacture fresh contexts with context.Background()/TODO().
-//   - goroutine: a go statement must be joined, counted, or
-//     cancellable — a WaitGroup the goroutine counts down, a Done()
-//     channel it selects on, or a channel it signals that the spawning
-//     function drains. Anything else is a potential leak past the
-//     server's drain path.
 //   - poolescape: values from (*sync.Pool).Get, //cafe:pooled
 //     functions, or //cafe:pooled struct fields must not outlive the
 //     call that obtained them — no returns, field/global/container
@@ -44,6 +35,16 @@
 //   - alias: append/slice views over pooled backing must not escape —
 //     the PR-5 both-strands merge bug shape, reported at the
 //     append/slice site where the copy belongs.
+//   - frozen: a value of a //cafe:frozen type is immutable once
+//     published — no store into it, and no call handing it to a helper
+//     whose transitive summary mutates that parameter, after it may
+//     have been read back from a package-level variable. Built on the
+//     mutation dataflow of mutation.go and the module call graph
+//     (callgraph.go).
+//   - snapshot: a value loaded from an atomic.Pointer or atomic.Value
+//     is a read-only view — no store through it, and no use of it after
+//     a call that transitively swaps the pointer. Shares mutation.go's
+//     dataflow with frozen.
 //
 // A finding on one line can be waived with a trailing
 // "//cafe:allow <reason>" comment; the reason is mandatory. Naming a
@@ -88,12 +89,6 @@ func relFile(base, file string) string {
 	return file
 }
 
-// relPosition renders a position as "file:line" relative to the
-// program root, for cross-references inside diagnostic messages.
-func relPosition(prog *Program, pos token.Position) string {
-	return fmt.Sprintf("%s:%d", relFile(prog.Root, pos.Filename), pos.Line)
-}
-
 // String renders the finding with its full file path.
 func (f Finding) String() string { return f.format("") }
 
@@ -128,12 +123,10 @@ func DefaultPasses() []Pass {
 		&StatsPass{GuardedTypes: []string{
 			"nucleodb/internal/core.SearchStats",
 		}},
-		&AtomicPass{},
 		&CtxPass{ForbidBackgroundIn: []string{
 			"nucleodb/internal/server",
 			"nucleodb/internal/core",
 		}},
-		&GoPass{},
 	}
 	// poolescape and alias run one shared dataflow between them, as do
 	// frozen and snapshot.
@@ -144,7 +137,6 @@ func DefaultPasses() []Pass {
 		&AliasPass{Shared: shared},
 		&FrozenPass{Shared: mut},
 		&SnapshotPass{Shared: mut},
-		&LockOrderPass{},
 	)
 }
 

@@ -125,16 +125,8 @@ func TestStatsPassFixtures(t *testing.T) {
 	runPass(t, &analysis.StatsPass{GuardedTypes: []string{"fixture/stats.Stats"}}, "fixture/stats")
 }
 
-func TestAtomicPassFixtures(t *testing.T) {
-	runPass(t, &analysis.AtomicPass{}, "fixture/atomics")
-}
-
 func TestCtxPassFixtures(t *testing.T) {
 	runPass(t, &analysis.CtxPass{ForbidBackgroundIn: []string{"fixture/ctxpkg"}}, "fixture/ctxpkg")
-}
-
-func TestGoPassFixtures(t *testing.T) {
-	runPass(t, &analysis.GoPass{}, "fixture/gor")
 }
 
 func TestPoolEscapePassFixtures(t *testing.T) {
@@ -153,15 +145,10 @@ func TestSnapshotPassFixtures(t *testing.T) {
 	runPass(t, &analysis.SnapshotPass{}, "fixture/snappkg")
 }
 
-func TestLockOrderPassFixtures(t *testing.T) {
-	runPass(t, &analysis.LockOrderPass{}, "fixture/lockpkg")
-}
-
 // TestMutationPassesDisjoint checks the taint partition of the shared
 // mutation dataflow: the frozen pass must stay silent on the snapshot
 // fixtures (the conf type carries no //cafe:frozen) and the snapshot
-// pass on the frozen fixtures (no atomics there), and neither may
-// fire in the lock fixtures.
+// pass on the frozen fixtures (no atomics there).
 func TestMutationPassesDisjoint(t *testing.T) {
 	prog := loadFixture(t)
 	for _, c := range []struct {
@@ -170,10 +157,6 @@ func TestMutationPassesDisjoint(t *testing.T) {
 	}{
 		{&analysis.FrozenPass{}, "fixture/snappkg"},
 		{&analysis.SnapshotPass{}, "fixture/frozenpkg"},
-		{&analysis.FrozenPass{}, "fixture/lockpkg"},
-		{&analysis.SnapshotPass{}, "fixture/lockpkg"},
-		{&analysis.LockOrderPass{}, "fixture/frozenpkg"},
-		{&analysis.LockOrderPass{}, "fixture/snappkg"},
 	} {
 		if f := analysis.Analyze(prog, []analysis.Pass{c.pass}, keepOnly(c.pkg)); len(f) > 0 {
 			t.Errorf("%s findings in %s:\n%s", c.pass.Name(), c.pkg,
@@ -248,10 +231,10 @@ func TestDirectives(t *testing.T) {
 		return 0
 	}
 	want := map[string]bool{
-		fmt.Sprintf("directives/directives.go:%d directive", lineOf("\t//cafe:allow")):         true,
-		fmt.Sprintf("directives/directives.go:%d directive", lineOf("//cafe:allow goroutine")): true,
-		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 2)")):            true,
-		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 4)")):            true,
+		fmt.Sprintf("directives/directives.go:%d directive", lineOf("\t//cafe:allow")):          true,
+		fmt.Sprintf("directives/directives.go:%d directive", lineOf("//cafe:allow poolescape")): true,
+		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 2)")):             true,
+		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 4)")):             true,
 	}
 	got, lines := gotKeys(t, prog, findings)
 	for key := range want {

@@ -7,10 +7,8 @@ package analysis
 // stance the pooled-buffer passes take). Calls made inside a nested
 // function literal or a go statement are attributed to the enclosing
 // declaration: for the may-analyses built on the graph (what a call
-// can eventually mutate, acquire, or swap) that attribution is the
-// conservative direction. The lockorder pass, which needs to know
-// what runs synchronously under a held lock, collects its own edges
-// and skips those subtrees.
+// can eventually mutate or swap) that attribution is the conservative
+// direction.
 //
 // Summaries computed over the graph are transitive but k-bounded:
 // strongly connected components are processed callees-first (the
@@ -31,6 +29,13 @@ import (
 // summary fact propagates through a cycle, and the round bound of
 // every closure over the call graph.
 const summaryDepth = 8
+
+// goDecl pairs a function declaration with the package whose type info
+// describes it.
+type goDecl struct {
+	fd  *ast.FuncDecl
+	pkg *Package
+}
 
 // callGraph is the module-wide static call graph.
 type callGraph struct {
@@ -166,52 +171,10 @@ func (cg *callGraph) recursive(fn *types.Func) bool {
 	return false
 }
 
-// transClosure propagates per-function position-tagged facts (lock
-// identities acquired, swap sites, panic sites — anything keyed by a
-// types.Object) transitively up an edge set: after it returns, out[f]
-// holds every fact any function within summaryDepth call hops of f
-// carries. The earliest-seen position per key is kept so diagnostics
-// stay deterministic. The callers pass either the full call graph's
-// edges or a restricted set (the lockorder pass excludes function
-// literals and go statements, whose bodies do not run synchronously
-// under the caller's locks).
-func transClosure(edges map[*types.Func][]*types.Func, direct map[*types.Func]map[types.Object]token.Pos) map[*types.Func]map[types.Object]token.Pos {
-	out := map[*types.Func]map[types.Object]token.Pos{}
-	for fn, facts := range direct {
-		m := make(map[types.Object]token.Pos, len(facts))
-		for k, v := range facts {
-			m[k] = v
-		}
-		out[fn] = m
-	}
-	for round := 0; round < summaryDepth; round++ {
-		changed := false
-		for fn, callees := range edges {
-			for _, callee := range callees {
-				for k, pos := range out[callee] {
-					m := out[fn]
-					if m == nil {
-						m = map[types.Object]token.Pos{}
-						out[fn] = m
-					}
-					if old, ok := m[k]; !ok {
-						changed = true
-						m[k] = pos
-					} else if pos < old {
-						m[k] = pos
-					}
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return out
-}
-
-// transClosureBool is transClosure for a single boolean per-function
-// fact (may panic, may swap), tagged with its earliest witness site.
+// transClosureBool propagates a boolean per-function fact (may swap)
+// transitively up an edge set: after it returns, out[f] is set when any
+// function within summaryDepth call hops of f carries the fact, tagged
+// with the earliest witness site so diagnostics stay deterministic.
 func transClosureBool(edges map[*types.Func][]*types.Func, direct map[*types.Func]token.Pos) map[*types.Func]token.Pos {
 	out := map[*types.Func]token.Pos{}
 	for fn, pos := range direct {

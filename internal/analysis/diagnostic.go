@@ -31,13 +31,10 @@ var passDescriptions = map[string]string{
 	"hotpath":    "functions declared //cafe:hotpath must stay allocation-free",
 	"errcheck":   "the decode packages must check every error; a dropped decode error is silent corruption",
 	"stats":      "SearchStats access must be nil-guarded and sync/atomic values touched only through methods",
-	"atomic":     "a struct field accessed through sync/atomic must never see a plain load or store",
 	"ctx":        "contexts must propagate: no context-free siblings from ctx-aware code, no Background/TODO in serving packages",
-	"goroutine":  "goroutines must be WaitGroup-counted, Done()-cancellable, or joined through a drained channel",
 	"poolescape": "pooled scratch (sync.Pool.Get, //cafe:pooled sources) must not outlive the call that obtained it",
 	"alias":      "append/slice views over pooled backing must not escape; copy into a fresh buffer instead",
 	"frozen":     "//cafe:frozen values are immutable once published; mutate only inside construction, before the value escapes",
-	"lockorder":  "mutexes must pair Lock with Unlock on every path and be acquired in one module-wide order",
 	"snapshot":   "atomically loaded snapshots are read-only views and must not be retained across a swap point",
 	"directive":  "cafe: directives must be well-formed",
 }

@@ -18,9 +18,7 @@ func fixtureReport(t *testing.T) analysis.Report {
 		&analysis.HotpathPass{},
 		&analysis.ErrcheckPass{Packages: []string{"fixture/errs"}},
 		&analysis.StatsPass{GuardedTypes: []string{"fixture/stats.Stats"}},
-		&analysis.AtomicPass{},
 		&analysis.CtxPass{ForbidBackgroundIn: []string{"fixture/ctxpkg"}},
-		&analysis.GoPass{},
 	}
 	findings := analysis.Analyze(prog, passes, nil)
 	if len(findings) == 0 {
@@ -105,7 +103,7 @@ func TestReportSARIF(t *testing.T) {
 	for i, rule := range run.Tool.Driver.Rules {
 		rules[rule.ID] = i
 	}
-	for _, pass := range []string{"hotpath", "errcheck", "stats", "atomic", "ctx", "goroutine"} {
+	for _, pass := range []string{"hotpath", "errcheck", "stats", "ctx"} {
 		if _, ok := rules[pass]; !ok {
 			t.Errorf("rule %q missing from driver rules", pass)
 		}

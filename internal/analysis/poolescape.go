@@ -38,6 +38,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // PoolEscapePass reports pooled scratch that escapes its owning call.
@@ -465,12 +466,13 @@ func (t *poolTracker) joinedGo(g *ast.GoStmt, lit *ast.FuncLit) bool {
 	if payload == nil || t.enclBody == nil {
 		return false
 	}
-	return waitGroupCountdown(payloadInfo, payload) && hasWaitCall(t.info(), t.enclBody)
+	// Add counts as a countdown too: Add(-1) is one.
+	return waitGroupCall(payloadInfo, payload, "Done", "Add") && waitGroupCall(t.info(), t.enclBody, "Wait")
 }
 
-// hasWaitCall reports whether body calls Wait() on a sync.WaitGroup
-// anywhere, nested literals included.
-func hasWaitCall(info *types.Info, body *ast.BlockStmt) bool {
+// waitGroupCall reports whether body calls one of the named methods
+// on a sync.WaitGroup anywhere, nested literals included.
+func waitGroupCall(info *types.Info, body *ast.BlockStmt, methods ...string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -478,7 +480,7 @@ func hasWaitCall(info *types.Info, body *ast.BlockStmt) bool {
 			return true
 		}
 		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Wait" {
+		if !ok || !slices.Contains(methods, sel.Sel.Name) {
 			return true
 		}
 		if isWaitGroup(info.TypeOf(sel.X)) {
@@ -487,6 +489,22 @@ func hasWaitCall(info *types.Info, body *ast.BlockStmt) bool {
 		return !found
 	})
 	return found
+}
+
+// isWaitGroup reports whether t (possibly a pointer) is
+// sync.WaitGroup.
+func isWaitGroup(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if ptr, ok := t.Underlying().(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	return named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup"
 }
 
 // rangeBind binds the key/value variables of a range statement. Only

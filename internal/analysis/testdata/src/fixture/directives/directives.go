@@ -33,6 +33,6 @@ func WrongScope(xs []int) []int {
 }
 
 func scopedReasonless() {
-	//cafe:allow goroutine
+	//cafe:allow poolescape
 	_ = 0
 }

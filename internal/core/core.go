@@ -73,7 +73,9 @@ type FineMode int
 
 const (
 	// FineFull runs unrestricted Smith–Waterman on each candidate:
-	// exact scores, highest cost.
+	// exact scores, highest cost. The score pass is striped
+	// (align.StripedProfile, four 16-bit DP lanes per uint64); a pair
+	// beyond the lanes' capacity takes the scalar Subst.LocalScore.
 	FineFull FineMode = iota
 	// FineBanded runs a banded Smith–Waterman around each candidate's
 	// best hit diagonal: near-exact at a fraction of the cost.
@@ -91,38 +93,6 @@ func (m FineMode) String() string {
 	return fmt.Sprintf("FineMode(%d)", int(m))
 }
 
-// FineKernel selects the scoring kernel of the fine phase's
-// full-matrix aligner.
-type FineKernel int
-
-const (
-	// FineKernelAuto picks the fastest exact kernel for the fine mode:
-	// bitvector under FineFull, scalar under FineBanded (which has no
-	// bit-parallel form).
-	FineKernelAuto FineKernel = iota
-	// FineKernelScalar is the classic cell-at-a-time Smith–Waterman.
-	FineKernelScalar
-	// FineKernelBitvector is the bit-parallel striped kernel
-	// (align.StripedProfile): four 16-bit DP lanes per uint64, exact
-	// scores and the subject column the best alignment ends in, scalar
-	// fallback per candidate when a pair exceeds lane capacity. FineFull
-	// only.
-	FineKernelBitvector
-)
-
-// String returns the kernel's stats/CLI label.
-func (k FineKernel) String() string {
-	switch k {
-	case FineKernelAuto:
-		return "auto"
-	case FineKernelScalar:
-		return "scalar"
-	case FineKernelBitvector:
-		return "bitvector"
-	}
-	return fmt.Sprintf("FineKernel(%d)", int(k))
-}
-
 // Options configures one search.
 type Options struct {
 	// Candidates is the coarse-phase budget: at most this many
@@ -135,11 +105,6 @@ type Options struct {
 	CoarseMode CoarseMode
 	// FineMode selects the fine aligner.
 	FineMode FineMode
-	// FineKernel selects the fine scoring kernel. The default
-	// (FineKernelAuto) resolves to bitvector under FineFull and scalar
-	// under FineBanded; results are byte-identical either way, only
-	// speed differs.
-	FineKernel FineKernel
 	// Band is the half-width for FineBanded.
 	Band int
 	// MinScore discards fine alignments below this score.
@@ -223,12 +188,6 @@ func (o Options) validate() error {
 	if o.FineMode == FineBanded && o.Band < 1 {
 		return fmt.Errorf("core: banded fine phase needs Band ≥ 1, got %d", o.Band)
 	}
-	if o.FineKernel < FineKernelAuto || o.FineKernel > FineKernelBitvector {
-		return fmt.Errorf("core: unknown fine kernel (use auto, scalar or bitvector)")
-	}
-	if o.FineKernel == FineKernelBitvector && o.FineMode != FineFull {
-		return fmt.Errorf("core: the bitvector fine kernel requires FineFull (the banded aligner has no bit-parallel form)")
-	}
 	if o.MinScore < 0 || o.Limit < 0 {
 		return fmt.Errorf("core: negative MinScore or Limit")
 	}
@@ -239,17 +198,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("core: negative FineWorkers %d", o.FineWorkers)
 	}
 	return nil
-}
-
-// Kernel resolves FineKernelAuto to the kernel the search will run.
-func (o Options) Kernel() FineKernel {
-	if o.FineKernel != FineKernelAuto {
-		return o.FineKernel
-	}
-	if o.FineMode == FineFull {
-		return FineKernelBitvector
-	}
-	return FineKernelScalar
 }
 
 // Result is one search answer.
@@ -272,8 +220,8 @@ type Result struct {
 	// that leaves the alignment's end in Alignment, and only reported
 	// results get transcripts. fullTraceback marks FineFull results,
 	// traced as the unrestricted Smith–Waterman rather than the band;
-	// tiedEnd those whose score pass (the bitvector kernel) saw best
-	// cells in several subject columns and cannot say where Local ends.
+	// tiedEnd those whose striped score pass saw best cells in several
+	// subject columns and cannot say where Local ends.
 	bandCentre     int
 	needsTraceback bool
 	fullTraceback  bool
@@ -340,10 +288,15 @@ type Searcher struct {
 	// the high-water FineWorkers and reused across candidates.
 	seedScratch []*seedScratch
 
-	// bvProfile is the pooled striped query profile of the bitvector
-	// fine kernel, rebuilt once per strand (Build reuses its backing)
+	// bvProfile is the pooled striped query profile of the FineFull
+	// score pass, rebuilt once per strand (Build reuses its backing)
 	// and read-only while fine workers score against it.
 	bvProfile align.StripedProfile
+
+	// scalarFine makes FineFull skip the striped pass and score every
+	// candidate with the scalar fallback. Only this package's tests set
+	// it: the reference the equivalence suites hold the route to.
+	scalarFine bool
 }
 
 // fineScratch returns n pooled bestSeed scratches, one per fine
@@ -464,7 +417,6 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	if st != nil {
 		st.Reset()
 		st.Strands = 1
-		st.FineKernel = opts.Kernel().String()
 		start = time.Now()
 	}
 	forward, err := s.searchStrand(ctx, query, opts, st)
@@ -552,8 +504,8 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		subject := s.src.Sequence(r.ID)
 		if r.fullTraceback {
 			// The score pass knows where align.Local's alignment ends —
-			// the cell (scalar kernel) or the one column holding every
-			// best cell (bitvector) — unless best cells tie across
+			// the one column holding every best cell (striped pass) or the
+			// cell itself (scalar fallback) — unless best cells tie across
 			// columns; the scalar forward pass then finds Local's. Either
 			// way the transcript is Local's.
 			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
@@ -646,8 +598,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	// stats contribution returns by value (fineWork), so the parallel
 	// path needs no shared state.
 	coder := s.coder
-	useBitvector := opts.FineMode == FineFull && opts.Kernel() == FineKernelBitvector
-	if useBitvector && len(cands) > 0 {
+	if opts.FineMode == FineFull && len(cands) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
 	fine := func(c Candidate, sc *seedScratch) (Result, bool, fineWork) {
@@ -688,11 +639,11 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			// (see finishTracebacks), like the banded score-only pass.
 			var score, aEnd, bEnd int
 			var unique, striped bool
-			if useBitvector {
+			if !s.scalarFine {
 				score, bEnd, unique, striped = s.bvProfile.Score(seq, &sc.bv)
 			}
 			if !striped {
-				// Scalar kernel, or a pair beyond the lanes' capacity.
+				// A pair beyond the lanes' capacity.
 				score, aEnd, bEnd = s.subst.LocalScore(query, seq, &sc.banded)
 			}
 			r.Score = score
@@ -769,13 +720,13 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	}
 	scratches := s.fineScratch(workers)
 	var wg sync.WaitGroup
-	next := int64(-1)
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(sc *seedScratch) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
+				i := int(next.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}

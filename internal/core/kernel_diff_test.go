@@ -59,7 +59,7 @@ func tieFixture(t *testing.T, seed int64) (f *fixture, queries [][]byte) {
 	return f, [][]byte{q, lowQuery}
 }
 
-// stripedEnd re-runs the bitvector kernel's hand-over for one reported
+// stripedEnd re-runs the striped pass's hand-over for one reported
 // result: the first subject column holding a best cell and whether it is
 // the only one.
 func stripedEnd(t *testing.T, s *Searcher, strand, subject []byte) (bEnd int, unique bool) {
@@ -67,17 +67,18 @@ func stripedEnd(t *testing.T, s *Searcher, strand, subject []byte) (bEnd int, un
 	var sc align.StripedScratch
 	_, bEnd, unique, ok := align.NewStripedProfile(strand, s.scoring).Score(subject, &sc)
 	if !ok {
-		t.Fatalf("a %d × %d pair exceeds the lanes: the fixture must stay on the bitvector kernel", len(strand), len(subject))
+		t.Fatalf("a %d × %d pair exceeds the lanes: the fixture must stay inside the lanes", len(strand), len(subject))
 	}
 	return bEnd, unique
 }
 
 // TestFineKernelEquivalence is the end-to-end differential harness of
-// the bitvector kernel: the same search run with the scalar and the
-// bitvector fine kernel must return byte-identical result lists —
-// scores, rankings, spans and transcripts — across every coarse mode,
-// both strand settings, and a serial and a parallel fine phase, on a
-// collection where the bitvector results reach their transcripts both
+// the striped score pass: the same FineFull search run through the
+// scalar fallback alone (the test-only Searcher.scalarFine) and through
+// the striped route must return byte-identical result lists — scores,
+// rankings, spans and transcripts — across every coarse mode, both
+// strand settings, and a serial and a parallel fine phase, on a
+// collection where the striped results reach their transcripts both
 // ways: handed the one column holding every best cell, and through the
 // scalar forward pass when best cells tie across columns.
 func TestFineKernelEquivalence(t *testing.T) {
@@ -96,14 +97,14 @@ func TestFineKernelEquivalence(t *testing.T) {
 					opts.BothStrands = both
 					opts.FineWorkers = fw
 
-					opts.FineKernel = FineKernelScalar
+					s.scalarFine = true
 					var scalarStats SearchStats
 					want, err := s.SearchWithStats(query, opts, &scalarStats)
+					s.scalarFine = false
 					if err != nil {
 						t.Fatalf("%v both=%v fw=%d query %d scalar: %v", mode, both, fw, qi, err)
 					}
 
-					opts.FineKernel = FineKernelBitvector
 					var bvStats SearchStats
 					got, err := s.SearchWithStats(query, opts, &bvStats)
 					if err != nil {
@@ -135,14 +136,10 @@ func TestFineKernelEquivalence(t *testing.T) {
 						}
 					}
 
-					// The kernels did the same logical work and labelled
+					// The kernels did the same logical work and counted
 					// themselves truthfully.
-					if scalarStats.FineKernel != "scalar" || scalarStats.BitvectorAlignments != 0 {
-						t.Fatalf("scalar stats: kernel %q, bitvector alignments %d",
-							scalarStats.FineKernel, scalarStats.BitvectorAlignments)
-					}
-					if bvStats.FineKernel != "bitvector" {
-						t.Fatalf("bitvector stats: kernel %q", bvStats.FineKernel)
+					if scalarStats.BitvectorAlignments != 0 {
+						t.Fatalf("scalar stats: bitvector alignments %d", scalarStats.BitvectorAlignments)
 					}
 					if bvStats.BitvectorAlignments != bvStats.FineAlignments {
 						t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
@@ -164,53 +161,11 @@ func TestFineKernelEquivalence(t *testing.T) {
 	}
 }
 
-// TestFineKernelAutoAndValidation pins the kernel resolution rules:
-// auto is bitvector under FineFull and scalar under FineBanded, and an
-// explicit bitvector request under FineBanded is a configuration error.
-func TestFineKernelAutoAndValidation(t *testing.T) {
-	full := Options{FineMode: FineFull}
-	if k := full.Kernel(); k != FineKernelBitvector {
-		t.Fatalf("auto under FineFull resolved to %v", k)
-	}
-	banded := Options{FineMode: FineBanded}
-	if k := banded.Kernel(); k != FineKernelScalar {
-		t.Fatalf("auto under FineBanded resolved to %v", k)
-	}
-	explicit := Options{FineMode: FineFull, FineKernel: FineKernelScalar}
-	if k := explicit.Kernel(); k != FineKernelScalar {
-		t.Fatalf("explicit scalar resolved to %v", k)
-	}
-
-	f := makeFixture(t, 62, index.Options{K: 9})
-	s := newTestSearcher(t, f)
-	bad := DefaultOptions()
-	bad.FineMode = FineBanded
-	bad.FineKernel = FineKernelBitvector
-	if _, err := s.Search(f.query, bad); err == nil {
-		t.Fatal("bitvector + FineBanded validated")
-	}
-	bad.FineKernel = FineKernel(99)
-	if _, err := s.Search(f.query, bad); err == nil {
-		t.Fatal("out-of-range kernel validated")
-	}
-
-	// Auto under FineFull really runs the bitvector kernel; stats say so.
-	opts := DefaultOptions()
-	opts.FineMode = FineFull
-	var st SearchStats
-	if _, err := s.SearchWithStats(f.query, opts, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.FineKernel != "bitvector" || st.BitvectorAlignments == 0 {
-		t.Fatalf("auto FineFull stats: kernel %q, %d bitvector alignments", st.FineKernel, st.BitvectorAlignments)
-	}
-}
-
 // TestFineKernelCapacityFallback drives the per-candidate scalar
 // fallback: a scoring whose values overflow the 16-bit lanes makes
-// every pair exceed stripe capacity, so the bitvector search must fall
-// back to the scalar kernel candidate by candidate and still return
-// exactly the scalar results.
+// every pair exceed stripe capacity, so the search must fall back to the
+// scalar kernel candidate by candidate and still return exactly what
+// the scalar pass returns when asked first.
 func TestFineKernelCapacityFallback(t *testing.T) {
 	f := makeFixture(t, 63, index.Options{K: 9, StoreOffsets: true})
 	huge := align.Scoring{Match: 20000, Mismatch: 4, GapOpen: 10, GapExtend: 2}
@@ -223,12 +178,12 @@ func TestFineKernelCapacityFallback(t *testing.T) {
 	opts.FineMode = FineFull
 	opts.MinScore = 1
 
-	opts.FineKernel = FineKernelScalar
+	s.scalarFine = true
 	want, err := s.Search(f.query, opts)
+	s.scalarFine = false
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.FineKernel = FineKernelBitvector
 	var st SearchStats
 	got, err := s.SearchWithStats(f.query, opts, &st)
 	if err != nil {
@@ -248,11 +203,11 @@ func TestFineKernelCapacityFallback(t *testing.T) {
 	}
 }
 
-// TestFineKernelDegenerateInputs covers the fine phase's edge inputs
-// under the bitvector kernel: an all-N query (every interval is a
-// wildcard; the coarse phase may admit nothing) and an empty candidate
-// set forced by an unsatisfiable MinCoarseHits. Both kernels must agree
-// and neither may panic.
+// TestFineKernelDegenerateInputs covers the FineFull fine phase's edge
+// inputs: an all-N query (every interval is a wildcard; the coarse
+// phase may admit nothing) and an empty candidate set forced by an
+// unsatisfiable MinCoarseHits. The striped route and the scalar pass
+// must agree and neither may panic.
 func TestFineKernelDegenerateInputs(t *testing.T) {
 	f := makeFixture(t, 64, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
@@ -261,46 +216,35 @@ func TestFineKernelDegenerateInputs(t *testing.T) {
 	for i := range allN {
 		allN[i] = dna.WildN
 	}
-	for _, kernel := range []FineKernel{FineKernelScalar, FineKernelBitvector} {
+	var allNResults [2][]Result
+	for i, scalar := range []bool{true, false} {
+		s.scalarFine = scalar
 		opts := DefaultOptions()
 		opts.FineMode = FineFull
-		opts.FineKernel = kernel
 		rsN, errN := s.Search(allN, opts)
 		if errN != nil {
-			t.Fatalf("kernel %v all-N: %v", kernel, errN)
+			t.Fatalf("scalar=%v all-N: %v", scalar, errN)
 		}
-		_ = rsN // agreement with the scalar run is checked below
+		allNResults[i] = rsN
 
 		opts.MinCoarseHits = 1 << 20
 		empty, err := s.Search(f.query, opts)
 		if err != nil {
-			t.Fatalf("kernel %v empty candidates: %v", kernel, err)
+			t.Fatalf("scalar=%v empty candidates: %v", scalar, err)
 		}
 		if len(empty) != 0 {
-			t.Fatalf("kernel %v: %d results from an empty candidate set", kernel, len(empty))
+			t.Fatalf("scalar=%v: %d results from an empty candidate set", scalar, len(empty))
 		}
 	}
 
-	// Cross-kernel agreement on the all-N query, whatever it returns.
-	opts := DefaultOptions()
-	opts.FineMode = FineFull
-	opts.FineKernel = FineKernelScalar
-	want, err := s.Search(allN, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.FineKernel = FineKernelBitvector
-	got, err := s.Search(allN, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("all-N query: kernels disagree\n got %+v\nwant %+v", got, want)
+	// Agreement on the all-N query, whatever it returns.
+	if !reflect.DeepEqual(allNResults[1], allNResults[0]) {
+		t.Fatalf("all-N query: kernels disagree\n got %+v\nwant %+v", allNResults[1], allNResults[0])
 	}
 }
 
 // TestFineKernelCancellation extends PR 5's countdown-ctx coverage into
-// the bitvector fine phase: cancellation observed between candidates
+// the FineFull fine phase: cancellation observed between candidates
 // (serial and parallel fine) and during the deferred full tracebacks
 // must surface ctx.Err() with no partial results, and the searcher must
 // stay usable.
@@ -310,7 +254,6 @@ func TestFineKernelCancellation(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.FineMode = FineFull
-	opts.FineKernel = FineKernelBitvector
 
 	// Measure the poll budget of each stage from an uncancelled run:
 	// 1 entry check + one per query term (coarse) + one per candidate
@@ -350,7 +293,7 @@ func TestFineKernelCancellation(t *testing.T) {
 	}
 }
 
-// TestFineKernelScratchHammer drives the pooled bitvector profile and
+// TestFineKernelScratchHammer drives the pooled striped profile and
 // per-worker scratches hard under a parallel fine phase, both strands,
 // across repeated searches — the race detector (make test-race, CI's
 // race job) turns any scratch-sharing bug into a failure, and the
@@ -362,15 +305,15 @@ func TestFineKernelScratchHammer(t *testing.T) {
 
 	ref := DefaultOptions()
 	ref.FineMode = FineFull
-	ref.FineKernel = FineKernelScalar
 	ref.BothStrands = true
+	s.scalarFine = true
 	want, err := s.Search(f.query, ref)
+	s.scalarFine = false
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts := ref
-	opts.FineKernel = FineKernelBitvector
 	opts.FineWorkers = 8
 	for i := 0; i < 25; i++ {
 		got, err := s.Search(f.query, opts)
@@ -378,7 +321,7 @@ func TestFineKernelScratchHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iteration %d: parallel bitvector differs from serial scalar", i)
+			t.Fatalf("iteration %d: parallel striped differs from serial scalar", i)
 		}
 	}
 }

@@ -48,8 +48,10 @@ func splitSegments(t *testing.T, f *fixture, rng *rand.Rand, k int) []Segment {
 // TestSegmentedSearchEquivalence is the engine's segmentation
 // invariant: a searcher over any segmentation of the collection
 // returns results byte-identical to the monolithic searcher, for every
-// coarse mode, both fine kernels, and a serial and a parallel fine
-// phase — segment count 1 through 8 with random boundaries.
+// coarse mode, both fine modes — FineFull through the striped route and
+// through the scalar pass alone (the test-only scalarFine) — and a
+// serial and a parallel fine phase, segment count 1 through 8 with
+// random boundaries.
 func TestSegmentedSearchEquivalence(t *testing.T) {
 	f := makeFixture(t, 77, index.Options{K: 9, StoreOffsets: true})
 	mono := newTestSearcher(t, f)
@@ -57,12 +59,12 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 
 	type fineCfg struct {
 		mode   FineMode
-		kernel FineKernel
+		scalar bool
 	}
 	fines := []fineCfg{
-		{FineBanded, FineKernelScalar},
-		{FineFull, FineKernelScalar},
-		{FineFull, FineKernelBitvector},
+		{FineBanded, false},
+		{FineFull, false},
+		{FineFull, true},
 	}
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
 	fineWorkers := []int{0, 2}
@@ -82,11 +84,11 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 					opts := DefaultOptions()
 					opts.CoarseMode = cm
 					opts.FineMode = fc.mode
-					opts.FineKernel = fc.kernel
+					mono.scalarFine, seg.scalarFine = fc.scalar, fc.scalar
 					opts.FineWorkers = fw
 					opts.BothStrands = cm == CoarseDiagonal // exercise the strand loop too
-					name := fmt.Sprintf("k=%d mode=%v fine=%v/%v workers=%d",
-						k, cm, fc.mode, fc.kernel, fw)
+					name := fmt.Sprintf("k=%d mode=%v fine=%v scalar=%v workers=%d",
+						k, cm, fc.mode, fc.scalar, fw)
 
 					var wantSt, gotSt SearchStats
 					want, err := mono.SearchWithStats(f.query, opts, &wantSt)

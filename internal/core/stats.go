@@ -48,14 +48,11 @@ type SearchStats struct {
 	// most CoarseCandidates.
 	FineAlignments int `json:"fine_alignments"`
 	// BitvectorAlignments is the number of fine alignments the
-	// bit-parallel kernel scored (the rest ran the scalar kernel,
-	// either by configuration or as the capacity fallback). Always
+	// bit-parallel striped kernel scored: every FineFull alignment
+	// whose pair fits its 16-bit lanes (the rest took the scalar
+	// capacity fallback), none under FineBanded. Always
 	// ≤ FineAlignments.
 	BitvectorAlignments int `json:"bitvector_alignments"`
-	// FineKernel is the resolved fine kernel of this search
-	// ("scalar" or "bitvector"); "mixed" after Add over searches that
-	// disagree.
-	FineKernel string `json:"fine_kernel"`
 	// TracebackAlignments is the number of deferred tracebacks run for
 	// reported results.
 	TracebackAlignments int `json:"traceback_alignments"`
@@ -99,12 +96,6 @@ func (st *SearchStats) Add(o SearchStats) {
 	st.PrescreenRejections += o.PrescreenRejections
 	st.FineAlignments += o.FineAlignments
 	st.BitvectorAlignments += o.BitvectorAlignments
-	switch {
-	case st.FineKernel == "":
-		st.FineKernel = o.FineKernel
-	case o.FineKernel != "" && o.FineKernel != st.FineKernel:
-		st.FineKernel = "mixed"
-	}
 	st.TracebackAlignments += o.TracebackAlignments
 	st.FineDPCells += o.FineDPCells
 	st.TracebackDPCells += o.TracebackDPCells

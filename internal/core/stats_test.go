@@ -340,20 +340,24 @@ func TestStatsPostingsMatchIndexWalk(t *testing.T) {
 // every candidate is a result. Banded: the fine counter is the sum of
 // the full-query bands; the traceback counter is the sum of the bands
 // cut at each alignment's end row, which is what the truncated traceback
-// computes. Full, either kernel: the fine counter is the sum of the whole
+// computes. Full, by the striped route or by the scalar pass alone (the
+// test-only scalarFine): the fine counter is the sum of the whole
 // matrices; the traceback counter is the sum of the strips
-// align.LocalEndingAt traces — from the end cell under the scalar kernel,
-// from the end column under the bitvector kernel — plus one more whole
+// align.LocalEndingAt traces — from the end cell after the scalar pass,
+// from the end column after the striped one — plus one more whole
 // matrix for each result whose best cells tie across columns, the scalar
-// forward pass that finds which of them align.Local ends at.
+// forward pass that finds which of them align.Local ends at. The striped
+// route scores every alignment in the lanes, the scalar pass none.
 func TestStatsCellsMatchKernelWork(t *testing.T) {
 	f, queries := tieFixture(t, 43)
 	s := newTestSearcher(t, f)
 	query := queries[0]
-	search := func(mode FineMode, kernel FineKernel) ([]Result, SearchStats) {
+	search := func(mode FineMode, scalar bool) ([]Result, SearchStats) {
 		t.Helper()
+		s.scalarFine = scalar
+		defer func() { s.scalarFine = false }()
 		opts := DefaultOptions()
-		opts.FineMode, opts.FineKernel = mode, kernel
+		opts.FineMode = mode
 		opts.MinScore, opts.Limit = 0, 0
 		var st SearchStats
 		rs, err := s.SearchWithStats(query, opts, &st)
@@ -361,7 +365,7 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rs) != st.CoarseCandidates || len(rs) == 0 {
-			t.Fatalf("%v/%v: %d results for %d candidates: the fixture must report every candidate", mode, kernel, len(rs), st.CoarseCandidates)
+			t.Fatalf("%v scalar=%v: %d results for %d candidates: the fixture must report every candidate", mode, scalar, len(rs), st.CoarseCandidates)
 		}
 		return rs, st
 	}
@@ -376,7 +380,7 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 	}
 
 	band := DefaultOptions().Band
-	rs, st := search(FineBanded, FineKernelAuto)
+	rs, st := search(FineBanded, false)
 	var fine, traceback, untruncated int64
 	for _, r := range rs {
 		subject := f.store.Sequence(r.ID)
@@ -392,8 +396,8 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 		t.Errorf("truncation saved nothing: %d cells against %d untruncated — the fixture no longer exercises it", traceback, untruncated)
 	}
 
-	for _, kernel := range []FineKernel{FineKernelScalar, FineKernelBitvector} {
-		rs, st := search(FineFull, kernel)
+	for _, scalar := range []bool{true, false} {
+		rs, st := search(FineFull, scalar)
 		var fine, traceback int64
 		ties := 0
 		for _, r := range rs {
@@ -404,7 +408,7 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 				continue
 			}
 			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
-			if kernel == FineKernelBitvector {
+			if !scalar {
 				if col, unique := stripedEnd(t, s, query, subject); unique {
 					aEnd, bEnd = 0, col // handed the column alone
 				} else {
@@ -414,9 +418,16 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 			}
 			traceback += s.subst.TraceCells(len(query), r.Score, aEnd, bEnd)
 		}
-		check("full/"+kernel.String(), st, fine, traceback)
-		if kernel == FineKernelBitvector && (ties == 0 || ties == len(rs)) {
-			t.Errorf("%d of %d bitvector results tied: the fixture must bill both hand-overs", ties, len(rs))
+		name, lanes := "full/striped", st.FineAlignments
+		if scalar {
+			name, lanes = "full/scalar", 0
+		}
+		check(name, st, fine, traceback)
+		if st.BitvectorAlignments != lanes {
+			t.Errorf("%s: BitvectorAlignments = %d, want %d of %d fine alignments", name, st.BitvectorAlignments, lanes, st.FineAlignments)
+		}
+		if !scalar && (ties == 0 || ties == len(rs)) {
+			t.Errorf("%d of %d striped results tied: the fixture must bill both hand-overs", ties, len(rs))
 		}
 	}
 }

@@ -257,7 +257,6 @@ type searchRequest struct {
 	Band       *int   `json:"band"`
 	Strands    *bool  `json:"strands"`
 	Exact      *bool  `json:"exact"`
-	FineKernel string `json:"fine_kernel"`
 	CoarseMode string `json:"coarse_mode"`
 	Timeout    string `json:"timeout"`
 	Stats      bool   `json:"stats"`
@@ -325,9 +324,12 @@ func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (
 		if err := decodeBody(w, r, maxBody, &req); err != nil {
 			return req, err
 		}
-		return req, req.validateNames()
+		return req, validCoarseMode(req.CoarseMode)
 	}
 	q := r.URL.Query()
+	if err := knownParams(q); err != nil {
+		return req, err
+	}
 	req.Query = q.Get("q")
 	if req.Query == "" {
 		req.Query = q.Get("query")
@@ -365,37 +367,41 @@ func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (
 		return req, err
 	}
 	req.NoCache = b != nil && *b
-	req.FineKernel = q.Get("fine_kernel")
 	req.CoarseMode = q.Get("coarse_mode")
-	if err := req.validateNames(); err != nil {
+	if err := validCoarseMode(req.CoarseMode); err != nil {
 		return req, err
 	}
 	req.Timeout = q.Get("timeout")
 	return req, nil
 }
 
-// validateNames rejects unknown enumerated parameter values at the
-// request boundary — a typo'd kernel or mode must 400 here, with a
-// friendlier message than the engine's validation, never fall through
-// to a default.
-func (req searchRequest) validateNames() error {
-	if err := validFineKernel(req.FineKernel); err != nil {
-		return err
-	}
-	return validCoarseMode(req.CoarseMode)
+// searchParams is every GET parameter /search reads.
+var searchParams = map[string]bool{
+	"q": true, "query": true, "limit": true, "candidates": true, "minscore": true,
+	"prescreen": true, "band": true, "strands": true, "exact": true,
+	"coarse_mode": true, "timeout": true, "stats": true, "nocache": true,
 }
 
-// validFineKernel rejects unknown fine_kernel values at the request
-// boundary, with a friendlier message than the engine's validation.
-func validFineKernel(v string) error {
-	switch v {
-	case "", "auto", "scalar", "bitvector":
-		return nil
+// knownParams rejects a GET parameter /search does not read, as
+// DisallowUnknownFields does for a POST body: a misspelt name must 400
+// here, never fall through to a default. Of several it names the first
+// in byte order, so the reply does not depend on map iteration.
+func knownParams(q url.Values) error {
+	unknown := ""
+	for name := range q {
+		if !searchParams[name] && (unknown == "" || name < unknown) {
+			unknown = name
+		}
 	}
-	return fmt.Errorf("parameter fine_kernel=%q must be auto, scalar or bitvector", v)
+	if unknown != "" {
+		return fmt.Errorf("unknown parameter %q", unknown)
+	}
+	return nil
 }
 
-// validCoarseMode rejects unknown coarse_mode values.
+// validCoarseMode rejects unknown coarse_mode values at the request
+// boundary — a typo'd mode must 400 here, with a friendlier message
+// than the engine's validation, never fall through to a default.
 func validCoarseMode(v string) error {
 	switch v {
 	case "", "distinct", "total", "normalised", "diagonal":
@@ -429,9 +435,6 @@ func (s *Server) options(req searchRequest) nucleodb.SearchOptions {
 	if req.Exact != nil {
 		opts.Exact = *req.Exact
 	}
-	if req.FineKernel != "" {
-		opts.FineKernel = req.FineKernel
-	}
 	if req.CoarseMode != "" {
 		opts.CoarseMode = req.CoarseMode
 	}
@@ -460,10 +463,10 @@ func (s *Server) timeout(req searchRequest) (time.Duration, error) {
 // cacheKey builds the result-cache key: the canonical query letters
 // (encode/decode normalises case and U→T) plus every option that
 // affects the answer — CoarseMode changes the ranking, so it is part
-// of the key. Execution knobs that are proven result-neutral
-// (FineWorkers, FineKernel — the equivalence property tests lock in
-// byte-identical output) are deliberately excluded, so serial, parallel
-// and bitvector-kernel configurations share cache entries.
+// of the key. FineWorkers, the one execution knob, is proven
+// result-neutral (TestParallelFineMatchesSerial locks in byte-identical
+// output) and deliberately excluded, so serial and parallel
+// configurations share cache entries.
 func cacheKey(canonical string, opts nucleodb.SearchOptions) string {
 	return fmt.Sprintf("%s|%d|%d|%s|%t|%d|%d|%d|%t|%d",
 		canonical, opts.Candidates, opts.MinCoarseHits, opts.CoarseMode, opts.Exact,

@@ -303,7 +303,6 @@ func TestNewRejectsBadDefaultOptions(t *testing.T) {
 		{"zero candidates", func(o *nucleodb.SearchOptions) { o.Candidates = 0 }, "candidate budget 0 must be positive"},
 		{"negative limit", func(o *nucleodb.SearchOptions) { o.Limit = -1 }, "negative MinScore or Limit"},
 		{"unknown coarse mode", func(o *nucleodb.SearchOptions) { o.CoarseMode = "cosine" }, "unknown coarse mode"},
-		{"unknown fine kernel", func(o *nucleodb.SearchOptions) { o.FineKernel = "simd" }, "unknown fine kernel"},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()
@@ -379,6 +378,38 @@ func TestBadRequests(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error == "" {
 			t.Errorf("%s: body is not an error JSON: %s", tc.name, rec.Body.String())
 		}
+	}
+}
+
+// TestUnknownParameterRejected: a name /search does not read is a 400
+// on both methods — a misspelt GET parameter must not run the query on
+// the default it meant to override, as a misspelt POST field does not —
+// and every name it does read still gets through.
+func TestUnknownParameterRejected(t *testing.T) {
+	db := testDB(t)
+	s := newTestServer(t, db, nil)
+	const q = "ACGTACGTACGTACGT"
+	for _, tc := range []struct{ query, want string }{
+		{"candidtes=5", `unknown parameter "candidtes"`},
+		{"fine_kernel=scalar", `unknown parameter "fine_kernel"`},
+		{"zz=1&limit=3&aa=2", `unknown parameter "aa"`},
+	} {
+		rec, body := get(t, s.Handler(), "/search?q="+q+"&"+tc.query)
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || rec.Code != 400 || er.Error != tc.want {
+			t.Errorf("GET %s: status %d, body %s; want 400 %s", tc.query, rec.Code, body, tc.want)
+		}
+	}
+	for _, field := range []string{"candidtes", "fine_kernel"} {
+		rec, body := post(t, s.Handler(), "/search", map[string]any{"query": q, field: 5})
+		if rec.Code != 400 || !strings.Contains(string(body), `unknown field \"`+field+`\"`) {
+			t.Errorf("POST %s: status %d, body %s; want 400 naming the field", field, rec.Code, body)
+		}
+	}
+	all := "/search?query=" + q + "&q=" + q + "&limit=3&candidates=50&minscore=1&prescreen=0&band=16" +
+		"&strands=1&exact=1&coarse_mode=total&timeout=5s&stats=1&nocache=1"
+	if rec, body := get(t, s.Handler(), all); rec.Code != 200 {
+		t.Errorf("every known parameter at once: status %d: %s", rec.Code, body)
 	}
 }
 

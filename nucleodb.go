@@ -398,11 +398,6 @@ type SearchOptions struct {
 	Exact bool
 	// Band is the banded aligner's half-width when Exact is false.
 	Band int
-	// FineKernel selects the fine-phase scoring kernel: "" or "auto"
-	// (bit-parallel under Exact, scalar under the banded default),
-	// "scalar", or "bitvector" (Exact searches only). Results are
-	// byte-identical whichever kernel runs; only speed differs.
-	FineKernel string
 	// MinScore discards alignments below this score.
 	MinScore int
 	// Limit truncates the result list; 0 keeps everything.
@@ -451,23 +446,11 @@ func (o SearchOptions) internal() core.Options {
 	if o.Exact {
 		fine = core.FineFull
 	}
-	var kernel core.FineKernel
-	switch o.FineKernel {
-	case "", "auto":
-		kernel = core.FineKernelAuto
-	case "scalar":
-		kernel = core.FineKernelScalar
-	case "bitvector":
-		kernel = core.FineKernelBitvector
-	default:
-		kernel = core.FineKernel(-1) // rejected by core's validation
-	}
 	return core.Options{
 		Candidates:    o.Candidates,
 		MinCoarseHits: o.MinCoarseHits,
 		CoarseMode:    mode,
 		FineMode:      fine,
-		FineKernel:    kernel,
 		Band:          o.Band,
 		MinScore:      o.MinScore,
 		Limit:         o.Limit,

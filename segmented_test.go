@@ -12,7 +12,7 @@ import (
 )
 
 // searchGrid is the public-API option matrix the equivalence suite
-// compares across: every coarse ranking, both fine phases and kernels,
+// compares across: every coarse ranking, both fine phases,
 // strand handling, prescreen, and a serial vs parallel fine phase.
 func searchGrid() map[string]SearchOptions {
 	grid := map[string]SearchOptions{}
@@ -27,8 +27,7 @@ func searchGrid() map[string]SearchOptions {
 
 	exact := base
 	exact.Exact = true
-	exact.FineKernel = "bitvector"
-	grid["exact-bitvector"] = exact
+	grid["exact"] = exact
 
 	strands := base
 	strands.BothStrands = true
