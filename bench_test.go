@@ -469,32 +469,3 @@ func BenchmarkIndexMerge(b *testing.B) {
 	})
 	_ = env
 }
-
-// BenchmarkIntersect measures conjunctive term intersection with and
-// without skip support (experiment E9's kernel).
-func BenchmarkIntersect(b *testing.B) {
-	env, _ := benchSetup(b)
-	for _, skip := range []int{0, 8} {
-		idx, err := index.Build(env.Store, index.Options{K: 6, SkipInterval: skip})
-		if err != nil {
-			b.Fatal(err)
-		}
-		coder := kmer.MustCoder(6)
-		var terms []kmer.Term
-		coder.ExtractFunc(env.Queries[0].Codes, func(_ int, t kmer.Term) {
-			if len(terms) < 4 && idx.DF(t) > 0 {
-				terms = append(terms, t)
-			}
-		})
-		if len(terms) < 2 {
-			b.Skip("query too short for intersection bench")
-		}
-		b.Run(fmt.Sprintf("skip=%d", skip), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := idx.IntersectTerms(terms); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -193,10 +193,10 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("search on merged db:\n%s", out)
 	}
 
-	// A spaced-seed, skip-enabled database builds and searches too.
+	// A spaced-seed database builds and searches too.
 	dbSpaced := filepath.Join(work, "db-spaced")
 	out = run(t, tools["cafe-build"], "-in", fasta, "-db", dbSpaced,
-		"-mask", "1110100101", "-skip", "1", "-stop", "0.01")
+		"-mask", "1110100101", "-stop", "0.01")
 	if !strings.Contains(out, "built") {
 		t.Fatalf("spaced build output:\n%s", out)
 	}
@@ -205,8 +205,19 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("spaced search output:\n%s", out)
 	}
 	out = run(t, tools["cafe-inspect"], "-db", dbSpaced)
-	if !strings.Contains(out, "skip interval:    1") {
+	if !strings.Contains(out, "interval length:  6") || strings.Contains(out, "skip interval") {
 		t.Fatalf("inspect on spaced db:\n%s", out)
+	}
+
+	// Skipped lists are gone: -skip is an unknown flag, and nothing is
+	// written for it.
+	dbSkip := filepath.Join(work, "db-skip")
+	skipOut, err := exec.Command(tools["cafe-build"], "-in", fasta, "-db", dbSkip, "-skip", "1").CombinedOutput()
+	if err == nil || !strings.Contains(string(skipOut), "flag provided but not defined: -skip") {
+		t.Fatalf("cafe-build -skip 1: err %v, output:\n%s", err, skipOut)
+	}
+	if _, err := os.Stat(dbSkip); !os.IsNotExist(err) {
+		t.Fatalf("refused build left %s behind (stat err = %v)", dbSkip, err)
 	}
 
 	// A multi-segment database gets the same one inspect view: the
@@ -239,10 +250,10 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("reopened database has %d sequences (record 300 %q), want the 301st appended", got, d.Desc(got-1))
 	}
 
-	// A focused bench experiment (the fastest one) exercises the
-	// experiment runner end to end.
-	out = run(t, tools["cafe-bench"], "-run", "E9", "-bases", "100000", "-queries", "4")
-	if !strings.Contains(out, "E9") || !strings.Contains(out, "skip interval") {
+	// A focused bench experiment exercises the experiment runner end to
+	// end.
+	out = run(t, tools["cafe-bench"], "-run", "E10", "-bases", "100000", "-queries", "4")
+	if !strings.Contains(out, "E10") || !strings.Contains(out, "query bases") {
 		t.Fatalf("cafe-bench output:\n%s", out)
 	}
 }

@@ -34,7 +34,6 @@ func main() {
 		k       = flag.Int("k", 9, "interval (substring) length, 1-12")
 		offsets = flag.Bool("offsets", true, "store occurrence offsets (enables diagonal ranking)")
 		stop    = flag.Float64("stop", 0, "index stopping: fraction of most frequent intervals to drop")
-		skip    = flag.Int("skip", 0, "posting-list skip interval (1 = sqrt heuristic, 0 = none)")
 		workers = flag.Int("workers", 0, "build parallelism (0 = all CPUs)")
 		mask    = flag.String("mask", "", "spaced seed mask (e.g. 111010010100110111); overrides -k")
 		segSize = flag.Int("segment-size", 0, "records per segment (0 = the whole collection in one segment)")
@@ -55,7 +54,6 @@ func main() {
 	cfg.IntervalLength = *k
 	cfg.StoreOffsets = *offsets
 	cfg.StopFraction = *stop
-	cfg.SkipInterval = *skip
 	cfg.Workers = *workers
 	cfg.SpacedMask = *mask
 

@@ -89,7 +89,6 @@ func main() {
 			"total_postings":  totalPostings,
 			"interval_length": opts.K,
 			"offsets_stored":  opts.StoreOffsets,
-			"skip_interval":   opts.SkipInterval,
 			"terms_indexed":   len(df),
 			"terms_stopped":   termsStopped,
 		}
@@ -134,7 +133,6 @@ func main() {
 	fmt.Printf("  size:             %d bytes\n", indexBytes)
 	fmt.Printf("  interval length:  %d (vocabulary %d)\n", opts.K, coder.NumTerms())
 	fmt.Printf("  offsets stored:   %v\n", opts.StoreOffsets)
-	fmt.Printf("  skip interval:    %d\n", opts.SkipInterval)
 	fmt.Printf("  terms indexed:    %d (%.1f%% of vocabulary)\n",
 		len(df), 100*float64(len(df))/float64(coder.NumTerms()))
 	fmt.Printf("  terms stopped:    %d summed over segments (fraction %.4f)\n", termsStopped, opts.StopFraction)

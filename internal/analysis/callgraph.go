@@ -53,6 +53,16 @@ type callGraph struct {
 	sccOf map[*types.Func]int
 }
 
+// callGraph returns the module call graph, building it on first use:
+// the pooled-buffer summaries and the mutation summaries read the one
+// graph.
+func (p *Program) callGraph() *callGraph {
+	if p.cg == nil {
+		p.cg = buildCallGraph(p)
+	}
+	return p.cg
+}
+
 // buildCallGraph constructs the call graph of prog.
 func buildCallGraph(prog *Program) *callGraph {
 	cg := &callGraph{

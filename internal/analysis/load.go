@@ -82,6 +82,9 @@ type Program struct {
 	// frozen records type declarations annotated //cafe:frozen: values
 	// of these types are immutable once published.
 	frozen map[*types.TypeName]bool
+	// cg is the module call graph, built by the first pass that asks
+	// (see callGraph); passes run one after another, so no lock.
+	cg *callGraph
 }
 
 // Hot reports whether fn was declared with a //cafe:hotpath directive.

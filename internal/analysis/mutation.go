@@ -88,7 +88,6 @@ func resultBit(i int) uint16 {
 // ready; DefaultPasses hands one instance to both passes.
 type MutShared struct {
 	once    bool
-	cg      *callGraph
 	sums    map[*types.Func]*mutSummary
 	swaps   map[*types.Func]token.Pos
 	results map[*Package]*mutResults
@@ -102,9 +101,9 @@ type mutResults struct {
 func (s *MutShared) analyze(prog *Program, pkg *Package) *mutResults {
 	if !s.once {
 		s.once = true
-		s.cg = buildCallGraph(prog)
-		s.swaps = transClosureBool(s.cg.callees, directSwaps(s.cg))
-		s.sums = computeMutSummaries(prog, s.cg, s.swaps)
+		cg := prog.callGraph()
+		s.swaps = transClosureBool(cg.callees, directSwaps(cg))
+		s.sums = computeMutSummaries(prog, cg, s.swaps)
 		s.results = map[*Package]*mutResults{}
 	}
 	if r := s.results[pkg]; r != nil {

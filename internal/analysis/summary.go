@@ -46,7 +46,7 @@ type funcSummary struct {
 // processed callees-first; recursive components iterate until their
 // summaries stop changing or summaryDepth rounds have run.
 func computeSummaries(prog *Program) (map[*types.Func]*funcSummary, map[*types.Func]goDecl) {
-	cg := buildCallGraph(prog)
+	cg := prog.callGraph()
 	sums := map[*types.Func]*funcSummary{}
 	summarize := func(fn *types.Func) bool {
 		if prog.PooledFunc(fn) {

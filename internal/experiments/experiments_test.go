@@ -232,31 +232,6 @@ func TestE8Shapes(t *testing.T) {
 	}
 }
 
-func TestE9Shapes(t *testing.T) {
-	rows, err := E9(nil, tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 3 {
-		t.Fatalf("only %d rows", len(rows))
-	}
-	if rows[0].SkipInterval != 0 {
-		t.Fatalf("first row must be the plain-index baseline: %+v", rows[0])
-	}
-	// All configurations return the same intersections.
-	for _, r := range rows[1:] {
-		if r.Intersected != rows[0].Intersected {
-			t.Errorf("skip=%d mean results %d differ from baseline %d",
-				r.SkipInterval, r.Intersected, rows[0].Intersected)
-		}
-		// Skips cost index size.
-		if r.IndexBytes <= rows[0].IndexBytes {
-			t.Errorf("skip=%d index %d not larger than plain %d",
-				r.SkipInterval, r.IndexBytes, rows[0].IndexBytes)
-		}
-	}
-}
-
 func TestE10Shapes(t *testing.T) {
 	rows, err := E10(nil, tiny())
 	if err != nil {

@@ -24,7 +24,6 @@ func Suite() []Runner {
 		{"E6", "query time vs collection size (Figure 2)", wrap(E6)},
 		{"E7", "sequence-store coding (Table 5)", wrap(E7)},
 		{"E8", "coarse ranking ablation (Table 6)", wrap(E8)},
-		{"E9", "skipped lists for conjunctive processing (extension)", wrap(E9)},
 		{"E10", "query length sweep (extension)", wrap(E10)},
 		{"E11", "paged vs in-memory index residency (extension)", wrap(E11)},
 		{"E12", "spaced vs contiguous seeds at high divergence (extension)", wrap(E12)},

@@ -16,7 +16,6 @@ func TestIndexCompleteness(t *testing.T) {
 		{K: 4, StoreOffsets: true},
 		{K: 7, StoreOffsets: true},
 		{K: 5, StoreOffsets: true, StopFraction: 0.02},
-		{K: 5, StoreOffsets: true, SkipInterval: 3},
 		{SpacedMask: "110101", StoreOffsets: true},
 	} {
 		s := randomStore(231+int64(opts.K), 30, 250)

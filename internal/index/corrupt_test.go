@@ -2,8 +2,10 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"nucleodb/internal/kmer"
@@ -53,7 +55,7 @@ func walkIndex(x *Index) error {
 func TestLoadCorruptImages(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"plain":   {K: 4},
-		"offsets": {K: 5, StoreOffsets: true, SkipInterval: 4},
+		"offsets": {K: 5, StoreOffsets: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			img := saveImage(t, opts)
@@ -110,7 +112,7 @@ func TestLoadCorruptImages(t *testing.T) {
 // reader: a corrupt file on disk must produce errors, not panics, both
 // at open time and when posting lists are fetched on demand.
 func TestOpenDiskCorruptFiles(t *testing.T) {
-	img := saveImage(t, Options{K: 5, StoreOffsets: true, SkipInterval: 4})
+	img := saveImage(t, Options{K: 5, StoreOffsets: true})
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
 		t.Helper()
@@ -166,4 +168,40 @@ func TestOpenDiskCorruptFiles(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSkippedIndexRefused pins the one incompatibility of dropping
+// skipped lists: an index whose header carries a non-zero skip interval
+// (its fourth field; Save writes 0) is refused by Load and OpenDisk with
+// the message that names the remedy, and from the header alone — the
+// image cut off right after that field fails the same way, so nothing
+// past it was read.
+func TestSkippedIndexRefused(t *testing.T) {
+	img := saveImage(t, DefaultOptions())
+	pos := len(indexMagic)
+	for field := 0; field < 3; field++ { // K, offsets flag, stop fraction
+		_, n := binary.Uvarint(img[pos:])
+		pos += n
+	}
+	if img[pos] != 0 {
+		t.Fatalf("a default index stores skip interval %d, want 0", img[pos])
+	}
+	img[pos] = 4
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"whole": img, "header-only": img[:pos+1]} {
+		path := filepath.Join(dir, name+".ndx")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, loadErr := Load(bytes.NewReader(data))
+		x, diskErr := OpenDisk(path)
+		if diskErr == nil {
+			x.Close()
+		}
+		for via, err := range map[string]error{"Load": loadErr, "OpenDisk": diskErr} {
+			if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") {
+				t.Errorf("%s of the %s image: %v, want the rebuild message", via, name, err)
+			}
+		}
+	}
 }

@@ -13,9 +13,9 @@ import (
 // hold in memory, where each query touches only its own terms' lists.
 //
 // The returned index supports the full read API (Reader, Postings,
-// SkippedReader, IntersectTerms, Merge as a source) concurrently from
-// multiple goroutines; Save and SerializedBytes are not supported.
-// Close releases the underlying file.
+// Merge as a source) concurrently from multiple goroutines; Save and
+// SerializedBytes are not supported. Close releases the underlying
+// file.
 func OpenDisk(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -61,7 +61,7 @@ func (x *Index) Close() error {
 	err := x.closer.Close()
 	x.closer = nil
 	x.fetch = func(uint64, uint32, []byte) ([]byte, error) {
-		return nil, fmt.Errorf("index: read after Close")
+		return nil, fmt.Errorf("index: read after Close: %w", os.ErrClosed)
 	}
 	return err
 }

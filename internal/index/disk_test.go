@@ -1,9 +1,11 @@
 package index
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,7 +34,7 @@ func TestOpenDiskMatchesLoad(t *testing.T) {
 	s := randomStore(181, 60, 300)
 	for _, opts := range []Options{
 		{K: 5, StoreOffsets: true},
-		{K: 5, SkipInterval: 4},
+		{K: 5},
 	} {
 		built, err := Build(s, opts)
 		if err != nil {
@@ -63,23 +65,6 @@ func TestOpenDiskMatchesLoad(t *testing.T) {
 				t.Fatalf("term %d postings differ on disk", term)
 			}
 		})
-		if opts.SkipInterval > 0 {
-			// Seeks work against the disk too.
-			var term kmer.Term
-			bestDF := 0
-			disk.Terms(func(tm kmer.Term, df int) {
-				if df > bestDF {
-					term, bestDF = tm, df
-				}
-			})
-			it, err := disk.SkippedReader(term)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !it.SeekGE(0) {
-				t.Error("disk skip seek failed")
-			}
-		}
 		if err := disk.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -158,6 +143,42 @@ func TestOpenDiskErrors(t *testing.T) {
 	}
 	if _, err := OpenDisk(short); err == nil {
 		t.Error("truncated blob accepted")
+	}
+}
+
+// TestOpenDiskReadErrorReported injects a failed paged read the one way
+// that needs no hook — reading after Close — and requires the iterator
+// to report that read, not a corrupt list: an operator sent after index
+// corruption that is not there is the bug this pins.
+func TestOpenDiskReadErrorReported(t *testing.T) {
+	built, err := Build(randomStore(185, 20, 200), Options{K: 4, StoreOffsets: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := OpenDisk(saveToFile(t, built))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var it postings.Iterator
+	if df := disk.Reader(kmer.Term(built.terms[0]), &it); df == 0 {
+		t.Fatal("first lexicon term has no list")
+	}
+	if it.Next() {
+		t.Fatal("Next returned an entry from a closed index")
+	}
+	err = it.Err()
+	if err == nil || !strings.Contains(err.Error(), "read after Close") || strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Err() = %v, want the read after Close, not a corrupt list", err)
+	}
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Err() = %v does not wrap os.ErrClosed", err)
+	}
+	// The iterator is reusable: a later list reads clean.
+	if built.Reader(kmer.Term(built.terms[0]), &it); !it.Next() || it.Err() != nil {
+		t.Fatalf("iterator not reusable after a failed read: %v", it.Err())
 	}
 }
 

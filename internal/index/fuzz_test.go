@@ -12,7 +12,7 @@ import (
 // garbage with an error — never panic, hang, or allocate absurdly.
 func FuzzLoad(f *testing.F) {
 	s := randomStore(111, 10, 200)
-	for _, opts := range []Options{{K: 4}, {K: 5, StoreOffsets: true, SkipInterval: 4}} {
+	for _, opts := range []Options{{K: 4}, {K: 5, StoreOffsets: true}} {
 		idx, err := Build(s, opts)
 		if err != nil {
 			f.Fatal(err)

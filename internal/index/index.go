@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"nucleodb/internal/compress"
 	"nucleodb/internal/kmer"
 	"nucleodb/internal/postings"
 )
@@ -46,12 +45,6 @@ type Options struct {
 	// larger window for markedly better sensitivity to diverged
 	// homologies (PatternHunter).
 	SpacedMask string
-	// SkipInterval, when positive, stores a synchronisation point
-	// every SkipInterval entries in each posting list (self-indexing),
-	// enabling SeekGE-based conjunctive processing at a small size
-	// cost. A value of 1 uses the √df heuristic per list. 0 stores
-	// plain lists.
-	SkipInterval int
 	// Workers bounds build parallelism for the list-encoding phase.
 	// 0 uses GOMAXPROCS; 1 forces a serial build. Output is identical
 	// regardless of the worker count.
@@ -91,9 +84,6 @@ func (o Options) validate() error {
 	}
 	if o.StopFraction < 0 || o.StopFraction > 1 {
 		return fmt.Errorf("index: stop fraction %v outside [0,1]", o.StopFraction)
-	}
-	if o.SkipInterval < 0 {
-		return fmt.Errorf("index: negative skip interval %d", o.SkipInterval)
 	}
 	if o.Workers < 0 {
 		return fmt.Errorf("index: negative worker count %d", o.Workers)
@@ -285,17 +275,7 @@ func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, numSeqs 
 			}
 			entries = append(entries, e)
 		}
-		var buf []byte
-		var err error
-		if opts.SkipInterval > 0 {
-			interval := opts.SkipInterval
-			if interval == 1 {
-				interval = 0 // EncodeSkipped's √df heuristic
-			}
-			buf, err = postings.EncodeSkipped(entries, numSeqs, opts.StoreOffsets, interval)
-		} else {
-			buf, err = postings.Encode(entries, numSeqs, opts.StoreOffsets)
-		}
+		buf, err := postings.Encode(entries, numSeqs, opts.StoreOffsets)
 		if err != nil {
 			return fmt.Errorf("index: term %d: %w", t, err)
 		}
@@ -441,31 +421,10 @@ func (x *Index) Stopped(t kmer.Term) bool {
 	return i < len(x.stopped) && x.stopped[i] == uint64(t)
 }
 
-// listPayload returns the plain-encoded payload of lexicon slot i,
-// stepping over the skip header when the index stores skipped lists.
-func (x *Index) listPayload(i int, dst []byte) ([]byte, error) {
-	buf, err := x.listBytes(i, dst)
-	if err != nil {
-		return nil, err
-	}
-	if x.opts.SkipInterval == 0 {
-		return buf, nil
-	}
-	hlen, n, err := compress.GetVByte(buf)
-	if err != nil {
-		return nil, fmt.Errorf("index: term slot %d skip header: %w", i, err)
-	}
-	if uint64(len(buf)-n) < hlen {
-		return nil, fmt.Errorf("index: term slot %d truncated skip header", i)
-	}
-	return buf[n+int(hlen):], nil
-}
-
 // Reader positions it over the posting list of term t and returns the
 // document frequency (0 when the term has no list; the iterator is then
 // empty). The iterator is owned by the caller and may be reused across
-// terms. Skip-encoded lists iterate identically; use SkippedReader for
-// SeekGE access.
+// terms.
 func (x *Index) Reader(t kmer.Term, it *postings.Iterator) int {
 	df, _ := x.ReaderStats(t, it)
 	return df
@@ -498,7 +457,8 @@ func (x *Index) ReaderStatsFrom(t kmer.Term, from int, it *postings.Iterator) (d
 
 // readSlot positions it over the list of lexicon slot i (-1: no list).
 // A paged index reads the list into the iterator's own buffer, which
-// the iterator is done with by the time it is reset over the next list.
+// the iterator is done with by the time it is reset over the next list;
+// a read that fails becomes the iterator's error.
 func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 	if i < 0 {
 		it.Reset(nil, 0, x.numSeqs, x.opts.StoreOffsets)
@@ -508,38 +468,13 @@ func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 	if x.fetch != nil {
 		dst = it.Buffer(int(x.lens[i]))
 	}
-	payload, err := x.listPayload(i, dst)
+	buf, err := x.listBytes(i, dst)
 	if err != nil {
-		// The blob was written by Build/validated by Load; a bad
-		// header here is internal corruption, surfaced via the
-		// iterator's error channel by handing it a truncated buffer.
-		it.Reset(nil, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
+		it.Fail(err)
 		return int(x.dfs[i]), 0
 	}
-	it.Reset(payload, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
-	return int(x.dfs[i]), len(payload)
-}
-
-// SkippedReader returns a seekable iterator over term t's list, or nil
-// when the term has no list. It requires an index built with
-// SkipInterval > 0.
-func (x *Index) SkippedReader(t kmer.Term) (*postings.SkipIterator, error) {
-	if x.opts.SkipInterval == 0 {
-		return nil, fmt.Errorf("index: SkippedReader needs an index built with SkipInterval > 0")
-	}
-	i := x.lookup(t)
-	if i < 0 {
-		return nil, nil
-	}
-	buf, err := x.listBytes(i, nil) // the skipped list keeps the bytes
-	if err != nil {
-		return nil, err
-	}
-	sl, err := postings.OpenSkipped(buf, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
-	if err != nil {
-		return nil, fmt.Errorf("index: term %d: %w", t, err)
-	}
-	return sl.Iter(), nil
+	it.Reset(buf, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
+	return int(x.dfs[i]), len(buf)
 }
 
 // Postings decodes and returns the full posting list of term t.
@@ -549,110 +484,9 @@ func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	if i < 0 {
 		return nil, nil
 	}
-	payload, err := x.listPayload(i, nil)
+	buf, err := x.listBytes(i, nil)
 	if err != nil {
 		return nil, err
 	}
-	return postings.Decode(payload, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
-}
-
-// IntersectTerms returns the ids of sequences containing every one of
-// the given terms, ascending. With a skip-built index it leapfrogs via
-// SeekGE, visiting only a fraction of the longer lists; otherwise it
-// falls back to a full merge. Terms with no postings make the result
-// empty. Duplicate terms are permitted.
-func (x *Index) IntersectTerms(terms []kmer.Term) ([]int, error) {
-	if len(terms) == 0 {
-		return nil, nil
-	}
-	// Rarest-first ordering minimises work for both strategies.
-	sorted := append([]kmer.Term(nil), terms...)
-	sort.Slice(sorted, func(i, j int) bool { return x.DF(sorted[i]) < x.DF(sorted[j]) })
-	if x.DF(sorted[0]) == 0 {
-		return nil, nil
-	}
-
-	if x.opts.SkipInterval > 0 {
-		return x.intersectSkipped(sorted)
-	}
-	return x.intersectMerge(sorted)
-}
-
-func (x *Index) intersectSkipped(terms []kmer.Term) ([]int, error) {
-	its := make([]*postings.SkipIterator, len(terms))
-	for i, t := range terms {
-		it, err := x.SkippedReader(t)
-		if err != nil {
-			return nil, err
-		}
-		if it == nil {
-			return nil, nil
-		}
-		its[i] = it
-	}
-	var out []int
-	// Drive from the rarest list; leapfrog the others.
-	lead := its[0]
-outer:
-	for lead.Next() {
-		id := lead.Entry().ID
-		for _, it := range its[1:] {
-			if !it.SeekGE(id) {
-				break outer
-			}
-			if got := it.Entry().ID; got != id {
-				// Candidate absent from this list: advance the lead
-				// past it on the next iteration.
-				continue outer
-			}
-		}
-		out = append(out, int(id))
-	}
-	for _, it := range its {
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (x *Index) intersectMerge(terms []kmer.Term) ([]int, error) {
-	// Decode the rarest list as the candidate set, then filter through
-	// each remaining list with a linear merge.
-	first, err := x.Postings(terms[0])
-	if err != nil {
-		return nil, err
-	}
-	candidates := make([]uint32, len(first))
-	for i, e := range first {
-		candidates[i] = e.ID
-	}
-	var it postings.Iterator
-	for _, t := range terms[1:] {
-		if len(candidates) == 0 {
-			return nil, nil
-		}
-		x.Reader(t, &it)
-		kept := candidates[:0]
-		ci := 0
-		for it.Next() && ci < len(candidates) {
-			id := it.Entry().ID
-			for ci < len(candidates) && candidates[ci] < id {
-				ci++
-			}
-			if ci < len(candidates) && candidates[ci] == id {
-				kept = append(kept, id)
-				ci++
-			}
-		}
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-		candidates = kept
-	}
-	out := make([]int, len(candidates))
-	for i, id := range candidates {
-		out[i] = int(id)
-	}
-	return out, nil
+	return postings.Decode(buf, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
 }

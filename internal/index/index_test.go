@@ -21,6 +21,19 @@ func storeOf(seqs ...string) *db.Store {
 	return &s
 }
 
+func randomStore(seed int64, n, length int) *db.Store {
+	rng := rand.New(rand.NewSource(seed))
+	var s db.Store
+	for i := 0; i < n; i++ {
+		seq := make([]byte, length)
+		for j := range seq {
+			seq[j] = byte(rng.Intn(dna.NumBases))
+		}
+		s.Add("r", seq)
+	}
+	return &s
+}
+
 func TestBuildSmall(t *testing.T) {
 	s := storeOf("ACGTACGT", "TTTACGTT", "GGGGGGGG")
 	x, err := Build(s, Options{K: 4, StoreOffsets: true})
@@ -366,5 +379,33 @@ func TestSeekMatchesSearch(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			probe(uint64(rng.Int63n(int64(idx.coder.NumTerms()))))
 		}
+	}
+}
+
+func TestParallelBuildDeterministic(t *testing.T) {
+	s := randomStore(97, 100, 500)
+	opts := Options{K: 6, StoreOffsets: true}
+	serial := opts
+	serial.Workers = 1
+	parallel := opts
+	parallel.Workers = 8
+
+	a, err := Build(s, serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Build(s, parallel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bufA, bufB bytes.Buffer
+	if err := a.Save(&bufA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(&bufB); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
+		t.Error("serial and parallel builds serialize differently")
 	}
 }

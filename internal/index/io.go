@@ -31,8 +31,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // Save writes the index to w. The format is:
 //
 //	magic
-//	uvarint K, offsetsFlag, stopFraction×1e6, skipInterval,
-//	maskLen, maskLen bytes of spaced mask
+//	uvarint K, offsetsFlag, stopFraction×1e6, a reserved 0 (loadHeader
+//	refuses anything else), maskLen, maskLen bytes of spaced mask
 //	uvarint numSeqs, numSeqs × uvarint sequence length
 //	uvarint numStopped, stopped terms delta-coded
 //	uvarint numTerms, per term: uvarint term delta, df, list length
@@ -55,7 +55,7 @@ func (x *Index) Save(w io.Writer) error {
 	if x.opts.StoreOffsets {
 		offFlag = 1
 	}
-	for _, v := range []uint64{uint64(x.opts.K), offFlag, uint64(x.opts.StopFraction * 1e6), uint64(x.opts.SkipInterval), uint64(len(x.opts.SpacedMask))} {
+	for _, v := range []uint64{uint64(x.opts.K), offFlag, uint64(x.opts.StopFraction * 1e6), 0, uint64(len(x.opts.SpacedMask))} {
 		if err := put(v); err != nil {
 			return fmt.Errorf("index: save header: %w", err)
 		}
@@ -187,9 +187,15 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// The fourth field is reserved: a non-zero value is the skip interval
+	// of an index whose lists carry skip headers, a list format nothing
+	// here decodes. Refuse it from the header, before the lexicon.
 	skipInterval, err := get("skip interval")
 	if err != nil {
 		return fail(err)
+	}
+	if skipInterval != 0 {
+		return fail(fmt.Errorf("index: load: skipped posting lists (skip interval %d) are no longer supported: built with cafe-build -skip N; rebuild with cafe-build -in <fasta> -db DIR", skipInterval))
 	}
 	maskLen, err := get("spaced mask length")
 	if err != nil {
@@ -212,14 +218,10 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	if stopFrac > 1e6 {
 		return fail(fmt.Errorf("index: load: stop fraction %d above 1e6", stopFrac))
 	}
-	if skipInterval > 1<<20 {
-		return fail(fmt.Errorf("index: load: implausible skip interval %d", skipInterval))
-	}
 	opts := Options{
 		K:            int(k),
 		StoreOffsets: offFlag == 1,
 		StopFraction: float64(stopFrac) / 1e6,
-		SkipInterval: int(skipInterval),
 		SpacedMask:   string(maskBytes),
 	}
 	if err := opts.validate(); err != nil {

@@ -40,17 +40,7 @@ func Merge(a, b *Index) (*Index, error) {
 	shift := uint32(a.numSeqs)
 	var entries []postings.Entry
 	appendList := func(entries []postings.Entry) error {
-		var buf []byte
-		var err error
-		if out.opts.SkipInterval > 0 {
-			interval := out.opts.SkipInterval
-			if interval == 1 {
-				interval = 0
-			}
-			buf, err = postings.EncodeSkipped(entries, numSeqs, out.opts.StoreOffsets, interval)
-		} else {
-			buf, err = postings.Encode(entries, numSeqs, out.opts.StoreOffsets)
-		}
+		buf, err := postings.Encode(entries, numSeqs, out.opts.StoreOffsets)
 		if err != nil {
 			return err
 		}

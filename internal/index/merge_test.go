@@ -26,7 +26,6 @@ func TestMergeEqualsCombinedBuild(t *testing.T) {
 	for _, opts := range []Options{
 		{K: 5},
 		{K: 5, StoreOffsets: true},
-		{K: 5, StoreOffsets: true, SkipInterval: 4},
 	} {
 		ia, err := Build(sa, opts)
 		if err != nil {

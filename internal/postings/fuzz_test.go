@@ -85,29 +85,5 @@ func FuzzPostingsDecode(f *testing.F) {
 		// the same entries before the first error, an error iff it errs.
 		var ref refIterator
 		checkAgainstReference(t, &it, &ref, data, df, fuzzNumSeqs, withOffsets)
-
-		// The skipped-list reader must show the same discipline, both
-		// scanning and seeking.
-		sl, err := OpenSkipped(data, df, fuzzNumSeqs, withOffsets)
-		if err != nil {
-			return
-		}
-		si := sl.Iter()
-		for si.Next() {
-			if int(si.Entry().ID) >= fuzzNumSeqs {
-				t.Fatalf("skipped iteration id %d outside universe", si.Entry().ID)
-			}
-		}
-		_ = si.Err()
-		si = sl.Iter()
-		for target := uint32(0); target < fuzzNumSeqs; target += 97 {
-			if !si.SeekGE(target) {
-				break
-			}
-			if si.Entry().ID < target {
-				t.Fatalf("SeekGE(%d) landed on %d", target, si.Entry().ID)
-			}
-		}
-		_ = si.Err()
 	})
 }

@@ -134,7 +134,7 @@ type Iterator struct {
 	// km1 = k−1 bits, the rest k (both 0 when b is 1).
 	b, t        uint64
 	k, km1      uint
-	df          int // entries to read: the list's df, less those before a skip point
+	df          int // entries in the list
 	read        int
 	numSeqs     int64 // identifier universe; decoded ids must stay below it
 	withOffsets bool
@@ -162,29 +162,29 @@ func (it *Iterator) Buffer(n int) []byte {
 //
 //cafe:hotpath
 func (it *Iterator) Reset(buf []byte, df, numSeqs int, withOffsets bool) {
-	it.reset(buf, df, df, numSeqs, withOffsets)
-}
-
-// reset is Reset for a reader that enters the list part-way: the Golomb
-// parameter comes from the whole list's document frequency listDF, the
-// entry count from what remains after the entry point.
-//
-//cafe:hotpath
-func (it *Iterator) reset(buf []byte, listDF, remaining, numSeqs int, withOffsets bool) {
 	it.r.Reset(buf)
-	it.df = remaining
+	it.df = df
 	it.read = 0
 	it.numSeqs = int64(numSeqs)
 	it.withOffsets = withOffsets
 	it.cur = Entry{}
 	it.err = nil
-	if listDF > 0 {
-		it.b = compress.GolombParameter(uint64(numSeqs), uint64(listDF))
+	if df > 0 {
+		it.b = compress.GolombParameter(uint64(numSeqs), uint64(df))
 		it.k = uint(bits.Len64(it.b - 1))
 		it.t = 1<<it.k - it.b
 		it.km1 = max(it.k, 1) - 1
 	}
 	it.prev = -1
+}
+
+// Fail leaves the iterator empty with err as its error, for a caller
+// that could not bring the list in (a paged index whose read failed):
+// whoever iterates then sees that failure itself, not a decode error
+// over bytes that were never read.
+func (it *Iterator) Fail(err error) {
+	it.Reset(nil, 0, 0, false)
+	it.err = err
 }
 
 // gammaFast bounds the unary part of a gamma code decoded from one
@@ -377,20 +377,8 @@ func (it *Iterator) Entry() Entry { return it.cur }
 //cafe:hotpath
 func (it *Iterator) Decoded() int { return it.read }
 
-// skipBits discards n leading bits; the skip machinery uses it to
-// resynchronise an iterator at a mid-byte synchronisation point.
-//
-//cafe:hotpath
-func (it *Iterator) skipBits(n uint) {
-	if n == 0 || it.err != nil {
-		return
-	}
-	if _, err := it.r.ReadBits(n); err != nil {
-		it.err = fmt.Errorf("postings: skip alignment: %w", err) //cafe:allow cold corruption path
-	}
-}
-
-// Err returns the first decoding error encountered, if any.
+// Err returns the first decoding error encountered, or the error given
+// to Fail, if any.
 //
 //cafe:hotpath
 func (it *Iterator) Err() error { return it.err }

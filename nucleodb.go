@@ -65,11 +65,6 @@ type BuildConfig struct {
 	// seeds markedly improve sensitivity to diverged homologies at
 	// equal vocabulary size.
 	SpacedMask string
-	// SkipInterval stores posting-list synchronisation points every
-	// this many entries (self-indexing), enabling seek-based
-	// conjunctive processing at a small size cost; 1 selects the √df
-	// heuristic per list, 0 stores plain lists.
-	SkipInterval int
 	// Workers bounds build parallelism (0 = all CPUs). The built
 	// database is identical at any setting.
 	Workers int
@@ -241,7 +236,6 @@ func buildFromStore(store *db.Store, cfg BuildConfig) (*Database, error) {
 		SpacedMask:   cfg.SpacedMask,
 		StoreOffsets: cfg.StoreOffsets,
 		StopFraction: cfg.StopFraction,
-		SkipInterval: cfg.SkipInterval,
 		Workers:      cfg.Workers,
 	})
 	if err != nil {

@@ -1,9 +1,11 @@
 package nucleodb
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -47,6 +49,39 @@ func TestOpenPagedMatchesInMemory(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batch[0], a) {
 		t.Error("paged batch search differs from sequential")
+	}
+}
+
+// TestPagedReadErrorIsNotTheClients drives a failed paged read (a
+// search after Close) through the whole stack: the error must name the
+// read, not a corrupt list, and must not be ErrInvalid, so cafe-serve
+// answers it 500 and counts it, never 400.
+func TestPagedReadErrorIsNotTheClients(t *testing.T) {
+	recs, query, _ := testRecords(93)
+	built, err := Build(recs, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := built.SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenPaged(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := paged.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = paged.Search(query, DefaultSearchOptions())
+	if err == nil || !strings.Contains(err.Error(), "read after Close") || strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Search after Close: %v, want the read after Close, not a corrupt list", err)
+	}
+	if !errors.Is(err, os.ErrClosed) {
+		t.Errorf("%v does not wrap os.ErrClosed", err)
+	}
+	if errors.Is(err, ErrInvalid) {
+		t.Errorf("%v is ErrInvalid: a failed read would be answered 400", err)
 	}
 }
 
