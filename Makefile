@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench bench-smoke bench-e2e check lint lint-baseline lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence examples experiments fmt vet clean
+.PHONY: all build test test-race cover bench bench-smoke bench-e2e check lint lint-sarif lint-budget fuzz-smoke serve-smoke segments-equivalence examples experiments fmt vet clean
 
 all: build test
 
@@ -62,23 +62,19 @@ check: lint
 	$(MAKE) segments-equivalence
 
 # cafe-lint enforces the //cafe:hotpath allocation contract, checked
-# errors in the decode packages, nil-guarded SearchStats writes,
-# context propagation, and — through the dataflow passes — that pooled
-# scratch (//cafe:pooled) never escapes, no append/slice view of pooled
-# backing outlives its query, and published //cafe:frozen values and
-# atomically loaded snapshots are never written through. lint.baseline suppresses adopted findings
-# (it is empty today — keep it that way); regenerate with
-# `make lint-baseline` only when deliberately adopting a finding.
+# errors in the decode packages, context propagation, and — through the
+# dataflow passes — that pooled scratch (//cafe:pooled) never escapes,
+# no append/slice view of pooled backing outlives its query, and
+# published //cafe:frozen values and atomically loaded snapshots are
+# never written through. A finding is fixed or waived on its line with
+# `//cafe:allow <pass> reason`.
 lint:
-	$(GO) run ./cmd/cafe-lint -baseline lint.baseline ./...
-
-lint-baseline:
-	$(GO) run ./cmd/cafe-lint -baseline lint.baseline -write-baseline ./...
+	$(GO) run ./cmd/cafe-lint ./...
 
 # SARIF log for code-scanning upload; exit 1 (findings) still produces
 # the log, so `make lint-sarif` only hard-fails on load errors.
 lint-sarif:
-	$(GO) run ./cmd/cafe-lint -format sarif -baseline lint.baseline ./... > cafe-lint.sarif || [ $$? -eq 1 ]
+	$(GO) run ./cmd/cafe-lint -format sarif ./... > cafe-lint.sarif || [ $$? -eq 1 ]
 
 # Wall-clock budget for the full lint suite, in seconds. The JSON
 # report carries per-pass timings (pass_timings), so a budget failure
@@ -87,7 +83,7 @@ LINT_BUDGET ?= 120
 
 lint-budget:
 	@start=$$(date +%s); \
-	$(GO) run ./cmd/cafe-lint -format json -baseline lint.baseline ./... > cafe-lint.json || [ $$? -eq 1 ]; \
+	$(GO) run ./cmd/cafe-lint -format json ./... > cafe-lint.json || [ $$? -eq 1 ]; \
 	end=$$(date +%s); took=$$((end - start)); \
 	grep -A 60 '"pass_timings"' cafe-lint.json || true; \
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \

@@ -83,7 +83,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := 0
 		for _, t := range terms {
-			idx.Reader(t, &it)
+			idx.ReaderStats(t, &it)
 			for it.Next() {
 				n++
 			}

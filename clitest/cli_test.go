@@ -363,42 +363,6 @@ func TestSearchStatsGolden(t *testing.T) {
 	}
 }
 
-// TestBenchJSON: cafe-bench -json emits parseable JSON carrying the
-// per-stage keys and work counters downstream tooling diffs against.
-func TestBenchJSON(t *testing.T) {
-	tools := buildTools(t)
-	out := run(t, tools["cafe-bench"], "-json", "-bases", "100000", "-queries", "4")
-	var rep struct {
-		Queries  int              `json:"queries"`
-		Counters map[string]int64 `json:"counters"`
-		Stages   map[string]struct {
-			TotalUS float64 `json:"total_us"`
-			MeanUS  float64 `json:"mean_us"`
-			Share   float64 `json:"share"`
-		} `json:"stages"`
-		MeanQueryUS float64 `json:"mean_query_us"`
-	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("cafe-bench -json not JSON: %v\n%s", err, out)
-	}
-	if rep.Queries != 4 {
-		t.Fatalf("queries = %d, want 4", rep.Queries)
-	}
-	for _, stage := range []string{"coarse", "prescreen", "fine", "traceback"} {
-		if _, ok := rep.Stages[stage]; !ok {
-			t.Fatalf("JSON missing stage %q:\n%s", stage, out)
-		}
-	}
-	for _, key := range []string{"postings_decoded", "coarse_candidates", "fine_alignments", "fine_dp_cells", "results"} {
-		if rep.Counters[key] <= 0 {
-			t.Fatalf("counter %q = %d, want > 0:\n%s", key, rep.Counters[key], out)
-		}
-	}
-	if rep.Stages["coarse"].TotalUS <= 0 || rep.Stages["fine"].TotalUS <= 0 || rep.MeanQueryUS <= 0 {
-		t.Fatalf("stage clocks not positive:\n%s", out)
-	}
-}
-
 // TestInspectJSON: cafe-inspect -json summarises the database in
 // machine-readable form.
 func TestInspectJSON(t *testing.T) {

@@ -9,11 +9,9 @@
 //	cafe-bench -full           # full-size suite (minutes)
 //	cafe-bench -run E3,E4      # selected experiments
 //	cafe-bench -seed 7 -queries 50
-//	cafe-bench -json           # per-stage work/latency breakdown as JSON
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +33,6 @@ func main() {
 		queries = flag.Int("queries", 0, "override query count")
 		bases   = flag.Int("bases", 0, "override base collection size in bases")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		asJSON  = flag.Bool("json", false, "run the standard workload instrumented and print the per-stage breakdown as JSON instead of the tables")
 	)
 	flag.Parse()
 
@@ -55,19 +52,6 @@ func main() {
 	}
 	if *bases > 0 {
 		cfg.BaseBases = *bases
-	}
-
-	if *asJSON {
-		rep, err := experiments.Observe(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	want := map[string]bool{}

@@ -4,9 +4,8 @@
 //	file:line: pass: message
 //
 // or, with -format, as a JSON report or a SARIF 2.1.0 log suitable for
-// code-scanning upload. A committed baseline file (-baseline) suppresses
-// known findings so the gate only fails on new ones; -write-baseline
-// regenerates it from the current findings.
+// code-scanning upload. A trailing "//cafe:allow <pass> <reason>"
+// comment on the reported line is the one way to accept a finding.
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. A package
 // that fails to type-check is a load failure: every broken package is
@@ -15,10 +14,9 @@
 //
 // Usage:
 //
-//	cafe-lint ./...                        # whole module (the directory's module)
-//	cafe-lint ./internal/index             # restrict findings to one package
-//	cafe-lint -format sarif ./...          # SARIF log on stdout
-//	cafe-lint -baseline lint.baseline ./.. # fail only on unbaselined findings
+//	cafe-lint ./...                # whole module (the directory's module)
+//	cafe-lint ./internal/index     # restrict findings to one package
+//	cafe-lint -format sarif ./...  # SARIF log on stdout
 package main
 
 import (
@@ -41,10 +39,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	dir := fs.String("C", ".", "directory whose module to analyze")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
-	baselinePath := fs.String("baseline", "", "baseline file of known findings to suppress")
-	writeBaseline := fs.Bool("write-baseline", false, "write current findings to the -baseline file and exit 0")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: cafe-lint [-C dir] [-format text|json|sarif] [-baseline file [-write-baseline]] [packages]")
+		fmt.Fprintln(stderr, "usage: cafe-lint [-C dir] [-format text|json|sarif] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -54,10 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "text", "json", "sarif":
 	default:
 		fmt.Fprintf(stderr, "cafe-lint: unknown -format %q (want text, json, or sarif)\n", *format)
-		return 2
-	}
-	if *writeBaseline && *baselinePath == "" {
-		fmt.Fprintln(stderr, "cafe-lint: -write-baseline needs -baseline to name the file")
 		return 2
 	}
 	patterns := fs.Args()
@@ -86,34 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	findings, timings := analysis.AnalyzeTimed(prog, analysis.DefaultPasses(), keep)
 	report := analysis.NewReport(prog, findings)
 	report.Timings = timings
-
-	if *writeBaseline {
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "cafe-lint: %v\n", err)
-			return 2
-		}
-		werr := report.WriteBaseline(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintf(stderr, "cafe-lint: write baseline: %v\n", werr)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cafe-lint: wrote %d finding(s) to %s\n", report.Count, *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		base, err := analysis.ReadBaselineFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(stderr, "cafe-lint: %v\n", err)
-			return 2
-		}
-		if n := report.ApplyBaseline(base); n > 0 {
-			fmt.Fprintf(stderr, "cafe-lint: %d baselined finding(s) suppressed\n", n)
-		}
-	}
 
 	switch *format {
 	case "json":

@@ -149,37 +149,3 @@ func TestRunSARIFGolden(t *testing.T) {
 			golden, out.String(), want)
 	}
 }
-
-// TestRunBaselineFlow exercises the adopt-then-gate workflow:
-// -write-baseline captures the current findings, and a rerun against
-// that file is clean; deleting the file makes -baseline an error.
-func TestRunBaselineFlow(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "lint.baseline")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-C", fixtureModule, "-baseline", base, "-write-baseline", "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("-write-baseline exit %d, want 0\nstderr:\n%s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "wrote") {
-		t.Errorf("stderr does not confirm the write: %q", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-C", fixtureModule, "-baseline", base, "./..."}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d against a full baseline, want 0\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	if !strings.Contains(errb.String(), "suppressed") {
-		t.Errorf("stderr does not report the suppression: %q", errb.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-C", fixtureModule, "-baseline", filepath.Join(t.TempDir(), "missing"), "./..."}, &out, &errb); code != 2 {
-		t.Errorf("exit %d with a missing baseline file, want 2", code)
-	}
-
-	if code := run([]string{"-C", fixtureModule, "-write-baseline", "./..."}, &out, &errb); code != 2 {
-		t.Errorf("exit %d for -write-baseline without -baseline, want 2", code)
-	}
-}

@@ -2,7 +2,7 @@
 // analysis suite over the index and alignment kernels, built on the
 // standard library's go/parser, go/ast and go/types only.
 //
-// Eight passes enforce the invariants the partitioned-search design
+// Seven passes enforce the invariants the partitioned-search design
 // depends on:
 //
 //   - hotpath: functions declared with a //cafe:hotpath directive (the
@@ -16,15 +16,11 @@
 //     internal/postings, internal/compress, internal/db) every
 //     error-returning call must be checked; a dropped decode error is
 //     silent index corruption.
-//   - stats: every write through a *core.SearchStats must be dominated
-//     by a nil check (the instrumentation contract PR 1 established by
-//     convention), and sync/atomic values may only be touched through
-//     their methods.
 //   - ctx: context must propagate. A function that receives a
 //     context.Context may not call a context-free sibling
-//     (SearchWithStats where SearchWithStatsContext exists), and the
-//     serving packages may not
-//     manufacture fresh contexts with context.Background()/TODO().
+//     (SearchCodesWithStats where SearchCodesWithStatsContext exists),
+//     and the serving packages may not manufacture fresh contexts with
+//     context.Background()/TODO().
 //   - poolescape: values from (*sync.Pool).Get, //cafe:pooled
 //     functions, or //cafe:pooled struct fields must not outlive the
 //     call that obtained them — no returns, field/global/container
@@ -119,9 +115,6 @@ func DefaultPasses() []Pass {
 			"nucleodb/internal/postings",
 			"nucleodb/internal/compress",
 			"nucleodb/internal/db",
-		}},
-		&StatsPass{GuardedTypes: []string{
-			"nucleodb/internal/core.SearchStats",
 		}},
 		&CtxPass{ForbidBackgroundIn: []string{
 			"nucleodb/internal/server",

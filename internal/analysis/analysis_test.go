@@ -121,10 +121,6 @@ func TestErrcheckPassFixtures(t *testing.T) {
 	runPass(t, &analysis.ErrcheckPass{Packages: []string{"fixture/errs"}}, "fixture/errs")
 }
 
-func TestStatsPassFixtures(t *testing.T) {
-	runPass(t, &analysis.StatsPass{GuardedTypes: []string{"fixture/stats.Stats"}}, "fixture/stats")
-}
-
 func TestCtxPassFixtures(t *testing.T) {
 	runPass(t, &analysis.CtxPass{ForbidBackgroundIn: []string{"fixture/ctxpkg"}}, "fixture/ctxpkg")
 }

@@ -11,8 +11,8 @@ import (
 //
 //  1. A function that receives a context.Context must not call a
 //     context-free sibling of a context-aware API — calling
-//     SearchWithStats where SearchWithStatsContext exists severs the
-//     cancellation chain, and the server's per-request deadline
+//     SearchCodesWithStats where SearchCodesWithStatsContext exists
+//     severs the cancellation chain, and the server's per-request deadline
 //     silently stops applying below that call. Siblings are found by
 //     name: for a callee F, a function or
 //     method FContext on the same package or receiver whose first

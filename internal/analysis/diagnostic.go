@@ -10,7 +10,7 @@ import (
 // Diagnostic is one finding in the tool's structured output: the same
 // fact as a Finding, but with the file path already made
 // module-relative and the fields split out for machine consumers (the
-// JSON and SARIF formats, and the baseline).
+// JSON and SARIF formats).
 type Diagnostic struct {
 	File    string `json:"file"`
 	Line    int    `json:"line"`
@@ -30,7 +30,6 @@ func (d Diagnostic) String() string {
 var passDescriptions = map[string]string{
 	"hotpath":    "functions declared //cafe:hotpath must stay allocation-free",
 	"errcheck":   "the decode packages must check every error; a dropped decode error is silent corruption",
-	"stats":      "SearchStats access must be nil-guarded and sync/atomic values touched only through methods",
 	"ctx":        "contexts must propagate: no context-free siblings from ctx-aware code, no Background/TODO in serving packages",
 	"poolescape": "pooled scratch (sync.Pool.Get, //cafe:pooled sources) must not outlive the call that obtained it",
 	"alias":      "append/slice views over pooled backing must not escape; copy into a fresh buffer instead",

@@ -17,7 +17,6 @@ func fixtureReport(t *testing.T) analysis.Report {
 	passes := []analysis.Pass{
 		&analysis.HotpathPass{},
 		&analysis.ErrcheckPass{Packages: []string{"fixture/errs"}},
-		&analysis.StatsPass{GuardedTypes: []string{"fixture/stats.Stats"}},
 		&analysis.CtxPass{ForbidBackgroundIn: []string{"fixture/ctxpkg"}},
 	}
 	findings := analysis.Analyze(prog, passes, nil)
@@ -103,7 +102,7 @@ func TestReportSARIF(t *testing.T) {
 	for i, rule := range run.Tool.Driver.Rules {
 		rules[rule.ID] = i
 	}
-	for _, pass := range []string{"hotpath", "errcheck", "stats", "ctx"} {
+	for _, pass := range []string{"hotpath", "errcheck", "ctx"} {
 		if _, ok := rules[pass]; !ok {
 			t.Errorf("rule %q missing from driver rules", pass)
 		}
@@ -118,61 +117,5 @@ func TestReportSARIF(t *testing.T) {
 		if len(res.Locations) != 1 || res.Locations[0].PhysicalLocation.Region.StartLine == 0 {
 			t.Errorf("result %q lacks a physical location", res.Message.Text)
 		}
-	}
-}
-
-func TestBaselineRoundtrip(t *testing.T) {
-	report := fixtureReport(t)
-	total := len(report.Findings)
-
-	var buf bytes.Buffer
-	if err := report.WriteBaseline(&buf); err != nil {
-		t.Fatal(err)
-	}
-	base, err := analysis.ReadBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("baseline written by WriteBaseline does not parse: %v", err)
-	}
-
-	// A full baseline suppresses everything.
-	full := fixtureReport(t)
-	if n := full.ApplyBaseline(base); n != total {
-		t.Errorf("suppressed %d of %d findings", n, total)
-	}
-	if full.Count != 0 || len(full.Findings) != 0 {
-		t.Errorf("findings survive their own baseline: %d", len(full.Findings))
-	}
-
-	// Dropping one entry resurfaces exactly that finding.
-	partialBase, err := analysis.ReadBaseline(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := report.Findings[0]
-	key := victim.File + "\t" + victim.Pass + "\t" + victim.Message
-	if partialBase[key] == 0 {
-		t.Fatalf("baseline lacks the key for %v", victim)
-	}
-	partialBase[key]--
-	partial := fixtureReport(t)
-	partial.ApplyBaseline(partialBase)
-	if len(partial.Findings) != 1 {
-		t.Fatalf("want exactly 1 surviving finding, got %d", len(partial.Findings))
-	}
-	got := partial.Findings[0]
-	if got.File != victim.File || got.Pass != victim.Pass || got.Message != victim.Message {
-		t.Errorf("surviving finding %+v, want the unbaselined %+v", got, victim)
-	}
-
-	// An empty baseline suppresses nothing.
-	empty := fixtureReport(t)
-	if n := empty.ApplyBaseline(map[string]int{}); n != 0 || len(empty.Findings) != total {
-		t.Errorf("empty baseline suppressed %d findings", n)
-	}
-}
-
-func TestBaselineMalformed(t *testing.T) {
-	if _, err := analysis.ReadBaseline(strings.NewReader("# ok\nno tabs here\n")); err == nil {
-		t.Fatal("malformed baseline line parsed without error")
 	}
 }

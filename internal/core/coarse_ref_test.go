@@ -209,7 +209,7 @@ func TestCoarseWarmAllocs(t *testing.T) {
 	for _, n := range []int{100, 400, 700} {
 		q := root[:n]
 		run := func() {
-			if _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, nil); err != nil {
+			if _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, &s.stats); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -293,6 +293,11 @@ type Searcher struct {
 	// and read-only while fine workers score against it.
 	bvProfile align.StripedProfile
 
+	// stats receives the counters of a search whose caller passed no
+	// SearchStats (Search, Coarse), so the pipeline below the exported
+	// boundary always has somewhere to count. Nothing reads it.
+	stats SearchStats
+
 	// scalarFine makes FineFull skip the striped pass and score every
 	// candidate with the scalar fallback. Only this package's tests set
 	// it: the reference the equivalence suites hold the route to.
@@ -389,23 +394,18 @@ func (s *Searcher) Search(query []byte, opts Options) ([]Result, error) {
 	return s.SearchWithStatsContext(context.Background(), query, opts, nil) //cafe:allow ctx context-free wrapper; running without a deadline is Search's documented behaviour
 }
 
-// SearchWithStats runs Search and, when st is non-nil, fills it with
-// the per-stage work counters and wall times of this evaluation (st is
-// reset first). Collection is allocation-free and does not change
-// results: the stats-enabled search returns exactly what Search
-// returns, a property the core tests lock in.
-func (s *Searcher) SearchWithStats(query []byte, opts Options, st *SearchStats) ([]Result, error) {
-	return s.SearchWithStatsContext(context.Background(), query, opts, st) //cafe:allow ctx context-free wrapper; running without a deadline is SearchWithStats's documented behaviour
-}
-
-// SearchWithStatsContext is SearchWithStats with cooperative
-// cancellation: the evaluation checks ctx between posting lists in the
-// coarse phase and between candidates in the prescreen/fine/traceback
-// phases — coarse enough that the hot decode and DP loops stay
-// allocation-free, fine enough that even a long Smith–Waterman fine
-// phase stops within one candidate's alignment. On cancellation it
-// returns ctx.Err() (so errors.Is(err, context.Canceled) works) and no
-// results.
+// SearchWithStatsContext is the search: it runs Search's evaluation
+// and fills st with its per-stage work counters and wall times (st is
+// reset first). Every search counts; a nil st only means the caller
+// does not want the numbers, and they go to the searcher's own scratch.
+//
+// Cancellation is cooperative: the evaluation checks ctx between
+// posting lists in the coarse phase and between candidates in the
+// prescreen/fine/traceback phases — coarse enough that the hot decode
+// and DP loops stay allocation-free, fine enough that even a long
+// Smith–Waterman fine phase stops within one candidate's alignment. On
+// cancellation it returns ctx.Err() (so errors.Is(err,
+// context.Canceled) works) and no results.
 func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -413,12 +413,12 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var start time.Time
-	if st != nil {
-		st.Reset()
-		st.Strands = 1
-		start = time.Now()
+	if st == nil {
+		st = &s.stats
 	}
+	st.Reset()
+	st.Strands = 1
+	start := time.Now()
 	forward, err := s.searchStrand(ctx, query, opts, st)
 	if err != nil {
 		return nil, err
@@ -428,10 +428,8 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 		if err != nil {
 			return nil, err
 		}
-		if st != nil {
-			st.Results = len(out)
-			st.TotalTime = time.Since(start)
-		}
+		st.Results = len(out)
+		st.TotalTime = time.Since(start)
 		return out, nil
 	}
 	rc := dna.ReverseComplement(query)
@@ -464,11 +462,9 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	if err != nil {
 		return nil, err
 	}
-	if st != nil {
-		st.Strands = 2
-		st.Results = len(out)
-		st.TotalTime = time.Since(start)
-	}
+	st.Strands = 2
+	st.Results = len(out)
+	st.TotalTime = time.Since(start)
 	return out, nil
 }
 
@@ -479,10 +475,7 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 // FineFull), never the whole query × subject matrix. Cancellation is
 // checked once per traceback.
 func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, results []Result, opts Options, st *SearchStats) ([]Result, error) {
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	// Tracebacks run serially after the fine phase's join, on the first
 	// fine worker's scratch.
 	banded := &s.fineScratch(1)[0].banded
@@ -492,9 +485,7 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			if st != nil {
-				st.TracebackTime += time.Since(t0)
-			}
+			st.TracebackTime += time.Since(t0)
 			return nil, err
 		}
 		q := query
@@ -513,12 +504,10 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 				_, aEnd, bEnd = s.subst.LocalScore(q, subject, banded)
 			}
 			r.Alignment = s.subst.LocalEndingAt(q, subject, r.Score, aEnd, bEnd, banded)
-			if st != nil {
-				st.TracebackAlignments++
-				st.TracebackDPCells += s.subst.TraceCells(len(q), r.Score, aEnd, bEnd)
-				if r.tiedEnd {
-					st.TracebackDPCells += align.LocalCells(len(q), len(subject))
-				}
+			st.TracebackAlignments++
+			st.TracebackDPCells += s.subst.TraceCells(len(q), r.Score, aEnd, bEnd)
+			if r.tiedEnd {
+				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
 			}
 			r.needsTraceback, r.fullTraceback, r.tiedEnd = false, false, false
 			continue
@@ -530,10 +519,8 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		// the start would cost more cells than it saves.
 		aEnd := r.Alignment.AEnd
 		al := s.subst.BandedLocal(q[:aEnd], subject, r.bandCentre, opts.Band, banded)
-		if st != nil {
-			st.TracebackAlignments++
-			st.TracebackDPCells += align.BandedCells(aEnd, len(subject), r.bandCentre, opts.Band)
-		}
+		st.TracebackAlignments++
+		st.TracebackDPCells += align.BandedCells(aEnd, len(subject), r.bandCentre, opts.Band)
 		if al.Score == r.Score {
 			r.Alignment = al
 		} else {
@@ -545,16 +532,12 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			// spans, identity and the transcript come from the real
 			// optimal alignment.
 			r.Alignment = s.subst.Local(q, subject, banded)
-			if st != nil {
-				st.TracebackDPCells += align.LocalCells(len(q), len(subject)) +
-					s.subst.TraceCells(len(q), r.Alignment.Score, r.Alignment.AEnd, r.Alignment.BEnd)
-			}
+			st.TracebackDPCells += align.LocalCells(len(q), len(subject)) +
+				s.subst.TraceCells(len(q), r.Alignment.Score, r.Alignment.AEnd, r.Alignment.BEnd)
 		}
 		r.needsTraceback = false
 	}
-	if st != nil {
-		st.TracebackTime += time.Since(t0)
-	}
+	st.TracebackTime += time.Since(t0)
 	return results, nil
 }
 
@@ -573,24 +556,18 @@ func (s *Searcher) finish(results []Result, opts Options) []Result {
 }
 
 // searchStrand evaluates one orientation of the query. Results are
-// unordered; finish ranks them. When st is non-nil it accumulates the
-// strand's coarse and fine stage stats. Cancellation is checked between
-// posting lists (coarse) and between candidates (fine).
+// unordered; finish ranks them. st accumulates the strand's coarse and
+// fine stage stats. Cancellation is checked between posting lists
+// (coarse) and between candidates (fine).
 func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
-	collect := st != nil
-	var t0 time.Time
-	if collect {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, st)
 	if err != nil {
 		return nil, err
 	}
-	if collect {
-		st.CoarseTime += time.Since(t0)
-		st.CoarseCandidates += len(cands)
-		t0 = time.Now()
-	}
+	st.CoarseTime += time.Since(t0)
+	st.CoarseCandidates += len(cands)
+	t0 = time.Now()
 	// fine evaluates one candidate; it reads only immutable searcher
 	// state (terms and termBits are not mutated during the fine
 	// phase) plus the caller-owned scratch, so it is safe to run
@@ -614,20 +591,15 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			seed, haveSeed = s.bestSeed(coder, seq, sc)
 		}
 		if opts.Prescreen > 0 {
-			var p0 time.Time
-			if collect {
-				p0 = time.Now()
-			}
+			p0 := time.Now()
 			pass := haveSeed
 			if haveSeed {
 				score, _, _, _, _ := align.ExtendUngapped(
 					query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
 				pass = score >= opts.Prescreen
 			}
-			if collect {
-				fw.prescreen = time.Since(p0)
-				fw.rejected = !pass
-			}
+			fw.prescreen = time.Since(p0)
+			fw.rejected = !pass
 			if !pass {
 				return r, false, fw
 			}
@@ -650,10 +622,8 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
 			r.needsTraceback, r.fullTraceback = score > 0, score > 0
 			r.tiedEnd = striped && score > 0 && !unique
-			if collect {
-				fw.cells = align.LocalCells(len(query), len(seq))
-				fw.bitvector = striped
-			}
+			fw.cells = align.LocalCells(len(query), len(seq))
+			fw.bitvector = striped
 		case FineBanded:
 			centre := 0
 			switch {
@@ -670,9 +640,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
 			r.bandCentre = centre
 			r.needsTraceback = score > 0
-			if collect {
-				fw.cells = align.BandedCells(len(query), len(seq), centre, opts.Band)
-			}
+			fw.cells = align.BandedCells(len(query), len(seq), centre, opts.Band)
 		}
 		fw.aligned = true
 		return r, r.Score >= opts.MinScore, fw
@@ -683,22 +651,16 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		sc := s.fineScratch(1)[0]
 		for _, c := range cands {
 			if err := ctx.Err(); err != nil {
-				if collect {
-					st.FineTime += time.Since(t0)
-				}
+				st.FineTime += time.Since(t0)
 				return nil, err
 			}
 			r, ok, fw := fine(c, sc)
-			if collect {
-				st.addFine(fw)
-			}
+			st.addFine(fw)
 			if ok {
 				results = append(results, r)
 			}
 		}
-		if collect {
-			st.FineTime += time.Since(t0)
-		}
+		st.FineTime += time.Since(t0)
 		return results, nil
 	}
 
@@ -737,22 +699,16 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		if collect {
-			st.FineTime += time.Since(t0)
-		}
+		st.FineTime += time.Since(t0)
 		return nil, err
 	}
 	for _, sl := range slots {
-		if collect {
-			st.addFine(sl.fw)
-		}
+		st.addFine(sl.fw)
 		if sl.ok {
 			results = append(results, sl.r)
 		}
 	}
-	if collect {
-		st.FineTime += time.Since(t0)
-	}
+	st.FineTime += time.Since(t0)
 	return results, nil
 }
 
@@ -767,7 +723,7 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	return s.coarse(context.Background(), query, mode, minHits, 0, nil) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	return s.coarse(context.Background(), query, mode, minHits, 0, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
 }
 
 // coarse implements the coarse phase: for each segment in order,
@@ -786,10 +742,10 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // collection would produce. The segmented equivalence suite locks this
 // in at every segment count.
 //
-// Work counters accumulate into st when non-nil (stage timing is the
-// caller's job — searchStrand wraps this call in the coarse wall
-// clock). Cancellation is checked once per posting list, so the
-// per-entry accumulator loop stays hot.
+// Work counters accumulate into st (stage timing is the caller's job —
+// searchStrand wraps this call in the coarse wall clock). Cancellation
+// is checked once per posting list, so the per-entry accumulator loop
+// stays hot.
 func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, st *SearchStats) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
@@ -815,9 +771,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	})
 	slices.Sort(s.terms)
 
-	if st != nil {
-		st.QueryTerms += distinctTerms(s.terms)
-	}
+	st.QueryTerms += distinctTerms(s.terms)
 
 	// Selection state shared across segments: the bounded heap (or the
 	// full-sort slice) receives every segment's qualifying sequences.
@@ -832,10 +786,8 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 		if err != nil {
 			return nil, err
 		}
-		if st != nil {
-			st.CoarseSequences += len(s.acc.touched)
-			st.Segments++
-		}
+		st.CoarseSequences += len(s.acc.touched)
+		st.Segments++
 
 		var diagBest map[uint32]diagResult
 		if diag != nil {
@@ -916,10 +868,8 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		if df == 0 {
 			continue
 		}
-		if st != nil {
-			st.PostingLists++
-			st.PostingsBytesRead += int64(listBytes)
-		}
+		st.PostingLists++
+		st.PostingsBytesRead += int64(listBytes)
 		for s.it.Next() {
 			e := s.it.Entry()
 			s.acc.bump(int(e.ID), 1, int(e.Count))
@@ -934,9 +884,7 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		if err := s.it.Err(); err != nil {
 			return nil, fmt.Errorf("core: term %d postings: %w", t, err)
 		}
-		if st != nil {
-			st.PostingsDecoded += int64(s.it.Decoded())
-		}
+		st.PostingsDecoded += int64(s.it.Decoded())
 	}
 	return diag, nil
 }

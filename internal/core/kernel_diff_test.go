@@ -99,14 +99,14 @@ func TestFineKernelEquivalence(t *testing.T) {
 
 					s.scalarFine = true
 					var scalarStats SearchStats
-					want, err := s.SearchWithStats(query, opts, &scalarStats)
+					want, err := s.SearchWithStatsContext(context.Background(), query, opts, &scalarStats)
 					s.scalarFine = false
 					if err != nil {
 						t.Fatalf("%v both=%v fw=%d query %d scalar: %v", mode, both, fw, qi, err)
 					}
 
 					var bvStats SearchStats
-					got, err := s.SearchWithStats(query, opts, &bvStats)
+					got, err := s.SearchWithStatsContext(context.Background(), query, opts, &bvStats)
 					if err != nil {
 						t.Fatalf("%v both=%v fw=%d query %d bitvector: %v", mode, both, fw, qi, err)
 					}
@@ -185,7 +185,7 @@ func TestFineKernelCapacityFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st SearchStats
-	got, err := s.SearchWithStats(f.query, opts, &st)
+	got, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestFineKernelCancellation(t *testing.T) {
 	// 1 entry check + one per query term (coarse) + one per candidate
 	// (serial fine) + one per deferred traceback.
 	var st SearchStats
-	results, err := s.SearchWithStats(f.query, opts, &st)
+	results, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

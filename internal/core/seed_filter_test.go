@@ -44,7 +44,7 @@ func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (se
 // searcher's term array and filter for query, as the fine phase sees them.
 func loadQueryTerms(t *testing.T, s *Searcher, query []byte) {
 	t.Helper()
-	if _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 10, nil); err != nil {
+	if _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 10, &s.stats); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -79,6 +80,19 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 			t.Fatalf("NumSegments = %d, want %d", seg.NumSegments(), k)
 		}
 		for _, cm := range modes {
+			// Coarse takes no SearchStats and counts into the searcher's
+			// own; its full-sort ranking merges across segments too.
+			wantC, err := mono.Coarse(f.query, cm, 2)
+			if err != nil {
+				t.Fatalf("k=%d mode=%v: mono Coarse: %v", k, cm, err)
+			}
+			gotC, err := seg.Coarse(f.query, cm, 2)
+			if err != nil {
+				t.Fatalf("k=%d mode=%v: segmented Coarse: %v", k, cm, err)
+			}
+			if len(wantC) == 0 || !reflect.DeepEqual(gotC, wantC) {
+				t.Fatalf("k=%d mode=%v: Coarse ranks %d candidates, monolithic %d; lists differ", k, cm, len(gotC), len(wantC))
+			}
 			for _, fc := range fines {
 				for _, fw := range fineWorkers {
 					opts := DefaultOptions()
@@ -91,11 +105,11 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 						k, cm, fc.mode, fc.scalar, fw)
 
 					var wantSt, gotSt SearchStats
-					want, err := mono.SearchWithStats(f.query, opts, &wantSt)
+					want, err := mono.SearchWithStatsContext(context.Background(), f.query, opts, &wantSt)
 					if err != nil {
 						t.Fatalf("%s: mono: %v", name, err)
 					}
-					got, err := seg.SearchWithStats(f.query, opts, &gotSt)
+					got, err := seg.SearchWithStatsContext(context.Background(), f.query, opts, &gotSt)
 					if err != nil {
 						t.Fatalf("%s: segmented: %v", name, err)
 					}

@@ -3,11 +3,11 @@ package core
 import "time"
 
 // SearchStats counts the work one Search performed, stage by stage.
-// Pass a *SearchStats to SearchWithStats to collect it; collection is
-// allocation-free (the struct lives wherever the caller put it, the
-// pipeline only increments fields) and provably non-perturbing — the
-// equivalence property test locks in that an instrumented search
-// returns results identical to an uninstrumented one.
+// Every search counts and clocks — there is one path, so the numbers
+// describe the search that produced the answers; SearchWithStatsContext
+// writes them into the caller's struct. Counting is allocation-free
+// (the struct lives wherever the caller put it, the pipeline only
+// increments fields).
 //
 // The counters map directly onto the paper's cost model: the coarse
 // phase pays PostingsDecoded posting decodes to rank CoarseSequences

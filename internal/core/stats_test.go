@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -40,14 +41,18 @@ func randomFixture(t *testing.T, rng *rand.Rand) (*db.Store, *index.Index, []byt
 	return &store, idx, gen.Fragment(rng, root, 150+rng.Intn(100))
 }
 
-// TestStatsEquivalenceProperty is the satellite property test: for
-// random databases and queries, SearchWithStats returns results
-// identical to Search — same IDs, scores, order, spans, transcripts —
-// across every CoarseMode/FineMode combination, with and without
-// prescreen, both strands, and a parallel fine phase. Instrumentation
-// must observe, never perturb.
+// TestStatsEquivalenceProperty pins the one nil left in the package:
+// Search and Coarse hand the pipeline the searcher's own SearchStats,
+// SearchWithStatsContext the caller's, and nothing else may differ. For
+// random databases and queries, across every CoarseMode/FineMode
+// combination, with and without prescreen, both strands and a parallel
+// fine phase, the two forms return identical results — same IDs,
+// scores, order, spans, transcripts — and the nil form allocates no
+// more than the other (the substituted scratch must not escape to the
+// heap).
 func TestStatsEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1996))
+	ctx := context.Background()
 	for trial := 0; trial < 8; trial++ {
 		store, idx, query := randomFixture(t, rng)
 		for _, cm := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
@@ -73,15 +78,26 @@ func TestStatsEquivalenceProperty(t *testing.T) {
 					t.Fatalf("trial %d %v/%v: %v", trial, cm, fm, err)
 				}
 				var st SearchStats
-				got, err := instr.SearchWithStats(query, opts, &st)
+				got, err := instr.SearchWithStatsContext(ctx, query, opts, &st)
 				if err != nil {
 					t.Fatalf("trial %d %v/%v (stats): %v", trial, cm, fm, err)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d %v/%v: instrumented results differ\nplain: %+v\nstats: %+v",
+					t.Fatalf("trial %d %v/%v: the two forms differ\nnil: %+v\n&st: %+v",
 						trial, cm, fm, want, got)
 				}
 				checkStatsInvariants(t, &st, opts, want)
+
+				// Serial only: a parallel fine phase's goroutines make the
+				// count depend on the scheduler.
+				if trial > 0 || opts.FineWorkers > 1 {
+					continue
+				}
+				withNil := testing.AllocsPerRun(5, func() { plain.Search(query, opts) })
+				withSt := testing.AllocsPerRun(5, func() { instr.SearchWithStatsContext(ctx, query, opts, &st) })
+				if withNil > withSt {
+					t.Errorf("%v/%v: Search allocates %.0f a call, SearchWithStatsContext(&st) %.0f", cm, fm, withNil, withSt)
+				}
 			}
 		}
 	}
@@ -177,7 +193,7 @@ func TestStatsResetZeroes(t *testing.T) {
 	f := makeFixture(t, 17, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
 	var st SearchStats
-	if _, err := s.SearchWithStats(f.query, DefaultOptions(), &st); err != nil {
+	if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.PostingsDecoded == 0 || st.TotalTime == 0 {
@@ -189,17 +205,17 @@ func TestStatsResetZeroes(t *testing.T) {
 	}
 }
 
-// TestStatsResetBetweenSearches: SearchWithStats resets the struct, so
+// TestStatsResetBetweenSearches: a search resets the struct, so
 // reusing one across queries reports per-query (not cumulative) work.
 func TestStatsResetBetweenSearches(t *testing.T) {
 	f := makeFixture(t, 23, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
 	var st SearchStats
-	if _, err := s.SearchWithStats(f.query, DefaultOptions(), &st); err != nil {
+	if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
 		t.Fatal(err)
 	}
 	first := st
-	if _, err := s.SearchWithStats(f.query, DefaultOptions(), &st); err != nil {
+	if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.PostingsDecoded != first.PostingsDecoded || st.CoarseCandidates != first.CoarseCandidates {
@@ -214,7 +230,7 @@ func TestStatsAdd(t *testing.T) {
 	var st, agg SearchStats
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := s.SearchWithStats(f.query, DefaultOptions(), &st); err != nil {
+		if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
 			t.Fatal(err)
 		}
 		agg.Add(st)
@@ -237,7 +253,7 @@ func TestStatsCountsRealWork(t *testing.T) {
 	f := makeFixture(t, 31, index.Options{K: 9, StoreOffsets: true})
 	s := newTestSearcher(t, f)
 	var st SearchStats
-	rs, err := s.SearchWithStats(f.query, DefaultOptions(), &st)
+	rs, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +296,7 @@ func TestStatsPostingsMatchIndexWalk(t *testing.T) {
 			opts := DefaultOptions()
 			opts.BothStrands = both
 			var st SearchStats
-			if _, err := s.SearchWithStats(f.query, opts, &st); err != nil {
+			if _, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st); err != nil {
 				t.Fatalf("segments=%d both=%v: %v", nseg, both, err)
 			}
 
@@ -360,7 +376,7 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 		opts.FineMode = mode
 		opts.MinScore, opts.Limit = 0, 0
 		var st SearchStats
-		rs, err := s.SearchWithStats(query, opts, &st)
+		rs, err := s.SearchWithStatsContext(context.Background(), query, opts, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +456,7 @@ func TestStatsPrescreenAccounting(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Prescreen = 1 << 28
 	var st SearchStats
-	rs, err := s.SearchWithStats(f.query, opts, &st)
+	rs, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
 	if err != nil {
 		t.Fatal(err)
 	}

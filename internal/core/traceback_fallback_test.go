@@ -100,7 +100,7 @@ func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
 		t.Fatal("no results")
 	}
 	var st SearchStats
-	if _, err := s.SearchWithStats(f.query, opts, &st); err != nil {
+	if _, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st); err != nil {
 		t.Fatal(err)
 	}
 	// Every reported traceback agreed with its ranking score (the band

@@ -315,32 +315,3 @@ func TestRunAllRenders(t *testing.T) {
 		}
 	}
 }
-
-func TestObserveReportShape(t *testing.T) {
-	rep, err := Observe(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Queries == 0 || rep.Bases == 0 {
-		t.Fatalf("empty workload: %+v", rep)
-	}
-	for _, stage := range []string{"coarse", "prescreen", "fine", "traceback"} {
-		if _, ok := rep.Stages[stage]; !ok {
-			t.Fatalf("report missing stage %q", stage)
-		}
-	}
-	for _, key := range []string{"postings_decoded", "coarse_candidates", "fine_alignments", "fine_dp_cells"} {
-		if rep.Counters[key] == 0 {
-			t.Fatalf("counter %q is zero: %+v", key, rep.Counters)
-		}
-	}
-	// The headline trade-off must be visible in the numbers: only a
-	// bounded fraction of touched sequences is ever aligned.
-	if rep.Counters["fine_alignments"] > rep.Counters["coarse_sequences"] {
-		t.Fatalf("aligned more sequences (%d) than the coarse phase touched (%d)",
-			rep.Counters["fine_alignments"], rep.Counters["coarse_sequences"])
-	}
-	if rep.Stages["coarse"].TotalUS <= 0 || rep.Stages["fine"].TotalUS <= 0 {
-		t.Fatalf("stage clocks empty: %+v", rep.Stages)
-	}
-}

@@ -91,7 +91,7 @@ func TestIndexTotalsConsistent(t *testing.T) {
 	var it postings.Iterator
 	idx.Terms(func(term kmer.Term, df int) {
 		walkTerms++
-		got := idx.Reader(term, &it)
+		got, _ := idx.ReaderStats(term, &it)
 		n := 0
 		for it.Next() {
 			n++

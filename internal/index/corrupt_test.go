@@ -35,7 +35,7 @@ func walkIndex(x *Index) error {
 	var it postings.Iterator
 	var firstErr error
 	x.Terms(func(term kmer.Term, df int) {
-		x.Reader(term, &it)
+		x.ReaderStats(term, &it)
 		for it.Next() {
 		}
 		if err := it.Err(); err != nil && firstErr == nil {

@@ -12,7 +12,7 @@ import (
 // operating regime — an on-disk index over a collection too large to
 // hold in memory, where each query touches only its own terms' lists.
 //
-// The returned index supports the full read API (Reader, Postings,
+// The returned index supports the full read API (ReaderStats, Postings,
 // Merge as a source) concurrently from multiple goroutines; Save and
 // SerializedBytes are not supported. Close releases the underlying
 // file.

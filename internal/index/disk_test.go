@@ -99,7 +99,7 @@ func TestOpenDiskConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			var it postings.Iterator
 			for i := start; i < len(terms); i += 8 {
-				df := disk.Reader(terms[i], &it)
+				df, _ := disk.ReaderStats(terms[i], &it)
 				n := 0
 				for it.Next() {
 					n++
@@ -163,7 +163,7 @@ func TestOpenDiskReadErrorReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	var it postings.Iterator
-	if df := disk.Reader(kmer.Term(built.terms[0]), &it); df == 0 {
+	if df, _ := disk.ReaderStats(kmer.Term(built.terms[0]), &it); df == 0 {
 		t.Fatal("first lexicon term has no list")
 	}
 	if it.Next() {
@@ -177,7 +177,7 @@ func TestOpenDiskReadErrorReported(t *testing.T) {
 		t.Fatalf("Err() = %v does not wrap os.ErrClosed", err)
 	}
 	// The iterator is reusable: a later list reads clean.
-	if built.Reader(kmer.Term(built.terms[0]), &it); !it.Next() || it.Err() != nil {
+	if built.ReaderStats(kmer.Term(built.terms[0]), &it); !it.Next() || it.Err() != nil {
 		t.Fatalf("iterator not reusable after a failed read: %v", it.Err())
 	}
 }

@@ -42,9 +42,9 @@ func FuzzLoad(f *testing.F) {
 		// their buffers.
 		var it postings.Iterator
 		idx.Terms(func(term kmer.Term, df int) {
-			got := idx.Reader(term, &it)
+			got, _ := idx.ReaderStats(term, &it)
 			if got != df {
-				t.Fatalf("Reader df %d, lexicon df %d", got, df)
+				t.Fatalf("ReaderStats df %d, lexicon df %d", got, df)
 			}
 			n := 0
 			for it.Next() && n <= df {

@@ -421,20 +421,13 @@ func (x *Index) Stopped(t kmer.Term) bool {
 	return i < len(x.stopped) && x.stopped[i] == uint64(t)
 }
 
-// Reader positions it over the posting list of term t and returns the
-// document frequency (0 when the term has no list; the iterator is then
-// empty). The iterator is owned by the caller and may be reused across
-// terms.
-func (x *Index) Reader(t kmer.Term, it *postings.Iterator) int {
-	df, _ := x.ReaderStats(t, it)
-	return df
-}
-
-// ReaderStats positions it like Reader and additionally reports the
-// compressed byte size of the list handed to the iterator — the I/O
-// cost the query-pipeline stats account for, free to report here
-// because the buffer is already in hand. bytes is what a paged index
-// read from disk for this term (zero for absent terms).
+// ReaderStats positions it over the posting list of term t and returns
+// the document frequency (0 when the term has no list; the iterator is
+// then empty) and the compressed byte size of the list handed to the
+// iterator — the I/O cost the query-pipeline stats account for, free to
+// report here because the buffer is already in hand. bytes is what a
+// paged index read from disk for this term (zero for absent terms). The
+// iterator is owned by the caller and may be reused across terms.
 func (x *Index) ReaderStats(t kmer.Term, it *postings.Iterator) (df, bytes int) {
 	return x.readSlot(x.lookup(t), it)
 }
@@ -478,7 +471,7 @@ func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 }
 
 // Postings decodes and returns the full posting list of term t.
-// Intended for tests and tools; query evaluation uses Reader.
+// Intended for tests and tools; query evaluation uses ReaderStatsFrom.
 func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	i := x.lookup(t)
 	if i < 0 {

@@ -177,9 +177,9 @@ func TestReaderIteratesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	var it postings.Iterator
-	df := x.Reader(x.Coder().Encode(dna.MustEncode("ACGT")), &it)
+	df, _ := x.ReaderStats(x.Coder().Encode(dna.MustEncode("ACGT")), &it)
 	if df != 3 {
-		t.Fatalf("Reader df = %d, want 3", df)
+		t.Fatalf("ReaderStats df = %d, want 3", df)
 	}
 	n := 0
 	for it.Next() {
@@ -192,7 +192,7 @@ func TestReaderIteratesAll(t *testing.T) {
 		t.Errorf("iterated %d entries, want %d", n, df)
 	}
 	// Unknown term: empty iterator, df 0.
-	if df := x.Reader(kmer.Term(1<<40), &it); df != 0 {
+	if df, _ := x.ReaderStats(kmer.Term(1<<40), &it); df != 0 {
 		t.Errorf("unknown term df = %d", df)
 	}
 	if it.Next() {
