@@ -25,22 +25,23 @@
 //     functions, or //cafe:pooled struct fields must not outlive the
 //     call that obtained them — no returns, field/global/container
 //     stores, channel sends, unjoined goroutine captures, or calls
-//     that retain them — unless copied first. Flow-sensitive, built
-//     on the CFG + forward dataflow engine in cfg.go/dataflow.go with
-//     one level of interprocedural summaries (summary.go).
+//     that retain them — unless copied first.
 //   - alias: append/slice views over pooled backing must not escape —
 //     the PR-5 both-strands merge bug shape, reported at the
 //     append/slice site where the copy belongs.
 //   - frozen: a value of a //cafe:frozen type is immutable once
 //     published — no store into it, and no call handing it to a helper
 //     whose transitive summary mutates that parameter, after it may
-//     have been read back from a package-level variable. Built on the
-//     mutation dataflow of mutation.go and the module call graph
-//     (callgraph.go).
+//     have been read back from a package-level variable.
 //   - snapshot: a value loaded from an atomic.Pointer or atomic.Value
 //     is a read-only view — no store through it, and no use of it after
-//     a call that transitively swaps the pointer. Shares mutation.go's
-//     dataflow with frozen.
+//     a call that transitively swaps the pointer.
+//
+// The last four are one flow-sensitive analysis (flow.go), built on
+// the CFG + forward dataflow engine in cfg.go/dataflow.go with
+// transitive interprocedural summaries (summary.go) computed
+// callees-first over the module call graph (callgraph.go). It runs
+// once per program; each pass selects its own findings.
 //
 // A finding on one line can be waived with a trailing
 // "//cafe:allow <reason>" comment; the reason is mandatory. Naming a
@@ -53,7 +54,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -62,17 +62,11 @@ import (
 	"time"
 )
 
-// Finding is one diagnostic, formatted "file:line: pass: message".
+// Finding is one diagnostic; NewReport renders it.
 type Finding struct {
 	Pos      token.Position
 	PassName string
 	Message  string
-}
-
-// String renders the finding in the tool's output format, with the file
-// path relative to base when possible.
-func (f Finding) format(base string) string {
-	return fmt.Sprintf("%s:%d: %s: %s", relFile(base, f.Pos.Filename), f.Pos.Line, f.PassName, f.Message)
 }
 
 // relFile strips base from an absolute filename when possible.
@@ -83,18 +77,6 @@ func relFile(base, file string) string {
 		}
 	}
 	return file
-}
-
-// String renders the finding with its full file path.
-func (f Finding) String() string { return f.format("") }
-
-// Format renders every finding relative to the program root, sorted.
-func Format(prog *Program, findings []Finding) []string {
-	out := make([]string, len(findings))
-	for i, f := range findings {
-		out[i] = f.format(prog.Root)
-	}
-	return out
 }
 
 // Pass is one analysis run over a package within a loaded program.
@@ -108,7 +90,7 @@ type Pass interface {
 // DefaultPasses returns the pass suite configured for this repository —
 // the configuration cmd/cafe-lint and the self-check test share.
 func DefaultPasses() []Pass {
-	passes := []Pass{
+	return []Pass{
 		&HotpathPass{},
 		&ErrcheckPass{Packages: []string{
 			"nucleodb/internal/index",
@@ -120,17 +102,11 @@ func DefaultPasses() []Pass {
 			"nucleodb/internal/server",
 			"nucleodb/internal/core",
 		}},
+		&PoolEscapePass{},
+		&AliasPass{},
+		&FrozenPass{},
+		&SnapshotPass{},
 	}
-	// poolescape and alias run one shared dataflow between them, as do
-	// frozen and snapshot.
-	shared := &PoolShared{}
-	mut := &MutShared{}
-	return append(passes,
-		&PoolEscapePass{Shared: shared},
-		&AliasPass{Shared: shared},
-		&FrozenPass{Shared: mut},
-		&SnapshotPass{Shared: mut},
-	)
 }
 
 // Analyze runs every pass over every package selected by keep (nil

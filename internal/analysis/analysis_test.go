@@ -74,23 +74,26 @@ func wantKeys(t *testing.T, prog *analysis.Program, pkgPath string) map[string]b
 	return want
 }
 
-// gotKeys reduces formatted findings ("file:line: pass: msg") to the
-// same "file:line pass" key space, deduplicating multiple findings on
-// one line, and returns the full lines for diagnostics.
+// gotKeys reduces findings to the same "file:line pass" key space,
+// deduplicating multiple findings on one line, and returns the rendered
+// lines for diagnostics.
 func gotKeys(t *testing.T, prog *analysis.Program, findings []analysis.Finding) (map[string]bool, map[string][]string) {
 	t.Helper()
 	got := map[string]bool{}
 	lines := map[string][]string{}
-	for _, line := range analysis.Format(prog, findings) {
-		parts := strings.SplitN(line, ": ", 3)
-		if len(parts) != 3 {
-			t.Fatalf("malformed finding %q", line)
-		}
-		key := parts[0] + " " + parts[1]
+	for _, d := range analysis.NewReport(prog, findings).Findings {
+		key := fmt.Sprintf("%s:%d %s", d.File, d.Line, d.Pass)
 		got[key] = true
-		lines[key] = append(lines[key], line)
+		lines[key] = append(lines[key], d.String())
 	}
 	return got, lines
+}
+
+// render renders findings the way cafe-lint's text output does.
+func render(prog *analysis.Program, findings []analysis.Finding) string {
+	var b strings.Builder
+	_ = analysis.NewReport(prog, findings).WriteText(&b) // a strings.Builder never fails
+	return b.String()
 }
 
 // runPass runs one pass over one fixture package and diffs its findings
@@ -141,36 +144,94 @@ func TestSnapshotPassFixtures(t *testing.T) {
 	runPass(t, &analysis.SnapshotPass{}, "fixture/snappkg")
 }
 
+var (
+	poolPasses       = []analysis.Pass{&analysis.PoolEscapePass{}, &analysis.AliasPass{}}
+	mutationPasses   = []analysis.Pass{&analysis.FrozenPass{}, &analysis.SnapshotPass{}}
+	poolFixtures     = map[string]string{"poolescape": "fixture/poolesc", "alias": "fixture/aliaspkg"}
+	mutationFixtures = map[string]string{"frozen": "fixture/frozenpkg", "snapshot": "fixture/snappkg"}
+)
+
 // TestMutationPassesDisjoint checks the taint partition of the shared
-// mutation dataflow: the frozen pass must stay silent on the snapshot
-// fixtures (the conf type carries no //cafe:frozen) and the snapshot
-// pass on the frozen fixtures (no atomics there).
+// flow analysis: the snapshot fixtures' conf type carries no
+// //cafe:frozen, and the frozen fixtures hold no atomics.
 func TestMutationPassesDisjoint(t *testing.T) {
+	assertDisjoint(t, mutationPasses, mutationFixtures)
+}
+
+// TestPoolPassesDisjoint checks the fact partition: the poolescape
+// pass reports nothing in the alias fixtures (views are not the pooled
+// object) and the alias pass nothing in the poolescape fixtures.
+func TestPoolPassesDisjoint(t *testing.T) {
+	assertDisjoint(t, poolPasses, poolFixtures)
+}
+
+// TestFlowPassesDisjoint checks the cross-pair cells of the flow-pass
+// table: now that all four passes read one flow analysis, the pool
+// passes report nothing in the mutation fixtures (a pooled value is not
+// frozen) and the mutation passes nothing in the pool fixtures.
+func TestFlowPassesDisjoint(t *testing.T) {
+	assertDisjoint(t, poolPasses, mutationFixtures)
+	assertDisjoint(t, mutationPasses, poolFixtures)
+}
+
+// assertDisjoint checks that each pass reports nothing in the fixture
+// packages of the other passes named in fixtures (keyed by pass name).
+func assertDisjoint(t *testing.T, passes []analysis.Pass, fixtures map[string]string) {
+	t.Helper()
 	prog := loadFixture(t)
-	for _, c := range []struct {
-		pass analysis.Pass
-		pkg  string
-	}{
-		{&analysis.FrozenPass{}, "fixture/snappkg"},
-		{&analysis.SnapshotPass{}, "fixture/frozenpkg"},
-	} {
-		if f := analysis.Analyze(prog, []analysis.Pass{c.pass}, keepOnly(c.pkg)); len(f) > 0 {
-			t.Errorf("%s findings in %s:\n%s", c.pass.Name(), c.pkg,
-				strings.Join(analysis.Format(prog, f), "\n"))
+	for _, pass := range passes {
+		for owner, pkg := range fixtures {
+			if owner == pass.Name() {
+				continue
+			}
+			if f := analysis.Analyze(prog, []analysis.Pass{pass}, keepOnly(pkg)); len(f) > 0 {
+				t.Errorf("%s findings in the %s fixture package %s:\n%s", pass.Name(), owner, pkg, render(prog, f))
+			}
 		}
 	}
 }
 
-// TestPoolPassesDisjoint checks the fact partition: the poolescape
-// pass must stay silent on the aliasing fixtures (views are not the
-// pooled object) and the alias pass on the direct-escape fixtures.
-func TestPoolPassesDisjoint(t *testing.T) {
-	prog := loadFixture(t)
-	if f := analysis.Analyze(prog, []analysis.Pass{&analysis.PoolEscapePass{}}, keepOnly("fixture/aliaspkg")); len(f) > 0 {
-		t.Errorf("poolescape findings in the alias fixture package:\n%s", strings.Join(analysis.Format(prog, f), "\n"))
+// TestSwapPointChains checks that a call chain of any length ending in
+// an atomic Store makes its head a swap point: a snapshot loaded before
+// calling the head of an 8-hop or a 40-hop acyclic chain is stale
+// afterwards, on every run.
+func TestSwapPointChains(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("package chain\n\nimport \"sync/atomic\"\n\ntype conf struct{ n int }\n\nvar cur atomic.Pointer[conf]\n")
+	for _, hops := range []int{8, 40} {
+		fmt.Fprintf(&src, "func f%d_%d() { cur.Store(&conf{}) }\n", hops, hops)
+		for i := hops - 1; i >= 0; i-- {
+			fmt.Fprintf(&src, "func f%d_%d() { f%d_%d() }\n", hops, i, hops, i+1)
+		}
+		fmt.Fprintf(&src, "func use%d() int {\n\tc := cur.Load()\n\tf%d_0()\n\treturn c.n // stale\n}\n", hops, hops)
 	}
-	if f := analysis.Analyze(prog, []analysis.Pass{&analysis.AliasPass{}}, keepOnly("fixture/poolesc")); len(f) > 0 {
-		t.Errorf("alias findings in the poolescape fixture package:\n%s", strings.Join(analysis.Format(prog, f), "\n"))
+	want := map[string]bool{}
+	for i, line := range strings.Split(src.String(), "\n") {
+		if strings.HasSuffix(line, "// stale") {
+			want[fmt.Sprintf("chain.go:%d snapshot", i+1)] = true
+		}
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "chain.go"), []byte(src.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := analysis.Load(dir, "chain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prog.Failed) > 0 {
+		t.Fatalf("generated module failed to load: %v", prog.Failed)
+	}
+	got, lines := gotKeys(t, prog, analysis.Analyze(prog, []analysis.Pass{&analysis.SnapshotPass{}}, nil))
+	for key := range want {
+		if !got[key] {
+			t.Errorf("chain head is not a swap point: no stale-use finding at %s", key)
+		}
+	}
+	for key := range got {
+		if !want[key] {
+			t.Errorf("unexpected finding: %v", lines[key])
+		}
 	}
 }
 
@@ -181,14 +242,14 @@ func TestCtxPassScope(t *testing.T) {
 	prog := loadFixture(t)
 	pass := &analysis.CtxPass{}
 	findings := analysis.Analyze(prog, []analysis.Pass{pass}, keepOnly("fixture/ctxpkg"))
-	for _, line := range analysis.Format(prog, findings) {
-		if strings.Contains(line, "context.Background") || strings.Contains(line, "context.TODO") {
-			t.Errorf("Background/TODO flagged outside the configured packages: %s", line)
+	for _, d := range analysis.NewReport(prog, findings).Findings {
+		if strings.Contains(d.Message, "context.Background") || strings.Contains(d.Message, "context.TODO") {
+			t.Errorf("Background/TODO flagged outside the configured packages: %s", d)
 		}
 	}
 	if len(findings) != 2 {
 		t.Errorf("want exactly the 2 sibling-call findings, got %d:\n%s",
-			len(findings), strings.Join(analysis.Format(prog, findings), "\n"))
+			len(findings), render(prog, findings))
 	}
 }
 
@@ -201,7 +262,7 @@ func TestErrcheckScope(t *testing.T) {
 	findings := analysis.Analyze(prog, []analysis.Pass{pass}, keepOnly("fixture/hot"))
 	if len(findings) != 0 {
 		t.Fatalf("errcheck scoped to fixture/errs reported in fixture/hot:\n%s",
-			strings.Join(analysis.Format(prog, findings), "\n"))
+			render(prog, findings))
 	}
 }
 
@@ -262,7 +323,7 @@ func TestRepoIsClean(t *testing.T) {
 	findings := analysis.Analyze(prog, analysis.DefaultPasses(), nil)
 	if len(findings) != 0 {
 		t.Fatalf("default passes report findings on the repository:\n%s",
-			strings.Join(analysis.Format(prog, findings), "\n"))
+			render(prog, findings))
 	}
 }
 
@@ -296,6 +357,6 @@ func TestLoadRecordsPerPackageFailures(t *testing.T) {
 	// clean (broken/good has nothing to flag).
 	if findings := analysis.Analyze(prog, analysis.DefaultPasses(), nil); len(findings) != 0 {
 		t.Errorf("unexpected findings on the healthy package:\n%s",
-			strings.Join(analysis.Format(prog, findings), "\n"))
+			render(prog, findings))
 	}
 }

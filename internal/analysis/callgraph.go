@@ -4,30 +4,28 @@ package analysis
 // module; edges are the static calls the type checker can resolve
 // (direct calls and method calls with a concrete receiver — calls
 // through function values and interface methods stay opaque, the same
-// stance the pooled-buffer passes take). Calls made inside a nested
-// function literal or a go statement are attributed to the enclosing
+// stance the flow analysis takes). Calls made inside a nested function
+// literal or a go statement are attributed to the enclosing
 // declaration: for the may-analyses built on the graph (what a call
 // can eventually mutate or swap) that attribution is the conservative
 // direction.
 //
-// Summaries computed over the graph are transitive but k-bounded:
+// Summaries computed over the graph (summary.go) are transitive:
 // strongly connected components are processed callees-first (the
-// order Tarjan's algorithm emits them), and the fixpoint within an
-// SCC — and every closure propagated over the graph — runs at most
-// summaryDepth rounds, so a fact travels at most summaryDepth call
-// hops through recursion. The bound exists to keep the lint's cost
-// proportional to the module, not to the depth of pathological call
-// chains; at depth 8 no real chain in this module is truncated.
+// order Tarjan's algorithm emits them), so an acyclic chain of any
+// length composes exactly, and only the fixpoint within a recursive
+// SCC is bounded, at summaryDepth rounds. The bound exists to keep the
+// lint's cost proportional to the module, not to the depth of
+// pathological recursion.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// summaryDepth is k: the maximum number of call hops a transitive
-// summary fact propagates through a cycle, and the round bound of
-// every closure over the call graph.
+// summaryDepth is k: the round bound of the summary fixpoint inside a
+// recursive component, so the maximum number of call hops a summary
+// fact propagates through a cycle.
 const summaryDepth = 8
 
 // goDecl pairs a function declaration with the package whose type info
@@ -53,9 +51,7 @@ type callGraph struct {
 	sccOf map[*types.Func]int
 }
 
-// callGraph returns the module call graph, building it on first use:
-// the pooled-buffer summaries and the mutation summaries read the one
-// graph.
+// callGraph returns the module call graph, building it on first use.
 func (p *Program) callGraph() *callGraph {
 	if p.cg == nil {
 		p.cg = buildCallGraph(p)
@@ -179,36 +175,4 @@ func (cg *callGraph) recursive(fn *types.Func) bool {
 		}
 	}
 	return false
-}
-
-// transClosureBool propagates a boolean per-function fact (may swap)
-// transitively up an edge set: after it returns, out[f] is set when any
-// function within summaryDepth call hops of f carries the fact, tagged
-// with the earliest witness site so diagnostics stay deterministic.
-func transClosureBool(edges map[*types.Func][]*types.Func, direct map[*types.Func]token.Pos) map[*types.Func]token.Pos {
-	out := map[*types.Func]token.Pos{}
-	for fn, pos := range direct {
-		out[fn] = pos
-	}
-	for round := 0; round < summaryDepth; round++ {
-		changed := false
-		for fn, callees := range edges {
-			for _, callee := range callees {
-				pos, ok := out[callee]
-				if !ok {
-					continue
-				}
-				if old, seen := out[fn]; !seen {
-					out[fn] = pos
-					changed = true
-				} else if pos < old {
-					out[fn] = pos
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return out
 }

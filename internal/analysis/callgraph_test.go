@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"go/token"
-	"go/types"
-	"testing"
-)
+import "testing"
 
 // TestCallGraphCalleesFirst loads the fixture module and checks the
 // SCC order contract: when a function is processed, every callee
@@ -42,23 +38,4 @@ func TestCallGraphCalleesFirst(t *testing.T) {
 		t.Errorf("missing call edge %s -> %s", caller, callee)
 	}
 	wantEdge("touch", "initPeers")
-}
-
-// TestTransClosurePropagatesChain checks that a fact travels a full
-// summaryDepth-hop chain: f0 calls f1 calls ... and only the last
-// function carries the direct fact.
-func TestTransClosurePropagatesChain(t *testing.T) {
-	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
-	fns := make([]*types.Func, summaryDepth+1)
-	for i := range fns {
-		fns[i] = types.NewFunc(token.NoPos, nil, "f", sig)
-	}
-	edges := map[*types.Func][]*types.Func{}
-	for i := 0; i+1 < len(fns); i++ {
-		edges[fns[i]] = []*types.Func{fns[i+1]}
-	}
-	bout := transClosureBool(edges, map[*types.Func]token.Pos{fns[len(fns)-1]: 7})
-	if pos, ok := bout[fns[0]]; !ok || pos != 7 {
-		t.Fatalf("bool fact did not reach the chain head: %v (ok=%v)", pos, ok)
-	}
 }

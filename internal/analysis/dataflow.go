@@ -3,8 +3,8 @@ package analysis
 // A small forward dataflow engine over the CFG of cfg.go. The engine
 // is a may-analysis: block in-states are joined by union, and the
 // transfer function is run to fixpoint with a worklist. Facts form a
-// finite join-semilattice per function (booleans, a 64-bit parameter
-// set, and a set of alias sites bounded by the function's source
+// finite join-semilattice per function (booleans, two 64-bit parameter
+// sets, and a set of alias sites bounded by the function's source
 // positions), so the fixpoint terminates.
 
 import (
@@ -14,18 +14,23 @@ import (
 	"sort"
 )
 
-// Fact is what the flow-sensitive analyses know about one variable at
-// one program point. The pooled-buffer passes use Pooled/Params/Alias;
-// the frozen and snapshot passes use Frozen/Snap/Stale/Recv on the
-// same lattice (every component joins by union, so the shared engine
-// below serves both families).
+// Fact is what the flow analysis (flow.go) knows about one variable at
+// one program point. Two families of components ride it: the pool
+// components Pooled/Params/Alias feed the poolescape and alias sinks,
+// the mutation components Frozen/Snap/Elems/Stale/MutParams/Recv feed
+// the frozen and snapshot sinks. Every component joins by union; the
+// few rules that treat the families differently (a fresh struct value
+// holds the pool's memory but is not the snapshot) act on a component
+// set, never on a separate walk.
 type Fact struct {
 	// Pooled marks memory owned by a pool: the result of
 	// (*sync.Pool).Get, of a //cafe:pooled function, or the value of a
 	// //cafe:pooled struct field.
 	Pooled bool
-	// Params is a bitset of function parameters the value may alias,
-	// used when computing per-function summaries (bit i = parameter i).
+	// Params is a bitset of function parameters whose memory the value
+	// may hold, used when computing per-function summaries (bit i =
+	// parameter i). It follows containment: a struct literal wrapping a
+	// parameter still holds it.
 	Params uint64
 	// Alias records the positions of append/slice expressions that
 	// derived this value from pooled backing — the PR-5 bug shape. A
@@ -52,34 +57,49 @@ type Fact struct {
 	// that transitively performs an atomic Store/Swap): using it after
 	// the swap is a snapshot-pass violation.
 	Stale bool
-	// Recv marks the method receiver while computing mutation
-	// summaries, the receiver analogue of a Params bit.
-	Recv bool
+	// MutParams is the bitset of parameters a store through the value
+	// may reach, and Recv its receiver bit. Unlike Params it stops at a
+	// fresh struct value: a wrapper built around a parameter, or a
+	// shallow copy of one, is new memory.
+	MutParams uint64
+	Recv      bool
 }
 
 // some reports whether the fact carries any information.
 func (f Fact) some() bool {
-	return f.Pooled || f.Params != 0 || len(f.Alias) > 0 ||
-		f.Frozen || f.Snap || f.Stale || f.Recv
+	return f.pooly() || f.Frozen || f.Snap || f.Stale || f.MutParams != 0 || f.Recv
+}
+
+// pooly reports whether any pool component is set.
+func (f Fact) pooly() bool { return f.Pooled || f.Params != 0 || len(f.Alias) > 0 }
+
+// pool keeps only the pool components of f.
+func (f Fact) pool() Fact { return Fact{Pooled: f.Pooled, Params: f.Params, Alias: f.Alias} }
+
+// mut keeps only the mutation components of f.
+func (f Fact) mut() Fact {
+	f.Pooled, f.Params, f.Alias = false, 0, nil
+	return f
 }
 
 // withAlias returns f extended with one alias site, dropping Pooled:
 // the derived view shares backing but is not the pooled object.
 func (f Fact) withAlias(pos token.Pos) Fact {
-	out := Fact{Params: f.Params, Alias: addPos(f.Alias, pos)}
-	return out
+	f.Pooled, f.Alias = false, addPos(f.Alias, pos)
+	return f
 }
 
 // mergeFact joins two facts (set union on every component).
 func mergeFact(a, b Fact) Fact {
 	out := Fact{
-		Pooled: a.Pooled || b.Pooled,
-		Params: a.Params | b.Params,
-		Alias:  a.Alias,
-		Frozen: a.Frozen || b.Frozen,
-		Snap:   a.Snap || b.Snap,
-		Stale:  a.Stale || b.Stale,
-		Recv:   a.Recv || b.Recv,
+		Pooled:    a.Pooled || b.Pooled,
+		Params:    a.Params | b.Params,
+		Alias:     a.Alias,
+		Frozen:    a.Frozen || b.Frozen,
+		Snap:      a.Snap || b.Snap,
+		Stale:     a.Stale || b.Stale,
+		MutParams: a.MutParams | b.MutParams,
+		Recv:      a.Recv || b.Recv,
 	}
 	// Elems survives a join only when every tainted side is
 	// elements-only: none < elements-tainted < fully-tainted.
@@ -99,7 +119,7 @@ func factEqual(a, b Fact) bool {
 		return false
 	}
 	if a.Frozen != b.Frozen || a.Snap != b.Snap || a.Elems != b.Elems ||
-		a.Stale != b.Stale || a.Recv != b.Recv {
+		a.Stale != b.Stale || a.MutParams != b.MutParams || a.Recv != b.Recv {
 		return false
 	}
 	for i := range a.Alias {

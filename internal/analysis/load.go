@@ -82,9 +82,11 @@ type Program struct {
 	// frozen records type declarations annotated //cafe:frozen: values
 	// of these types are immutable once published.
 	frozen map[*types.TypeName]bool
-	// cg is the module call graph, built by the first pass that asks
-	// (see callGraph); passes run one after another, so no lock.
-	cg *callGraph
+	// cg is the module call graph and flow the flow analysis result,
+	// each built by the first pass that asks (see callGraph and
+	// flowFindings); passes run one after another, so no lock.
+	cg   *callGraph
+	flow *flowResult
 }
 
 // Hot reports whether fn was declared with a //cafe:hotpath directive.
