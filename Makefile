@@ -89,7 +89,7 @@ lint-budget:
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \
 	[ $$took -le $(LINT_BUDGET) ]
 
-# ~16s total: each native fuzz target gets 2s of mutation on top of its
+# ~18s total: each native fuzz target gets 2s of mutation on top of its
 # committed corpus. CI-sized; run `go test -fuzz` locally for real runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzVarint$$' -fuzztime=2s ./internal/compress
@@ -100,6 +100,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvectorAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzLocalAlign$$' -fuzztime=2s ./internal/align
+	$(GO) test -run='^$$' -fuzz='^FuzzSearchParams$$' -fuzztime=2s ./internal/server
 
 # End-to-end smoke over cafe-serve: build the binary, start it on a
 # random port, replay testdata/script.json, and diff every response

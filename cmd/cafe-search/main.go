@@ -37,21 +37,23 @@ func main() {
 	log.SetPrefix("cafe-search: ")
 
 	var (
-		dbDir      = flag.String("db", "", "database directory (required)")
-		q          = flag.String("q", "", "literal query sequence")
-		queryFile  = flag.String("queries", "", "FASTA file of queries")
-		candidates = flag.Int("candidates", 100, "coarse-phase candidate budget")
-		limit      = flag.Int("limit", 20, "answers per query")
-		exact      = flag.Bool("exact", false, "exact (unbanded) fine alignment")
-		coarseMode = flag.String("coarse-mode", "", "coarse ranking mode: distinct, total, normalised, or diagonal (needs offsets)")
-		minScore   = flag.Int("minscore", 1, "minimum alignment score")
-		strands    = flag.Bool("strands", false, "search both strands")
-		show       = flag.Int("show", 0, "print full alignments for the top N answers")
-		paged      = flag.Bool("paged", false, "read posting lists from disk on demand instead of loading the index")
-		tsv        = flag.Bool("tsv", false, "tab-separated output: query, rank, id, desc, score, bits, evalue, strand, spans")
-		stats      = flag.Bool("stats", false, "print per-stage work counters and latencies after each query, and process totals at the end")
-		fineW      = flag.Int("fine-workers", 0, "align candidates concurrently in the fine phase (0 = serial; results are identical)")
+		dbDir     = flag.String("db", "", "database directory (required)")
+		q         = flag.String("q", "", "literal query sequence")
+		queryFile = flag.String("queries", "", "FASTA file of queries")
+		show      = flag.Int("show", 0, "print full alignments for the top N answers")
+		paged     = flag.Bool("paged", false, "read posting lists from disk on demand instead of loading the index")
+		tsv       = flag.Bool("tsv", false, "tab-separated output: query, rank, id, desc, score, bits, evalue, strand, spans")
+		stats     = flag.Bool("stats", false, "print per-stage work counters and latencies after each query, and process totals at the end")
 	)
+	opts := nucleodb.DefaultSearchOptions()
+	flag.IntVar(&opts.Candidates, "candidates", opts.Candidates, "coarse-phase candidate budget")
+	flag.IntVar(&opts.Limit, "limit", opts.Limit, "answers per query")
+	flag.BoolVar(&opts.Exact, "exact", opts.Exact, "exact (unbanded) fine alignment")
+	flag.TextVar(&opts.CoarseMode, "coarse-mode", opts.CoarseMode, fmt.Sprintf("coarse ranking mode: %v, %v, %v or %v (needs offsets)",
+		nucleodb.CoarseDistinct, nucleodb.CoarseTotal, nucleodb.CoarseNormalised, nucleodb.CoarseDiagonal))
+	flag.IntVar(&opts.MinScore, "minscore", opts.MinScore, "minimum alignment score")
+	flag.BoolVar(&opts.BothStrands, "strands", opts.BothStrands, "search both strands")
+	flag.IntVar(&opts.FineWorkers, "fine-workers", opts.FineWorkers, "align candidates concurrently in the fine phase (0 = serial; results are identical)")
 	flag.Parse()
 	if *dbDir == "" || (*q == "" && *queryFile == "") {
 		flag.Usage()
@@ -67,15 +69,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer db.Close()
-
-	opts := nucleodb.DefaultSearchOptions()
-	opts.Candidates = *candidates
-	opts.Limit = *limit
-	opts.Exact = *exact
-	opts.CoarseMode = *coarseMode
-	opts.MinScore = *minScore
-	opts.BothStrands = *strands
-	opts.FineWorkers = *fineW
 
 	type namedQuery struct {
 		name string

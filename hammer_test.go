@@ -64,7 +64,7 @@ func TestSegmentedConcurrentHammer(t *testing.T) {
 				}
 				o := opts
 				if rng.Intn(2) == 0 {
-					o.CoarseMode = "diagonal"
+					o.CoarseMode = CoarseDiagonal
 				}
 				o.FineWorkers = rng.Intn(3)
 				if rng.Intn(4) == 0 {

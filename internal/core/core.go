@@ -14,6 +14,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,19 +54,51 @@ const (
 	CoarseDiagonal
 )
 
+// coarseModeNames is the one table of coarse-mode names. String,
+// MarshalText and UnmarshalText all read it, so E8's table labels, the
+// cafe-search flag, the server's parameter and JSON field take the same
+// words, and a mode without a name here is invalid.
+var coarseModeNames = [...]string{
+	CoarseDistinct:   "distinct",
+	CoarseTotal:      "total",
+	CoarseNormalised: "normalised",
+	CoarseDiagonal:   "diagonal",
+}
+
+func (m CoarseMode) valid() bool { return m >= 0 && int(m) < len(coarseModeNames) }
+
 // String returns the mode's table label.
 func (m CoarseMode) String() string {
-	switch m {
-	case CoarseDistinct:
-		return "distinct"
-	case CoarseTotal:
-		return "total"
-	case CoarseNormalised:
-		return "normalised"
-	case CoarseDiagonal:
-		return "diagonal"
+	if !m.valid() {
+		return fmt.Sprintf("CoarseMode(%d)", int(m))
 	}
-	return fmt.Sprintf("CoarseMode(%d)", int(m))
+	return coarseModeNames[m]
+}
+
+// MarshalText returns the mode's label.
+func (m CoarseMode) MarshalText() ([]byte, error) {
+	if !m.valid() {
+		return nil, Invalid(fmt.Errorf("core: unknown coarse mode %d", int(m)))
+	}
+	return []byte(coarseModeNames[m]), nil
+}
+
+// UnmarshalText sets m to the mode labelled text. Empty text leaves m
+// unchanged, so an empty flag, parameter or JSON string keeps the
+// default it was decoded onto. An unknown label is an ErrInvalid error
+// naming it and every mode.
+func (m *CoarseMode) UnmarshalText(text []byte) error {
+	if len(text) == 0 {
+		return nil
+	}
+	for i, name := range coarseModeNames {
+		if string(text) == name {
+			*m = CoarseMode(i)
+			return nil
+		}
+	}
+	return Invalid(fmt.Errorf("core: unknown coarse mode %q: want one of %s",
+		text, strings.Join(coarseModeNames[:], ", ")))
 }
 
 // FineMode selects the fine-phase aligner.
@@ -174,12 +207,7 @@ func (o Options) validate() error {
 	if o.MinCoarseHits < 1 {
 		return fmt.Errorf("core: MinCoarseHits %d must be positive", o.MinCoarseHits)
 	}
-	// An exhaustive switch, not a range check: adding a mode without
-	// teaching validation about it must fail closed, not widen the
-	// accepted range silently.
-	switch o.CoarseMode {
-	case CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal:
-	default:
+	if !o.CoarseMode.valid() {
 		return fmt.Errorf("core: unknown coarse mode %d", o.CoarseMode)
 	}
 	if o.FineMode < FineFull || o.FineMode > FineBanded {

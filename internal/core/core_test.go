@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nucleodb/internal/align"
@@ -365,5 +367,37 @@ func TestModeStrings(t *testing.T) {
 	}
 	if CoarseMode(42).String() == "" || FineMode(42).String() == "" {
 		t.Error("unknown modes must still render")
+	}
+
+	// Every coarse mode round-trips through its text form under its
+	// unchanged table label.
+	labels := map[CoarseMode]string{CoarseDistinct: "distinct", CoarseTotal: "total", CoarseNormalised: "normalised", CoarseDiagonal: "diagonal"}
+	for m, label := range labels {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != label || m.String() != label {
+			t.Errorf("mode %d: MarshalText %q, %v; String %q; want %q", int(m), text, err, m, label)
+		}
+		back := CoarseMode(-1)
+		if err := back.UnmarshalText(text); err != nil || back != m {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", text, back, err, m)
+		}
+	}
+	// Empty text keeps the value it was decoded onto; an unknown name and
+	// an out-of-range value are the caller's errors.
+	m := CoarseTotal
+	if err := m.UnmarshalText(nil); err != nil || m != CoarseTotal {
+		t.Errorf("UnmarshalText(empty) = %v, %v; want total unchanged", m, err)
+	}
+	err := m.UnmarshalText([]byte("cosine"))
+	if !errors.Is(err, ErrInvalid) || m != CoarseTotal {
+		t.Errorf("UnmarshalText(cosine) = %v, %v; want ErrInvalid, total unchanged", m, err)
+	}
+	for _, want := range []string{`"cosine"`, "distinct", "total", "normalised", "diagonal"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("unknown-name error %v does not name %s", err, want)
+		}
+	}
+	if _, err := (CoarseDiagonal + 1).MarshalText(); !errors.Is(err, ErrInvalid) {
+		t.Errorf("MarshalText of an out-of-range mode: %v, want ErrInvalid", err)
 	}
 }

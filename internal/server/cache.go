@@ -4,18 +4,38 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"nucleodb"
 )
 
+// cacheKey keys the result cache: the canonical query letters
+// (encode/decode normalises case and U→T) and the resolved options. The
+// options are the struct itself, so every field — each /search wire name
+// and every server default — is in the key by construction, except what
+// newCacheKey zeroes.
+type cacheKey struct {
+	query string
+	opts  nucleodb.SearchOptions
+}
+
+// newCacheKey zeroes the options that change how a search runs but not
+// what it answers: FineWorkers, proven result-neutral by
+// TestParallelFineMatchesSerial, so serial and parallel configurations
+// share entries.
+func newCacheKey(canonical string, opts nucleodb.SearchOptions) cacheKey {
+	opts.FineWorkers = 0
+	return cacheKey{query: canonical, opts: opts}
+}
+
 // resultCache is a fixed-capacity LRU over marshalled search
-// responses, keyed on (canonical query, options). Entries are the
-// exact JSON bytes written to clients, so a hit costs one map lookup
-// and one write — no re-search, no re-marshal. The cache is safe for
-// concurrent use; hits and misses are counted for the hit-rate the
-// operator watches.
+// responses, keyed on cacheKey. Entries are the exact JSON bytes
+// written to clients, so a hit costs one map lookup and one write — no
+// re-search, no re-marshal. The cache is safe for concurrent use; hits
+// and misses are counted for the hit-rate the operator watches.
 type resultCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	order   *list.List // front = most recently used
 
 	hits   atomic.Int64
@@ -23,7 +43,7 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	body []byte
 }
 
@@ -35,7 +55,7 @@ func newResultCache(capacity int) *resultCache {
 	}
 	return &resultCache{
 		cap:     capacity,
-		entries: make(map[string]*list.Element, capacity),
+		entries: make(map[cacheKey]*list.Element, capacity),
 		order:   list.New(),
 	}
 }
@@ -45,7 +65,7 @@ func newResultCache(capacity int) *resultCache {
 // read it (every concurrent hit hands out the same backing array).
 //
 //cafe:pooled the returned body is shared across concurrent hits; never mutate or append to it
-func (c *resultCache) get(key string) ([]byte, bool) {
+func (c *resultCache) get(key cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -65,7 +85,7 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 
 // put stores body under key, evicting the least recently used entry
 // when the cache is full. body must not be mutated after the call.
-func (c *resultCache) put(key string, body []byte) {
+func (c *resultCache) put(key cacheKey, body []byte) {
 	if c == nil {
 		return
 	}

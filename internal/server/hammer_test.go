@@ -43,13 +43,13 @@ func TestResultCacheHammer(t *testing.T) {
 				key := fmt.Sprintf("key-%d", rng.Intn(keySpace))
 				switch rng.Intn(4) {
 				case 0:
-					c.put(key, []byte("body:"+key))
+					c.put(cacheKey{query: key}, []byte("body:"+key))
 				case 1:
 					_ = c.Len()
 					_ = c.stats()
 				default:
 					gets.Add(1)
-					if body, ok := c.get(key); ok {
+					if body, ok := c.get(cacheKey{query: key}); ok {
 						hits.Add(1)
 						if string(body) != "body:"+key {
 							t.Errorf("cache returned %q for %q", body, key)
@@ -115,8 +115,8 @@ func TestServerHammerAcrossAppends(t *testing.T) {
 				}
 				key := fmt.Sprintf("bg-%d", rng.Intn(16))
 				if rng.Intn(2) == 0 {
-					s.cache.put(key, []byte("body:"+key))
-				} else if body, ok := s.cache.get(key); ok && string(body) != "body:"+key {
+					s.cache.put(cacheKey{query: key}, []byte("body:"+key))
+				} else if body, ok := s.cache.get(cacheKey{query: key}); ok && string(body) != "body:"+key {
 					t.Errorf("cache returned %q for %q", body, key)
 					return
 				}

@@ -5,6 +5,11 @@
 // around). The server is deliberately boring operationally:
 //
 //   - GET/POST /search evaluates one query; POST /batch evaluates many;
+//   - request parameters are one closed list on every method: the JSON
+//     names of nucleodb.SearchOptions plus timeout and stats, with query
+//     (or q on GET) and nocache on /search and queries on /batch; a GET
+//     parameter is a JSON field by another encoding, and any other name
+//     answers 400;
 //   - a bounded worker pool caps concurrent searches, a bounded queue
 //     absorbs bursts, and requests beyond both are shed with 429;
 //   - every request runs under a context deadline (per-request
@@ -16,21 +21,25 @@
 //     400; any other failure — a corrupt posting list, a failed disk
 //     read — is the server's, answers 500 and counts in
 //     server_errors_total;
-//   - an LRU cache keyed on (canonical query, options) serves repeated
-//     queries from memory, with hit/miss counters in /metrics;
+//   - an LRU cache keyed on the canonical query and the resolved
+//     SearchOptions struct serves repeated queries from memory, with
+//     hit/miss counters in /metrics;
 //   - /healthz answers liveness probes and /metrics and /debug/vars
 //     export the process-wide metrics registry.
 package server
 
 import (
 	"context"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -245,46 +254,16 @@ func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Write(newline)
 }
 
-// searchRequest is the parameter set of one /search evaluation, from
-// URL parameters (GET) or a JSON body (POST). Pointer fields
-// distinguish "unset" from an explicit zero.
+// searchRequest is the parameter set of one /search evaluation. Its JSON
+// names are the wire names on both methods: POST decodes a body onto a
+// copy of the server's default options and GET sets the same fields from
+// URL parameters (decodeQuery), so a name left out keeps its default.
 type searchRequest struct {
-	Query      string `json:"query"`
-	Limit      *int   `json:"limit"`
-	Candidates *int   `json:"candidates"`
-	MinScore   *int   `json:"minscore"`
-	Prescreen  *int   `json:"prescreen"`
-	Band       *int   `json:"band"`
-	Strands    *bool  `json:"strands"`
-	Exact      *bool  `json:"exact"`
-	CoarseMode string `json:"coarse_mode"`
-	Timeout    string `json:"timeout"`
-	Stats      bool   `json:"stats"`
-	NoCache    bool   `json:"nocache"`
-}
-
-func intParam(q url.Values, name string) (*int, error) {
-	v := q.Get(name)
-	if v == "" {
-		return nil, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return nil, fmt.Errorf("parameter %s=%q is not an integer", name, v)
-	}
-	return &n, nil
-}
-
-func boolParam(q url.Values, name string) (*bool, error) {
-	v := q.Get(name)
-	if v == "" {
-		return nil, nil
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return nil, fmt.Errorf("parameter %s=%q is not a boolean", name, v)
-	}
-	return &b, nil
+	Query string `json:"query"`
+	nucleodb.SearchOptions
+	Timeout string `json:"timeout"`
+	Stats   bool   `json:"stats"`
+	NoCache bool   `json:"nocache"`
 }
 
 // bodySlack is the room a request body gets beyond its queries: the
@@ -316,161 +295,104 @@ func failDecode(w http.ResponseWriter, err error) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 }
 
-// parseSearchRequest extracts a searchRequest from r: JSON body for
-// POST (at most maxBody bytes), URL parameters for GET.
-func parseSearchRequest(w http.ResponseWriter, r *http.Request, maxBody int64) (searchRequest, error) {
-	var req searchRequest
+// parseSearchRequest extracts a searchRequest from r over the server's
+// default options: JSON body for POST, URL parameters for GET.
+func (s *Server) parseSearchRequest(w http.ResponseWriter, r *http.Request) (searchRequest, error) {
+	req := searchRequest{SearchOptions: s.cfg.Options}
 	if r.Method == http.MethodPost {
-		if err := decodeBody(w, r, maxBody, &req); err != nil {
-			return req, err
+		return req, decodeBody(w, r, int64(s.cfg.MaxQueryBases)+bodySlack, &req)
+	}
+	return req, decodeQuery(r.URL.Query(), &req)
+}
+
+// queryFields maps each JSON name of searchRequest to its field, so the
+// GET parameters are the POST body's fields.
+var queryFields = func() map[string][]int {
+	fields := map[string][]int{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(searchRequest{})) {
+		if name := f.Tag.Get("json"); name != "" && name != "-" {
+			fields[name] = f.Index
 		}
-		return req, validCoarseMode(req.CoarseMode)
 	}
-	q := r.URL.Query()
-	if err := knownParams(q); err != nil {
-		return req, err
-	}
-	req.Query = q.Get("q")
-	if req.Query == "" {
-		req.Query = q.Get("query")
-	}
-	var err error
-	if req.Limit, err = intParam(q, "limit"); err != nil {
-		return req, err
-	}
-	if req.Candidates, err = intParam(q, "candidates"); err != nil {
-		return req, err
-	}
-	if req.MinScore, err = intParam(q, "minscore"); err != nil {
-		return req, err
-	}
-	if req.Prescreen, err = intParam(q, "prescreen"); err != nil {
-		return req, err
-	}
-	if req.Band, err = intParam(q, "band"); err != nil {
-		return req, err
-	}
-	var b *bool
-	if b, err = boolParam(q, "strands"); err != nil {
-		return req, err
-	}
-	req.Strands = b
-	if b, err = boolParam(q, "exact"); err != nil {
-		return req, err
-	}
-	req.Exact = b
-	if b, err = boolParam(q, "stats"); err != nil {
-		return req, err
-	}
-	req.Stats = b != nil && *b
-	if b, err = boolParam(q, "nocache"); err != nil {
-		return req, err
-	}
-	req.NoCache = b != nil && *b
-	req.CoarseMode = q.Get("coarse_mode")
-	if err := validCoarseMode(req.CoarseMode); err != nil {
-		return req, err
-	}
-	req.Timeout = q.Get("timeout")
-	return req, nil
-}
+	return fields
+}()
 
-// searchParams is every GET parameter /search reads.
-var searchParams = map[string]bool{
-	"q": true, "query": true, "limit": true, "candidates": true, "minscore": true,
-	"prescreen": true, "band": true, "strands": true, "exact": true,
-	"coarse_mode": true, "timeout": true, "stats": true, "nocache": true,
-}
-
-// knownParams rejects a GET parameter /search does not read, as
-// DisallowUnknownFields does for a POST body: a misspelt name must 400
-// here, never fall through to a default. Of several it names the first
-// in byte order, so the reply does not depend on map iteration.
-func knownParams(q url.Values) error {
-	unknown := ""
+// decodeQuery sets req's fields from GET parameters named by their JSON
+// names, plus q, which wins over query. An empty value is unset and of a
+// repeated name the first value counts. A name no field carries is
+// refused before any value is parsed, as DisallowUnknownFields does for
+// a POST body: a misspelt name must 400, never fall through to a
+// default. Names are taken in byte order, so the reply does not depend
+// on map iteration.
+func decodeQuery(q url.Values, req *searchRequest) error {
+	names := make([]string, 0, len(q))
 	for name := range q {
-		if !searchParams[name] && (unknown == "" || name < unknown) {
-			unknown = name
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if _, ok := queryFields[name]; !ok && name != "q" {
+			return fmt.Errorf("unknown parameter %q", name)
 		}
 	}
-	if unknown != "" {
-		return fmt.Errorf("unknown parameter %q", unknown)
+	rv := reflect.ValueOf(req).Elem()
+	for _, name := range names {
+		if v, index := q.Get(name), queryFields[name]; v != "" && index != nil {
+			if err := setParam(rv.FieldByIndex(index), name, v); err != nil {
+				return err
+			}
+		}
+	}
+	if v := q.Get("q"); v != "" {
+		req.Query = v
 	}
 	return nil
 }
 
-// validCoarseMode rejects unknown coarse_mode values at the request
-// boundary — a typo'd mode must 400 here, with a friendlier message
-// than the engine's validation, never fall through to a default.
-func validCoarseMode(v string) error {
-	switch v {
-	case "", "distinct", "total", "normalised", "diagonal":
+// setParam parses v into the field f of the parameter name.
+func setParam(f reflect.Value, name, v string) error {
+	if u, ok := f.Addr().Interface().(encoding.TextUnmarshaler); ok {
+		if err := u.UnmarshalText([]byte(v)); err != nil {
+			return fmt.Errorf("parameter %s: %w", name, err)
+		}
 		return nil
 	}
-	return fmt.Errorf("parameter coarse_mode=%q must be distinct, total, normalised or diagonal", v)
-}
-
-// options resolves the request's search options over the server
-// defaults.
-func (s *Server) options(req searchRequest) nucleodb.SearchOptions {
-	opts := s.cfg.Options
-	if req.Limit != nil {
-		opts.Limit = *req.Limit
+	switch f.Kind() {
+	case reflect.Int:
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return fmt.Errorf("parameter %s=%q is not an integer", name, v)
+		}
+		f.SetInt(int64(n))
+	case reflect.Bool:
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			return fmt.Errorf("parameter %s=%q is not a boolean", name, v)
+		}
+		f.SetBool(b)
+	default:
+		f.SetString(v)
 	}
-	if req.Candidates != nil {
-		opts.Candidates = *req.Candidates
-	}
-	if req.MinScore != nil {
-		opts.MinScore = *req.MinScore
-	}
-	if req.Prescreen != nil {
-		opts.Prescreen = *req.Prescreen
-	}
-	if req.Band != nil {
-		opts.Band = *req.Band
-	}
-	if req.Strands != nil {
-		opts.BothStrands = *req.Strands
-	}
-	if req.Exact != nil {
-		opts.Exact = *req.Exact
-	}
-	if req.CoarseMode != "" {
-		opts.CoarseMode = req.CoarseMode
-	}
-	return opts
+	return nil
 }
 
 // timeout resolves the request's deadline: the client's ask capped by
 // MaxTimeout, or DefaultTimeout when unspecified.
-func (s *Server) timeout(req searchRequest) (time.Duration, error) {
-	if req.Timeout == "" {
+func (s *Server) timeout(spec string) (time.Duration, error) {
+	if spec == "" {
 		return s.cfg.DefaultTimeout, nil
 	}
-	d, err := time.ParseDuration(req.Timeout)
+	d, err := time.ParseDuration(spec)
 	if err != nil {
-		return 0, fmt.Errorf("parameter timeout=%q: %v", req.Timeout, err)
+		return 0, fmt.Errorf("parameter timeout=%q: %v", spec, err)
 	}
 	if d <= 0 {
-		return 0, fmt.Errorf("parameter timeout=%q must be positive", req.Timeout)
+		return 0, fmt.Errorf("parameter timeout=%q must be positive", spec)
 	}
 	if d > s.cfg.MaxTimeout {
 		d = s.cfg.MaxTimeout
 	}
 	return d, nil
-}
-
-// cacheKey builds the result-cache key: the canonical query letters
-// (encode/decode normalises case and U→T) plus every option that
-// affects the answer — CoarseMode changes the ranking, so it is part
-// of the key. FineWorkers, the one execution knob, is proven
-// result-neutral (TestParallelFineMatchesSerial locks in byte-identical
-// output) and deliberately excluded, so serial and parallel
-// configurations share cache entries.
-func cacheKey(canonical string, opts nucleodb.SearchOptions) string {
-	return fmt.Sprintf("%s|%d|%d|%s|%t|%d|%d|%d|%t|%d",
-		canonical, opts.Candidates, opts.MinCoarseHits, opts.CoarseMode, opts.Exact,
-		opts.Band, opts.MinScore, opts.Limit, opts.BothStrands, opts.Prescreen)
 }
 
 // errShed marks a request rejected because pool and queue are full.
@@ -531,7 +453,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mRequests.Inc()
 	start := time.Now()
-	req, err := parseSearchRequest(w, r, int64(s.cfg.MaxQueryBases)+bodySlack)
+	req, err := s.parseSearchRequest(w, r)
 	if err != nil {
 		failDecode(w, err)
 		return
@@ -550,19 +472,18 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	timeout, err := s.timeout(req)
+	timeout, err := s.timeout(req.Timeout)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	opts := s.options(req)
 
 	// Stats requests measure an execution, so they bypass the cache in
 	// both directions; everything else is served from and feeds it.
 	useCache := !req.NoCache && !req.Stats
-	key := ""
+	var key cacheKey
 	if useCache {
-		key = cacheKey(dna.String(codes), opts)
+		key = newCacheKey(dna.String(codes), req.SearchOptions)
 		if body, ok := s.cache.get(key); ok {
 			s.mCacheHits.Inc()
 			w.Header().Set("X-Cafe-Cache", "hit")
@@ -579,7 +500,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.failSearch(w, err)
 		return
 	}
-	rs, st, err := s.db.SearchCodesWithStatsContext(ctx, codes, opts)
+	rs, st, err := s.db.SearchCodesWithStatsContext(ctx, codes, req.SearchOptions)
 	s.release()
 	if err != nil {
 		s.failSearch(w, err)
@@ -604,10 +525,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, body)
 }
 
-// batchRequest is the /batch body.
+// batchRequest is the /batch body: the queries, the search options,
+// the timeout and stats, and no name /batch would ignore.
 type batchRequest struct {
 	Queries []string `json:"queries"`
-	searchRequest
+	nucleodb.SearchOptions
+	Timeout string `json:"timeout"`
+	Stats   bool   `json:"stats"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -617,7 +541,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mRequests.Inc()
 	start := time.Now()
-	var req batchRequest
+	req := batchRequest{SearchOptions: s.cfg.Options}
 	// Each query costs its bases plus quotes and a comma.
 	maxBody := int64(s.cfg.MaxBatchQueries)*(int64(s.cfg.MaxQueryBases)+3) + bodySlack
 	if err := decodeBody(w, r, maxBody, &req); err != nil {
@@ -640,12 +564,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	timeout, err := s.timeout(req.searchRequest)
+	timeout, err := s.timeout(req.Timeout)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	opts := s.options(req.searchRequest)
 
 	// A batch occupies one pool slot; its internal fan-out is bounded
 	// separately so one big batch cannot monopolise every worker.
@@ -655,7 +578,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.failSearch(w, err)
 		return
 	}
-	lists, st, err := s.db.SearchBatchWithStatsContext(ctx, req.Queries, opts, s.cfg.BatchWorkers)
+	lists, st, err := s.db.SearchBatchWithStatsContext(ctx, req.Queries, req.SearchOptions, s.cfg.BatchWorkers)
 	s.release()
 	if err != nil {
 		s.failSearch(w, err)

@@ -10,10 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"nucleodb"
 	"nucleodb/internal/dna"
@@ -115,7 +119,7 @@ func TestSearchMatchesLibrary(t *testing.T) {
 				t.Fatalf("query %d hit %d: got %+v want %+v", i, k, h, want[k])
 			}
 		}
-		recP, bodyP := post(t, s.Handler(), "/search", searchRequest{Query: q})
+		recP, bodyP := post(t, s.Handler(), "/search", map[string]any{"query": q})
 		if recP.Code != http.StatusOK || !bytes.Equal(bodyP, body) {
 			t.Fatalf("query %d: POST diverged from GET (%d):\n%s\nvs\n%s", i, recP.Code, bodyP, body)
 		}
@@ -142,8 +146,39 @@ func TestCacheHitIdenticalBody(t *testing.T) {
 	if rec3.Header().Get("X-Cafe-Cache") != "hit" || !bytes.Equal(body1, body3) {
 		t.Fatalf("lowercased query missed the cache (header %q)", rec3.Header().Get("X-Cafe-Cache"))
 	}
-	if cs := s.CacheStats(); cs.Hits != 2 || cs.Misses != 1 || cs.Entries != 1 {
-		t.Fatalf("cache stats = %+v, want 2 hits / 1 miss / 1 entry", cs)
+	// The default coarse mode named explicitly is the same answer, so the
+	// same entry: the key holds the resolved mode, not its spelling.
+	rec4, body4 := get(t, s.Handler(), "/search?q="+q+"&coarse_mode=distinct")
+	if rec4.Header().Get("X-Cafe-Cache") != "hit" || !bytes.Equal(body1, body4) {
+		t.Fatalf("coarse_mode=distinct missed the default's entry (header %q)", rec4.Header().Get("X-Cafe-Cache"))
+	}
+	if cs := s.CacheStats(); cs.Hits != 3 || cs.Misses != 1 || cs.Entries != 1 {
+		t.Fatalf("cache stats = %+v, want 3 hits / 1 miss / 1 entry", cs)
+	}
+}
+
+// TestCacheKeyCoversEveryOption: setting any SearchOptions field away
+// from its default changes the cache key, unless the field is one
+// newCacheKey zeroes as result-neutral — so an option added later is in
+// the key without anyone remembering to put it there.
+func TestCacheKeyCoversEveryOption(t *testing.T) {
+	neutral := map[string]bool{"FineWorkers": true} // TestParallelFineMatchesSerial
+	base := nucleodb.DefaultSearchOptions()
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(base)) {
+		opts := base
+		v := reflect.ValueOf(&opts).Elem().FieldByIndex(f.Index)
+		switch v.Kind() {
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("field %s: kind %s has no non-default value here", f.Name, v.Kind())
+		}
+		changed := newCacheKey("ACGT", opts) != newCacheKey("ACGT", base)
+		if changed == neutral[f.Name] {
+			t.Errorf("field %s: key changed = %t, want %t", f.Name, changed, !neutral[f.Name])
+		}
 	}
 }
 
@@ -302,7 +337,7 @@ func TestNewRejectsBadDefaultOptions(t *testing.T) {
 	}{
 		{"zero candidates", func(o *nucleodb.SearchOptions) { o.Candidates = 0 }, "candidate budget 0 must be positive"},
 		{"negative limit", func(o *nucleodb.SearchOptions) { o.Limit = -1 }, "negative MinScore or Limit"},
-		{"unknown coarse mode", func(o *nucleodb.SearchOptions) { o.CoarseMode = "cosine" }, "unknown coarse mode"},
+		{"unknown coarse mode", func(o *nucleodb.SearchOptions) { o.CoarseMode = nucleodb.CoarseDiagonal + 1 }, "unknown coarse mode"},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()
@@ -344,6 +379,10 @@ func TestBadRequests(t *testing.T) {
 			return r
 		}, 400},
 		{"oversized query", func() *httptest.ResponseRecorder { r, _ := get(t, s.Handler(), "/search?q="+long); return r }, 413},
+		{"unknown coarse mode in JSON", func() *httptest.ResponseRecorder {
+			r, _ := post(t, s.Handler(), "/search", map[string]any{"query": "ACGTACGTACGTACGT", "coarse_mode": "cosine"})
+			return r
+		}, 400},
 		{"unknown JSON field", func() *httptest.ResponseRecorder {
 			r, _ := post(t, s.Handler(), "/search", map[string]any{"query": "ACGTACGTACGTACGT", "bogus": 1})
 			return r
@@ -400,17 +439,72 @@ func TestUnknownParameterRejected(t *testing.T) {
 			t.Errorf("GET %s: status %d, body %s; want 400 %s", tc.query, rec.Code, body, tc.want)
 		}
 	}
-	for _, field := range []string{"candidtes", "fine_kernel"} {
-		rec, body := post(t, s.Handler(), "/search", map[string]any{"query": q, field: 5})
-		if rec.Code != 400 || !strings.Contains(string(body), `unknown field \"`+field+`\"`) {
-			t.Errorf("POST %s: status %d, body %s; want 400 naming the field", field, rec.Code, body)
+	for _, tc := range []struct {
+		path  string
+		field string
+		body  map[string]any
+	}{
+		{"/search", "candidtes", map[string]any{"query": q, "candidtes": 5}},
+		{"/search", "fine_kernel", map[string]any{"query": q, "fine_kernel": 5}},
+		// /batch takes neither of the /search names it would ignore.
+		{"/batch", "query", map[string]any{"queries": []string{q}, "query": "ACGT"}},
+		{"/batch", "nocache", map[string]any{"queries": []string{q}, "nocache": true}},
+	} {
+		rec, body := post(t, s.Handler(), tc.path, tc.body)
+		if rec.Code != 400 || !strings.Contains(string(body), `unknown field \"`+tc.field+`\"`) {
+			t.Errorf("POST %s %s: status %d, body %s; want 400 naming the field", tc.path, tc.field, rec.Code, body)
 		}
 	}
-	all := "/search?query=" + q + "&q=" + q + "&limit=3&candidates=50&minscore=1&prescreen=0&band=16" +
-		"&strands=1&exact=1&coarse_mode=total&timeout=5s&stats=1&nocache=1"
-	if rec, body := get(t, s.Handler(), all); rec.Code != 200 {
+	if rec, body := get(t, s.Handler(), "/search?"+allParams); rec.Code != 200 {
 		t.Errorf("every known parameter at once: status %d: %s", rec.Code, body)
 	}
+}
+
+// allParams names every GET parameter /search reads.
+const allParams = "query=ACGTACGTACGTACGT&q=ACGTACGTACGTACGT&limit=3&candidates=50&minscore=1&prescreen=0&band=16" +
+	"&strands=1&exact=1&coarse_mode=total&timeout=5s&stats=1&nocache=1"
+
+// FuzzSearchParams feeds raw GET query strings to decodeQuery. It must
+// never panic, and a request it accepts, sent as a JSON body instead,
+// must decode to the same request: the GET names and the POST fields are
+// one list.
+func FuzzSearchParams(f *testing.F) {
+	f.Add(allParams)
+	script, err := os.ReadFile("../../clitest/servertest/testdata/script.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var steps []struct{ Method, Path string }
+	if err := json.Unmarshal(script, &steps); err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range steps {
+		if st.Method == "" || st.Method == http.MethodGet {
+			_, raw, _ := strings.Cut(st.Path, "?")
+			f.Add(raw)
+		}
+	}
+	defaults := nucleodb.DefaultSearchOptions()
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as r.URL.Query does, keep what parses
+		got := searchRequest{SearchOptions: defaults}
+		if decodeQuery(q, &got) != nil {
+			return
+		}
+		if !utf8.ValidString(got.Query) || !utf8.ValidString(got.Timeout) {
+			return // a JSON string holds only UTF-8: this request has no POST form
+		}
+		body, err := json.Marshal(got)
+		if err != nil {
+			t.Fatalf("accepted request %+v does not marshal: %v", got, err)
+		}
+		back := searchRequest{SearchOptions: defaults}
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&back); err != nil || back != got {
+			t.Fatalf("GET %q decoded to %+v; as POST %s to %+v (%v)", raw, got, body, back, err)
+		}
+	})
 }
 
 // TestHealthzAndMetrics: the operational endpoints answer with

@@ -374,68 +374,78 @@ func (d *Database) Close() error {
 	return first
 }
 
-// SearchOptions controls one query evaluation.
+// CoarseMode selects how the coarse phase ranks sequences (the ablation
+// of experiment E8). It reads and writes itself as text, by the names
+// its String method prints, so the same words work in JSON, in
+// cafe-search -coarse-mode and in the server's coarse_mode parameter.
+type CoarseMode = core.CoarseMode
+
+// The coarse rankings. CoarseDistinct, the zero value, is the paper's;
+// CoarseDiagonal, the FRAMES-style densest-diagonal ranking, needs a
+// database built with StoreOffsets.
+const (
+	CoarseDistinct   = core.CoarseDistinct
+	CoarseTotal      = core.CoarseTotal
+	CoarseNormalised = core.CoarseNormalised
+	CoarseDiagonal   = core.CoarseDiagonal
+)
+
+// SearchOptions controls one query evaluation. The JSON names are the
+// wire names of cafe-serve's /search and /batch parameters; the fields
+// marked "-" are not on the wire.
 type SearchOptions struct {
 	// Candidates is the coarse-phase budget: how many top-ranked
 	// sequences receive fine alignment.
-	Candidates int
+	Candidates int `json:"candidates"`
 	// MinCoarseHits prunes sequences sharing fewer distinct intervals
 	// with the query.
-	MinCoarseHits int
-	// CoarseMode selects the coarse ranking by name: "" or "distinct",
-	// "total", "normalised", or "diagonal" (the FRAMES-style diagonal
-	// ranking; requires a database built with StoreOffsets). Unknown
-	// names are rejected.
-	CoarseMode string
+	MinCoarseHits int `json:"-"`
+	// CoarseMode selects the coarse ranking; out-of-range values are
+	// rejected.
+	CoarseMode CoarseMode `json:"coarse_mode"`
 	// Exact runs unrestricted Smith–Waterman in the fine phase instead
 	// of the banded aligner: exact scores, higher cost.
-	Exact bool
+	Exact bool `json:"exact"`
 	// Band is the banded aligner's half-width when Exact is false.
-	Band int
+	Band int `json:"band"`
 	// MinScore discards alignments below this score.
-	MinScore int
+	MinScore int `json:"minscore"`
 	// Limit truncates the result list; 0 keeps everything.
-	Limit int
+	Limit int `json:"limit"`
 	// BothStrands also searches the query's reverse complement and
 	// reports each sequence's best strand.
-	BothStrands bool
+	BothStrands bool `json:"strands"`
 	// Prescreen, when positive, drops candidates whose ungapped
 	// extension at the best shared interval scores below it, before
 	// fine alignment — the three-phase evaluation of the production
 	// CAFE design. 0 disables.
-	Prescreen int
+	Prescreen int `json:"prescreen"`
 	// FineWorkers aligns candidates concurrently in the fine phase
 	// (lower single-query latency on multicore machines); 0 or 1 is
 	// serial. Results are identical at any setting.
-	FineWorkers int
+	FineWorkers int `json:"-"`
 }
 
 // DefaultSearchOptions returns the settings of the headline
-// experiments: 100 candidates, banded fine phase, top 20 answers.
+// experiments, core.DefaultOptions: a banded fine phase over the
+// coarse phase's top-ranked candidates.
 func DefaultSearchOptions() SearchOptions {
+	d := core.DefaultOptions()
 	return SearchOptions{
-		Candidates:    100,
-		MinCoarseHits: 2,
-		Band:          24,
-		MinScore:      1,
-		Limit:         20,
+		Candidates:    d.Candidates,
+		MinCoarseHits: d.MinCoarseHits,
+		CoarseMode:    d.CoarseMode,
+		Exact:         d.FineMode == core.FineFull,
+		Band:          d.Band,
+		MinScore:      d.MinScore,
+		Limit:         d.Limit,
+		BothStrands:   d.BothStrands,
+		Prescreen:     d.Prescreen,
+		FineWorkers:   d.FineWorkers,
 	}
 }
 
 func (o SearchOptions) internal() core.Options {
-	var mode core.CoarseMode
-	switch o.CoarseMode {
-	case "", "distinct":
-		mode = core.CoarseDistinct
-	case "total":
-		mode = core.CoarseTotal
-	case "normalised":
-		mode = core.CoarseNormalised
-	case "diagonal":
-		mode = core.CoarseDiagonal
-	default:
-		mode = core.CoarseMode(-1) // rejected by core's validation
-	}
 	fine := core.FineBanded
 	if o.Exact {
 		fine = core.FineFull
@@ -443,7 +453,7 @@ func (o SearchOptions) internal() core.Options {
 	return core.Options{
 		Candidates:    o.Candidates,
 		MinCoarseHits: o.MinCoarseHits,
-		CoarseMode:    mode,
+		CoarseMode:    o.CoarseMode,
 		FineMode:      fine,
 		Band:          o.Band,
 		MinScore:      o.MinScore,

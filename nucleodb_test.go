@@ -1,6 +1,7 @@
 package nucleodb
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"nucleodb/internal/core"
 	"nucleodb/internal/db"
 	"nucleodb/internal/dna"
 	"nucleodb/internal/index"
@@ -300,7 +302,7 @@ func TestDiagonalSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultSearchOptions()
-	opts.CoarseMode = "diagonal"
+	opts.CoarseMode = CoarseDiagonal
 	rs, err := db.Search(query, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +325,22 @@ func TestDiagonalSearch(t *testing.T) {
 		t.Error("diagonal search accepted without offsets")
 	}
 
-	// An unknown ranking name is rejected, never defaulted.
-	opts.CoarseMode = "cosine"
-	if _, err := db.Search(query, opts); err == nil {
-		t.Error("unknown coarse mode accepted")
+	// An out-of-range ranking is rejected, never defaulted, and so is an
+	// unknown name.
+	opts.CoarseMode = CoarseDiagonal + 1
+	if _, err := db.Search(query, opts); !errors.Is(err, ErrInvalid) {
+		t.Errorf("out-of-range coarse mode: %v, want ErrInvalid", err)
+	}
+	if err := opts.CoarseMode.UnmarshalText([]byte("cosine")); !errors.Is(err, ErrInvalid) {
+		t.Errorf("unknown coarse mode name: %v, want ErrInvalid", err)
+	}
+}
+
+// TestDefaultSearchOptionsAreCore pins the facade's defaults to the
+// engine's one defaults literal.
+func TestDefaultSearchOptionsAreCore(t *testing.T) {
+	if got, want := DefaultSearchOptions().internal(), core.DefaultOptions(); got != want {
+		t.Fatalf("DefaultSearchOptions().internal() = %+v, want core.DefaultOptions() %+v", got, want)
 	}
 }
 

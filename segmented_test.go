@@ -19,10 +19,10 @@ func searchGrid() map[string]SearchOptions {
 	base := DefaultSearchOptions()
 	grid["default"] = base
 
-	for _, mode := range []string{"total", "normalised", "diagonal"} {
+	for _, mode := range []CoarseMode{CoarseTotal, CoarseNormalised, CoarseDiagonal} {
 		ranked := base
 		ranked.CoarseMode = mode
-		grid[mode] = ranked
+		grid[mode.String()] = ranked
 	}
 
 	exact := base
@@ -35,7 +35,7 @@ func searchGrid() map[string]SearchOptions {
 	grid["strands-prescreen"] = strands
 
 	strandsTotal := base
-	strandsTotal.CoarseMode = "total"
+	strandsTotal.CoarseMode = CoarseTotal
 	strandsTotal.BothStrands = true
 	grid["strands-total"] = strandsTotal
 
