@@ -26,7 +26,8 @@ bench:
 # answers checked (≈ 10 s) — and the posting decoder's microbenchmark:
 # ns/posting over the lists a 1 000-base query touches in the
 # benchmark's 17 777-sequence index, the production iterator ("word")
-# against the frozen per-call-checked reference ("ref"), ≈ 5 s.
+# against the frozen per-call-checked reference ("ref") and against two
+# and four lists decoded in turn ("two", "four"), ≈ 8 s.
 bench-smoke:
 	$(GO) test -count=1 ./bench
 	$(GO) test -run '^$$' -bench '^BenchmarkPostingsDecode$$' -benchtime 50x ./internal/postings
@@ -89,7 +90,7 @@ lint-budget:
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \
 	[ $$took -le $(LINT_BUDGET) ]
 
-# ~18s total: each native fuzz target gets 2s of mutation on top of its
+# ~20s total: each native fuzz target gets 2s of mutation on top of its
 # committed corpus. CI-sized; run `go test -fuzz` locally for real runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzVarint$$' -fuzztime=2s ./internal/compress
@@ -101,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzLocalAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchParams$$' -fuzztime=2s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzSeedHandOver$$' -fuzztime=2s ./internal/core
 
 # End-to-end smoke over cafe-serve: build the binary, start it on a
 # random port, replay testdata/script.json, and diff every response

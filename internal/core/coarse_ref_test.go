@@ -170,7 +170,7 @@ func TestCoarseMatchesReferenceWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 					var st SearchStats
-					got, err := s.coarse(context.Background(), q, mode, 1, topK, &st)
+					got, _, err := s.coarse(context.Background(), q, mode, 1, topK, false, &st)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -209,7 +209,7 @@ func TestCoarseWarmAllocs(t *testing.T) {
 	for _, n := range []int{100, 400, 700} {
 		q := root[:n]
 		run := func() {
-			if _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, &s.stats); err != nil {
+			if _, _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, false, &s.stats); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -297,8 +297,9 @@ type Searcher struct {
 	// position) pair each, sorted — so ordered by term, then position —
 	// and rebuilt at the start of each coarse call. It is the one
 	// query-term structure: the coarse walk merge-joins its runs against
-	// the lexicon in ascending term order, and bestSeed binary-searches
-	// it for a candidate's intervals. Read-only during the fine phase.
+	// the lexicon in ascending term order, the seed hand-over reads the
+	// runs the walk logged, and bestSeed binary-searches it for a
+	// candidate's intervals. Read-only during the fine phase.
 	terms []queryTerm //cafe:pooled query-lifetime term array, refilled at the start of each coarse call
 	// termBits is a one-hash Bloom filter over the terms in terms,
 	// rebuilt with it. bestSeed tests it before the array, so the ~97 %
@@ -311,6 +312,15 @@ type Searcher struct {
 	// most Candidates entries and is reused across queries (the fine
 	// phase finishes with it before the next coarse call).
 	candBuf []Candidate //cafe:pooled top-k backing, reclaimed after each query's fine phase
+
+	// seedsFromPostings says a candidate's postings hold exactly the
+	// (query position, subject position) pairs bestSeed counts: every
+	// segment stores offsets and stops no term. Then the coarse walk can
+	// log them and hand each admitted candidate its seed (see seedLog);
+	// otherwise the fine phase extracts.
+	seedsFromPostings bool
+	// log is the coarse walk's record of the postings it decoded.
+	log seedLog
 
 	// seedScratch holds one bestSeed scratch per fine worker, grown to
 	// the high-water FineWorkers and reused across candidates.
@@ -330,6 +340,10 @@ type Searcher struct {
 	// candidate with the scalar fallback. Only this package's tests set
 	// it: the reference the equivalence suites hold the route to.
 	scalarFine bool
+	// extractSeeds makes every seed come from bestSeed, as if the
+	// postings could not reproduce it. Only this package's tests set it:
+	// the reference the hand-over is held to.
+	extractSeeds bool
 }
 
 // fineScratch returns n pooled bestSeed scratches, one per fine
@@ -368,6 +382,7 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 	}
 	opts := segs[0].Index.Options()
 	total, maxSeqs := 0, 0
+	seedsFromPostings := opts.StoreOffsets
 	for i, sg := range segs {
 		if sg.Index == nil {
 			return nil, fmt.Errorf("core: segment %d has no index", i)
@@ -382,20 +397,29 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		if n := sg.Index.NumSeqs(); n > maxSeqs {
 			maxSeqs = n
 		}
+		if sg.Index.NumStopped() > 0 {
+			seedsFromPostings = false
+		}
 	}
 	if total != src.Len() {
 		return nil, fmt.Errorf("core: segments index %d sequences, store has %d", total, src.Len())
 	}
-	return &Searcher{
-		segs:     append([]Segment(nil), segs...),
-		src:      src,
-		scoring:  scoring,
-		subst:    align.NewSubst(scoring),
-		coder:    segs[0].Index.Coder(),
-		opts:     opts,
-		snapshot: snapshot,
-		acc:      newAccumulators(maxSeqs),
-	}, nil
+	s := &Searcher{
+		segs:              append([]Segment(nil), segs...),
+		src:               src,
+		scoring:           scoring,
+		subst:             align.NewSubst(scoring),
+		coder:             segs[0].Index.Coder(),
+		opts:              opts,
+		snapshot:          snapshot,
+		acc:               newAccumulators(maxSeqs),
+		seedsFromPostings: seedsFromPostings,
+		log:               seedLog{limit: maxSeedLog},
+	}
+	if seedsFromPostings {
+		s.log.candOf = make([]int32, total)
+	}
+	return s, nil
 }
 
 // Snapshot returns the identity token of the segment set this searcher
@@ -589,25 +613,33 @@ func (s *Searcher) finish(results []Result, opts Options) []Result {
 // (coarse) and between candidates (fine).
 func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
 	t0 := time.Now()
-	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, st)
+	// A seed anchors the prescreen extension and centres a band the
+	// coarse mode did not already place.
+	needSeeds := opts.Prescreen > 0 || opts.FineMode == FineBanded && opts.CoarseMode != CoarseDiagonal
+	cands, handed, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, needSeeds, st)
 	if err != nil {
 		return nil, err
+	}
+	var seeds []handedSeed // nil: extract
+	if handed {
+		seeds = s.log.seeds
 	}
 	st.CoarseTime += time.Since(t0)
 	st.CoarseCandidates += len(cands)
 	t0 = time.Now()
-	// fine evaluates one candidate; it reads only immutable searcher
-	// state (terms and termBits are not mutated during the fine
-	// phase) plus the caller-owned scratch, so it is safe to run
-	// concurrently as long as each worker passes its own scratch. Its
-	// stats contribution returns by value (fineWork), so the parallel
-	// path needs no shared state.
+	// fine evaluates candidate i; it reads only immutable searcher
+	// state (terms, termBits and the handed-over seeds are not mutated
+	// during the fine phase) plus the caller-owned scratch, so it is
+	// safe to run concurrently as long as each worker passes its own
+	// scratch. Its stats contribution returns by value (fineWork), so the
+	// parallel path needs no shared state.
 	coder := s.coder
 	if opts.FineMode == FineFull && len(cands) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
-	fine := func(c Candidate, sc *seedScratch) (Result, bool, fineWork) {
+	fine := func(i int, sc *seedScratch) (Result, bool, fineWork) {
 		var fw fineWork
+		c := cands[i]
 		seq := s.src.Sequence(c.ID)
 		var r Result
 		r.ID = c.ID
@@ -616,7 +648,11 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		var seed seedHit
 		haveSeed := false
 		if opts.Prescreen > 0 || opts.FineMode == FineBanded && !c.HasOff {
-			seed, haveSeed = s.bestSeed(coder, seq, sc)
+			if seeds != nil {
+				seed, haveSeed = seeds[i].hit, seeds[i].ok
+			} else {
+				seed, haveSeed = s.bestSeed(coder, seq, sc)
+			}
 		}
 		if opts.Prescreen > 0 {
 			p0 := time.Now()
@@ -677,12 +713,12 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	results := make([]Result, 0, len(cands))
 	if opts.FineWorkers <= 1 || len(cands) < 2 {
 		sc := s.fineScratch(1)[0]
-		for _, c := range cands {
+		for i := range cands {
 			if err := ctx.Err(); err != nil {
 				st.FineTime += time.Since(t0)
 				return nil, err
 			}
-			r, ok, fw := fine(c, sc)
+			r, ok, fw := fine(i, sc)
 			st.addFine(fw)
 			if ok {
 				results = append(results, r)
@@ -720,7 +756,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 				if i >= len(cands) {
 					return
 				}
-				r, ok, fw := fine(cands[i], sc)
+				r, ok, fw := fine(i, sc)
 				slots[i] = slot{r, ok, fw}
 			}
 		}(scratches[w])
@@ -751,7 +787,8 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	return s.coarse(context.Background(), query, mode, minHits, 0, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	cands, _, err := s.coarse(context.Background(), query, mode, minHits, 0, false, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	return cands, err
 }
 
 // coarse implements the coarse phase: for each segment in order,
@@ -770,24 +807,31 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // collection would produce. The segmented equivalence suite locks this
 // in at every segment count.
 //
+// With seeded set and topK > 0, coarse also tries to hand each
+// candidate its seed: bestSeed's answer, read from the postings the walk
+// logged (see seedLog) into s.log.seeds, in candidate order. handed
+// reports whether it did; it does not when the postings cannot
+// reproduce bestSeed or the walk outgrew the log, and the fine phase
+// then extracts.
+//
 // Work counters accumulate into st (stage timing is the caller's job —
 // searchStrand wraps this call in the coarse wall clock). Cancellation
 // is checked once per posting list, so the per-entry accumulator loop
 // stays hot.
-func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, st *SearchStats) ([]Candidate, error) {
+func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, seeded bool, st *SearchStats) ([]Candidate, bool, error) {
 	if minHits < 1 {
 		minHits = 1
 	}
 	if mode == CoarseDiagonal && !s.opts.StoreOffsets {
-		return nil, Invalid(fmt.Errorf("core: diagonal coarse mode needs an index built with offsets"))
+		return nil, false, Invalid(fmt.Errorf("core: diagonal coarse mode needs an index built with offsets"))
 	}
 	coder := s.coder
 	if len(query) < coder.Span() {
-		return nil, Invalid(fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span()))
+		return nil, false, Invalid(fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span()))
 	}
 
 	if uint64(len(query)) > math.MaxUint32 {
-		return nil, Invalid(fmt.Errorf("core: query length %d does not fit a 32-bit position", len(query)))
+		return nil, false, Invalid(fmt.Errorf("core: query length %d does not fit a 32-bit position", len(query)))
 	}
 
 	// Collect the query's intervals, sorted by term then position.
@@ -808,11 +852,15 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	if topK > 0 {
 		sel = topKHeap{k: topK, heap: s.candBuf[:0]}
 	}
+	logging := seeded && topK > 0 && s.seedsFromPostings && !s.extractSeeds
+	if logging {
+		s.log.reset()
+	}
 
 	for _, seg := range s.segs {
-		diag, err := s.accumulate(ctx, seg, mode, st)
+		diag, err := s.accumulate(ctx, seg, mode, logging, st)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		st.CoarseSequences += len(s.acc.touched)
 		st.Segments++
@@ -862,13 +910,15 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	if topK > 0 {
 		// The sorted selection aliases the pooled buffer; it is consumed
 		// entirely within this query's fine phase, before the buffer's
-		// next reuse.
+		// next reuse. So is s.log.seeds, which the hand-over fills here,
+		// on the calling goroutine, before any fine worker starts.
 		out := sel.sorted()
 		s.candBuf = out[:0]
-		return out, nil
+		handed := logging && s.log.handOver(out, s.terms, len(query))
+		return out, handed, nil
 	}
 	sortCandidates(cands)
-	return cands, nil
+	return cands, false, nil
 }
 
 // accumulate walks every posting list the query's terms have in one
@@ -876,9 +926,17 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 // segment's local ids. The walk is a merge-join: the query's terms
 // ascend, so each lexicon search resumes where the last one ended and
 // the lists are read in ascending blob offset.
-func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, st *SearchStats) (*diagAcc, error) {
+//
+// With log set, every posting is also appended to the seed log, until
+// the log would pass its limit; the log is then marked full and the rest
+// of the walk logs nothing.
+func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, log bool, st *SearchStats) (*diagAcc, error) {
 	s.acc.reset()
 	diag := newDiagAcc(mode == CoarseDiagonal)
+	log = log && !s.log.full
+	// The log lives in locals for the walk, so the per-posting appends
+	// neither reload nor store the slice headers through s.
+	recs, offs, lists, base := s.log.recs, s.log.offs, s.log.lists, uint32(seg.Base)
 	slot := 0
 	for rest := s.terms; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
@@ -889,6 +947,7 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		for n < len(rest) && rest[n].term() == t {
 			n++
 		}
+		lo := len(s.terms) - len(rest)
 		var run []queryTerm // the query positions of t
 		run, rest = rest[:n], rest[n:]
 		var df, listBytes int
@@ -898,9 +957,26 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		}
 		st.PostingLists++
 		st.PostingsBytesRead += int64(listBytes)
+		if log && (len(recs)+df > s.log.limit || len(offs) > s.log.limit) {
+			log, s.log.full = false, true
+		}
+		if log {
+			lists = append(lists, loggedList{int32(len(recs)), int32(lo), int32(lo + n)})
+		}
 		for s.it.Next() {
 			e := s.it.Entry()
 			s.acc.bump(int(e.ID), 1, int(e.Count))
+			if log {
+				r := seedRec{id: base + e.ID}
+				if e.Count == 1 {
+					r.off = e.Offsets[0]
+				} else {
+					r.off = multiOffsets | uint32(len(offs))
+					offs = append(offs, e.Count)
+					offs = append(offs, e.Offsets...)
+				}
+				recs = append(recs, r)
+			}
 			if diag != nil {
 				for _, qt := range run {
 					for _, off := range e.Offsets {
@@ -914,6 +990,7 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		}
 		st.PostingsDecoded += int64(s.it.Decoded())
 	}
+	s.log.recs, s.log.offs, s.log.lists = recs, offs, lists
 	return diag, nil
 }
 

@@ -44,7 +44,7 @@ func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (se
 // searcher's term array and filter for query, as the fine phase sees them.
 func loadQueryTerms(t *testing.T, s *Searcher, query []byte) {
 	t.Helper()
-	if _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 10, &s.stats); err != nil {
+	if _, _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 10, false, &s.stats); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,16 +151,18 @@ func TestBestSeedFilterCollisions(t *testing.T) {
 }
 
 // TestBestSeedFilterHammer runs many queries through one searcher with
-// eight fine workers. Under -race it shows the filter (and the term map)
-// are only read while the workers run — they are rebuilt between fine
-// phases, on the calling goroutine — and the answers equal a serial
-// searcher's.
+// eight fine workers, every seed handed over from the coarse walk's log.
+// Under -race it shows the log, the seeds and the term array are only
+// read while the workers run — they are rebuilt between fine phases, on
+// the calling goroutine — and the answers equal a serial searcher's that
+// extracts every seed through the filter.
 func TestBestSeedFilterHammer(t *testing.T) {
 	f := makeFixture(t, 612, index.Options{K: 9, StoreOffsets: true})
 	parallel, serial := newTestSearcher(t, f), newTestSearcher(t, f)
+	serial.extractSeeds = true
 	rng := rand.New(rand.NewSource(612))
 	opts := DefaultOptions()
-	opts.Prescreen = 30 // bestSeed for every candidate, in every coarse mode
+	opts.Prescreen = 30 // a seed for every candidate
 	popts := opts
 	popts.FineWorkers = 8
 	for i := 0; i < 40; i++ {
@@ -178,5 +180,8 @@ func TestBestSeedFilterHammer(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: 8 fine workers returned\n%+v\nserial returned\n%+v", i, got, want)
 		}
+	}
+	if extracted(parallel) || !extracted(serial) {
+		t.Fatalf("parallel searcher extracted: %v, serial: %v; want only the serial", extracted(parallel), extracted(serial))
 	}
 }

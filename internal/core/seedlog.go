@@ -1,0 +1,211 @@
+package core
+
+// The seed hand-over. The index is built with the same interval coder
+// over the same store codes the fine phase aligns, so when offsets are
+// stored and no term is stopped, a candidate's postings under the
+// query's terms hold exactly the (query position, subject position)
+// pairs bestSeed finds by re-extracting the candidate. The coarse walk
+// decodes those offsets anyway; it appends each posting to a flat log,
+// and after top-k one pass over the log buckets the admitted
+// candidates' postings, from which each candidate's seed is read instead
+// of from its bases.
+//
+// The log is flat rather than chained per sequence: a chain costs the
+// walk a read and a write of the sequence's chain head per posting,
+// which measured more than the one filtered pass it saves (EXPERIMENTS
+// E21).
+
+const (
+	// maxSeedLog bounds the postings one query's walk may log (8 MiB of
+	// records). A 2 000-base query on a 16 Mbase collection logs ≈ 110 k;
+	// a walk that would pass the bound stops logging and its candidates
+	// are extracted, so no query grows the log past it.
+	maxSeedLog = 1 << 20
+	// maxPooledSeedLog caps the records a searcher keeps between queries
+	// (2 MiB); a larger log is dropped after its hand-over, so one huge
+	// query does not pin its log in every pooled searcher.
+	maxPooledSeedLog = 1 << 18
+)
+
+// seedRec is one logged posting: its sequence's global id and its
+// offsets. Which list it came from, and so the query positions of its
+// term, is the logged list whose records span it.
+type seedRec struct {
+	id uint32
+	// off is the posting's one offset or, with multiOffsets set, the
+	// index in seedLog.offs of its offset count, which its offsets follow.
+	off uint32
+}
+
+// multiOffsets flags a record whose posting has several offsets. Offsets
+// are below it: a subject's length is an int32.
+const multiOffsets = 1 << 31
+
+// loggedList is one posting list of the log: where its records start,
+// and the run [lo, hi) of its term in the searcher's term array.
+type loggedList struct{ start, lo, hi int32 }
+
+// candPosting is one admitted candidate's logged posting, as the
+// hand-over buckets it: the record's off field and its list.
+type candPosting struct {
+	off  uint32
+	list int32
+}
+
+// handedSeed is bestSeed's answer for one admitted candidate.
+type handedSeed struct {
+	hit seedHit
+	ok  bool
+}
+
+// seedLog is the coarse walk's record of the postings it decoded, and
+// the scratch of the hand-over that reads it back. It is written by the
+// walk and read by the hand-over, both on the searcher's goroutine; the
+// fine workers see only the seeds.
+type seedLog struct {
+	recs  []seedRec    //cafe:pooled query-lifetime log, truncated at the start of each logging walk
+	offs  []uint32     //cafe:pooled offsets of the logged postings that have several
+	lists []loggedList //cafe:pooled one per logged list, in walk order
+	// full marks a walk that reached limit: its log is incomplete.
+	full bool
+	// limit is maxSeedLog; only this package's tests lower it.
+	limit int
+
+	// candOf maps a global id to its admitted candidate's index + 1
+	// during a hand-over, and is all zero otherwise.
+	candOf []int32
+	// postings buckets the log's postings by admitted candidate.
+	postings [][]candPosting //cafe:pooled one bucket per admitted candidate, refilled by each hand-over
+	// count and first are indexed by diagonal + query length: the hits
+	// on each diagonal and the smallest subject position among them.
+	// Only the diagonals listed in diags are live; the hand-over zeroes
+	// their counts after each candidate.
+	count []int32
+	first []uint32
+	diags []int32
+
+	seeds []handedSeed //cafe:pooled one per admitted candidate, read by the fine phase
+}
+
+// reset empties the log for a new walk.
+func (l *seedLog) reset() {
+	l.recs, l.offs, l.lists = l.recs[:0], l.offs[:0], l.lists[:0]
+	l.full = false
+}
+
+// handOver sets seeds to each candidate's seed and reports whether it
+// could: a full log cannot. One pass over the log buckets the admitted
+// candidates' postings; each bucket then yields its seed. It drops
+// backing over maxPooledSeedLog afterwards.
+func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) bool {
+	handed := !l.full
+	if handed {
+		for i, c := range cands {
+			l.candOf[c.ID] = int32(i + 1)
+		}
+		for len(l.postings) < len(cands) {
+			l.postings = append(l.postings, nil) //cafe:allow grows once to the candidate budget
+		}
+		buckets := l.postings[:len(cands)]
+		for i := range buckets {
+			buckets[i] = buckets[i][:0]
+		}
+		for j, ls := range l.lists {
+			end := len(l.recs)
+			if j+1 < len(l.lists) {
+				end = int(l.lists[j+1].start)
+			}
+			for _, r := range l.recs[ls.start:end] {
+				if ci := l.candOf[r.id]; ci != 0 {
+					buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) //cafe:allow amortised scratch; stabilises at the high-water mark across queries
+				}
+			}
+		}
+		l.seeds = l.seeds[:0]
+		for i, c := range cands {
+			l.candOf[c.ID] = 0
+			hit, ok := l.seed(buckets[i], terms, qlen)
+			l.seeds = append(l.seeds, handedSeed{hit, ok}) //cafe:allow amortised scratch; at most Candidates entries
+		}
+	}
+	kept := 0
+	for _, b := range l.postings {
+		kept += cap(b)
+	}
+	if kept > maxPooledSeedLog {
+		l.postings = nil
+	}
+	if cap(l.recs) > maxPooledSeedLog {
+		l.recs, l.lists = nil, nil
+	}
+	if cap(l.offs) > maxPooledSeedLog {
+		l.offs = nil
+	}
+	if len(l.count) > maxPooledSeedLog {
+		l.count, l.first, l.diags = nil, nil, nil
+	}
+	return handed
+}
+
+// seed returns what bestSeed returns for the sequence whose postings
+// are ps: the diagonal with the most shared intervals (ties to the
+// smaller diagonal) and its hit at the smallest subject position. terms
+// is the walk's term array and qlen the query length.
+//
+//cafe:hotpath
+func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) (seedHit, bool) {
+	var one [1]uint32
+	for _, p := range ps {
+		offs := one[:]
+		if p.off&multiOffsets == 0 {
+			one[0] = p.off
+		} else {
+			i := p.off &^ multiOffsets
+			offs = l.offs[i+1 : i+1+l.offs[i]]
+		}
+		r := l.lists[p.list]
+		for _, qt := range terms[r.lo:r.hi] {
+			bias := qlen - qt.pos()
+			for _, off := range offs {
+				i := int(off) + bias
+				if i >= len(l.count) {
+					l.grow(i + 1)
+				}
+				if l.count[i] == 0 {
+					l.diags = append(l.diags, int32(i)) //cafe:allow amortised scratch; stabilises at the high-water mark across candidates
+					l.first[i] = off
+				} else if off < l.first[i] {
+					l.first[i] = off
+				}
+				l.count[i]++
+			}
+		}
+	}
+	best, bestI := int32(0), 0
+	for _, i := range l.diags {
+		if n := l.count[i]; n > best || n == best && int(i) < bestI {
+			best, bestI = n, int(i)
+		}
+		l.count[i] = 0
+	}
+	l.diags = l.diags[:0]
+	if best == 0 {
+		return seedHit{}, false
+	}
+	d := bestI - qlen
+	sPos := int(l.first[bestI])
+	return seedHit{diag: d, qPos: sPos - d, sPos: sPos}, true
+}
+
+// grow extends the diagonal arrays to at least n entries, keeping the
+// live ones.
+//
+//cafe:hotpath
+func (l *seedLog) grow(n int) {
+	n = max(n, 2*len(l.count))
+	count := make([]int32, n)  //cafe:allow grows to the high-water query plus subject length
+	first := make([]uint32, n) //cafe:allow grows with count
+	copy(count, l.count)
+	copy(first, l.first)
+	l.count, l.first = count, first
+}

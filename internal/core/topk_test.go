@@ -85,7 +85,7 @@ func TestBoundedTopKMatchesFullSort(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
-			got, err := s.coarse(context.Background(), f.query, mode, 2, k, &s.stats)
+			got, _, err := s.coarse(context.Background(), f.query, mode, 2, k, false, &s.stats)
 			if err != nil {
 				t.Fatalf("%v k=%d: %v", mode, k, err)
 			}

@@ -79,6 +79,39 @@ func BenchmarkPostingsDecode(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
 	})
+	// two and four walk the lists in pairs and fours, one iterator each,
+	// advancing them in turn: independent bit windows an out-of-order
+	// core could overlap, where one list is one serial dependency chain.
+	// Candidates are sums over postings, so a coarse walk could take
+	// them in any interleaving; these rows price whether it should (it
+	// should not: EXPERIMENTS E20's epilogue).
+	interleaved := func(b *testing.B, w int) {
+		var its [4]Iterator
+		for i := 0; i < b.N; i++ {
+			for l := 0; l < len(lists); l += w {
+				n := min(w, len(lists)-l)
+				for j := 0; j < n; j++ {
+					its[j].Reset(lists[l+j], dfs[l+j], numSeqs, true)
+				}
+				for more := true; more; {
+					more = false
+					for j := 0; j < n; j++ {
+						if its[j].Next() {
+							more = true
+						}
+					}
+				}
+				for j := 0; j < n; j++ {
+					if its[j].Err() != nil {
+						b.Fatal(its[j].Err())
+					}
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+	}
+	b.Run("two", func(b *testing.B) { interleaved(b, 2) })
+	b.Run("four", func(b *testing.B) { interleaved(b, 4) })
 	b.Run("ref", func(b *testing.B) {
 		var it refIterator
 		for i := 0; i < b.N; i++ {
