@@ -15,7 +15,27 @@ package align
 // each end of the H row and at the right end of the E row holds negInf,
 // which is all the band-edge handling there is. Each row ranges over
 // its slice of b, so the inner loops carry no bounds checks.
+//
+// Each kernel's row is a leaf function (scoreRow, traceRow) over that
+// row's slices, so the row loop has the registers to itself. Inline in
+// the kernel it would share them with the row setup, and the compiler
+// would keep the loop-carried left → F → H chain on the stack, storing
+// and reloading it at every cell. scoreRow keeps its row best in a
+// register too; traceRow, with one more pointer, keeps it in a stack
+// slot, off the chain.
 
+// negInf marks the sentinel slots. It sits below every score by more
+// than any penalty, so a sentinel less a gap penalty loses every max,
+// and leaves room for a penalty (GapOpen+GapExtend < 2^30) before it
+// wraps. traceRow reads its flags off the sign bits of differences,
+// which hold only while a difference does not wrap. A flag's two terms
+// are either both finite — each between −(Mismatch+GapOpen+GapExtend)
+// and best+Match — or a sentinel term against another sentinel term or
+// against the row's first F less GapExtend, a difference of at least
+// negInf − GapOpen. So none wraps while best + Match + Mismatch +
+// GapOpen + GapExtend < 2^31: at Match 5, a perfect alignment of 4·10^8
+// bases. TestBandedKernelsLargeScores holds the flags to the reference
+// at scores of 2.6·10^8.
 const negInf = int32(-1 << 30)
 
 // maxPooledDir caps the direction matrix a BandedScratch keeps between
@@ -87,7 +107,6 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 	}
 	lo, width := centre-band, 2*band+1
 	h, e := sc.rows(width)
-	openExt, ext := t.openExt, t.ext
 	var best int32
 	first, end := bandRows(len(a), len(b), lo, width)
 	for i := first; i < end; i++ {
@@ -96,22 +115,89 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 		c := jLo - i - lo
 		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
 		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
-		left, diag, f := h[c], h[c+1], int32(0)
-		sub := t.row(a[i])
-		for x, cb := range bs {
-			up := hUp[x]
-			ev := max(eUp[x]-ext, up-openExt, 0)
-			f = max(f-ext, left-openExt, 0)
-			left = max(diag+sub[cb], ev, f, 0)
-			diag = up
-			eOut[x], hOut[x] = ev, left
-			if left > best {
-				best = left
-				aEnd, bEnd = i+1, jLo+x+1
-			}
+		if v := scoreRow(hOut, hUp, eOut, eUp, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
+			best = v
+			aEnd, bEnd = i+1, jLo+firstAt(hOut, v)+1
 		}
 	}
 	return int(best), aEnd, bEnd
+}
+
+// scoreRow is one band row of the score pass: it overwrites hOut and
+// eOut, whose slots still hold the row above (hOut[x] is cell x's
+// diagonal neighbour, hUp[x] its vertical one), and returns the row's
+// best H; left is the H cell left of the row. The caller finds the
+// best's first column only when the row beats the best so far: tracking
+// it in the loop costs a register the loop does not have.
+//
+// F does not wait for the H left of it. With he the cell's best from
+// the diagonal or E (≥ 0), F(x) = max(F(x−1)−ext, H(x−1)−openExt, 0)
+// and H(x−1) = max(he(x−1), F(x−1)); since openExt ≥ ext (GapOpen ≥ 0,
+// as Validate requires) F(x−1)−openExt never wins, so F(x) only needs
+// he(x−1)−openExt, computed a cell early. F is left unclamped: it never
+// drops below −openExt, and H = max(he, F) is the same either way.
+//
+//cafe:hotpath
+func scoreRow(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32) {
+	hOut, hUp, eOut, eUp = hOut[:len(bs)], hUp[:len(bs)], eOut[:len(bs)], eUp[:len(bs)]
+	_ = sub[0] // one nil check here instead of one per cell
+	f, fOpen := int32(0), left-openExt
+	for x, cb := range bs {
+		ev := max(eUp[x]-ext, hUp[x]-openExt, 0)
+		he := max(hOut[x]+sub[cb], ev)
+		f = max(f-ext, fOpen)
+		fOpen = he - openExt
+		hv := max(he, f)
+		eOut[x], hOut[x] = ev, hv
+		best = max(best, hv)
+	}
+	return best
+}
+
+// firstAt returns the first index of v in row, which must hold it.
+//
+//cafe:hotpath
+func firstAt(row []int32, v int32) int {
+	x := 0
+	for row[x] != v {
+		x++
+	}
+	return x
+}
+
+// traceRow is scoreRow's row for the traceback pass: it also writes each
+// cell's direction byte to dOut. F stays on the chain here, because the
+// byte needs F's open and extend terms exactly. The byte is assembled
+// from sign bits of differences, with no comparison to branch on; strict
+// signs keep Local's tie rules (open over extend; diagonal over E over F).
+//
+//cafe:hotpath
+func traceRow(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32) {
+	hOut, hUp, eOut, eUp, dOut = hOut[:len(bs)], hUp[:len(bs)], eOut[:len(bs)], eUp[:len(bs)], dOut[:len(bs)]
+	_ = sub[0] // one nil check here instead of one per cell
+	var f int32
+	for x, cb := range bs {
+		eOpen, eExt := hUp[x]-openExt, eUp[x]-ext
+		ev := max(eOpen, eExt, 0)
+		fOpen, fExt := left-openExt, f-ext
+		f = max(fOpen, fExt, 0)
+		hd := hOut[x] + sub[cb]
+		he := max(hd, ev)
+		left = max(he, f)
+		eOut[x], hOut[x] = ev, left
+		dOut[x] = eExtend*signBit(eOpen-eExt) | fExtend*signBit(fOpen-fExt) |
+			(hFromDiag+signBit(hd-ev)|hFromF*signBit(he-f))&(hMask*signBit(-left))
+		best = max(best, left)
+	}
+	return best
+}
+
+// signBit is 1 if v < 0 and 0 otherwise, read off the sign bit rather
+// than compared, so it compiles to a shift instead of a branch.
+//
+//cafe:hotpath
+func signBit(v int32) byte {
+	return byte(uint32(v) >> 31)
 }
 
 // BandedLocal computes the banded local alignment of a and b with a
@@ -145,7 +231,6 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 			sc.dir = dir
 		}
 	}
-	openExt, ext := t.openExt, t.ext
 	var best int32
 	bestI, bestJ := -1, -1
 	first, end := bandRows(len(a), len(b), lo, width)
@@ -156,42 +241,9 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
 		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
 		dOut := dir[i*width+c:][:len(bs)]
-		left, diag, f := h[c], h[c+1], int32(0)
-		sub := t.row(a[i])
-		for x, cb := range bs {
-			// Branch-free: each comparison becomes a 0/1 byte, the
-			// direction byte is assembled from them (ties resolve as in
-			// Local: open over extend, diagonal over E over F).
-			up := hUp[x]
-			eOpen, eExt := up-openExt, eUp[x]-ext
-			ev := max(eOpen, eExt, 0)
-			fOpen, fExt := left-openExt, f-ext
-			f = max(fOpen, fExt, 0)
-			hd := diag + sub[cb]
-			he := max(hd, ev)
-			hv := max(he, f, 0)
-			var eX, fX, fromE, fromF, some byte
-			if eOpen < eExt {
-				eX = eExtend
-			}
-			if fOpen < fExt {
-				fX = fExtend
-			}
-			if ev > hd {
-				fromE = 1
-			}
-			if f > he {
-				fromF = hFromF
-			}
-			if hv > 0 {
-				some = hMask
-			}
-			diag, left = up, hv
-			eOut[x], hOut[x], dOut[x] = ev, hv, eX|fX|(hFromDiag+fromE|fromF)&some
-			if hv > best {
-				best = hv
-				bestI, bestJ = i, jLo+x
-			}
+		if v := traceRow(hOut, hUp, eOut, eUp, dOut, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
+			best = v
+			bestI, bestJ = i, jLo+firstAt(hOut, v)
 		}
 	}
 	if best == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nucleodb/internal/dna"
@@ -137,6 +138,56 @@ func TestBandedKernelsRandomDifferential(t *testing.T) {
 	}
 }
 
+// TestBandedKernelsLargeScores runs the kernels at Match 2^18 on pairs
+// of up to 1 000 bases, so H reaches ≈ 2.6·10^8, with bands that hang
+// off either edge of the matrix. negInf documents the range inside
+// which the traceback's sign-bit flags cannot wrap; this pins them to
+// the reference's comparisons well inside it, where scores are far
+// larger than any small-alphabet sweep reaches (a sign read from 16
+// bits passes every other suite here and fails this one).
+func TestBandedKernelsLargeScores(t *testing.T) {
+	const m = 1 << 18
+	rng := rand.New(rand.NewSource(1409))
+	var sc BandedScratch
+	var top int
+	for _, s := range []Scoring{
+		{Match: m, Mismatch: m * 4 / 5, GapOpen: 2 * m, GapExtend: m / 2},
+		{Match: m, Mismatch: m, GapOpen: 0, GapExtend: m},
+		{Match: m, Mismatch: 3 * m, GapOpen: 4 * m, GapExtend: 1},
+	} {
+		sub := NewSubst(s)
+		for trial := 0; trial < 24; trial++ {
+			var a, b []byte
+			diag := 0
+			switch trial % 3 {
+			case 0: // an exact copy: the largest score the length allows
+				b = randomSeq(rng, 1000)
+				a = slices.Clone(b[:700+rng.Intn(301)])
+			case 1: // homologous
+				b = randomSeq(rng, 200+rng.Intn(801))
+				diag = rng.Intn(len(b) / 4)
+				a = mutate(rng, b[diag:], 0.08)
+			default: // unrelated, full code space
+				a, b = randCodes(rng, 1+rng.Intn(1000)), randCodes(rng, 1+rng.Intn(1000))
+			}
+			band := 1 + rng.Intn(40)
+			centre := diag + rng.Intn(band+1)
+			switch trial % 4 {
+			case 1: // off the left edge: the band starts left of b
+				centre = -rng.Intn(band + 1)
+			case 2: // off the right edge: the band ends right of b
+				centre = len(b) - rng.Intn(band+1)
+			}
+			checkBandedAgainstRef(t, sub, &sc, a, b, centre, band)
+			score, _, _ := sub.BandedLocalScore(a, b, centre, band, &sc)
+			top = max(top, score)
+		}
+	}
+	if top < 250_000_000 {
+		t.Fatalf("largest score %d: the fixture no longer reaches the range it pins", top)
+	}
+}
+
 // TestBandedWrappersMatchKernels pins the Scoring-taking entry points
 // (what bench/ and internal/baseline call) to the reference, across
 // alternating scorings so the pooled kernel's recompile path runs.
@@ -222,29 +273,38 @@ func FuzzBandedAlign(f *testing.F) {
 	})
 }
 
-// BenchmarkBandedKernels times the banded score and traceback passes on
-// the default query's shape — a 600-base query against an 8 kb subject
-// at band 24 — through the scratch entry points, beside the frozen
-// reference implementations they replaced.
+// BenchmarkBandedKernels times the banded score and traceback passes
+// through the scratch entry points at band 24 against an 8 kb subject,
+// on the query shapes the served numbers come from: a 600-base
+// homologous query beside the frozen reference implementations it
+// replaced, a 2 000-base homologous query, and a 1 000-base random one
+// (a weak hit, whose row best rarely moves).
 func BenchmarkBandedKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	subject := randomSeq(rng, 8000)
 	query := mutate(rng, subject[3000:3600], 0.1)
+	long := mutate(rng, subject[3000:5000], 0.1)
+	weak := randomSeq(rng, 1000)
 	s := DefaultScoring()
 	sub := NewSubst(s)
 	var sc BandedScratch
-	cells := BandedCells(len(query), len(subject), 3000, 24)
-	run := func(name string, fn func()) {
+	run := func(name string, q []byte, fn func(q []byte)) {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(cells) // MB/s reads as cells/µs
+			b.SetBytes(BandedCells(len(q), len(subject), 3000, 24)) // MB/s reads as cells/µs
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fn()
+				fn(q)
 			}
 		})
 	}
-	run("score", func() { sub.BandedLocalScore(query, subject, 3000, 24, &sc) })
-	run("score-ref", func() { refBandedLocalScore(query, subject, 3000, 24, s) })
-	run("traceback", func() { sub.BandedLocal(query, subject, 3000, 24, &sc) })
-	run("traceback-ref", func() { refBandedLocal(query, subject, 3000, 24, s) })
+	score := func(q []byte) { sub.BandedLocalScore(q, subject, 3000, 24, &sc) }
+	traceback := func(q []byte) { sub.BandedLocal(q, subject, 3000, 24, &sc) }
+	run("score", query, score)
+	run("score-ref", query, func(q []byte) { refBandedLocalScore(q, subject, 3000, 24, s) })
+	run("traceback", query, traceback)
+	run("traceback-ref", query, func(q []byte) { refBandedLocal(q, subject, 3000, 24, s) })
+	run("score-2000", long, score)
+	run("traceback-2000", long, traceback)
+	run("score-random", weak, score)
+	run("traceback-random", weak, traceback)
 }
