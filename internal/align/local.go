@@ -2,7 +2,7 @@ package align
 
 // LocalScore computes the Smith–Waterman local alignment score of a and
 // b with affine gaps (Gotoh's algorithm) in O(len(a)·len(b)) time and
-// O(len(b)) space. It returns the best score and the (exclusive) end
+// O(len(a)+len(b)) space. It returns the best score and the (exclusive) end
 // positions of the best-scoring local alignment in a and b.
 //
 // This is the exhaustive-search workhorse: the full-scan baseline calls
@@ -16,66 +16,17 @@ func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 }
 
 // LocalScore is the package-level function on a compiled scoring and
-// caller-owned scratch; it allocates nothing once sc has grown.
+// caller-owned scratch; it allocates nothing once sc has grown. It is
+// the banded score pass over a band of every diagonal from −len(a) to
+// len(b), which is the whole matrix: each row runs in its leaf function
+// scoreRow, with the DP state in registers, and the best cell is the
+// first in row-major order, as above. The rows it grows in sc are
+// len(a)+len(b) cells wide.
 //
 //cafe:hotpath
 func (t *Subst) LocalScore(a, b []byte, sc *BandedScratch) (score, aEnd, bEnd int) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, 0
-	}
-	// h[j]: best score of an alignment ending at (i, j).
-	// e[j]: best score ending at (i, j) with a vertical gap run
-	// (consuming a only — a gap in b). Both start as the zero boundary
-	// row: the band rows' sentinels are cleared.
-	n := len(b)
-	h, e := sc.rows(n)
-	h = h[:n+1]
-	h[0], e[n] = 0, 0
-	openExt, ext := t.openExt, t.ext
-
-	var best int32
-	for i := 1; i <= len(a); i++ {
-		var diag, f int32 // h[i-1][j-1] and the horizontal gap state
-		sub := t.row(a[i-1])
-		for j := 1; j <= n; j++ {
-			up := h[j]
-			ev := e[j] - ext
-			if v := up - openExt; v > ev {
-				ev = v
-			}
-			if ev < 0 {
-				ev = 0
-			}
-			e[j] = ev
-
-			fv := f - ext
-			if v := h[j-1] - openExt; v > fv {
-				fv = v
-			}
-			if fv < 0 {
-				fv = 0
-			}
-			f = fv
-
-			hv := diag + sub[b[j-1]]
-			if ev > hv {
-				hv = ev
-			}
-			if fv > hv {
-				hv = fv
-			}
-			if hv < 0 {
-				hv = 0
-			}
-			diag = up
-			h[j] = hv
-			if hv > best {
-				best = hv
-				aEnd, bEnd = i, j
-			}
-		}
-	}
-	return int(best), aEnd, bEnd
+	band := (len(a) + len(b)) / 2 // 2·band+1 ≥ len(a)+len(b) diagonals
+	return t.BandedLocalScore(a, b, band-len(a), band, sc)
 }
 
 // op is one traceback column type.

@@ -1,5 +1,69 @@
 package align
 
+// refSubstLocalScore is Subst.LocalScore as it stood before it became
+// the banded score pass over a band of every diagonal: one H and one E
+// row, the row loop inline. It exists only as the oracle of
+// TestLocalScoreMatchesReference. The body is verbatim; only the
+// receiver became a parameter.
+func refSubstLocalScore(t *Subst, a, b []byte, sc *BandedScratch) (score, aEnd, bEnd int) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, 0, 0
+	}
+	// h[j]: best score of an alignment ending at (i, j).
+	// e[j]: best score ending at (i, j) with a vertical gap run
+	// (consuming a only — a gap in b). Both start as the zero boundary
+	// row: the band rows' sentinels are cleared.
+	n := len(b)
+	h, e := sc.rows(n)
+	h = h[:n+1]
+	h[0], e[n] = 0, 0
+	openExt, ext := t.openExt, t.ext
+
+	var best int32
+	for i := 1; i <= len(a); i++ {
+		var diag, f int32 // h[i-1][j-1] and the horizontal gap state
+		sub := t.row(a[i-1])
+		for j := 1; j <= n; j++ {
+			up := h[j]
+			ev := e[j] - ext
+			if v := up - openExt; v > ev {
+				ev = v
+			}
+			if ev < 0 {
+				ev = 0
+			}
+			e[j] = ev
+
+			fv := f - ext
+			if v := h[j-1] - openExt; v > fv {
+				fv = v
+			}
+			if fv < 0 {
+				fv = 0
+			}
+			f = fv
+
+			hv := diag + sub[b[j-1]]
+			if ev > hv {
+				hv = ev
+			}
+			if fv > hv {
+				hv = fv
+			}
+			if hv < 0 {
+				hv = 0
+			}
+			diag = up
+			h[j] = hv
+			if hv > best {
+				best = hv
+				aEnd, bEnd = i, j
+			}
+		}
+	}
+	return int(best), aEnd, bEnd
+}
+
 // Frozen copy of Subst.Local as it stood before the traceback was
 // bounded to a strip: one forward pass over the whole matrix writing a
 // direction byte per cell, then the walk back. It exists only as the

@@ -172,6 +172,66 @@ func TestLocalStripLowComplexity(t *testing.T) {
 	}
 }
 
+// TestSubstLocalScoreMatchesReference holds the scalar score pass — the
+// banded pass over every diagonal — to the frozen row loop it replaced
+// on (score, aEnd, bEnd): the tie rule (smallest row, then smallest
+// column) included. Every pair over {A,C} to length 7 under the default
+// scoring (to length 5 under the other six, and under -short) and over
+// {A,C,G,N} to length 3 under all seven; then random pairs over the full
+// code space, homologs, one-base sides and planted ties. Both scratches
+// are reused dirty, and they alternate between long and short pairs.
+func TestSubstLocalScoreMatchesReference(t *testing.T) {
+	binary7 := enumerate([]byte{dna.BaseA, dna.BaseC}, 7)
+	binary5 := enumerate([]byte{dna.BaseA, dna.BaseC}, 5)
+	wild := enumerate([]byte{dna.BaseA, dna.BaseC, dna.BaseG, dna.WildN}, 3)
+	var sc, ref BandedScratch
+	check := func(sub *Subst, a, b []byte) {
+		t.Helper()
+		wScore, wA, wB := refSubstLocalScore(sub, a, b, &ref)
+		if score, aEnd, bEnd := sub.LocalScore(a, b, &sc); score != wScore || aEnd != wA || bEnd != wB {
+			t.Fatalf("LocalScore(%v, %v, %+v) = (%d,%d,%d), frozen loop (%d,%d,%d)", a, b, sub.scoring, score, aEnd, bEnd, wScore, wA, wB)
+		}
+	}
+	rng := rand.New(rand.NewSource(2005))
+	for si, s := range localScorings {
+		sub := NewSubst(s)
+		binary := binary5
+		if si == 0 && !testing.Short() {
+			binary = binary7
+		}
+		for _, set := range [][][]byte{binary, wild} {
+			for _, a := range set {
+				for _, b := range set {
+					check(sub, a, b)
+				}
+			}
+		}
+		for trial := 0; trial < 300; trial++ {
+			var a, b []byte
+			switch trial % 5 {
+			case 0:
+				a, b = randCodes(rng, 1+rng.Intn(150)), randCodes(rng, 1+rng.Intn(400))
+			case 1:
+				b = randomSeq(rng, 40+rng.Intn(400))
+				at := rng.Intn(len(b) - 20)
+				a = mutate(rng, b[at:at+20+rng.Intn(len(b)-at-19)], 0.15)
+			case 2:
+				a, b = randCodes(rng, 1), randCodes(rng, 1+rng.Intn(60))
+			case 3:
+				a, b = randCodes(rng, 1+rng.Intn(60)), randCodes(rng, 1)
+			default: // two copies of a piece of a: a tie across columns
+				a = randomSeq(rng, 20+rng.Intn(40))
+				piece := a[rng.Intn(10):][:10]
+				b = append(append(append(randomSeq(rng, rng.Intn(9)), piece...), randomSeq(rng, rng.Intn(9))...), piece...)
+			}
+			if len(a) == 0 {
+				a = []byte{dna.BaseA}
+			}
+			check(sub, a, b)
+		}
+	}
+}
+
 // refLocalAll is LocalAll over the frozen reference.
 func refLocalAll(a, b []byte, s Scoring, minScore, max int) []Alignment {
 	sub := NewSubst(s)

@@ -1,115 +1,229 @@
 package align
 
 // Bit-parallel ("bitvector") Smith–Waterman scoring: a Farrar-style
-// query-profile–striped kernel that packs four 16-bit DP lanes into one
-// uint64 and advances all four with plain word arithmetic — pure Go, no
-// assembly. The kernel computes the exact affine-gap local alignment
-// score (identical to LocalScore, whose recurrences it transposes), but
-// no traceback: the fine phase uses it to rank candidates, and it hands
-// the subject column its best cells sit in to LocalEndingAt, which
-// traces the transcripts of reported results on a strip around it.
+// query-profile–striped kernel that packs DP lanes into one uint64 and
+// advances them all with plain word arithmetic — pure Go, no assembly.
+// There are two lane geometries: eight 8-bit lanes and four 16-bit ones.
+// A pair starts in byte lanes, twice as many cells a word, and widens to
+// 16-bit lanes in place after the first column whose best could
+// overflow a byte in the next one. The kernel computes the exact
+// affine-gap local alignment score (identical to LocalScore, whose
+// recurrences it transposes), but no traceback: the fine phase uses it
+// to rank candidates, and it hands the subject column its best cells sit
+// in to LocalEndingAt, which traces the transcripts of reported results
+// on a strip around it.
 //
-// Layout. The query is striped Farrar-style: with segLen = ⌈n/4⌉
-// words, lane l of word w holds query position l·segLen + w. Striping
-// puts each lane's vertical (gap-in-subject) dependency in the same
-// lane of the previous word, so the F state threads through the inner
-// loop as a single carried vector, with the classic lazy-F correction
-// loop handling the rare cross-stripe propagation.
+// Layout. The query is striped Farrar-style: with L lanes a word and
+// segLen = ⌈n/L⌉ words a column, lane l of word w holds query position
+// l·segLen + w. Striping puts each lane's vertical (gap-in-subject)
+// dependency in the same lane of the previous word, so the F state
+// threads through the inner loop as a single carried vector, with the
+// classic lazy-F correction loop handling the rare cross-stripe
+// propagation. A profile row interleaves each word of biased scores with
+// its bias word, and the scratch each H word with its E word, so the
+// column loop walks two arrays.
 //
-// Lanes are unsigned 16-bit values kept ≤ laneCap (0x7FFF): every DP
-// value is a local-alignment score (≥ 0) bounded by min(n,m)·Match, and
-// Supports refuses pairs whose bound could reach the lane top — those
-// fall back to the scalar kernel. Keeping the per-lane top bit clear is
-// what makes the branch-free SWAR primitives below exact: saturating
-// subtraction and maximum both borrow the spare bit as a per-lane
-// comparison flag.
+// Lanes are unsigned values kept at or below their cap (0x7F, 0x7FFF):
+// every DP value is a local-alignment score (≥ 0). Keeping the per-lane
+// top bit clear is what makes the branch-free SWAR primitives below
+// exact: saturating subtraction and maximum both borrow the spare bit as
+// a per-lane comparison flag. A 16-bit lane holds any score up to
+// min(n,m)·Match, and Supports refuses pairs whose bound could reach its
+// top — those fall back to the scalar kernel. A byte lane holds the
+// next column exactly while this column's best is at most 127 − Match −
+// Mismatch, since the next column adds at most Match + Mismatch to a
+// cell before the bias comes off. After the first column past that, the
+// pair widens: its H and E columns are re-striped into 16-bit lanes and
+// the remaining subject columns run there. Every value computed in bytes
+// was exact, so nothing is recomputed.
+//
+// Padding. Lanes past the query's end (positions ≥ n) are rows below the
+// matrix. Their bias is the whole lane, so their diagonal H is 0; they
+// are reached only by a gap down from the last query row, and a path
+// that drops into them and runs along them is worth less than the same
+// run along the last row. So a padding cell is 0 or below its column's
+// best, and the column best needs no mask. Nothing flows from padding
+// back into the query's rows.
+//
+// The geometry is the lane type, a type parameter: uint8 and uint16 are
+// distinct shapes, so the compiler builds each generic function below
+// once per geometry with the lane constants folded in.
 
 import "nucleodb/internal/dna"
 
-const (
-	bvLanes    = 4  // 16-bit lanes per uint64
-	bvLaneBits = 16 // bits per lane
+// lane is the type of one SWAR lane: a uint64 holds 64/bits of them.
+// Each helper below derives its constants from ^T(0) itself rather than
+// calling another: a generic call inside a generic function goes through
+// the instantiation's dictionary and is never inlined.
+type lane interface{ uint8 | uint16 }
 
-	// laneCap is the largest value any lane may hold: the per-lane top
-	// bit must stay clear for laneSubSat/laneMax to be exact.
-	laneCap = 0x7FFF
-
-	laneHi   = 0x8000_8000_8000_8000 // per-lane top bits
-	laneOnes = 0x0001_0001_0001_0001 // 1 in every lane
-)
-
-// packLane broadcasts v (0 ≤ v ≤ laneCap) into all four lanes.
+// laneBits returns the bits per lane.
 //
 //cafe:hotpath
-func packLane(v int) uint64 { return uint64(v) * laneOnes }
-
-// laneSubSat returns x−y per 16-bit lane, saturated at 0 (the DP's
-// "clamp negative scores to zero"). Both operands must be ≤ laneCap in
-// every lane. Setting each lane's top bit in x prevents borrows from
-// crossing lanes; the surviving top bit then flags the lanes where
-// x ≥ y, and spreading it to a full-lane mask keeps exactly those
-// differences.
-//
-//cafe:hotpath
-func laneSubSat(x, y uint64) uint64 {
-	z := (x | laneHi) - y
-	keep := ((z & laneHi) >> 15) * 0xFFFF
-	return (z ^ laneHi) & keep
+func laneBits[T lane]() uint {
+	if ^T(0) > 0xFF {
+		return 16
+	}
+	return 8
 }
 
-// laneMax returns the per-lane maximum of x and y (lanes ≤ laneCap).
+// laneCap returns the largest value a lane may hold: its top bit must
+// stay clear for laneSubSat and laneMax to be exact.
 //
 //cafe:hotpath
-func laneMax(x, y uint64) uint64 {
-	z := (x | laneHi) - y
-	keep := ((z & laneHi) >> 15) * 0xFFFF // full lanes where x ≥ y
-	return (x & keep) | (y &^ keep)
+func laneCap[T lane]() int { return int(^T(0) >> 1) }
+
+// laneHi returns every lane's top bit.
+//
+//cafe:hotpath
+func laneHi[T lane]() uint64 {
+	full := uint64(^T(0))
+	return ^uint64(0) / full * (full>>1 + 1)
+}
+
+// packLane broadcasts v (0 ≤ v ≤ laneCap) into every lane.
+//
+//cafe:hotpath
+func packLane[T lane](v int) uint64 { return uint64(v) * (^uint64(0) / uint64(^T(0))) }
+
+// laneSubSat returns x−y per lane, saturated at 0 (the DP's "clamp
+// negative scores to zero"). Both operands must be ≤ laneCap in every
+// lane. Setting each lane's top bit in x prevents borrows from crossing
+// lanes; the surviving top bit then flags the lanes where x ≥ y, and
+// t − t/top turns each flag into a mask of its lane's low bits, which
+// keeps exactly those differences and drops the flag.
+//
+//cafe:hotpath
+func laneSubSat[T lane](x, y uint64) uint64 {
+	full := uint64(^T(0))
+	top := full>>1 + 1
+	hi := ^uint64(0) / full * top
+	z := (x | hi) - y
+	t := z & hi
+	return z & (t - t/top)
+}
+
+// laneMax returns the per-lane maximum of x and y (lanes ≤ laneCap):
+// y plus the saturated difference x − y, computed as laneSubSat does.
+//
+//cafe:hotpath
+func laneMax[T lane](x, y uint64) uint64 {
+	full := uint64(^T(0))
+	top := full>>1 + 1
+	hi := ^uint64(0) / full * top
+	z := (x | hi) - y
+	t := z & hi
+	return y + z&(t-t/top)
+}
+
+// laneTop returns the largest lane of x.
+//
+//cafe:hotpath
+func laneTop[T lane](x uint64) int {
+	m := T(0)
+	for ; x != 0; x /= uint64(^T(0)) + 1 {
+		m = max(m, T(x))
+	}
+	return int(m)
+}
+
+// stripes is a query profile striped in one lane geometry: for every
+// subject code, the biased substitution scores of all query positions,
+// in stripe order, plus the gap penalties packed for that geometry.
+type stripes struct {
+	segLen int // words per column
+	// prof holds (dna.NumCodes+1) rows of segLen word pairs: the scores
+	// biased by Mismatch, then the bias (Mismatch at query positions,
+	// laneCap at padding).
+	prof    []uint64
+	openExt uint64 // packed GapOpen+GapExtend
+	ext     uint64 // packed GapExtend
+}
+
+// buildStripes stripes q under s in T lanes into t, reusing its backing
+// storage. The biased scores and the gap penalties must fit the lanes.
+func buildStripes[T lane](t *stripes, q []byte, s Scoring) {
+	n := len(q)
+	bits := laneBits[T]()
+	lanes := int(64 / bits)
+	segLen := (n + lanes - 1) / lanes
+	t.segLen = segLen
+	t.openExt = packLane[T](s.GapOpen + s.GapExtend)
+	t.ext = packLane[T](s.GapExtend)
+
+	rows := int(dna.NumCodes) + 1 // one per code plus the never-matches row
+	if cap(t.prof) < 2*rows*segLen {
+		t.prof = make([]uint64, 2*rows*segLen)
+	}
+	t.prof = t.prof[:2*rows*segLen]
+	for c := 0; c < rows; c++ {
+		row := t.prof[2*c*segLen : 2*(c+1)*segLen]
+		for w := 0; w < segLen; w++ {
+			var word, bias uint64
+			for l := 0; l < lanes; l++ {
+				shift := bits * uint(l)
+				pos := l*segLen + w
+				if pos >= n {
+					bias |= uint64(laneCap[T]()) << shift // padding: its diagonal H is 0
+					continue
+				}
+				sc := -s.Mismatch // subject byte outside the code space
+				if c < int(dna.NumCodes) {
+					sc = s.Score(q[pos], byte(c))
+				}
+				word |= uint64(sc+s.Mismatch) << shift
+				bias |= uint64(s.Mismatch) << shift
+			}
+			row[2*w], row[2*w+1] = word, bias
+		}
+	}
 }
 
 // StripedScratch is the per-worker mutable state of one striped score
-// evaluation: the current/previous H columns and the E (gap-in-query
-// direction) column. One scratch belongs to one goroutine at a time;
-// the fine phase pools one per worker.
+// evaluation: the H and E (gap-in-query direction) columns of each lane
+// geometry, interleaved word by word. One scratch belongs to one
+// goroutine at a time; the fine phase pools one per worker.
 type StripedScratch struct {
-	cur, prev, e []uint64 //cafe:pooled DP columns, resized and reused across subjects by one worker
+	wide   []uint64 //cafe:pooled 16-bit H/E columns, resized and reused across subjects by one worker
+	narrow []uint64 //cafe:pooled byte-lane H/E columns, likewise
+	// widenedAt is the number of subject columns the last Score call ran
+	// in byte lanes before it widened, or −1 if it did not widen. Only the
+	// tests read it.
+	widenedAt int
 }
 
-// resize prepares the scratch for segLen words, growing once at the
-// high-water mark and zeroing the active prefix (the DP boundary).
-func (sc *StripedScratch) resize(segLen int) {
-	if cap(sc.cur) < segLen {
-		sc.cur = make([]uint64, segLen)
-		sc.prev = make([]uint64, segLen)
-		sc.e = make([]uint64, segLen)
+// columns returns *he resized to segLen H/E word pairs and zeroed (the
+// DP boundary), growing it once to the high-water mark.
+//
+//cafe:pooled the columns belong to the scratch and are reused by its next call
+//cafe:hotpath
+func columns(he *[]uint64, segLen int) []uint64 {
+	if cap(*he) < 2*segLen {
+		*he = make([]uint64, 2*segLen) //cafe:allow grows once to the longest query
 	}
-	sc.cur = sc.cur[:segLen]
-	sc.prev = sc.prev[:segLen]
-	sc.e = sc.e[:segLen]
-	clear(sc.cur)
-	clear(sc.prev)
-	clear(sc.e)
+	*he = (*he)[:2*segLen]
+	clear(*he)
+	return *he
 }
 
-// StripedProfile is the striped query profile of the bitvector kernel:
-// for every subject code, the biased substitution scores of all query
-// positions, in stripe order. Building it costs O(16·n) once per query
-// strand; scoring a subject then never calls Scoring.Score. A profile
-// is immutable after Build and safe for concurrent Score calls with
-// distinct scratches.
+// StripedProfile is the striped query profile of the bitvector kernel,
+// in both lane geometries. Building it costs O(16·n) per geometry once
+// per query strand; scoring a subject then never calls Scoring.Score. A
+// profile is immutable after Build and safe for concurrent Score calls
+// with distinct scratches.
 //
 //cafe:frozen
 type StripedProfile struct {
-	n       int      // query length
-	segLen  int      // words per column
-	prof    []uint64 // (dna.NumCodes+1) rows × segLen words, biased by Mismatch
-	masks   []uint64 // full lanes at real query positions, 0 at padding
-	hasPad  bool     // any padding lane at all (n % bvLanes != 0 or short query)
-	bias    uint64   // packed Mismatch
-	openExt uint64   // packed GapOpen+GapExtend
-	ext     uint64   // packed GapExtend
+	n      int     // query length
+	wide   stripes // 16-bit lanes
+	narrow stripes // byte lanes, built when narrowTop > 0
+	// narrowTop is the largest column best whose next column the byte
+	// lanes still hold (127 − Match − Mismatch); 0 when the scoring
+	// leaves a byte no headroom.
+	narrowTop int
 	// maxMin is the largest min(query, subject) length whose score
-	// bound fits the lanes; 0 marks a scoring whose parameters alone
-	// overflow (Supports then always refuses).
+	// bound fits the 16-bit lanes; 0 marks a scoring whose parameters
+	// alone overflow (Supports then always refuses).
 	maxMin int
 }
 
@@ -125,65 +239,24 @@ func NewStripedProfile(q []byte, s Scoring) *StripedProfile {
 // Build (re)initialises the profile for a new query, reusing backing
 // storage — the searcher rebuilds one pooled profile per strand.
 func (p *StripedProfile) Build(q []byte, s Scoring) {
-	n := len(q)
-	segLen := (n + bvLanes - 1) / bvLanes
-	p.n, p.segLen = n, segLen
-	p.bias = packLane(s.Mismatch & laneCap)
-	p.openExt = packLane((s.GapOpen + s.GapExtend) & laneCap)
-	p.ext = packLane(s.GapExtend & laneCap)
-
-	// Lane capacity: the top score of a local alignment of lengths
+	p.n = len(q)
+	// 16-bit capacity: the top score of a local alignment of lengths
 	// (n, m) is min(n,m)·Match, and the pre-bias add in the inner loop
 	// peaks at that plus Match+Mismatch. Refuse anything that could
 	// touch the per-lane top bit.
-	p.maxMin = 0
-	if s.Match > 0 && s.Match+s.Mismatch <= laneCap &&
-		s.GapOpen+s.GapExtend <= laneCap {
-		p.maxMin = (laneCap - s.Match - s.Mismatch) / s.Match
+	p.maxMin, p.narrowTop = 0, 0
+	wideCap, narrowCap := laneCap[uint16](), laneCap[uint8]()
+	if s.Match <= 0 || s.Match+s.Mismatch > wideCap || s.GapOpen+s.GapExtend > wideCap {
+		return
 	}
-
-	rows := int(dna.NumCodes) + 1 // one per code plus the never-matches row
-	if cap(p.prof) < rows*segLen {
-		p.prof = make([]uint64, rows*segLen)
-	}
-	p.prof = p.prof[:rows*segLen]
-	if cap(p.masks) < segLen {
-		p.masks = make([]uint64, segLen)
-	}
-	p.masks = p.masks[:segLen]
-
-	for c := 0; c < rows; c++ {
-		row := p.prof[c*segLen : (c+1)*segLen]
-		for w := 0; w < segLen; w++ {
-			var word uint64
-			for l := 0; l < bvLanes; l++ {
-				pos := l*segLen + w
-				if pos >= n {
-					continue // padding lane: weight irrelevant, H is masked
-				}
-				var sc int
-				if c < int(dna.NumCodes) {
-					sc = s.Score(q[pos], byte(c))
-				} else {
-					sc = -s.Mismatch // subject byte outside the code space
-				}
-				word |= uint64(uint16(sc+s.Mismatch)) << (bvLaneBits * l)
-			}
-			row[w] = word
-		}
-	}
-	p.hasPad = false
-	for w := 0; w < segLen; w++ {
-		var mask uint64
-		for l := 0; l < bvLanes; l++ {
-			if l*segLen+w < n {
-				mask |= uint64(0xFFFF) << (bvLaneBits * l)
-			}
-		}
-		p.masks[w] = mask
-		if mask != ^uint64(0) {
-			p.hasPad = true
-		}
+	p.maxMin = (wideCap - s.Match - s.Mismatch) / s.Match
+	buildStripes[uint16](&p.wide, q, s)
+	// Byte lanes first whenever they have headroom and the gap penalties
+	// fit them. Little headroom only means an early widening: the byte
+	// columns before it are cheaper, and the re-striping costs O(n).
+	if top := narrowCap - s.Match - s.Mismatch; top > 0 && s.GapOpen+s.GapExtend <= narrowCap {
+		p.narrowTop = top
+		buildStripes[uint8](&p.narrow, q, s)
 	}
 }
 
@@ -217,104 +290,149 @@ func (p *StripedProfile) Supports(lb int) bool {
 //
 //cafe:hotpath
 func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, unique, ok bool) {
+	sc.widenedAt = -1
 	if p.n == 0 || len(b) == 0 {
 		return 0, 0, false, true
 	}
 	if !p.Supports(len(b)) {
 		return 0, 0, false, false
 	}
-	segLen := p.segLen
-	sc.resize(segLen) //cafe:allow amortised scratch; stabilises at the high-water segment length
-	// Reslice to the exact segment length so the inner loops'
-	// w < segLen bound provably covers every index (bounds-check
-	// elimination keeps the hot loop branch-free).
-	cur, prev, e := sc.cur[:segLen], sc.prev[:segLen], sc.e[:segLen]
-	masks := p.masks[:segLen]
-	bias, openExt, ext := p.bias, p.openExt, p.ext
-	hasPad := p.hasPad
+	var at column
+	if p.narrowTop > 0 {
+		narrow := columns(&sc.narrow, p.narrow.segLen)
+		if at = scan[uint8](&p.narrow, b, narrow, p.narrowTop, at); at.next == len(b) {
+			return at.score, at.bEnd, at.unique, true
+		}
+		sc.widenedAt = at.next
+	}
+	wide := columns(&sc.wide, p.wide.segLen)
+	if at.next > 0 {
+		restripe(wide, sc.narrow, p.n)
+	}
+	at = scan[uint16](&p.wide, b, wide, laneCap[uint16](), at)
+	return at.score, at.bEnd, at.unique, true
+}
+
+// column is where a scan of the subject columns stands: the next column
+// to run, and the best score so far with the end of the first column
+// holding it and whether it is the only one.
+type column struct {
+	next, score, bEnd int
+	unique            bool
+}
+
+// scan runs subject columns b[at.next:] in T lanes through the H/E
+// columns he, carrying at's best. It stops after the first column whose
+// best exceeds top, and returns where it stands.
+//
+//cafe:hotpath
+func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column {
+	words, hi := 2*t.segLen, laneHi[T]()
 	// best is max(score, 1) in every lane: a column is looked at lane by
 	// lane only when some cell in it reaches that.
-	best := packLane(1)
-
-	for i := 0; i < len(b); i++ {
+	best := packLane[T](max(at.score, 1))
+	for i := at.next; i < len(b); i++ {
 		c := b[i]
 		if c >= dna.NumCodes {
 			c = dna.NumCodes // the never-matches profile row
 		}
-		prof := p.prof[int(c)*segLen : (int(c)+1)*segLen]
-
-		// Diagonal carry-in: the previous column's last word, shifted
-		// one lane up, so lane l starts from lane l−1's stripe end.
-		// Lane 0 gets the zero boundary.
-		vH := prev[segLen-1] << bvLaneBits
-		var vF, colBest uint64
-		for w := 0; w < segLen; w++ {
-			// H = max(0, diag + W, E, F). The profile is biased by
-			// Mismatch so the add stays non-negative; the saturating
-			// subtract of the bias restores the true value and clamps
-			// at zero in one step.
-			vH = laneSubSat(vH+prof[w], bias)
-			vE := e[w]
-			vH = laneMax(vH, vE)
-			vH = laneMax(vH, vF)
-			if hasPad {
-				vH &= masks[w]
-			}
-			cur[w] = vH
-			colBest = laneMax(colBest, vH)
-
-			// Next-column E and next-word F, both fed by H − (open+ext)
-			// and decayed by ext.
-			vHGap := laneSubSat(vH, openExt)
-			e[w] = laneMax(laneSubSat(vE, ext), vHGap)
-			vF = laneMax(laneSubSat(vF, ext), vHGap)
-
-			vH = prev[w] // diagonal input for the next word
+		colBest := stripedColumn[T](he, t.prof[int(c)*words:(int(c)+1)*words], t.openExt, t.ext)
+		// Top bits survive in the lanes where colBest ≥ best (see
+		// laneSubSat).
+		if ((colBest|hi)-best)&hi == 0 {
+			continue
 		}
-
-		// Lazy-F: propagate F across stripe boundaries. Each pass
-		// shifts F one lane up and re-sweeps the column until F can no
-		// longer improve any cell (F ≤ H − (open+ext) everywhere means
-		// every later F value is dominated by one the main loop already
-		// produced). H cells raised here also re-feed the E column —
-		// the scalar recurrence allows a gap-gap corner, so exact
-		// equality needs E to see the corrected H.
-	lazyF:
-		for k := 0; k < bvLanes; k++ {
-			vF <<= bvLaneBits
-			for w := 0; w < segLen; w++ {
-				vH := cur[w]
-				if laneSubSat(vF, laneSubSat(vH, openExt)) == 0 {
-					break lazyF
-				}
-				vH = laneMax(vH, vF)
-				if hasPad {
-					vH &= masks[w]
-				}
-				cur[w] = vH
-				colBest = laneMax(colBest, vH)
-				e[w] = laneMax(e[w], laneSubSat(vH, openExt))
-				vF = laneSubSat(vF, ext)
-			}
+		m := laneTop[T](colBest)
+		if m > at.score {
+			at.score, at.bEnd, at.unique = m, i+1, true
+			best = packLane[T](m)
+		} else {
+			at.unique = false // m == score: a second column ties
 		}
-
-		// Top bits survive in the lanes where colBest ≥ best (see laneSubSat).
-		if ((colBest|laneHi)-best)&laneHi != 0 {
-			m := 0
-			for l := 0; l < bvLanes; l++ {
-				m = max(m, int(colBest>>(bvLaneBits*l)&0xFFFF))
-			}
-			if m > score {
-				score, bEnd, unique = m, i+1, true
-				best = packLane(m)
-			} else {
-				unique = false // m == score: a second column ties
-			}
+		// Every earlier column was at most top, and so is the score: a
+		// column past top always reaches this test.
+		if m > top {
+			at.next = i + 1
+			return at
 		}
-
-		cur, prev = prev, cur
 	}
-	return score, bEnd, unique, true
+	at.next = len(b)
+	return at
+}
+
+// stripedColumn advances the interleaved H/E column he by one subject
+// column whose profile row is prof, and returns the column's lane-wise
+// best H. It is a leaf function, so its loop-carried vectors have the
+// registers to themselves.
+//
+//cafe:hotpath
+func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint64) {
+	prof = prof[:len(he)]
+	// Diagonal carry-in: the previous column's last H word, shifted one
+	// lane up, so lane l starts from lane l−1's stripe end. Lane 0 gets
+	// the zero boundary.
+	vH := he[len(he)-2] << laneBits[T]()
+	var vF uint64
+	for w := 0; w+1 < len(he); w += 2 {
+		// H = max(0, diag + W, E, F). The profile is biased by Mismatch
+		// so the add stays non-negative; the saturating subtract of the
+		// word's bias restores the true value and clamps at zero in one
+		// step (and zeroes a padding lane's diagonal).
+		vH = laneSubSat[T](vH+prof[w], prof[w+1])
+		vE := he[w+1]
+		vH = laneMax[T](laneMax[T](vH, vE), vF)
+		colBest = laneMax[T](colBest, vH)
+
+		// Next-column E and next-word F, both fed by H − (open+ext)
+		// and decayed by ext.
+		vHGap := laneSubSat[T](vH, openExt)
+		he[w+1] = laneMax[T](laneSubSat[T](vE, ext), vHGap)
+		vF = laneMax[T](laneSubSat[T](vF, ext), vHGap)
+
+		// The old H is the next word's diagonal input.
+		vH, he[w] = he[w], vH
+	}
+
+	// Lazy-F: propagate F across stripe boundaries. Each pass shifts F
+	// one lane up and re-sweeps the column until F can no longer
+	// improve any cell (F ≤ H − (open+ext) everywhere means every later
+	// F value is dominated by one the main loop already produced). H
+	// cells raised here also re-feed the E column — the scalar
+	// recurrence allows a gap-gap corner, so exact equality needs E to
+	// see the corrected H.
+	for k := 64 / laneBits[T](); k > 0; k-- {
+		vF <<= laneBits[T]()
+		for w := 0; w+1 < len(he); w += 2 {
+			vH := he[w]
+			if laneSubSat[T](vF, laneSubSat[T](vH, openExt)) == 0 {
+				return colBest
+			}
+			vH = laneMax[T](vH, vF)
+			he[w] = vH
+			colBest = laneMax[T](colBest, vH)
+			he[w+1] = laneMax[T](he[w+1], laneSubSat[T](vH, openExt))
+			vF = laneSubSat[T](vF, ext)
+		}
+	}
+	return colBest
+}
+
+// restripe copies the first n query positions of a byte-lane H/E column
+// into the 16-bit layout. Padding lanes of wide are left 0: nothing
+// flows from them into the query's rows, and a padding cell at 0 is
+// still 0 or below its column's best.
+//
+//cafe:hotpath
+func restripe(wide, narrow []uint64, n int) {
+	clear(wide)
+	segNarrow, segWide := len(narrow)/2, len(wide)/2
+	for pos := 0; pos < n; pos++ {
+		from, to := 2*(pos%segNarrow), 2*(pos%segWide)
+		for k := 0; k < 2; k++ { // H, then E
+			v := uint8(narrow[from+k] >> (8 * (pos / segNarrow)))
+			wide[to+k] |= uint64(v) << (16 * (pos / segWide))
+		}
+	}
 }
 
 // StripedLocalScore is the one-shot form of the bitvector kernel: it

@@ -2,8 +2,11 @@ package align
 
 import "testing"
 
-// fuzzScoring derives a valid Scoring from fuzzer-chosen words, small
-// enough that any pair the target accepts fits the 16-bit lanes.
+// fuzzScoring derives a valid Scoring from fuzzer-chosen words. Any pair
+// the target accepts fits the 16-bit lanes; Match + Mismatch runs up to
+// 127, so most scorings start in byte lanes, with anything from 125
+// points of headroom to 1 (a pair then widens after its first match),
+// and 64 + 63 leaves a byte none. The gap penalties always fit a byte.
 func fuzzScoring(match, mism, open, ext uint16) Scoring {
 	return Scoring{
 		Match:     1 + int(match%64),
@@ -16,9 +19,11 @@ func fuzzScoring(match, mism, open, ext uint16) Scoring {
 // FuzzBitvectorAlign is the differential fuzz target of the bitvector
 // kernel: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings must score bit-identically to the
-// scalar LocalScore and report the brute-force first best column and
-// its uniqueness, and the kernel must accept every pair within its
-// declared lane capacity. Run via `make fuzz-smoke` or directly with
+// scalar LocalScore, report the brute-force first best column and its
+// uniqueness, answer as the frozen 16-bit kernel does, and widen from
+// byte lanes right after the first column whose best exceeds the byte
+// headroom. The kernel must accept every pair within its declared lane
+// capacity. Run via `make fuzz-smoke` or directly with
 // `go test -fuzz=FuzzBitvectorAlign ./internal/align`.
 func FuzzBitvectorAlign(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, uint16(5), uint16(4), uint16(10), uint16(2))
@@ -26,6 +31,17 @@ func FuzzBitvectorAlign(f *testing.F) {
 	f.Add([]byte{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, []byte{14, 14, 14}, uint16(9), uint16(50), uint16(1), uint16(1))
 	f.Add([]byte{0xFF, 0xFF, 0x20, 3, 2, 1, 0}, []byte{3, 2, 1, 0, 0xFF}, uint16(2), uint16(7), uint16(0), uint16(1))
 	f.Add([]byte{}, []byte{1, 2, 3}, uint16(5), uint16(0), uint16(2), uint16(1))
+	// Pairs that widen: a 60-base self-pair at the default scoring passes
+	// the 118 points of byte headroom at its 24th column; a 40-base query
+	// against itself with bases 8–15 cut out, under nearly free gaps,
+	// widens after column 8, the column where the gap in the subject that
+	// bridges the cut crosses the byte layout's stripes (5 words a column).
+	self := []byte("\x00\x01\x02\x03\x03\x02\x00\x01\x01\x03\x02\x00\x02\x02\x01\x00\x03\x01\x00\x02" +
+		"\x01\x00\x03\x03\x02\x01\x02\x00\x00\x03\x01\x02\x03\x00\x01\x01\x02\x03\x02\x00" +
+		"\x03\x03\x01\x00\x02\x01\x00\x00\x02\x03\x01\x01\x03\x02\x00\x02\x01\x03\x00\x01")
+	f.Add(self, self, uint16(4), uint16(4), uint16(10), uint16(1))
+	bridge := append(append([]byte(nil), self[:8]...), self[16:40]...)
+	f.Add(self[:40], bridge, uint16(8), uint16(50), uint16(1), uint16(0))
 
 	f.Fuzz(func(t *testing.T, a, b []byte, match, mism, open, ext uint16) {
 		// Bound the quadratic DP so mutated inputs stay fast.
@@ -49,5 +65,13 @@ func FuzzBitvectorAlign(f *testing.F) {
 			t.Fatalf("striped %d != scalar %d under %+v\n a=%v\n b=%v", got, want, s, a, b)
 		}
 		checkStripedHandover(t, p, &sc, a, b, s)
+		H, _, _ := refDP(a, b, s)
+		widen := -1
+		if past := firstPast(columnBests(H), byteHeadroom(s)); past > 0 && past < len(b) {
+			widen = past
+		}
+		if sc.widenedAt != widen {
+			t.Fatalf("widened after column %d, want %d, under %+v\n a=%v\n b=%v", sc.widenedAt, widen, s, a, b)
+		}
 	})
 }

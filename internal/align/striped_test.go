@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nucleodb/internal/dna"
@@ -37,17 +38,17 @@ func randCodes(rng *rand.Rand, n int) []byte {
 	return out
 }
 
-// refBestColumns is the brute-force oracle of the striped hand-over:
-// full H/E/F matrices with no clamping tricks (refLocalScore's), then
-// every subject column holding a cell of the best score. It returns that
-// score, the (exclusive) end of the first such column and whether it is
-// the only one.
-func refBestColumns(a, b []byte, s Scoring) (score, bEnd int, unique bool) {
+// refDP returns the brute-force H, E and F matrices of a against b under
+// s, with no clamping tricks (refLocalScore's recurrences). Row i is
+// query position i−1, column j subject position j−1; row and column 0
+// are the boundary. E is the gap in the subject, running down a column
+// (the kernel's F), F the gap in the query, running along a row.
+func refDP(a, b []byte, s Scoring) (H, E, F [][]int) {
 	const negInf = -(1 << 28)
 	n, m := len(a), len(b)
-	H := make([][]int, n+1)
-	E := make([][]int, n+1)
-	F := make([][]int, n+1)
+	H = make([][]int, n+1)
+	E = make([][]int, n+1)
+	F = make([][]int, n+1)
 	for i := range H {
 		H[i] = make([]int, m+1)
 		E[i] = make([]int, m+1)
@@ -62,27 +63,42 @@ func refBestColumns(a, b []byte, s Scoring) (score, bEnd int, unique bool) {
 			E[i][j] = max(E[i-1][j]-s.GapExtend, H[i-1][j]-s.GapOpen-s.GapExtend)
 			F[i][j] = max(F[i][j-1]-s.GapExtend, H[i][j-1]-s.GapOpen-s.GapExtend)
 			H[i][j] = max(0, H[i-1][j-1]+s.Score(a[i-1], b[j-1]), E[i][j], F[i][j])
-			score = max(score, H[i][j])
 		}
 	}
+	return H, E, F
+}
+
+// columnBests returns the best cell of every column of H: column j's at
+// index j, 0 at index 0.
+func columnBests(H [][]int) []int {
+	bests := make([]int, len(H[0]))
+	for _, row := range H {
+		for j, v := range row {
+			bests[j] = max(bests[j], v)
+		}
+	}
+	return bests
+}
+
+// refBestColumns is the brute-force oracle of the striped hand-over:
+// full matrices, then every subject column holding a cell of the best
+// score. It returns that score, the (exclusive) end of the first such
+// column and whether it is the only one.
+func refBestColumns(a, b []byte, s Scoring) (score, bEnd int, unique bool) {
+	H, _, _ := refDP(a, b, s)
+	bests := columnBests(H)
+	score = slices.Max(bests)
 	if score == 0 {
 		return 0, 0, false
 	}
-	var cols []int
-	for j := 1; j <= m; j++ {
-		for i := 1; i <= n; i++ {
-			if H[i][j] == score {
-				cols = append(cols, j)
-				break
-			}
-		}
-	}
-	return score, cols[0], len(cols) == 1
+	bEnd = slices.Index(bests, score)
+	return score, bEnd, slices.Index(bests[bEnd+1:], score) < 0
 }
 
 // checkStripedHandover requires p.Score(b) to report the brute-force
 // (score, first best column, unique) of query a — the profile's —
-// against b. The scratch is the caller's, reused dirty across calls.
+// against b, and the frozen 16-bit kernel's answer. The scratch is the
+// caller's, reused dirty across calls.
 func checkStripedHandover(t testing.TB, p *StripedProfile, sc *StripedScratch, a, b []byte, s Scoring) {
 	t.Helper()
 	wScore, wEnd, wUnique := refBestColumns(a, b, s)
@@ -93,6 +109,10 @@ func checkStripedHandover(t testing.TB, p *StripedProfile, sc *StripedScratch, a
 	if score != wScore || bEnd != wEnd || unique != wUnique {
 		t.Fatalf("%+v: striped (score %d, column %d, unique %v), brute force (%d, %d, %v)\n a=%v\n b=%v",
 			s, score, bEnd, unique, wScore, wEnd, wUnique, a, b)
+	}
+	if rScore, rEnd, rUnique, rOK := refStripedScore(a, b, s); score != rScore || bEnd != rEnd || unique != rUnique || !rOK {
+		t.Fatalf("%+v: striped (score %d, column %d, unique %v), frozen 16-bit kernel (%d, %d, %v, ok %v)\n a=%v\n b=%v",
+			s, score, bEnd, unique, rScore, rEnd, rUnique, rOK, a, b)
 	}
 }
 
@@ -323,42 +343,248 @@ func TestStripedCapacityRefusal(t *testing.T) {
 	}
 }
 
-// TestLanePrimitives pins the SWAR building blocks against per-lane
-// reference arithmetic.
+// byteHeadroom is the largest column best whose next column the byte
+// lanes hold under s, 127 − Match − Mismatch, or 0 when s starts in
+// 16-bit lanes: no headroom, or gap penalties past a byte.
+func byteHeadroom(s Scoring) int {
+	top := laneCap[uint8]() - s.Match - s.Mismatch
+	if top <= 0 || s.GapOpen+s.GapExtend > laneCap[uint8]() {
+		return 0
+	}
+	return top
+}
+
+// firstPast returns the first column whose best (bests[j], as
+// columnBests gives them) exceeds the byte headroom top, or 0.
+func firstPast(bests []int, top int) int {
+	if top == 0 {
+		return 0
+	}
+	return max(slices.IndexFunc(bests, func(v int) bool { return v > top }), 0)
+}
+
+// checkWidening scores every prefix of b against p — query a's profile
+// under s — so that each subject column is the last once, and holds
+// each to the brute force, to the frozen 16-bit kernel, and to where the
+// byte lanes must widen: right after the first column whose best
+// exceeds 127 − Match − Mismatch, unless that column is the last. It
+// returns that first column of b (0 if none) and how many prefixes
+// finished in byte lanes, widened, and ran in 16-bit lanes alone.
+func checkWidening(t *testing.T, p *StripedProfile, sc *StripedScratch, a, b []byte, s Scoring) (past int, tiers [3]int) {
+	t.Helper()
+	top := byteHeadroom(s)
+	if p.narrowTop != top {
+		t.Fatalf("%+v: byte headroom %d, want %d", s, p.narrowTop, top)
+	}
+	H, _, _ := refDP(a, b, s)
+	bests := columnBests(H)
+	past = firstPast(bests, top)
+	var score, bEnd int
+	var unique bool
+	for k := 1; k <= len(b); k++ {
+		switch {
+		case bests[k] > score:
+			score, bEnd, unique = bests[k], k, true
+		case bests[k] == score && score > 0:
+			unique = false
+		}
+		wantWiden := -1
+		if past > 0 && past < k {
+			wantWiden = past
+		}
+		gScore, gEnd, gUnique, ok := p.Score(b[:k], sc)
+		if !ok || gScore != score || gEnd != bEnd || gUnique != unique || sc.widenedAt != wantWiden {
+			t.Fatalf("%+v, %d × %d: striped (score %d, column %d, unique %v, ok %v, widened after %d), brute force (%d, %d, %v, widen after %d)\n a=%v\n b=%v",
+				s, len(a), k, gScore, gEnd, gUnique, ok, sc.widenedAt, score, bEnd, unique, wantWiden, a, b[:k])
+		}
+		if rScore, rEnd, rUnique, _ := refStripedScore(a, b[:k], s); rScore != gScore || rEnd != gEnd || rUnique != gUnique {
+			t.Fatalf("%+v, %d × %d: striped (%d, %d, %v), frozen 16-bit kernel (%d, %d, %v)", s, len(a), k, gScore, gEnd, gUnique, rScore, rEnd, rUnique)
+		}
+		switch {
+		case top == 0:
+			tiers[2]++
+		case wantWiden > 0:
+			tiers[1]++
+		default:
+			tiers[0]++
+		}
+	}
+	return past, tiers
+}
+
+// lazyOnly reports whether subject column j of the brute-force matrices
+// holds a cell that only a gap in the subject crossing a stripe of the
+// byte layout reaches: a cell whose value comes from that gap alone, and
+// whose gap, even opened as late as possible, starts in another lane.
+// The main loop carries the gap state within a lane only, so the byte
+// kernel's lazy-F pass is what raises such a cell.
+func lazyOnly(a, b []byte, s Scoring, H, E, F [][]int, j int) bool {
+	segLen := (len(a) + 7) / 8
+	for i := 2; i <= len(a); i++ {
+		diag := H[i-1][j-1] + s.Score(a[i-1], b[j-1])
+		if H[i][j] != E[i][j] || H[i][j] <= max(0, diag, F[i][j]) {
+			continue
+		}
+		r := i // walk the gap up to the row it opens below
+		for E[r][j] != H[r-1][j]-s.GapOpen-s.GapExtend {
+			r--
+		}
+		if (r-2)/segLen != (i-1)/segLen { // query positions r−2 → i−1
+			return true
+		}
+	}
+	return false
+}
+
+// TestStripedWidening aims at the byte lanes' hand-over to 16-bit lanes.
+// Each fixture is checked on every subject prefix (checkWidening), so the
+// column a pair widens after is, once each, the last column, the one
+// before it and the one after. The fixtures reach the widening:
+//   - after the first column: at Match 60 a single match passes the
+//     47 points of byte headroom;
+//   - at a column whose extra cells only lazy-F raises: a piece of the
+//     query with a gap cut out right after the widening column, under
+//     nearly free gaps, so the cells below the gap's start are raised
+//     across a stripe boundary in exactly the column the H and E words
+//     are re-striped from; and the same piece with subject bases
+//     inserted there instead, so a gap in the query crosses the
+//     widening in the E words;
+//   - with every padding shape: queries of 1 to 40 bases, where ⌈n/8⌉ and
+//     ⌈n/4⌉ words a column pad the two layouts differently, against a
+//     mutated copy planted in random bases;
+//   - from no byte lanes at all (Match 120 leaves a byte no headroom).
+//
+// One scratch serves every call, dirty from the last, so it alternates
+// between the tiers and between query lengths.
+func TestStripedWidening(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	first := Scoring{Match: 60, Mismatch: 20, GapOpen: 5, GapExtend: 3}
+	cheapGaps := Scoring{Match: 9, Mismatch: 50, GapOpen: 1, GapExtend: 1}
+	wide := Scoring{Match: 120, Mismatch: 10, GapOpen: 5, GapExtend: 2}
+	var sc StripedScratch
+	var tiers [3]int
+	count := func(past int, prefixes [3]int) int {
+		for i := range tiers {
+			tiers[i] += prefixes[i]
+		}
+		return past
+	}
+
+	firsts := 0
+	for trial := 0; trial < 40; trial++ {
+		a := randomSeq(rng, 1+rng.Intn(30))
+		b := append([]byte{a[rng.Intn(len(a))]}, randomSeq(rng, rng.Intn(20))...)
+		if count(checkWidening(t, NewStripedProfile(a, first), &sc, a, b, first)) == 1 {
+			firsts++
+		}
+	}
+
+	lazy, bridged := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		a := randomSeq(rng, 30+rng.Intn(31))
+		p := NewStripedProfile(a, cheapGaps)
+		const k = 8 // 8 × 9 > 127 − 9 − 50 ≥ 7 × 9: the widening column
+		at := rng.Intn(len(a) - 20)
+		head := a[at : at+k]
+		cut := (len(a)+7)/8 + rng.Intn(5)
+		b := append(slices.Clone(head), a[at+k+cut:]...)
+		if count(checkWidening(t, p, &sc, a, b, cheapGaps)) != k {
+			t.Fatalf("cheap-gap copy of a %d-base query widened elsewhere than after column %d", len(a), k)
+		}
+		if H, E, F := refDP(a, b, cheapGaps); lazyOnly(a, b, cheapGaps, H, E, F, k) {
+			lazy++
+		}
+		// The other gap direction: subject bases inserted after the
+		// widening column, so a gap in the query straddles it and the
+		// re-striped E words carry it on.
+		b = append(append(slices.Clone(head), randomSeq(rng, 1+rng.Intn(6))...), a[at+k:]...)
+		if count(checkWidening(t, p, &sc, a, b, cheapGaps)) != k {
+			t.Fatalf("cheap-gap insertion into a %d-base query widened elsewhere than after column %d", len(a), k)
+		}
+		if al := Local(a, b, cheapGaps); al.Gaps > 0 && al.AStart <= at && al.AEnd > at+k {
+			bridged++
+		}
+	}
+
+	widened := 0
+	for n := 1; n <= 40; n++ {
+		for _, s := range []Scoring{first, {Match: 20, Mismatch: 7, GapOpen: 5, GapExtend: 2}, DefaultScoring(), wide} {
+			a := randomSeq(rng, n)
+			b := append(append(randomSeq(rng, rng.Intn(30)), mutate(rng, a, 0.1)...), randomSeq(rng, 1+rng.Intn(30))...)
+			if count(checkWidening(t, NewStripedProfile(a, s), &sc, a, b, s)) > 0 {
+				widened++
+			}
+		}
+	}
+
+	t.Logf("prefixes finished in bytes %d, widened %d, 16-bit only %d; %d widened after the first column, %d at a lazy-F column, %d bridged it with a gap in the query, %d padding fixtures widened",
+		tiers[0], tiers[1], tiers[2], firsts, lazy, bridged, widened)
+	if tiers[0] < 500 || tiers[1] < 500 || tiers[2] < 500 || firsts < 20 || lazy < 30 || bridged < 30 || widened < 60 {
+		t.Fatalf("fixture too tame: %v prefixes by tier, %d first-column, %d lazy-F, %d bridged and %d padding widenings",
+			tiers, firsts, lazy, bridged, widened)
+	}
+}
+
+// TestLanePrimitives pins the SWAR building blocks of both lane
+// geometries against per-lane reference arithmetic. A quarter of the
+// lanes are drawn from the ends of the range (0, 1, cap−1, cap), where
+// a borrow or a flag bit would go astray first.
 func TestLanePrimitives(t *testing.T) {
+	checkLanePrimitives[uint16](t, 16, 0x8000_8000_8000_8000)
+	checkLanePrimitives[uint8](t, 8, 0x8080_8080_8080_8080)
+}
+
+func checkLanePrimitives[T lane](t *testing.T, bits uint, hi uint64) {
+	t.Helper()
+	top := 1<<(bits-1) - 1
+	if laneBits[T]() != bits || laneHi[T]() != hi || laneCap[T]() != top {
+		t.Fatalf("%d-bit geometry: %d bits, top bits %#x, cap %d", bits, laneBits[T](), laneHi[T](), laneCap[T]())
+	}
 	rng := rand.New(rand.NewSource(5))
+	draw := func() uint64 {
+		if rng.Intn(4) == 0 {
+			return uint64([]int{0, 1, top - 1, top}[rng.Intn(4)])
+		}
+		return uint64(rng.Intn(top + 1))
+	}
 	for trial := 0; trial < 20000; trial++ {
 		var x, y uint64
 		var wantSub, wantMax uint64
-		for l := 0; l < bvLanes; l++ {
-			xv := uint64(rng.Intn(laneCap + 1))
-			yv := uint64(rng.Intn(laneCap + 1))
-			x |= xv << (bvLaneBits * l)
-			y |= yv << (bvLaneBits * l)
+		wantTop := 0
+		for l := uint(0); l < 64/bits; l++ {
+			xv, yv := draw(), draw()
+			x |= xv << (bits * l)
+			y |= yv << (bits * l)
 			var sub uint64
 			if xv > yv {
 				sub = xv - yv
 			}
-			mx := xv
-			if yv > mx {
-				mx = yv
-			}
-			wantSub |= sub << (bvLaneBits * l)
-			wantMax |= mx << (bvLaneBits * l)
+			wantSub |= sub << (bits * l)
+			wantMax |= max(xv, yv) << (bits * l)
+			wantTop = max(wantTop, int(xv))
 		}
-		if got := laneSubSat(x, y); got != wantSub {
-			t.Fatalf("laneSubSat(%#x, %#x) = %#x, want %#x", x, y, got, wantSub)
+		if got := laneSubSat[T](x, y); got != wantSub {
+			t.Fatalf("%d-bit laneSubSat(%#x, %#x) = %#x, want %#x", bits, x, y, got, wantSub)
 		}
-		if got := laneMax(x, y); got != wantMax {
-			t.Fatalf("laneMax(%#x, %#x) = %#x, want %#x", x, y, got, wantMax)
+		if got := laneMax[T](x, y); got != wantMax {
+			t.Fatalf("%d-bit laneMax(%#x, %#x) = %#x, want %#x", bits, x, y, got, wantMax)
+		}
+		if got := laneTop[T](x); got != wantTop {
+			t.Fatalf("%d-bit laneTop(%#x) = %d, want %d", bits, x, got, wantTop)
+		}
+		if v := int(draw()); laneTop[T](packLane[T](v)) != v || laneSubSat[T](packLane[T](v), packLane[T](v)) != 0 {
+			t.Fatalf("%d-bit packLane(%d) = %#x", bits, v, packLane[T](v))
 		}
 	}
 }
 
 // BenchmarkFineKernels compares the scalar and bitvector score kernels
 // on the fine phase's typical shape (400-base query, ~900-base
-// candidate), and — on BenchmarkBandedKernels' 600 × 8 000 pair — the
-// two ways to the exact transcript once the score pass is done: the
+// candidate), times the bitvector kernel on the served exact shape
+// (150-base read, 5 000-base subject) in byte lanes throughout and
+// across a widening, and — on BenchmarkBandedKernels' 600 × 8 000
+// pair — the two ways to the exact transcript once the score pass is
+// done: the
 // frozen full-matrix traceback and the strip LocalEndingAt traces from
 // the end column. MB/s reads as nominal full-matrix cells per µs.
 func BenchmarkFineKernels(b *testing.B) {
@@ -372,15 +598,28 @@ func BenchmarkFineKernels(b *testing.B) {
 			LocalScore(query, subject, s)
 		}
 	})
-	b.Run("bitvector", func(b *testing.B) {
-		p := NewStripedProfile(query, s)
-		var sc StripedScratch
-		b.SetBytes(int64(len(query)) * int64(len(subject)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Score(subject, &sc)
-		}
-	})
+	bitvector := func(name string, query, subject []byte) {
+		b.Run(name, func(b *testing.B) {
+			p := NewStripedProfile(query, s)
+			var sc StripedScratch
+			b.SetBytes(int64(len(query)) * int64(len(subject)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Score(subject, &sc)
+			}
+		})
+	}
+	bitvector("bitvector", query, subject)
+
+	// The served exact shape: a 150-base read against a 5 000-base
+	// subject, unrelated (the byte lanes throughout), and with a homolog
+	// of the read planted at base 2 000 (widens about 40 % of the way in).
+	read := randomSeq(rng, 150)
+	weak := randomSeq(rng, 5000)
+	strong := slices.Clone(weak)
+	copy(strong[2000:], mutate(rng, read, 0.05))
+	bitvector("bitvector-150x5000", read, weak)
+	bitvector("bitvector-150x5000-homolog", read, strong)
 
 	rng = rand.New(rand.NewSource(2))
 	subject = randomSeq(rng, 8000)

@@ -107,8 +107,10 @@ type FineMode int
 const (
 	// FineFull runs unrestricted Smith–Waterman on each candidate:
 	// exact scores, highest cost. The score pass is striped
-	// (align.StripedProfile, four 16-bit DP lanes per uint64); a pair
-	// beyond the lanes' capacity takes the scalar Subst.LocalScore.
+	// (align.StripedProfile: eight 8-bit DP lanes per uint64, widening
+	// to four 16-bit lanes once a pair's score outgrows a byte); a pair
+	// beyond the 16-bit lanes' capacity takes the scalar
+	// Subst.LocalScore.
 	FineFull FineMode = iota
 	// FineBanded runs a banded Smith–Waterman around each candidate's
 	// best hit diagonal: near-exact at a fraction of the cost.

@@ -49,9 +49,9 @@ type SearchStats struct {
 	FineAlignments int `json:"fine_alignments"`
 	// BitvectorAlignments is the number of fine alignments the
 	// bit-parallel striped kernel scored: every FineFull alignment
-	// whose pair fits its 16-bit lanes (the rest took the scalar
-	// capacity fallback), none under FineBanded. Always
-	// ≤ FineAlignments.
+	// whose pair fits its 16-bit lanes, whether it finished in byte
+	// lanes or widened to them (the rest took the scalar capacity
+	// fallback), none under FineBanded. Always ≤ FineAlignments.
 	BitvectorAlignments int `json:"bitvector_alignments"`
 	// TracebackAlignments is the number of deferred tracebacks run for
 	// reported results.
