@@ -90,16 +90,18 @@ lint-budget:
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \
 	[ $$took -le $(LINT_BUDGET) ]
 
-# ~20s total: each native fuzz target gets 2s of mutation on top of its
+# ~25s total: each native fuzz target gets 2s of mutation on top of its
 # committed corpus. CI-sized; run `go test -fuzz` locally for real runs.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzVarint$$' -fuzztime=2s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzPostingsDecode$$' -fuzztime=2s ./internal/postings
 	$(GO) test -run='^$$' -fuzz='^FuzzKmerRoundtrip$$' -fuzztime=2s ./internal/kmer
 	$(GO) test -run='^$$' -fuzz='^FuzzSequenceDecode$$' -fuzztime=2s ./internal/db
+	$(GO) test -run='^$$' -fuzz='^FuzzStoreWindow$$' -fuzztime=2s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=2s ./internal/segment
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvectorAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedAlign$$' -fuzztime=2s ./internal/align
+	$(GO) test -run='^$$' -fuzz='^FuzzBatchBanded$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzLocalAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchParams$$' -fuzztime=2s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzSeedHandOver$$' -fuzztime=2s ./internal/core

@@ -107,9 +107,20 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 	}
 	lo, width := centre-band, 2*band+1
 	h, e := sc.rows(width)
-	var best int32
+	return t.scoreRows(a, b, lo, h, e, 0, 0, 0, 0)
+}
+
+// scoreRows runs the score pass's rows from row on, over H and E rows
+// (as rows lays them out) that hold row−1's band, carrying the best so
+// far and its end cell. BandedLocalScore starts it at row 0 on zeroed
+// rows; the batched pass hands it a lane's rows when the lane's score
+// outgrows a byte.
+//
+//cafe:hotpath
+func (t *Subst) scoreRows(a, b []byte, lo int, h, e []int32, row int, best int32, aEnd, bEnd int) (int, int, int) {
+	width := len(e) - 1
 	first, end := bandRows(len(a), len(b), lo, width)
-	for i := first; i < end; i++ {
+	for i := max(first, row); i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
 		bs := b[jLo:jHi]
 		c := jLo - i - lo

@@ -278,7 +278,9 @@ func FuzzBandedAlign(f *testing.F) {
 // on the query shapes the served numbers come from: a 600-base
 // homologous query beside the frozen reference implementations it
 // replaced, a 2 000-base homologous query, and a 1 000-base random one
-// (a weak hit, whose row best rarely moves).
+// (a weak hit, whose row best rarely moves). The batch row scores the
+// 600-base query against eight subjects at once, as a default query's
+// fine phase does: the homolog and seven random ones.
 func BenchmarkBandedKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	subject := randomSeq(rng, 8000)
@@ -307,4 +309,53 @@ func BenchmarkBandedKernels(b *testing.B) {
 	run("traceback-2000", long, traceback)
 	run("score-random", weak, score)
 	run("traceback-random", weak, traceback)
+
+	lanes := []BatchLane{{B: subject, Centre: 3000}}
+	cells := BandedCells(len(query), len(subject), 3000, 24)
+	for k := 1; k < BatchLanes; k++ {
+		lanes = append(lanes, BatchLane{B: randomSeq(rng, 8000), Centre: 3000})
+		cells += BandedCells(len(query), 8000, 3000, 24)
+	}
+	var bsc BatchScratch
+	b.Run("batch", func(b *testing.B) {
+		b.SetBytes(cells)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sub.BatchBandedScore(query, 24, lanes, &bsc)
+		}
+	})
+}
+
+// BenchmarkBatchBreakEven prices a batch of n weak candidates (random
+// 600-base subjects against a random 600-base query, band 24) in the
+// byte lanes ("lanes-n", which bypasses minBatchLanes) and in the scalar
+// kernel one after another ("scalar-n"); minBatchLanes is the smallest n
+// whose lanes win.
+func BenchmarkBatchBreakEven(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	query := randomSeq(rng, 600)
+	sub := NewSubst(DefaultScoring())
+	top := 127 - sub.scoring.Match - sub.scoring.Mismatch
+	var lanes []BatchLane
+	for k := 0; k < BatchLanes; k++ {
+		lanes = append(lanes, BatchLane{B: randomSeq(rng, 648), Centre: 24})
+	}
+	var sc BatchScratch
+	for n := 1; n <= BatchLanes; n++ {
+		cells := int64(n) * BandedCells(len(query), 648, 24, 24)
+		b.Run(fmt.Sprintf("lanes-%d", n), func(b *testing.B) {
+			b.SetBytes(cells)
+			for i := 0; i < b.N; i++ {
+				sub.batch(query, 24, top, lanes[:n], &sc)
+			}
+		})
+		b.Run(fmt.Sprintf("scalar-%d", n), func(b *testing.B) {
+			b.SetBytes(cells)
+			for i := 0; i < b.N; i++ {
+				for _, l := range lanes[:n] {
+					sub.BandedLocalScore(query, l.B, l.Centre, 24, &sc.banded)
+				}
+			}
+		})
+	}
 }

@@ -26,12 +26,22 @@ import (
 	"nucleodb/internal/postings"
 )
 
-// Source supplies candidate sequences to the fine phase. *db.Store
-// satisfies it.
+// Source supplies candidate sequences to the fine phase: their lengths,
+// and any range of their bases decoded into the caller's buffer, so a
+// banded candidate costs the window its band reads rather than the whole
+// sequence. *db.Store satisfies it.
 type Source interface {
 	Len() int
-	Sequence(i int) []byte
+	SeqLen(i int) int
+	// AppendRange appends bases [from, to) of sequence i to dst and
+	// returns the extended slice; 0 ≤ from ≤ to ≤ SeqLen(i).
+	AppendRange(dst []byte, i, from, to int) []byte
 }
+
+// maxPooledSeq caps the whole-subject buffer a fine worker keeps between
+// candidates (1 MiB); a longer subject is read into a buffer of its own,
+// so one huge sequence does not pin its bases in every pooled searcher.
+const maxPooledSeq = 1 << 20
 
 // CoarseMode selects how the coarse phase scores a sequence from the
 // posting lists of the query's intervals. The modes are the ablation
@@ -342,6 +352,11 @@ type Searcher struct {
 	// candidate with the scalar fallback. Only this package's tests set
 	// it: the reference the equivalence suites hold the route to.
 	scalarFine bool
+	// scalarBanded makes FineBanded score every candidate alone, with the
+	// scalar kernel over its whole sequence, instead of in batches over
+	// band windows. Only this package's tests set it: the reference the
+	// batched route is held to.
+	scalarBanded bool
 	// extractSeeds makes every seed come from bestSeed, as if the
 	// postings could not reproduce it. Only this package's tests set it:
 	// the reference the hand-over is held to.
@@ -532,7 +547,8 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 	t0 := time.Now()
 	// Tracebacks run serially after the fine phase's join, on the first
 	// fine worker's scratch.
-	banded := &s.fineScratch(1)[0].banded
+	sc := s.fineScratch(1)[0]
+	banded := &sc.banded
 	for i := range results {
 		r := &results[i]
 		if !r.needsTraceback {
@@ -546,22 +562,27 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		if r.Reverse {
 			q = rcQuery
 		}
-		subject := s.src.Sequence(r.ID)
+		n := s.src.SeqLen(r.ID)
 		if r.fullTraceback {
 			// The score pass knows where align.Local's alignment ends —
 			// the one column holding every best cell (striped pass) or the
 			// cell itself (scalar fallback) — unless best cells tie across
 			// columns; the scalar forward pass then finds Local's. Either
-			// way the transcript is Local's.
+			// way the transcript is Local's, and it reads the subject only
+			// up to its end column.
 			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
+			var subject []byte
 			if r.tiedEnd {
+				subject = s.read(r.ID, 0, n, sc)
 				_, aEnd, bEnd = s.subst.LocalScore(q, subject, banded)
+			} else {
+				subject = s.read(r.ID, 0, bEnd, sc)
 			}
 			r.Alignment = s.subst.LocalEndingAt(q, subject, r.Score, aEnd, bEnd, banded)
 			st.TracebackAlignments++
 			st.TracebackDPCells += s.subst.TraceCells(len(q), r.Score, aEnd, bEnd)
 			if r.tiedEnd {
-				st.TracebackDPCells += align.LocalCells(len(q), len(subject))
+				st.TracebackDPCells += align.LocalCells(len(q), n)
 			}
 			r.needsTraceback, r.fullTraceback, r.tiedEnd = false, false, false
 			continue
@@ -570,12 +591,16 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		// no row after it can change the first best cell, so the
 		// direction matrix stops there. One forward pass only: a banded
 		// alignment nearly fills its band, so a reverse pass to bound
-		// the start would cost more cells than it saves.
+		// the start would cost more cells than it saves. It reads only
+		// the band's window of the subject.
 		aEnd := r.Alignment.AEnd
-		al := s.subst.BandedLocal(q[:aEnd], subject, r.bandCentre, opts.Band, banded)
+		from, to := bandWindow(r.bandCentre, opts.Band, aEnd, n)
+		al := s.subst.BandedLocal(q[:aEnd], s.read(r.ID, from, to, sc), r.bandCentre-from, opts.Band, banded)
 		st.TracebackAlignments++
-		st.TracebackDPCells += align.BandedCells(aEnd, len(subject), r.bandCentre, opts.Band)
+		st.TracebackDPCells += align.BandedCells(aEnd, n, r.bandCentre, opts.Band)
 		if al.Score == r.Score {
+			al.BStart += from
+			al.BEnd += from
 			r.Alignment = al
 		} else {
 			// The banded traceback could not reproduce the score-only
@@ -585,14 +610,42 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			// score stands (the list is already ordered by it), but
 			// spans, identity and the transcript come from the real
 			// optimal alignment.
-			r.Alignment = s.subst.Local(q, subject, banded)
-			st.TracebackDPCells += align.LocalCells(len(q), len(subject)) +
+			r.Alignment = s.subst.Local(q, s.read(r.ID, 0, n, sc), banded)
+			st.TracebackDPCells += align.LocalCells(len(q), n) +
 				s.subst.TraceCells(len(q), r.Alignment.Score, r.Alignment.AEnd, r.Alignment.BEnd)
 		}
 		r.needsTraceback = false
 	}
 	st.TracebackTime += time.Since(t0)
 	return results, nil
+}
+
+// bandWindow returns the range [from, to) of a subject of n bases that
+// holds every cell of the band centre±band over rows rows: from the
+// band's first diagonal at row 0 to its last at row rows−1, clipped to
+// the subject (empty when the band misses it). A banded kernel run on
+// that window, with the centre shifted by from, computes exactly the
+// cells it computes on the whole subject: cells outside the window are
+// outside the band or the subject.
+//
+//cafe:hotpath
+func bandWindow(centre, band, rows, n int) (from, to int) {
+	from = min(max(centre-band, 0), n)
+	to = max(min(centre+band+rows, n), from)
+	return from, to
+}
+
+// read decodes bases [from, to) of sequence id into the worker's pooled
+// buffer and returns them; the slice is valid until the worker's next
+// read.
+//
+//cafe:pooled the bases live in the worker's scratch until its next read
+func (s *Searcher) read(id, from, to int, sc *seedScratch) []byte {
+	seq := s.src.AppendRange(sc.seq[:0], id, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
+	if cap(seq) <= maxPooledSeq {
+		sc.seq = seq
+	}
+	return seq
 }
 
 // finish orders results best-first and applies the limit.
@@ -629,123 +682,165 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	st.CoarseTime += time.Since(t0)
 	st.CoarseCandidates += len(cands)
 	t0 = time.Now()
-	// fine evaluates candidate i; it reads only immutable searcher
-	// state (terms, termBits and the handed-over seeds are not mutated
-	// during the fine phase) plus the caller-owned scratch, so it is
-	// safe to run concurrently as long as each worker passes its own
-	// scratch. Its stats contribution returns by value (fineWork), so the
-	// parallel path needs no shared state.
+	// fine evaluates candidates [lo, hi) into out, one slot each; it reads
+	// only immutable searcher state (terms, termBits and the handed-over
+	// seeds are not mutated during the fine phase) plus the caller-owned
+	// scratch, so it is safe to run concurrently as long as each worker
+	// passes its own scratch. Its stats contribution rides in the slots
+	// (fineWork), so the parallel path needs no shared state.
+	//
+	// FineFull takes one candidate at a time. FineBanded takes a batch of
+	// up to align.BatchLanes: each candidate's band window is read from
+	// the store into the worker's scratch, and one BatchBandedScore call
+	// scores the batch, one candidate per byte lane.
 	coder := s.coder
 	if opts.FineMode == FineFull && len(cands) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
-	fine := func(i int, sc *seedScratch) (Result, bool, fineWork) {
-		var fw fineWork
-		c := cands[i]
-		seq := s.src.Sequence(c.ID)
-		var r Result
-		r.ID = c.ID
-		r.Coarse = c.Score
+	batch := 1
+	if opts.FineMode == FineBanded && !s.scalarBanded {
+		batch = align.BatchLanes
+	}
+	fine := func(lo, hi int, sc *seedScratch, out []fineSlot) {
+		var lanes [align.BatchLanes]align.BatchLane
+		var laneSlot, laneFrom [align.BatchLanes]int
+		nl := 0
+		for i := lo; i < hi; i++ {
+			c := cands[i]
+			sl := &out[i-lo]
+			*sl = fineSlot{r: Result{ID: c.ID, Coarse: c.Score}}
+			n := s.src.SeqLen(c.ID)
+			var seq []byte // the whole subject, read when something needs it
 
-		var seed seedHit
-		haveSeed := false
-		if opts.Prescreen > 0 || opts.FineMode == FineBanded && !c.HasOff {
-			if seeds != nil {
-				seed, haveSeed = seeds[i].hit, seeds[i].ok
-			} else {
-				seed, haveSeed = s.bestSeed(coder, seq, sc)
+			var seed seedHit
+			haveSeed := false
+			if opts.Prescreen > 0 || opts.FineMode == FineBanded && !c.HasOff {
+				if seeds != nil {
+					seed, haveSeed = seeds[i].hit, seeds[i].ok
+				} else {
+					seq = s.read(c.ID, 0, n, sc)
+					seed, haveSeed = s.bestSeed(coder, seq, sc)
+				}
+			}
+			if opts.Prescreen > 0 {
+				p0 := time.Now()
+				pass := haveSeed
+				if haveSeed {
+					if seq == nil {
+						seq = s.read(c.ID, 0, n, sc)
+					}
+					score, _, _, _, _ := align.ExtendUngapped(
+						query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
+					pass = score >= opts.Prescreen
+				}
+				sl.fw.prescreen = time.Since(p0)
+				sl.fw.rejected = !pass
+				if !pass {
+					continue
+				}
+			}
+			sl.fw.aligned = true
+			r := &sl.r
+			switch opts.FineMode {
+			case FineFull:
+				// Exact score and alignment end, no transcript: the traceback
+				// is deferred to the results that survive MinScore and Limit
+				// (see finishTracebacks), like the banded score-only pass.
+				if seq == nil {
+					seq = s.read(c.ID, 0, n, sc)
+				}
+				var score, aEnd, bEnd int
+				var unique, striped bool
+				if !s.scalarFine {
+					score, bEnd, unique, striped = s.bvProfile.Score(seq, &sc.bv)
+				}
+				if !striped {
+					// A pair beyond the lanes' capacity.
+					score, aEnd, bEnd = s.subst.LocalScore(query, seq, &sc.banded)
+				}
+				r.Score = score
+				r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
+				r.needsTraceback, r.fullTraceback = score > 0, score > 0
+				r.tiedEnd = striped && score > 0 && !unique
+				sl.fw.cells = align.LocalCells(len(query), n)
+				sl.fw.bitvector = striped
+				sl.ok = score >= opts.MinScore
+			case FineBanded:
+				centre := 0
+				switch {
+				case c.HasOff:
+					centre = c.Diag
+				case haveSeed:
+					centre = seed.diag
+				}
+				r.bandCentre = centre
+				sl.fw.cells = align.BandedCells(len(query), n, centre, opts.Band)
+				if s.scalarBanded {
+					score, aEnd, bEnd := s.subst.BandedLocalScore(query, s.read(c.ID, 0, n, sc), centre, opts.Band, &sc.banded)
+					r.Score = score
+					r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
+					r.needsTraceback = score > 0
+					sl.ok = score >= opts.MinScore
+					continue
+				}
+				// Ranking needs only the score; the traceback matrix is
+				// deferred to the results that survive MinScore and Limit
+				// (see finishTracebacks).
+				from, to := bandWindow(centre, opts.Band, len(query), n)
+				sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], c.ID, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
+				lanes[nl] = align.BatchLane{B: sc.windows[nl], Centre: centre - from}
+				laneSlot[nl], laneFrom[nl] = i-lo, from
+				nl++
 			}
 		}
-		if opts.Prescreen > 0 {
-			p0 := time.Now()
-			pass := haveSeed
-			if haveSeed {
-				score, _, _, _, _ := align.ExtendUngapped(
-					query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
-				pass = score >= opts.Prescreen
-			}
-			fw.prescreen = time.Since(p0)
-			fw.rejected = !pass
-			if !pass {
-				return r, false, fw
-			}
+		if nl == 0 {
+			return
 		}
-		switch opts.FineMode {
-		case FineFull:
-			// Exact score and alignment end, no transcript: the traceback
-			// is deferred to the results that survive MinScore and Limit
-			// (see finishTracebacks), like the banded score-only pass.
-			var score, aEnd, bEnd int
-			var unique, striped bool
-			if !s.scalarFine {
-				score, bEnd, unique, striped = s.bvProfile.Score(seq, &sc.bv)
+		s.subst.BatchBandedScore(query, opts.Band, lanes[:nl], &sc.batch)
+		for k, l := range lanes[:nl] {
+			sl := &out[laneSlot[k]]
+			aEnd, bEnd := l.AEnd, l.BEnd
+			if l.Score > 0 {
+				bEnd += laneFrom[k] // back to subject coordinates
 			}
-			if !striped {
-				// A pair beyond the lanes' capacity.
-				score, aEnd, bEnd = s.subst.LocalScore(query, seq, &sc.banded)
-			}
-			r.Score = score
-			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
-			r.needsTraceback, r.fullTraceback = score > 0, score > 0
-			r.tiedEnd = striped && score > 0 && !unique
-			fw.cells = align.LocalCells(len(query), len(seq))
-			fw.bitvector = striped
-		case FineBanded:
-			centre := 0
-			switch {
-			case c.HasOff:
-				centre = c.Diag
-			case haveSeed:
-				centre = seed.diag
-			}
-			// Ranking needs only the score; the traceback matrix is
-			// deferred to the results that survive MinScore and Limit
-			// (see finishTracebacks).
-			score, aEnd, bEnd := s.subst.BandedLocalScore(query, seq, centre, opts.Band, &sc.banded)
-			r.Score = score
-			r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
-			r.bandCentre = centre
-			r.needsTraceback = score > 0
-			fw.cells = align.BandedCells(len(query), len(seq), centre, opts.Band)
+			sl.r.Score = l.Score
+			sl.r.Alignment = align.Alignment{Score: l.Score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
+			sl.r.needsTraceback = l.Score > 0
+			sl.ok = l.Score >= opts.MinScore
 		}
-		fw.aligned = true
-		return r, r.Score >= opts.MinScore, fw
 	}
 
 	results := make([]Result, 0, len(cands))
-	if opts.FineWorkers <= 1 || len(cands) < 2 {
+	batches := (len(cands) + batch - 1) / batch
+	if opts.FineWorkers <= 1 || batches < 2 {
 		sc := s.fineScratch(1)[0]
-		for i := range cands {
+		var out [align.BatchLanes]fineSlot
+		for lo := 0; lo < len(cands); lo += batch {
 			if err := ctx.Err(); err != nil {
 				st.FineTime += time.Since(t0)
 				return nil, err
 			}
-			r, ok, fw := fine(i, sc)
-			st.addFine(fw)
-			if ok {
-				results = append(results, r)
+			hi := min(lo+batch, len(cands))
+			fine(lo, hi, sc, out[:hi-lo])
+			for _, sl := range out[:hi-lo] {
+				st.addFine(sl.fw)
+				if sl.ok {
+					results = append(results, sl.r)
+				}
 			}
 		}
 		st.FineTime += time.Since(t0)
 		return results, nil
 	}
 
-	// Parallel fine phase: candidates are distributed across workers
-	// and collected in candidate order, so output is identical to the
-	// serial path. Per-candidate stats ride in the slots and fold in
-	// after the join, keeping the workers free of shared counters.
-	// Workers check ctx before claiming each candidate and stop early
-	// when it is done; the join then surfaces ctx.Err() once.
-	type slot struct {
-		r  Result
-		ok bool
-		fw fineWork
-	}
-	slots := make([]slot, len(cands))
-	workers := opts.FineWorkers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	// Parallel fine phase: workers claim batches of candidates and write
+	// their slots, which are collected in candidate order, so output is
+	// identical to the serial path. Per-candidate stats ride in the slots
+	// and fold in after the join, keeping the workers free of shared
+	// counters. Workers check ctx before claiming each batch and stop
+	// early when it is done; the join then surfaces ctx.Err() once.
+	slots := make([]fineSlot, len(cands))
+	workers := min(opts.FineWorkers, batches)
 	scratches := s.fineScratch(workers)
 	var wg sync.WaitGroup
 	var next atomic.Int64
@@ -754,12 +849,12 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 		go func(sc *seedScratch) {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(cands) {
+				lo := (int(next.Add(1)) - 1) * batch
+				if lo >= len(cands) {
 					return
 				}
-				r, ok, fw := fine(i, sc)
-				slots[i] = slot{r, ok, fw}
+				hi := min(lo+batch, len(cands))
+				fine(lo, hi, sc, slots[lo:hi])
 			}
 		}(scratches[w])
 	}
@@ -776,6 +871,14 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	}
 	st.FineTime += time.Since(t0)
 	return results, nil
+}
+
+// fineSlot is one candidate's fine-phase outcome: its result, whether it
+// passed MinScore, and its stats contribution.
+type fineSlot struct {
+	r  Result
+	ok bool
+	fw fineWork
 }
 
 // prescreenXDrop is the x-drop for the middle-phase ungapped
@@ -1086,13 +1189,18 @@ type seedScratch struct {
 	terms    []queryTerm //cafe:pooled borrowed from the searcher for the current query only
 	termBits *termFilter //cafe:pooled borrowed with terms, read-only here
 	extract  func(sPos int, t kmer.Term)
-	// bv and banded are the worker's kernel scratches (the bitvector
-	// kernel's DP columns; the banded kernels' rows, direction matrix
-	// and transcript), reused across candidates; they ride in the seed
-	// scratch so the fine phase's one-scratch-per-worker discipline
-	// covers every kernel.
+	// bv, banded and batch are the worker's kernel scratches (the
+	// bitvector kernel's DP columns; the banded kernels' rows, direction
+	// matrix and transcript; the batched pass's lanes), reused across
+	// candidates; they ride in the seed scratch so the fine phase's
+	// one-scratch-per-worker discipline covers every kernel.
 	bv     align.StripedScratch
 	banded align.BandedScratch
+	batch  align.BatchScratch
+	// seq holds the worker's last whole-subject or traceback read, and
+	// windows the band windows of its current batch, one per lane.
+	seq     []byte                   //cafe:pooled subject bases, overwritten by the worker's next read
+	windows [align.BatchLanes][]byte //cafe:pooled band windows, overwritten by the worker's next batch
 }
 
 func newSeedScratch() *seedScratch {

@@ -133,7 +133,7 @@ func checkHandOver(t testing.TB, s *Searcher, query []byte, mode CoarseMode, nam
 	}
 	sc := newSeedScratch()
 	for i, c := range cands {
-		want, wantOK := s.bestSeed(s.coder, s.src.Sequence(c.ID), sc)
+		want, wantOK := s.bestSeed(s.coder, s.src.AppendRange(nil, c.ID, 0, s.src.SeqLen(c.ID)), sc)
 		if got := s.log.seeds[i]; got.hit != want || got.ok != wantOK {
 			t.Fatalf("%s: candidate %d (seq %d): hand-over (%+v,%v), bestSeed (%+v,%v)",
 				name, i, c.ID, got.hit, got.ok, want, wantOK)

@@ -71,6 +71,22 @@ func (s *Store) Sequence(id int) []byte {
 	return codes
 }
 
+// AppendRange appends bases [from, to) of record id in code form to dst
+// and returns the extended slice — Sequence(id)[from:to], decoded straight
+// from the 2-bit store without materialising the rest of the record. The
+// fine phase reads each candidate's band window through it into pooled
+// scratch. It panics unless 0 ≤ from ≤ to ≤ SeqLen(id).
+func (s *Store) AppendRange(dst []byte, id, from, to int) []byte {
+	s.check(id)
+	dst, err := s.coder.AppendRange(dst, s.blob[s.offsets[id]:], from, to)
+	if err != nil {
+		// Load validated every record, so only a range outside the record
+		// or memory corruption gets here.
+		panic(fmt.Sprintf("db: record %d range [%d,%d): %v", id, from, to, err))
+	}
+	return dst
+}
+
 func (s *Store) check(id int) {
 	if id < 0 || id >= len(s.descs) {
 		panic(fmt.Sprintf("db: record id %d out of range [0,%d)", id, len(s.descs)))

@@ -3,6 +3,7 @@ package dna
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nucleodb/internal/compress"
 )
@@ -75,23 +76,73 @@ func (dc *DirectCoder) Encode(dst []byte, codes []byte) []byte {
 // Decode decodes one direct-coded record from buf, returning the
 // code-form sequence and the number of bytes consumed.
 func (dc *DirectCoder) Decode(buf []byte) (codes []byte, n int, err error) {
+	rec, err := parseRecord(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	codes = make([]byte, rec.n)
+	Unpack2Into(rec.packed, codes)
+	if err := rec.patch(codes, 0, rec.n, true); err != nil {
+		return nil, 0, err
+	}
+	return codes, rec.end, nil
+}
+
+// AppendRange appends bases [from, to) of the direct-coded record at the
+// start of buf to dst and returns the extended slice: the bytes
+// Decode(buf)'s codes[from:to] holds, without decoding the rest of the
+// record. It unpacks only the range's 2-bit bytes and walks the
+// exception list only as far as to, so the fine phase reads a band's
+// window of a long subject in time proportional to the window and the
+// wildcards before it. The
+// record's wildcards past to are not checked; a store validates every
+// record once, at Load. from and to must satisfy 0 ≤ from ≤ to ≤ the
+// record's length.
+func (dc *DirectCoder) AppendRange(dst, buf []byte, from, to int) ([]byte, error) {
+	rec, err := parseRecord(buf)
+	if err != nil {
+		return dst, err
+	}
+	if from < 0 || from > to || to > rec.n {
+		return dst, fmt.Errorf("dna: direct coding: range [%d,%d) outside a %d-base record", from, to, rec.n)
+	}
+	at := len(dst)
+	dst = slices.Grow(dst, to-from)[:at+to-from]
+	out := dst[at:]
+	Unpack2Range(rec.packed, from, out)
+	return dst, rec.patch(out, from, to, false)
+}
+
+// record is a parsed direct-coded record header: the sequence length,
+// the wildcard count and exception block, the packed bases and the
+// record's end offset in the buffer it was parsed from.
+type record struct {
+	n, end int
+	wilds  uint64
+	exc    []byte
+	packed []byte
+}
+
+// parseRecord reads the header of the direct-coded record at the start
+// of buf and checks that its blocks fit buf.
+func parseRecord(buf []byte) (record, error) {
 	seqLen, k1 := binary.Uvarint(buf)
 	if k1 <= 0 {
-		return nil, 0, fmt.Errorf("dna: direct coding: bad sequence length header")
+		return record{}, fmt.Errorf("dna: direct coding: bad sequence length header")
 	}
 	pos := k1
 	wilds, k2 := binary.Uvarint(buf[pos:])
 	if k2 <= 0 {
-		return nil, 0, fmt.Errorf("dna: direct coding: bad wildcard count header")
+		return record{}, fmt.Errorf("dna: direct coding: bad wildcard count header")
 	}
 	pos += k2
 	excLen, k3 := binary.Uvarint(buf[pos:])
 	if k3 <= 0 {
-		return nil, 0, fmt.Errorf("dna: direct coding: bad exception length header")
+		return record{}, fmt.Errorf("dna: direct coding: bad exception length header")
 	}
 	pos += k3
 	if uint64(len(buf)-pos) < excLen {
-		return nil, 0, fmt.Errorf("dna: direct coding: truncated exception block")
+		return record{}, fmt.Errorf("dna: direct coding: truncated exception block")
 	}
 	exc := buf[pos : pos+int(excLen)]
 	pos += int(excLen)
@@ -100,45 +151,66 @@ func (dc *DirectCoder) Decode(buf []byte) (codes []byte, n int, err error) {
 	// allocating: a corrupt header must not turn ten input bytes into a
 	// multi-gigabyte make.
 	if seqLen > uint64(len(buf)-pos)*4 {
-		return nil, 0, fmt.Errorf("dna: direct coding: sequence length %d exceeds remaining data", seqLen)
+		return record{}, fmt.Errorf("dna: direct coding: sequence length %d exceeds remaining data", seqLen)
 	}
 	packedLen := PackedLen(int(seqLen))
 	if len(buf)-pos < packedLen {
-		return nil, 0, fmt.Errorf("dna: direct coding: truncated base data: need %d bytes, have %d", packedLen, len(buf)-pos)
+		return record{}, fmt.Errorf("dna: direct coding: truncated base data: need %d bytes, have %d", packedLen, len(buf)-pos)
 	}
-	codes = make([]byte, seqLen)
-	Unpack2Into(buf[pos:pos+packedLen], codes)
-	pos += packedLen
+	return record{
+		n:      int(seqLen),
+		end:    pos + packedLen,
+		wilds:  wilds,
+		exc:    exc,
+		packed: buf[pos : pos+packedLen],
+	}, nil
+}
 
-	if wilds > 0 {
-		r := compress.NewBitReader(exc)
-		b, err := compress.GetGamma(r)
+// patch writes the record's wildcards at positions [from, to) into out,
+// which holds those positions. With all set it reads every exception, so
+// a corrupt one past to is still an error; otherwise it stops at the
+// first exception at or past to.
+func (rec *record) patch(out []byte, from, to int, all bool) error {
+	if rec.wilds == 0 {
+		return nil
+	}
+	var r compress.BitReader
+	r.Reset(rec.exc)
+	b, err := compress.GetGamma(&r)
+	if err != nil {
+		return fmt.Errorf("dna: direct coding: %w", err)
+	}
+	seqLen := uint64(rec.n)
+	at := -1
+	for i := uint64(0); i < rec.wilds; i++ {
+		gap, err := compress.GetGolomb(&r, b)
 		if err != nil {
-			return nil, 0, fmt.Errorf("dna: direct coding: %w", err)
+			return fmt.Errorf("dna: direct coding: %w", err)
 		}
-		at := -1
-		for i := uint64(0); i < wilds; i++ {
-			gap, err := compress.GetGolomb(r, b)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dna: direct coding: %w", err)
+		code, err := r.ReadBits(4)
+		if err != nil {
+			return fmt.Errorf("dna: direct coding: %w", err)
+		}
+		if gap > seqLen {
+			return fmt.Errorf("dna: direct coding: wildcard gap %d beyond sequence length %d", gap, seqLen)
+		}
+		at += int(gap)
+		if at >= rec.n {
+			return fmt.Errorf("dna: direct coding: wildcard offset %d beyond sequence length %d", at, seqLen)
+		}
+		wc := byte(code) + NumBases
+		if !ValidCode(wc) {
+			return fmt.Errorf("dna: direct coding: invalid wildcard code %d", wc)
+		}
+		if at >= to {
+			if !all {
+				return nil
 			}
-			code, err := r.ReadBits(4)
-			if err != nil {
-				return nil, 0, fmt.Errorf("dna: direct coding: %w", err)
-			}
-			if gap > seqLen {
-				return nil, 0, fmt.Errorf("dna: direct coding: wildcard gap %d beyond sequence length %d", gap, seqLen)
-			}
-			at += int(gap)
-			if at >= int(seqLen) {
-				return nil, 0, fmt.Errorf("dna: direct coding: wildcard offset %d beyond sequence length %d", at, seqLen)
-			}
-			wc := byte(code) + NumBases
-			if !ValidCode(wc) {
-				return nil, 0, fmt.Errorf("dna: direct coding: invalid wildcard code %d", wc)
-			}
-			codes[at] = wc
+			continue
+		}
+		if at >= from {
+			out[at-from] = wc
 		}
 	}
-	return codes, pos, nil
+	return nil
 }

@@ -38,5 +38,20 @@ func Unpack2Into(packed []byte, dst []byte) {
 	}
 }
 
+// Unpack2Range decodes len(dst) bases starting at base from out of
+// packed into dst: Unpack2Into's output from base from on, without
+// decoding the bases before it.
+//
+//cafe:hotpath
+func Unpack2Range(packed []byte, from int, dst []byte) {
+	// Bases up to the next byte boundary, then whole bytes.
+	head := min((4-from&3)&3, len(dst))
+	for i := 0; i < head; i++ {
+		p := from + i
+		dst[i] = packed[p>>2] >> uint((p&3)*2) & 3
+	}
+	Unpack2Into(packed[(from+head)>>2:], dst[head:])
+}
+
 // PackedLen returns the number of bytes needed to 2-bit pack n bases.
 func PackedLen(n int) int { return (n + 3) / 4 }

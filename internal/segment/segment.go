@@ -219,6 +219,13 @@ func (s *Set) Sequence(id int) []byte {
 	return g.Store.Sequence(local)
 }
 
+// AppendRange appends bases [from, to) of record id to dst
+// (core.Source's range read).
+func (s *Set) AppendRange(dst []byte, id, from, to int) []byte {
+	g, local := s.locate(id)
+	return g.Store.AppendRange(dst, local, from, to)
+}
+
 // Desc returns record id's description.
 func (s *Set) Desc(id int) string {
 	g, local := s.locate(id)
