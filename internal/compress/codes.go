@@ -178,8 +178,10 @@ func truncatedLen(rem, b uint64) int {
 }
 
 // Rice coding is Golomb coding with a power-of-two parameter 2^k, which
-// replaces the divide with shifts. The index uses Golomb for size and
-// Rice where decode speed dominates.
+// replaces the divide with shifts. The index Golomb-codes identifier
+// gaps, where the parameter is per list, and Rice-codes offset gaps,
+// where it is per posting and a divide would sit on the decoder's
+// critical path.
 
 // PutRice appends the Rice code of v ≥ 1 with parameter k.
 func PutRice(w *BitWriter, v uint64, k uint) {
@@ -206,15 +208,17 @@ func GetRice(r *BitReader, k uint) (uint64, error) {
 	return (q-1)<<k | low + 1, nil
 }
 
-// RiceParameter returns a Rice parameter approximating the Golomb
-// parameter for the given mean gap.
+// RiceParameter returns k = ⌊log₂ b⌋ for the Golomb parameter
+// b = max(1, ⌈0.69·universe/occurrences⌉), the largest power of two not
+// above it. It is integer arithmetic throughout — ⌈69·u / 100·n⌉ — so an
+// encoder and a decoder on different architectures derive the same k;
+// universe and occurrences must stay below 2^56.
 //
 //cafe:hotpath
 func RiceParameter(universe, occurrences uint64) uint {
-	b := GolombParameter(universe, occurrences)
-	k := uint(bits.Len64(b))
-	if k > 0 {
-		k--
+	if occurrences == 0 {
+		return 0
 	}
-	return k
+	b := (69*universe + 100*occurrences - 1) / (100 * occurrences)
+	return uint(max(bits.Len64(b), 1) - 1)
 }

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,72 @@ func TestGolombParameter(t *testing.T) {
 	}
 	if b := GolombParameter(1, 100); b != 1 {
 		t.Errorf("dense list parameter = %d, want 1", b)
+	}
+}
+
+// riceParameterExact is RiceParameter's definition in exact rationals,
+// independent of its integer arithmetic: ⌊log₂ max(1, ⌈0.69·u/n⌉)⌋, and
+// 0 for no occurrences.
+func riceParameterExact(u, n uint64) uint {
+	if n == 0 {
+		return 0
+	}
+	r := new(big.Rat).SetFrac(new(big.Int).SetUint64(u), new(big.Int).SetUint64(n))
+	r.Mul(r, big.NewRat(69, 100))
+	b := new(big.Int).Add(r.Num(), r.Denom()) // ⌈num/den⌉ = ⌊(num + den − 1)/den⌋
+	b.Sub(b, big.NewInt(1))
+	b.Quo(b, r.Denom())
+	if b.Sign() == 0 {
+		b.SetInt64(1)
+	}
+	return uint(b.BitLen() - 1)
+}
+
+// TestRiceParameter pins the parameter the index's offset code is
+// decoded with: a change to it would round-trip through every postings
+// suite and still misread every index already written.
+func TestRiceParameter(t *testing.T) {
+	for _, c := range []struct {
+		u, n uint64
+		want uint
+	}{
+		{0, 0, 0},
+		{5, 0, 0},
+		{0, 1, 0},
+		{3, 10, 0}, // more occurrences than positions
+		{1, 1, 0},
+		{100, 69, 0},   // 0.69·u/n = 1 exactly
+		{200, 69, 1},   // = 2
+		{400, 69, 2},   // = 4
+		{399, 69, 2},   // 3.99, rounded up to 4
+		{401, 69, 2},   // 4.01, rounded up to 5
+		{350, 69, 2},   // 3.5 rounds up to 4: the ceiling, not the real, is logged
+		{299, 69, 1},   // 2.99 → 3
+		{100, 1, 6},    // 69
+		{20000, 1, 13}, // 13 800: a gene
+		{1<<31 - 1, 1, 30},
+		{1<<31 - 1, 100, 23},
+		{1<<31 - 1, 1<<31 - 1, 0},
+		{1<<56 - 1, 1, 55},
+		{1<<56 - 1, 1<<56 - 1, 0},
+	} {
+		if got := RiceParameter(c.u, c.n); got != c.want {
+			t.Errorf("RiceParameter(%d, %d) = %d, want %d", c.u, c.n, got, c.want)
+		}
+		if exact := riceParameterExact(c.u, c.n); exact != c.want {
+			t.Errorf("table row (%d, %d): exact definition gives %d, row says %d", c.u, c.n, exact, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20000; i++ {
+		u := rng.Uint64() >> (8 + rng.Intn(56))
+		n := rng.Uint64() >> (8 + rng.Intn(56))
+		if i%2 == 0 {
+			u, n = uint64(rng.Int31()), 1+uint64(rng.Intn(300)) // a sequence length and a count
+		}
+		if got, want := RiceParameter(u, n), riceParameterExact(u, n); got != want {
+			t.Fatalf("RiceParameter(%d, %d) = %d, exact %d", u, n, got, want)
+		}
 	}
 }
 

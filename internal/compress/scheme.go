@@ -4,8 +4,8 @@ import "fmt"
 
 // Scheme identifies an integer-coding scheme. The compression experiment
 // (E2) encodes the same gap streams under every scheme and compares size
-// and decode time; the index proper uses Golomb for identifier gaps and
-// gamma for counts.
+// and decode time; the index proper uses Golomb for identifier gaps,
+// gamma for counts and Rice for offset gaps.
 type Scheme uint8
 
 const (

@@ -114,6 +114,140 @@ func E2(w io.Writer, cfg Config) ([]E2Row, error) {
 		if err := tab.Render(w); err != nil {
 			return nil, err
 		}
+		if _, err := e2Offsets(w, env, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// offsetSchemes are the codes E2's offset table compares: gamma, the
+// offset code of the previous index format, and the two parameterised
+// codes of the paper's local model.
+var offsetSchemes = []compress.Scheme{compress.SchemeGamma, compress.SchemeGolomb, compress.SchemeRice}
+
+// e2Offsets is E2's second table: the offset-gap streams of the index
+// with offsets, one per posting, coded as the index codes them — a
+// Golomb or Rice parameter from (sequence length, count), both of which
+// the decoder knows, so no header is written. The parameter is computed
+// per posting here; the index reads a count-1 posting's Rice parameter
+// from a per-sequence table instead.
+func e2Offsets(w io.Writer, env *Env, cfg Config) ([]E2Row, error) {
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	if err != nil {
+		return nil, err
+	}
+	// One flat gap stream; runs[i] ends posting i's gaps and carries its
+	// sequence's length.
+	type run struct{ end, length uint32 }
+	var (
+		gaps    []uint64
+		runs    []run
+		walkErr error
+	)
+	idx.Terms(func(t kmer.Term, df int) {
+		if walkErr != nil {
+			return
+		}
+		entries, err := idx.Postings(t)
+		if err != nil {
+			walkErr = err
+			return
+		}
+		for _, e := range entries {
+			prev := int64(-1)
+			for _, off := range e.Offsets {
+				gaps = append(gaps, uint64(int64(off)-prev))
+				prev = int64(off)
+			}
+			runs = append(runs, run{uint32(len(gaps)), uint32(idx.SeqLen(int(e.ID)))})
+		}
+	})
+	if walkErr != nil {
+		return nil, walkErr
+	}
+	code := func(scheme compress.Scheme, r run, count int) (b uint64, k uint) {
+		switch scheme {
+		case compress.SchemeGolomb:
+			b = compress.GolombParameter(uint64(r.length), uint64(count))
+		case compress.SchemeRice:
+			k = compress.RiceParameter(uint64(r.length), uint64(count))
+		}
+		return b, k
+	}
+
+	var rows []E2Row
+	tab := eval.NewTable(
+		fmt.Sprintf("E2 (offsets): offset-gap codes, parameters from (sequence length, count) — %d postings, %d offsets", len(runs), len(gaps)),
+		"scheme", "size", "bits/offset", "decode", "Mints/s")
+	dst := make([]uint64, len(gaps))
+	for _, scheme := range offsetSchemes {
+		bw := compress.NewBitWriter(len(gaps) * 2)
+		start := 0
+		for _, r := range runs {
+			count := int(r.end) - start
+			b, k := code(scheme, r, count)
+			for _, g := range gaps[start:r.end] {
+				switch scheme {
+				case compress.SchemeGamma:
+					compress.PutGamma(bw, g)
+				case compress.SchemeGolomb:
+					compress.PutGolomb(bw, g, b)
+				default:
+					compress.PutRice(bw, g, k)
+				}
+			}
+			start = int(r.end)
+		}
+		buf, bits := bw.Bytes(), bw.BitLen()
+		const passes = 3
+		begin := time.Now()
+		for p := 0; p < passes; p++ {
+			br := compress.NewBitReader(buf)
+			start := 0
+			for _, r := range runs {
+				count := int(r.end) - start
+				b, k := code(scheme, r, count)
+				for i := start; i < int(r.end); i++ {
+					var err error
+					switch scheme {
+					case compress.SchemeGamma:
+						dst[i], err = compress.GetGamma(br)
+					case compress.SchemeGolomb:
+						dst[i], err = compress.GetGolomb(br, b)
+					default:
+						dst[i], err = compress.GetRice(br, k)
+					}
+					if err != nil {
+						return nil, err
+					}
+				}
+				start = int(r.end)
+			}
+		}
+		decode := time.Since(begin) / passes
+		for i, g := range gaps {
+			if dst[i] != g {
+				return nil, fmt.Errorf("experiments: %v offset gap %d decoded as %d, want %d", scheme, i, dst[i], g)
+			}
+		}
+		row := E2Row{
+			Scheme:     scheme,
+			Bytes:      (bits + 7) / 8,
+			BitsPerGap: float64(bits) / float64(len(gaps)),
+			DecodeTime: decode,
+		}
+		if secs := decode.Seconds(); secs > 0 {
+			row.DecodeMIntPS = float64(len(gaps)) / secs / 1e6
+		}
+		rows = append(rows, row)
+		tab.AddRow(scheme.String(), mb(row.Bytes), fmt.Sprintf("%.2f", row.BitsPerGap), decode,
+			fmt.Sprintf("%.1f", row.DecodeMIntPS))
+	}
+	if w != nil {
+		if err := tab.Render(w); err != nil {
+			return nil, err
+		}
 	}
 	return rows, nil
 }

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"nucleodb/internal/compress"
+	"nucleodb/internal/db"
+	"nucleodb/internal/gen"
+	"nucleodb/internal/index"
 )
 
 // tiny returns a configuration small enough for unit tests (a fraction
@@ -60,6 +63,12 @@ func TestE1Shapes(t *testing.T) {
 	for k, m := range byK {
 		if m[true] <= m[false] {
 			t.Errorf("k=%d: offsets index %d not larger than offsets-free %d", k, m[true], m[false])
+		}
+	}
+	// The Rice offset code beats the gamma one it replaced.
+	for _, r := range rows {
+		if r.Offsets && r.GammaOffsetBytes <= r.CompressedBytes {
+			t.Errorf("k=%d: %d B with gamma offsets, not above the %d B stored", r.K, r.GammaOffsetBytes, r.CompressedBytes)
 		}
 	}
 }
@@ -313,5 +322,67 @@ func TestRunAllRenders(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("suite output missing %s", want)
 		}
+	}
+}
+
+// TestE2OffsetShapes: on offset gaps the paper's model pays — both
+// parameterised codes beat gamma, and Rice stays within a few percent of
+// Golomb.
+func TestE2OffsetShapes(t *testing.T) {
+	env, err := NewEnv(tiny(), tiny().BaseBases)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := e2Offsets(nil, env, tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := map[compress.Scheme]int{}
+	for _, r := range rows {
+		size[r.Scheme] = r.Bytes
+	}
+	if len(size) != 3 {
+		t.Fatalf("offset rows %+v, want gamma, golomb and rice", rows)
+	}
+	if size[compress.SchemeGolomb] >= size[compress.SchemeGamma] || size[compress.SchemeRice] >= size[compress.SchemeGamma] {
+		t.Errorf("golomb %d, rice %d: not both below gamma %d", size[compress.SchemeGolomb], size[compress.SchemeRice], size[compress.SchemeGamma])
+	}
+	if float64(size[compress.SchemeRice]) > 1.05*float64(size[compress.SchemeGolomb]) {
+		t.Errorf("rice %d more than 5 %% above golomb %d", size[compress.SchemeRice], size[compress.SchemeGolomb])
+	}
+}
+
+// TestOffsetCodeCompression guards the offset code: on a collection of
+// the benchmark's shape (2 000 generated sequences, 9-base intervals,
+// offsets stored) the lists must be at least 18 % smaller than the same
+// lists with Elias-gamma offset gaps, the code of the previous format,
+// as E1 counts them from compress.GammaLen. A silent return to gamma
+// fails the suite, not only a benchmark.
+func TestOffsetCodeCompression(t *testing.T) {
+	col, err := gen.Generate(gen.DefaultConfig(2000, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s db.Store
+	for _, r := range col.Records {
+		s.Add(r.Desc, r.Codes)
+	}
+	opts := index.DefaultOptions()
+	if opts.K != 9 || !opts.StoreOffsets {
+		t.Fatalf("default options %+v, want 9-base intervals with offsets", opts)
+	}
+	x, err := index.Build(&s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gammaBytes, err := gammaOffsetListBytes(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := x.PostingsBytes()
+	saving := 1 - float64(got)/float64(gammaBytes)
+	t.Logf("lists %d B with Rice offsets, %d B with gamma offsets: %.1f %% smaller", got, gammaBytes, 100*saving)
+	if saving < 0.18 {
+		t.Errorf("lists are %.1f %% below their gamma-offset size (%d vs %d B), want at least 18 %%", 100*saving, got, gammaBytes)
 	}
 }

@@ -95,15 +95,17 @@ func (o Options) validate() error {
 type Index struct {
 	opts    Options
 	coder   *kmer.Coder
-	numSeqs int
 	seqLens []int32
+	// seqs is the universe the lists are coded against, derived from
+	// seqLens wherever an Index is made (Build, Merge, Load, OpenDisk)
+	// and never stored.
+	seqs postings.Seqs
 
 	// Lexicon: parallel arrays sorted by term. A term absent from
 	// these arrays either never occurs or was stopped.
 	terms []uint64
 	dfs   []uint32
-	offs  []uint64 // byte offset of each list in blob
-	lens  []uint32 // byte length of each list
+	ends  []uint64 // list i is blob[ends[i-1]:ends[i]] (from 0 for the first)
 
 	blob []byte
 
@@ -188,8 +190,8 @@ func Build(src Source, opts Options) (*Index, error) {
 	idx := &Index{
 		opts:    opts,
 		coder:   coder,
-		numSeqs: numSeqs,
 		seqLens: seqLens,
+		seqs:    postings.NewSeqs(seqLens),
 		stopped: stopped,
 	}
 	workers := opts.Workers
@@ -207,7 +209,7 @@ func Build(src Source, opts Options) (*Index, error) {
 		wg.Add(1)
 		go func(sh *encodeShard, lo, hi uint64) {
 			defer wg.Done()
-			sh.err = sh.encodeRange(occ, starts, lo, hi, numSeqs, opts)
+			sh.err = sh.encodeRange(occ, starts, lo, hi, idx.seqs, opts)
 		}(&shards[wi], lo, hi)
 	}
 	wg.Wait()
@@ -224,17 +226,15 @@ func Build(src Source, opts Options) (*Index, error) {
 	}
 	idx.terms = make([]uint64, 0, terms)
 	idx.dfs = make([]uint32, 0, terms)
-	idx.offs = make([]uint64, 0, terms)
-	idx.lens = make([]uint32, 0, terms)
+	idx.ends = make([]uint64, 0, terms)
 	idx.blob = make([]byte, 0, total)
 	for _, sh := range shards {
-		base := uint64(len(idx.blob))
+		end := uint64(len(idx.blob))
 		idx.terms = append(idx.terms, sh.terms...)
 		idx.dfs = append(idx.dfs, sh.dfs...)
 		for _, l := range sh.lens {
-			idx.offs = append(idx.offs, base)
-			idx.lens = append(idx.lens, l)
-			base += uint64(l)
+			end += uint64(l)
+			idx.ends = append(idx.ends, end)
 		}
 		idx.blob = append(idx.blob, sh.blob...)
 	}
@@ -251,7 +251,7 @@ type encodeShard struct {
 }
 
 // encodeRange encodes every non-empty bucket in [lo, hi).
-func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, numSeqs int, opts Options) error {
+func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, seqs postings.Seqs, opts Options) error {
 	var entries []postings.Entry
 	for t := lo; t < hi; t++ {
 		bucket := occ[starts[t]:starts[t+1]]
@@ -275,7 +275,7 @@ func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, numSeqs 
 			}
 			entries = append(entries, e)
 		}
-		buf, err := postings.Encode(entries, numSeqs, opts.StoreOffsets)
+		buf, err := postings.Encode(entries, seqs, opts.StoreOffsets)
 		if err != nil {
 			return fmt.Errorf("index: term %d: %w", t, err)
 		}
@@ -297,7 +297,7 @@ func (x *Index) K() int { return x.opts.K }
 func (x *Index) Coder() *kmer.Coder { return x.coder }
 
 // NumSeqs returns the number of indexed sequences.
-func (x *Index) NumSeqs() int { return x.numSeqs }
+func (x *Index) NumSeqs() int { return x.seqs.Len() }
 
 // SeqLen returns the length in bases of sequence id.
 func (x *Index) SeqLen(id int) int { return int(x.seqLens[id]) }
@@ -317,15 +317,24 @@ func (x *Index) PostingsBytes() int {
 	return len(x.blob)
 }
 
+// listSpan returns the blob offset and byte length of lexicon slot i.
+func (x *Index) listSpan(i int) (off uint64, n uint32) {
+	if i > 0 {
+		off = x.ends[i-1]
+	}
+	return off, uint32(x.ends[i] - off)
+}
+
 // listBytes returns the raw encoded bytes of lexicon slot i, from
 // memory or disk. A disk read lands in dst when dst can hold it, so a
 // caller that is done with one list before it asks for the next pays no
 // allocation per list; nil always gets a fresh slice.
 func (x *Index) listBytes(i int, dst []byte) ([]byte, error) {
+	off, n := x.listSpan(i)
 	if x.fetch != nil {
-		return x.fetch(x.offs[i], x.lens[i], dst)
+		return x.fetch(off, n, dst)
 	}
-	return x.blob[x.offs[i] : x.offs[i]+uint64(x.lens[i])], nil
+	return x.blob[off : off+uint64(n)], nil
 }
 
 // TotalPostings returns the number of (term, sequence) postings across
@@ -348,7 +357,7 @@ func (x *Index) Terms(fn func(t kmer.Term, df int)) {
 
 // LexiconBytes returns the in-memory size of the lexicon arrays.
 func (x *Index) LexiconBytes() int {
-	return len(x.terms)*8 + len(x.dfs)*4 + len(x.offs)*8 + len(x.lens)*4
+	return len(x.terms)*8 + len(x.dfs)*4 + len(x.ends)*8
 }
 
 // SizeBytes returns the total index size: lexicon, postings, stop list
@@ -454,19 +463,20 @@ func (x *Index) ReaderStatsFrom(t kmer.Term, from int, it *postings.Iterator) (d
 // a read that fails becomes the iterator's error.
 func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 	if i < 0 {
-		it.Reset(nil, 0, x.numSeqs, x.opts.StoreOffsets)
+		it.Reset(nil, 0, x.seqs, x.opts.StoreOffsets)
 		return 0, 0
 	}
 	var dst []byte
 	if x.fetch != nil {
-		dst = it.Buffer(int(x.lens[i]))
+		_, n := x.listSpan(i)
+		dst = it.Buffer(int(n))
 	}
 	buf, err := x.listBytes(i, dst)
 	if err != nil {
 		it.Fail(err)
 		return int(x.dfs[i]), 0
 	}
-	it.Reset(buf, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
+	it.Reset(buf, int(x.dfs[i]), x.seqs, x.opts.StoreOffsets)
 	return int(x.dfs[i]), len(buf)
 }
 
@@ -481,5 +491,5 @@ func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return postings.Decode(buf, int(x.dfs[i]), x.numSeqs, x.opts.StoreOffsets)
+	return postings.Decode(buf, int(x.dfs[i]), x.seqs, x.opts.StoreOffsets)
 }

@@ -5,10 +5,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strings"
+
+	"nucleodb/internal/postings"
 )
 
-// indexMagic identifies the on-disk index format, version 1.
-const indexMagic = "NDBidx1\n"
+// indexMagic identifies the on-disk index format, version 2: posting
+// lists whose offset gaps are Rice-coded with a parameter from their
+// sequence's length. Version 1 (oldIndexMagic) gamma-coded them; it is
+// refused, not decoded.
+const (
+	indexMagic    = "NDBidx2\n"
+	oldIndexMagic = "NDBidx1\n"
+)
 
 // SerializedBytes returns the exact on-disk size of the index: the
 // measure the size experiments report, since the disk format
@@ -63,7 +72,7 @@ func (x *Index) Save(w io.Writer) error {
 	if _, err := bw.WriteString(x.opts.SpacedMask); err != nil {
 		return fmt.Errorf("index: save header: %w", err)
 	}
-	if err := put(uint64(x.numSeqs)); err != nil {
+	if err := put(uint64(x.NumSeqs())); err != nil {
 		return fmt.Errorf("index: save header: %w", err)
 	}
 	for _, l := range x.seqLens {
@@ -93,7 +102,8 @@ func (x *Index) Save(w io.Writer) error {
 		if err := put(uint64(x.dfs[i])); err != nil {
 			return fmt.Errorf("index: save lexicon: %w", err)
 		}
-		if err := put(uint64(x.lens[i])); err != nil {
+		_, n := x.listSpan(i)
+		if err := put(uint64(n)); err != nil {
 			return fmt.Errorf("index: save lexicon: %w", err)
 		}
 	}
@@ -164,6 +174,9 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	magic := make([]byte, len(indexMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fail(fmt.Errorf("index: load: %w", err))
+	}
+	if string(magic) == oldIndexMagic {
+		return fail(fmt.Errorf("index: load: index format %q (gamma-coded offsets) is no longer read: rebuild with cafe-build -in <fasta> -db DIR", strings.TrimSpace(oldIndexMagic)))
 	}
 	if string(magic) != indexMagic {
 		return fail(fmt.Errorf("index: load: bad magic %q", magic))
@@ -249,7 +262,7 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	// consumes at least one byte from the reader, so a lying count fails
 	// with a read error after a bounded allocation rather than an OOM.
 	const capHint = 1 << 20
-	x := &Index{opts: opts, coder: coder, numSeqs: int(numSeqs)}
+	x := &Index{opts: opts, coder: coder}
 	x.seqLens = make([]int32, 0, min(numSeqs, capHint))
 	for i := uint64(0); i < numSeqs; i++ {
 		l, err := get("sequence length")
@@ -261,6 +274,7 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 		}
 		x.seqLens = append(x.seqLens, int32(l))
 	}
+	x.seqs = postings.NewSeqs(x.seqLens)
 	numStopped, err := get("stop count")
 	if err != nil {
 		return fail(err)
@@ -290,8 +304,7 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	}
 	x.terms = make([]uint64, 0, min(numTerms, capHint))
 	x.dfs = make([]uint32, 0, min(numTerms, capHint))
-	x.offs = make([]uint64, 0, min(numTerms, capHint))
-	x.lens = make([]uint32, 0, min(numTerms, capHint))
+	x.ends = make([]uint64, 0, min(numTerms, capHint))
 	prev = 0
 	var off uint64
 	for i := uint64(0); i < numTerms; i++ {
@@ -324,9 +337,8 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 		if l > 1<<31-1 {
 			return fail(fmt.Errorf("index: load: term %d list length %d overflows", i, l))
 		}
-		x.offs = append(x.offs, off)
-		x.lens = append(x.lens, uint32(l))
 		off += l
+		x.ends = append(x.ends, off)
 	}
 	blobLen, err := get("blob length")
 	if err != nil {

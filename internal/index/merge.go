@@ -13,41 +13,41 @@ import (
 // Collections can thus be indexed in segments and merged, the standard
 // recipe for incremental growth.
 //
-// Posting lists are re-encoded because the Golomb parameters depend on
-// the merged sequence count; the result is byte-identical to an index
-// built over the concatenated collection, except for the stop list,
-// which is the union of the inputs' (stopping decisions are
-// per-segment; rebuild to re-stop globally).
+// Posting lists are re-encoded because the identifiers' Golomb
+// parameters depend on the merged sequence count (the offsets' Rice
+// parameters depend on sequence lengths, which a merge keeps); the
+// result is byte-identical to an index built over the concatenated
+// collection, except for the stop list, which is the union of the
+// inputs' (stopping decisions are per-segment; rebuild to re-stop
+// globally).
 func Merge(a, b *Index) (*Index, error) {
 	if a.opts != b.opts {
 		return nil, fmt.Errorf("index: merge options differ: %+v vs %+v", a.opts, b.opts)
 	}
-	numSeqs := a.numSeqs + b.numSeqs
 	out := &Index{
 		opts:    a.opts,
 		coder:   a.coder,
-		numSeqs: numSeqs,
-		seqLens: make([]int32, 0, numSeqs),
+		seqLens: make([]int32, 0, a.NumSeqs()+b.NumSeqs()),
 	}
 	out.seqLens = append(out.seqLens, a.seqLens...)
 	out.seqLens = append(out.seqLens, b.seqLens...)
+	out.seqs = postings.NewSeqs(out.seqLens)
 
 	// Union of stop lists, ascending.
 	out.stopped = mergeSorted(a.stopped, b.stopped)
 
 	// Walk both lexicons in term order.
 	ai, bi := 0, 0
-	shift := uint32(a.numSeqs)
+	shift := uint32(a.NumSeqs())
 	var entries []postings.Entry
 	appendList := func(entries []postings.Entry) error {
-		buf, err := postings.Encode(entries, numSeqs, out.opts.StoreOffsets)
+		buf, err := postings.Encode(entries, out.seqs, out.opts.StoreOffsets)
 		if err != nil {
 			return err
 		}
 		out.dfs = append(out.dfs, uint32(len(entries)))
-		out.offs = append(out.offs, uint64(len(out.blob)))
-		out.lens = append(out.lens, uint32(len(buf)))
 		out.blob = append(out.blob, buf...)
+		out.ends = append(out.ends, uint64(len(out.blob)))
 		return nil
 	}
 	for ai < len(a.terms) || bi < len(b.terms) {

@@ -1,0 +1,59 @@
+package index
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// openFiles counts this process's open file descriptors, or returns -1
+// where /proc/self/fd is not there to count them.
+func openFiles() int {
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil || runtime.GOOS != "linux" {
+		return -1
+	}
+	return len(fds)
+}
+
+// TestGammaOffsetIndexRefused pins the one incompatibility of the Rice
+// offset code: an index in the previous format (magic NDBidx1, offsets
+// gamma-coded) is refused by Load and OpenDisk from its magic alone,
+// with the message that names the rebuild, and OpenDisk leaves no file
+// open behind the refusal.
+func TestGammaOffsetIndexRefused(t *testing.T) {
+	img := saveImage(t, DefaultOptions())
+	if !bytes.HasPrefix(img, []byte(indexMagic)) {
+		t.Fatalf("image starts %q, want %q", img[:len(indexMagic)], indexMagic)
+	}
+	old := append([]byte(oldIndexMagic), img[len(indexMagic):]...)
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{"whole": old, "magic-only": old[:len(oldIndexMagic)]} {
+		path := filepath.Join(dir, name+".ndx")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		x, loadErr := Load(bytes.NewReader(data))
+		if x != nil {
+			t.Errorf("Load of the %s image returned an index beside its error", name)
+		}
+		before := openFiles()
+		x, diskErr := OpenDisk(path)
+		if x != nil {
+			x.Close()
+			t.Errorf("OpenDisk of the %s image returned an index", name)
+		}
+		if after := openFiles(); after != before {
+			t.Errorf("OpenDisk of the %s image left %d files open, had %d", name, after, before)
+		}
+		for via, err := range map[string]error{"Load": loadErr, "OpenDisk": diskErr} {
+			if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") ||
+				!strings.Contains(err.Error(), "NDBidx1") {
+				t.Errorf("%s of the %s image: %v, want the rebuild message naming NDBidx1", via, name, err)
+			}
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // generated sequences, 9-base intervals, offsets stored) — the same
 // lists, byte for byte, that index.Build would hand the coarse walk —
 // without importing the index package (which imports this one).
-func benchLists(b *testing.B) (lists [][]byte, dfs []int, numSeqs, postings int) {
+func benchLists(b *testing.B) (lists [][]byte, dfs []int, seqs Seqs, postings int) {
 	b.Helper()
 	col, err := gen.Generate(gen.DefaultConfig(17777, 1))
 	if err != nil {
@@ -46,9 +46,13 @@ func benchLists(b *testing.B) (lists [][]byte, dfs []int, numSeqs, postings int)
 			byTerm[t] = es
 		})
 	}
-	numSeqs = len(col.Records)
+	lens := make([]int32, len(col.Records))
+	for id, rec := range col.Records {
+		lens[id] = int32(len(rec.Codes))
+	}
+	seqs = NewSeqs(lens)
 	for _, es := range byTerm {
-		buf, err := Encode(es, numSeqs, true)
+		buf, err := Encode(es, seqs, true)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,7 +60,7 @@ func benchLists(b *testing.B) (lists [][]byte, dfs []int, numSeqs, postings int)
 		dfs = append(dfs, len(es))
 		postings += len(es)
 	}
-	return lists, dfs, numSeqs, postings
+	return lists, dfs, seqs, postings
 }
 
 // BenchmarkPostingsDecode reports nanoseconds per posting for the
@@ -64,12 +68,12 @@ func benchLists(b *testing.B) (lists [][]byte, dfs []int, numSeqs, postings int)
 // offsets materialised — what bench/'s postings.decode_ns_per_posting
 // times on the served path.
 func BenchmarkPostingsDecode(b *testing.B) {
-	lists, dfs, numSeqs, postings := benchLists(b)
+	lists, dfs, seqs, postings := benchLists(b)
 	b.Run("word", func(b *testing.B) {
 		var it Iterator
 		for i := 0; i < b.N; i++ {
 			for l, buf := range lists {
-				it.Reset(buf, dfs[l], numSeqs, true)
+				it.Reset(buf, dfs[l], seqs, true)
 				for it.Next() {
 				}
 				if it.Err() != nil {
@@ -91,7 +95,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 			for l := 0; l < len(lists); l += w {
 				n := min(w, len(lists)-l)
 				for j := 0; j < n; j++ {
-					its[j].Reset(lists[l+j], dfs[l+j], numSeqs, true)
+					its[j].Reset(lists[l+j], dfs[l+j], seqs, true)
 				}
 				for more := true; more; {
 					more = false
@@ -116,7 +120,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 		var it refIterator
 		for i := 0; i < b.N; i++ {
 			for l, buf := range lists {
-				it.Reset(buf, dfs[l], numSeqs, true)
+				it.Reset(buf, dfs[l], seqs, true)
 				for it.Next() {
 				}
 				if it.Err() != nil {

@@ -3,23 +3,25 @@ package postings
 import "testing"
 
 // fuzzNumSeqs is the identifier universe the fuzz targets decode
-// against; small enough that corrupt gap runs leave it quickly.
+// against; small enough that corrupt gap runs leave it quickly. Its
+// sequences' lengths cycle through testLens, so offsets are decoded
+// against empty, one-base, k-mer, gene and 2³¹−1-base sequences.
 const fuzzNumSeqs = 1000
 
 // fuzzSeedList returns an encoded valid list to seed the corpora.
 func fuzzSeedList(t interface{ Fatal(...any) }, withOffsets bool) ([]byte, int) {
 	entries := []Entry{
-		{ID: 0, Count: 2, Offsets: []uint32{3, 90}},
-		{ID: 7, Count: 1, Offsets: []uint32{44}},
-		{ID: 512, Count: 3, Offsets: []uint32{0, 1, 7000}},
-		{ID: 999, Count: 1, Offsets: []uint32{12}},
+		{ID: 0, Count: 2, Offsets: []uint32{3, 90}},        // 20 000 bases
+		{ID: 7, Count: 1, Offsets: []uint32{44}},           // 2²⁶
+		{ID: 515, Count: 3, Offsets: []uint32{0, 1, 7000}}, // 2³¹−1
+		{ID: 999, Count: 1, Offsets: []uint32{12}},         // 20 000
 	}
 	if !withOffsets {
 		for i := range entries {
 			entries[i].Offsets = nil
 		}
 	}
-	buf, err := Encode(entries, fuzzNumSeqs, withOffsets)
+	buf, err := Encode(entries, testSeqs(fuzzNumSeqs), withOffsets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +53,7 @@ func FuzzPostingsDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, dfRaw uint16, withOffsets bool) {
 		df := int(dfRaw)
 		var it Iterator
-		it.Reset(data, df, fuzzNumSeqs, withOffsets)
+		it.Reset(data, df, testSeqs(fuzzNumSeqs), withOffsets)
 		n := 0
 		prev := int64(-1)
 		for it.Next() {
@@ -84,6 +86,6 @@ func FuzzPostingsDecode(f *testing.F) {
 		// And it must be the frozen per-call-checked decoder's answer:
 		// the same entries before the first error, an error iff it errs.
 		var ref refIterator
-		checkAgainstReference(t, &it, &ref, data, df, fuzzNumSeqs, withOffsets)
+		checkAgainstReference(t, &it, &ref, data, df, testSeqs(fuzzNumSeqs), withOffsets)
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"nucleodb/internal/compress"
@@ -25,15 +26,52 @@ func decodeAll(next func() bool, entry func() Entry) []Entry {
 	return out
 }
 
+// testLens is the cycle of sequence lengths the differential suites'
+// universes are built from: genes, a k-mer, the longest sequence an
+// index stores, a single base, reads, an empty sequence (no posting
+// with offsets can name it) and a chromosome-sized one.
+var testLens = [...]int32{20000, 9, 1<<31 - 1, 1, 150, 0, 5000, 1 << 26, 300}
+
+var (
+	testSeqsMu    sync.Mutex
+	testSeqsCache = map[int]Seqs{}
+)
+
+// maxTestLens is the largest universe testSeqs gives lengths to.
+const maxTestLens = 1 << 22
+
+// testSeqs returns the universe of n sequences whose lengths cycle
+// through testLens. Past maxTestLens sequences — up to the 2³¹−1 an
+// index allows, whose lengths would take gigabytes — it returns a
+// universe of identifiers only, which codes lists without offsets.
+func testSeqs(n int) Seqs {
+	if n > maxTestLens {
+		return Seqs{n: n}
+	}
+	testSeqsMu.Lock()
+	defer testSeqsMu.Unlock()
+	if s, ok := testSeqsCache[n]; ok {
+		return s
+	}
+	lens := make([]int32, n)
+	for i := range lens {
+		lens[i] = testLens[i%len(testLens)]
+	}
+	s := NewSeqs(lens)
+	testSeqsCache[n] = s
+	return s
+}
+
 // checkAgainstReference holds the production iterator to its contract
 // on one byte string: the same entries as refIterator before the first
 // error, an error iff the reference has one, and an error that is
 // either a corruption or one of the postings range errors.
-func checkAgainstReference(t testing.TB, it *Iterator, ref *refIterator, buf []byte, df, numSeqs int, withOffsets bool) {
+func checkAgainstReference(t testing.TB, it *Iterator, ref *refIterator, buf []byte, df int, seqs Seqs, withOffsets bool) {
 	t.Helper()
-	ref.Reset(buf, df, numSeqs, withOffsets)
+	numSeqs := seqs.Len()
+	ref.Reset(buf, df, seqs, withOffsets)
 	want := decodeAll(ref.Next, ref.Entry)
-	it.Reset(buf, df, numSeqs, withOffsets)
+	it.Reset(buf, df, seqs, withOffsets)
 	got := decodeAll(it.Next, it.Entry)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("df %d universe %d offsets %v, %d bytes %x:\n got %d entries %+v (err %v)\nwant %d entries %+v (err %v)",
@@ -68,19 +106,34 @@ func tail(es []Entry) []Entry {
 	return es
 }
 
-// randomList draws df ascending ids from the universe, counts that are
-// mostly 1 with a tail up to 300, and offsets whose gaps reach past the
-// 28-bit one-window gamma arm up to the uint32 limit.
-func randomList(rng *rand.Rand, df, numSeqs int, withOffsets bool) []Entry {
+// randomList draws df ascending ids from the universe — with offsets,
+// only ids of sequences that have a base — counts that are mostly 1
+// with a tail up to 300, and offsets whose gaps reach from neighbours to
+// past 2²⁸, cut at the sequence's last base; a Rice code of a gap that
+// far past its parameter has a quotient too long for one window.
+func randomList(rng *rand.Rand, df int, seqs Seqs, withOffsets bool) []Entry {
+	universe, pick := seqs.Len(), func(i int) uint32 { return uint32(i) }
+	if withOffsets {
+		var eligible []uint32
+		for id, l := range seqs.lens {
+			if l > 0 {
+				eligible = append(eligible, uint32(id))
+			}
+		}
+		universe, pick = len(eligible), func(i int) uint32 { return eligible[i] }
+	}
+	if df > universe {
+		return nil
+	}
 	idSet := map[uint32]bool{}
 	switch {
-	case df*2 > numSeqs:
-		for _, id := range rng.Perm(numSeqs)[:df] {
-			idSet[uint32(id)] = true
+	case df*2 > universe:
+		for _, i := range rng.Perm(universe)[:df] {
+			idSet[pick(i)] = true
 		}
 	default:
 		for len(idSet) < df {
-			idSet[uint32(rng.Intn(numSeqs))] = true
+			idSet[pick(rng.Intn(universe))] = true
 		}
 	}
 	ids := make([]uint32, 0, df)
@@ -101,8 +154,9 @@ func randomList(rng *rand.Rand, df, numSeqs int, withOffsets bool) []Entry {
 		if !withOffsets {
 			continue
 		}
-		// Offset gaps: short (reads), long (genes), and a few that need a
-		// gamma code of more than 55 bits; the last may sit at 2³²−1.
+		// Offset gaps: short (reads), long (genes), and a few far past
+		// the parameter; the last may sit on the sequence's last base.
+		last := uint64(seqs.lens[id]) - 1
 		offs := make([]uint32, 0, count)
 		next := uint64(0)
 		for j := 0; j < count; j++ {
@@ -117,12 +171,12 @@ func randomList(rng *rand.Rand, df, numSeqs int, withOffsets bool) []Entry {
 			default:
 				gap = 1<<28 + uint64(rng.Int63n(1<<31))
 			}
-			if next+gap > 1<<32-1 {
-				gap = 1<<32 - 1 - next
+			if next+gap > last {
+				gap = last - next
 			}
 			offs = append(offs, uint32(next+gap))
 			next += gap + 1
-			if next > 1<<32-1 {
+			if next > last {
 				break
 			}
 		}
@@ -133,14 +187,17 @@ func randomList(rng *rand.Rand, df, numSeqs int, withOffsets bool) []Entry {
 }
 
 // TestIteratorMatchesReference is the decoder's lockdown: valid lists
-// over every Golomb-parameter shape (b = 1, powers of two, non-powers),
-// each also decoded with the wrong document frequency, cut at every
-// byte length, and — the small ones — with every single bit flipped.
+// over every Golomb-parameter shape (b = 1, powers of two, non-powers)
+// and every sequence length in testLens, each also decoded with the
+// wrong document frequency, cut at every byte length, and — the small
+// ones — with every single bit flipped. The universe of 2³¹−1, too
+// large for lengths, holds lists without offsets: identifier Golomb
+// parameters of up to 31 bits and ids near int32's limit.
 func TestIteratorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var it Iterator
 	var ref refIterator
-	for _, numSeqs := range []int{1, 2, 1000, 1<<31 - 1} {
+	for _, numSeqs := range []int{1, 2, 1000, maxTestLens, 1<<31 - 1} {
 		for _, df := range []int{1, 2, 63, 64, 65, 5000} {
 			if df > numSeqs {
 				continue
@@ -150,39 +207,48 @@ func TestIteratorMatchesReference(t *testing.T) {
 				if df == 5000 {
 					rounds = 2
 				}
+				seqs := testSeqs(numSeqs)
+				if withOffsets && numSeqs > maxTestLens {
+					continue
+				}
 				for round := 0; round < rounds; round++ {
-					entries := randomList(rng, df, numSeqs, withOffsets)
-					buf, err := Encode(entries, numSeqs, withOffsets)
+					entries := randomList(rng, df, seqs, withOffsets)
+					if entries == nil {
+						continue
+					}
+					buf, err := Encode(entries, seqs, withOffsets)
 					if err != nil {
 						t.Fatal(err)
 					}
 					name := fmt.Sprintf("universe %d df %d offsets %v round %d", numSeqs, df, withOffsets, round)
 
 					// The valid list decodes to what was encoded, by both.
-					it.Reset(buf, df, numSeqs, withOffsets)
+					it.Reset(buf, df, seqs, withOffsets)
 					if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
 						t.Fatalf("%s: valid list does not round-trip: %d entries, err %v", name, len(got), it.Err())
 					}
-					checkAgainstReference(t, &it, &ref, buf, df, numSeqs, withOffsets)
+					checkAgainstReference(t, &it, &ref, buf, df, seqs, withOffsets)
 					// A wrong lexicon: other document frequencies, the other offsets flag.
 					for _, wrong := range []int{df + 1, df + 7, df / 2, 3 * df} {
-						checkAgainstReference(t, &it, &ref, buf, wrong, numSeqs, withOffsets)
+						checkAgainstReference(t, &it, &ref, buf, wrong, seqs, withOffsets)
 					}
-					checkAgainstReference(t, &it, &ref, buf, df, numSeqs, !withOffsets)
+					if withOffsets || numSeqs <= maxTestLens {
+						checkAgainstReference(t, &it, &ref, buf, df, seqs, !withOffsets)
+					}
 
 					// Every byte length (large lists: both ends and a sample).
 					for n := 0; n < len(buf); n++ {
 						if len(buf) > 4096 && n > 64 && n < len(buf)-64 && rng.Intn(200) != 0 {
 							continue
 						}
-						checkAgainstReference(t, &it, &ref, buf[:n:n], df, numSeqs, withOffsets)
+						checkAgainstReference(t, &it, &ref, buf[:n:n], df, seqs, withOffsets)
 					}
 					// Every single-bit flip of the small ones.
 					if len(buf) <= 512 {
 						flipped := append([]byte{}, buf...)
 						for bit := 0; bit < len(buf)*8; bit++ {
 							flipped[bit/8] ^= 0x80 >> (bit % 8)
-							checkAgainstReference(t, &it, &ref, flipped, df, numSeqs, withOffsets)
+							checkAgainstReference(t, &it, &ref, flipped, df, seqs, withOffsets)
 							flipped[bit/8] ^= 0x80 >> (bit % 8)
 						}
 					}
@@ -196,22 +262,35 @@ func TestIteratorMatchesReference(t *testing.T) {
 // through the general reader, at every truncation and bit flip: a Golomb
 // quotient of 62 ones under b = 1 (138 of 200 ids, one gap of 63), with
 // the count and offsets that follow it decoded from the window the
-// general reader hands back; and gamma-coded counts and offset gaps of
-// 2²⁸ and more.
+// general reader hands back; gamma-coded counts of 2³⁰; and Rice-coded
+// offset gaps of 2³⁰ under the parameter of a hundred offsets in a
+// 2³¹−1-base sequence (k = 23), a quotient of 128.
 func TestIteratorLongCodes(t *testing.T) {
+	lens := make([]int32, 200)
 	var entries []Entry
 	for id := uint32(0); id < 200; id++ {
+		lens[id] = 1000
 		if id >= 68 && id < 130 {
 			continue
 		}
 		e := Entry{ID: id, Count: 1, Offsets: []uint32{id * 3}}
 		if id%50 == 30 {
-			e = Entry{ID: id, Count: 3, Offsets: []uint32{5, 5 + 1<<28, 1<<32 - 1}}
+			lens[id] = 1<<31 - 1
+			e.Offsets = nil
+			for off := uint32(0); off < 98; off++ {
+				e.Offsets = append(e.Offsets, off)
+			}
+			e.Offsets = append(e.Offsets, 1<<30, 1<<31-2)
+			e.Count = uint32(len(e.Offsets))
 		}
 		entries = append(entries, e)
 	}
+	seqs := NewSeqs(lens)
 	if b := compress.GolombParameter(200, uint64(len(entries))); b != 1 {
 		t.Fatalf("list has Golomb parameter %d, want 1", b)
+	}
+	if k := offsetParameter(1<<31-1, 100); k != 23 {
+		t.Fatalf("a hundred offsets in 2³¹−1 bases have Rice parameter %d, want 23", k)
 	}
 	var it Iterator
 	var ref refIterator
@@ -220,26 +299,26 @@ func TestIteratorLongCodes(t *testing.T) {
 		if !withOffsets {
 			for i := range es {
 				es[i].Offsets = nil
-				if es[i].Count == 3 {
+				if es[i].Count == 100 {
 					es[i].Count = 1 << 30 // a 61-bit gamma code
 				}
 			}
 		}
-		buf, err := Encode(es, 200, withOffsets)
+		buf, err := Encode(es, seqs, withOffsets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it.Reset(buf, len(es), 200, withOffsets)
+		it.Reset(buf, len(es), seqs, withOffsets)
 		if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, es) {
 			t.Fatalf("offsets %v: valid list does not round-trip: %d entries, err %v", withOffsets, len(got), it.Err())
 		}
 		for n := 0; n <= len(buf); n++ {
-			checkAgainstReference(t, &it, &ref, buf[:n:n], len(es), 200, withOffsets)
+			checkAgainstReference(t, &it, &ref, buf[:n:n], len(es), seqs, withOffsets)
 		}
 		flipped := append([]byte{}, buf...)
 		for bit := 0; bit < len(buf)*8; bit++ {
 			flipped[bit/8] ^= 0x80 >> (bit % 8)
-			checkAgainstReference(t, &it, &ref, flipped, len(es), 200, withOffsets)
+			checkAgainstReference(t, &it, &ref, flipped, len(es), seqs, withOffsets)
 			flipped[bit/8] ^= 0x80 >> (bit % 8)
 		}
 	}
@@ -275,16 +354,16 @@ func TestIteratorLongQuotientAlignments(t *testing.T) {
 					entries = append(entries, e)
 					next = e.ID + 1
 				}
-				buf, err := Encode(entries, numSeqs, false)
+				buf, err := Encode(entries, testSeqs(numSeqs), false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				it.Reset(buf, df, numSeqs, false)
+				it.Reset(buf, df, testSeqs(numSeqs), false)
 				if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
 					t.Fatalf("quotient %d tail %d shift %d: valid list does not round-trip: %d entries, err %v",
 						quotient, tail, shift, len(got), it.Err())
 				}
-				checkAgainstReference(t, &it, &ref, buf, df, numSeqs, false)
+				checkAgainstReference(t, &it, &ref, buf, df, testSeqs(numSeqs), false)
 			}
 		}
 	}
@@ -328,11 +407,15 @@ func TestIteratorRandomBytes(t *testing.T) {
 			}
 		}
 		numSeqs := []int{1, 2, 37, 1000, 1 << 20, 1<<31 - 1}[rng.Intn(6)]
+		withOffsets := i%2 == 0
+		if withOffsets && numSeqs > maxTestLens {
+			numSeqs = maxTestLens
+		}
 		df := 1 + rng.Intn(300)
 		if i%5 == 0 {
 			df = 1 + rng.Intn(1500) // b = 1 and 2 over the universe of 1 000
 		}
-		checkAgainstReference(t, &it, &ref, buf, df, numSeqs, i%2 == 0)
+		checkAgainstReference(t, &it, &ref, buf, df, testSeqs(numSeqs), withOffsets)
 	}
 }
 
@@ -345,7 +428,7 @@ func TestCorruptCountIsBounded(t *testing.T) {
 	compress.PutGamma(w, 1<<31)
 	buf := append(w.Bytes(), make([]byte, 12)...)
 	var it Iterator
-	it.Reset(buf, 1, 1000, true)
+	it.Reset(buf, 1, testSeqs(1000), true)
 	if it.Next() {
 		t.Fatal("Next accepted an entry whose count exceeds the list")
 	}
@@ -354,5 +437,47 @@ func TestCorruptCountIsBounded(t *testing.T) {
 	}
 	if cap(it.offsets) > len(buf)*8 {
 		t.Fatalf("offset scratch grew to %d entries over a %d-byte list", cap(it.offsets), len(buf))
+	}
+}
+
+// TestOffsetPastSequenceIsCorrupt: an offset at or past its sequence's
+// length — hand-coded, since Encode refuses to write one — is a
+// corruption to both decoders, on the one-offset arm and on the run of
+// several, and in an empty sequence; the last base is still an offset.
+func TestOffsetPastSequenceIsCorrupt(t *testing.T) {
+	seqs := NewSeqs([]int32{10, 3, 0})
+	list := func(id uint32, offs ...uint32) []byte {
+		w := compress.NewBitWriter(16)
+		compress.PutGolomb(w, uint64(id)+1, compress.GolombParameter(3, 1))
+		compress.PutGamma(w, uint64(len(offs)))
+		k := offsetParameter(seqs.lens[id], uint64(len(offs)))
+		prev := int64(-1)
+		for _, off := range offs {
+			compress.PutRice(w, uint64(int64(off)-prev), k)
+			prev = int64(off)
+		}
+		return w.Bytes()
+	}
+	var it Iterator
+	var ref refIterator
+	for _, c := range []struct {
+		name    string
+		buf     []byte
+		corrupt bool
+	}{
+		{"last base", list(0, 9), false},
+		{"one past the end", list(0, 10), true},
+		{"far past the end", list(0, 1000), true},
+		{"run ending on the last base", list(1, 0, 2), false},
+		{"run past the end", list(1, 1, 3), true},
+		{"empty sequence", list(2, 0), true},
+	} {
+		checkAgainstReference(t, &it, &ref, c.buf, 1, seqs, true)
+		it.Reset(c.buf, 1, seqs, true)
+		for it.Next() {
+		}
+		if got := errors.Is(it.Err(), compress.ErrCorrupt); got != c.corrupt {
+			t.Errorf("%s: err = %v, want corrupt %v", c.name, it.Err(), c.corrupt)
+		}
 	}
 }

@@ -14,7 +14,10 @@ import (
 // the production Iterator is held to — on every byte string both yield
 // the same entries before the first error, and one errors iff the other
 // does (see TestIteratorMatchesReference and FuzzPostingsDecode). Do not
-// optimise it.
+// optimise it. Since the offset gaps became Rice codes it has their arm
+// (refGetRice, its parameter computed per posting rather than read from
+// Seqs' table) and their rule — an offset at or past its sequence's
+// length is corrupt — and nothing else new.
 
 type refBitReader struct {
 	buf  []byte
@@ -115,6 +118,18 @@ func refGetGamma(r *refBitReader) (uint64, error) {
 	return 1<<(n-1) | low, nil
 }
 
+func refGetRice(r *refBitReader, k uint) (uint64, error) {
+	q, err := r.ReadUnary()
+	if err != nil {
+		return 0, err
+	}
+	low, err := r.ReadBits(k)
+	if err != nil {
+		return 0, err
+	}
+	return (q-1)<<k | low + 1, nil
+}
+
 func refGetGolomb(r *refBitReader, b uint64) (uint64, error) {
 	if b == 0 {
 		panic("compress: golomb parameter 0")
@@ -156,6 +171,7 @@ type refIterator struct {
 	df          int
 	read        int
 	numSeqs     int64 // identifier universe; decoded ids must stay below it
+	lens        []int32
 	withOffsets bool
 	prev        int64 // last absolute id decoded, -1 before the first
 	cur         Entry
@@ -163,11 +179,13 @@ type refIterator struct {
 	err         error
 }
 
-func (it *refIterator) Reset(buf []byte, df, numSeqs int, withOffsets bool) {
+func (it *refIterator) Reset(buf []byte, df int, seqs Seqs, withOffsets bool) {
 	it.r.Reset(buf)
 	it.df = df
 	it.read = 0
+	numSeqs := seqs.Len()
 	it.numSeqs = int64(numSeqs)
+	it.lens = seqs.lens
 	it.withOffsets = withOffsets
 	it.cur = Entry{}
 	it.err = nil
@@ -207,15 +225,17 @@ func (it *refIterator) Next() bool {
 	it.cur = Entry{ID: uint32(id), Count: uint32(count)}
 	if it.withOffsets {
 		it.offsets = it.offsets[:0]
+		length := int64(it.lens[id])
+		k := offsetParameter(it.lens[id], count)
 		prevOff := int64(-1)
 		for j := uint64(0); j < count; j++ {
-			og, err := refGetGamma(&it.r)
+			og, err := refGetRice(&it.r, k)
 			if err != nil {
 				it.err = fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err)
 				return false
 			}
-			if og > 1<<32 || prevOff+int64(og) > 1<<32-1 {
-				it.err = fmt.Errorf("postings: entry %d offset %d overflows uint32", it.read, j)
+			if og > uint64(length) || prevOff+int64(og) >= length {
+				it.err = fmt.Errorf("postings: entry %d offset %d: %w: past sequence length %d", it.read, j, compress.ErrCorrupt, length)
 				return false
 			}
 			prevOff += int64(og)

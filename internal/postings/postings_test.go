@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// uniform returns a universe of n sequences of length bases each.
+func uniform(n int, length int32) Seqs {
+	lens := make([]int32, n)
+	for i := range lens {
+		lens[i] = length
+	}
+	return NewSeqs(lens)
+}
+
 func ids(entries []Entry) []uint32 {
 	out := make([]uint32, len(entries))
 	for i, e := range entries {
@@ -22,11 +31,12 @@ func TestEncodeDecodeNoOffsets(t *testing.T) {
 		{ID: 6, Count: 12},
 		{ID: 999, Count: 2},
 	}
-	buf, err := Encode(entries, 1000, false)
+	seqs := uniform(1000, 500)
+	buf, err := Encode(entries, seqs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf, len(entries), 1000, false)
+	got, err := Decode(buf, len(entries), seqs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +51,12 @@ func TestEncodeDecodeWithOffsets(t *testing.T) {
 		{ID: 3, Count: 1, Offsets: []uint32{55}},
 		{ID: 40, Count: 2, Offsets: []uint32{1, 2}},
 	}
-	buf, err := Encode(entries, 64, true)
+	seqs := uniform(64, 101)
+	buf, err := Encode(entries, seqs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(buf, len(entries), 64, true)
+	got, err := Decode(buf, len(entries), seqs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +66,11 @@ func TestEncodeDecodeWithOffsets(t *testing.T) {
 }
 
 func TestEncodeEmpty(t *testing.T) {
-	buf, err := Encode(nil, 100, true)
+	buf, err := Encode(nil, uniform(100, 500), true)
 	if err != nil || buf != nil {
 		t.Fatalf("Encode(nil) = %v, %v", buf, err)
 	}
-	got, err := Decode(nil, 0, 100, true)
+	got, err := Decode(nil, 0, uniform(100, 500), true)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("Decode empty = %v, %v", got, err)
 	}
@@ -79,9 +90,16 @@ func TestEncodeValidation(t *testing.T) {
 		{"count/offsets mismatch", []Entry{{ID: 1, Count: 2, Offsets: []uint32{3}}}, 10, true},
 		{"unsorted offsets", []Entry{{ID: 1, Count: 2, Offsets: []uint32{5, 3}}}, 10, true},
 		{"duplicate offsets", []Entry{{ID: 1, Count: 2, Offsets: []uint32{3, 3}}}, 10, true},
+		{"offset at sequence end", []Entry{{ID: 1, Count: 2, Offsets: []uint32{3, 50}}}, 10, true},
+		{"offset in empty sequence", []Entry{{ID: 9, Count: 1, Offsets: []uint32{0}}}, 10, true},
 	}
 	for _, c := range cases {
-		if _, err := Encode(c.entries, c.numSeqs, c.withOffsets); err == nil {
+		lens := make([]int32, c.numSeqs)
+		for i := range lens {
+			lens[i] = 50
+		}
+		lens[len(lens)-1] = 0
+		if _, err := Encode(c.entries, NewSeqs(lens), c.withOffsets); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -92,12 +110,13 @@ func TestIteratorStreams(t *testing.T) {
 		{ID: 1, Count: 2, Offsets: []uint32{10, 20}},
 		{ID: 9, Count: 1, Offsets: []uint32{0}},
 	}
-	buf, err := Encode(entries, 16, true)
+	seqs := uniform(16, 30)
+	buf, err := Encode(entries, seqs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var it Iterator
-	it.Reset(buf, len(entries), 16, true)
+	it.Reset(buf, len(entries), seqs, true)
 	var got []Entry
 	for it.Next() {
 		e := it.Entry()
@@ -118,29 +137,31 @@ func TestIteratorStreams(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	entries := []Entry{{ID: 1, Count: 5}, {ID: 100, Count: 9}, {ID: 5000, Count: 1}}
-	buf, err := Encode(entries, 10000, false)
+	seqs := uniform(10000, 500)
+	buf, err := Encode(entries, seqs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(buf[:1], len(entries), 10000, false); err == nil {
+	if _, err := Decode(buf[:1], len(entries), seqs, false); err == nil {
 		t.Error("decoded from truncated buffer")
 	}
 }
 
 func TestDecodeWrongDF(t *testing.T) {
 	entries := []Entry{{ID: 1, Count: 1}, {ID: 2, Count: 1}}
-	buf, err := Encode(entries, 100, false)
+	seqs := uniform(100, 500)
+	buf, err := Encode(entries, seqs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Asking for fewer entries silently stops early (the lexicon is the
 	// source of truth); asking for many more must eventually error on
 	// padding exhaustion rather than loop forever.
-	got, err := Decode(buf, 1, 100, false)
+	got, err := Decode(buf, 1, seqs, false)
 	if err != nil || len(got) != 1 {
 		t.Errorf("short decode = %v, %v", got, err)
 	}
-	if _, err := Decode(buf, 1000, 100, false); err == nil {
+	if _, err := Decode(buf, 1000, seqs, false); err == nil {
 		t.Log("over-long decode succeeded on zero padding; acceptable only if ids stay plausible")
 	}
 }
@@ -148,14 +169,15 @@ func TestDecodeWrongDF(t *testing.T) {
 func TestIteratorReuse(t *testing.T) {
 	a := []Entry{{ID: 1, Count: 1}}
 	b := []Entry{{ID: 7, Count: 2}}
-	bufA, _ := Encode(a, 10, false)
-	bufB, _ := Encode(b, 10, false)
+	seqs := uniform(10, 500)
+	bufA, _ := Encode(a, seqs, false)
+	bufB, _ := Encode(b, seqs, false)
 	var it Iterator
-	it.Reset(bufA, 1, 10, false)
+	it.Reset(bufA, 1, seqs, false)
 	if !it.Next() || it.Entry().ID != 1 {
 		t.Fatal("first list")
 	}
-	it.Reset(bufB, 1, 10, false)
+	it.Reset(bufB, 1, seqs, false)
 	if !it.Next() || it.Entry().ID != 7 || it.Entry().Count != 2 {
 		t.Fatal("second list after reuse")
 	}
@@ -189,11 +211,12 @@ func TestPropertyRoundTrip(t *testing.T) {
 				sortOffsets(entries[i].Offsets)
 			}
 		}
-		buf, err := Encode(entries, numSeqs, withOffsets)
+		seqs := uniform(numSeqs, 100000)
+		buf, err := Encode(entries, seqs, withOffsets)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(buf, df, numSeqs, withOffsets)
+		got, err := Decode(buf, df, seqs, withOffsets)
 		if err != nil {
 			return false
 		}
@@ -232,7 +255,7 @@ func TestCompressionEffective(t *testing.T) {
 	for id := 0; id < numSeqs; id += 1 + rng.Intn(20) {
 		entries = append(entries, Entry{ID: uint32(id), Count: 1})
 	}
-	buf, err := Encode(entries, numSeqs, false)
+	buf, err := Encode(entries, uniform(numSeqs, 500), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 //	}
 //
 // Sequences are stored compressed (direct coding: 2 bits per base plus
-// a wildcard exception list) and posting lists are Golomb/Elias coded,
+// a wildcard exception list) and posting lists are Golomb/Elias/Rice coded,
 // so the whole database is a fraction of the FASTA input's size.
 package nucleodb
 

@@ -231,6 +231,95 @@ func TestOpenDiscardsOldSignatureFiles(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesGammaOffsetSegment: a database directory one of whose
+// segments holds an index in the previous format (NDBidx1, offset gaps
+// gamma-coded) is refused by Open and OpenPaged with the rebuild
+// command, and nothing is half-opened: no file stays open behind the
+// refusal, the directory is left as it was, and with the segment's
+// index put back the database opens and answers as before.
+func TestOpenRefusesGammaOffsetSegment(t *testing.T) {
+	recs, query, _ := testRecords(332)
+	rng := rand.New(rand.NewSource(333))
+	dir := filepath.Join(t.TempDir(), "segdb")
+	if err := buildSegmented(t, recs, 3, rng).SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Open(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes, err := filepath.Glob(filepath.Join(dir, "seg-*.ndx"))
+	if err != nil || len(indexes) != 3 {
+		t.Fatalf("found segment indexes %v (err %v), want 3", indexes, err)
+	}
+	last := indexes[len(indexes)-1]
+	img, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const magic, oldMagic = "NDBidx2\n", "NDBidx1\n"
+	if !strings.HasPrefix(string(img), magic) {
+		t.Fatalf("%s starts %q, want %q", last, img[:len(magic)], magic)
+	}
+	if err := os.WriteFile(last, append([]byte(oldMagic), img[len(magic):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%s %d %v\n", e.Name(), info.Size(), info.ModTime())
+		}
+		return b.String()
+	}
+	openFiles := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			return -1 // nothing to count them with on this platform
+		}
+		return len(fds)
+	}
+	before := listing()
+	for _, open := range []struct {
+		name string
+		fn   func(string, Scoring) (*Database, error)
+	}{{"open", Open}, {"paged", OpenPaged}} {
+		fds := openFiles()
+		db, err := open.fn(dir, DefaultScoring())
+		if db != nil {
+			db.Close()
+			t.Errorf("%s: returned a database for a directory with an NDBidx1 segment", open.name)
+		}
+		if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") {
+			t.Errorf("%s: %v, want the rebuild message", open.name, err)
+		}
+		if after := openFiles(); after != fds {
+			t.Errorf("%s: %d files open after the refusal, %d before", open.name, after, fds)
+		}
+		if after := listing(); after != before {
+			t.Errorf("%s: the refusal changed the directory:\n%s\nwas\n%s", open.name, after, before)
+		}
+	}
+	if err := os.WriteFile(last, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := OpenPaged(dir, DefaultScoring())
+	if err != nil {
+		t.Fatalf("with the segment's index put back: %v", err)
+	}
+	mustEqualResults(t, "restored", db, clean, query)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDeleteEquivalence: tombstoned records vanish immediately and
 // survivors score identically to a database where the deleted records
 // were empty stubs from the start — before AND after compaction
