@@ -90,15 +90,20 @@ lint-budget:
 	echo "lint wall clock: $${took}s (budget $(LINT_BUDGET)s)"; \
 	[ $$took -le $(LINT_BUDGET) ]
 
-# ~30s total: each native fuzz target gets 2s of mutation on top of its
+# ~40s total: each native fuzz target gets 2s of mutation on top of its
 # committed corpus. CI-sized; run `go test -fuzz` locally for real runs.
-# FuzzLoad is the target in which a loaded index's own sequence lengths
-# steer the decoding of its offset gaps.
+# FuzzLoad in internal/index is the target in which a loaded index's own
+# sequence lengths steer the decoding of its offset gaps; FuzzFasta
+# parses the outside input cafe-build reads.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzVarint$$' -fuzztime=2s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzPostingsDecode$$' -fuzztime=2s ./internal/postings
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=2s ./internal/index
 	$(GO) test -run='^$$' -fuzz='^FuzzKmerRoundtrip$$' -fuzztime=2s ./internal/kmer
+	$(GO) test -run='^$$' -fuzz='^FuzzFasta$$' -fuzztime=2s ./internal/dna
+	$(GO) test -run='^$$' -fuzz='^FuzzDirectDecode$$' -fuzztime=2s ./internal/dna
+	$(GO) test -run='^$$' -fuzz='^FuzzDirectRoundTrip$$' -fuzztime=2s ./internal/dna
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=2s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzSequenceDecode$$' -fuzztime=2s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzStoreWindow$$' -fuzztime=2s ./internal/db
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=2s ./internal/segment

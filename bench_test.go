@@ -47,7 +47,7 @@ func benchSetup(b *testing.B) (*experiments.Env, *index.Index) {
 		if benchErr != nil {
 			return
 		}
-		benchIdx, _, benchErr = benchE.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+		benchIdx, _, benchErr = benchE.BuildIndex(index.Options{K: cfg.K})
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -63,7 +63,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.SetBytes(int64(env.TotalBases()))
 			for i := 0; i < b.N; i++ {
-				if _, err := index.Build(env.Store, index.Options{K: k, StoreOffsets: true}); err != nil {
+				if _, err := index.Build(env.Store, index.Options{K: k}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -191,7 +191,7 @@ func BenchmarkCoarse(b *testing.B) {
 func BenchmarkSearchStopped(b *testing.B) {
 	env, _ := benchSetup(b)
 	for _, stop := range []float64{0, 0.01, 0.10} {
-		idx, err := index.Build(env.Store, index.Options{K: 9, StoreOffsets: true, StopFraction: stop})
+		idx, err := index.Build(env.Store, index.Options{K: 9, StopFraction: stop})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,7 +221,7 @@ func BenchmarkScaling(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		idx, _, err := env.BuildIndex(index.Options{K: 9, StoreOffsets: true})
+		idx, _, err := env.BuildIndex(index.Options{K: 9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func BenchmarkIndexMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	segIdx, _, err := segEnv.BuildIndex(index.Options{K: 9, StoreOffsets: true})
+	segIdx, _, err := segEnv.BuildIndex(index.Options{K: 9})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -209,15 +209,18 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("inspect on spaced db:\n%s", out)
 	}
 
-	// Skipped lists are gone: -skip is an unknown flag, and nothing is
-	// written for it.
-	dbSkip := filepath.Join(work, "db-skip")
-	skipOut, err := exec.Command(tools["cafe-build"], "-in", fasta, "-db", dbSkip, "-skip", "1").CombinedOutput()
-	if err == nil || !strings.Contains(string(skipOut), "flag provided but not defined: -skip") {
-		t.Fatalf("cafe-build -skip 1: err %v, output:\n%s", err, skipOut)
-	}
-	if _, err := os.Stat(dbSkip); !os.IsNotExist(err) {
-		t.Fatalf("refused build left %s behind (stat err = %v)", dbSkip, err)
+	// Skipped lists and indexes without offsets are gone: -skip and
+	// -offsets are unknown flags, and nothing is written for them.
+	for _, arg := range []string{"-skip=1", "-offsets=false"} {
+		name, _, _ := strings.Cut(arg, "=")
+		dbRefused := filepath.Join(work, "db"+name)
+		refusedOut, err := exec.Command(tools["cafe-build"], "-in", fasta, "-db", dbRefused, arg).CombinedOutput()
+		if err == nil || !strings.Contains(string(refusedOut), "flag provided but not defined: "+name) {
+			t.Fatalf("cafe-build %s: err %v, output:\n%s", arg, err, refusedOut)
+		}
+		if _, err := os.Stat(dbRefused); !os.IsNotExist(err) {
+			t.Fatalf("refused build left %s behind (stat err = %v)", dbRefused, err)
+		}
 	}
 
 	// A multi-segment database gets the same one inspect view: the

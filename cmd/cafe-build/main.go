@@ -32,7 +32,6 @@ func main() {
 		in      = flag.String("in", "", "input FASTA path (required)")
 		out     = flag.String("db", "", "output database directory (required)")
 		k       = flag.Int("k", 9, "interval (substring) length, 1-12")
-		offsets = flag.Bool("offsets", true, "store occurrence offsets (enables diagonal ranking)")
 		stop    = flag.Float64("stop", 0, "index stopping: fraction of most frequent intervals to drop")
 		workers = flag.Int("workers", 0, "build parallelism (0 = all CPUs)")
 		mask    = flag.String("mask", "", "spaced seed mask (e.g. 111010010100110111); overrides -k")
@@ -52,7 +51,6 @@ func main() {
 
 	cfg := nucleodb.DefaultBuildConfig()
 	cfg.IntervalLength = *k
-	cfg.StoreOffsets = *offsets
 	cfg.StopFraction = *stop
 	cfg.Workers = *workers
 	cfg.SpacedMask = *mask

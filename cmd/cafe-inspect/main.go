@@ -88,7 +88,6 @@ func main() {
 			"postings_bytes":  postingsBytes,
 			"total_postings":  totalPostings,
 			"interval_length": opts.K,
-			"offsets_stored":  opts.StoreOffsets,
 			"terms_indexed":   len(df),
 			"terms_stopped":   termsStopped,
 		}
@@ -132,7 +131,6 @@ func main() {
 	fmt.Printf("\nindex:\n")
 	fmt.Printf("  size:             %d bytes\n", indexBytes)
 	fmt.Printf("  interval length:  %d (vocabulary %d)\n", opts.K, coder.NumTerms())
-	fmt.Printf("  offsets stored:   %v\n", opts.StoreOffsets)
 	fmt.Printf("  terms indexed:    %d (%.1f%% of vocabulary)\n",
 		len(df), 100*float64(len(df))/float64(coder.NumTerms()))
 	fmt.Printf("  terms stopped:    %d summed over segments (fraction %.4f)\n", termsStopped, opts.StopFraction)

@@ -49,7 +49,7 @@ func main() {
 	flag.IntVar(&opts.Candidates, "candidates", opts.Candidates, "coarse-phase candidate budget")
 	flag.IntVar(&opts.Limit, "limit", opts.Limit, "answers per query")
 	flag.BoolVar(&opts.Exact, "exact", opts.Exact, "exact (unbanded) fine alignment")
-	flag.TextVar(&opts.CoarseMode, "coarse-mode", opts.CoarseMode, fmt.Sprintf("coarse ranking mode: %v, %v, %v or %v (needs offsets)",
+	flag.TextVar(&opts.CoarseMode, "coarse-mode", opts.CoarseMode, fmt.Sprintf("coarse ranking mode: %v, %v, %v or %v",
 		nucleodb.CoarseDistinct, nucleodb.CoarseTotal, nucleodb.CoarseNormalised, nucleodb.CoarseDiagonal))
 	flag.IntVar(&opts.MinScore, "minscore", opts.MinScore, "minimum alignment score")
 	flag.BoolVar(&opts.BothStrands, "strands", opts.BothStrands, "search both strands")

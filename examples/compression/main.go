@@ -1,6 +1,6 @@
 // Compression walkthrough: the storage side of the paper. Shows how
-// the same collection's footprint changes with the interval length,
-// index stopping, and offset storage, and how the direct-coded
+// the same collection's footprint changes with the interval length and
+// index stopping, and how the direct-coded
 // sequence store compares with text. Use it to choose build settings
 // for a real collection.
 package main
@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("collection: %d sequences, %.2f Mbases (%.2f MB as text)\n\n",
 		len(records), float64(asciiBytes)/1e6, float64(asciiBytes)/1e6)
 
-	fmt.Println("interval length vs index size (offsets stored):")
+	fmt.Println("interval length vs index size:")
 	fmt.Printf("  %3s  %12s  %12s  %10s\n", "k", "store", "index", "terms")
 	for _, k := range []int{6, 8, 9, 10, 12} {
 		cfg := nucleodb.DefaultBuildConfig()
@@ -54,18 +54,6 @@ func main() {
 		st := db.Stats()
 		fmt.Printf("  %5.1f%%  %9.2f MB  %10d\n",
 			stop*100, float64(st.IndexBytes)/1e6, st.TermsStopped)
-	}
-
-	fmt.Println("\noffset storage at k=9 (needed for diagonal coarse ranking):")
-	for _, offsets := range []bool{true, false} {
-		cfg := nucleodb.DefaultBuildConfig()
-		cfg.StoreOffsets = offsets
-		db, err := nucleodb.Build(records, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st := db.Stats()
-		fmt.Printf("  offsets=%-5v  index %.2f MB\n", offsets, float64(st.IndexBytes)/1e6)
 	}
 
 	// The store itself: direct coding ≈ 2 bits/base, lossless.

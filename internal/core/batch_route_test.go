@@ -47,7 +47,7 @@ func TestBatchedBandedMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-	f, queries := handOverFixture(t, 730, index.Options{K: 9, StoreOffsets: true})
+	f, queries := handOverFixture(t, 730, index.Options{K: 9})
 	layouts := segmentations(t, f, rand.New(rand.NewSource(731)))
 	refs := segmentations(t, f, rand.New(rand.NewSource(731)))
 	for layout, s := range layouts {
@@ -82,7 +82,7 @@ func TestBatchedBandedMatchesScalar(t *testing.T) {
 // traceback's, read back from the window the traceback decoded.
 func TestBatchedBandedReportsTranscripts(t *testing.T) {
 	rng := rand.New(rand.NewSource(732))
-	f := makeFixture(t, 733, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 733, index.Options{K: 9})
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
 	for i := 0; i < 12; i++ {
 		// The query's homolog 3–9 kb into a 12 kb subject.
@@ -130,7 +130,7 @@ func TestBatchedBandedReportsTranscripts(t *testing.T) {
 // reference every time. The race detector (make check, CI's race job)
 // turns any scratch shared between workers into a failure.
 func TestBatchedBandedHammer(t *testing.T) {
-	f, queries := handOverFixture(t, 734, index.Options{K: 9, StoreOffsets: true})
+	f, queries := handOverFixture(t, 734, index.Options{K: 9})
 	s, ref := newTestSearcher(t, f), newTestSearcher(t, f)
 	ref.scalarBanded = true
 	opts := DefaultOptions()

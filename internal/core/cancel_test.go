@@ -35,7 +35,7 @@ func (c *countdownCtx) Err() error {
 // TestCoarseCancellation cancels mid-coarse and requires ctx.Err() back
 // with no partial results, and a searcher that still answers afterwards.
 func TestCoarseCancellation(t *testing.T) {
-	f := makeFixture(t, 336, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 336, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 

@@ -46,7 +46,7 @@ func TestCoarseMatchesBruteForce(t *testing.T) {
 		}
 		store.Add("r", seq)
 	}
-	idx, err := index.Build(&store, index.Options{K: 5, StoreOffsets: true})
+	idx, err := index.Build(&store, index.Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCoarseStoppedTermsExcluded(t *testing.T) {
 	var store db.Store
 	store.Add("poly-a", dna.MustEncode("AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"))
 	store.Add("mixed", dna.MustEncode("ACGTACGTACGTACGTACGTACGTACGTACGT"))
-	idx, err := index.Build(&store, index.Options{K: 4, StoreOffsets: true, StopFraction: 0.05})
+	idx, err := index.Build(&store, index.Options{K: 4, StopFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

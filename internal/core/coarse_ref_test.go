@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,9 +37,6 @@ func refTermSet(coder *kmer.Coder, query []byte) map[kmer.Term][]int {
 func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
-	}
-	if mode == CoarseDiagonal && !s.opts.StoreOffsets {
-		return nil, fmt.Errorf("core: diagonal coarse mode needs an index built with offsets")
 	}
 	if len(query) < s.coder.Span() {
 		return nil, fmt.Errorf("core: query length %d shorter than interval span %d", len(query), s.coder.Span())
@@ -132,7 +130,7 @@ func absentQuery(t *testing.T, rng *rand.Rand, s *Searcher) []byte {
 // fixture query, a query whose terms repeat, a poly-A query and a query
 // with no indexed term at all.
 func TestCoarseMatchesReferenceWalk(t *testing.T) {
-	f := makeFixture(t, 91, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 91, index.Options{K: 9})
 	rng := rand.New(rand.NewSource(92))
 	root := f.store.Sequence(0)
 	repeated := append(append(append([]byte{}, root[100:160]...), root[100:160]...), root[130:200]...)
@@ -170,7 +168,7 @@ func TestCoarseMatchesReferenceWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 					var st SearchStats
-					got, _, err := s.coarse(context.Background(), q, mode, 1, topK, false, &st)
+					got, err := s.coarse(context.Background(), q, mode, 1, topK, false, &st)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -201,7 +199,7 @@ func TestCoarseMatchesReferenceWalk(t *testing.T) {
 // searcher's. (The map it replaced allocated one slice per distinct
 // term: ≈ 700 a request on 1 000-base queries.)
 func TestCoarseWarmAllocs(t *testing.T) {
-	f := makeFixture(t, 93, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 93, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	root := f.store.Sequence(0)
 	ctx := context.Background()
@@ -209,7 +207,7 @@ func TestCoarseWarmAllocs(t *testing.T) {
 	for _, n := range []int{100, 400, 700} {
 		q := root[:n]
 		run := func() {
-			if _, _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, false, &s.stats); err != nil {
+			if _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, false, &s.stats); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -226,34 +224,30 @@ func TestCoarseWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestTermRun checks the one lookup bestSeed makes into the term array.
-func TestTermRun(t *testing.T) {
+// TestQueryTermPacking: packed query terms sort by term, then position,
+// keep both through a round trip at the widths' limits, and
+// distinctTerms counts the runs of a sorted array.
+func TestQueryTermPacking(t *testing.T) {
 	terms := []queryTerm{
 		packQueryTerm(3, 0), packQueryTerm(3, 7), packQueryTerm(3, 1<<30),
 		packQueryTerm(9, 2),
-		packQueryTerm(1<<32-1, 5), packQueryTerm(1<<32-1, 6),
+		packQueryTerm(1<<32-1, 5), packQueryTerm(1<<32-1, 1<<31-1),
 	}
-	for _, c := range []struct {
-		t    kmer.Term
-		want []int
-	}{
-		{0, nil}, {3, []int{0, 7, 1 << 30}}, {4, nil}, {9, []int{2}}, {10, nil}, {1<<32 - 1, []int{5, 6}},
-	} {
-		var got []int
-		for _, qt := range termRun(terms, c.t) {
-			if qt.term() != c.t {
-				t.Fatalf("termRun(%d) returned a pair of term %d", c.t, qt.term())
-			}
-			got = append(got, qt.pos())
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("termRun(%d) positions = %v, want %v", c.t, got, c.want)
-		}
+	if !slices.IsSorted(terms) {
+		t.Errorf("packed terms %v do not sort by term, then position", terms)
 	}
-	if got := termRun(nil, 3); len(got) != 0 {
-		t.Errorf("termRun over an empty array = %v", got)
+	for i, want := range []struct {
+		t   kmer.Term
+		pos int
+	}{{3, 0}, {3, 7}, {3, 1 << 30}, {9, 2}, {1<<32 - 1, 5}, {1<<32 - 1, 1<<31 - 1}} {
+		if got := terms[i]; got.term() != want.t || got.pos() != want.pos {
+			t.Errorf("term %d unpacks to (%d, %d), want (%d, %d)", i, got.term(), got.pos(), want.t, want.pos)
+		}
 	}
 	if n := distinctTerms(terms); n != 3 {
 		t.Errorf("distinctTerms = %d, want 3", n)
+	}
+	if n := distinctTerms(nil); n != 0 {
+		t.Errorf("distinctTerms over an empty array = %d", n)
 	}
 }

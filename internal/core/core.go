@@ -59,8 +59,8 @@ const (
 	// sequence length, damping the long-sequence bias.
 	CoarseNormalised
 	// CoarseDiagonal clusters interval hits by alignment diagonal and
-	// scores the densest diagonal band (a FRAMES-style measure). It
-	// requires an index built with offsets.
+	// scores the densest diagonal band (a FRAMES-style measure), read
+	// from the offsets every posting stores.
 	CoarseDiagonal
 )
 
@@ -188,7 +188,7 @@ func DefaultOptions() Options {
 
 // ErrInvalid marks a search error as the caller's: options Validate
 // rejects, or a query this index cannot evaluate (shorter than its
-// interval, a coarse mode it was not built for). Everything else a
+// interval). Everything else a
 // search returns — a corrupt posting list, a failed read under a paged
 // index — is the database's or the machine's fault. Test with errors.Is.
 var ErrInvalid = errors.New("invalid search request")
@@ -309,34 +309,22 @@ type Searcher struct {
 	// position) pair each, sorted — so ordered by term, then position —
 	// and rebuilt at the start of each coarse call. It is the one
 	// query-term structure: the coarse walk merge-joins its runs against
-	// the lexicon in ascending term order, the seed hand-over reads the
-	// runs the walk logged, and bestSeed binary-searches it for a
-	// candidate's intervals. Read-only during the fine phase.
+	// the lexicon in ascending term order, and the seed hand-over reads
+	// the runs the walk logged. Read-only during the fine phase.
 	terms []queryTerm //cafe:pooled query-lifetime term array, refilled at the start of each coarse call
-	// termBits is a one-hash Bloom filter over the terms in terms,
-	// rebuilt with it. bestSeed tests it before the array, so the ~97 %
-	// of a candidate's intervals that are not in the query cost a
-	// multiply and a bit test instead of a search; the array stays the
-	// single source of truth. Read-only during the fine phase.
-	termBits termFilter //cafe:pooled query-lifetime filter, cleared with terms
 
 	// candBuf backs the bounded top-k candidate selection; it holds at
 	// most Candidates entries and is reused across queries (the fine
 	// phase finishes with it before the next coarse call).
 	candBuf []Candidate //cafe:pooled top-k backing, reclaimed after each query's fine phase
 
-	// seedsFromPostings says a candidate's postings hold exactly the
-	// (query position, subject position) pairs bestSeed counts: every
-	// segment stores offsets and stops no term. Then the coarse walk can
-	// log them and hand each admitted candidate its seed (see seedLog);
-	// otherwise the fine phase extracts.
-	seedsFromPostings bool
-	// log is the coarse walk's record of the postings it decoded.
+	// log is the coarse walk's record of the postings it decoded, from
+	// which each admitted candidate's seed is read (see seedLog).
 	log seedLog
 
-	// seedScratch holds one bestSeed scratch per fine worker, grown to
-	// the high-water FineWorkers and reused across candidates.
-	seedScratch []*seedScratch
+	// scratch holds one kernel scratch per fine worker, grown to the
+	// high-water FineWorkers and reused across candidates.
+	scratch []*workerScratch
 
 	// bvProfile is the pooled striped query profile of the FineFull
 	// score pass, rebuilt once per strand (Build reuses its backing)
@@ -357,21 +345,17 @@ type Searcher struct {
 	// band windows. Only this package's tests set it: the reference the
 	// batched route is held to.
 	scalarBanded bool
-	// extractSeeds makes every seed come from bestSeed, as if the
-	// postings could not reproduce it. Only this package's tests set it:
-	// the reference the hand-over is held to.
-	extractSeeds bool
 }
 
-// fineScratch returns n pooled bestSeed scratches, one per fine
-// worker, growing the pool at each high-water mark.
+// fineScratch returns n pooled worker scratches, one per fine worker,
+// growing the pool at each high-water mark.
 //
 //cafe:pooled scratch is reused across candidates and queries
-func (s *Searcher) fineScratch(n int) []*seedScratch {
-	for len(s.seedScratch) < n {
-		s.seedScratch = append(s.seedScratch, newSeedScratch())
+func (s *Searcher) fineScratch(n int) []*workerScratch {
+	for len(s.scratch) < n {
+		s.scratch = append(s.scratch, new(workerScratch))
 	}
-	return s.seedScratch[:n]
+	return s.scratch[:n]
 }
 
 // NewSearcher returns a single-segment searcher over idx and src — the
@@ -399,7 +383,6 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 	}
 	opts := segs[0].Index.Options()
 	total, maxSeqs := 0, 0
-	seedsFromPostings := opts.StoreOffsets
 	for i, sg := range segs {
 		if sg.Index == nil {
 			return nil, fmt.Errorf("core: segment %d has no index", i)
@@ -414,29 +397,21 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		if n := sg.Index.NumSeqs(); n > maxSeqs {
 			maxSeqs = n
 		}
-		if sg.Index.NumStopped() > 0 {
-			seedsFromPostings = false
-		}
 	}
 	if total != src.Len() {
 		return nil, fmt.Errorf("core: segments index %d sequences, store has %d", total, src.Len())
 	}
-	s := &Searcher{
-		segs:              append([]Segment(nil), segs...),
-		src:               src,
-		scoring:           scoring,
-		subst:             align.NewSubst(scoring),
-		coder:             segs[0].Index.Coder(),
-		opts:              opts,
-		snapshot:          snapshot,
-		acc:               newAccumulators(maxSeqs),
-		seedsFromPostings: seedsFromPostings,
-		log:               seedLog{limit: maxSeedLog},
-	}
-	if seedsFromPostings {
-		s.log.candOf = make([]int32, total)
-	}
-	return s, nil
+	return &Searcher{
+		segs:     append([]Segment(nil), segs...),
+		src:      src,
+		scoring:  scoring,
+		subst:    align.NewSubst(scoring),
+		coder:    segs[0].Index.Coder(),
+		opts:     opts,
+		snapshot: snapshot,
+		acc:      newAccumulators(maxSeqs),
+		log:      seedLog{candOf: make([]int32, total)},
+	}, nil
 }
 
 // Snapshot returns the identity token of the segment set this searcher
@@ -542,7 +517,10 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 // Limit — pay for a direction matrix, and that matrix is a strip around
 // the alignment (the band under FineBanded, align.LocalEndingAt's under
 // FineFull), never the whole query × subject matrix. Cancellation is
-// checked once per traceback.
+// checked once per traceback. A banded traceback that misses its
+// result's score is an internal error: the score pass and the traceback
+// share the result's window and centre, so only a result the search did
+// not score itself can reach it.
 func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, results []Result, opts Options, st *SearchStats) ([]Result, error) {
 	t0 := time.Now()
 	// Tracebacks run serially after the fine phase's join, on the first
@@ -598,22 +576,12 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		al := s.subst.BandedLocal(q[:aEnd], s.read(r.ID, from, to, sc), r.bandCentre-from, opts.Band, banded)
 		st.TracebackAlignments++
 		st.TracebackDPCells += align.BandedCells(aEnd, n, r.bandCentre, opts.Band)
-		if al.Score == r.Score {
-			al.BStart += from
-			al.BEnd += from
-			r.Alignment = al
-		} else {
-			// The banded traceback could not reproduce the score-only
-			// ranking pass. Rather than silently reporting the
-			// degenerate end-coordinate stub with no transcript, fall
-			// back to a full Smith–Waterman traceback; the ranking
-			// score stands (the list is already ordered by it), but
-			// spans, identity and the transcript come from the real
-			// optimal alignment.
-			r.Alignment = s.subst.Local(q, s.read(r.ID, 0, n, sc), banded)
-			st.TracebackDPCells += align.LocalCells(len(q), n) +
-				s.subst.TraceCells(len(q), r.Alignment.Score, r.Alignment.AEnd, r.Alignment.BEnd)
+		if al.Score != r.Score {
+			return nil, fmt.Errorf("core: banded traceback of sequence %d scores %d, its score pass %d", r.ID, al.Score, r.Score)
 		}
+		al.BStart += from
+		al.BEnd += from
+		r.Alignment = al
 		r.needsTraceback = false
 	}
 	st.TracebackTime += time.Since(t0)
@@ -640,7 +608,7 @@ func bandWindow(centre, band, rows, n int) (from, to int) {
 // read.
 //
 //cafe:pooled the bases live in the worker's scratch until its next read
-func (s *Searcher) read(id, from, to int, sc *seedScratch) []byte {
+func (s *Searcher) read(id, from, to int, sc *workerScratch) []byte {
 	seq := s.src.AppendRange(sc.seq[:0], id, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
 	if cap(seq) <= maxPooledSeq {
 		sc.seq = seq
@@ -671,20 +639,17 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	// A seed anchors the prescreen extension and centres a band the
 	// coarse mode did not already place.
 	needSeeds := opts.Prescreen > 0 || opts.FineMode == FineBanded && opts.CoarseMode != CoarseDiagonal
-	cands, handed, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, needSeeds, st)
+	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, needSeeds, st)
 	if err != nil {
 		return nil, err
 	}
-	var seeds []handedSeed // nil: extract
-	if handed {
-		seeds = s.log.seeds
-	}
+	seeds := s.log.seeds // one per candidate when needSeeds
 	st.CoarseTime += time.Since(t0)
 	st.CoarseCandidates += len(cands)
 	t0 = time.Now()
 	// fine evaluates candidates [lo, hi) into out, one slot each; it reads
-	// only immutable searcher state (terms, termBits and the handed-over
-	// seeds are not mutated during the fine phase) plus the caller-owned
+	// only immutable searcher state (the handed-over seeds are not
+	// mutated during the fine phase) plus the caller-owned
 	// scratch, so it is safe to run concurrently as long as each worker
 	// passes its own scratch. Its stats contribution rides in the slots
 	// (fineWork), so the parallel path needs no shared state.
@@ -693,7 +658,6 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	// up to align.BatchLanes: each candidate's band window is read from
 	// the store into the worker's scratch, and one BatchBandedScore call
 	// scores the batch, one candidate per byte lane.
-	coder := s.coder
 	if opts.FineMode == FineFull && len(cands) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
@@ -701,7 +665,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if opts.FineMode == FineBanded && !s.scalarBanded {
 		batch = align.BatchLanes
 	}
-	fine := func(lo, hi int, sc *seedScratch, out []fineSlot) {
+	fine := func(lo, hi int, sc *workerScratch, out []fineSlot) {
 		var lanes [align.BatchLanes]align.BatchLane
 		var laneSlot, laneFrom [align.BatchLanes]int
 		nl := 0
@@ -712,27 +676,13 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			n := s.src.SeqLen(c.ID)
 			var seq []byte // the whole subject, read when something needs it
 
-			var seed seedHit
-			haveSeed := false
-			if opts.Prescreen > 0 || opts.FineMode == FineBanded && !c.HasOff {
-				if seeds != nil {
-					seed, haveSeed = seeds[i].hit, seeds[i].ok
-				} else {
-					seq = s.read(c.ID, 0, n, sc)
-					seed, haveSeed = s.bestSeed(coder, seq, sc)
-				}
-			}
 			if opts.Prescreen > 0 {
 				p0 := time.Now()
-				pass := haveSeed
-				if haveSeed {
-					if seq == nil {
-						seq = s.read(c.ID, 0, n, sc)
-					}
-					score, _, _, _, _ := align.ExtendUngapped(
-						query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
-					pass = score >= opts.Prescreen
-				}
+				seed := seeds[i]
+				seq = s.read(c.ID, 0, n, sc)
+				score, _, _, _, _ := align.ExtendUngapped(
+					query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
+				pass := score >= opts.Prescreen
 				sl.fw.prescreen = time.Since(p0)
 				sl.fw.rejected = !pass
 				if !pass {
@@ -766,12 +716,9 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 				sl.fw.bitvector = striped
 				sl.ok = score >= opts.MinScore
 			case FineBanded:
-				centre := 0
-				switch {
-				case c.HasOff:
-					centre = c.Diag
-				case haveSeed:
-					centre = seed.diag
+				centre := c.Diag
+				if !c.HasOff {
+					centre = seeds[i].diag
 				}
 				r.bandCentre = centre
 				sl.fw.cells = align.BandedCells(len(query), n, centre, opts.Band)
@@ -846,7 +793,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(sc *seedScratch) {
+		go func(sc *workerScratch) {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				lo := (int(next.Add(1)) - 1) * batch
@@ -892,8 +839,7 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	cands, _, err := s.coarse(context.Background(), query, mode, minHits, 0, false, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
-	return cands, err
+	return s.coarse(context.Background(), query, mode, minHits, 0, false, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
 }
 
 // coarse implements the coarse phase: for each segment in order,
@@ -912,39 +858,31 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // collection would produce. The segmented equivalence suite locks this
 // in at every segment count.
 //
-// With seeded set and topK > 0, coarse also tries to hand each
-// candidate its seed: bestSeed's answer, read from the postings the walk
-// logged (see seedLog) into s.log.seeds, in candidate order. handed
-// reports whether it did; it does not when the postings cannot
-// reproduce bestSeed or the walk outgrew the log, and the fine phase
-// then extracts.
+// With seeded set and topK > 0, coarse also hands each candidate its
+// seed, read from the postings the walk logged (see seedLog), into
+// s.log.seeds, in candidate order.
 //
 // Work counters accumulate into st (stage timing is the caller's job —
 // searchStrand wraps this call in the coarse wall clock). Cancellation
 // is checked once per posting list, so the per-entry accumulator loop
 // stays hot.
-func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, seeded bool, st *SearchStats) ([]Candidate, bool, error) {
+func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, minHits, topK int, seeded bool, st *SearchStats) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
 	}
-	if mode == CoarseDiagonal && !s.opts.StoreOffsets {
-		return nil, false, Invalid(fmt.Errorf("core: diagonal coarse mode needs an index built with offsets"))
-	}
 	coder := s.coder
 	if len(query) < coder.Span() {
-		return nil, false, Invalid(fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span()))
+		return nil, Invalid(fmt.Errorf("core: query length %d shorter than interval span %d", len(query), coder.Span()))
 	}
 
 	if uint64(len(query)) > math.MaxUint32 {
-		return nil, false, Invalid(fmt.Errorf("core: query length %d does not fit a 32-bit position", len(query)))
+		return nil, Invalid(fmt.Errorf("core: query length %d does not fit a 32-bit position", len(query)))
 	}
 
 	// Collect the query's intervals, sorted by term then position.
 	s.terms = s.terms[:0]
-	s.termBits.reset()
 	coder.ExtractFunc(query, func(pos int, t kmer.Term) {
 		s.terms = append(s.terms, packQueryTerm(t, pos))
-		s.termBits.add(t)
 	})
 	slices.Sort(s.terms)
 
@@ -957,7 +895,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	if topK > 0 {
 		sel = topKHeap{k: topK, heap: s.candBuf[:0]}
 	}
-	logging := seeded && topK > 0 && s.seedsFromPostings && !s.extractSeeds
+	logging := seeded && topK > 0
 	if logging {
 		s.log.reset()
 	}
@@ -965,7 +903,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	for _, seg := range s.segs {
 		diag, err := s.accumulate(ctx, seg, mode, logging, st)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		st.CoarseSequences += len(s.acc.touched)
 		st.Segments++
@@ -1019,11 +957,13 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 		// on the calling goroutine, before any fine worker starts.
 		out := sel.sorted()
 		s.candBuf = out[:0]
-		handed := logging && s.log.handOver(out, s.terms, len(query))
-		return out, handed, nil
+		if logging {
+			s.log.handOver(out, s.terms, len(query))
+		}
+		return out, nil
 	}
 	sortCandidates(cands)
-	return cands, false, nil
+	return cands, nil
 }
 
 // accumulate walks every posting list the query's terms have in one
@@ -1032,13 +972,11 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 // ascend, so each lexicon search resumes where the last one ended and
 // the lists are read in ascending blob offset.
 //
-// With log set, every posting is also appended to the seed log, until
-// the log would pass its limit; the log is then marked full and the rest
-// of the walk logs nothing.
+// With log set, every posting is also appended to the seed log; a walk
+// that would pass its 31-bit indexes fails (see maxLogIndex).
 func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, log bool, st *SearchStats) (*diagAcc, error) {
 	s.acc.reset()
 	diag := newDiagAcc(mode == CoarseDiagonal)
-	log = log && !s.log.full
 	// The log lives in locals for the walk, so the per-posting appends
 	// neither reload nor store the slice headers through s.
 	recs, offs, lists, base := s.log.recs, s.log.offs, s.log.lists, uint32(seg.Base)
@@ -1062,10 +1000,10 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		}
 		st.PostingLists++
 		st.PostingsBytesRead += int64(listBytes)
-		if log && (len(recs)+df > s.log.limit || len(offs) > s.log.limit) {
-			log, s.log.full = false, true
-		}
 		if log {
+			if len(recs) > maxLogIndex-df {
+				return nil, logOverflow(len(recs), len(offs), t)
+			}
 			lists = append(lists, loggedList{int32(len(recs)), int32(lo), int32(lo + n)})
 		}
 		for s.it.Next() {
@@ -1076,6 +1014,9 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 				if e.Count == 1 {
 					r.off = e.Offsets[0]
 				} else {
+					if len(offs) > maxLogIndex {
+						return nil, logOverflow(len(recs), len(offs), t)
+					}
 					r.off = multiOffsets | uint32(len(offs))
 					offs = append(offs, e.Count)
 					offs = append(offs, e.Offsets...)
@@ -1116,26 +1057,6 @@ func (q queryTerm) term() kmer.Term { return kmer.Term(q >> 32) }
 //cafe:hotpath
 func (q queryTerm) pos() int { return int(uint32(q)) }
 
-// termRun returns the run of t in a sorted term array — t's query
-// positions, ascending — or an empty slice when the query lacks t.
-//
-//cafe:hotpath
-func termRun(terms []queryTerm, t kmer.Term) []queryTerm {
-	lo, hi := 0, len(terms)
-	for key := packQueryTerm(t, 0); lo < hi; {
-		if mid := int(uint(lo+hi) >> 1); terms[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	end := lo
-	for end < len(terms) && terms[end].term() == t {
-		end++
-	}
-	return terms[lo:end]
-}
-
 // distinctTerms counts the runs of a sorted term array.
 func distinctTerms(terms []queryTerm) (n int) {
 	for i, qt := range terms {
@@ -1146,54 +1067,18 @@ func distinctTerms(terms []queryTerm) (n int) {
 	return n
 }
 
-// termFilter is a 64 Kbit one-hash Bloom filter over a query's terms
-// (8 KB; a 2000-base query sets at most 3 % of it). Terms of any width —
-// any k, spaced seeds — hash to 16 bits multiplicatively.
-type termFilter [1 << 10]uint64
-
-//cafe:hotpath
-func termBit(t kmer.Term) (word, mask uint64) {
-	h := uint64(t) * 0x9E3779B97F4A7C15
-	return h >> 54, 1 << (h >> 48 & 63) // top 10 bits pick the word, the next 6 the bit
-}
-
-func (f *termFilter) reset() { *f = termFilter{} }
-
-func (f *termFilter) add(t kmer.Term) {
-	w, m := termBit(t)
-	f[w] |= m
-}
-
-//cafe:hotpath
-func (f *termFilter) has(t kmer.Term) bool {
-	w, m := termBit(t)
-	return f[w]&m != 0
-}
-
 // seedHit is one shared interval on a candidate's strongest diagonal.
 type seedHit struct {
 	diag, qPos, sPos int
 }
 
-// seedScratch is the reusable state of one bestSeed evaluation: the
-// per-diagonal hit counters, the first shared interval seen on each
-// diagonal, and a pre-bound extraction callback so the fine hot path
-// allocates no closure per candidate. One scratch belongs to exactly
-// one fine worker at a time (see Searcher.fineScratch).
-type seedScratch struct {
-	counts   map[int]int
-	firstHit map[int][2]int
-	// terms is the current query's sorted term array, set by bestSeed
-	// before each extraction; extract reads it through the struct so
-	// the callback closes over nothing query-specific.
-	terms    []queryTerm //cafe:pooled borrowed from the searcher for the current query only
-	termBits *termFilter //cafe:pooled borrowed with terms, read-only here
-	extract  func(sPos int, t kmer.Term)
-	// bv, banded and batch are the worker's kernel scratches (the
-	// bitvector kernel's DP columns; the banded kernels' rows, direction
-	// matrix and transcript; the batched pass's lanes), reused across
-	// candidates; they ride in the seed scratch so the fine phase's
-	// one-scratch-per-worker discipline covers every kernel.
+// workerScratch is one fine worker's reusable state: its kernel
+// scratches and read buffers. One scratch belongs to exactly one fine
+// worker at a time (see Searcher.fineScratch).
+type workerScratch struct {
+	// bv, banded and batch are the kernel scratches (the striped
+	// kernel's DP columns; the banded kernels' rows, direction matrix and
+	// transcript; the batched pass's lanes), reused across candidates.
 	bv     align.StripedScratch
 	banded align.BandedScratch
 	batch  align.BatchScratch
@@ -1201,54 +1086,6 @@ type seedScratch struct {
 	// windows the band windows of its current batch, one per lane.
 	seq     []byte                   //cafe:pooled subject bases, overwritten by the worker's next read
 	windows [align.BatchLanes][]byte //cafe:pooled band windows, overwritten by the worker's next batch
-}
-
-func newSeedScratch() *seedScratch {
-	sc := &seedScratch{
-		counts:   make(map[int]int),
-		firstHit: make(map[int][2]int),
-	}
-	sc.extract = func(sPos int, t kmer.Term) {
-		if !sc.termBits.has(t) {
-			return
-		}
-		for _, qt := range termRun(sc.terms, t) {
-			qp := qt.pos()
-			d := sPos - qp
-			sc.counts[d]++
-			if _, ok := sc.firstHit[d]; !ok {
-				sc.firstHit[d] = [2]int{qp, sPos}
-			}
-		}
-	}
-	return sc
-}
-
-// bestSeed finds the strongest alignment diagonal of the query against
-// seq by binning shared intervals, and returns a shared interval on it
-// — the anchor for banded centring and for the prescreen extension. It
-// reports false when the sequences share no interval (possible when a
-// stopped term admitted the candidate via another strand or mode).
-// It runs once per candidate inside the fine phase, so its scratch is
-// pooled per worker rather than allocated per call.
-//
-//cafe:hotpath
-func (s *Searcher) bestSeed(coder *kmer.Coder, seq []byte, sc *seedScratch) (seedHit, bool) {
-	clear(sc.counts)
-	clear(sc.firstHit)
-	sc.terms, sc.termBits = s.terms, &s.termBits
-	coder.ExtractFunc(seq, sc.extract)
-	best, bestDiag, found := 0, 0, false
-	for d, n := range sc.counts {
-		if n > best || n == best && found && d < bestDiag {
-			best, bestDiag, found = n, d, true
-		}
-	}
-	if !found {
-		return seedHit{}, false
-	}
-	hit := sc.firstHit[bestDiag]
-	return seedHit{diag: bestDiag, qPos: hit[0], sPos: hit[1]}, true
 }
 
 // accumulators is the coarse-phase scratch: per-sequence distinct-term

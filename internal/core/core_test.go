@@ -61,7 +61,7 @@ func newTestSearcher(t *testing.T, f *fixture) *Searcher {
 }
 
 func TestSearchFindsFamily(t *testing.T) {
-	f := makeFixture(t, 41, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 41, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	for _, mode := range []FineMode{FineFull, FineBanded} {
 		opts := DefaultOptions()
@@ -100,7 +100,7 @@ func min(a, b int) int {
 func TestSearchMatchesExhaustiveGoldStandard(t *testing.T) {
 	// The headline accuracy claim: partitioned search recovers (nearly)
 	// the same top answers as the exhaustive Smith–Waterman scan.
-	f := makeFixture(t, 42, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 42, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.FineMode = FineFull // exact fine scores for comparability
@@ -130,7 +130,7 @@ func TestSearchMatchesExhaustiveGoldStandard(t *testing.T) {
 }
 
 func TestCoarseModes(t *testing.T) {
-	f := makeFixture(t, 43, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 43, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	for _, mode := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
 		cands, err := s.Coarse(f.query, mode, 1)
@@ -159,24 +159,23 @@ func TestCoarseModes(t *testing.T) {
 	}
 }
 
+// TestCoarseDiagonalNeedsOffsets: diagonal mode reads the offsets every
+// index stores, so an index built from options that never mention them
+// ranks by diagonal, and every candidate carries its band's centre.
 func TestCoarseDiagonalNeedsOffsets(t *testing.T) {
-	f := makeFixture(t, 44, index.Options{K: 9, StoreOffsets: false})
+	f := makeFixture(t, 44, index.Options{K: 9})
 	s := newTestSearcher(t, f)
-	if _, err := s.Coarse(f.query, CoarseDiagonal, 1); err == nil {
-		t.Error("diagonal mode accepted an offsets-free index")
-	}
-	// Other modes work without offsets.
-	if _, err := s.Coarse(f.query, CoarseDistinct, 1); err != nil {
-		t.Errorf("distinct mode on offsets-free index: %v", err)
-	}
-	// And banded fine search falls back to recomputing diagonals.
-	opts := DefaultOptions()
-	rs, err := s.Search(f.query, opts)
+	cands, err := s.Coarse(f.query, CoarseDiagonal, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) == 0 {
-		t.Error("no results on offsets-free index")
+	if len(cands) == 0 || !f.family[cands[0].ID] {
+		t.Fatalf("diagonal ranking's top candidate is not in the family: %+v", cands[:min(len(cands), 3)])
+	}
+	for _, c := range cands {
+		if !c.HasOff {
+			t.Fatalf("candidate %d has no diagonal", c.ID)
+		}
 	}
 }
 
@@ -253,7 +252,7 @@ func TestSearcherMismatchedStore(t *testing.T) {
 }
 
 func TestCandidateBudgetBoundsFineWork(t *testing.T) {
-	f := makeFixture(t, 48, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 48, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.Candidates = 3
@@ -269,7 +268,7 @@ func TestCandidateBudgetBoundsFineWork(t *testing.T) {
 }
 
 func TestMinCoarseHitsFilters(t *testing.T) {
-	f := makeFixture(t, 49, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 49, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	loose, err := s.Coarse(f.query, CoarseDistinct, 1)
 	if err != nil {
@@ -292,7 +291,7 @@ func TestMinCoarseHitsFilters(t *testing.T) {
 func TestSearcherReuseAcrossQueries(t *testing.T) {
 	// Scratch state must fully reset between queries: two different
 	// queries run back-to-back give the same results as fresh searchers.
-	f := makeFixture(t, 50, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 50, index.Options{K: 9})
 	rng := rand.New(rand.NewSource(51))
 	q2 := gen.RandomSequence(rng, 200, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)
 
@@ -334,7 +333,7 @@ func assertSameResults(t *testing.T, label string, a, b []Result) {
 func TestRandomQueryScoresLow(t *testing.T) {
 	// Negative control: a random query must not rank anything near a
 	// true homolog's score.
-	f := makeFixture(t, 52, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 52, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	rng := rand.New(rand.NewSource(53))
 	noise := gen.RandomSequence(rng, 250, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)

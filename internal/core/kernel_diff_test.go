@@ -25,7 +25,7 @@ import (
 // (a best cell every 10 columns).
 func tieFixture(t *testing.T, seed int64) (f *fixture, queries [][]byte) {
 	t.Helper()
-	opts := index.Options{K: 9, StoreOffsets: true}
+	opts := index.Options{K: 9}
 	f = makeFixture(t, seed, opts)
 	rng := rand.New(rand.NewSource(seed + 1000))
 	noise := func(n int) []byte {
@@ -167,7 +167,7 @@ func TestFineKernelEquivalence(t *testing.T) {
 // scalar kernel candidate by candidate and still return exactly what
 // the scalar pass returns when asked first.
 func TestFineKernelCapacityFallback(t *testing.T) {
-	f := makeFixture(t, 63, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 63, index.Options{K: 9})
 	huge := align.Scoring{Match: 20000, Mismatch: 4, GapOpen: 10, GapExtend: 2}
 	s, err := NewSearcher(f.idx, f.store, huge)
 	if err != nil {
@@ -209,7 +209,7 @@ func TestFineKernelCapacityFallback(t *testing.T) {
 // unsatisfiable MinCoarseHits. The striped route and the scalar pass
 // must agree and neither may panic.
 func TestFineKernelDegenerateInputs(t *testing.T) {
-	f := makeFixture(t, 64, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 64, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	allN := make([]byte, 120)
@@ -249,7 +249,7 @@ func TestFineKernelDegenerateInputs(t *testing.T) {
 // must surface ctx.Err() with no partial results, and the searcher must
 // stay usable.
 func TestFineKernelCancellation(t *testing.T) {
-	f := makeFixture(t, 65, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 65, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	opts := DefaultOptions()
@@ -300,7 +300,7 @@ func TestFineKernelCancellation(t *testing.T) {
 // result must stay byte-identical to the serial scalar reference every
 // iteration.
 func TestFineKernelScratchHammer(t *testing.T) {
-	f := makeFixture(t, 66, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 66, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	ref := DefaultOptions()

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParallelFineMatchesSerial(t *testing.T) {
-	f := makeFixture(t, 221, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 221, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	for _, mode := range []FineMode{FineFull, FineBanded} {
@@ -38,7 +38,7 @@ func TestParallelFineMatchesSerial(t *testing.T) {
 }
 
 func TestParallelFineWithPrescreenAndStrands(t *testing.T) {
-	f := makeFixture(t, 222, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 222, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.Prescreen = 100

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPrescreenKeepsHomologs(t *testing.T) {
-	f := makeFixture(t, 161, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 161, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	opts := DefaultOptions()
@@ -52,7 +52,7 @@ func TestPrescreenValidation(t *testing.T) {
 }
 
 func TestPrescreenUnreachableThresholdDropsAll(t *testing.T) {
-	f := makeFixture(t, 163, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 163, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.Prescreen = 1 << 30

@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +19,7 @@ import (
 	"nucleodb/internal/dna"
 	"nucleodb/internal/gen"
 	"nucleodb/internal/index"
+	"nucleodb/internal/kmer"
 )
 
 // handOverFixture is makeFixture's collection plus the shapes that make
@@ -75,12 +79,12 @@ func handOverFixture(t testing.TB, seed int64, opts index.Options) (*fixture, ma
 }
 
 // handOverIndexes are the interval shapes the hand-over is held to:
-// three contiguous lengths and a spaced seed, all with offsets.
+// three contiguous lengths and a spaced seed.
 var handOverIndexes = []index.Options{
-	{K: 4, StoreOffsets: true},
-	{K: 9, StoreOffsets: true},
-	{K: 12, StoreOffsets: true},
-	{SpacedMask: "1110110101101", StoreOffsets: true},
+	{K: 4},
+	{K: 9},
+	{K: 12},
+	{SpacedMask: "1110110101101"},
 }
 
 // segmentations returns the searchers over f the equivalence tests
@@ -118,32 +122,78 @@ func segmentations(t *testing.T, f *fixture, rng *rand.Rand) map[string]*Searche
 	return out
 }
 
+// refBestSeed is the seed oracle, map-only: it extracts every interval
+// of seq, looks each up in termSet (the query's term → positions), and
+// returns the diagonal with the most shared intervals (ties to the
+// smaller diagonal) and its first hit in extraction order. It reports
+// false when the two share no interval.
+func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (seedHit, bool) {
+	counts := map[int]int{}
+	firstHit := map[int][2]int{}
+	coder.ExtractFunc(seq, func(sPos int, t kmer.Term) {
+		for _, qp := range termSet[t] {
+			d := sPos - qp
+			counts[d]++
+			if _, ok := firstHit[d]; !ok {
+				firstHit[d] = [2]int{qp, sPos}
+			}
+		}
+	})
+	best, bestDiag, found := 0, 0, false
+	for d, n := range counts {
+		if n > best || n == best && found && d < bestDiag {
+			best, bestDiag, found = n, d, true
+		}
+	}
+	if !found {
+		return seedHit{}, false
+	}
+	hit := firstHit[bestDiag]
+	return seedHit{diag: bestDiag, qPos: hit[0], sPos: hit[1]}, true
+}
+
 // checkHandOver runs a seeded coarse call for query and holds every
-// admitted candidate's handed-over seed to bestSeed's. It returns the
-// number of candidates compared.
+// admitted candidate's handed-over seed to refBestSeed's over the query
+// terms its segment holds a list for — on an unstopped index, every
+// term. It returns the number of candidates compared.
 func checkHandOver(t testing.TB, s *Searcher, query []byte, mode CoarseMode, name string) int {
 	t.Helper()
 	var st SearchStats
-	cands, handed, err := s.coarse(context.Background(), query, mode, 1, 100, true, &st)
+	cands, err := s.coarse(context.Background(), query, mode, 1, 100, true, &st)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if !handed || len(s.log.seeds) != len(cands) {
-		t.Fatalf("%s: %d candidates, hand-over %v with %d seeds", name, len(cands), handed, len(s.log.seeds))
+	if len(s.log.seeds) != len(cands) {
+		t.Fatalf("%s: %d candidates, %d seeds", name, len(cands), len(s.log.seeds))
 	}
-	sc := newSeedScratch()
+	termSets := map[*index.Index]map[kmer.Term][]int{}
 	for i, c := range cands {
-		want, wantOK := s.bestSeed(s.coder, s.src.AppendRange(nil, c.ID, 0, s.src.SeqLen(c.ID)), sc)
-		if got := s.log.seeds[i]; got.hit != want || got.ok != wantOK {
-			t.Fatalf("%s: candidate %d (seq %d): hand-over (%+v,%v), bestSeed (%+v,%v)",
-				name, i, c.ID, got.hit, got.ok, want, wantOK)
+		seg := s.segs[0]
+		for _, sg := range s.segs {
+			if sg.Base <= c.ID {
+				seg = sg
+			}
+		}
+		termSet := termSets[seg.Index]
+		if termSet == nil {
+			termSet = refTermSet(s.coder, query)
+			for term := range termSet {
+				if seg.Index.DF(term) == 0 {
+					delete(termSet, term)
+				}
+			}
+			termSets[seg.Index] = termSet
+		}
+		want, ok := refBestSeed(termSet, s.coder, s.src.AppendRange(nil, c.ID, 0, s.src.SeqLen(c.ID)))
+		if got := s.log.seeds[i]; !ok || got != want {
+			t.Fatalf("%s: candidate %d (seq %d): hand-over %+v, oracle (%+v,%v)", name, i, c.ID, got, want, ok)
 		}
 	}
 	return len(cands)
 }
 
 // TestSeedHandOverMatchesBestSeed: for every admitted candidate, the
-// seed read from the coarse walk's log is exactly bestSeed's — across
+// seed read from the coarse walk's log is exactly the oracle's — across
 // interval lengths 4, 9 and 12 and a spaced seed, homologous, random,
 // repeat and wildcard queries and their reverse complements, one
 // segment, three with tombstones and a paged index, in every coarse
@@ -171,152 +221,154 @@ func TestSeedHandOverMatchesBestSeed(t *testing.T) {
 	}
 }
 
-// TestSeedHandOverSearchEquivalence: whole searches through the hand-over
-// are DeepEqual to the same searches with every seed extracted — banded
-// in every coarse mode with prescreen off and on, one strand serially
-// and both with eight fine workers, plus a prescreened exact search
-// (exact without prescreen reads no seed), over one segment, three with
-// tombstones and a paged index.
-func TestSeedHandOverSearchEquivalence(t *testing.T) {
-	var grid []Options
-	for _, cm := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
-		for _, prescreen := range []int{0, 30} {
-			for _, workers := range []int{0, 8} {
-				opts := DefaultOptions()
-				opts.CoarseMode, opts.Prescreen = cm, prescreen
-				opts.BothStrands, opts.FineWorkers = workers > 0, workers
-				grid = append(grid, opts)
-			}
-		}
-	}
-	exact := DefaultOptions()
-	exact.FineMode, exact.Prescreen = FineFull, 30
-	grid = append(grid, exact)
-
-	f, queries := handOverFixture(t, 710, index.Options{K: 9, StoreOffsets: true})
-	layouts := segmentations(t, f, rand.New(rand.NewSource(711)))
-	extracting := segmentations(t, f, rand.New(rand.NewSource(711)))
-	for layout, s := range layouts {
-		ref := extracting[layout]
-		ref.extractSeeds = true
-		for qname, q := range queries {
-			for _, opts := range grid {
-				name := fmt.Sprintf("%s %s %+v", layout, qname, opts)
-				want, err := ref.Search(q, opts)
-				if err != nil {
-					t.Fatalf("%s: extracting: %v", name, err)
-				}
-				got, err := s.Search(q, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: hand-over results differ\n got %+v\nwant %+v", name, got, want)
-				}
-			}
-		}
-	}
-}
-
-// extracted reports whether any of s's fine workers ran bestSeed:
-// bestSeed points its scratch at the query's term array on every call,
-// and nothing else sets it.
-func extracted(s *Searcher) bool {
-	for _, sc := range s.seedScratch {
-		if sc.terms != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// TestDefaultIndexNeverExtracts: on an index built with the default
-// options, no search runs bestSeed — banded, prescreened, both strands,
-// serial and parallel — while a searcher forced to extract does.
-func TestDefaultIndexNeverExtracts(t *testing.T) {
-	f, queries := handOverFixture(t, 720, index.DefaultOptions())
-	s, ref := newTestSearcher(t, f), newTestSearcher(t, f)
-	ref.extractSeeds = true
-	for qname, q := range queries {
-		for _, prescreen := range []int{0, 30} {
-			for _, workers := range []int{0, 8} {
-				opts := DefaultOptions()
-				opts.Prescreen, opts.FineWorkers, opts.BothStrands = prescreen, workers, true
-				want, err := ref.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := s.Search(q, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s prescreen=%d workers=%d: results differ from extraction", qname, prescreen, workers)
-				}
-			}
-		}
-	}
-	if extracted(s) {
-		t.Fatal("a search on a default-built index ran bestSeed")
-	}
-	if !extracted(ref) {
-		t.Fatal("the extracting searcher never ran bestSeed: the probe proves nothing")
-	}
-}
-
-// TestSeedHandOverFallbacks: where the postings cannot reproduce
-// bestSeed — an index with a stopped term, an index without offsets, a
-// walk past the log's limit — the fine phase extracts, and the answers
-// equal a searcher forced to extract.
+// TestSeedHandOverFallbacks: the walks whose postings are not every
+// interval a candidate shares with the query, or are very many, still
+// hand over the oracle's seeds. An index with stopped terms — one
+// segment, three segments that each stop their own most frequent terms,
+// and paged — seeds from the lists it holds: a stopped term adds no hit.
+// A walk past 2²⁰ postings grows the log, and the searcher drops its
+// backing afterwards.
 func TestSeedHandOverFallbacks(t *testing.T) {
-	stopped, queries := handOverFixture(t, 730, index.Options{K: 6, StoreOffsets: true, StopFraction: 0.01})
-	if stopped.idx.NumStopped() == 0 {
+	f, queries := handOverFixture(t, 730, index.Options{K: 6, StopFraction: 0.01})
+	if f.idx.NumStopped() == 0 {
 		t.Fatal("the stopped index stops no term")
 	}
-	noOffsets, _ := handOverFixture(t, 730, index.Options{K: 9})
-	overCap, _ := handOverFixture(t, 730, index.Options{K: 9, StoreOffsets: true})
-	for name, c := range map[string]struct {
-		f     *fixture
-		limit int
-	}{
-		"stopped":    {stopped, maxSeedLog},
-		"no-offsets": {noOffsets, maxSeedLog},
-		"over-cap":   {overCap, 50},
-	} {
-		s, ref := newTestSearcher(t, c.f), newTestSearcher(t, c.f)
-		s.log.limit = c.limit
-		ref.extractSeeds = true
-		fellBack := 0
+	stoppedInQuery := false
+	for _, q := range queries {
+		f.idx.Coder().ExtractFunc(q, func(_ int, term kmer.Term) {
+			stoppedInQuery = stoppedInQuery || f.idx.Stopped(term)
+		})
+	}
+	if !stoppedInQuery {
+		t.Fatal("no query holds a stopped term: the stopped cases prove nothing")
+	}
+	for layout, s := range segmentations(t, f, rand.New(rand.NewSource(731))) {
 		for qname, q := range queries {
-			opts := DefaultOptions()
-			opts.Prescreen, opts.BothStrands = 30, true
-			want, err := ref.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Search(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s %s: results differ from extraction\n got %+v\nwant %+v", name, qname, got, want)
-			}
-			var st SearchStats
-			_, handed, err := s.coarse(context.Background(), q, CoarseDistinct, 1, 100, true, &st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Under the lowered limit, a walk that stays within it may
-			// still hand over.
-			if handed && (c.limit == maxSeedLog || st.PostingsDecoded > int64(c.limit)) {
-				t.Fatalf("%s %s: %d postings walked, and seeds were handed over", name, qname, st.PostingsDecoded)
-			}
-			if !handed {
-				fellBack++
+			for _, strand := range [][]byte{q, dna.ReverseComplement(q)} {
+				for _, mode := range []CoarseMode{CoarseDistinct, CoarseDiagonal} {
+					checkHandOver(t, s, strand, mode, fmt.Sprintf("stopped %s %s %v", layout, qname, mode))
+				}
 			}
 		}
-		if !extracted(s) || fellBack == 0 {
-			t.Fatalf("%s: no search ran bestSeed", name)
+	}
+
+	if testing.Short() {
+		t.Skip("the walk past 2²⁰ postings builds a 2.4 Mbase index")
+	}
+	// 4-mers: nearly every sequence holds ≈ 200 of the 256 terms, so a
+	// query with all of them walks ≈ 6000 × 200 postings.
+	rng := rand.New(rand.NewSource(732))
+	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
+	var store db.Store
+	for i := 0; i < 6000; i++ {
+		store.Add("r", gen.RandomSequence(rng, 400, uniform, 0))
+	}
+	idx, err := index.Build(&store, index.Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSearcher(idx, &store, align.DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := gen.RandomSequence(rng, 3000, uniform, 0)
+	checkHandOver(t, s, huge, CoarseDistinct, "past 2²⁰")
+	if n := len(s.log.recs); n != 0 {
+		t.Fatalf("searcher kept %d records", n)
+	}
+	var st SearchStats
+	if _, err := s.SearchWithStatsContext(context.Background(), huge, DefaultOptions(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.PostingsDecoded <= 1<<20 {
+		t.Fatalf("the huge query walks %d postings, want more than 2²⁰", st.PostingsDecoded)
+	}
+}
+
+// TestSeedLogOverflowIsAnError: a walk whose records or offsets would
+// pass the log's 31-bit indexes fails with an internal error, not the
+// caller's ErrInvalid, rather than wrap them, and the searcher answers
+// afterwards. maxLogIndex is lowered so a small collection reaches it:
+// just below the walk's postings, where on random sequences, whose
+// postings hold one offset, only the records pass it; and on tandem
+// repeats, whose postings hold many offsets each, also at the postings,
+// where only the offsets pass it.
+func TestSeedLogOverflowIsAnError(t *testing.T) {
+	defer func(m int) { maxLogIndex = m }(maxLogIndex)
+	rng := rand.New(rand.NewSource(770))
+	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
+	unit := gen.RandomSequence(rng, 7, uniform, 0)
+	for _, tandem := range []bool{false, true} {
+		var store db.Store
+		for i := 0; i < 30; i++ {
+			seq := gen.RandomSequence(rng, 400, uniform, 0)
+			if tandem {
+				for j := range seq {
+					seq[j] = unit[(i+j)%len(unit)]
+				}
+			}
+			store.Add("r", seq)
+		}
+		k := 8 // random 8-mers rarely repeat in a sequence: one offset a posting
+		if tandem {
+			k = 4
+		}
+		idx, err := index.Build(&store, index.Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSearcher(idx, &store, align.DefaultScoring())
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := store.Sequence(3)[:200]
+		var st SearchStats
+		if _, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 100, false, &st); err != nil {
+			t.Fatal(err)
+		}
+		limits := []int{int(st.PostingsDecoded) - 1}
+		if tandem {
+			limits = append(limits, int(st.PostingsDecoded))
+		}
+		for _, limit := range limits {
+			maxLogIndex = limit
+			_, err := s.coarse(context.Background(), query, CoarseDistinct, 1, 100, true, &st)
+			if err == nil || errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), "seed log") {
+				t.Fatalf("tandem %v, %d postings, limit %d: err = %v, want an internal seed-log error", tandem, st.PostingsDecoded, limit, err)
+			}
+		}
+		maxLogIndex = math.MaxInt32
+		checkHandOver(t, s, query, CoarseDistinct, fmt.Sprintf("tandem %v after the overflow", tandem))
+	}
+}
+
+// TestSeedHandOverHammer runs many queries through one searcher with
+// eight fine workers. Under -race it shows the log, the seeds and the
+// term array are only read while the workers run — they are rebuilt
+// between fine phases, on the calling goroutine — and the answers equal
+// a serial searcher's.
+func TestSeedHandOverHammer(t *testing.T) {
+	f := makeFixture(t, 612, index.DefaultOptions())
+	parallel, serial := newTestSearcher(t, f), newTestSearcher(t, f)
+	rng := rand.New(rand.NewSource(612))
+	opts := DefaultOptions()
+	opts.Prescreen = 30 // a seed for every candidate
+	popts := opts
+	popts.FineWorkers = 8
+	for i := 0; i < 40; i++ {
+		root := f.store.Sequence(rng.Intn(f.store.Len()))
+		query := gen.Fragment(rng, root, 100+rng.Intn(150))
+		opts.BothStrands, popts.BothStrands = i%2 == 0, i%2 == 0
+		want, err := serial.Search(query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := parallel.Search(query, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: 8 fine workers returned\n%+v\nserial returned\n%+v", i, got, want)
 		}
 	}
 }
@@ -351,8 +403,7 @@ func TestCoarseWritesNoLog(t *testing.T) {
 }
 
 // TestPooledSeedLogCapped: a searcher keeps a normal query's log for the
-// next query, but not one past maxPooledSeedLog records, whose walk still
-// hands its seeds over.
+// next query, but not one past maxPooledSeedLog records.
 func TestPooledSeedLogCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(750))
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
@@ -362,7 +413,7 @@ func TestPooledSeedLogCapped(t *testing.T) {
 	}
 	// 4-mers: nearly every sequence holds nearly every term, so a query
 	// with all 256 walks ≈ 1500 × 200 postings.
-	idx, err := index.Build(&store, index.Options{K: 4, StoreOffsets: true})
+	idx, err := index.Build(&store, index.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,36 +433,32 @@ func TestPooledSeedLogCapped(t *testing.T) {
 	if _, err := s.SearchWithStatsContext(context.Background(), huge, DefaultOptions(), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.PostingsDecoded <= maxPooledSeedLog || st.PostingsDecoded > maxSeedLog {
-		t.Fatalf("the huge query walks %d postings, want (%d, %d]", st.PostingsDecoded, maxPooledSeedLog, maxSeedLog)
+	if st.PostingsDecoded <= maxPooledSeedLog {
+		t.Fatalf("the huge query walks %d postings, want more than %d", st.PostingsDecoded, maxPooledSeedLog)
 	}
 	if cap(s.log.recs) > maxPooledSeedLog || cap(s.log.offs) > maxPooledSeedLog || len(s.log.count) > maxPooledSeedLog {
 		t.Fatalf("searcher keeps %d records, %d offsets, %d diagonals", cap(s.log.recs), cap(s.log.offs), len(s.log.count))
 	}
-	if extracted(s) {
-		t.Fatal("the huge query was extracted, not handed over")
-	}
 }
 
-// TestSeedHandOverWarmAllocs: a warm default search allocates no more
-// through the hand-over than through extraction.
+// TestSeedHandOverWarmAllocs: once warm, logging the walk and handing
+// the seeds over allocates nothing: a seeded coarse call allocates no
+// more than an unseeded one.
 func TestSeedHandOverWarmAllocs(t *testing.T) {
 	f := makeFixture(t, 760, index.DefaultOptions())
-	s, ref := newTestSearcher(t, f), newTestSearcher(t, f)
-	ref.extractSeeds = true
+	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
-	run := func(s *Searcher) func() {
+	run := func(seeded bool) func() {
 		return func() {
-			if _, err := s.Search(f.query, opts); err != nil {
+			if _, err := s.coarse(context.Background(), f.query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	run(s)()
-	run(ref)()
-	got, want := testing.AllocsPerRun(20, run(s)), testing.AllocsPerRun(20, run(ref))
-	if got > want {
-		t.Fatalf("a warm search allocates %.0f objects through the hand-over, %.0f through extraction", got, want)
+	run(true)()
+	seeded, unseeded := testing.AllocsPerRun(20, run(true)), testing.AllocsPerRun(20, run(false))
+	if seeded > unseeded {
+		t.Fatalf("a warm seeded coarse call allocates %.0f objects, an unseeded one %.0f", seeded, unseeded)
 	}
 }
 
@@ -436,10 +483,7 @@ func fuzzSearcher(t *testing.T, seed uint8) *Searcher {
 		}
 		store.Add("r", seq)
 	}
-	opts := []index.Options{
-		{K: 3, StoreOffsets: true}, {K: 6, StoreOffsets: true}, {K: 9, StoreOffsets: true},
-		{SpacedMask: "11011", StoreOffsets: true},
-	}[seed%4]
+	opts := []index.Options{{K: 3}, {K: 6}, {K: 9}, {SpacedMask: "11011"}}[seed%4]
 	idx, err := index.Build(&store, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -456,7 +500,7 @@ func fuzzSearcher(t *testing.T, seed uint8) *Searcher {
 }
 
 // FuzzSeedHandOver: for any query and small collection, every admitted
-// candidate's handed-over seed equals bestSeed's, and nothing panics.
+// candidate's handed-over seed equals the oracle's, and nothing panics.
 // Query bytes map to bases, with 0xF0 and above an N.
 func FuzzSeedHandOver(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02\x03\x00\x01\x02\x03\x00\x01\x02\x03"), uint8(0))
@@ -484,15 +528,12 @@ func FuzzSeedHandOver(f *testing.F) {
 	})
 }
 
-// BenchmarkSeedHandOver prices the hand-over against extraction for one
-// default query (1 000 bases, 100 candidates) on the collection the
-// served-path benchmark and BenchmarkPostingsDecode use (17 777
-// generated sequences, default index): the coarse walk without and with
-// the log, the hand-over alone, and bestSeed over the same candidates
-// with their sequences already decoded (the fine phase decodes them
-// either way). The log and hand-over cost is the second row minus the
-// first; extraction's is the last. Kernel evidence only: the served
-// path is judged end to end.
+// BenchmarkSeedHandOver prices the seed log for one default query
+// (1 000 bases, 100 candidates) on the collection the served-path
+// benchmark and BenchmarkPostingsDecode use (17 777 generated sequences,
+// default index): the coarse walk without and with the log, and the
+// hand-over alone. The log and hand-over cost is the second row minus
+// the first. Kernel evidence only: the served path is judged end to end.
 func BenchmarkSeedHandOver(b *testing.B) {
 	col, err := gen.Generate(gen.DefaultConfig(17777, 1))
 	if err != nil {
@@ -517,7 +558,7 @@ func BenchmarkSeedHandOver(b *testing.B) {
 	query := gen.Fragment(rand.New(rand.NewSource(1)), root, 1000)
 	ctx, opts := context.Background(), DefaultOptions()
 	coarse := func(seeded bool) []Candidate {
-		cands, _, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats)
+		cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,18 +581,6 @@ func BenchmarkSeedHandOver(b *testing.B) {
 	b.Run("hand-over", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s.log.handOver(cands, s.terms, len(query))
-		}
-	})
-	seqs := make([][]byte, len(cands))
-	for i, c := range cands {
-		seqs[i] = store.Sequence(c.ID)
-	}
-	sc := newSeedScratch()
-	b.Run("bestSeed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, seq := range seqs {
-				s.bestSeed(s.coder, seq, sc)
-			}
 		}
 	})
 }

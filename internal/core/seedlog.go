@@ -1,31 +1,42 @@
 package core
 
-// The seed hand-over. The index is built with the same interval coder
-// over the same store codes the fine phase aligns, so when offsets are
-// stored and no term is stopped, a candidate's postings under the
-// query's terms hold exactly the (query position, subject position)
-// pairs bestSeed finds by re-extracting the candidate. The coarse walk
-// decodes those offsets anyway; it appends each posting to a flat log,
-// and after top-k one pass over the log buckets the admitted
-// candidates' postings, from which each candidate's seed is read instead
-// of from its bases.
+import (
+	"fmt"
+	"math"
+
+	"nucleodb/internal/kmer"
+)
+
+// The seed hand-over, the one source of a candidate's seed. The index
+// is built with the same interval coder over the same store codes the
+// fine phase aligns, so a candidate's postings under the query's terms
+// hold exactly the (query position, subject position) pairs the two
+// share, less those of stopped terms, which have no list. The coarse
+// walk decodes those offsets anyway; it appends each posting to a flat
+// log, and after top-k one pass over the log buckets the admitted
+// candidates' postings, from which each candidate's seed is read.
 //
 // The log is flat rather than chained per sequence: a chain costs the
 // walk a read and a write of the sequence's chain head per posting,
 // which measured more than the one filtered pass it saves (EXPERIMENTS
 // E21).
+//
+// The log has no cap. A walk decodes each distinct term's list once per
+// segment, so it logs at most one 8-byte record per posting in the
+// index, and a posting with several offsets adds 4 bytes for its count
+// and 4 per offset to the side array. A 2 000-base query on a 16 Mbase
+// collection logs ≈ 110 k records, and a query spanning the whole
+// vocabulary would log every posting and offset: ≈ 126 MB on the
+// benchmark collection, where 99.5 % of postings have one offset, but
+// about 4 bytes per indexed base on a few long sequences, such as a
+// genome's chromosomes, where nearly every posting has many (≈ 90 MB
+// for a 2 000-base query at 3 Gbase). Past 2³¹ records or offsets the
+// walk fails (maxLogIndex).
 
-const (
-	// maxSeedLog bounds the postings one query's walk may log (8 MiB of
-	// records). A 2 000-base query on a 16 Mbase collection logs ≈ 110 k;
-	// a walk that would pass the bound stops logging and its candidates
-	// are extracted, so no query grows the log past it.
-	maxSeedLog = 1 << 20
-	// maxPooledSeedLog caps the records a searcher keeps between queries
-	// (2 MiB); a larger log is dropped after its hand-over, so one huge
-	// query does not pin its log in every pooled searcher.
-	maxPooledSeedLog = 1 << 18
-)
+// maxPooledSeedLog caps the records a searcher keeps between queries
+// (2 MiB); a larger log is dropped after its hand-over, so one huge
+// query does not pin its log in every pooled searcher.
+const maxPooledSeedLog = 1 << 18
 
 // seedRec is one logged posting: its sequence's global id and its
 // offsets. Which list it came from, and so the query positions of its
@@ -41,6 +52,19 @@ type seedRec struct {
 // are below it: a subject's length is an int32.
 const multiOffsets = 1 << 31
 
+// maxLogIndex is the largest record and offset index the log's 31-bit
+// fields hold (loggedList.start, a multiOffsets record's off). A walk
+// that would log past it fails with an internal error rather than
+// wrap; only a query whose lists hold more than 2³¹ postings or
+// offsets reaches it. A variable so that tests can reach it.
+var maxLogIndex = math.MaxInt32
+
+// logOverflow is the walk's error when term's list would pass
+// maxLogIndex, with recs records and offs offsets logged.
+func logOverflow(recs, offs int, term kmer.Term) error {
+	return fmt.Errorf("core: seed log of %d postings and %d offsets cannot index term %d's postings: the query's lists pass 2³¹", recs, offs, term)
+}
+
 // loggedList is one posting list of the log: where its records start,
 // and the run [lo, hi) of its term in the searcher's term array.
 type loggedList struct{ start, lo, hi int32 }
@@ -52,12 +76,6 @@ type candPosting struct {
 	list int32
 }
 
-// handedSeed is bestSeed's answer for one admitted candidate.
-type handedSeed struct {
-	hit seedHit
-	ok  bool
-}
-
 // seedLog is the coarse walk's record of the postings it decoded, and
 // the scratch of the hand-over that reads it back. It is written by the
 // walk and read by the hand-over, both on the searcher's goroutine; the
@@ -66,10 +84,6 @@ type seedLog struct {
 	recs  []seedRec    //cafe:pooled query-lifetime log, truncated at the start of each logging walk
 	offs  []uint32     //cafe:pooled offsets of the logged postings that have several
 	lists []loggedList //cafe:pooled one per logged list, in walk order
-	// full marks a walk that reached limit: its log is incomplete.
-	full bool
-	// limit is maxSeedLog; only this package's tests lower it.
-	limit int
 
 	// candOf maps a global id to its admitted candidate's index + 1
 	// during a hand-over, and is all zero otherwise.
@@ -84,49 +98,43 @@ type seedLog struct {
 	first []uint32
 	diags []int32
 
-	seeds []handedSeed //cafe:pooled one per admitted candidate, read by the fine phase
+	seeds []seedHit //cafe:pooled one per admitted candidate, read by the fine phase
 }
 
 // reset empties the log for a new walk.
 func (l *seedLog) reset() {
 	l.recs, l.offs, l.lists = l.recs[:0], l.offs[:0], l.lists[:0]
-	l.full = false
 }
 
-// handOver sets seeds to each candidate's seed and reports whether it
-// could: a full log cannot. One pass over the log buckets the admitted
-// candidates' postings; each bucket then yields its seed. It drops
-// backing over maxPooledSeedLog afterwards.
-func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) bool {
-	handed := !l.full
-	if handed {
-		for i, c := range cands {
-			l.candOf[c.ID] = int32(i + 1)
+// handOver sets seeds to each candidate's seed. One pass over the log
+// buckets the admitted candidates' postings; each bucket then yields
+// its seed. It drops backing over maxPooledSeedLog afterwards.
+func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) {
+	for i, c := range cands {
+		l.candOf[c.ID] = int32(i + 1)
+	}
+	for len(l.postings) < len(cands) {
+		l.postings = append(l.postings, nil) //cafe:allow grows once to the candidate budget
+	}
+	buckets := l.postings[:len(cands)]
+	for i := range buckets {
+		buckets[i] = buckets[i][:0]
+	}
+	for j, ls := range l.lists {
+		end := len(l.recs)
+		if j+1 < len(l.lists) {
+			end = int(l.lists[j+1].start)
 		}
-		for len(l.postings) < len(cands) {
-			l.postings = append(l.postings, nil) //cafe:allow grows once to the candidate budget
-		}
-		buckets := l.postings[:len(cands)]
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-		for j, ls := range l.lists {
-			end := len(l.recs)
-			if j+1 < len(l.lists) {
-				end = int(l.lists[j+1].start)
-			}
-			for _, r := range l.recs[ls.start:end] {
-				if ci := l.candOf[r.id]; ci != 0 {
-					buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) //cafe:allow amortised scratch; stabilises at the high-water mark across queries
-				}
+		for _, r := range l.recs[ls.start:end] {
+			if ci := l.candOf[r.id]; ci != 0 {
+				buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) //cafe:allow amortised scratch; stabilises at the high-water mark across queries
 			}
 		}
-		l.seeds = l.seeds[:0]
-		for i, c := range cands {
-			l.candOf[c.ID] = 0
-			hit, ok := l.seed(buckets[i], terms, qlen)
-			l.seeds = append(l.seeds, handedSeed{hit, ok}) //cafe:allow amortised scratch; at most Candidates entries
-		}
+	}
+	l.seeds = l.seeds[:0]
+	for i, c := range cands {
+		l.candOf[c.ID] = 0
+		l.seeds = append(l.seeds, l.seed(buckets[i], terms, qlen)) //cafe:allow amortised scratch; at most Candidates entries
 	}
 	kept := 0
 	for _, b := range l.postings {
@@ -144,16 +152,16 @@ func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) bool 
 	if len(l.count) > maxPooledSeedLog {
 		l.count, l.first, l.diags = nil, nil, nil
 	}
-	return handed
 }
 
-// seed returns what bestSeed returns for the sequence whose postings
-// are ps: the diagonal with the most shared intervals (ties to the
-// smaller diagonal) and its hit at the smallest subject position. terms
-// is the walk's term array and qlen the query length.
+// seed returns the seed of the sequence whose postings are ps: the
+// diagonal with the most shared intervals (ties to the smaller
+// diagonal) and its hit at the smallest subject position. terms is the
+// walk's term array and qlen the query length. An admitted candidate
+// has at least one posting, so it always has a seed.
 //
 //cafe:hotpath
-func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) (seedHit, bool) {
+func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) seedHit {
 	var one [1]uint32
 	for _, p := range ps {
 		offs := one[:]
@@ -189,12 +197,9 @@ func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) (seedHit, 
 		l.count[i] = 0
 	}
 	l.diags = l.diags[:0]
-	if best == 0 {
-		return seedHit{}, false
-	}
 	d := bestI - qlen
 	sPos := int(l.first[bestI])
-	return seedHit{diag: d, qPos: sPos - d, sPos: sPos}, true
+	return seedHit{diag: d, qPos: sPos - d, sPos: sPos}
 }
 
 // grow extends the diagonal arrays to at least n entries, keeping the

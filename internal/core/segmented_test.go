@@ -54,7 +54,7 @@ func splitSegments(t *testing.T, f *fixture, rng *rand.Rand, k int) []Segment {
 // serial and a parallel fine phase, segment count 1 through 8 with
 // random boundaries.
 func TestSegmentedSearchEquivalence(t *testing.T) {
-	f := makeFixture(t, 77, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 77, index.Options{K: 9})
 	mono := newTestSearcher(t, f)
 	rng := rand.New(rand.NewSource(78))
 
@@ -138,7 +138,7 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 // record vanishes from results, everything else is unchanged relative
 // to a searcher without the filter.
 func TestSegmentedDeletedFilter(t *testing.T) {
-	f := makeFixture(t, 79, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 79, index.Options{K: 9})
 	plain := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.Limit = 0
@@ -172,7 +172,7 @@ func TestSegmentedDeletedFilter(t *testing.T) {
 }
 
 func TestNewSegmentedSearcherValidates(t *testing.T) {
-	f := makeFixture(t, 80, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 80, index.Options{K: 9})
 	if _, err := NewSegmentedSearcher(nil, f.store, align.DefaultScoring(), nil); err == nil {
 		t.Error("empty segment list accepted")
 	}

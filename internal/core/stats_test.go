@@ -34,7 +34,7 @@ func randomFixture(t *testing.T, rng *rand.Rand) (*db.Store, *index.Index, []byt
 	for i := 0; i < 20+rng.Intn(40); i++ {
 		store.Add("noise", gen.RandomSequence(rng, 200+rng.Intn(600), uniform, 0))
 	}
-	idx, err := index.Build(&store, index.Options{K: 8, StoreOffsets: true})
+	idx, err := index.Build(&store, index.Options{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func checkDurationInvariants(t *testing.T, st *SearchStats, opts Options) {
 // TestStatsResetZeroes is the satellite invariant: a reset stats
 // struct is indistinguishable from a fresh one.
 func TestStatsResetZeroes(t *testing.T) {
-	f := makeFixture(t, 17, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 17, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	var st SearchStats
 	if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
@@ -208,7 +208,7 @@ func TestStatsResetZeroes(t *testing.T) {
 // TestStatsResetBetweenSearches: a search resets the struct, so
 // reusing one across queries reports per-query (not cumulative) work.
 func TestStatsResetBetweenSearches(t *testing.T) {
-	f := makeFixture(t, 23, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 23, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	var st SearchStats
 	if _, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st); err != nil {
@@ -225,7 +225,7 @@ func TestStatsResetBetweenSearches(t *testing.T) {
 
 // TestStatsAdd: aggregation is field-wise addition.
 func TestStatsAdd(t *testing.T) {
-	f := makeFixture(t, 29, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 29, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	var st, agg SearchStats
 	const n = 3
@@ -250,7 +250,7 @@ func TestStatsAdd(t *testing.T) {
 // the fixture: a homologous query must decode postings, admit
 // candidates, and align some of the database.
 func TestStatsCountsRealWork(t *testing.T) {
-	f := makeFixture(t, 31, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 31, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	var st SearchStats
 	rs, err := s.SearchWithStatsContext(context.Background(), f.query, DefaultOptions(), &st)
@@ -281,7 +281,7 @@ func TestStatsCountsRealWork(t *testing.T) {
 // the bench's per-layer budget divides coarse time by, so a rebuilt
 // decode loop has to keep them exact.
 func TestStatsPostingsMatchIndexWalk(t *testing.T) {
-	f := makeFixture(t, 47, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 47, index.Options{K: 9})
 	rng := rand.New(rand.NewSource(48))
 	for _, nseg := range []int{1, 3} {
 		segs := []Segment{{Index: f.idx}}
@@ -451,7 +451,7 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 // TestStatsPrescreenAccounting: with a prohibitive prescreen threshold
 // every candidate is rejected and no fine alignment runs.
 func TestStatsPrescreenAccounting(t *testing.T) {
-	f := makeFixture(t, 37, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 37, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.Prescreen = 1 << 28

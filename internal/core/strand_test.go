@@ -24,7 +24,7 @@ func strandFixture(t *testing.T) (*Searcher, []byte, int) {
 	for i := 0; i < 40; i++ {
 		store.Add("noise", gen.RandomSequence(rng, 500, uniform, 0))
 	}
-	idx, err := index.Build(&store, index.Options{K: 9, StoreOffsets: true})
+	idx, err := index.Build(&store, index.Options{K: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBothStrandsKeepsBestStrandPerSequence(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		store.Add("noise", gen.RandomSequence(rng, 400, uniform, 0))
 	}
-	idx, err := index.Build(&store, index.Options{K: 9, StoreOffsets: true})
+	idx, err := index.Build(&store, index.Options{K: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

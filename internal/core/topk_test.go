@@ -76,7 +76,7 @@ func TestCandBetterTotalOrder(t *testing.T) {
 // sort — and checks the heap's output is exactly the full ranking's
 // prefix, for every mode and several budgets including over-budget.
 func TestBoundedTopKMatchesFullSort(t *testing.T) {
-	f := makeFixture(t, 335, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 335, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 
 	for _, mode := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
@@ -85,7 +85,7 @@ func TestBoundedTopKMatchesFullSort(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		for _, k := range []int{1, 3, 10, len(full), len(full) + 50} {
-			got, _, err := s.coarse(context.Background(), f.query, mode, 2, k, false, &s.stats)
+			got, err := s.coarse(context.Background(), f.query, mode, 2, k, false, &s.stats)
 			if err != nil {
 				t.Fatalf("%v k=%d: %v", mode, k, err)
 			}

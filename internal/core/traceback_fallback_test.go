@@ -2,21 +2,21 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"nucleodb/internal/align"
 	"nucleodb/internal/index"
 )
 
-// TestTracebackFallbackOnBandMismatch forces the failure the fallback
-// exists for: a result whose ranking score the banded traceback cannot
-// reproduce (here because the recorded band centre misses the real
-// alignment). The old behaviour silently kept the score-only stub — a
-// degenerate zero-length span with no transcript. The fix must instead
-// run a full Smith–Waterman traceback, report its spans and transcript,
-// keep the ranking score, and bill the extra cells to TracebackDPCells.
+// TestTracebackFallbackOnBandMismatch hands finishTracebacks a result no
+// search produces: a ranking score whose band centre misses the real
+// alignment, so the banded traceback cannot reproduce it. The score pass
+// and the traceback share window and centre, so this is an internal
+// error — not the caller's (ErrInvalid), and not papered over with a
+// full Smith–Waterman traceback.
 func TestTracebackFallbackOnBandMismatch(t *testing.T) {
-	f := makeFixture(t, 441, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 441, index.DefaultOptions())
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 
@@ -38,57 +38,27 @@ func TestTracebackFallbackOnBandMismatch(t *testing.T) {
 	in := []Result{{
 		ID:             id,
 		Score:          full.Score, // ranking score the banded pass can't reproduce
+		Alignment:      align.Alignment{AEnd: len(f.query)},
 		bandCentre:     centre,
 		needsTraceback: true,
 	}}
 	var st SearchStats
 	out, err := s.finishTracebacks(context.Background(), f.query, nil, in, opts, &st)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatalf("a traceback that misses its score returned %+v and no error", out)
 	}
-	r := out[0]
-	if r.needsTraceback {
-		t.Error("needsTraceback still set after finishTracebacks")
+	if errors.Is(err, ErrInvalid) {
+		t.Fatalf("err = %v: a mismatched traceback is not the caller's fault", err)
 	}
-	if r.Score != full.Score {
-		t.Errorf("ranking score changed: %d, want %d", r.Score, full.Score)
-	}
-	if r.Alignment.Score != full.Score {
-		t.Errorf("fallback alignment score %d, want full traceback score %d", r.Alignment.Score, full.Score)
-	}
-	if len(r.Alignment.Ops) == 0 {
-		t.Error("fallback alignment has no transcript — the degenerate stub leaked through")
-	}
-	if r.Alignment.AStart == r.Alignment.AEnd || r.Alignment.BStart == r.Alignment.BEnd {
-		t.Errorf("fallback alignment spans are degenerate: q[%d:%d] s[%d:%d]",
-			r.Alignment.AStart, r.Alignment.AEnd, r.Alignment.BStart, r.Alignment.BEnd)
-	}
-	if r.Alignment.AStart != full.AStart || r.Alignment.AEnd != full.AEnd ||
-		r.Alignment.BStart != full.BStart || r.Alignment.BEnd != full.BEnd {
-		t.Errorf("fallback spans q[%d:%d] s[%d:%d], want full traceback's q[%d:%d] s[%d:%d]",
-			r.Alignment.AStart, r.Alignment.AEnd, r.Alignment.BStart, r.Alignment.BEnd,
-			full.AStart, full.AEnd, full.BStart, full.BEnd)
-	}
-
-	// Cost accounting: the failed banded pass and the full fallback —
-	// Local's forward pass over the whole matrix plus the strip it
-	// traces — are all billed.
-	wantCells := align.BandedCells(len(f.query), len(subject), centre, opts.Band) +
-		align.LocalCells(len(f.query), len(subject)) +
-		s.subst.TraceCells(len(f.query), full.Score, full.AEnd, full.BEnd)
-	if st.TracebackDPCells != wantCells {
-		t.Errorf("TracebackDPCells = %d, want %d (banded attempt + full fallback)", st.TracebackDPCells, wantCells)
-	}
-	if st.TracebackAlignments != 1 {
-		t.Errorf("TracebackAlignments = %d, want 1", st.TracebackAlignments)
+	if out != nil {
+		t.Errorf("results %+v returned with the error", out)
 	}
 }
 
-// TestTracebackAgreementKeepsBandedAlignment pins the common case: when
-// the banded traceback reproduces the ranking score, it is used as-is
-// and no full-matrix fallback runs.
+// TestTracebackAgreementKeepsBandedAlignment pins the search's own case:
+// the banded traceback reproduces the ranking score and is used as-is.
 func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
-	f := makeFixture(t, 442, index.Options{K: 9, StoreOffsets: true})
+	f := makeFixture(t, 442, index.Options{K: 9})
 	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 
@@ -105,8 +75,7 @@ func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
 	}
 	// Every reported traceback agreed with its ranking score (the band
 	// was centred by the search itself), so the billed cells are exactly
-	// the banded matrices down to each alignment's end row — no
-	// full-matrix fallback fired.
+	// the banded matrices down to each alignment's end row.
 	var banded int64
 	for _, r := range rs {
 		subject := f.store.Sequence(r.ID)
@@ -116,7 +85,6 @@ func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
 		}
 	}
 	if st.TracebackDPCells != banded {
-		t.Errorf("TracebackDPCells = %d, want %d (banded only; fallback should not fire here)",
-			st.TracebackDPCells, banded)
+		t.Errorf("TracebackDPCells = %d, want %d (the banded matrices)", st.TracebackDPCells, banded)
 	}
 }

@@ -30,7 +30,7 @@ func E10(w io.Writer, cfg Config) ([]E10Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

@@ -30,7 +30,7 @@ func E11(w io.Writer, cfg Config) ([]E11Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	built, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	built, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"nucleodb/internal/eval"
 	"nucleodb/internal/index"
 	"nucleodb/internal/kmer"
+	"nucleodb/internal/postings"
 )
 
 // E1Row is one interval length's index-size measurement.
@@ -20,7 +22,8 @@ type E1Row struct {
 	CompressedBytes int
 	// GammaOffsetBytes is what CompressedBytes would be with the offset
 	// gaps Elias-gamma coded, the previous format's offset code, counted
-	// from code lengths; 0 without offsets.
+	// from code lengths; 0 without offsets. The rows without offsets are
+	// counted from code lengths too, and have no BuildTime.
 	GammaOffsetBytes int
 	RawBytes         int // uncompressed inverted file equivalent
 	PercentOfText    float64
@@ -45,49 +48,53 @@ func E1(w io.Writer, cfg Config) ([]E1Row, error) {
 			env.Store.Len(), float64(env.TotalBases())/1e6),
 		"k", "offsets", "terms", "postings", "compressed", "gamma offsets", "raw-equiv", "% of text", "build")
 	for _, k := range []int{6, 8, 9, 10, 12} {
-		for _, offsets := range []bool{false, true} {
-			idx, buildTime, err := env.BuildIndex(index.Options{K: k, StoreOffsets: offsets})
-			if err != nil {
-				return nil, err
-			}
-			// The uncompressed equivalent stores 4 bytes of sequence id
-			// + 4 bytes of count per posting, 4 bytes per offset when
-			// offsets are kept, and an uncompressed lexicon entry
-			// (8-byte term + 8-byte pointer).
-			raw := idx.TotalPostings()*8 + idx.NumTermsIndexed()*16
-			if offsets {
-				coder := idx.Coder()
-				for id := 0; id < env.Store.Len(); id++ {
-					raw += 4 * coder.NumIntervals(idx.SeqLen(id))
-				}
-			}
-			onDisk, err := idx.SerializedBytes()
-			if err != nil {
-				return nil, err
-			}
-			row := E1Row{
-				K:               k,
-				Offsets:         offsets,
-				DistinctTerms:   idx.NumTermsIndexed(),
-				TotalPostings:   idx.TotalPostings(),
-				CompressedBytes: onDisk,
-				RawBytes:        raw,
-				PercentOfText:   100 * float64(onDisk) / float64(textBytes),
-				BuildTime:       buildTime,
-			}
-			gammaCol := "-"
-			if offsets {
-				gammaLists, err := gammaOffsetListBytes(idx)
-				if err != nil {
-					return nil, err
-				}
-				row.GammaOffsetBytes = onDisk - idx.PostingsBytes() + gammaLists
-				gammaCol = mb(row.GammaOffsetBytes)
+		idx, buildTime, err := env.BuildIndex(index.Options{K: k})
+		if err != nil {
+			return nil, err
+		}
+		onDisk, err := idx.SerializedBytes()
+		if err != nil {
+			return nil, err
+		}
+		// Every index stores offsets. The offsets-free row and the gamma
+		// column are the same index with its lists recoded, counted from
+		// code lengths: the offset gaps dropped, or Elias-gamma coded (the
+		// previous format's code). The header's offsets flag is one byte
+		// either way.
+		_, without, err := recodedBytes(idx, func(uint64) int { return 0 })
+		if err != nil {
+			return nil, err
+		}
+		_, gamma, err := recodedBytes(idx, compress.GammaLen)
+		if err != nil {
+			return nil, err
+		}
+		// The uncompressed equivalent stores 4 bytes of sequence id + 4
+		// bytes of count per posting, 4 bytes per offset when offsets are
+		// kept, and an uncompressed lexicon entry (8-byte term + 8-byte
+		// pointer).
+		raw := idx.TotalPostings()*8 + idx.NumTermsIndexed()*16
+		rawOffsets := 0
+		coder := idx.Coder()
+		for id := 0; id < env.Store.Len(); id++ {
+			rawOffsets += 4 * coder.NumIntervals(idx.SeqLen(id))
+		}
+		for _, row := range []E1Row{
+			{Offsets: false, CompressedBytes: without, RawBytes: raw},
+			{Offsets: true, CompressedBytes: onDisk, GammaOffsetBytes: gamma, RawBytes: raw + rawOffsets, BuildTime: buildTime},
+		} {
+			row.K = k
+			row.DistinctTerms = idx.NumTermsIndexed()
+			row.TotalPostings = idx.TotalPostings()
+			row.PercentOfText = 100 * float64(row.CompressedBytes) / float64(textBytes)
+			gammaCol, buildCol := "-", "-"
+			if row.Offsets {
+				gammaCol, buildCol = mb(row.GammaOffsetBytes), row.BuildTime.String()
 			}
 			rows = append(rows, row)
-			tab.AddRow(k, offsets, row.DistinctTerms, row.TotalPostings,
+			tab.AddRow(k, row.Offsets, row.DistinctTerms, row.TotalPostings,
 				mb(row.CompressedBytes), gammaCol, mb(row.RawBytes),
-				fmt.Sprintf("%.0f%%", row.PercentOfText), buildTime)
+				fmt.Sprintf("%.0f%%", row.PercentOfText), buildCol)
 		}
 	}
 	if w != nil {
@@ -98,20 +105,24 @@ func E1(w io.Writer, cfg Config) ([]E1Row, error) {
 	return rows, nil
 }
 
-// gammaOffsetListBytes returns the bytes idx's posting lists would take
-// with their offset gaps Elias-gamma coded and everything else as
-// stored: Golomb identifier gaps, gamma counts, each list padded to a
-// byte.
-func gammaOffsetListBytes(idx *index.Index) (int, error) {
-	total := 0
-	var walkErr error
+// recodedBytes returns the bytes idx's posting lists would take with
+// each offset gap coded in offsetLen(gap) bits and everything else as
+// stored — Golomb identifier gaps, gamma counts, each list padded to a
+// byte — and the bytes the whole index would then take on disk, whose
+// lexicon records each list's length and the blob's as uvarints.
+func recodedBytes(idx *index.Index, offsetLen func(gap uint64) int) (lists, onDisk int, err error) {
+	if onDisk, err = idx.SerializedBytes(); err != nil {
+		return 0, 0, err
+	}
+	uvarintLen := func(n int) int { return len(binary.AppendUvarint(nil, uint64(n))) }
+	stored := 0
+	var it postings.Iterator
 	idx.Terms(func(t kmer.Term, df int) {
-		if walkErr != nil {
+		if err != nil {
 			return
 		}
-		entries, err := idx.Postings(t)
-		if err != nil {
-			walkErr = err
+		var entries []postings.Entry
+		if entries, err = idx.Postings(t); err != nil {
 			return
 		}
 		b := compress.GolombParameter(uint64(idx.NumSeqs()), uint64(df))
@@ -121,13 +132,18 @@ func gammaOffsetListBytes(idx *index.Index) (int, error) {
 			prev = int64(e.ID)
 			prevOff := int64(-1)
 			for _, off := range e.Offsets {
-				bits += compress.GammaLen(uint64(int64(off) - prevOff))
+				bits += offsetLen(uint64(int64(off) - prevOff))
 				prevOff = int64(off)
 			}
 		}
-		total += (bits + 7) / 8
+		n := (bits + 7) / 8
+		_, was := idx.ReaderStats(t, &it)
+		lists += n
+		stored += was
+		onDisk += n - was + uvarintLen(n) - uvarintLen(was)
 	})
-	return total, walkErr
+	onDisk += uvarintLen(lists) - uvarintLen(stored)
+	return lists, onDisk, err
 }
 
 // mb renders a byte count in megabytes.

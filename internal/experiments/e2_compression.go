@@ -133,7 +133,7 @@ var offsetSchemes = []compress.Scheme{compress.SchemeGamma, compress.SchemeGolom
 // per posting here; the index reads a count-1 posting's Rice parameter
 // from a per-sequence table instead.
 func e2Offsets(w io.Writer, env *Env, cfg Config) ([]E2Row, error) {
-	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

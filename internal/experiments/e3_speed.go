@@ -27,7 +27,7 @@ func E3(w io.Writer, cfg Config) ([]E3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

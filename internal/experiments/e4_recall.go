@@ -24,7 +24,7 @@ func E4(w io.Writer, cfg Config) ([]E4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func E5(w io.Writer, cfg Config) ([]E5Row, error) {
 			float64(env.TotalBases())/1e6, cfg.K),
 		"stop %", "terms stopped", "index size", "mean/query", "recall")
 	for _, f := range []float64{0, 0.001, 0.01, 0.05, 0.10} {
-		idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true, StopFraction: f})
+		idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StopFraction: f})
 		if err != nil {
 			return nil, err
 		}

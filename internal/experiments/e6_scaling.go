@@ -37,7 +37,7 @@ func E6(w io.Writer, cfg Config) ([]E6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, buildTime, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+		idx, buildTime, err := env.BuildIndex(index.Options{K: cfg.K})
 		if err != nil {
 			return nil, err
 		}

@@ -28,7 +28,7 @@ func E8(w io.Writer, cfg Config) ([]E8Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, _, err := env.BuildIndex(index.Options{K: cfg.K, StoreOffsets: true})
+	idx, _, err := env.BuildIndex(index.Options{K: cfg.K})
 	if err != nil {
 		return nil, err
 	}

@@ -13,10 +13,10 @@ import (
 // offset when offsets are stored — and nothing else is.
 func TestIndexCompleteness(t *testing.T) {
 	for _, opts := range []Options{
-		{K: 4, StoreOffsets: true},
-		{K: 7, StoreOffsets: true},
-		{K: 5, StoreOffsets: true, StopFraction: 0.02},
-		{SpacedMask: "110101", StoreOffsets: true},
+		{K: 4},
+		{K: 7},
+		{K: 5, StopFraction: 0.02},
+		{SpacedMask: "110101"},
 	} {
 		s := randomStore(231+int64(opts.K), 30, 250)
 		idx, err := Build(s, opts)
@@ -83,7 +83,7 @@ func TestIndexCompleteness(t *testing.T) {
 // full walk.
 func TestIndexTotalsConsistent(t *testing.T) {
 	s := randomStore(241, 40, 300)
-	idx, err := Build(s, Options{K: 6, StoreOffsets: true})
+	idx, err := Build(s, Options{K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

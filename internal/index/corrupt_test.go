@@ -55,7 +55,7 @@ func walkIndex(x *Index) error {
 func TestLoadCorruptImages(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"plain":   {K: 4},
-		"offsets": {K: 5, StoreOffsets: true},
+		"offsets": {K: 5},
 	} {
 		t.Run(name, func(t *testing.T) {
 			img := saveImage(t, opts)
@@ -112,7 +112,7 @@ func TestLoadCorruptImages(t *testing.T) {
 // reader: a corrupt file on disk must produce errors, not panics, both
 // at open time and when posting lists are fetched on demand.
 func TestOpenDiskCorruptFiles(t *testing.T) {
-	img := saveImage(t, Options{K: 5, StoreOffsets: true})
+	img := saveImage(t, Options{K: 5})
 	dir := t.TempDir()
 	write := func(name string, data []byte) string {
 		t.Helper()

@@ -33,8 +33,8 @@ func saveToFile(t *testing.T, idx *Index) string {
 func TestOpenDiskMatchesLoad(t *testing.T) {
 	s := randomStore(181, 60, 300)
 	for _, opts := range []Options{
-		{K: 5, StoreOffsets: true},
 		{K: 5},
+		{SpacedMask: "110101"},
 	} {
 		built, err := Build(s, opts)
 		if err != nil {
@@ -78,7 +78,7 @@ func TestOpenDiskMatchesLoad(t *testing.T) {
 
 func TestOpenDiskConcurrentReads(t *testing.T) {
 	s := randomStore(182, 100, 400)
-	built, err := Build(s, Options{K: 5, StoreOffsets: true})
+	built, err := Build(s, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestOpenDiskErrors(t *testing.T) {
 // to report that read, not a corrupt list: an operator sent after index
 // corruption that is not there is the bug this pins.
 func TestOpenDiskReadErrorReported(t *testing.T) {
-	built, err := Build(randomStore(185, 20, 200), Options{K: 4, StoreOffsets: true})
+	built, err := Build(randomStore(185, 20, 200), Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

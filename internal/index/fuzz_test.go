@@ -9,10 +9,11 @@ import (
 )
 
 // FuzzLoad feeds arbitrary bytes to the index loader: it must reject
-// garbage with an error — never panic, hang, or allocate absurdly.
+// garbage with an error — never panic, hang, or allocate absurdly. The
+// seeds are images of the one format Save writes, offsets stored.
 func FuzzLoad(f *testing.F) {
 	s := randomStore(111, 10, 200)
-	for _, opts := range []Options{{K: 4}, {K: 5, StoreOffsets: true}} {
+	for _, opts := range []Options{{K: 4}, {K: 5}} {
 		idx, err := Build(s, opts)
 		if err != nil {
 			f.Fatal(err)

@@ -37,18 +37,19 @@ func TestLoadHeaderBounds(t *testing.T) {
 		want   string
 	}{
 		// 1<<32+9 truncates to int32 9, a legal K; 1<<32 truncates to 0.
-		{"k-wraps-32bit", []uint64{1<<32 + 9, 0, 0, 0, 0}, "interval length"},
-		{"k-zero-wrap", []uint64{1 << 32, 0, 0, 0, 0}, "interval length"},
-		{"k-huge", []uint64{1 << 60, 0, 0, 0, 0}, "interval length"},
-		{"stopfrac-above-unit", []uint64{9, 0, 2_000_000, 0, 0}, "stop fraction"},
-		{"stopfrac-wraps", []uint64{9, 0, 1 << 33, 0, 0}, "stop fraction"},
-		{"skip-wraps-32bit", []uint64{9, 0, 0, 1<<32 + 7, 0}, "skip interval"},
-		{"skip-huge", []uint64{9, 0, 0, 1 << 50, 0}, "skip interval"},
-		{"mask-huge", []uint64{9, 0, 0, 0, 1 << 40}, "mask length"},
+		{"k-wraps-32bit", []uint64{1<<32 + 9, 1, 0, 0, 0}, "interval length"},
+		{"k-zero-wrap", []uint64{1 << 32, 1, 0, 0, 0}, "interval length"},
+		{"k-huge", []uint64{1 << 60, 1, 0, 0, 0}, "interval length"},
+		{"offsets-flag-wraps", []uint64{9, 1<<32 + 1, 0, 0, 0}, "offsets flag"},
+		{"stopfrac-above-unit", []uint64{9, 1, 2_000_000, 0, 0}, "stop fraction"},
+		{"stopfrac-wraps", []uint64{9, 1, 1 << 33, 0, 0}, "stop fraction"},
+		{"skip-wraps-32bit", []uint64{9, 1, 0, 1<<32 + 7, 0}, "skip interval"},
+		{"skip-huge", []uint64{9, 1, 0, 1 << 50, 0}, "skip interval"},
+		{"mask-huge", []uint64{9, 1, 0, 0, 1 << 40}, "mask length"},
 		// numSeqs 1<<33 wraps int32 sequence IDs; previously only
 		// > 1<<40 was rejected.
-		{"numseqs-wraps-int32", []uint64{9, 0, 0, 0, 0, 1 << 33}, "sequence count"},
-		{"numseqs-huge", []uint64{9, 0, 0, 0, 0, 1 << 39}, "sequence count"},
+		{"numseqs-wraps-int32", []uint64{9, 1, 0, 0, 0, 1 << 33}, "sequence count"},
+		{"numseqs-huge", []uint64{9, 1, 0, 0, 0, 1 << 39}, "sequence count"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -70,13 +71,13 @@ func TestLoadHeaderBounds(t *testing.T) {
 func TestLoadHeaderBoundsAcceptsValid(t *testing.T) {
 	for _, fields := range [][]uint64{
 		{MaxK, 1, 1_000_000, 0, 0},
-		{1, 0, 0, 0, 0},
+		{1, 1, 0, 0, 0},
 	} {
 		_, err := Load(bytes.NewReader(craftHeader(fields...)))
 		if err == nil {
 			t.Fatal("truncated image loaded successfully")
 		}
-		for _, field := range []string{"interval length", "stop fraction", "skip interval"} {
+		for _, field := range []string{"interval length", "offsets flag", "stop fraction", "skip interval"} {
 			if strings.Contains(err.Error(), field) {
 				t.Fatalf("legal header rejected by bounds check: %v", err)
 			}

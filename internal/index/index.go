@@ -30,9 +30,11 @@ type Options struct {
 	// K is the interval length, in [1, kmer.MaxK]. The paper's
 	// experiments centre on lengths around 8–12.
 	K int
-	// StoreOffsets selects whether in-sequence occurrence offsets are
-	// kept in the posting lists. Offsets enable diagonal (FRAMES-style)
-	// coarse scoring at the cost of a larger index.
+	// StoreOffsets is kept for source compatibility. Every posting
+	// stores its in-sequence offsets, and Build, Merge and Load record
+	// the field as true.
+	//
+	// Deprecated: offsets are always stored; ignored.
 	StoreOffsets bool
 	// StopFraction is the fraction of distinct terms, most frequent
 	// first, to discard from the index ("index stopping"). 0 keeps
@@ -54,7 +56,7 @@ type Options struct {
 // DefaultOptions returns the configuration used by the headline
 // experiments: 9-base intervals, offsets stored, no stopping.
 func DefaultOptions() Options {
-	return Options{K: 9, StoreOffsets: true}
+	return Options{K: 9}
 }
 
 // MaxK is the longest indexable interval. The build pipeline and the
@@ -134,7 +136,8 @@ func Build(src Source, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.K = coder.K() // normalise: spaced masks define K by weight
+	opts.K = coder.K()       // normalise: spaced masks define K by weight
+	opts.StoreOffsets = true // every list stores offsets
 	numSeqs := src.Len()
 
 	// Pass 1: term frequencies and sequence lengths.
@@ -264,18 +267,12 @@ func (sh *encodeShard) encodeRange(occ, starts []uint64, lo, hi uint64, seqs pos
 			off := uint32(packed)
 			if n := len(entries); n > 0 && entries[n-1].ID == id {
 				entries[n-1].Count++
-				if opts.StoreOffsets {
-					entries[n-1].Offsets = append(entries[n-1].Offsets, off)
-				}
+				entries[n-1].Offsets = append(entries[n-1].Offsets, off)
 				continue
 			}
-			e := postings.Entry{ID: id, Count: 1}
-			if opts.StoreOffsets {
-				e.Offsets = []uint32{off}
-			}
-			entries = append(entries, e)
+			entries = append(entries, postings.Entry{ID: id, Count: 1, Offsets: []uint32{off}})
 		}
-		buf, err := postings.Encode(entries, seqs, opts.StoreOffsets)
+		buf, err := postings.Encode(entries, seqs)
 		if err != nil {
 			return fmt.Errorf("index: term %d: %w", t, err)
 		}
@@ -463,7 +460,7 @@ func (x *Index) ReaderStatsFrom(t kmer.Term, from int, it *postings.Iterator) (d
 // a read that fails becomes the iterator's error.
 func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 	if i < 0 {
-		it.Reset(nil, 0, x.seqs, x.opts.StoreOffsets)
+		it.Reset(nil, 0, x.seqs)
 		return 0, 0
 	}
 	var dst []byte
@@ -476,7 +473,7 @@ func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 		it.Fail(err)
 		return int(x.dfs[i]), 0
 	}
-	it.Reset(buf, int(x.dfs[i]), x.seqs, x.opts.StoreOffsets)
+	it.Reset(buf, int(x.dfs[i]), x.seqs)
 	return int(x.dfs[i]), len(buf)
 }
 
@@ -491,5 +488,5 @@ func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return postings.Decode(buf, int(x.dfs[i]), x.seqs, x.opts.StoreOffsets)
+	return postings.Decode(buf, int(x.dfs[i]), x.seqs)
 }

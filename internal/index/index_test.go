@@ -36,7 +36,7 @@ func randomStore(seed int64, n, length int) *db.Store {
 
 func TestBuildSmall(t *testing.T) {
 	s := storeOf("ACGTACGT", "TTTACGTT", "GGGGGGGG")
-	x, err := Build(s, Options{K: 4, StoreOffsets: true})
+	x, err := Build(s, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +74,9 @@ func TestBuildSmall(t *testing.T) {
 	}
 }
 
+// TestBuildWithoutOffsets: options that leave the deprecated
+// StoreOffsets unset still build lists with offsets, and Build, Merge and
+// Load record the field as true, so Options() describes the lists.
 func TestBuildWithoutOffsets(t *testing.T) {
 	s := storeOf("ACGTACGT", "TTTACGTT")
 	x, err := Build(s, Options{K: 4})
@@ -84,9 +87,26 @@ func TestBuildWithoutOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []postings.Entry{{ID: 0, Count: 2}, {ID: 1, Count: 1}}
+	want := []postings.Entry{{ID: 0, Count: 2, Offsets: []uint32{0, 4}}, {ID: 1, Count: 1, Offsets: []uint32{3}}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("postings = %+v, want %+v", got, want)
+	}
+	merged, err := Merge(x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := x.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for via, idx := range map[string]*Index{"Build": x, "Merge": merged, "Load": loaded} {
+		if !idx.Options().StoreOffsets {
+			t.Errorf("%s recorded options %+v, want StoreOffsets true", via, idx.Options())
+		}
 	}
 }
 
@@ -172,7 +192,7 @@ func TestStopping(t *testing.T) {
 
 func TestReaderIteratesAll(t *testing.T) {
 	s := storeOf("ACGTACGT", "TTTACGTT", "ACGTTTTT")
-	x, err := Build(s, Options{K: 4, StoreOffsets: true})
+	x, err := Build(s, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +242,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		s.Add("r", seq)
 	}
 	for _, opts := range []Options{
-		{K: 6, StoreOffsets: true},
-		{K: 8, StoreOffsets: false, StopFraction: 0.05},
+		{K: 6},
+		{K: 8, StopFraction: 0.05},
 	} {
 		x, err := Build(&s, opts)
 		if err != nil {
@@ -268,7 +288,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadRejectsCorrupt(t *testing.T) {
 	s := storeOf("ACGTACGTAC", "TTTTACGT")
-	x, err := Build(s, Options{K: 4, StoreOffsets: true})
+	x, err := Build(s, Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +331,7 @@ func TestPostingsSortedWithinTerm(t *testing.T) {
 		}
 		s.Add("r", seq)
 	}
-	x, err := Build(&s, Options{K: 5, StoreOffsets: true})
+	x, err := Build(&s, Options{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +362,7 @@ func TestPostingsSortedWithinTerm(t *testing.T) {
 // (k = 9) and one with stopped terms missing.
 func TestSeekMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, opts := range []Options{{K: 3}, {K: 9, StoreOffsets: true}, {K: 5, StopFraction: 0.2}} {
+	for _, opts := range []Options{{K: 3}, {K: 9}, {K: 5, StopFraction: 0.2}} {
 		idx, err := Build(randomStore(5, 30, 400), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -384,7 +404,7 @@ func TestSeekMatchesSearch(t *testing.T) {
 
 func TestParallelBuildDeterministic(t *testing.T) {
 	s := randomStore(97, 100, 500)
-	opts := Options{K: 6, StoreOffsets: true}
+	opts := Options{K: 6}
 	serial := opts
 	serial.Workers = 1
 	parallel := opts

@@ -40,8 +40,9 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // Save writes the index to w. The format is:
 //
 //	magic
-//	uvarint K, offsetsFlag, stopFraction×1e6, a reserved 0 (loadHeader
-//	refuses anything else), maskLen, maskLen bytes of spaced mask
+//	uvarint K, offsets flag 1, stopFraction×1e6, a reserved 0 (loadHeader
+//	refuses any other flag or reserved value), maskLen, maskLen bytes of
+//	spaced mask
 //	uvarint numSeqs, numSeqs × uvarint sequence length
 //	uvarint numStopped, stopped terms delta-coded
 //	uvarint numTerms, per term: uvarint term delta, df, list length
@@ -60,11 +61,7 @@ func (x *Index) Save(w io.Writer) error {
 		_, err := bw.Write(tmp[:n])
 		return err
 	}
-	offFlag := uint64(0)
-	if x.opts.StoreOffsets {
-		offFlag = 1
-	}
-	for _, v := range []uint64{uint64(x.opts.K), offFlag, uint64(x.opts.StopFraction * 1e6), 0, uint64(len(x.opts.SpacedMask))} {
+	for _, v := range []uint64{uint64(x.opts.K), 1, uint64(x.opts.StopFraction * 1e6), 0, uint64(len(x.opts.SpacedMask))} {
 		if err := put(v); err != nil {
 			return fmt.Errorf("index: save header: %w", err)
 		}
@@ -196,6 +193,11 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	if err != nil {
 		return fail(err)
 	}
+	// Flag 0 marks an index built without offsets, which searches seed
+	// their bands from. Refuse it from the header, before the lexicon.
+	if offFlag != 1 {
+		return fail(fmt.Errorf("index: load: index without offsets (offsets flag %d) is no longer read: rebuild with cafe-build -in <fasta> -db DIR", offFlag))
+	}
 	stopFrac, err := get("stop fraction")
 	if err != nil {
 		return fail(err)
@@ -233,7 +235,7 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	}
 	opts := Options{
 		K:            int(k),
-		StoreOffsets: offFlag == 1,
+		StoreOffsets: true,
 		StopFraction: float64(stopFrac) / 1e6,
 		SpacedMask:   string(maskBytes),
 	}

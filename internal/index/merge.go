@@ -41,7 +41,7 @@ func Merge(a, b *Index) (*Index, error) {
 	shift := uint32(a.NumSeqs())
 	var entries []postings.Entry
 	appendList := func(entries []postings.Entry) error {
-		buf, err := postings.Encode(entries, out.seqs, out.opts.StoreOffsets)
+		buf, err := postings.Encode(entries, out.seqs)
 		if err != nil {
 			return err
 		}

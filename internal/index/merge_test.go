@@ -25,7 +25,7 @@ func TestMergeEqualsCombinedBuild(t *testing.T) {
 	sb := randomStore(142, 40, 250)
 	for _, opts := range []Options{
 		{K: 5},
-		{K: 5, StoreOffsets: true},
+		{SpacedMask: "110101"},
 	} {
 		ia, err := Build(sa, opts)
 		if err != nil {
@@ -71,12 +71,12 @@ func TestMergeRejectsMismatchedOptions(t *testing.T) {
 	if _, err := Merge(a, b); err == nil {
 		t.Error("mismatched K accepted")
 	}
-	c, err := Build(s, Options{K: 5, StoreOffsets: true})
+	c, err := Build(s, Options{K: 5, StopFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Merge(a, c); err == nil {
-		t.Error("mismatched offsets accepted")
+		t.Error("mismatched stop fraction accepted")
 	}
 }
 

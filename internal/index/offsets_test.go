@@ -19,6 +19,35 @@ func openFiles() int {
 	return len(fds)
 }
 
+// TestOffsetsFreeIndexRefused: an image in the current format whose
+// header says its lists carry no offsets (flag 0, which Save wrote for
+// an index built without them) is refused by Load and OpenDisk from the
+// header, with the message that names the rebuild.
+func TestOffsetsFreeIndexRefused(t *testing.T) {
+	img := saveImage(t, DefaultOptions())
+	flag := len(indexMagic) + 1 // after the one-byte uvarint K
+	if img[flag] != 1 {
+		t.Fatalf("header byte %d is %d, want the offsets flag 1", flag, img[flag])
+	}
+	img[flag] = 0
+	path := filepath.Join(t.TempDir(), "no-offsets.ndx")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := Load(bytes.NewReader(img))
+	x, diskErr := OpenDisk(path)
+	if x != nil {
+		x.Close()
+		t.Error("OpenDisk returned an index")
+	}
+	for via, err := range map[string]error{"Load": loadErr, "OpenDisk": diskErr} {
+		if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") ||
+			!strings.Contains(err.Error(), "offsets flag 0") {
+			t.Errorf("%s: %v, want the rebuild message naming offsets flag 0", via, err)
+		}
+	}
+}
+
 // TestGammaOffsetIndexRefused pins the one incompatibility of the Rice
 // offset code: an index in the previous format (magic NDBidx1, offsets
 // gamma-coded) is refused by Load and OpenDisk from its magic alone,

@@ -9,7 +9,7 @@ import (
 
 func TestBuildSpacedIndex(t *testing.T) {
 	s := randomStore(211, 40, 300)
-	idx, err := Build(s, Options{SpacedMask: "1101011", StoreOffsets: true})
+	idx, err := Build(s, Options{SpacedMask: "1101011"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBuildSpacedIndex(t *testing.T) {
 
 func TestSpacedIndexSaveLoad(t *testing.T) {
 	s := randomStore(212, 20, 250)
-	idx, err := Build(s, Options{SpacedMask: "110101", StoreOffsets: true})
+	idx, err := Build(s, Options{SpacedMask: "110101"})
 	if err != nil {
 		t.Fatal(err)
 	}

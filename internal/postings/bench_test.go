@@ -10,7 +10,7 @@ import (
 
 // benchLists encodes the posting lists a 1 000-base homologous query
 // touches in the collection the served-path benchmark builds (17 777
-// generated sequences, 9-base intervals, offsets stored) — the same
+// generated sequences, 9-base intervals) — the same
 // lists, byte for byte, that index.Build would hand the coarse walk —
 // without importing the index package (which imports this one).
 func benchLists(b *testing.B) (lists [][]byte, dfs []int, seqs Seqs, postings int) {
@@ -52,7 +52,7 @@ func benchLists(b *testing.B) (lists [][]byte, dfs []int, seqs Seqs, postings in
 	}
 	seqs = NewSeqs(lens)
 	for _, es := range byTerm {
-		buf, err := Encode(es, seqs, true)
+		buf, err := Encode(es, seqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 		var it Iterator
 		for i := 0; i < b.N; i++ {
 			for l, buf := range lists {
-				it.Reset(buf, dfs[l], seqs, true)
+				it.Reset(buf, dfs[l], seqs)
 				for it.Next() {
 				}
 				if it.Err() != nil {
@@ -95,7 +95,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 			for l := 0; l < len(lists); l += w {
 				n := min(w, len(lists)-l)
 				for j := 0; j < n; j++ {
-					its[j].Reset(lists[l+j], dfs[l+j], seqs, true)
+					its[j].Reset(lists[l+j], dfs[l+j], seqs)
 				}
 				for more := true; more; {
 					more = false
@@ -120,7 +120,7 @@ func BenchmarkPostingsDecode(b *testing.B) {
 		var it refIterator
 		for i := 0; i < b.N; i++ {
 			for l, buf := range lists {
-				it.Reset(buf, dfs[l], seqs, true)
+				it.Reset(buf, dfs[l], seqs)
 				for it.Next() {
 				}
 				if it.Err() != nil {

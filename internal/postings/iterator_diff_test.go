@@ -37,17 +37,15 @@ var (
 	testSeqsCache = map[int]Seqs{}
 )
 
-// maxTestLens is the largest universe testSeqs gives lengths to.
+// maxTestLens is the largest universe testSeqs builds. Every list codes
+// offsets against its sequences' lengths, so such a universe costs five
+// bytes a sequence; the 2³¹−1 an index allows is bigSeqs', which keeps
+// only the lengths it uses in memory.
 const maxTestLens = 1 << 22
 
 // testSeqs returns the universe of n sequences whose lengths cycle
-// through testLens. Past maxTestLens sequences — up to the 2³¹−1 an
-// index allows, whose lengths would take gigabytes — it returns a
-// universe of identifiers only, which codes lists without offsets.
+// through testLens.
 func testSeqs(n int) Seqs {
-	if n > maxTestLens {
-		return Seqs{n: n}
-	}
 	testSeqsMu.Lock()
 	defer testSeqsMu.Unlock()
 	if s, ok := testSeqsCache[n]; ok {
@@ -66,20 +64,20 @@ func testSeqs(n int) Seqs {
 // on one byte string: the same entries as refIterator before the first
 // error, an error iff the reference has one, and an error that is
 // either a corruption or one of the postings range errors.
-func checkAgainstReference(t testing.TB, it *Iterator, ref *refIterator, buf []byte, df int, seqs Seqs, withOffsets bool) {
+func checkAgainstReference(t testing.TB, it *Iterator, ref *refIterator, buf []byte, df int, seqs Seqs) {
 	t.Helper()
 	numSeqs := seqs.Len()
-	ref.Reset(buf, df, seqs, withOffsets)
+	ref.Reset(buf, df, seqs)
 	want := decodeAll(ref.Next, ref.Entry)
-	it.Reset(buf, df, seqs, withOffsets)
+	it.Reset(buf, df, seqs)
 	got := decodeAll(it.Next, it.Entry)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("df %d universe %d offsets %v, %d bytes %x:\n got %d entries %+v (err %v)\nwant %d entries %+v (err %v)",
-			df, numSeqs, withOffsets, len(buf), clip(buf), len(got), tail(got), it.Err(), len(want), tail(want), ref.Err())
+		t.Fatalf("df %d universe %d, %d bytes %x:\n got %d entries %+v (err %v)\nwant %d entries %+v (err %v)",
+			df, numSeqs, len(buf), clip(buf), len(got), tail(got), it.Err(), len(want), tail(want), ref.Err())
 	}
 	if (it.Err() == nil) != (ref.Err() == nil) {
-		t.Fatalf("df %d universe %d offsets %v, %d bytes %x: after %d entries err = %v, reference err = %v",
-			df, numSeqs, withOffsets, len(buf), clip(buf), len(got), it.Err(), ref.Err())
+		t.Fatalf("df %d universe %d, %d bytes %x: after %d entries err = %v, reference err = %v",
+			df, numSeqs, len(buf), clip(buf), len(got), it.Err(), ref.Err())
 	}
 	if it.Decoded() != len(got) {
 		t.Fatalf("Decoded() = %d after %d entries", it.Decoded(), len(got))
@@ -106,22 +104,24 @@ func tail(es []Entry) []Entry {
 	return es
 }
 
-// randomList draws df ascending ids from the universe — with offsets,
-// only ids of sequences that have a base — counts that are mostly 1
-// with a tail up to 300, and offsets whose gaps reach from neighbours to
-// past 2²⁸, cut at the sequence's last base; a Rice code of a gap that
-// far past its parameter has a quotient too long for one window.
-func randomList(rng *rand.Rand, df int, seqs Seqs, withOffsets bool) []Entry {
-	universe, pick := seqs.Len(), func(i int) uint32 { return uint32(i) }
-	if withOffsets {
-		var eligible []uint32
-		for id, l := range seqs.lens {
-			if l > 0 {
-				eligible = append(eligible, uint32(id))
-			}
+// nonEmpty returns the ids of the universe's sequences that have a base.
+func nonEmpty(seqs Seqs) []uint32 {
+	var ids []uint32
+	for id, l := range seqs.lens {
+		if l > 0 {
+			ids = append(ids, uint32(id))
 		}
-		universe, pick = len(eligible), func(i int) uint32 { return eligible[i] }
 	}
+	return ids
+}
+
+// randomList draws df ascending ids from eligible, the ids of sequences
+// that have a base, counts that are mostly 1 with a tail up to 300, and
+// offsets whose gaps reach from neighbours to past 2²⁸, cut at the
+// sequence's last base; a Rice code of a gap that far past its
+// parameter has a quotient too long for one window.
+func randomList(rng *rand.Rand, df int, seqs Seqs, eligible []uint32) []Entry {
+	universe, pick := len(eligible), func(i int) uint32 { return eligible[i] }
 	if df > universe {
 		return nil
 	}
@@ -151,9 +151,6 @@ func randomList(rng *rand.Rand, df int, seqs Seqs, withOffsets bool) []Entry {
 			count = 1 + rng.Intn(4)
 		}
 		entries[i] = Entry{ID: id, Count: uint32(count)}
-		if !withOffsets {
-			continue
-		}
 		// Offset gaps: short (reads), long (genes), and a few far past
 		// the parameter; the last may sit on the sequence's last base.
 		last := uint64(seqs.lens[id]) - 1
@@ -187,70 +184,72 @@ func randomList(rng *rand.Rand, df int, seqs Seqs, withOffsets bool) []Entry {
 }
 
 // TestIteratorMatchesReference is the decoder's lockdown: valid lists
-// over every Golomb-parameter shape (b = 1, powers of two, non-powers)
-// and every sequence length in testLens, each also decoded with the
-// wrong document frequency, cut at every byte length, and — the small
-// ones — with every single bit flipped. The universe of 2³¹−1, too
-// large for lengths, holds lists without offsets: identifier Golomb
-// parameters of up to 31 bits and ids near int32's limit.
+// over every Golomb-parameter shape (b = 1, powers of two, non-powers,
+// and over the 2³¹−1 universe parameters of up to 31 bits) and every
+// sequence length in testLens, each also decoded with the wrong
+// document frequency, cut at every byte length, and — the small ones —
+// with every single bit flipped.
 func TestIteratorMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	var it Iterator
 	var ref refIterator
-	for _, numSeqs := range []int{1, 2, 1000, maxTestLens, 1<<31 - 1} {
+	for _, numSeqs := range []int{1, 2, 1000, maxTestLens, bigUniverse} {
+		var seqs Seqs
+		var eligible []uint32
+		if numSeqs == bigUniverse {
+			var ok bool
+			if seqs, eligible, ok = bigSeqs(); !ok {
+				t.Log("no sparse memory for the 2³¹−1 universe on this platform; skipping it")
+				continue
+			}
+		} else {
+			seqs = testSeqs(numSeqs)
+			eligible = nonEmpty(seqs)
+		}
 		for _, df := range []int{1, 2, 63, 64, 65, 5000} {
 			if df > numSeqs {
 				continue
 			}
-			for _, withOffsets := range []bool{false, true} {
-				rounds := 6
-				if df == 5000 {
-					rounds = 2
-				}
-				seqs := testSeqs(numSeqs)
-				if withOffsets && numSeqs > maxTestLens {
+			rounds := 6
+			if df == 5000 {
+				rounds = 2
+			}
+			for round := 0; round < rounds; round++ {
+				entries := randomList(rng, df, seqs, eligible)
+				if entries == nil {
 					continue
 				}
-				for round := 0; round < rounds; round++ {
-					entries := randomList(rng, df, seqs, withOffsets)
-					if entries == nil {
+				buf, err := Encode(entries, seqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("universe %d df %d round %d", numSeqs, df, round)
+
+				// The valid list decodes to what was encoded, by both.
+				it.Reset(buf, df, seqs)
+				if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
+					t.Fatalf("%s: valid list does not round-trip: %d entries, err %v", name, len(got), it.Err())
+				}
+				checkAgainstReference(t, &it, &ref, buf, df, seqs)
+				// A wrong lexicon: other document frequencies.
+				for _, wrong := range []int{df + 1, df + 7, df / 2, 3 * df} {
+					checkAgainstReference(t, &it, &ref, buf, wrong, seqs)
+				}
+
+				// Every byte length (large lists: both ends and a sample).
+				for n := 0; n < len(buf); n++ {
+					if len(buf) > 4096 && n > 64 && n < len(buf)-64 && rng.Intn(200) != 0 {
 						continue
 					}
-					buf, err := Encode(entries, seqs, withOffsets)
-					if err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("universe %d df %d offsets %v round %d", numSeqs, df, withOffsets, round)
-
-					// The valid list decodes to what was encoded, by both.
-					it.Reset(buf, df, seqs, withOffsets)
-					if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
-						t.Fatalf("%s: valid list does not round-trip: %d entries, err %v", name, len(got), it.Err())
-					}
-					checkAgainstReference(t, &it, &ref, buf, df, seqs, withOffsets)
-					// A wrong lexicon: other document frequencies, the other offsets flag.
-					for _, wrong := range []int{df + 1, df + 7, df / 2, 3 * df} {
-						checkAgainstReference(t, &it, &ref, buf, wrong, seqs, withOffsets)
-					}
-					if withOffsets || numSeqs <= maxTestLens {
-						checkAgainstReference(t, &it, &ref, buf, df, seqs, !withOffsets)
-					}
-
-					// Every byte length (large lists: both ends and a sample).
-					for n := 0; n < len(buf); n++ {
-						if len(buf) > 4096 && n > 64 && n < len(buf)-64 && rng.Intn(200) != 0 {
-							continue
-						}
-						checkAgainstReference(t, &it, &ref, buf[:n:n], df, seqs, withOffsets)
-					}
-					// Every single-bit flip of the small ones.
-					if len(buf) <= 512 {
-						flipped := append([]byte{}, buf...)
-						for bit := 0; bit < len(buf)*8; bit++ {
-							flipped[bit/8] ^= 0x80 >> (bit % 8)
-							checkAgainstReference(t, &it, &ref, flipped, df, seqs, withOffsets)
-							flipped[bit/8] ^= 0x80 >> (bit % 8)
-						}
+					checkAgainstReference(t, &it, &ref, buf[:n:n], df, seqs)
+				}
+				// Every single-bit flip of the small ones.
+				if len(buf) <= 512 {
+					flipped := append([]byte{}, buf...)
+					for bit := 0; bit < len(buf)*8; bit++ {
+						flipped[bit/8] ^= 0x80 >> (bit % 8)
+						checkAgainstReference(t, &it, &ref, flipped, df, seqs)
+						flipped[bit/8] ^= 0x80 >> (bit % 8)
 					}
 				}
 			}
@@ -262,9 +261,9 @@ func TestIteratorMatchesReference(t *testing.T) {
 // through the general reader, at every truncation and bit flip: a Golomb
 // quotient of 62 ones under b = 1 (138 of 200 ids, one gap of 63), with
 // the count and offsets that follow it decoded from the window the
-// general reader hands back; gamma-coded counts of 2³⁰; and Rice-coded
-// offset gaps of 2³⁰ under the parameter of a hundred offsets in a
-// 2³¹−1-base sequence (k = 23), a quotient of 128.
+// general reader hands back; and Rice-coded offset gaps of 2³⁰ under
+// the parameter of a hundred offsets in a 2³¹−1-base sequence (k = 23),
+// a quotient of 128.
 func TestIteratorLongCodes(t *testing.T) {
 	lens := make([]int32, 200)
 	var entries []Entry
@@ -292,35 +291,24 @@ func TestIteratorLongCodes(t *testing.T) {
 	if k := offsetParameter(1<<31-1, 100); k != 23 {
 		t.Fatalf("a hundred offsets in 2³¹−1 bases have Rice parameter %d, want 23", k)
 	}
+	buf, err := Encode(entries, seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var it Iterator
 	var ref refIterator
-	for _, withOffsets := range []bool{true, false} {
-		es := append([]Entry{}, entries...)
-		if !withOffsets {
-			for i := range es {
-				es[i].Offsets = nil
-				if es[i].Count == 100 {
-					es[i].Count = 1 << 30 // a 61-bit gamma code
-				}
-			}
-		}
-		buf, err := Encode(es, seqs, withOffsets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.Reset(buf, len(es), seqs, withOffsets)
-		if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, es) {
-			t.Fatalf("offsets %v: valid list does not round-trip: %d entries, err %v", withOffsets, len(got), it.Err())
-		}
-		for n := 0; n <= len(buf); n++ {
-			checkAgainstReference(t, &it, &ref, buf[:n:n], len(es), seqs, withOffsets)
-		}
-		flipped := append([]byte{}, buf...)
-		for bit := 0; bit < len(buf)*8; bit++ {
-			flipped[bit/8] ^= 0x80 >> (bit % 8)
-			checkAgainstReference(t, &it, &ref, flipped, len(es), seqs, withOffsets)
-			flipped[bit/8] ^= 0x80 >> (bit % 8)
-		}
+	it.Reset(buf, len(entries), seqs)
+	if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
+		t.Fatalf("valid list does not round-trip: %d entries, err %v", len(got), it.Err())
+	}
+	for n := 0; n <= len(buf); n++ {
+		checkAgainstReference(t, &it, &ref, buf[:n:n], len(entries), seqs)
+	}
+	flipped := append([]byte{}, buf...)
+	for bit := 0; bit < len(buf)*8; bit++ {
+		flipped[bit/8] ^= 0x80 >> (bit % 8)
+		checkAgainstReference(t, &it, &ref, flipped, len(entries), seqs)
+		flipped[bit/8] ^= 0x80 >> (bit % 8)
 	}
 }
 
@@ -329,12 +317,18 @@ func TestIteratorLongCodes(t *testing.T) {
 // alignments of the list's last bytes, where the general reader refills
 // byte by byte and can hand the window back with no accounted bit left:
 // the count that follows must still be read from real bits, not from
-// the window's empty low end.
+// the window's empty low end. Every sequence is two bases long, so each
+// posting's offsets, one or two, cost two bits apiece.
 func TestIteratorLongQuotientAlignments(t *testing.T) {
 	const numSeqs, df = 1000, 700
 	if b := compress.GolombParameter(numSeqs, df); b != 1 {
 		t.Fatalf("list has Golomb parameter %d, want 1", b)
 	}
+	lens := make([]int32, numSeqs)
+	for i := range lens {
+		lens[i] = 2
+	}
+	seqs := NewSeqs(lens)
 	var it Iterator
 	var ref refIterator
 	for quotient := uint32(56); quotient <= 190; quotient++ {
@@ -343,27 +337,29 @@ func TestIteratorLongQuotientAlignments(t *testing.T) {
 				entries := make([]Entry, 0, df)
 				next := uint32(0)
 				for len(entries) < df {
-					e := Entry{ID: next, Count: 1}
+					e := Entry{ID: next, Count: 1, Offsets: []uint32{0}}
 					if len(entries) == df-1-tail {
 						e.ID += quotient
-						e.Count = 2
+						e.Count, e.Offsets = 2, []uint32{0, 1}
 					}
 					if len(entries) < shift {
-						e.Count = 2 // a three-bit count moves everything after it by one bit
+						// A longer count and a second offset shift
+						// everything after them.
+						e.Count, e.Offsets = 2, []uint32{0, 1}
 					}
 					entries = append(entries, e)
 					next = e.ID + 1
 				}
-				buf, err := Encode(entries, testSeqs(numSeqs), false)
+				buf, err := Encode(entries, seqs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				it.Reset(buf, df, testSeqs(numSeqs), false)
+				it.Reset(buf, df, seqs)
 				if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
 					t.Fatalf("quotient %d tail %d shift %d: valid list does not round-trip: %d entries, err %v",
 						quotient, tail, shift, len(got), it.Err())
 				}
-				checkAgainstReference(t, &it, &ref, buf, df, testSeqs(numSeqs), false)
+				checkAgainstReference(t, &it, &ref, buf, df, seqs)
 			}
 		}
 	}
@@ -406,16 +402,16 @@ func TestIteratorRandomBytes(t *testing.T) {
 				buf[j] = byte(rng.Intn(256)) | byte(rng.Intn(256)) | byte(rng.Intn(256))
 			}
 		}
-		numSeqs := []int{1, 2, 37, 1000, 1 << 20, 1<<31 - 1}[rng.Intn(6)]
-		withOffsets := i%2 == 0
-		if withOffsets && numSeqs > maxTestLens {
-			numSeqs = maxTestLens
-		}
+		numSeqs := []int{1, 2, 37, 1000, 1 << 20, maxTestLens, bigUniverse}[rng.Intn(7)]
 		df := 1 + rng.Intn(300)
 		if i%5 == 0 {
 			df = 1 + rng.Intn(1500) // b = 1 and 2 over the universe of 1 000
 		}
-		checkAgainstReference(t, &it, &ref, buf, df, testSeqs(numSeqs), withOffsets)
+		seqs := testSeqs(min(numSeqs, maxTestLens))
+		if big, _, ok := bigSeqs(); ok && numSeqs == bigUniverse {
+			seqs = big
+		}
+		checkAgainstReference(t, &it, &ref, buf, df, seqs)
 	}
 }
 
@@ -428,7 +424,7 @@ func TestCorruptCountIsBounded(t *testing.T) {
 	compress.PutGamma(w, 1<<31)
 	buf := append(w.Bytes(), make([]byte, 12)...)
 	var it Iterator
-	it.Reset(buf, 1, testSeqs(1000), true)
+	it.Reset(buf, 1, testSeqs(1000))
 	if it.Next() {
 		t.Fatal("Next accepted an entry whose count exceeds the list")
 	}
@@ -472,8 +468,8 @@ func TestOffsetPastSequenceIsCorrupt(t *testing.T) {
 		{"run past the end", list(1, 1, 3), true},
 		{"empty sequence", list(2, 0), true},
 	} {
-		checkAgainstReference(t, &it, &ref, c.buf, 1, seqs, true)
-		it.Reset(c.buf, 1, seqs, true)
+		checkAgainstReference(t, &it, &ref, c.buf, 1, seqs)
+		it.Reset(c.buf, 1, seqs)
 		for it.Next() {
 		}
 		if got := errors.Is(it.Err(), compress.ErrCorrupt); got != c.corrupt {

@@ -17,7 +17,8 @@ import (
 // optimise it. Since the offset gaps became Rice codes it has their arm
 // (refGetRice, its parameter computed per posting rather than read from
 // Seqs' table) and their rule — an offset at or past its sequence's
-// length is corrupt — and nothing else new.
+// length is corrupt — and, since every list stores offsets, decodes
+// them for every posting; nothing else is new.
 
 type refBitReader struct {
 	buf  []byte
@@ -166,27 +167,25 @@ func refGetTruncated(r *refBitReader, b uint64) (uint64, error) {
 }
 
 type refIterator struct {
-	r           refBitReader
-	b           uint64 // golomb parameter
-	df          int
-	read        int
-	numSeqs     int64 // identifier universe; decoded ids must stay below it
-	lens        []int32
-	withOffsets bool
-	prev        int64 // last absolute id decoded, -1 before the first
-	cur         Entry
-	offsets     []uint32
-	err         error
+	r       refBitReader
+	b       uint64 // golomb parameter
+	df      int
+	read    int
+	numSeqs int64 // identifier universe; decoded ids must stay below it
+	lens    []int32
+	prev    int64 // last absolute id decoded, -1 before the first
+	cur     Entry
+	offsets []uint32
+	err     error
 }
 
-func (it *refIterator) Reset(buf []byte, df int, seqs Seqs, withOffsets bool) {
+func (it *refIterator) Reset(buf []byte, df int, seqs Seqs) {
 	it.r.Reset(buf)
 	it.df = df
 	it.read = 0
 	numSeqs := seqs.Len()
 	it.numSeqs = int64(numSeqs)
 	it.lens = seqs.lens
-	it.withOffsets = withOffsets
 	it.cur = Entry{}
 	it.err = nil
 	if df > 0 {
@@ -222,27 +221,24 @@ func (it *refIterator) Next() bool {
 		it.err = fmt.Errorf("postings: entry %d implausible count %d", it.read, count)
 		return false
 	}
-	it.cur = Entry{ID: uint32(id), Count: uint32(count)}
-	if it.withOffsets {
-		it.offsets = it.offsets[:0]
-		length := int64(it.lens[id])
-		k := offsetParameter(it.lens[id], count)
-		prevOff := int64(-1)
-		for j := uint64(0); j < count; j++ {
-			og, err := refGetRice(&it.r, k)
-			if err != nil {
-				it.err = fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err)
-				return false
-			}
-			if og > uint64(length) || prevOff+int64(og) >= length {
-				it.err = fmt.Errorf("postings: entry %d offset %d: %w: past sequence length %d", it.read, j, compress.ErrCorrupt, length)
-				return false
-			}
-			prevOff += int64(og)
-			it.offsets = append(it.offsets, uint32(prevOff))
+	it.offsets = it.offsets[:0]
+	length := int64(it.lens[id])
+	k := offsetParameter(it.lens[id], count)
+	prevOff := int64(-1)
+	for j := uint64(0); j < count; j++ {
+		og, err := refGetRice(&it.r, k)
+		if err != nil {
+			it.err = fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err)
+			return false
 		}
-		it.cur.Offsets = it.offsets
+		if og > uint64(length) || prevOff+int64(og) >= length {
+			it.err = fmt.Errorf("postings: entry %d offset %d: %w: past sequence length %d", it.read, j, compress.ErrCorrupt, length)
+			return false
+		}
+		prevOff += int64(og)
+		it.offsets = append(it.offsets, uint32(prevOff))
 	}
+	it.cur = Entry{ID: uint32(id), Count: uint32(count), Offsets: it.offsets}
 	it.read++
 	return true
 }

@@ -1,7 +1,7 @@
 // Package postings implements compressed inverted lists: for one
 // interval term, the ascending list of sequence identifiers containing
-// it, each with an occurrence count and optionally the in-sequence
-// offsets of the occurrences.
+// it, each with an occurrence count and the in-sequence offsets of the
+// occurrences.
 //
 // The encoding follows the paper's inverted-file compression recipe,
 // its local model applied twice. Identifier gaps are Golomb-coded with
@@ -13,8 +13,7 @@
 // 20 000-base sequence spends about 15 bits where a gamma code spends
 // 27 or more. Neither parameter is stored: the document frequency lives
 // in the lexicon and the sequence lengths in Seqs, so a list is
-// decodable given (document frequency, Seqs, whether offsets are
-// present).
+// decodable given its document frequency and Seqs.
 package postings
 
 import (
@@ -27,8 +26,8 @@ import (
 )
 
 // Entry is one posting: a sequence id, the number of occurrences of the
-// term in that sequence, and optionally the ascending offsets of those
-// occurrences. When offsets are stored, Count == len(Offsets).
+// term in that sequence, and the ascending offsets of those
+// occurrences; Count == len(Offsets).
 type Entry struct {
 	ID      uint32
 	Count   uint32
@@ -42,12 +41,8 @@ type Entry struct {
 // benchmark collection's postings), so the decoder reads a byte where
 // it would otherwise divide. The zero value is the empty universe.
 type Seqs struct {
-	n int
-	// lens and rice1 have n entries, or none in a universe of
-	// identifiers only, which codes lists without offsets (the tests
-	// use one for universes too large to give lengths).
 	lens  []int32
-	rice1 []uint8
+	rice1 []uint8 // one per sequence, like lens
 }
 
 // NewSeqs returns the universe of sequences with the given lengths. It
@@ -57,11 +52,13 @@ func NewSeqs(lens []int32) Seqs {
 	for i, l := range lens {
 		rice1[i] = uint8(offsetParameter(l, 1))
 	}
-	return Seqs{n: len(lens), lens: lens, rice1: rice1}
+	return Seqs{lens: lens, rice1: rice1}
 }
 
 // Len returns the number of sequences.
-func (s Seqs) Len() int { return s.n }
+//
+//cafe:hotpath
+func (s Seqs) Len() int { return len(s.lens) }
 
 // offsetParameter is the Rice parameter of a posting's offset gaps:
 // count occurrences spread over a sequence of length bases.
@@ -72,10 +69,10 @@ func offsetParameter(length int32, count uint64) uint {
 }
 
 // Encode compresses entries into a byte buffer. Entries must be in
-// strictly ascending ID order, every ID below seqs.Len() and, when
-// withOffsets selects offsets, every offset below its sequence's length.
-func Encode(entries []Entry, seqs Seqs, withOffsets bool) ([]byte, error) {
-	if err := validate(entries, seqs, withOffsets); err != nil {
+// strictly ascending ID order, every ID below seqs.Len() and every
+// offset below its sequence's length.
+func Encode(entries []Entry, seqs Seqs) ([]byte, error) {
+	if err := validate(entries, seqs); err != nil {
 		return nil, err
 	}
 	if len(entries) == 0 {
@@ -88,28 +85,23 @@ func Encode(entries []Entry, seqs Seqs, withOffsets bool) ([]byte, error) {
 		compress.PutGolomb(w, uint64(int64(e.ID)-prev), b)
 		prev = int64(e.ID)
 		compress.PutGamma(w, uint64(e.Count))
-		if withOffsets {
-			k := uint(seqs.rice1[e.ID])
-			if e.Count > 1 {
-				k = offsetParameter(seqs.lens[e.ID], uint64(e.Count))
-			}
-			prevOff := int64(-1)
-			for _, off := range e.Offsets {
-				compress.PutRice(w, uint64(int64(off)-prevOff), k)
-				prevOff = int64(off)
-			}
+		k := uint(seqs.rice1[e.ID])
+		if e.Count > 1 {
+			k = offsetParameter(seqs.lens[e.ID], uint64(e.Count))
+		}
+		prevOff := int64(-1)
+		for _, off := range e.Offsets {
+			compress.PutRice(w, uint64(int64(off)-prevOff), k)
+			prevOff = int64(off)
 		}
 	}
 	return w.Bytes(), nil
 }
 
-func validate(entries []Entry, seqs Seqs, withOffsets bool) error {
+func validate(entries []Entry, seqs Seqs) error {
 	numSeqs := seqs.Len()
 	if numSeqs <= 0 && len(entries) > 0 {
 		return fmt.Errorf("postings: numSeqs %d with %d entries", numSeqs, len(entries))
-	}
-	if withOffsets && len(entries) > 0 && len(seqs.lens) != numSeqs {
-		return fmt.Errorf("postings: universe of %d sequences has no lengths to code offsets against", numSeqs)
 	}
 	prev := int64(-1)
 	for i, e := range entries {
@@ -123,42 +115,36 @@ func validate(entries []Entry, seqs Seqs, withOffsets bool) error {
 		if e.Count == 0 {
 			return fmt.Errorf("postings: entry %d has zero count", i)
 		}
-		if withOffsets {
-			if int(e.Count) != len(e.Offsets) {
-				return fmt.Errorf("postings: entry %d count %d != %d offsets", i, e.Count, len(e.Offsets))
+		if int(e.Count) != len(e.Offsets) {
+			return fmt.Errorf("postings: entry %d count %d != %d offsets", i, e.Count, len(e.Offsets))
+		}
+		if !sort.SliceIsSorted(e.Offsets, func(a, b int) bool { return e.Offsets[a] < e.Offsets[b] }) {
+			return fmt.Errorf("postings: entry %d offsets not ascending", i)
+		}
+		for j := 1; j < len(e.Offsets); j++ {
+			if e.Offsets[j] == e.Offsets[j-1] {
+				return fmt.Errorf("postings: entry %d duplicate offset %d", i, e.Offsets[j])
 			}
-			if !sort.SliceIsSorted(e.Offsets, func(a, b int) bool { return e.Offsets[a] < e.Offsets[b] }) {
-				return fmt.Errorf("postings: entry %d offsets not ascending", i)
-			}
-			for j := 1; j < len(e.Offsets); j++ {
-				if e.Offsets[j] == e.Offsets[j-1] {
-					return fmt.Errorf("postings: entry %d duplicate offset %d", i, e.Offsets[j])
-				}
-			}
-			if last := int64(e.Offsets[len(e.Offsets)-1]); last >= int64(seqs.lens[e.ID]) {
-				return fmt.Errorf("postings: entry %d offset %d outside sequence %d of length %d", i, last, e.ID, seqs.lens[e.ID])
-			}
+		}
+		if last := int64(e.Offsets[len(e.Offsets)-1]); last >= int64(seqs.lens[e.ID]) {
+			return fmt.Errorf("postings: entry %d offset %d outside sequence %d of length %d", i, last, e.ID, seqs.lens[e.ID])
 		}
 	}
 	return nil
 }
 
 // Decode expands a compressed list. df is the entry count recorded in
-// the lexicon; seqs and withOffsets must match the encoding call.
-func Decode(buf []byte, df int, seqs Seqs, withOffsets bool) ([]Entry, error) {
+// the lexicon; seqs must match the encoding call.
+func Decode(buf []byte, df int, seqs Seqs) ([]Entry, error) {
 	if df == 0 {
 		return nil, nil
 	}
 	entries := make([]Entry, 0, df)
 	var it Iterator
-	it.Reset(buf, df, seqs, withOffsets)
+	it.Reset(buf, df, seqs)
 	for it.Next() {
 		e := it.Entry()
-		if withOffsets {
-			offs := make([]uint32, len(e.Offsets))
-			copy(offs, e.Offsets)
-			e.Offsets = offs
-		}
+		e.Offsets = append([]uint32(nil), e.Offsets...)
 		entries = append(entries, e)
 	}
 	if err := it.Err(); err != nil {
@@ -184,19 +170,18 @@ type Iterator struct {
 	// Golomb parameter b of the whole list and its truncated-binary
 	// constants: k = ⌈log₂ b⌉, t = 2ᵏ − b; remainders below t take
 	// km1 = k−1 bits, the rest k (both 0 when b is 1).
-	b, t        uint64
-	k, km1      uint
-	df          int // entries in the list
-	read        int
-	numSeqs     int64 // identifier universe; decoded ids must stay below it
-	lens        []int32
-	rice1       []uint8 // Seqs.rice1: the offset parameter of a count-1 posting
-	withOffsets bool
-	prev        int64 // last absolute id decoded, -1 before the first
-	cur         Entry
-	offsets     []uint32
-	err         error
-	lent        []byte // backing of Buffer, reused across lists
+	b, t    uint64
+	k, km1  uint
+	df      int // entries in the list
+	read    int
+	numSeqs int64 // identifier universe; decoded ids must stay below it
+	lens    []int32
+	rice1   []uint8 // Seqs.rice1: the offset parameter of a count-1 posting
+	prev    int64   // last absolute id decoded, -1 before the first
+	cur     Entry
+	offsets []uint32
+	err     error
+	lent    []byte // backing of Buffer, reused across lists
 }
 
 // Buffer returns an n-byte buffer owned by the iterator, for a caller
@@ -215,13 +200,12 @@ func (it *Iterator) Buffer(n int) []byte {
 // document frequency and universe.
 //
 //cafe:hotpath
-func (it *Iterator) Reset(buf []byte, df int, seqs Seqs, withOffsets bool) {
+func (it *Iterator) Reset(buf []byte, df int, seqs Seqs) {
 	it.r.Reset(buf)
 	it.df = df
 	it.read = 0
-	it.numSeqs = int64(seqs.n)
+	it.numSeqs = int64(seqs.Len())
 	it.lens, it.rice1 = seqs.lens, seqs.rice1
-	it.withOffsets = withOffsets
 	it.cur = Entry{}
 	it.err = nil
 	if df > 0 {
@@ -238,7 +222,7 @@ func (it *Iterator) Reset(buf []byte, df int, seqs Seqs, withOffsets bool) {
 // whoever iterates then sees that failure itself, not a decode error
 // over bytes that were never read.
 func (it *Iterator) Fail(err error) {
-	it.Reset(nil, 0, Seqs{}, false)
+	it.Reset(nil, 0, Seqs{})
 	it.err = err
 }
 
@@ -339,55 +323,52 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 
-	var offsets []uint32
-	if it.withOffsets {
-		// An offset costs at least one bit, so a count above the bits the
-		// list has left is corrupt; rejecting it here keeps the loop (and
-		// the scratch it grows) within the list's own bit length however
-		// long the zero fill would let it run.
-		if int64(count) > int64(len(buf))*8-(int64(pos)*8-int64(ncur)) {
-			it.err = fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", it.read, compress.ErrCorrupt, count) //cafe:allow cold corruption path
+	// An offset costs at least one bit, so a count above the bits the
+	// list has left is corrupt; rejecting it here keeps the loop (and
+	// the scratch it grows) within the list's own bit length however
+	// long the zero fill would let it run.
+	if int64(count) > int64(len(buf))*8-(int64(pos)*8-int64(ncur)) {
+		it.err = fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", it.read, compress.ErrCorrupt, count) //cafe:allow cold corruption path
+		return false
+	}
+	// Offset gaps: Rice codes — q ones, a zero, k low bits — with the
+	// parameter of the posting's sequence and count. The one offset of
+	// a count-1 posting, nearly every posting, is decoded here from the
+	// window with k from the table; a longer run, or a code longer than
+	// the window, goes through offsetRun. An offset at or past the
+	// sequence's end is corrupt, which also keeps it within uint32.
+	offsets := it.offsets[:0]
+	k := uint(it.rice1[id])
+	q := uint(bits.LeadingZeros64(^cur))
+	if q+1+k > ncur {
+		if pos+8 <= len(buf) {
+			cur |= binary.BigEndian.Uint64(buf[pos:]) >> (ncur & 63)
+			n := (63 - ncur) >> 3
+			pos += int(n)
+			ncur += n << 3
+		} else {
+			pos, cur, ncur = it.refillTail(pos, cur, ncur)
+		}
+		q = uint(bits.LeadingZeros64(^cur))
+	}
+	if n := q + 1 + k; count == 1 && n <= ncur {
+		off := uint64(q)<<(k&63) | cur<<((q+1)&63)>>1>>((63-k)&63)
+		if off >= uint64(it.lens[id]) {
+			it.err = fmt.Errorf("postings: entry %d offset 0: %w: %d runs past sequence %d of length %d", it.read, compress.ErrCorrupt, off, id, it.lens[id]) //cafe:allow cold corruption path
 			return false
 		}
-		// Offset gaps: Rice codes — q ones, a zero, k low bits — with the
-		// parameter of the posting's sequence and count. The one offset of
-		// a count-1 posting, nearly every posting, is decoded here from the
-		// window with k from the table; a longer run, or a code longer than
-		// the window, goes through offsetRun. An offset at or past the
-		// sequence's end is corrupt, which also keeps it within uint32.
-		offsets = it.offsets[:0]
-		k := uint(it.rice1[id])
-		q := uint(bits.LeadingZeros64(^cur))
-		if q+1+k > ncur {
-			if pos+8 <= len(buf) {
-				cur |= binary.BigEndian.Uint64(buf[pos:]) >> (ncur & 63)
-				n := (63 - ncur) >> 3
-				pos += int(n)
-				ncur += n << 3
-			} else {
-				pos, cur, ncur = it.refillTail(pos, cur, ncur)
-			}
-			q = uint(bits.LeadingZeros64(^cur))
+		offsets = append(offsets, uint32(off)) //cafe:allow amortised scratch, reused across entries and reset by Reset
+		cur <<= n & 63
+		ncur -= n
+	} else {
+		var err error
+		if offsets, err = it.offsetRun(pos, cur, ncur, id, count); err != nil {
+			it.err = err
+			return false
 		}
-		if n := q + 1 + k; count == 1 && n <= ncur {
-			off := uint64(q)<<(k&63) | cur<<((q+1)&63)>>1>>((63-k)&63)
-			if off >= uint64(it.lens[id]) {
-				it.err = fmt.Errorf("postings: entry %d offset 0: %w: %d runs past sequence %d of length %d", it.read, compress.ErrCorrupt, off, id, it.lens[id]) //cafe:allow cold corruption path
-				return false
-			}
-			offsets = append(offsets, uint32(off)) //cafe:allow amortised scratch, reused across entries and reset by Reset
-			cur <<= n & 63
-			ncur -= n
-		} else {
-			var err error
-			if offsets, err = it.offsetRun(pos, cur, ncur, id, count); err != nil {
-				it.err = err
-				return false
-			}
-			_, pos, cur, ncur = it.r.Window()
-		}
-		it.offsets = offsets
+		_, pos, cur, ncur = it.r.Window()
 	}
+	it.offsets = offsets
 
 	// The one overrun check: every bit this entry consumed must lie
 	// inside the list, or the entry is zero fill and is not handed out.

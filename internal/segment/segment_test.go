@@ -45,7 +45,7 @@ func buildSegment(t *testing.T, rng *rand.Rand, name string, n, base int, opts i
 }
 
 func testOpts() index.Options {
-	return index.Options{K: 8, StoreOffsets: true}
+	return index.Options{K: 8}
 }
 
 func TestNewValidates(t *testing.T) {

@@ -52,8 +52,11 @@ type BuildConfig struct {
 	// intervals give denser posting lists; longer intervals give a
 	// larger lexicon. The experiments centre on 8–10.
 	IntervalLength int
-	// StoreOffsets keeps occurrence offsets in the index, enabling the
-	// diagonal coarse ranking at some index-size cost.
+	// StoreOffsets is kept for source compatibility: every index stores
+	// its occurrence offsets, which seed each banded search and serve
+	// the diagonal coarse ranking.
+	//
+	// Deprecated: offsets are always stored; ignored.
 	StoreOffsets bool
 	// StopFraction discards this fraction of the most frequent
 	// intervals from the index (index stopping). 0 disables.
@@ -94,11 +97,11 @@ func DefaultScoring() Scoring {
 }
 
 // DefaultBuildConfig returns the configuration used by the paper's
-// headline experiments: 9-base intervals with offsets, no stopping.
+// headline experiments: 9-base intervals, no stopping. Every index
+// stores its occurrence offsets.
 func DefaultBuildConfig() BuildConfig {
 	return BuildConfig{
 		IntervalLength: 9,
-		StoreOffsets:   true,
 		Scoring:        DefaultScoring(),
 	}
 }
@@ -234,7 +237,6 @@ func buildFromStore(store *db.Store, cfg BuildConfig) (*Database, error) {
 	idx, err := index.Build(store, index.Options{
 		K:            cfg.IntervalLength,
 		SpacedMask:   cfg.SpacedMask,
-		StoreOffsets: cfg.StoreOffsets,
 		StopFraction: cfg.StopFraction,
 		Workers:      cfg.Workers,
 	})
@@ -381,8 +383,8 @@ func (d *Database) Close() error {
 type CoarseMode = core.CoarseMode
 
 // The coarse rankings. CoarseDistinct, the zero value, is the paper's;
-// CoarseDiagonal, the FRAMES-style densest-diagonal ranking, needs a
-// database built with StoreOffsets.
+// CoarseDiagonal is the FRAMES-style densest-diagonal ranking, read from
+// the occurrence offsets every index stores.
 const (
 	CoarseDistinct   = core.CoarseDistinct
 	CoarseTotal      = core.CoarseTotal

@@ -314,17 +314,6 @@ func TestDiagonalSearch(t *testing.T) {
 		t.Errorf("diagonal search top hit %d not in family", rs[0].ID)
 	}
 
-	// Diagonal mode on an offsets-free database must fail loudly.
-	cfg := DefaultBuildConfig()
-	cfg.StoreOffsets = false
-	lean, err := Build(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lean.Search(query, opts); err == nil {
-		t.Error("diagonal search accepted without offsets")
-	}
-
 	// An out-of-range ranking is rejected, never defaulted, and so is an
 	// unknown name.
 	opts.CoarseMode = CoarseDiagonal + 1

@@ -79,7 +79,7 @@ func BenchmarkAppendStall(b *testing.B) {
 	})
 
 	b.Run("monolithic-merge", func(b *testing.B) {
-		opts := index.Options{K: DefaultBuildConfig().IntervalLength, StoreOffsets: true}
+		opts := index.Options{K: DefaultBuildConfig().IntervalLength}
 		var baseStore idb.Store
 		for _, r := range base {
 			baseStore.Add(r.Desc, dna.MustEncode(r.Sequence))
