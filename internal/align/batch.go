@@ -73,7 +73,8 @@ type BatchScratch struct {
 	cells  []laneCell  //cafe:pooled H/E row, zeroed per batch
 	banded BandedScratch
 	// handedAt[k] is the row after which lane k of the last batch left the
-	// byte lanes, or −1 if it did not. Only the tests read it.
+	// byte lanes, or −1 if it did not. The pass reads it to count
+	// byteRows, and the tests to check each lane's hand-off row.
 	handedAt [BatchLanes]int
 	// forceAt, when positive, hands every lane still in the byte lanes off
 	// after row forceAt−1. Only the tests set it.

@@ -91,7 +91,6 @@ func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) (
 				r := diagBest[uint32(local)]
 				c.Score = float64(r.score)
 				c.Diag = r.diag
-				c.HasOff = true
 			}
 			cands = append(cands, c)
 		}
@@ -207,6 +206,7 @@ func TestCoarseWarmAllocs(t *testing.T) {
 	for _, n := range []int{100, 400, 700} {
 		q := root[:n]
 		run := func() {
+			s.recs = s.recs[:0]
 			if _, err := s.coarse(ctx, q, CoarseDistinct, 1, 100, false, &s.stats); err != nil {
 				t.Fatal(err)
 			}

@@ -8,12 +8,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -253,19 +253,9 @@ type Result struct {
 	// refer to the reverse-complemented query.
 	Reverse bool
 	// Alignment carries the spans and the transcript of every reported
-	// result with a positive score (finishTracebacks fills them in).
+	// result with a positive score (finishTracebacks fills them in); a
+	// score-0 result carries only its score pass's end cell.
 	Alignment align.Alignment
-
-	// Traceback deferral: candidates are ranked with a score-only pass
-	// that leaves the alignment's end in Alignment, and only reported
-	// results get transcripts. fullTraceback marks FineFull results,
-	// traced as the unrestricted Smith–Waterman rather than the band;
-	// tiedEnd those whose striped score pass saw best cells in several
-	// subject columns and cannot say where Local ends.
-	bandCentre     int
-	needsTraceback bool
-	fullTraceback  bool
-	tiedEnd        bool
 }
 
 // Segment is one immutable slice of the collection as the coarse phase
@@ -317,6 +307,11 @@ type Searcher struct {
 	// most Candidates entries and is reused across queries (the fine
 	// phase finishes with it before the next coarse call).
 	candBuf []Candidate //cafe:pooled top-k backing, reclaimed after each query's fine phase
+
+	// recs holds one record per candidate of the current search, the
+	// forward strand's before the reverse strand's (see candRec). After a
+	// search, recs[:len(results)] are the reported records in rank order.
+	recs []candRec //cafe:pooled per-search candidate records, truncated at the start of each search
 
 	// log is the coarse walk's record of the postings it decoded, from
 	// which each admitted candidate's seed is read (see seedLog).
@@ -423,11 +418,38 @@ func (s *Searcher) NumSegments() int { return len(s.segs) }
 
 // Candidate is a coarse-phase ranking entry.
 type Candidate struct {
-	ID     int
-	Score  float64 // coarse score under the selected mode
-	Hits   int     // distinct query intervals present
-	Diag   int     // densest diagonal (CoarseDiagonal only)
-	HasOff bool    // whether Diag is meaningful
+	ID    int
+	Score float64 // coarse score under the selected mode
+	Hits  int     // distinct query intervals present
+	Diag  int     // densest diagonal (CoarseDiagonal only)
+}
+
+// candRec is one candidate's state through a search. It holds no
+// pointers, so the searcher pools one slice of them across searches.
+// Each phase writes its own fields once: the coarse hand-over the
+// candidate's identity, seed and band centre, the fine phase its score,
+// end cell and work.
+type candRec struct {
+	// Written by the coarse hand-over. centre is the band's diagonal:
+	// Candidate.Diag under CoarseDiagonal, the seed's otherwise. seed is
+	// set only when the search needs seeds (see searchStrand).
+	id      int
+	coarse  float64
+	seed    seedHit
+	centre  int
+	reverse bool // set after the reverse strand's fine phase
+
+	// Written by the fine phase. Ranking needs only the score, so the
+	// score pass leaves the alignment's end cell (aEnd is 0 when the
+	// striped pass reports only the column) and finishTracebacks traces
+	// the reported records. striped marks a FineFull score from the
+	// striped lanes, tied one whose best cells lie in several subject
+	// columns, so that the lanes cannot say where align.Local ends.
+	// rejected marks a record the prescreen dropped before alignment.
+	score, aEnd, bEnd       int
+	striped, tied, rejected bool
+	cells                   int64
+	prescreen               time.Duration
 }
 
 // Search runs the full partitioned evaluation: coarse ranking, then
@@ -463,106 +485,106 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 	st.Reset()
 	st.Strands = 1
 	start := time.Now()
-	forward, err := s.searchStrand(ctx, query, opts, st)
-	if err != nil {
+	s.recs = s.recs[:0]
+	if err := s.searchStrand(ctx, query, opts, st); err != nil {
 		return nil, err
 	}
-	if !opts.BothStrands {
-		out, err := s.finishTracebacks(ctx, query, nil, s.finish(forward, opts), opts, st)
-		if err != nil {
+	var rc []byte
+	if opts.BothStrands {
+		st.Strands = 2
+		forward := len(s.recs)
+		rc = dna.ReverseComplement(query)
+		if err := s.searchStrand(ctx, rc, opts, st); err != nil {
 			return nil, err
 		}
-		st.Results = len(out)
-		st.TotalTime = time.Since(start)
-		return out, nil
+		for i := forward; i < len(s.recs); i++ {
+			s.recs[i].reverse = true
+		}
 	}
-	rc := dna.ReverseComplement(query)
-	reverse, err := s.searchStrand(ctx, rc, opts, st)
+	out, err := s.finishTracebacks(ctx, query, rc, s.rank(opts), opts, st)
 	if err != nil {
 		return nil, err
 	}
-	for i := range reverse {
-		reverse[i].Reverse = true
-	}
-	// Merge: keep each sequence's best strand. The two slices are read
-	// where they are — append(forward, reverse...) would copy one strand
-	// into the other's backing only to iterate it once.
-	best := make(map[int]Result, len(forward)+len(reverse))
-	for _, r := range forward {
-		if cur, ok := best[r.ID]; !ok || r.Score > cur.Score {
-			best[r.ID] = r
-		}
-	}
-	for _, r := range reverse {
-		if cur, ok := best[r.ID]; !ok || r.Score > cur.Score {
-			best[r.ID] = r
-		}
-	}
-	merged := make([]Result, 0, len(best))
-	for _, r := range best {
-		merged = append(merged, r)
-	}
-	out, err := s.finishTracebacks(ctx, query, rc, s.finish(merged, opts), opts, st)
-	if err != nil {
-		return nil, err
-	}
-	st.Strands = 2
 	st.Results = len(out)
 	st.TotalTime = time.Since(start)
 	return out, nil
 }
 
-// finishTracebacks replaces the score-only results that made the final
-// list with traceback alignments. Only the reported results — at most
-// Limit — pay for a direction matrix, and that matrix is a strip around
-// the alignment (the band under FineBanded, align.LocalEndingAt's under
-// FineFull), never the whole query × subject matrix. Cancellation is
-// checked once per traceback. A banded traceback that misses its
-// result's score is an internal error: the score pass and the traceback
-// share the result's window and centre, so only a result the search did
+// rank orders the records that passed best-first — score descending,
+// then id — and applies Limit. Under BothStrands each id first keeps its
+// better record, the forward strand's on a tie. It sorts s.recs in
+// place, so the ranked records are a prefix of s.recs.
+//
+//cafe:pooled the ranked records live in s.recs until the next search
+func (s *Searcher) rank(opts Options) []candRec {
+	recs := s.recs
+	if opts.BothStrands {
+		// The forward strand's records come first, and a stable sort
+		// keeps them ahead of equal reverse ones.
+		slices.SortStableFunc(recs, func(a, b candRec) int {
+			return cmp.Or(cmp.Compare(a.id, b.id), cmp.Compare(b.score, a.score))
+		})
+		recs = slices.CompactFunc(recs, func(a, b candRec) bool { return a.id == b.id })
+	}
+	slices.SortFunc(recs, func(a, b candRec) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), cmp.Compare(a.id, b.id))
+	})
+	if opts.Limit > 0 && len(recs) > opts.Limit {
+		recs = recs[:opts.Limit]
+	}
+	return recs
+}
+
+// finishTracebacks builds the reported results from the ranked records,
+// tracing each positive score's alignment. Only the reported records —
+// at most Limit — pay for a direction matrix, and that matrix is a strip
+// around the alignment (the band under FineBanded, align.LocalEndingAt's
+// under FineFull), never the whole query × subject matrix. Cancellation
+// is checked once per traceback. A banded traceback that misses its
+// record's score is an internal error: the score pass and the traceback
+// share the record's window and centre, so only a record the search did
 // not score itself can reach it.
-func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, results []Result, opts Options, st *SearchStats) ([]Result, error) {
+func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, recs []candRec, opts Options, st *SearchStats) ([]Result, error) {
 	t0 := time.Now()
 	// Tracebacks run serially after the fine phase's join, on the first
 	// fine worker's scratch.
 	sc := s.fineScratch(1)[0]
 	banded := &sc.banded
-	for i := range results {
-		r := &results[i]
-		if !r.needsTraceback {
-			continue
+	out := make([]Result, len(recs))
+	for i, r := range recs {
+		out[i] = Result{ID: r.id, Score: r.score, Coarse: r.coarse, Reverse: r.reverse,
+			Alignment: align.Alignment{Score: r.score, AStart: r.aEnd, AEnd: r.aEnd, BStart: r.bEnd, BEnd: r.bEnd}}
+		if r.score == 0 {
+			continue // no alignment to trace
 		}
 		if err := ctx.Err(); err != nil {
 			st.TracebackTime += time.Since(t0)
 			return nil, err
 		}
 		q := query
-		if r.Reverse {
+		if r.reverse {
 			q = rcQuery
 		}
-		n := s.src.SeqLen(r.ID)
-		if r.fullTraceback {
+		n := s.src.SeqLen(r.id)
+		if opts.FineMode == FineFull {
 			// The score pass knows where align.Local's alignment ends —
 			// the one column holding every best cell (striped pass) or the
 			// cell itself (scalar fallback) — unless best cells tie across
 			// columns; the scalar forward pass then finds Local's. Either
 			// way the transcript is Local's, and it reads the subject only
 			// up to its end column.
-			aEnd, bEnd := r.Alignment.AEnd, r.Alignment.BEnd
+			aEnd, bEnd := r.aEnd, r.bEnd
 			var subject []byte
-			if r.tiedEnd {
-				subject = s.read(r.ID, 0, n, sc)
+			if r.tied {
+				subject = s.read(r.id, 0, n, sc)
 				_, aEnd, bEnd = s.subst.LocalScore(q, subject, banded)
-			} else {
-				subject = s.read(r.ID, 0, bEnd, sc)
-			}
-			r.Alignment = s.subst.LocalEndingAt(q, subject, r.Score, aEnd, bEnd, banded)
-			st.TracebackAlignments++
-			st.TracebackDPCells += s.subst.TraceCells(len(q), r.Score, aEnd, bEnd)
-			if r.tiedEnd {
 				st.TracebackDPCells += align.LocalCells(len(q), n)
+			} else {
+				subject = s.read(r.id, 0, bEnd, sc)
 			}
-			r.needsTraceback, r.fullTraceback, r.tiedEnd = false, false, false
+			out[i].Alignment = s.subst.LocalEndingAt(q, subject, r.score, aEnd, bEnd, banded)
+			st.TracebackAlignments++
+			st.TracebackDPCells += s.subst.TraceCells(len(q), r.score, aEnd, bEnd)
 			continue
 		}
 		// The score pass already reported the alignment's end row, and
@@ -571,21 +593,19 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		// alignment nearly fills its band, so a reverse pass to bound
 		// the start would cost more cells than it saves. It reads only
 		// the band's window of the subject.
-		aEnd := r.Alignment.AEnd
-		from, to := bandWindow(r.bandCentre, opts.Band, aEnd, n)
-		al := s.subst.BandedLocal(q[:aEnd], s.read(r.ID, from, to, sc), r.bandCentre-from, opts.Band, banded)
+		from, to := bandWindow(r.centre, opts.Band, r.aEnd, n)
+		al := s.subst.BandedLocal(q[:r.aEnd], s.read(r.id, from, to, sc), r.centre-from, opts.Band, banded)
 		st.TracebackAlignments++
-		st.TracebackDPCells += align.BandedCells(aEnd, n, r.bandCentre, opts.Band)
-		if al.Score != r.Score {
-			return nil, fmt.Errorf("core: banded traceback of sequence %d scores %d, its score pass %d", r.ID, al.Score, r.Score)
+		st.TracebackDPCells += align.BandedCells(r.aEnd, n, r.centre, opts.Band)
+		if al.Score != r.score {
+			return nil, fmt.Errorf("core: banded traceback of sequence %d scores %d, its score pass %d", r.id, al.Score, r.score)
 		}
 		al.BStart += from
 		al.BEnd += from
-		r.Alignment = al
-		r.needsTraceback = false
+		out[i].Alignment = al
 	}
 	st.TracebackTime += time.Since(t0)
-	return results, nil
+	return out, nil
 }
 
 // bandWindow returns the range [from, to) of a subject of n bases that
@@ -616,216 +636,159 @@ func (s *Searcher) read(id, from, to int, sc *workerScratch) []byte {
 	return seq
 }
 
-// finish orders results best-first and applies the limit.
-func (s *Searcher) finish(results []Result, opts Options) []Result {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].ID < results[j].ID
-	})
-	if opts.Limit > 0 && len(results) > opts.Limit {
-		results = results[:opts.Limit]
-	}
-	return results
-}
-
-// searchStrand evaluates one orientation of the query. Results are
-// unordered; finish ranks them. st accumulates the strand's coarse and
-// fine stage stats. Cancellation is checked between posting lists
-// (coarse) and between candidates (fine).
-func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
+// searchStrand evaluates one orientation of the query: the coarse phase
+// appends one record per candidate to s.recs, the fine phase scores
+// them, and the join folds their work into st and keeps the records that
+// passed, in candidate order. Cancellation is checked between posting
+// lists (coarse) and before each claimed batch (fine).
+func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) error {
 	t0 := time.Now()
 	// A seed anchors the prescreen extension and centres a band the
 	// coarse mode did not already place.
 	needSeeds := opts.Prescreen > 0 || opts.FineMode == FineBanded && opts.CoarseMode != CoarseDiagonal
-	cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, needSeeds, st)
-	if err != nil {
-		return nil, err
+	first := len(s.recs)
+	if _, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, needSeeds, st); err != nil {
+		return err
 	}
-	seeds := s.log.seeds // one per candidate when needSeeds
+	recs := s.recs[first:]
 	st.CoarseTime += time.Since(t0)
-	st.CoarseCandidates += len(cands)
+	st.CoarseCandidates += len(recs)
 	t0 = time.Now()
-	// fine evaluates candidates [lo, hi) into out, one slot each; it reads
-	// only immutable searcher state (the handed-over seeds are not
-	// mutated during the fine phase) plus the caller-owned
-	// scratch, so it is safe to run concurrently as long as each worker
-	// passes its own scratch. Its stats contribution rides in the slots
-	// (fineWork), so the parallel path needs no shared state.
-	//
-	// FineFull takes one candidate at a time. FineBanded takes a batch of
-	// up to align.BatchLanes: each candidate's band window is read from
-	// the store into the worker's scratch, and one BatchBandedScore call
-	// scores the batch, one candidate per byte lane.
-	if opts.FineMode == FineFull && len(cands) > 0 {
+	if opts.FineMode == FineFull && len(recs) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
+	// Workers claim batches of records in turn: FineFull one record,
+	// FineBanded up to align.BatchLanes, scored together one per byte
+	// lane. A worker writes only the records it claimed, so the workers
+	// share nothing but the claim counter, and the output is the same at
+	// any worker count.
 	batch := 1
 	if opts.FineMode == FineBanded && !s.scalarBanded {
 		batch = align.BatchLanes
 	}
-	fine := func(lo, hi int, sc *workerScratch, out []fineSlot) {
-		var lanes [align.BatchLanes]align.BatchLane
-		var laneSlot, laneFrom [align.BatchLanes]int
-		nl := 0
-		for i := lo; i < hi; i++ {
-			c := cands[i]
-			sl := &out[i-lo]
-			*sl = fineSlot{r: Result{ID: c.ID, Coarse: c.Score}}
-			n := s.src.SeqLen(c.ID)
-			var seq []byte // the whole subject, read when something needs it
-
-			if opts.Prescreen > 0 {
-				p0 := time.Now()
-				seed := seeds[i]
-				seq = s.read(c.ID, 0, n, sc)
-				score, _, _, _, _ := align.ExtendUngapped(
-					query, seq, seed.qPos, seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
-				pass := score >= opts.Prescreen
-				sl.fw.prescreen = time.Since(p0)
-				sl.fw.rejected = !pass
-				if !pass {
-					continue
-				}
-			}
-			sl.fw.aligned = true
-			r := &sl.r
-			switch opts.FineMode {
-			case FineFull:
-				// Exact score and alignment end, no transcript: the traceback
-				// is deferred to the results that survive MinScore and Limit
-				// (see finishTracebacks), like the banded score-only pass.
-				if seq == nil {
-					seq = s.read(c.ID, 0, n, sc)
-				}
-				var score, aEnd, bEnd int
-				var unique, striped bool
-				if !s.scalarFine {
-					score, bEnd, unique, striped = s.bvProfile.Score(seq, &sc.bv)
-				}
-				if !striped {
-					// A pair beyond the lanes' capacity.
-					score, aEnd, bEnd = s.subst.LocalScore(query, seq, &sc.banded)
-				}
-				r.Score = score
-				r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
-				r.needsTraceback, r.fullTraceback = score > 0, score > 0
-				r.tiedEnd = striped && score > 0 && !unique
-				sl.fw.cells = align.LocalCells(len(query), n)
-				sl.fw.bitvector = striped
-				sl.ok = score >= opts.MinScore
-			case FineBanded:
-				centre := c.Diag
-				if !c.HasOff {
-					centre = seeds[i].diag
-				}
-				r.bandCentre = centre
-				sl.fw.cells = align.BandedCells(len(query), n, centre, opts.Band)
-				if s.scalarBanded {
-					score, aEnd, bEnd := s.subst.BandedLocalScore(query, s.read(c.ID, 0, n, sc), centre, opts.Band, &sc.banded)
-					r.Score = score
-					r.Alignment = align.Alignment{Score: score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
-					r.needsTraceback = score > 0
-					sl.ok = score >= opts.MinScore
-					continue
-				}
-				// Ranking needs only the score; the traceback matrix is
-				// deferred to the results that survive MinScore and Limit
-				// (see finishTracebacks).
-				from, to := bandWindow(centre, opts.Band, len(query), n)
-				sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], c.ID, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
-				lanes[nl] = align.BatchLane{B: sc.windows[nl], Centre: centre - from}
-				laneSlot[nl], laneFrom[nl] = i-lo, from
-				nl++
-			}
-		}
-		if nl == 0 {
-			return
-		}
-		s.subst.BatchBandedScore(query, opts.Band, lanes[:nl], &sc.batch)
-		for k, l := range lanes[:nl] {
-			sl := &out[laneSlot[k]]
-			aEnd, bEnd := l.AEnd, l.BEnd
-			if l.Score > 0 {
-				bEnd += laneFrom[k] // back to subject coordinates
-			}
-			sl.r.Score = l.Score
-			sl.r.Alignment = align.Alignment{Score: l.Score, AStart: aEnd, AEnd: aEnd, BStart: bEnd, BEnd: bEnd}
-			sl.r.needsTraceback = l.Score > 0
-			sl.ok = l.Score >= opts.MinScore
-		}
-	}
-
-	results := make([]Result, 0, len(cands))
-	batches := (len(cands) + batch - 1) / batch
-	if opts.FineWorkers <= 1 || batches < 2 {
-		sc := s.fineScratch(1)[0]
-		var out [align.BatchLanes]fineSlot
-		for lo := 0; lo < len(cands); lo += batch {
-			if err := ctx.Err(); err != nil {
-				st.FineTime += time.Since(t0)
-				return nil, err
-			}
-			hi := min(lo+batch, len(cands))
-			fine(lo, hi, sc, out[:hi-lo])
-			for _, sl := range out[:hi-lo] {
-				st.addFine(sl.fw)
-				if sl.ok {
-					results = append(results, sl.r)
-				}
-			}
-		}
-		st.FineTime += time.Since(t0)
-		return results, nil
-	}
-
-	// Parallel fine phase: workers claim batches of candidates and write
-	// their slots, which are collected in candidate order, so output is
-	// identical to the serial path. Per-candidate stats ride in the slots
-	// and fold in after the join, keeping the workers free of shared
-	// counters. Workers check ctx before claiming each batch and stop
-	// early when it is done; the join then surfaces ctx.Err() once.
-	slots := make([]fineSlot, len(cands))
-	workers := min(opts.FineWorkers, batches)
-	scratches := s.fineScratch(workers)
-	var wg sync.WaitGroup
+	workers := max(1, min(opts.FineWorkers, (len(recs)+batch-1)/batch))
 	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *workerScratch) {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				lo := (int(next.Add(1)) - 1) * batch
-				if lo >= len(cands) {
-					return
-				}
-				hi := min(lo+batch, len(cands))
-				fine(lo, hi, sc, slots[lo:hi])
+	claim := func(sc *workerScratch) {
+		for ctx.Err() == nil {
+			lo := (int(next.Add(1)) - 1) * batch
+			if lo >= len(recs) {
+				return
 			}
-		}(scratches[w])
+			s.fine(query, recs[lo:min(lo+batch, len(recs))], opts, sc)
+		}
 	}
-	wg.Wait()
+	scratches := s.fineScratch(workers)
+	if workers == 1 {
+		claim(scratches[0])
+	} else {
+		var wg sync.WaitGroup
+		for _, sc := range scratches {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				claim(sc)
+			}()
+		}
+		wg.Wait()
+	}
 	if err := ctx.Err(); err != nil {
 		st.FineTime += time.Since(t0)
-		return nil, err
+		return err
 	}
-	for _, sl := range slots {
-		st.addFine(sl.fw)
-		if sl.ok {
-			results = append(results, sl.r)
+	// The join, in candidate order: fold every record's work into st, and
+	// move the records that passed to the front of the strand's records.
+	kept := first
+	for _, r := range recs {
+		st.PrescreenTime += r.prescreen
+		if r.rejected {
+			st.PrescreenRejections++
+			continue
+		}
+		st.FineAlignments++
+		st.FineDPCells += r.cells
+		if r.striped {
+			st.BitvectorAlignments++
+		}
+		if r.score >= opts.MinScore {
+			s.recs[kept] = r
+			kept++
 		}
 	}
+	s.recs = s.recs[:kept]
 	st.FineTime += time.Since(t0)
-	return results, nil
+	return nil
 }
 
-// fineSlot is one candidate's fine-phase outcome: its result, whether it
-// passed MinScore, and its stats contribution.
-type fineSlot struct {
-	r  Result
-	ok bool
-	fw fineWork
+// fine scores one claimed batch of records on the worker's scratch sc,
+// writing their fine-phase fields. It reads only searcher state that is
+// immutable during the fine phase, so workers run it concurrently on
+// disjoint batches.
+func (s *Searcher) fine(query []byte, recs []candRec, opts Options, sc *workerScratch) {
+	var lanes [align.BatchLanes]align.BatchLane
+	nl := 0
+	for i := range recs {
+		r := &recs[i]
+		n := s.src.SeqLen(r.id)
+		var seq []byte // the whole subject, read when something needs it
+		if opts.Prescreen > 0 {
+			p0 := time.Now()
+			seq = s.read(r.id, 0, n, sc)
+			score, _, _, _, _ := align.ExtendUngapped(
+				query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
+			r.prescreen = time.Since(p0)
+			r.rejected = score < opts.Prescreen
+			if r.rejected {
+				continue
+			}
+		}
+		switch opts.FineMode {
+		case FineFull:
+			// Exact score and end cell, no transcript.
+			if seq == nil {
+				seq = s.read(r.id, 0, n, sc)
+			}
+			var unique bool
+			if !s.scalarFine {
+				r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &sc.bv)
+			}
+			if !r.striped {
+				// A pair beyond the lanes' capacity.
+				r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &sc.banded)
+			}
+			r.tied = r.striped && r.score > 0 && !unique
+			r.cells = align.LocalCells(len(query), n)
+		case FineBanded:
+			r.cells = align.BandedCells(len(query), n, r.centre, opts.Band)
+			if s.scalarBanded {
+				r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, 0, n, sc), r.centre, opts.Band, &sc.banded)
+				continue
+			}
+			// Each record's band window is read from the store into the
+			// worker's scratch, and one BatchBandedScore call scores them.
+			from, to := bandWindow(r.centre, opts.Band, len(query), n)
+			sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], r.id, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
+			lanes[nl] = align.BatchLane{B: sc.windows[nl], Centre: r.centre - from}
+			nl++
+		}
+	}
+	if nl == 0 {
+		return
+	}
+	s.subst.BatchBandedScore(query, opts.Band, lanes[:nl], &sc.batch)
+	// The lanes are the batch's unrejected records, in order.
+	k := 0
+	for i := range recs {
+		r := &recs[i]
+		if r.rejected {
+			continue
+		}
+		l := lanes[k]
+		k++
+		r.score, r.aEnd, r.bEnd = l.Score, l.AEnd, l.BEnd
+		if l.Score > 0 {
+			r.bEnd += r.centre - l.Centre // back to subject coordinates
+		}
+	}
 }
 
 // prescreenXDrop is the x-drop for the middle-phase ungapped
@@ -858,9 +821,11 @@ func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candida
 // collection would produce. The segmented equivalence suite locks this
 // in at every segment count.
 //
-// With seeded set and topK > 0, coarse also hands each candidate its
-// seed, read from the postings the walk logged (see seedLog), into
-// s.log.seeds, in candidate order.
+// With topK > 0, coarse also appends one record per candidate to
+// s.recs, in candidate order, holding its id, coarse score and band
+// centre; with seeded set, each record also gets its seed, read from the
+// postings the walk logged (see seedLog), which centres the band unless
+// mode placed it.
 //
 // Work counters accumulate into st (stage timing is the caller's job —
 // searchStrand wraps this call in the coarse wall clock). Cancellation
@@ -925,7 +890,6 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 				r := diagBest[uint32(local)]
 				c.Score = float64(r.score)
 				c.Diag = r.diag
-				c.HasOff = true
 			}
 			return c
 		}
@@ -951,14 +915,16 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	}
 
 	if topK > 0 {
-		// The sorted selection aliases the pooled buffer; it is consumed
-		// entirely within this query's fine phase, before the buffer's
-		// next reuse. So is s.log.seeds, which the hand-over fills here,
-		// on the calling goroutine, before any fine worker starts.
+		// The sorted selection aliases the pooled buffer, which the next
+		// coarse call reuses; the records carry what the later phases read.
 		out := sel.sorted()
 		s.candBuf = out[:0]
+		first := len(s.recs)
+		for _, c := range out {
+			s.recs = append(s.recs, candRec{id: c.ID, coarse: c.Score, centre: c.Diag})
+		}
 		if logging {
-			s.log.handOver(out, s.terms, len(query))
+			s.log.handOver(s.recs[first:], s.terms, len(query), mode != CoarseDiagonal)
 		}
 		return out, nil
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -161,7 +163,8 @@ func TestCoarseModes(t *testing.T) {
 
 // TestCoarseDiagonalNeedsOffsets: diagonal mode reads the offsets every
 // index stores, so an index built from options that never mention them
-// ranks by diagonal, and every candidate carries its band's centre.
+// ranks by diagonal, and every candidate's record carries that diagonal
+// as its band's centre, even when the record also gets a seed.
 func TestCoarseDiagonalNeedsOffsets(t *testing.T) {
 	f := makeFixture(t, 44, index.Options{K: 9})
 	s := newTestSearcher(t, f)
@@ -172,9 +175,14 @@ func TestCoarseDiagonalNeedsOffsets(t *testing.T) {
 	if len(cands) == 0 || !f.family[cands[0].ID] {
 		t.Fatalf("diagonal ranking's top candidate is not in the family: %+v", cands[:min(len(cands), 3)])
 	}
-	for _, c := range cands {
-		if !c.HasOff {
-			t.Fatalf("candidate %d has no diagonal", c.ID)
+	s.recs = s.recs[:0]
+	top, err := s.coarse(context.Background(), f.query, CoarseDiagonal, 1, len(cands), true, &s.stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range top {
+		if r := s.recs[i]; r.id != c.ID || r.centre != c.Diag || c != cands[i] {
+			t.Fatalf("candidate %d: %+v, its record %+v, the full ranking's %+v", i, c, r, cands[i])
 		}
 	}
 }
@@ -291,42 +299,44 @@ func TestMinCoarseHitsFilters(t *testing.T) {
 func TestSearcherReuseAcrossQueries(t *testing.T) {
 	// Scratch state must fully reset between queries: two different
 	// queries run back-to-back give the same results as fresh searchers.
+	// The first query's results are compared only after the second query
+	// has run, so results aliasing the searcher's pooled records fail.
 	f := makeFixture(t, 50, index.Options{K: 9})
 	rng := rand.New(rand.NewSource(51))
 	q2 := gen.RandomSequence(rng, 200, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)
 
-	shared := newTestSearcher(t, f)
-	r1a, err := shared.Search(f.query, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	exact, strands := DefaultOptions(), DefaultOptions()
+	exact.FineMode = FineFull
+	strands.BothStrands = true
+	for _, set := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"exact", exact}, {"strands", strands}} {
+		search := func(s *Searcher, query []byte) []Result {
+			t.Helper()
+			rs, err := s.Search(query, set.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs
+		}
+		shared := newTestSearcher(t, f)
+		r1a := search(shared, f.query)
+		r2a := search(shared, q2)
+		r1b := search(newTestSearcher(t, f), f.query)
+		r2b := search(newTestSearcher(t, f), q2)
+		assertSameResults(t, set.name+"/query1", r1a, r1b)
+		assertSameResults(t, set.name+"/query2", r2a, r2b)
 	}
-	r2a, err := shared.Search(q2, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh1 := newTestSearcher(t, f)
-	r1b, err := fresh1.Search(f.query, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh2 := newTestSearcher(t, f)
-	r2b, err := fresh2.Search(q2, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "query1", r1a, r1b)
-	assertSameResults(t, "query2", r2a, r2b)
 }
 
 func assertSameResults(t *testing.T, label string, a, b []Result) {
 	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d results", label, len(a), len(b))
+	if len(a) == 0 {
+		t.Fatalf("%s: no results to compare", label)
 	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
-			t.Fatalf("%s: result %d differs: %+v vs %+v", label, i, a[i], b[i])
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s: results differ:\n%+v\n%+v", label, a, b)
 	}
 }
 

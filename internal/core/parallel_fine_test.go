@@ -1,37 +1,53 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"nucleodb/internal/index"
 )
 
+// TestParallelFineMatchesSerial: the fine phase returns the same
+// results — spans, transcripts, strands, coarse scores — and the same
+// counters at every worker count, in both fine modes, with and without
+// the prescreen and the reverse strand.
 func TestParallelFineMatchesSerial(t *testing.T) {
 	f := makeFixture(t, 221, index.Options{K: 9})
 	s := newTestSearcher(t, f)
-
+	search := func(opts Options) ([]Result, SearchStats) {
+		t.Helper()
+		var st SearchStats
+		rs, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.CoarseTime, st.PrescreenTime, st.FineTime, st.TracebackTime, st.TotalTime = 0, 0, 0, 0, 0
+		return rs, st
+	}
 	for _, mode := range []FineMode{FineFull, FineBanded} {
-		serial := DefaultOptions()
-		serial.FineMode = mode
-		serial.MinScore = 0
-		serial.Limit = 0
-		parallel := serial
-		parallel.FineWorkers = 8
-
-		a, err := s.Search(f.query, serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := s.Search(f.query, parallel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) != len(b) {
-			t.Fatalf("%v: serial %d results, parallel %d", mode, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Score != b[i].Score {
-				t.Fatalf("%v: result %d differs: %+v vs %+v", mode, i, a[i], b[i])
+		for _, strands := range []bool{false, true} {
+			for _, prescreen := range []int{0, 100} {
+				serial := DefaultOptions()
+				serial.FineMode, serial.BothStrands, serial.Prescreen = mode, strands, prescreen
+				serial.MinScore, serial.Limit = 0, 0
+				want, wantSt := search(serial)
+				if prescreen > 0 && (wantSt.PrescreenRejections == 0 || wantSt.FineAlignments == 0) {
+					t.Fatalf("%v strands=%v: the prescreen rejected %d of %d candidates: the fixture must keep some and drop some", mode, strands, wantSt.PrescreenRejections, wantSt.CoarseCandidates)
+				}
+				for _, workers := range []int{1, 2, 8} {
+					parallel := serial
+					parallel.FineWorkers = workers
+					got, gotSt := search(parallel)
+					name := fmt.Sprintf("%v strands=%v prescreen=%d workers=%d", mode, strands, prescreen, workers)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: results differ from the serial search's\n got %+v\nwant %+v", name, got, want)
+					}
+					if gotSt != wantSt {
+						t.Fatalf("%s: counters differ from the serial search's\n got %+v\nwant %+v", name, gotSt, wantSt)
+					}
+				}
 			}
 		}
 	}

@@ -159,12 +159,13 @@ func refBestSeed(termSet map[kmer.Term][]int, coder *kmer.Coder, seq []byte) (se
 func checkHandOver(t testing.TB, s *Searcher, query []byte, mode CoarseMode, name string) int {
 	t.Helper()
 	var st SearchStats
+	s.recs = s.recs[:0]
 	cands, err := s.coarse(context.Background(), query, mode, 1, 100, true, &st)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if len(s.log.seeds) != len(cands) {
-		t.Fatalf("%s: %d candidates, %d seeds", name, len(cands), len(s.log.seeds))
+	if len(s.recs) != len(cands) {
+		t.Fatalf("%s: %d candidates, %d records", name, len(cands), len(s.recs))
 	}
 	termSets := map[*index.Index]map[kmer.Term][]int{}
 	for i, c := range cands {
@@ -185,7 +186,7 @@ func checkHandOver(t testing.TB, s *Searcher, query []byte, mode CoarseMode, nam
 			termSets[seg.Index] = termSet
 		}
 		want, ok := refBestSeed(termSet, s.coder, s.src.AppendRange(nil, c.ID, 0, s.src.SeqLen(c.ID)))
-		if got := s.log.seeds[i]; !ok || got != want {
+		if got := s.recs[i].seed; !ok || got != want || s.recs[i].id != c.ID {
 			t.Fatalf("%s: candidate %d (seq %d): hand-over %+v, oracle (%+v,%v)", name, i, c.ID, got, want, ok)
 		}
 	}
@@ -450,6 +451,7 @@ func TestSeedHandOverWarmAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	run := func(seeded bool) func() {
 		return func() {
+			s.recs = s.recs[:0]
 			if _, err := s.coarse(context.Background(), f.query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats); err != nil {
 				t.Fatal(err)
 			}
@@ -558,6 +560,7 @@ func BenchmarkSeedHandOver(b *testing.B) {
 	query := gen.Fragment(rand.New(rand.NewSource(1)), root, 1000)
 	ctx, opts := context.Background(), DefaultOptions()
 	coarse := func(seeded bool) []Candidate {
+		s.recs = s.recs[:0]
 		cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats)
 		if err != nil {
 			b.Fatal(err)
@@ -580,7 +583,7 @@ func BenchmarkSeedHandOver(b *testing.B) {
 	}
 	b.Run("hand-over", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s.log.handOver(cands, s.terms, len(query))
+			s.log.handOver(s.recs, s.terms, len(query), true)
 		}
 	})
 }

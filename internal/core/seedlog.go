@@ -79,7 +79,7 @@ type candPosting struct {
 // seedLog is the coarse walk's record of the postings it decoded, and
 // the scratch of the hand-over that reads it back. It is written by the
 // walk and read by the hand-over, both on the searcher's goroutine; the
-// fine workers see only the seeds.
+// fine workers see only the seeds it writes into the candidates' records.
 type seedLog struct {
 	recs  []seedRec    //cafe:pooled query-lifetime log, truncated at the start of each logging walk
 	offs  []uint32     //cafe:pooled offsets of the logged postings that have several
@@ -97,8 +97,6 @@ type seedLog struct {
 	count []int32
 	first []uint32
 	diags []int32
-
-	seeds []seedHit //cafe:pooled one per admitted candidate, read by the fine phase
 }
 
 // reset empties the log for a new walk.
@@ -106,17 +104,18 @@ func (l *seedLog) reset() {
 	l.recs, l.offs, l.lists = l.recs[:0], l.offs[:0], l.lists[:0]
 }
 
-// handOver sets seeds to each candidate's seed. One pass over the log
-// buckets the admitted candidates' postings; each bucket then yields
-// its seed. It drops backing over maxPooledSeedLog afterwards.
-func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) {
-	for i, c := range cands {
-		l.candOf[c.ID] = int32(i + 1)
+// handOver sets each admitted candidate's record's seed and, with
+// centre set, its band centre to the seed's diagonal. One pass over the
+// log buckets the candidates' postings; each bucket then yields its
+// seed. It drops backing over maxPooledSeedLog afterwards.
+func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre bool) {
+	for i, r := range recs {
+		l.candOf[r.id] = int32(i + 1)
 	}
-	for len(l.postings) < len(cands) {
+	for len(l.postings) < len(recs) {
 		l.postings = append(l.postings, nil) //cafe:allow grows once to the candidate budget
 	}
-	buckets := l.postings[:len(cands)]
+	buckets := l.postings[:len(recs)]
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
@@ -131,10 +130,13 @@ func (l *seedLog) handOver(cands []Candidate, terms []queryTerm, qlen int) {
 			}
 		}
 	}
-	l.seeds = l.seeds[:0]
-	for i, c := range cands {
-		l.candOf[c.ID] = 0
-		l.seeds = append(l.seeds, l.seed(buckets[i], terms, qlen)) //cafe:allow amortised scratch; at most Candidates entries
+	for i := range recs {
+		r := &recs[i]
+		l.candOf[r.id] = 0
+		r.seed = l.seed(buckets[i], terms, qlen)
+		if centre {
+			r.centre = r.seed.diag
+		}
 	}
 	kept := 0
 	for _, b := range l.postings {

@@ -59,8 +59,9 @@ type SearchStats struct {
 	// FineDPCells and TracebackDPCells are the dynamic-programming
 	// cells those alignments evaluated — the paper's "fraction of the
 	// database aligned", in cells. A traceback is billed the band or
-	// strip it traced, plus a whole matrix when it had to rerun a
-	// forward pass first (a tied end column, a band that missed).
+	// strip it traced, plus a whole matrix when a FineFull result's best
+	// cells tie across end columns and the scalar forward pass reruns to
+	// find which one align.Local ends at.
 	FineDPCells      int64 `json:"fine_dp_cells"`
 	TracebackDPCells int64 `json:"traceback_dp_cells"`
 	// Results is the number of answers returned.
@@ -115,30 +116,4 @@ func (st *SearchStats) DPCells() int64 { return st.FineDPCells + st.TracebackDPC
 // ≤ TotalTime.
 func (st *SearchStats) StageTime() time.Duration {
 	return st.CoarseTime + st.FineTime + st.TracebackTime
-}
-
-// fineWork is the per-candidate stats contribution of the fine phase,
-// returned by value from the fine closure so the parallel fine path
-// aggregates without shared mutable state or atomics.
-type fineWork struct {
-	prescreen time.Duration
-	rejected  bool
-	aligned   bool
-	bitvector bool
-	cells     int64
-}
-
-// addFine folds one candidate's fine-phase work into the stats.
-func (st *SearchStats) addFine(fw fineWork) {
-	st.PrescreenTime += fw.prescreen
-	if fw.rejected {
-		st.PrescreenRejections++
-	}
-	if fw.aligned {
-		st.FineAlignments++
-		st.FineDPCells += fw.cells
-		if fw.bitvector {
-			st.BitvectorAlignments++
-		}
-	}
 }

@@ -398,12 +398,13 @@ func TestStatsCellsMatchKernelWork(t *testing.T) {
 	band := DefaultOptions().Band
 	rs, st := search(FineBanded, false)
 	var fine, traceback, untruncated int64
-	for _, r := range rs {
+	for i, r := range rs {
 		subject := f.store.Sequence(r.ID)
-		cells := align.BandedCells(len(query), len(subject), r.bandCentre, band)
+		centre := s.recs[i].centre // the reported records, in rank order
+		cells := align.BandedCells(len(query), len(subject), centre, band)
 		fine += cells
 		if r.Score > 0 { // score-0 candidates have no alignment to trace
-			traceback += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, band)
+			traceback += align.BandedCells(r.Alignment.AEnd, len(subject), centre, band)
 			untruncated += cells
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"nucleodb/internal/index"
 )
 
-// TestTracebackFallbackOnBandMismatch hands finishTracebacks a result no
+// TestTracebackFallbackOnBandMismatch hands finishTracebacks a record no
 // search produces: a ranking score whose band centre misses the real
 // alignment, so the banded traceback cannot reproduce it. The score pass
 // and the traceback share window and centre, so this is an internal
@@ -35,12 +35,11 @@ func TestTracebackFallbackOnBandMismatch(t *testing.T) {
 		t.Fatalf("fixture cannot force a mismatch: full score %d, banded score %d", full.Score, bandedScore)
 	}
 
-	in := []Result{{
-		ID:             id,
-		Score:          full.Score, // ranking score the banded pass can't reproduce
-		Alignment:      align.Alignment{AEnd: len(f.query)},
-		bandCentre:     centre,
-		needsTraceback: true,
+	in := []candRec{{
+		id:     id,
+		score:  full.Score, // ranking score the banded pass can't reproduce
+		aEnd:   len(f.query),
+		centre: centre,
 	}}
 	var st SearchStats
 	out, err := s.finishTracebacks(context.Background(), f.query, nil, in, opts, &st)
@@ -77,9 +76,9 @@ func TestTracebackAgreementKeepsBandedAlignment(t *testing.T) {
 	// was centred by the search itself), so the billed cells are exactly
 	// the banded matrices down to each alignment's end row.
 	var banded int64
-	for _, r := range rs {
+	for i, r := range rs {
 		subject := f.store.Sequence(r.ID)
-		banded += align.BandedCells(r.Alignment.AEnd, len(subject), r.bandCentre, opts.Band)
+		banded += align.BandedCells(r.Alignment.AEnd, len(subject), s.recs[i].centre, opts.Band)
 		if len(r.Alignment.Ops) == 0 && r.Alignment.Score > 0 {
 			t.Errorf("result %d has no transcript", r.ID)
 		}

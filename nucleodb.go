@@ -490,8 +490,10 @@ type Result struct {
 	// Identity is the fraction of matching alignment columns. Both the
 	// default (banded) and Exact fine phases produce transcripts for
 	// reported results, so this is normally populated; it is 0 only
-	// when no transcript exists (e.g. a candidate whose banded
-	// traceback could not reproduce the ranking score).
+	// when no transcript exists: a score-0 result (reported only under
+	// MinScore 0), or an Exact result whose traceback strip would
+	// exceed 2^28 cells, which is reported with its score and end but
+	// no transcript.
 	Identity float64
 	// QueryStart/QueryEnd and SubjectStart/SubjectEnd are the
 	// half-open alignment spans, when available. For reverse-strand
@@ -613,13 +615,19 @@ func (d *Database) SearchCodesWithStats(codes []byte, opts SearchOptions) ([]Res
 // to completion after the caller has gone away. With
 // context.Background() the results are identical to Search's.
 func (d *Database) SearchCodesWithStatsContext(ctx context.Context, codes []byte, opts SearchOptions) ([]Result, SearchStats, error) {
-	var st SearchStats
 	searcher, set, err := d.getSearcher()
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: %w", err)
 	}
+	defer d.putSearcher(searcher)
+	return d.searchOn(ctx, searcher, set, codes, opts)
+}
+
+// searchOn is SearchCodesWithStatsContext on a searcher already checked
+// out for set.
+func (d *Database) searchOn(ctx context.Context, searcher *core.Searcher, set *segment.Set, codes []byte, opts SearchOptions) ([]Result, SearchStats, error) {
+	var st SearchStats
 	rs, err := searcher.SearchWithStatsContext(ctx, codes, opts.internal(), &st)
-	d.putSearcher(searcher)
 	if err != nil {
 		return nil, SearchStats{}, fmt.Errorf("nucleodb: %w", err)
 	}

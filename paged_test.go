@@ -1,12 +1,15 @@
 package nucleodb
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"nucleodb/internal/dna"
 )
 
 func TestOpenPagedMatchesInMemory(t *testing.T) {
@@ -221,7 +224,10 @@ func TestOpenPagedMissing(t *testing.T) {
 // what the same search allocates in memory plus a constant — the posting
 // lists it reads from disk land in the searcher's iterator buffer, one
 // buffer for every list, not a fresh slice per list per query (the
-// query below reads about 240 lists).
+// query below reads about 240 lists). Each database's measurement runs
+// the facade's search on one searcher checked out for all of it: under
+// the race detector sync.Pool drops pooled searchers at random, and a
+// rebuilt searcher's allocations would land in either count.
 func TestPagedSearchAllocs(t *testing.T) {
 	recs, query, _ := testRecords(95)
 	built, err := Build(recs, DefaultBuildConfig())
@@ -242,13 +248,22 @@ func TestPagedSearchAllocs(t *testing.T) {
 	}
 	defer paged.Close()
 
+	codes, err := dna.Encode([]byte(query))
+	if err != nil {
+		t.Fatal(err)
+	}
 	allocs := func(db *Database) float64 {
+		searcher, set, err := db.getSearcher()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.putSearcher(searcher)
 		search := func() {
-			if _, err := db.Search(query, DefaultSearchOptions()); err != nil {
+			if _, _, err := db.searchOn(context.Background(), searcher, set, codes, DefaultSearchOptions()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		search() // warm: searcher pooled, scratch at its high-water mark
+		search() // warm: scratch at its high-water mark
 		return testing.AllocsPerRun(20, search)
 	}
 	_, st, err := paged.SearchWithStats(query, DefaultSearchOptions())
