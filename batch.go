@@ -94,7 +94,7 @@ func (d *Database) SearchBatchWithStatsContext(ctx context.Context, queries []st
 			}
 		}(searcher)
 	}
-	go func() { //cafe:allow poolescape the drain goroutine joins the workers via wg.Wait then returns every searcher to the pool before close(results) unblocks the caller
+	go func() { // the drain goroutine joins the workers via wg.Wait then returns every searcher to the pool before close(results) unblocks the caller
 		// Feeding stops as soon as ctx ends; the workers' own ctx
 		// checks cover queries already under evaluation.
 		for i := range queries {

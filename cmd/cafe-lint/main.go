@@ -1,5 +1,6 @@
-// Command cafe-lint runs the repository's static-analysis pass suite
-// (see internal/analysis) over the module and reports findings as
+// Command cafe-lint runs the repository's three static-analysis passes
+// (hotpath, errcheck and ctx; see internal/analysis) over the module
+// and reports findings as
 //
 //	file:line: pass: message
 //

@@ -120,15 +120,15 @@ func TestRunFormatSARIF(t *testing.T) {
 	}
 }
 
-// TestRunSARIFGolden locks the exact SARIF 2.1.0 log for the dataflow
-// fixture packages against a committed golden file: rule metadata,
-// rule indices, relative URIs, and finding order are all part of the
-// contract a code-scanning backend sees. Regenerate with
+// TestRunSARIFGolden locks the exact SARIF 2.1.0 log for the hotpath,
+// ctx and waiver fixture packages against a committed golden file: rule
+// metadata, rule indices, relative URIs, and finding order are all part
+// of the contract a code-scanning backend sees. Regenerate with
 //
 //	go test ./cmd/cafe-lint -run TestRunSARIFGolden -update
 func TestRunSARIFGolden(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-C", fixtureModule, "-format", "sarif", "./poolesc", "./aliaspkg", "./frozenpkg", "./snappkg"}, &out, &errb); code != 1 {
+	if code := run([]string{"-C", fixtureModule, "-format", "sarif", "./hot", "./ctxpkg", "./directives"}, &out, &errb); code != 1 {
 		t.Fatalf("exit %d, want 1\nstderr:\n%s", code, errb.String())
 	}
 	golden := filepath.Join("testdata", "sarif.golden")

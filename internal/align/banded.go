@@ -48,16 +48,16 @@ const maxPooledDir = 1 << 20
 // reversed transcript. One scratch belongs to one goroutine at a time;
 // the fine phase pools one per worker.
 type BandedScratch struct {
-	h, e []int32 //cafe:pooled DP rows with their sentinels, reset per call
-	dir  []byte  //cafe:pooled direction matrix, every cell the traceback reads is rewritten first
-	ops  []byte  //cafe:pooled reversed transcript, copied out before return
+	h, e []int32 // DP rows with their sentinels, reset per call
+	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first
+	ops  []byte  // reversed transcript, copied out before return
 }
 
 // rows returns the H and E rows for a band of width columns: H column c
 // at h[c+1] between sentinels h[0] and h[width+1], E column c at e[c]
 // before sentinel e[width].
+// The rows belong to the scratch and are reused by its next call.
 //
-//cafe:pooled the rows belong to the scratch and are reused by its next call
 //cafe:hotpath
 func (sc *BandedScratch) rows(width int) (h, e []int32) {
 	if cap(sc.h) < width+2 {

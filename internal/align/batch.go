@@ -69,8 +69,8 @@ type BatchLane struct {
 // off and the batches it runs one lane at a time. One scratch belongs to
 // one goroutine at a time; the fine phase pools one per worker.
 type BatchScratch struct {
-	prof   []laneScore //cafe:pooled profile, rebuilt per batch
-	cells  []laneCell  //cafe:pooled H/E row, zeroed per batch
+	prof   []laneScore // profile, rebuilt per batch
+	cells  []laneCell  // H/E row, zeroed per batch
 	banded BandedScratch
 	// handedAt[k] is the row after which lane k of the last batch left the
 	// byte lanes, or −1 if it did not. The pass reads it to count
@@ -137,8 +137,8 @@ type laneScore [16]byte
 
 // grow returns *buf resized to n entries and zeroed, growing it once to
 // the high-water mark.
+// The entries belong to the scratch and are reused by its next call.
 //
-//cafe:pooled the entries belong to the scratch and are reused by its next call
 //cafe:hotpath
 func grow[T laneCell | laneScore](buf *[]T, n int) []T {
 	if cap(*buf) < n {

@@ -72,8 +72,6 @@ func (s Scoring) Score(a, b byte) int {
 // a Score call — and the gap penalties as int32. A Subst is immutable
 // once built and safe for concurrent use; the searcher builds one per
 // Scoring and shares it across fine workers.
-//
-//cafe:frozen
 type Subst struct {
 	scoring      Scoring
 	openExt, ext int32
@@ -128,7 +126,8 @@ var kernels = sync.Pool{New: func() any {
 	return k
 }}
 
-//cafe:pooled the caller returns the kernel with kernels.Put
+// getKernel checks a kernel compiled for s out of the pool; the caller
+// returns it with kernels.Put.
 func getKernel(s Scoring) *kernel {
 	k := kernels.Get().(*kernel)
 	if k.subst.scoring != s {

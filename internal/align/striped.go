@@ -184,8 +184,8 @@ func buildStripes[T lane](t *stripes, q []byte, s Scoring) {
 // geometry, interleaved word by word. One scratch belongs to one
 // goroutine at a time; the fine phase pools one per worker.
 type StripedScratch struct {
-	wide   []uint64 //cafe:pooled 16-bit H/E columns, resized and reused across subjects by one worker
-	narrow []uint64 //cafe:pooled byte-lane H/E columns, likewise
+	wide   []uint64 // 16-bit H/E columns, resized and reused across subjects by one worker
+	narrow []uint64 // byte-lane H/E columns, likewise
 	// widenedAt is the number of subject columns the last Score call ran
 	// in byte lanes before it widened, or −1 if it did not widen. Only the
 	// tests read it.
@@ -194,8 +194,8 @@ type StripedScratch struct {
 
 // columns returns *he resized to segLen H/E word pairs and zeroed (the
 // DP boundary), growing it once to the high-water mark.
+// The columns belong to the scratch and are reused by its next call.
 //
-//cafe:pooled the columns belong to the scratch and are reused by its next call
 //cafe:hotpath
 func columns(he *[]uint64, segLen int) []uint64 {
 	if cap(*he) < 2*segLen {
@@ -211,8 +211,6 @@ func columns(he *[]uint64, segLen int) []uint64 {
 // per query strand; scoring a subject then never calls Scoring.Score. A
 // profile is immutable after Build and safe for concurrent Score calls
 // with distinct scratches.
-//
-//cafe:frozen
 type StripedProfile struct {
 	n      int     // query length
 	wide   stripes // 16-bit lanes

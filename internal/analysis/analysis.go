@@ -2,7 +2,7 @@
 // analysis suite over the index and alignment kernels, built on the
 // standard library's go/parser, go/ast and go/types only.
 //
-// Seven passes enforce the invariants the partitioned-search design
+// Three passes enforce the invariants the partitioned-search design
 // depends on:
 //
 //   - hotpath: functions declared with a //cafe:hotpath directive (the
@@ -21,27 +21,14 @@
 //     (SearchCodesWithStats where SearchCodesWithStatsContext exists),
 //     and the serving packages may not manufacture fresh contexts with
 //     context.Background()/TODO().
-//   - poolescape: values from (*sync.Pool).Get, //cafe:pooled
-//     functions, or //cafe:pooled struct fields must not outlive the
-//     call that obtained them — no returns, field/global/container
-//     stores, channel sends, unjoined goroutine captures, or calls
-//     that retain them — unless copied first.
-//   - alias: append/slice views over pooled backing must not escape —
-//     the PR-5 both-strands merge bug shape, reported at the
-//     append/slice site where the copy belongs.
-//   - frozen: a value of a //cafe:frozen type is immutable once
-//     published — no store into it, and no call handing it to a helper
-//     whose transitive summary mutates that parameter, after it may
-//     have been read back from a package-level variable.
-//   - snapshot: a value loaded from an atomic.Pointer or atomic.Value
-//     is a read-only view — no store through it, and no use of it after
-//     a call that transitively swaps the pointer.
 //
-// The last four are one flow-sensitive analysis (flow.go), built on
-// the CFG + forward dataflow engine in cfg.go/dataflow.go with
-// transitive interprocedural summaries (summary.go) computed
-// callees-first over the module call graph (callgraph.go). It runs
-// once per program; each pass selects its own findings.
+// Pooled scratch and published snapshots are held by tests, not by
+// this suite: TestSearcherReuseAcrossQueries (internal/core) fails
+// when a returned slice aliases a searcher's scratch,
+// TestSnapshotIsolation (the root package) when a writer stores
+// through a snapshot a reader loaded, and
+// TestCompactSwapsAgainstCurrentSnapshot when Compact swaps against a
+// stale one.
 //
 // A finding on one line can be waived with a trailing
 // "//cafe:allow <reason>" comment; the reason is mandatory. Naming a
@@ -102,10 +89,6 @@ func DefaultPasses() []Pass {
 			"nucleodb/internal/server",
 			"nucleodb/internal/core",
 		}},
-		&PoolEscapePass{},
-		&AliasPass{},
-		&FrozenPass{},
-		&SnapshotPass{},
 	}
 }
 
@@ -160,8 +143,6 @@ func AnalyzeTimed(prog *Program, passes []Pass, keep func(pkgPath string) bool) 
 const (
 	hotpathDirective = "//cafe:hotpath"
 	allowDirective   = "//cafe:allow"
-	pooledDirective  = "//cafe:pooled"
-	frozenDirective  = "//cafe:frozen"
 )
 
 // isDirective reports whether comment text is the given directive,
@@ -231,70 +212,9 @@ func collectDirectives(prog *Program, pkg *Package) {
 						prog.hot[obj] = true
 					}
 				}
-				if isDirective(c.Text, pooledDirective) {
-					if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						prog.pooledFns[obj] = true
-					}
-				}
 			}
 		}
-		// //cafe:frozen on type declarations: values of the type are
-		// immutable once published. The directive may sit on the type
-		// group's doc, the individual spec's doc, or a trailing line
-		// comment.
-		for _, decl := range file.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			groupWide := commentGroupHas(gd.Doc, frozenDirective)
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				if !groupWide && !commentGroupHas(ts.Doc, frozenDirective) && !commentGroupHas(ts.Comment, frozenDirective) {
-					continue
-				}
-				if tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					prog.frozen[tn] = true
-				}
-			}
-		}
-		// //cafe:pooled on struct fields: the field holds pool-owned
-		// memory. Both doc comments above the field and trailing line
-		// comments count.
-		ast.Inspect(file, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			for _, fld := range st.Fields.List {
-				if !commentGroupHas(fld.Doc, pooledDirective) && !commentGroupHas(fld.Comment, pooledDirective) {
-					continue
-				}
-				for _, name := range fld.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						prog.pooledFields[v] = true
-					}
-				}
-			}
-			return true
-		})
 	}
-}
-
-// commentGroupHas reports whether any comment in cg is the directive.
-func commentGroupHas(cg *ast.CommentGroup, directive string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if isDirective(c.Text, directive) {
-			return true
-		}
-	}
-	return false
 }
 
 // waivedAt reports whether pos lies on a //cafe:allow line whose scope

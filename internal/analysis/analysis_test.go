@@ -128,113 +128,6 @@ func TestCtxPassFixtures(t *testing.T) {
 	runPass(t, &analysis.CtxPass{ForbidBackgroundIn: []string{"fixture/ctxpkg"}}, "fixture/ctxpkg")
 }
 
-func TestPoolEscapePassFixtures(t *testing.T) {
-	runPass(t, &analysis.PoolEscapePass{}, "fixture/poolesc")
-}
-
-func TestAliasPassFixtures(t *testing.T) {
-	runPass(t, &analysis.AliasPass{}, "fixture/aliaspkg")
-}
-
-func TestFrozenPassFixtures(t *testing.T) {
-	runPass(t, &analysis.FrozenPass{}, "fixture/frozenpkg")
-}
-
-func TestSnapshotPassFixtures(t *testing.T) {
-	runPass(t, &analysis.SnapshotPass{}, "fixture/snappkg")
-}
-
-var (
-	poolPasses       = []analysis.Pass{&analysis.PoolEscapePass{}, &analysis.AliasPass{}}
-	mutationPasses   = []analysis.Pass{&analysis.FrozenPass{}, &analysis.SnapshotPass{}}
-	poolFixtures     = map[string]string{"poolescape": "fixture/poolesc", "alias": "fixture/aliaspkg"}
-	mutationFixtures = map[string]string{"frozen": "fixture/frozenpkg", "snapshot": "fixture/snappkg"}
-)
-
-// TestMutationPassesDisjoint checks the taint partition of the shared
-// flow analysis: the snapshot fixtures' conf type carries no
-// //cafe:frozen, and the frozen fixtures hold no atomics.
-func TestMutationPassesDisjoint(t *testing.T) {
-	assertDisjoint(t, mutationPasses, mutationFixtures)
-}
-
-// TestPoolPassesDisjoint checks the fact partition: the poolescape
-// pass reports nothing in the alias fixtures (views are not the pooled
-// object) and the alias pass nothing in the poolescape fixtures.
-func TestPoolPassesDisjoint(t *testing.T) {
-	assertDisjoint(t, poolPasses, poolFixtures)
-}
-
-// TestFlowPassesDisjoint checks the cross-pair cells of the flow-pass
-// table: now that all four passes read one flow analysis, the pool
-// passes report nothing in the mutation fixtures (a pooled value is not
-// frozen) and the mutation passes nothing in the pool fixtures.
-func TestFlowPassesDisjoint(t *testing.T) {
-	assertDisjoint(t, poolPasses, mutationFixtures)
-	assertDisjoint(t, mutationPasses, poolFixtures)
-}
-
-// assertDisjoint checks that each pass reports nothing in the fixture
-// packages of the other passes named in fixtures (keyed by pass name).
-func assertDisjoint(t *testing.T, passes []analysis.Pass, fixtures map[string]string) {
-	t.Helper()
-	prog := loadFixture(t)
-	for _, pass := range passes {
-		for owner, pkg := range fixtures {
-			if owner == pass.Name() {
-				continue
-			}
-			if f := analysis.Analyze(prog, []analysis.Pass{pass}, keepOnly(pkg)); len(f) > 0 {
-				t.Errorf("%s findings in the %s fixture package %s:\n%s", pass.Name(), owner, pkg, render(prog, f))
-			}
-		}
-	}
-}
-
-// TestSwapPointChains checks that a call chain of any length ending in
-// an atomic Store makes its head a swap point: a snapshot loaded before
-// calling the head of an 8-hop or a 40-hop acyclic chain is stale
-// afterwards, on every run.
-func TestSwapPointChains(t *testing.T) {
-	var src strings.Builder
-	src.WriteString("package chain\n\nimport \"sync/atomic\"\n\ntype conf struct{ n int }\n\nvar cur atomic.Pointer[conf]\n")
-	for _, hops := range []int{8, 40} {
-		fmt.Fprintf(&src, "func f%d_%d() { cur.Store(&conf{}) }\n", hops, hops)
-		for i := hops - 1; i >= 0; i-- {
-			fmt.Fprintf(&src, "func f%d_%d() { f%d_%d() }\n", hops, i, hops, i+1)
-		}
-		fmt.Fprintf(&src, "func use%d() int {\n\tc := cur.Load()\n\tf%d_0()\n\treturn c.n // stale\n}\n", hops, hops)
-	}
-	want := map[string]bool{}
-	for i, line := range strings.Split(src.String(), "\n") {
-		if strings.HasSuffix(line, "// stale") {
-			want[fmt.Sprintf("chain.go:%d snapshot", i+1)] = true
-		}
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "chain.go"), []byte(src.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analysis.Load(dir, "chain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(prog.Failed) > 0 {
-		t.Fatalf("generated module failed to load: %v", prog.Failed)
-	}
-	got, lines := gotKeys(t, prog, analysis.Analyze(prog, []analysis.Pass{&analysis.SnapshotPass{}}, nil))
-	for key := range want {
-		if !got[key] {
-			t.Errorf("chain head is not a swap point: no stale-use finding at %s", key)
-		}
-	}
-	for key := range got {
-		if !want[key] {
-			t.Errorf("unexpected finding: %v", lines[key])
-		}
-	}
-}
-
 // TestCtxPassScope checks that Background/TODO are only forbidden in
 // the configured packages: with no ForbidBackgroundIn, only the
 // sibling-call violations remain.
@@ -288,10 +181,10 @@ func TestDirectives(t *testing.T) {
 		return 0
 	}
 	want := map[string]bool{
-		fmt.Sprintf("directives/directives.go:%d directive", lineOf("\t//cafe:allow")):          true,
-		fmt.Sprintf("directives/directives.go:%d directive", lineOf("//cafe:allow poolescape")): true,
-		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 2)")):             true,
-		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 4)")):             true,
+		fmt.Sprintf("directives/directives.go:%d directive", lineOf("\t//cafe:allow")):        true,
+		fmt.Sprintf("directives/directives.go:%d directive", lineOf("//cafe:allow errcheck")): true,
+		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 2)")):           true,
+		fmt.Sprintf("directives/directives.go:%d hotpath", lineOf("append(xs, 4)")):           true,
 	}
 	got, lines := gotKeys(t, prog, findings)
 	for key := range want {
@@ -307,7 +200,11 @@ func TestDirectives(t *testing.T) {
 }
 
 // TestRepoIsClean is the self-check the lint gate relies on: the
-// default pass suite over this repository must come back empty. Skipped
+// default pass suite over this repository must come back empty, and
+// every //cafe:allow waiver must still waive something — a pass it
+// covers (the one it names, or any pass when it names none) must report
+// a finding on its line before waivers are applied. A waiver that
+// suppresses nothing hides the next real finding on its line. Skipped
 // in -short runs because make check invokes cafe-lint directly.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
@@ -320,10 +217,49 @@ func TestRepoIsClean(t *testing.T) {
 	for _, fail := range prog.Failed {
 		t.Errorf("package %s failed to load: %v", fail.Path, fail.Err)
 	}
-	findings := analysis.Analyze(prog, analysis.DefaultPasses(), nil)
+	passes := analysis.DefaultPasses()
+	findings := analysis.Analyze(prog, passes, nil)
 	if len(findings) != 0 {
 		t.Fatalf("default passes report findings on the repository:\n%s",
 			render(prog, findings))
+	}
+
+	type line struct {
+		file string
+		n    int
+	}
+	raw := map[line]map[string]bool{} // the passes reporting on each line
+	known := map[string]bool{}
+	for _, p := range passes {
+		known[p.Name()] = true
+		for _, pkg := range prog.Packages {
+			for _, f := range p.Run(prog, pkg) {
+				at := line{f.Pos.Filename, f.Pos.Line}
+				if raw[at] == nil {
+					raw[at] = map[string]bool{}
+				}
+				raw[at][p.Name()] = true
+			}
+		}
+	}
+	for _, pkg := range prog.Packages {
+		for _, file := range pkg.Files {
+			for _, cg := range file.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "//cafe:allow ")
+					if !ok {
+						continue
+					}
+					pos := prog.Fset.Position(c.Pos())
+					reported := raw[line{pos.Filename, pos.Line}]
+					name := strings.Fields(rest)[0]
+					if known[name] && !reported[name] || !known[name] && len(reported) == 0 {
+						t.Errorf("%s:%d: %s waives no finding; delete it",
+							strings.TrimPrefix(pos.Filename, prog.Root+"/"), pos.Line, c.Text)
+					}
+				}
+			}
+		}
 	}
 }
 

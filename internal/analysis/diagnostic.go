@@ -28,14 +28,10 @@ func (d Diagnostic) String() string {
 // the SARIF rule metadata and the vocabulary of pass-scoped
 // //cafe:allow directives.
 var passDescriptions = map[string]string{
-	"hotpath":    "functions declared //cafe:hotpath must stay allocation-free",
-	"errcheck":   "the decode packages must check every error; a dropped decode error is silent corruption",
-	"ctx":        "contexts must propagate: no context-free siblings from ctx-aware code, no Background/TODO in serving packages",
-	"poolescape": "pooled scratch (sync.Pool.Get, //cafe:pooled sources) must not outlive the call that obtained it",
-	"alias":      "append/slice views over pooled backing must not escape; copy into a fresh buffer instead",
-	"frozen":     "//cafe:frozen values are immutable once published; mutate only inside construction, before the value escapes",
-	"snapshot":   "atomically loaded snapshots are read-only views and must not be retained across a swap point",
-	"directive":  "cafe: directives must be well-formed",
+	"hotpath":   "functions declared //cafe:hotpath must stay allocation-free",
+	"errcheck":  "the decode packages must check every error; a dropped decode error is silent corruption",
+	"ctx":       "contexts must propagate: no context-free siblings from ctx-aware code, no Background/TODO in serving packages",
+	"directive": "cafe: directives must be well-formed",
 }
 
 // validScope reports whether name may scope a //cafe:allow directive.

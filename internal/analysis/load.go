@@ -73,46 +73,10 @@ type Program struct {
 
 	// hot records functions declared with a //cafe:hotpath directive.
 	hot map[*types.Func]bool
-	// pooledFns records functions declared //cafe:pooled: they hand
-	// out pool-owned scratch memory.
-	pooledFns map[*types.Func]bool
-	// pooledFields records struct fields declared //cafe:pooled: the
-	// field's value is pool-owned scratch memory.
-	pooledFields map[*types.Var]bool
-	// frozen records type declarations annotated //cafe:frozen: values
-	// of these types are immutable once published.
-	frozen map[*types.TypeName]bool
-	// cg is the module call graph and flow the flow analysis result,
-	// each built by the first pass that asks (see callGraph and
-	// flowFindings); passes run one after another, so no lock.
-	cg   *callGraph
-	flow *flowResult
 }
 
 // Hot reports whether fn was declared with a //cafe:hotpath directive.
 func (p *Program) Hot(fn *types.Func) bool { return p.hot[fn] }
-
-// PooledFunc reports whether fn was declared //cafe:pooled.
-func (p *Program) PooledFunc(fn *types.Func) bool { return p.pooledFns[fn] }
-
-// PooledField reports whether field v was declared //cafe:pooled.
-func (p *Program) PooledField(v *types.Var) bool { return p.pooledFields[v] }
-
-// FrozenType reports whether t — after stripping pointers — is a
-// named type declared //cafe:frozen.
-func (p *Program) FrozenType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return p.frozen[named.Obj()]
-}
 
 // InModule reports whether path names a package inside the module.
 func (p *Program) InModule(path string) bool {
@@ -224,13 +188,10 @@ func Load(root, module string) (*Program, error) {
 		return nil, fmt.Errorf("analysis: walk: %w", err)
 	}
 	prog := &Program{
-		Module:       module,
-		Root:         abs,
-		Fset:         fset,
-		hot:          map[*types.Func]bool{},
-		pooledFns:    map[*types.Func]bool{},
-		pooledFields: map[*types.Var]bool{},
-		frozen:       map[*types.TypeName]bool{},
+		Module: module,
+		Root:   abs,
+		Fset:   fset,
+		hot:    map[*types.Func]bool{},
 	}
 	// A package that fails to load must not abort the others: every
 	// failure is recorded per package so the driver can name each one,

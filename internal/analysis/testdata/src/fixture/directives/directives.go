@@ -33,6 +33,6 @@ func WrongScope(xs []int) []int {
 }
 
 func scopedReasonless() {
-	//cafe:allow poolescape
+	//cafe:allow errcheck
 	_ = 0
 }

@@ -301,17 +301,17 @@ type Searcher struct {
 	// query-term structure: the coarse walk merge-joins its runs against
 	// the lexicon in ascending term order, and the seed hand-over reads
 	// the runs the walk logged. Read-only during the fine phase.
-	terms []queryTerm //cafe:pooled query-lifetime term array, refilled at the start of each coarse call
+	terms []queryTerm // query-lifetime term array, refilled at the start of each coarse call
 
 	// candBuf backs the bounded top-k candidate selection; it holds at
 	// most Candidates entries and is reused across queries (the fine
 	// phase finishes with it before the next coarse call).
-	candBuf []Candidate //cafe:pooled top-k backing, reclaimed after each query's fine phase
+	candBuf []Candidate // top-k backing, reclaimed after each query's fine phase
 
 	// recs holds one record per candidate of the current search, the
 	// forward strand's before the reverse strand's (see candRec). After a
 	// search, recs[:len(results)] are the reported records in rank order.
-	recs []candRec //cafe:pooled per-search candidate records, truncated at the start of each search
+	recs []candRec // per-search candidate records, truncated at the start of each search
 
 	// log is the coarse walk's record of the postings it decoded, from
 	// which each admitted candidate's seed is read (see seedLog).
@@ -345,7 +345,7 @@ type Searcher struct {
 // fineScratch returns n pooled worker scratches, one per fine worker,
 // growing the pool at each high-water mark.
 //
-//cafe:pooled scratch is reused across candidates and queries
+// Scratch is reused across candidates and queries.
 func (s *Searcher) fineScratch(n int) []*workerScratch {
 	for len(s.scratch) < n {
 		s.scratch = append(s.scratch, new(workerScratch))
@@ -515,7 +515,7 @@ func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opt
 // better record, the forward strand's on a tie. It sorts s.recs in
 // place, so the ranked records are a prefix of s.recs.
 //
-//cafe:pooled the ranked records live in s.recs until the next search
+// The ranked records live in s.recs until the next search.
 func (s *Searcher) rank(opts Options) []candRec {
 	recs := s.recs
 	if opts.BothStrands {
@@ -627,9 +627,9 @@ func bandWindow(centre, band, rows, n int) (from, to int) {
 // buffer and returns them; the slice is valid until the worker's next
 // read.
 //
-//cafe:pooled the bases live in the worker's scratch until its next read
+// The bases live in the worker's scratch until its next read.
 func (s *Searcher) read(id, from, to int, sc *workerScratch) []byte {
-	seq := s.src.AppendRange(sc.seq[:0], id, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
+	seq := s.src.AppendRange(sc.seq[:0], id, from, to) // AppendRange decodes into dst and keeps no reference to it
 	if cap(seq) <= maxPooledSeq {
 		sc.seq = seq
 	}
@@ -766,7 +766,7 @@ func (s *Searcher) fine(query []byte, recs []candRec, opts Options, sc *workerSc
 			// Each record's band window is read from the store into the
 			// worker's scratch, and one BatchBandedScore call scores them.
 			from, to := bandWindow(r.centre, opts.Band, len(query), n)
-			sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], r.id, from, to) //cafe:allow alias AppendRange decodes into dst and keeps no reference to it
+			sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], r.id, from, to) // AppendRange decodes into dst and keeps no reference to it
 			lanes[nl] = align.BatchLane{B: sc.windows[nl], Centre: r.centre - from}
 			nl++
 		}
@@ -1050,8 +1050,8 @@ type workerScratch struct {
 	batch  align.BatchScratch
 	// seq holds the worker's last whole-subject or traceback read, and
 	// windows the band windows of its current batch, one per lane.
-	seq     []byte                   //cafe:pooled subject bases, overwritten by the worker's next read
-	windows [align.BatchLanes][]byte //cafe:pooled band windows, overwritten by the worker's next batch
+	seq     []byte                   // subject bases, overwritten by the worker's next read
+	windows [align.BatchLanes][]byte // band windows, overwritten by the worker's next batch
 }
 
 // accumulators is the coarse-phase scratch: per-sequence distinct-term

@@ -297,14 +297,22 @@ func TestMinCoarseHitsFilters(t *testing.T) {
 }
 
 func TestSearcherReuseAcrossQueries(t *testing.T) {
-	// Scratch state must fully reset between queries: two different
-	// queries run back-to-back give the same results as fresh searchers.
-	// The first query's results are compared only after the second query
-	// has run, so results aliasing the searcher's pooled records fail.
+	// Scratch state must fully reset between queries, and nothing a call
+	// returns may alias the searcher's pooled scratch: each form runs two
+	// different queries back-to-back on one searcher, and gives the same
+	// answers as fresh searchers. The first query's answer is compared
+	// only after the second query has run, so a result slice backed by
+	// the searcher's records, or a candidate slice backed by its top-k
+	// buffer, fails.
 	f := makeFixture(t, 50, index.Options{K: 9})
 	rng := rand.New(rand.NewSource(51))
 	q2 := gen.RandomSequence(rng, 200, [4]float64{0.25, 0.25, 0.25, 0.25}, 0)
 
+	type form struct {
+		name string
+		call func(s *Searcher, query []byte) (any, error)
+	}
+	var forms []form
 	exact, strands := DefaultOptions(), DefaultOptions()
 	exact.FineMode = FineFull
 	strands.BothStrands = true
@@ -312,31 +320,45 @@ func TestSearcherReuseAcrossQueries(t *testing.T) {
 		name string
 		opts Options
 	}{{"default", DefaultOptions()}, {"exact", exact}, {"strands", strands}} {
-		search := func(s *Searcher, query []byte) []Result {
+		forms = append(forms,
+			form{"Search/" + set.name, func(s *Searcher, query []byte) (any, error) {
+				return s.Search(query, set.opts)
+			}},
+			form{"SearchWithStatsContext/" + set.name, func(s *Searcher, query []byte) (any, error) {
+				var st SearchStats
+				return s.SearchWithStatsContext(context.Background(), query, set.opts, &st)
+			}})
+	}
+	for _, mode := range []CoarseMode{CoarseDistinct, CoarseDiagonal} {
+		forms = append(forms, form{"Coarse/" + mode.String(), func(s *Searcher, query []byte) (any, error) {
+			return s.Coarse(query, mode, 1)
+		}})
+	}
+	for _, fm := range forms {
+		run := func(s *Searcher, query []byte) any {
 			t.Helper()
-			rs, err := s.Search(query, set.opts)
+			out, err := fm.call(s, query)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", fm.name, err)
 			}
-			return rs
+			if reflect.ValueOf(out).Len() == 0 {
+				t.Fatalf("%s: nothing to compare", fm.name)
+			}
+			return out
 		}
 		shared := newTestSearcher(t, f)
-		r1a := search(shared, f.query)
-		r2a := search(shared, q2)
-		r1b := search(newTestSearcher(t, f), f.query)
-		r2b := search(newTestSearcher(t, f), q2)
-		assertSameResults(t, set.name+"/query1", r1a, r1b)
-		assertSameResults(t, set.name+"/query2", r2a, r2b)
-	}
-}
-
-func assertSameResults(t *testing.T, label string, a, b []Result) {
-	t.Helper()
-	if len(a) == 0 {
-		t.Fatalf("%s: no results to compare", label)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("%s: results differ:\n%+v\n%+v", label, a, b)
+		r1a := run(shared, f.query)
+		r2a := run(shared, q2)
+		r1b := run(newTestSearcher(t, f), f.query)
+		r2b := run(newTestSearcher(t, f), q2)
+		for _, c := range []struct {
+			label     string
+			got, want any
+		}{{"query1", r1a, r1b}, {"query2", r2a, r2b}} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("%s/%s: reused searcher's answer differs from a fresh one's:\n%+v\n%+v", fm.name, c.label, c.got, c.want)
+			}
+		}
 	}
 }
 

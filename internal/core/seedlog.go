@@ -81,15 +81,15 @@ type candPosting struct {
 // walk and read by the hand-over, both on the searcher's goroutine; the
 // fine workers see only the seeds it writes into the candidates' records.
 type seedLog struct {
-	recs  []seedRec    //cafe:pooled query-lifetime log, truncated at the start of each logging walk
-	offs  []uint32     //cafe:pooled offsets of the logged postings that have several
-	lists []loggedList //cafe:pooled one per logged list, in walk order
+	recs  []seedRec    // query-lifetime log, truncated at the start of each logging walk
+	offs  []uint32     // offsets of the logged postings that have several
+	lists []loggedList // one per logged list, in walk order
 
 	// candOf maps a global id to its admitted candidate's index + 1
 	// during a hand-over, and is all zero otherwise.
 	candOf []int32
 	// postings buckets the log's postings by admitted candidate.
-	postings [][]candPosting //cafe:pooled one bucket per admitted candidate, refilled by each hand-over
+	postings [][]candPosting // one bucket per admitted candidate, refilled by each hand-over
 	// count and first are indexed by diagonal + query length: the hits
 	// on each diagonal and the smallest subject position among them.
 	// Only the diagonals listed in diags are live; the hand-over zeroes
@@ -113,7 +113,7 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 		l.candOf[r.id] = int32(i + 1)
 	}
 	for len(l.postings) < len(recs) {
-		l.postings = append(l.postings, nil) //cafe:allow grows once to the candidate budget
+		l.postings = append(l.postings, nil) // grows once to the candidate budget
 	}
 	buckets := l.postings[:len(recs)]
 	for i := range buckets {
@@ -126,7 +126,7 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 		}
 		for _, r := range l.recs[ls.start:end] {
 			if ci := l.candOf[r.id]; ci != 0 {
-				buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) //cafe:allow amortised scratch; stabilises at the high-water mark across queries
+				buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) // amortised scratch; stabilises at the high-water mark across queries
 			}
 		}
 	}

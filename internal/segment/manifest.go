@@ -59,8 +59,6 @@ func fault(point string) error {
 
 // manifest is the on-disk JSON document. Once written or decoded it is
 // a record of a published state.
-//
-//cafe:frozen
 type manifest struct {
 	Version  int           `json:"version"`
 	NextSeg  int           `json:"next_seg"`
@@ -70,8 +68,6 @@ type manifest struct {
 // manifestSeg describes one live segment: its file stem, its record
 // count (validated against the loaded files), and its tombstoned local
 // ids.
-//
-//cafe:frozen
 type manifestSeg struct {
 	Name    string `json:"name"`
 	Seqs    int    `json:"seqs"`

@@ -26,8 +26,6 @@ import (
 // them, and compaction rewrites them as empty stubs — descriptions
 // survive, sequence bytes and postings are reclaimed, and ids stay
 // dense and stable.
-//
-//cafe:frozen
 type Segment struct {
 	Name  string // file stem inside a database directory; "" if unpersisted
 	Store *db.Store
@@ -125,9 +123,8 @@ func (g *Segment) DeletedList() []int {
 // Set is an immutable ordered snapshot of segments covering contiguous
 // global ids from 0. It implements core.Source over global ids, so one
 // Set pointer is everything a searcher needs; writers publish a new Set
-// and readers keep using the one they loaded.
-//
-//cafe:frozen
+// and readers keep using the one they loaded. TestSnapshotIsolation, in
+// the root package, checks that no write reaches a loaded Set.
 type Set struct {
 	segs       []*Segment
 	bases      []int // bases[i] = segs[i].Base, for binary search

@@ -64,7 +64,7 @@ func newResultCache(capacity int) *resultCache {
 // The returned slice is the shared cache entry itself: callers may only
 // read it (every concurrent hit hands out the same backing array).
 //
-//cafe:pooled the returned body is shared across concurrent hits; never mutate or append to it
+// The returned body is shared across concurrent hits; never mutate or append to it.
 func (c *resultCache) get(key cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false

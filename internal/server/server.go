@@ -488,7 +488,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			s.mCacheHits.Inc()
 			w.Header().Set("X-Cafe-Cache", "hit")
 			w.Header().Set("X-Cafe-Took-Us", strconv.FormatInt(time.Since(start).Microseconds(), 10))
-			writeBody(w, http.StatusOK, body) //cafe:allow poolescape writeBody only reads the shared cache entry; ResponseWriter.Write copies the bytes to the socket
+			writeBody(w, http.StatusOK, body) // writeBody only reads the shared cache entry; ResponseWriter.Write copies the bytes to the socket
 			return
 		}
 		s.mCacheMisses.Inc()

@@ -156,7 +156,7 @@ type Database struct {
 // use it (not a fresh Load) for descriptions and significance so one
 // search sees one consistent state.
 //
-//cafe:pooled callers must pair every checkout with putSearcher
+// Callers must pair every checkout with putSearcher.
 func (d *Database) getSearcher() (*core.Searcher, *segment.Set, error) {
 	set := d.snap.Load()
 	s, err := d.searcherFor(set)
@@ -167,7 +167,7 @@ func (d *Database) getSearcher() (*core.Searcher, *segment.Set, error) {
 // constructing one when the pool is empty or holds searchers built for
 // a superseded snapshot.
 //
-//cafe:pooled callers must pair every checkout with putSearcher
+// Callers must pair every checkout with putSearcher.
 func (d *Database) searcherFor(set *segment.Set) (*core.Searcher, error) {
 	if s, ok := d.searchers.Get().(*core.Searcher); ok && s.Snapshot() == any(set) {
 		return s, nil
@@ -369,7 +369,7 @@ func (d *Database) Close() error {
 		}
 	}
 	for _, g := range set.Segments() {
-		if err := g.Index.Close(); err != nil && first == nil { //cafe:allow snapshot teardown contract: Close runs after the caller has stopped issuing searches, so no reader holds this snapshot
+		if err := g.Index.Close(); err != nil && first == nil { // teardown contract: Close runs after the caller has stopped issuing searches, so no reader holds this snapshot
 			first = err
 		}
 	}
