@@ -1,41 +1,49 @@
 package align
 
 // Bit-parallel ("bitvector") Smith–Waterman scoring: a Farrar-style
-// query-profile–striped kernel that packs DP lanes into one uint64 and
-// advances them all with plain word arithmetic — pure Go, no assembly.
-// There are two lane geometries: eight 8-bit lanes and four 16-bit ones.
-// A pair starts in byte lanes, twice as many cells a word, and widens to
-// 16-bit lanes in place after the first column whose best could
-// overflow a byte in the next one. The kernel computes the exact
+// query-profile–striped kernel that packs DP lanes into a vector and
+// advances them all at once. It has two routes, chosen once at package
+// init from CPUID: on amd64 CPUs with AVX2 (and an operating system that
+// saves the YMM registers) the columns run in 256-bit registers
+// (striped_amd64.s), and everywhere else in one uint64 with plain word
+// arithmetic, pure Go. There are two lane geometries on each route:
+// 8-bit lanes (eight a uint64, 32 a YMM register) and 16-bit ones (four,
+// 16). A pair starts in byte lanes, twice as many cells a vector, and
+// widens to 16-bit lanes in place after the first column whose best
+// could overflow a byte in the next one. The kernel computes the exact
 // affine-gap local alignment score (identical to LocalScore, whose
 // recurrences it transposes), but no traceback: the fine phase uses it
 // to rank candidates, and it hands the subject column its best cells sit
 // in to LocalEndingAt, which traces the transcripts of reported results
-// on a strip around it.
+// on a strip around it. Both routes compute every cell's exact value,
+// so they agree on every answer and on the column a pair widens after.
 //
-// Layout. The query is striped Farrar-style: with L lanes a word and
-// segLen = ⌈n/L⌉ words a column, lane l of word w holds query position
-// l·segLen + w. Striping puts each lane's vertical (gap-in-subject)
-// dependency in the same lane of the previous word, so the F state
-// threads through the inner loop as a single carried vector, with the
-// classic lazy-F correction loop handling the rare cross-stripe
-// propagation. A profile row interleaves each word of biased scores with
-// its bias word, and the scratch each H word with its E word, so the
-// column loop walks two arrays.
+// Layout. The query is striped Farrar-style: with L lanes a vector and
+// segLen = ⌈n/L⌉ vectors a column, lane l of vector w holds query
+// position l·segLen + w. Striping puts each lane's vertical
+// (gap-in-subject) dependency in the same lane of the previous vector, so
+// the F state threads through the inner loop as a single carried vector,
+// with the classic lazy-F correction loop handling the rare cross-stripe
+// propagation. A profile row interleaves each vector of biased scores
+// with its bias vector, and the scratch each H vector with its E vector,
+// so the column loop walks two arrays. A vector is one uint64 word on
+// the uint64 route and four on the AVX2 route, lane l in word l/(64/bits).
 //
 // Lanes are unsigned values kept at or below their cap (0x7F, 0x7FFF):
 // every DP value is a local-alignment score (≥ 0). Keeping the per-lane
 // top bit clear is what makes the branch-free SWAR primitives below
 // exact: saturating subtraction and maximum both borrow the spare bit as
-// a per-lane comparison flag. A 16-bit lane holds any score up to
-// min(n,m)·Match, and Supports refuses pairs whose bound could reach its
-// top — those fall back to the scalar kernel. A byte lane holds the
-// next column exactly while this column's best is at most 127 − Match −
-// Mismatch, since the next column adds at most Match + Mismatch to a
-// cell before the bias comes off. After the first column past that, the
-// pair widens: its H and E columns are re-striped into 16-bit lanes and
-// the remaining subject columns run there. Every value computed in bytes
-// was exact, so nothing is recomputed.
+// a per-lane comparison flag (the AVX2 route has saturating instructions,
+// and keeps the caps so that both routes widen at the same column). A
+// 16-bit lane holds any score up to min(n,m)·Match, and Supports refuses
+// pairs whose bound could reach its top — those fall back to the scalar
+// kernel. A byte lane holds the next column exactly while this column's
+// best is at most 127 − Match − Mismatch, since the next column adds at
+// most Match + Mismatch to a cell before the bias comes off. After the
+// first column past that, the pair widens: its H and E columns are
+// re-striped into 16-bit lanes and the remaining subject columns run
+// there. Every value computed in bytes was exact, so nothing is
+// recomputed.
 //
 // Padding. Lanes past the query's end (positions ≥ n) are rows below the
 // matrix. Their bias is the whole lane, so their diagonal H is 0; they
@@ -127,57 +135,102 @@ func laneTop[T lane](x uint64) int {
 	return int(m)
 }
 
+// walker walks the subject columns b through the H/E columns he, with
+// the profile rows prof ((dna.NumCodes+1) rows of len(he) words) and the
+// packed gap penalties, until a column holds a lane at or above best
+// (packed). It returns that column's index and its best lane, or len(b)
+// and 0 when no column does.
+type walker func(he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int)
+
+// route is one implementation of the striped column: how many uint64
+// words a vector spans and the kernel of each lane geometry.
+type route struct {
+	name         string
+	vec          int
+	narrow, wide walker
+}
+
+// swar is the portable route: one uint64 a vector, SWAR arithmetic.
+var swar = route{name: "uint64", vec: 1, narrow: walkColumns[uint8], wide: walkColumns[uint16]}
+
+// fastest is the route Build takes: the vector route when this CPU has
+// one, else swar.
+var fastest = func() route {
+	if r, ok := vectorRoute(); ok {
+		return r
+	}
+	return swar
+}()
+
+// neverMatches is the profile row of a subject byte outside the code
+// space.
+const neverMatches = dna.NumCodes
+
 // stripes is a query profile striped in one lane geometry: for every
 // subject code, the biased substitution scores of all query positions,
 // in stripe order, plus the gap penalties packed for that geometry.
 type stripes struct {
-	segLen int // words per column
-	// prof holds (dna.NumCodes+1) rows of segLen word pairs: the scores
+	segLen int // vectors per column
+	vec    int // uint64 words per vector
+	// prof holds (dna.NumCodes+1) rows of segLen vector pairs: the scores
 	// biased by Mismatch, then the bias (Mismatch at query positions,
 	// laneCap at padding).
 	prof    []uint64
 	openExt uint64 // packed GapOpen+GapExtend
 	ext     uint64 // packed GapExtend
+	walk    walker // the route's kernel of this geometry
 }
 
-// buildStripes stripes q under s in T lanes into t, reusing its backing
-// storage. The biased scores and the gap penalties must fit the lanes.
-func buildStripes[T lane](t *stripes, q []byte, s Scoring) {
+// buildStripes stripes q under s in T lanes of route r into t, reusing
+// its backing storage. The biased scores and the gap penalties must fit
+// the lanes.
+func buildStripes[T lane](t *stripes, q []byte, s Scoring, r route) {
 	n := len(q)
 	bits := laneBits[T]()
-	lanes := int(64 / bits)
+	perWord := int(64 / bits)
+	lanes := perWord * r.vec
 	segLen := (n + lanes - 1) / lanes
-	t.segLen = segLen
+	t.segLen, t.vec = segLen, r.vec
 	t.openExt = packLane[T](s.GapOpen + s.GapExtend)
 	t.ext = packLane[T](s.GapExtend)
-
-	rows := int(dna.NumCodes) + 1 // one per code plus the never-matches row
-	if cap(t.prof) < 2*rows*segLen {
-		t.prof = make([]uint64, 2*rows*segLen)
+	t.walk = r.wide
+	if bits == 8 {
+		t.walk = r.narrow
 	}
-	t.prof = t.prof[:2*rows*segLen]
+
+	rows, words := int(neverMatches)+1, t.words() // one row per code plus the never-matches row
+	if cap(t.prof) < rows*words {
+		t.prof = make([]uint64, rows*words)
+	}
+	t.prof = t.prof[:rows*words]
+	clear(t.prof)
 	for c := 0; c < rows; c++ {
-		row := t.prof[2*c*segLen : 2*(c+1)*segLen]
+		row := t.prof[c*words : (c+1)*words]
 		for w := 0; w < segLen; w++ {
-			var word, bias uint64
+			scores, bias := row[2*w*r.vec:(2*w+1)*r.vec], row[(2*w+1)*r.vec:(2*w+2)*r.vec]
 			for l := 0; l < lanes; l++ {
-				shift := bits * uint(l)
+				word, shift := l/perWord, bits*uint(l%perWord)
 				pos := l*segLen + w
 				if pos >= n {
-					bias |= uint64(laneCap[T]()) << shift // padding: its diagonal H is 0
+					bias[word] |= uint64(laneCap[T]()) << shift // padding: its diagonal H is 0
 					continue
 				}
 				sc := -s.Mismatch // subject byte outside the code space
-				if c < int(dna.NumCodes) {
+				if c < int(neverMatches) {
 					sc = s.Score(q[pos], byte(c))
 				}
-				word |= uint64(sc+s.Mismatch) << shift
-				bias |= uint64(s.Mismatch) << shift
+				scores[word] |= uint64(sc+s.Mismatch) << shift
+				bias[word] |= uint64(s.Mismatch) << shift
 			}
-			row[2*w], row[2*w+1] = word, bias
 		}
 	}
 }
+
+// words returns the uint64 words of one H/E column, and of one profile
+// row: segLen vector pairs.
+//
+//cafe:hotpath
+func (t *stripes) words() int { return 2 * t.segLen * t.vec }
 
 // StripedScratch is the per-worker mutable state of one striped score
 // evaluation: the H and E (gap-in-query direction) columns of each lane
@@ -192,25 +245,25 @@ type StripedScratch struct {
 	widenedAt int
 }
 
-// columns returns *he resized to segLen H/E word pairs and zeroed (the
-// DP boundary), growing it once to the high-water mark.
+// columns returns *he resized to an H/E column of words uint64 words and
+// zeroed (the DP boundary), growing it once to the high-water mark.
 // The columns belong to the scratch and are reused by its next call.
 //
 //cafe:hotpath
-func columns(he *[]uint64, segLen int) []uint64 {
-	if cap(*he) < 2*segLen {
-		*he = make([]uint64, 2*segLen) //cafe:allow grows once to the longest query
+func columns(he *[]uint64, words int) []uint64 {
+	if cap(*he) < words {
+		*he = make([]uint64, words) //cafe:allow grows once to the longest query
 	}
-	*he = (*he)[:2*segLen]
+	*he = (*he)[:words]
 	clear(*he)
 	return *he
 }
 
 // StripedProfile is the striped query profile of the bitvector kernel,
-// in both lane geometries. Building it costs O(16·n) per geometry once
-// per query strand; scoring a subject then never calls Scoring.Score. A
-// profile is immutable after Build and safe for concurrent Score calls
-// with distinct scratches.
+// in both lane geometries of the route Build takes. Building it costs
+// O(16·n) per geometry once per query strand; scoring a subject then
+// never calls Scoring.Score. A profile is immutable after Build and safe
+// for concurrent Score calls with distinct scratches.
 type StripedProfile struct {
 	n      int     // query length
 	wide   stripes // 16-bit lanes
@@ -236,7 +289,10 @@ func NewStripedProfile(q []byte, s Scoring) *StripedProfile {
 
 // Build (re)initialises the profile for a new query, reusing backing
 // storage — the searcher rebuilds one pooled profile per strand.
-func (p *StripedProfile) Build(q []byte, s Scoring) {
+func (p *StripedProfile) Build(q []byte, s Scoring) { p.build(q, s, fastest) }
+
+// build is Build on route r.
+func (p *StripedProfile) build(q []byte, s Scoring, r route) {
 	p.n = len(q)
 	// 16-bit capacity: the top score of a local alignment of lengths
 	// (n, m) is min(n,m)·Match, and the pre-bias add in the inner loop
@@ -248,13 +304,13 @@ func (p *StripedProfile) Build(q []byte, s Scoring) {
 		return
 	}
 	p.maxMin = (wideCap - s.Match - s.Mismatch) / s.Match
-	buildStripes[uint16](&p.wide, q, s)
+	buildStripes[uint16](&p.wide, q, s, r)
 	// Byte lanes first whenever they have headroom and the gap penalties
 	// fit them. Little headroom only means an early widening: the byte
 	// columns before it are cheaper, and the re-striping costs O(n).
 	if top := narrowCap - s.Match - s.Mismatch; top > 0 && s.GapOpen+s.GapExtend <= narrowCap {
 		p.narrowTop = top
-		buildStripes[uint8](&p.narrow, q, s)
+		buildStripes[uint8](&p.narrow, q, s, r)
 	}
 }
 
@@ -297,15 +353,15 @@ func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, u
 	}
 	var at column
 	if p.narrowTop > 0 {
-		narrow := columns(&sc.narrow, p.narrow.segLen)
+		narrow := columns(&sc.narrow, p.narrow.words())
 		if at = scan[uint8](&p.narrow, b, narrow, p.narrowTop, at); at.next == len(b) {
 			return at.score, at.bEnd, at.unique, true
 		}
 		sc.widenedAt = at.next
 	}
-	wide := columns(&sc.wide, p.wide.segLen)
+	wide := columns(&sc.wide, p.wide.words())
 	if at.next > 0 {
-		restripe(wide, sc.narrow, p.n)
+		restripe(wide, sc.narrow, p.n, p.wide.vec)
 	}
 	at = scan[uint16](&p.wide, b, wide, laneCap[uint16](), at)
 	return at.score, at.bEnd, at.unique, true
@@ -325,37 +381,46 @@ type column struct {
 //
 //cafe:hotpath
 func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column {
-	words, hi := 2*t.segLen, laneHi[T]()
-	// best is max(score, 1) in every lane: a column is looked at lane by
-	// lane only when some cell in it reaches that.
-	best := packLane[T](max(at.score, 1))
-	for i := at.next; i < len(b); i++ {
-		c := b[i]
-		if c >= dna.NumCodes {
-			c = dna.NumCodes // the never-matches profile row
+	prof := t.prof[:(int(neverMatches)+1)*len(he)] // every row the kernel may read
+	for at.next < len(b) {
+		// The kernel returns only at a column whose best reaches
+		// max(score, 1): one that sets or ties the score.
+		i, m := t.walk(he, prof, b[at.next:], t.openExt, t.ext, packLane[T](max(at.score, 1)))
+		if i += at.next; i == len(b) {
+			break
 		}
-		colBest := stripedColumn[T](he, t.prof[int(c)*words:(int(c)+1)*words], t.openExt, t.ext)
-		// Top bits survive in the lanes where colBest ≥ best (see
-		// laneSubSat).
-		if ((colBest|hi)-best)&hi == 0 {
-			continue
-		}
-		m := laneTop[T](colBest)
 		if m > at.score {
 			at.score, at.bEnd, at.unique = m, i+1, true
-			best = packLane[T](m)
 		} else {
 			at.unique = false // m == score: a second column ties
 		}
+		at.next = i + 1
 		// Every earlier column was at most top, and so is the score: a
 		// column past top always reaches this test.
 		if m > top {
-			at.next = i + 1
 			return at
 		}
 	}
 	at.next = len(b)
 	return at
+}
+
+// walkColumns is the uint64 route's kernel: stripedColumn for each
+// subject column, until one has a lane at or above best.
+//
+//cafe:hotpath
+func walkColumns[T lane](he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int) {
+	words, hi := len(he), laneHi[T]()
+	for i, c := range b {
+		c = min(c, neverMatches)
+		colBest := stripedColumn[T](he, prof[int(c)*words:(int(c)+1)*words], openExt, ext)
+		// Top bits survive in the lanes where colBest ≥ best (see
+		// laneSubSat).
+		if ((colBest|hi)-best)&hi != 0 {
+			return i, laneTop[T](colBest)
+		}
+	}
+	return len(b), 0
 }
 
 // stripedColumn advances the interleaved H/E column he by one subject
@@ -416,19 +481,20 @@ func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint
 }
 
 // restripe copies the first n query positions of a byte-lane H/E column
-// into the 16-bit layout. Padding lanes of wide are left 0: nothing
-// flows from them into the query's rows, and a padding cell at 0 is
-// still 0 or below its column's best.
+// into the 16-bit layout, vectors of vec words each. Padding lanes of
+// wide are left 0: nothing flows from them into the query's rows, and a
+// padding cell at 0 is still 0 or below its column's best.
 //
 //cafe:hotpath
-func restripe(wide, narrow []uint64, n int) {
+func restripe(wide, narrow []uint64, n, vec int) {
 	clear(wide)
-	segNarrow, segWide := len(narrow)/2, len(wide)/2
+	segNarrow, segWide := len(narrow)/(2*vec), len(wide)/(2*vec)
 	for pos := 0; pos < n; pos++ {
-		from, to := 2*(pos%segNarrow), 2*(pos%segWide)
+		from, lf := 2*vec*(pos%segNarrow), pos/segNarrow // vector pair, lane
+		to, lt := 2*vec*(pos%segWide), pos/segWide
 		for k := 0; k < 2; k++ { // H, then E
-			v := uint8(narrow[from+k] >> (8 * (pos / segNarrow)))
-			wide[to+k] |= uint64(v) << (16 * (pos / segWide))
+			v := uint8(narrow[from+k*vec+lf/8] >> (8 * (lf % 8)))
+			wide[to+k*vec+lt/4] |= uint64(v) << (16 * (lt % 4))
 		}
 	}
 }

@@ -86,7 +86,13 @@ func columnBests(H [][]int) []int {
 // column and whether it is the only one.
 func refBestColumns(a, b []byte, s Scoring) (score, bEnd int, unique bool) {
 	H, _, _ := refDP(a, b, s)
-	bests := columnBests(H)
+	return bestColumns(columnBests(H))
+}
+
+// bestColumns returns the best of the column bests (as columnBests gives
+// them), the end of the first column holding it and whether it is the
+// only one.
+func bestColumns(bests []int) (score, bEnd int, unique bool) {
 	score = slices.Max(bests)
 	if score == 0 {
 		return 0, 0, false
@@ -95,20 +101,92 @@ func refBestColumns(a, b []byte, s Scoring) (score, bEnd int, unique bool) {
 	return score, bEnd, slices.Index(bests[bEnd+1:], score) < 0
 }
 
-// checkStripedHandover requires p.Score(b) to report the brute-force
-// (score, first best column, unique) of query a — the profile's —
-// against b, and the frozen 16-bit kernel's answer. The scratch is the
+// stripedRoutes are the routes the striped suites hold to each other:
+// the uint64 route always, and the AVX2 route whenever this CPU has it.
+func stripedRoutes() []route {
+	if r, ok := vectorRoute(); ok {
+		return []route{swar, r}
+	}
+	return []route{swar}
+}
+
+// routedProfile is one query's striped profile on every route. Its
+// Score scores a subject on each, requires them all to agree, and
+// returns the common answer.
+type routedProfile struct {
+	t  testing.TB
+	ps []*StripedProfile
+}
+
+// newRoutedProfile builds the profile of query q under s on every route.
+func newRoutedProfile(t testing.TB, q []byte, s Scoring) *routedProfile {
+	rp := &routedProfile{t: t}
+	for range stripedRoutes() {
+		rp.ps = append(rp.ps, &StripedProfile{})
+	}
+	rp.Build(q, s)
+	return rp
+}
+
+// Build rebuilds every route's profile for query q, reusing them.
+func (rp *routedProfile) Build(q []byte, s Scoring) {
+	for i, r := range stripedRoutes() {
+		rp.ps[i].build(q, s, r)
+	}
+}
+
+// Supports is every route's Supports, which must agree.
+func (rp *routedProfile) Supports(lb int) bool {
+	rp.t.Helper()
+	want := rp.ps[0].Supports(lb)
+	for i, p := range rp.ps[1:] {
+		if p.Supports(lb) != want {
+			rp.t.Fatalf("Supports(%d): %s route %v, %s route %v", lb, stripedRoutes()[i+1].name, !want, swar.name, want)
+		}
+	}
+	return want
+}
+
+// Score scores b on every route through the one scratch sc, each dirty
+// from the last, and requires every route to return the uint64 route's
+// (score, bEnd, unique, ok) and to widen after the same column; sc is
+// left as the last route's call left it.
+func (rp *routedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, unique, ok bool) {
+	rp.t.Helper()
+	score, bEnd, unique, ok = rp.ps[0].Score(b, sc)
+	widened := sc.widenedAt
+	for i, p := range rp.ps[1:] {
+		vScore, vEnd, vUnique, vOK := p.Score(b, sc)
+		if vScore != score || vEnd != bEnd || vUnique != unique || vOK != ok || sc.widenedAt != widened {
+			rp.t.Fatalf("%s route (score %d, column %d, unique %v, ok %v, widened after %d), %s route (%d, %d, %v, %v, %d)\n b=%v",
+				stripedRoutes()[i+1].name, vScore, vEnd, vUnique, vOK, sc.widenedAt, swar.name, score, bEnd, unique, ok, widened, b)
+		}
+	}
+	return score, bEnd, unique, ok
+}
+
+// checkStripedHandover requires p.Score(b) to report, on every route,
+// the brute-force (score, first best column, unique) of query a — the
+// profile's — against b and the frozen 16-bit kernel's answer, and to
+// widen from byte lanes right after the first column whose best exceeds
+// the byte headroom, unless that column is the last. The scratch is the
 // caller's, reused dirty across calls.
-func checkStripedHandover(t testing.TB, p *StripedProfile, sc *StripedScratch, a, b []byte, s Scoring) {
+func checkStripedHandover(t testing.TB, p *routedProfile, sc *StripedScratch, a, b []byte, s Scoring) {
 	t.Helper()
-	wScore, wEnd, wUnique := refBestColumns(a, b, s)
+	H, _, _ := refDP(a, b, s)
+	bests := columnBests(H)
+	wScore, wEnd, wUnique := bestColumns(bests)
+	wWiden := -1
+	if past := firstPast(bests, byteHeadroom(s)); past > 0 && past < len(b) {
+		wWiden = past
+	}
 	score, bEnd, unique, ok := p.Score(b, sc)
 	if !ok {
 		t.Fatalf("kernel refused len %d×%d under %+v", len(a), len(b), s)
 	}
-	if score != wScore || bEnd != wEnd || unique != wUnique {
-		t.Fatalf("%+v: striped (score %d, column %d, unique %v), brute force (%d, %d, %v)\n a=%v\n b=%v",
-			s, score, bEnd, unique, wScore, wEnd, wUnique, a, b)
+	if score != wScore || bEnd != wEnd || unique != wUnique || sc.widenedAt != wWiden {
+		t.Fatalf("%+v: striped (score %d, column %d, unique %v, widened after %d), brute force (%d, %d, %v, %d)\n a=%v\n b=%v",
+			s, score, bEnd, unique, sc.widenedAt, wScore, wEnd, wUnique, wWiden, a, b)
 	}
 	if rScore, rEnd, rUnique, rOK := refStripedScore(a, b, s); score != rScore || bEnd != rEnd || unique != rUnique || !rOK {
 		t.Fatalf("%+v: striped (score %d, column %d, unique %v), frozen 16-bit kernel (%d, %d, %v, ok %v)\n a=%v\n b=%v",
@@ -137,7 +215,7 @@ func TestStripedMatchesLocalScoreRandom(t *testing.T) {
 				t.Fatalf("scoring %d trial %d (%v): striped %d != scalar %d\n a=%v\n b=%v",
 					si, trial, s, got, want, a, b)
 			}
-			checkStripedHandover(t, NewStripedProfile(a, s), &sc, a, b, s)
+			checkStripedHandover(t, newRoutedProfile(t, a, s), &sc, a, b, s)
 		}
 	}
 }
@@ -166,7 +244,7 @@ func TestStripedHandoverTiesAndLazyF(t *testing.T) {
 			b[i] = byte(rng.Intn(2))
 		}
 		for _, s := range []Scoring{DefaultScoring(), cheapGaps} {
-			p := NewStripedProfile(a, s)
+			p := newRoutedProfile(t, a, s)
 			for k := 1; k <= len(b); k++ {
 				checkStripedHandover(t, p, &sc, a, b[:k], s)
 				if score, _, unique := refBestColumns(a, b[:k], s); score > 0 && !unique {
@@ -197,7 +275,7 @@ func TestStripedProfileReuseAcrossSubjects(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := DefaultScoring()
 	var sc StripedScratch
-	p := &StripedProfile{}
+	p := newRoutedProfile(t, nil, s)
 	for q := 0; q < 10; q++ {
 		query := randCodes(rng, 3+rng.Intn(90))
 		p.Build(query, s)
@@ -250,7 +328,7 @@ func TestStripedExhaustiveSmallAlphabet(t *testing.T) {
 	check := func(pairsA, pairsB [][]byte, s Scoring) {
 		t.Helper()
 		for _, a := range pairsA {
-			p := NewStripedProfile(a, s)
+			p := newRoutedProfile(t, a, s)
 			for _, b := range pairsB {
 				want, _, _ := LocalScore(a, b, s)
 				got, ok := StripedLocalScore(a, b, s)
@@ -309,7 +387,43 @@ func TestStripedEdgeCases(t *testing.T) {
 			if got, ok := StripedLocalScore(a, b, s); !ok || got != want {
 				t.Fatalf("len %d: (%d,%v), want %d", la, got, ok, want)
 			}
-			checkStripedHandover(t, NewStripedProfile(a, s), &sc, a, b, s)
+			checkStripedHandover(t, newRoutedProfile(t, a, s), &sc, a, b, s)
+		}
+	}
+
+	// Query lengths on both sides of every lane count (4 and 8 lanes a
+	// uint64, 16 and 32 a YMM register), the served read length and a
+	// long query, against a random subject and against one with a mutated
+	// piece of the query planted in it, which widens the pair.
+	for _, la := range []int{1, 15, 16, 17, 31, 32, 33, 150, 2000} {
+		a := randomSeq(rng, la)
+		p := newRoutedProfile(t, a, s)
+		piece := a
+		if la > 300 {
+			piece = a[la/4 : la/4+300]
+		}
+		homolog := append(append(randomSeq(rng, 40), mutate(rng, piece, 0.1)...), randomSeq(rng, 40)...)
+		for _, b := range [][]byte{randCodes(rng, 200), homolog} {
+			checkStripedHandover(t, p, &sc, a, b, s)
+		}
+	}
+}
+
+// TestStripedScoreAllocs: with a warm scratch, Score allocates nothing
+// on any route, across a widening too.
+func TestStripedScoreAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	a := randomSeq(rng, 150)
+	b := append(append(randomSeq(rng, 2000), mutate(rng, a, 0.05)...), randomSeq(rng, 2000)...)
+	for _, r := range stripedRoutes() {
+		var p StripedProfile
+		p.build(a, DefaultScoring(), r)
+		var sc StripedScratch
+		if p.Score(b, &sc); sc.widenedAt < 0 {
+			t.Fatal("fixture does not widen")
+		}
+		if n := testing.AllocsPerRun(20, func() { p.Score(b, &sc) }); n != 0 {
+			t.Fatalf("%s route: Score allocates %v times a call", r.name, n)
 		}
 	}
 }
@@ -326,7 +440,7 @@ func TestStripedCapacityRefusal(t *testing.T) {
 
 	s := DefaultScoring()
 	long := make([]byte, 8000) // 8000×5 > 0x7FFF: too big when both sides are long
-	p := NewStripedProfile(long, s)
+	p := newRoutedProfile(t, long, s)
 	if p.Supports(len(long)) {
 		t.Fatal("kernel accepted min-length 8000 at Match=5")
 	}
@@ -370,11 +484,13 @@ func firstPast(bests []int, top int) int {
 // exceeds 127 − Match − Mismatch, unless that column is the last. It
 // returns that first column of b (0 if none) and how many prefixes
 // finished in byte lanes, widened, and ran in 16-bit lanes alone.
-func checkWidening(t *testing.T, p *StripedProfile, sc *StripedScratch, a, b []byte, s Scoring) (past int, tiers [3]int) {
+func checkWidening(t *testing.T, p *routedProfile, sc *StripedScratch, a, b []byte, s Scoring) (past int, tiers [3]int) {
 	t.Helper()
 	top := byteHeadroom(s)
-	if p.narrowTop != top {
-		t.Fatalf("%+v: byte headroom %d, want %d", s, p.narrowTop, top)
+	for _, rp := range p.ps {
+		if rp.narrowTop != top {
+			t.Fatalf("%+v: byte headroom %d, want %d", s, rp.narrowTop, top)
+		}
 	}
 	H, _, _ := refDP(a, b, s)
 	bests := columnBests(H)
@@ -474,7 +590,7 @@ func TestStripedWidening(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		a := randomSeq(rng, 1+rng.Intn(30))
 		b := append([]byte{a[rng.Intn(len(a))]}, randomSeq(rng, rng.Intn(20))...)
-		if count(checkWidening(t, NewStripedProfile(a, first), &sc, a, b, first)) == 1 {
+		if count(checkWidening(t, newRoutedProfile(t, a, first), &sc, a, b, first)) == 1 {
 			firsts++
 		}
 	}
@@ -482,7 +598,7 @@ func TestStripedWidening(t *testing.T) {
 	lazy, bridged := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		a := randomSeq(rng, 30+rng.Intn(31))
-		p := NewStripedProfile(a, cheapGaps)
+		p := newRoutedProfile(t, a, cheapGaps)
 		const k = 8 // 8 × 9 > 127 − 9 − 50 ≥ 7 × 9: the widening column
 		at := rng.Intn(len(a) - 20)
 		head := a[at : at+k]
@@ -511,7 +627,7 @@ func TestStripedWidening(t *testing.T) {
 		for _, s := range []Scoring{first, {Match: 20, Mismatch: 7, GapOpen: 5, GapExtend: 2}, DefaultScoring(), wide} {
 			a := randomSeq(rng, n)
 			b := append(append(randomSeq(rng, rng.Intn(30)), mutate(rng, a, 0.1)...), randomSeq(rng, 1+rng.Intn(30))...)
-			if count(checkWidening(t, NewStripedProfile(a, s), &sc, a, b, s)) > 0 {
+			if count(checkWidening(t, newRoutedProfile(t, a, s), &sc, a, b, s)) > 0 {
 				widened++
 			}
 		}
@@ -580,9 +696,9 @@ func checkLanePrimitives[T lane](t *testing.T, bits uint, hi uint64) {
 
 // BenchmarkFineKernels compares the scalar and bitvector score kernels
 // on the fine phase's typical shape (400-base query, ~900-base
-// candidate), times the bitvector kernel on the served exact shape
-// (150-base read, 5 000-base subject) in byte lanes throughout and
-// across a widening, and — on BenchmarkBandedKernels' 600 × 8 000
+// candidate), times the bitvector kernel on every route on the served
+// exact shape (150-base read, 5 000-base subject) in byte lanes
+// throughout, in 16-bit lanes throughout and across a widening, and — on BenchmarkBandedKernels' 600 × 8 000
 // pair — the two ways to the exact transcript once the score pass is
 // done: the
 // frozen full-matrix traceback and the strip LocalEndingAt traces from
@@ -598,28 +714,40 @@ func BenchmarkFineKernels(b *testing.B) {
 			LocalScore(query, subject, s)
 		}
 	})
-	bitvector := func(name string, query, subject []byte) {
+	// Each bitvector row runs once per route; words forces the 16-bit
+	// lanes throughout.
+	bitvector := func(name string, query, subject []byte, words bool) {
 		b.Run(name, func(b *testing.B) {
-			p := NewStripedProfile(query, s)
-			var sc StripedScratch
-			b.SetBytes(int64(len(query)) * int64(len(subject)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Score(subject, &sc)
+			for _, r := range stripedRoutes() {
+				b.Run(r.name, func(b *testing.B) {
+					var p StripedProfile
+					p.build(query, s, r)
+					if words {
+						p.narrowTop = 0
+					}
+					var sc StripedScratch
+					b.SetBytes(int64(len(query)) * int64(len(subject)))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						p.Score(subject, &sc)
+					}
+				})
 			}
 		})
 	}
-	bitvector("bitvector", query, subject)
+	bitvector("bitvector", query, subject, false)
 
 	// The served exact shape: a 150-base read against a 5 000-base
-	// subject, unrelated (the byte lanes throughout), and with a homolog
-	// of the read planted at base 2 000 (widens about 40 % of the way in).
+	// subject, unrelated (the byte lanes throughout, or the 16-bit lanes
+	// throughout), and with a homolog of the read planted at base 2 000
+	// (widens about 40 % of the way in).
 	read := randomSeq(rng, 150)
 	weak := randomSeq(rng, 5000)
 	strong := slices.Clone(weak)
 	copy(strong[2000:], mutate(rng, read, 0.05))
-	bitvector("bitvector-150x5000", read, weak)
-	bitvector("bitvector-150x5000-homolog", read, strong)
+	bitvector("bitvector-150x5000", read, weak, false)
+	bitvector("bitvector-150x5000-words", read, weak, true)
+	bitvector("bitvector-150x5000-homolog", read, strong, false)
 
 	rng = rand.New(rand.NewSource(2))
 	subject = randomSeq(rng, 8000)

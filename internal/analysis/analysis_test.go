@@ -263,6 +263,22 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
+// TestLoadHonoursBuildConstraints: fixture/arch declares Lanes in an
+// _amd64.go file and in a !amd64 file. The loader must keep exactly one,
+// as the go tool does, or the package fails to type-check.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	prog := loadFixture(t)
+	for _, pkg := range prog.Packages {
+		if pkg.Path == "fixture/arch" {
+			if len(pkg.Files) != 1 {
+				t.Fatalf("fixture/arch loaded %d files, want the one this GOARCH builds", len(pkg.Files))
+			}
+			return
+		}
+	}
+	t.Fatal("fixture/arch did not load")
+}
+
 // TestLoadRecordsPerPackageFailures drives the loader over a module
 // with one broken package: the failure must be recorded per package
 // with the import path, and the healthy sibling must still load and

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -14,7 +15,8 @@ import (
 )
 
 // Loading: the analyzer type-checks every package of the module itself
-// (go/parser + go/types over the non-test sources), so passes see full
+// (go/parser + go/types over the non-test sources the go tool would
+// build for the current GOOS and GOARCH), so passes see full
 // type information and share object identity across packages — the
 // hotpath pass needs to resolve a call in internal/postings to the
 // *types.Func declared in internal/compress and ask whether that
@@ -270,6 +272,13 @@ func (l *loader) doLoad(path string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		if e.IsDir() || !isSourceFile(e.Name()) {
+			continue
+		}
+		// Build constraints and _GOOS/_GOARCH suffixes pick one file of
+		// each per-architecture pair, as the go tool does.
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil {
+			return nil, fmt.Errorf("analysis: %w", err)
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)

@@ -117,8 +117,10 @@ type FineMode int
 const (
 	// FineFull runs unrestricted Smith–Waterman on each candidate:
 	// exact scores, highest cost. The score pass is striped
-	// (align.StripedProfile: eight 8-bit DP lanes per uint64, widening
-	// to four 16-bit lanes once a pair's score outgrows a byte); a pair
+	// (align.StripedProfile: 8-bit DP lanes, widening to 16-bit lanes
+	// once a pair's score outgrows a byte). It runs 32 or 16 lanes to a
+	// YMM register on amd64 CPUs whose CPUID reports AVX2, and eight or
+	// four lanes to a uint64 elsewhere, with identical answers; a pair
 	// beyond the 16-bit lanes' capacity takes the scalar
 	// Subst.LocalScore.
 	FineFull FineMode = iota
