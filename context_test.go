@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"nucleodb/internal/dna"
@@ -55,6 +57,51 @@ func TestSearchContextCancelledProperty(t *testing.T) {
 		if _, _, err := db.SearchBatchWithStatsContext(ctx, []string{query, query[:100]}, DefaultSearchOptions(), 2); !errors.Is(err, context.Canceled) {
 			t.Fatalf("seed %d: batch err = %v, want context.Canceled", seed, err)
 		}
+	}
+}
+
+// countdownCtx reports nil from its first n Err calls and
+// context.Canceled from then on. The batch and the search poll only
+// Err, so the cancellation lands at a chosen check, not at a chosen
+// time.
+type countdownCtx struct {
+	context.Context
+	remaining atomic.Int64
+}
+
+func newCountdownCtx(allow int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background()}
+	c.remaining.Store(allow)
+	return c
+}
+
+func (c *countdownCtx) Err() error {
+	if c.remaining.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBatchCancelReachesWorkers: a batch whose context ends after the
+// feeder has handed out its one query must stop that query in flight.
+// The worker's search observes the cancellation, and the batch reports
+// it as the query's error. A worker searching under a context of its
+// own would finish the query, and only the batch's closing check would
+// see the cancellation.
+func TestBatchCancelReachesWorkers(t *testing.T) {
+	recs, query, _ := testRecords(5)
+	db, err := Build(recs, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One query, so the feeder's one check is the first Err call: the
+	// worker cannot start before it.
+	rs, _, err := db.SearchBatchWithStatsContext(newCountdownCtx(1), []string{query}, DefaultSearchOptions(), 1)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "query 0: ") {
+		t.Fatalf("err = %v, want query 0's context.Canceled", err)
+	}
+	if rs != nil {
+		t.Fatalf("cancelled batch returned %d result lists", len(rs))
 	}
 }
 

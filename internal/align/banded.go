@@ -57,12 +57,10 @@ type BandedScratch struct {
 // at h[c+1] between sentinels h[0] and h[width+1], E column c at e[c]
 // before sentinel e[width].
 // The rows belong to the scratch and are reused by its next call.
-//
-//cafe:hotpath
 func (sc *BandedScratch) rows(width int) (h, e []int32) {
 	if cap(sc.h) < width+2 {
-		sc.h = make([]int32, width+2) //cafe:allow grows once to the widest band
-		sc.e = make([]int32, width+1) //cafe:allow grows once to the widest band
+		sc.h = make([]int32, width+2) // grows once to the widest band
+		sc.e = make([]int32, width+1) // grows once to the widest band
 	}
 	h, e = sc.h[:width+2], sc.e[:width+1]
 	clear(h)
@@ -72,8 +70,6 @@ func (sc *BandedScratch) rows(width int) (h, e []int32) {
 }
 
 // bandRows returns the rows [first, end) of a whose band meets b.
-//
-//cafe:hotpath
 func bandRows(la, lb, lo, width int) (first, end int) {
 	first, end = -(lo + width - 1), lb-lo
 	if first < 0 {
@@ -99,8 +95,6 @@ func BandedLocalScore(a, b []byte, centre, band int, s Scoring) (score, aEnd, bE
 
 // BandedLocalScore is the package-level function on a compiled scoring
 // and caller-owned scratch; it allocates nothing once sc has grown.
-//
-//cafe:hotpath
 func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratch) (score, aEnd, bEnd int) {
 	if len(a) == 0 || len(b) == 0 || band < 0 {
 		return 0, 0, 0
@@ -115,8 +109,6 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 // far and its end cell. BandedLocalScore starts it at row 0 on zeroed
 // rows; the batched pass hands it a lane's rows when the lane's score
 // outgrows a byte.
-//
-//cafe:hotpath
 func (t *Subst) scoreRows(a, b []byte, lo int, h, e []int32, row int, best int32, aEnd, bEnd int) (int, int, int) {
 	width := len(e) - 1
 	first, end := bandRows(len(a), len(b), lo, width)
@@ -147,8 +139,6 @@ func (t *Subst) scoreRows(a, b []byte, lo int, h, e []int32, row int, best int32
 // as Validate requires) F(x−1)−openExt never wins, so F(x) only needs
 // he(x−1)−openExt, computed a cell early. F is left unclamped: it never
 // drops below −openExt, and H = max(he, F) is the same either way.
-//
-//cafe:hotpath
 func scoreRow(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32) {
 	hOut, hUp, eOut, eUp = hOut[:len(bs)], hUp[:len(bs)], eOut[:len(bs)], eUp[:len(bs)]
 	_ = sub[0] // one nil check here instead of one per cell
@@ -166,8 +156,6 @@ func scoreRow(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, op
 }
 
 // firstAt returns the first index of v in row, which must hold it.
-//
-//cafe:hotpath
 func firstAt(row []int32, v int32) int {
 	x := 0
 	for row[x] != v {
@@ -181,8 +169,6 @@ func firstAt(row []int32, v int32) int {
 // byte needs F's open and extend terms exactly. The byte is assembled
 // from sign bits of differences, with no comparison to branch on; strict
 // signs keep Local's tie rules (open over extend; diagonal over E over F).
-//
-//cafe:hotpath
 func traceRow(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32) {
 	hOut, hUp, eOut, eUp, dOut = hOut[:len(bs)], hUp[:len(bs)], eOut[:len(bs)], eUp[:len(bs)], dOut[:len(bs)]
 	_ = sub[0] // one nil check here instead of one per cell
@@ -205,8 +191,6 @@ func traceRow(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, le
 
 // signBit is 1 if v < 0 and 0 otherwise, read off the sign bit rather
 // than compared, so it compiles to a shift instead of a branch.
-//
-//cafe:hotpath
 func signBit(v int32) byte {
 	return byte(uint32(v) >> 31)
 }
@@ -227,8 +211,6 @@ func BandedLocal(a, b []byte, centre, band int, s Scoring) Alignment {
 // It is one forward pass: a caller that already knows the alignment's
 // end row from BandedLocalScore passes a[:aEnd] and gets the identical
 // alignment for fewer cells.
-//
-//cafe:hotpath
 func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Alignment {
 	if len(a) == 0 || len(b) == 0 || band < 0 {
 		return Alignment{}
@@ -237,7 +219,7 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 	h, e := sc.rows(width)
 	dir := sc.dir
 	if need := len(a) * width; cap(dir) < need {
-		dir = make([]byte, need) //cafe:allow grows once to the high-water query length, outside the per-cell loop
+		dir = make([]byte, need) // grows once to the high-water query length, outside the per-cell loop
 		if need <= maxPooledDir {
 			sc.dir = dir
 		}
@@ -283,7 +265,7 @@ loop:
 			case hFromNone:
 				break loop
 			case hFromDiag:
-				ops = append(ops, OpMatch) //cafe:allow amortised scratch; stabilises at the longest transcript
+				ops = append(ops, OpMatch) // amortised scratch; stabilises at the longest transcript
 				if t.row(a[i])[b[j]] > 0 {
 					al.Matches++
 				} else {
@@ -297,14 +279,14 @@ loop:
 				st = stF
 			}
 		case stE:
-			ops = append(ops, OpBGap) //cafe:allow amortised scratch; stabilises at the longest transcript
+			ops = append(ops, OpBGap) // amortised scratch; stabilises at the longest transcript
 			al.Gaps++
 			if d&eExtend == 0 {
 				st = stH
 			}
 			i--
 		case stF:
-			ops = append(ops, OpAGap) //cafe:allow amortised scratch; stabilises at the longest transcript
+			ops = append(ops, OpAGap) // amortised scratch; stabilises at the longest transcript
 			al.Gaps++
 			if d&fExtend == 0 {
 				st = stH
@@ -314,7 +296,7 @@ loop:
 	}
 	al.AStart, al.BStart = i+1, j+1
 	sc.ops = ops[:0]
-	al.Ops = make([]byte, len(ops)) //cafe:allow the returned transcript, the call's one allocation
+	al.Ops = make([]byte, len(ops)) // the returned transcript, the call's one allocation
 	for x, o := range ops {
 		al.Ops[len(ops)-1-x] = o
 	}

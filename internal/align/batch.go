@@ -102,8 +102,6 @@ func (sc *BatchScratch) Rows() (lane, inBytes int) {
 // minBatchLanes, and scorings that leave a byte lane no headroom or whose
 // gap penalties do not fit one, run the scalar kernel lane by lane. It
 // allocates nothing once sc has grown.
-//
-//cafe:hotpath
 func (t *Subst) BatchBandedScore(a []byte, band int, lanes []BatchLane, sc *BatchScratch) {
 	for k := range sc.handedAt {
 		sc.handedAt[k] = -1
@@ -138,11 +136,9 @@ type laneScore [16]byte
 // grow returns *buf resized to n entries and zeroed, growing it once to
 // the high-water mark.
 // The entries belong to the scratch and are reused by its next call.
-//
-//cafe:hotpath
 func grow[T laneCell | laneScore](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]T, n) //cafe:allow grows once to the widest batch
+		*buf = make([]T, n) // grows once to the widest batch
 	}
 	*buf = (*buf)[:n]
 	clear(*buf)
@@ -150,8 +146,6 @@ func grow[T laneCell | laneScore](buf *[]T, n int) []T {
 }
 
 // batch runs BatchBandedScore's lanes in byte lanes with headroom top.
-//
-//cafe:hotpath
 func (t *Subst) batch(a []byte, band, top int, lanes []BatchLane, sc *BatchScratch) {
 	width := 2*band + 1
 	win := len(a) + width - 1 // window positions a band row reads
@@ -271,8 +265,6 @@ func (t *Subst) batch(a []byte, band, top int, lanes []BatchLane, sc *BatchScrat
 // which gives the same F. Or-ing H + (hi − thr) over the row, whose
 // lanes cannot carry, flags a new best in two operations a cell where a
 // running maximum takes seven; the rows that set a new best are few.
-//
-//cafe:hotpath
 func batchRow(band []laneCell, prof []laneScore, openExt, ext, thr uint64) (reached uint64) {
 	band = band[:len(prof)+1]
 	// H has every top bit clear, so (H | hi) − thr is H + (hi − thr),
@@ -293,8 +285,6 @@ func batchRow(band []laneCell, prof []laneScore, openExt, ext, thr uint64) (reac
 
 // laneBest returns the best H of the lane at shift in a band row and
 // the first column holding it.
-//
-//cafe:hotpath
 func laneBest(cells []laneCell, shift uint) (best, at int) {
 	for c, cell := range cells {
 		if v := int(uint8(cell.h >> shift)); v > best {

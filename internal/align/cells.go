@@ -55,8 +55,6 @@ func BandedCells(la, lb, centre, band int) int64 {
 // N wildcard scores Match, Masked −Mismatch); its cells lie within g
 // diagonals of its end cell's. ok is false when the strip's direction
 // bytes would exceed maxCells.
-//
-//cafe:hotpath
 func (t *Subst) traceStrip(la, score, aEnd, bEnd int) (rows, centre, band int, ok bool) {
 	s := t.scoring
 	rows, first := aEnd, aEnd

@@ -8,8 +8,6 @@ package align
 // score drops more than xdrop below the best seen in that direction.
 //
 // It returns the segment's score and its half-open spans in a and b.
-//
-//cafe:hotpath
 func ExtendUngapped(a, b []byte, aPos, bPos, seedLen int, s Scoring, xdrop int) (score, aStart, aEnd, bStart, bEnd int) {
 	score = seedLen * s.Match
 	aStart, aEnd = aPos, aPos+seedLen

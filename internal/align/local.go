@@ -22,8 +22,6 @@ func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 // scoreRow, with the DP state in registers, and the best cell is the
 // first in row-major order, as above. The rows it grows in sc are
 // len(a)+len(b) cells wide.
-//
-//cafe:hotpath
 func (t *Subst) LocalScore(a, b []byte, sc *BandedScratch) (score, aEnd, bEnd int) {
 	band := (len(a) + len(b)) / 2 // 2·band+1 ≥ len(a)+len(b) diagonals
 	return t.BandedLocalScore(a, b, band-len(a), band, sc)
@@ -106,8 +104,6 @@ func Local(a, b []byte, s Scoring) Alignment {
 
 // Local is the package-level function on a compiled scoring and
 // caller-owned scratch; its only allocation is the returned transcript.
-//
-//cafe:hotpath
 func (t *Subst) Local(a, b []byte, sc *BandedScratch) Alignment {
 	score, aEnd, bEnd := t.LocalScore(a, b, sc)
 	return t.LocalEndingAt(a, b, score, aEnd, bEnd, sc)
@@ -123,8 +119,6 @@ func (t *Subst) Local(a, b []byte, sc *BandedScratch) Alignment {
 // best cell in the strip is Local's end cell, and on the way back from
 // it the full matrix's winning move is still exact while its rivals are
 // no larger: BandedLocal, which breaks ties as Local does, takes it.
-//
-//cafe:hotpath
 func (t *Subst) LocalEndingAt(a, b []byte, score, aEnd, bEnd int, sc *BandedScratch) Alignment {
 	if score <= 0 {
 		return Alignment{}

@@ -54,8 +54,6 @@ const Masked byte = 0xFF
 // aligns neutrally against anything, matching how search tools treat
 // ambiguity codes. Codes outside the nucleotide alphabet (such as
 // Masked) always score as mismatches.
-//
-//cafe:hotpath
 func (s Scoring) Score(a, b byte) int {
 	if a >= dna.NumCodes || b >= dna.NumCodes {
 		return -s.Mismatch
@@ -100,8 +98,6 @@ func (t *Subst) build(s Scoring) {
 
 // row returns the substitution scores of query code a against every
 // subject byte; indexing it with a byte needs no bounds check.
-//
-//cafe:hotpath
 func (t *Subst) row(a byte) *[256]int32 {
 	if a > dna.NumCodes {
 		a = dna.NumCodes

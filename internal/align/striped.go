@@ -66,8 +66,6 @@ import "nucleodb/internal/dna"
 type lane interface{ uint8 | uint16 }
 
 // laneBits returns the bits per lane.
-//
-//cafe:hotpath
 func laneBits[T lane]() uint {
 	if ^T(0) > 0xFF {
 		return 16
@@ -77,21 +75,15 @@ func laneBits[T lane]() uint {
 
 // laneCap returns the largest value a lane may hold: its top bit must
 // stay clear for laneSubSat and laneMax to be exact.
-//
-//cafe:hotpath
 func laneCap[T lane]() int { return int(^T(0) >> 1) }
 
 // laneHi returns every lane's top bit.
-//
-//cafe:hotpath
 func laneHi[T lane]() uint64 {
 	full := uint64(^T(0))
 	return ^uint64(0) / full * (full>>1 + 1)
 }
 
 // packLane broadcasts v (0 ≤ v ≤ laneCap) into every lane.
-//
-//cafe:hotpath
 func packLane[T lane](v int) uint64 { return uint64(v) * (^uint64(0) / uint64(^T(0))) }
 
 // laneSubSat returns x−y per lane, saturated at 0 (the DP's "clamp
@@ -100,8 +92,6 @@ func packLane[T lane](v int) uint64 { return uint64(v) * (^uint64(0) / uint64(^T
 // lanes; the surviving top bit then flags the lanes where x ≥ y, and
 // t − t/top turns each flag into a mask of its lane's low bits, which
 // keeps exactly those differences and drops the flag.
-//
-//cafe:hotpath
 func laneSubSat[T lane](x, y uint64) uint64 {
 	full := uint64(^T(0))
 	top := full>>1 + 1
@@ -113,8 +103,6 @@ func laneSubSat[T lane](x, y uint64) uint64 {
 
 // laneMax returns the per-lane maximum of x and y (lanes ≤ laneCap):
 // y plus the saturated difference x − y, computed as laneSubSat does.
-//
-//cafe:hotpath
 func laneMax[T lane](x, y uint64) uint64 {
 	full := uint64(^T(0))
 	top := full>>1 + 1
@@ -125,8 +113,6 @@ func laneMax[T lane](x, y uint64) uint64 {
 }
 
 // laneTop returns the largest lane of x.
-//
-//cafe:hotpath
 func laneTop[T lane](x uint64) int {
 	m := T(0)
 	for ; x != 0; x /= uint64(^T(0)) + 1 {
@@ -228,8 +214,6 @@ func buildStripes[T lane](t *stripes, q []byte, s Scoring, r route) {
 
 // words returns the uint64 words of one H/E column, and of one profile
 // row: segLen vector pairs.
-//
-//cafe:hotpath
 func (t *stripes) words() int { return 2 * t.segLen * t.vec }
 
 // StripedScratch is the per-worker mutable state of one striped score
@@ -248,11 +232,9 @@ type StripedScratch struct {
 // columns returns *he resized to an H/E column of words uint64 words and
 // zeroed (the DP boundary), growing it once to the high-water mark.
 // The columns belong to the scratch and are reused by its next call.
-//
-//cafe:hotpath
 func columns(he *[]uint64, words int) []uint64 {
 	if cap(*he) < words {
-		*he = make([]uint64, words) //cafe:allow grows once to the longest query
+		*he = make([]uint64, words) // grows once to the longest query
 	}
 	*he = (*he)[:words]
 	clear(*he)
@@ -319,8 +301,6 @@ func (p *StripedProfile) build(q []byte, s Scoring, r route) {
 // scalar kernel when it returns false ("queries longer than the
 // striping supports" — though the binding length is whichever sequence
 // is shorter, since that bounds the score).
-//
-//cafe:hotpath
 func (p *StripedProfile) Supports(lb int) bool {
 	if p.maxMin <= 0 {
 		return false
@@ -341,8 +321,6 @@ func (p *StripedProfile) Supports(lb int) bool {
 // kernel takes the smallest column. ok is false (and no work is done)
 // when the pair exceeds the lanes' capacity; the caller then runs the
 // scalar kernel.
-//
-//cafe:hotpath
 func (p *StripedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, unique, ok bool) {
 	sc.widenedAt = -1
 	if p.n == 0 || len(b) == 0 {
@@ -378,8 +356,6 @@ type column struct {
 // scan runs subject columns b[at.next:] in T lanes through the H/E
 // columns he, carrying at's best. It stops after the first column whose
 // best exceeds top, and returns where it stands.
-//
-//cafe:hotpath
 func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column {
 	prof := t.prof[:(int(neverMatches)+1)*len(he)] // every row the kernel may read
 	for at.next < len(b) {
@@ -407,8 +383,6 @@ func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column 
 
 // walkColumns is the uint64 route's kernel: stripedColumn for each
 // subject column, until one has a lane at or above best.
-//
-//cafe:hotpath
 func walkColumns[T lane](he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int) {
 	words, hi := len(he), laneHi[T]()
 	for i, c := range b {
@@ -427,8 +401,6 @@ func walkColumns[T lane](he, prof []uint64, b []byte, openExt, ext, best uint64)
 // column whose profile row is prof, and returns the column's lane-wise
 // best H. It is a leaf function, so its loop-carried vectors have the
 // registers to themselves.
-//
-//cafe:hotpath
 func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint64) {
 	prof = prof[:len(he)]
 	// Diagonal carry-in: the previous column's last H word, shifted one
@@ -484,8 +456,6 @@ func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint
 // into the 16-bit layout, vectors of vec words each. Padding lanes of
 // wide are left 0: nothing flows from them into the query's rows, and a
 // padding cell at 0 is still 0 or below its column's best.
-//
-//cafe:hotpath
 func restripe(wide, narrow []uint64, n, vec int) {
 	clear(wide)
 	segNarrow, segWide := len(narrow)/(2*vec), len(wide)/(2*vec)

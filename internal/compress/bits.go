@@ -69,7 +69,6 @@ func (w *BitWriter) WriteBits(v uint64, n uint) {
 	}
 }
 
-//cafe:hotpath
 func mask(n uint) uint64 {
 	if n >= 64 {
 		return ^uint64(0)
@@ -164,8 +163,6 @@ func NewBitReader(buf []byte) *BitReader {
 }
 
 // Reset repositions the reader over a new buffer, reusing the struct.
-//
-//cafe:hotpath
 func (r *BitReader) Reset(buf []byte) {
 	r.buf, r.pos, r.cur, r.ncur = buf, 0, 0, 0
 }
@@ -173,8 +170,6 @@ func (r *BitReader) Reset(buf []byte) {
 // Refill tops the window up to at least 56 accounted bits: one
 // big-endian word while eight bytes remain, byte by byte (then zeros)
 // over the tail.
-//
-//cafe:hotpath
 func (r *BitReader) Refill() {
 	if r.pos+8 <= len(r.buf) {
 		r.cur |= binary.BigEndian.Uint64(r.buf[r.pos:]) >> r.ncur
@@ -197,30 +192,22 @@ func (r *BitReader) Refill() {
 // back. In between the caller keeps the struct's invariants: consume
 // from the top of cur, trust ncur bits at most, refill exactly as Refill
 // does.
-//
-//cafe:hotpath
 func (r *BitReader) Window() (buf []byte, pos int, cur uint64, ncur uint) {
 	return r.buf, r.pos, r.cur, r.ncur
 }
 
 // SetWindow stores a window obtained from Window and advanced by the
 // caller.
-//
-//cafe:hotpath
 func (r *BitReader) SetWindow(pos int, cur uint64, ncur uint) { r.pos, r.cur, r.ncur = pos, cur, ncur }
 
 // Overrun reports whether more bits have been consumed than the buffer
 // holds, i.e. whether any value read so far included zero fill. The
 // arithmetic is 64-bit so a list past 256 MB cannot wrap a 32-bit int.
-//
-//cafe:hotpath
 func (r *BitReader) Overrun() bool {
 	return int64(r.pos)*8-int64(r.ncur) > int64(len(r.buf))*8
 }
 
 // take consumes n ≤ 56 bits.
-//
-//cafe:hotpath
 func (r *BitReader) take(n uint) uint64 {
 	if r.ncur < n {
 		r.Refill()
@@ -232,8 +219,6 @@ func (r *BitReader) take(n uint) uint64 {
 }
 
 // ReadBits reads n bits (0 ≤ n ≤ 64), most significant first.
-//
-//cafe:hotpath
 func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	if n > 64 {
 		panic(fmt.Sprintf("compress: ReadBits of %d bits", n))
@@ -245,14 +230,12 @@ func (r *BitReader) ReadBits(n uint) (uint64, error) {
 	}
 	v |= r.take(n)
 	if r.Overrun() {
-		return 0, fmt.Errorf("%w: fixed-width field runs past the end of the input", ErrCorrupt) //cafe:allow cold corruption path; the error message is the product
+		return 0, fmt.Errorf("%w: fixed-width field runs past the end of the input", ErrCorrupt) // cold corruption path; the error message is the product
 	}
 	return v, nil
 }
 
 // ReadUnary reads a unary code and returns its value v ≥ 1.
-//
-//cafe:hotpath
 func (r *BitReader) ReadUnary() (uint64, error) {
 	v := uint64(1)
 	for {
@@ -273,7 +256,7 @@ func (r *BitReader) ReadUnary() (uint64, error) {
 		r.cur, r.ncur = 0, 0
 	}
 	if r.Overrun() {
-		return 0, fmt.Errorf("%w: unterminated unary code", ErrCorrupt) //cafe:allow cold corruption path; the error message is the product
+		return 0, fmt.Errorf("%w: unterminated unary code", ErrCorrupt) // cold corruption path; the error message is the product
 	}
 	return v, nil
 }

@@ -18,15 +18,13 @@ func PutGamma(w *BitWriter, v uint64) {
 }
 
 // GetGamma reads an Elias gamma code.
-//
-//cafe:hotpath
 func GetGamma(r *BitReader) (uint64, error) {
 	n, err := r.ReadUnary()
 	if err != nil {
 		return 0, err
 	}
 	if n > 64 {
-		return 0, fmt.Errorf("%w: gamma length %d", ErrCorrupt, n) //cafe:allow cold corruption path; the error message is the product
+		return 0, fmt.Errorf("%w: gamma length %d", ErrCorrupt, n) // cold corruption path; the error message is the product
 	}
 	low, err := r.ReadBits(uint(n - 1))
 	if err != nil {
@@ -53,15 +51,13 @@ func PutDelta(w *BitWriter, v uint64) {
 }
 
 // GetDelta reads an Elias delta code.
-//
-//cafe:hotpath
 func GetDelta(r *BitReader) (uint64, error) {
 	n, err := GetGamma(r)
 	if err != nil {
 		return 0, err
 	}
 	if n == 0 || n > 64 {
-		return 0, fmt.Errorf("%w: delta length %d", ErrCorrupt, n) //cafe:allow cold corruption path; the error message is the product
+		return 0, fmt.Errorf("%w: delta length %d", ErrCorrupt, n) // cold corruption path; the error message is the product
 	}
 	low, err := r.ReadBits(uint(n - 1))
 	if err != nil {
@@ -74,8 +70,6 @@ func GetDelta(r *BitReader) (uint64, error) {
 // Golomb-coding gaps whose mean is total/count: with n occurrences
 // spread over a universe of size u, b = ⌈0.69·u/n⌉. A parameter of at
 // least 1 is always returned.
-//
-//cafe:hotpath
 func GolombParameter(universe, occurrences uint64) uint64 {
 	if occurrences == 0 {
 		return 1
@@ -103,8 +97,6 @@ func PutGolomb(w *BitWriter, v, b uint64) {
 }
 
 // GetGolomb reads a Golomb code with parameter b.
-//
-//cafe:hotpath
 func GetGolomb(r *BitReader, b uint64) (uint64, error) {
 	if b == 0 {
 		panic("compress: golomb parameter 0")
@@ -144,7 +136,6 @@ func putTruncated(w *BitWriter, rem, b uint64) {
 	}
 }
 
-//cafe:hotpath
 func getTruncated(r *BitReader, b uint64) (uint64, error) {
 	if b == 1 {
 		return 0, nil
@@ -194,8 +185,6 @@ func PutRice(w *BitWriter, v uint64, k uint) {
 }
 
 // GetRice reads a Rice code with parameter k.
-//
-//cafe:hotpath
 func GetRice(r *BitReader, k uint) (uint64, error) {
 	q, err := r.ReadUnary()
 	if err != nil {
@@ -213,8 +202,6 @@ func GetRice(r *BitReader, k uint) (uint64, error) {
 // above it. It is integer arithmetic throughout — ⌈69·u / 100·n⌉ — so an
 // encoder and a decoder on different architectures derive the same k;
 // universe and occurrences must stay below 2^56.
-//
-//cafe:hotpath
 func RiceParameter(universe, occurrences uint64) uint {
 	if occurrences == 0 {
 		return 0

@@ -216,18 +216,35 @@ func TestPropertyAllCodesRoundTrip(t *testing.T) {
 			PutGolomb(w, v, b)
 			PutRice(w, v, k)
 		}
-		r := NewBitReader(w.Bytes())
-		for _, want := range vals {
-			if v, err := GetGamma(r); err != nil || v != want {
-				return false
+		decoders := []func(r *BitReader) (uint64, error){
+			GetGamma,
+			GetDelta,
+			func(r *BitReader) (uint64, error) { return GetGolomb(r, b) },
+			func(r *BitReader) (uint64, error) { return GetRice(r, k) },
+		}
+		// The whole stream decodes; cut at any byte, it decodes every
+		// code before the cut and fails at the first code that crosses
+		// it, never returning a value read from the zero fill.
+		buf := w.Bytes()
+		for cut := len(buf); cut >= 0; cut-- {
+			r := NewBitReader(buf[:cut:cut])
+			failed := false
+			for _, want := range vals {
+				for _, get := range decoders {
+					v, err := get(r)
+					if err != nil {
+						failed = true
+						break
+					}
+					if v != want {
+						return false
+					}
+				}
+				if failed {
+					break
+				}
 			}
-			if v, err := GetDelta(r); err != nil || v != want {
-				return false
-			}
-			if v, err := GetGolomb(r, b); err != nil || v != want {
-				return false
-			}
-			if v, err := GetRice(r, k); err != nil || v != want {
+			if failed != (cut < len(buf)) {
 				return false
 			}
 		}

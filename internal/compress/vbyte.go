@@ -19,26 +19,24 @@ func PutVByte(dst []byte, v uint64) []byte {
 
 // GetVByte decodes a variable-byte integer from buf, returning the value
 // and the number of bytes consumed.
-//
-//cafe:hotpath
 func GetVByte(buf []byte) (v uint64, n int, err error) {
 	var shift uint
 	for i, b := range buf {
 		if i == 10 {
-			return 0, 0, fmt.Errorf("%w: variable-byte code too long", ErrCorrupt) //cafe:allow cold corruption path
+			return 0, 0, fmt.Errorf("%w: variable-byte code too long", ErrCorrupt) // cold corruption path
 		}
 		if b&0x80 != 0 {
 			// The tenth byte holds bits 63.. of the value: anything past
 			// the single remaining bit silently truncated before.
 			if i == 9 && b&0x7F > 1 {
-				return 0, 0, fmt.Errorf("%w: variable-byte code overflows 64 bits", ErrCorrupt) //cafe:allow cold corruption path
+				return 0, 0, fmt.Errorf("%w: variable-byte code overflows 64 bits", ErrCorrupt) // cold corruption path
 			}
 			return v | uint64(b&0x7F)<<shift, i + 1, nil
 		}
 		v |= uint64(b) << shift
 		shift += 7
 	}
-	return 0, 0, fmt.Errorf("%w: unterminated variable-byte code", ErrCorrupt) //cafe:allow cold corruption path
+	return 0, 0, fmt.Errorf("%w: unterminated variable-byte code", ErrCorrupt) // cold corruption path
 }
 
 // VByteLen returns the encoded length in bytes of v.

@@ -40,13 +40,20 @@ func TestCoarseCancellation(t *testing.T) {
 	opts := DefaultOptions()
 
 	// Allow exactly the entry check in SearchWithStatsContext; the next
-	// Err poll, between posting lists, observes the cancellation.
-	rs, err := s.SearchWithStatsContext(newCountdownCtx(1), f.query, opts, nil)
+	// Err poll, before the first posting list, observes the cancellation.
+	// The stats show where the search stopped: a phase run under a
+	// context of its own would read lists (and align candidates) first,
+	// and fail only at the next check of this one.
+	var st SearchStats
+	rs, err := s.SearchWithStatsContext(newCountdownCtx(1), f.query, opts, &st)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	if rs != nil {
 		t.Errorf("cancelled search returned %d partial results", len(rs))
+	}
+	if st.PostingLists != 0 || st.FineAlignments != 0 {
+		t.Errorf("cancelled search read %d posting lists and aligned %d candidates, want none", st.PostingLists, st.FineAlignments)
 	}
 	if _, err := s.Search(f.query, opts); err != nil {
 		t.Errorf("search after cancellation: %v", err)

@@ -459,7 +459,7 @@ type candRec struct {
 // reverse complement of the query is evaluated too and each sequence
 // reports its best strand.
 func (s *Searcher) Search(query []byte, opts Options) ([]Result, error) {
-	return s.SearchWithStatsContext(context.Background(), query, opts, nil) //cafe:allow ctx context-free wrapper; running without a deadline is Search's documented behaviour
+	return s.SearchWithStatsContext(context.Background(), query, opts, nil) // context-free wrapper; running without a deadline is Search's documented behaviour
 }
 
 // SearchWithStatsContext is the search: it runs Search's evaluation
@@ -617,8 +617,6 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 // that window, with the centre shifted by from, computes exactly the
 // cells it computes on the whole subject: cells outside the window are
 // outside the band or the subject.
-//
-//cafe:hotpath
 func bandWindow(centre, band, rows, n int) (from, to int) {
 	from = min(max(centre-band, 0), n)
 	to = max(min(centre+band+rows, n), from)
@@ -804,7 +802,7 @@ const prescreenXDrop = 30
 // call it keeps the full sort over every touched sequence instead of
 // the bounded top-k selection.
 func (s *Searcher) Coarse(query []byte, mode CoarseMode, minHits int) ([]Candidate, error) {
-	return s.coarse(context.Background(), query, mode, minHits, 0, false, &s.stats) //cafe:allow ctx context-free wrapper; the recall experiments drive Coarse without a request context
+	return s.coarse(context.Background(), query, mode, minHits, 0, false, &s.stats) // context-free wrapper; the recall experiments drive Coarse without a request context
 }
 
 // coarse implements the coarse phase: for each segment in order,
@@ -1014,15 +1012,12 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 // intervals by term, then position.
 type queryTerm uint64
 
-//cafe:hotpath
 func packQueryTerm(t kmer.Term, pos int) queryTerm {
 	return queryTerm(uint64(t)<<32 | uint64(uint32(pos)))
 }
 
-//cafe:hotpath
 func (q queryTerm) term() kmer.Term { return kmer.Term(q >> 32) }
 
-//cafe:hotpath
 func (q queryTerm) pos() int { return int(uint32(q)) }
 
 // distinctTerms counts the runs of a sorted term array.
@@ -1071,16 +1066,14 @@ func newAccumulators(n int) accumulators {
 	}
 }
 
-//cafe:hotpath
 func (a *accumulators) bump(id, distinct, total int) {
 	if a.distinct[id] == 0 && a.total[id] == 0 {
-		a.touched = append(a.touched, id) //cafe:allow amortised scratch; stabilises at the high-water mark across queries
+		a.touched = append(a.touched, id) // amortised scratch; stabilises at the high-water mark across queries
 	}
 	a.distinct[id] += int32(distinct)
 	a.total[id] += int32(total)
 }
 
-//cafe:hotpath
 func (a *accumulators) reset() {
 	for _, id := range a.touched {
 		a.distinct[id] = 0

@@ -161,8 +161,6 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 // diagonal) and its hit at the smallest subject position. terms is the
 // walk's term array and qlen the query length. An admitted candidate
 // has at least one posting, so it always has a seed.
-//
-//cafe:hotpath
 func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) seedHit {
 	var one [1]uint32
 	for _, p := range ps {
@@ -182,7 +180,7 @@ func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) seedHit {
 					l.grow(i + 1)
 				}
 				if l.count[i] == 0 {
-					l.diags = append(l.diags, int32(i)) //cafe:allow amortised scratch; stabilises at the high-water mark across candidates
+					l.diags = append(l.diags, int32(i)) // amortised scratch; stabilises at the high-water mark across candidates
 					l.first[i] = off
 				} else if off < l.first[i] {
 					l.first[i] = off
@@ -206,12 +204,10 @@ func (l *seedLog) seed(ps []candPosting, terms []queryTerm, qlen int) seedHit {
 
 // grow extends the diagonal arrays to at least n entries, keeping the
 // live ones.
-//
-//cafe:hotpath
 func (l *seedLog) grow(n int) {
 	n = max(n, 2*len(l.count))
-	count := make([]int32, n)  //cafe:allow grows to the high-water query plus subject length
-	first := make([]uint32, n) //cafe:allow grows with count
+	count := make([]int32, n)  // grows to the high-water query plus subject length
+	first := make([]uint32, n) // grows with count
 	copy(count, l.count)
 	copy(first, l.first)
 	l.count, l.first = count, first

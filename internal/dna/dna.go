@@ -81,18 +81,12 @@ var complementOf = [NumCodes]byte{
 }
 
 // IsBase reports whether code is one of the four unambiguous bases.
-//
-//cafe:hotpath
 func IsBase(code byte) bool { return code < NumBases }
 
 // IsWildcard reports whether code is an IUPAC ambiguity code.
-//
-//cafe:hotpath
 func IsWildcard(code byte) bool { return code >= NumBases && code < NumCodes }
 
 // ValidCode reports whether code is any valid nucleotide code.
-//
-//cafe:hotpath
 func ValidCode(code byte) bool { return code < NumCodes }
 
 // Letter returns the canonical upper-case IUPAC letter for a code.
@@ -184,16 +178,12 @@ func CountWildcards(codes []byte) int {
 // Matches reports whether two codes are compatible: a wildcard matches
 // any base in its ambiguity set, and two bases match only if equal.
 // Two wildcards match if their base sets intersect.
-//
-//cafe:hotpath
 func Matches(a, b byte) bool {
 	return baseSet(a)&baseSet(b) != 0
 }
 
 // baseSet returns the set of bases a code can stand for, as a 4-bit mask
 // with bit i set when base code i is in the set.
-//
-//cafe:hotpath
 func baseSet(code byte) uint8 {
 	switch code {
 	case BaseA:
@@ -232,8 +222,6 @@ func baseSet(code byte) uint8 {
 
 // CanonicalBase returns code itself for a base, and the lowest base code
 // in the ambiguity set for a wildcard.
-//
-//cafe:hotpath
 func CanonicalBase(code byte) byte {
 	if IsBase(code) {
 		return code

@@ -20,8 +20,6 @@ func Pack2Lossy(codes []byte) (packed []byte, substituted int) {
 
 // Unpack2Into decodes len(dst) bases from packed into dst, avoiding an
 // allocation. It is the hot path for retrieving stored sequences.
-//
-//cafe:hotpath
 func Unpack2Into(packed []byte, dst []byte) {
 	n := len(dst)
 	// Decode four bases per input byte for the bulk of the buffer.
@@ -41,8 +39,6 @@ func Unpack2Into(packed []byte, dst []byte) {
 // Unpack2Range decodes len(dst) bases starting at base from out of
 // packed into dst: Unpack2Into's output from base from on, without
 // decoding the bases before it.
-//
-//cafe:hotpath
 func Unpack2Range(packed []byte, from int, dst []byte) {
 	// Bases up to the next byte boundary, then whole bytes.
 	head := min((4-from&3)&3, len(dst))

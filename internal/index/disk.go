@@ -23,16 +23,16 @@ func OpenDisk(path string) (*Index, error) {
 	}
 	x, blobLen, _, blobOffset, err := loadHeader(f)
 	if err != nil {
-		_ = f.Close() //cafe:allow best-effort close on the error path; the load error is the one to report
+		_ = f.Close() // best-effort close on the error path; the load error is the one to report
 		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
-		_ = f.Close() //cafe:allow best-effort close on the error path; the stat error is the one to report
+		_ = f.Close() // best-effort close on the error path; the stat error is the one to report
 		return nil, fmt.Errorf("index: open disk: %w", err)
 	}
 	if st.Size() < blobOffset+int64(blobLen) {
-		_ = f.Close() //cafe:allow best-effort close on the error path; the size mismatch is the one to report
+		_ = f.Close() // best-effort close on the error path; the size mismatch is the one to report
 		return nil, fmt.Errorf("index: open disk: file is %d bytes, blob needs %d",
 			st.Size(), blobOffset+int64(blobLen))
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -179,6 +180,46 @@ func TestOpenDiskReadErrorReported(t *testing.T) {
 	// The iterator is reusable: a later list reads clean.
 	if built.ReaderStats(kmer.Term(built.terms[0]), &it); !it.Next() || it.Err() != nil {
 		t.Fatalf("iterator not reusable after a failed read: %v", it.Err())
+	}
+}
+
+// TestOpenDiskShortRead cuts a live paged index to half its size after
+// OpenDisk and reads the last lexicon slot, whose list now lies past the
+// cut: the iterator must report the short read (io.EOF), not a corrupt
+// list, and must not decode the unread bytes as a list. A slot before
+// the cut still reads clean.
+func TestOpenDiskShortRead(t *testing.T) {
+	built, err := Build(randomStore(186, 20, 200), Options{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := saveToFile(t, built)
+	disk, err := OpenDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	var it postings.Iterator
+	if df, _ := disk.ReaderStats(kmer.Term(built.terms[0]), &it); df == 0 || !it.Next() || it.Err() != nil {
+		t.Fatalf("first slot, before the cut: df %d, err %v", df, it.Err())
+	}
+	last := kmer.Term(built.terms[len(built.terms)-1])
+	if df, _ := disk.ReaderStats(last, &it); df == 0 {
+		t.Fatal("last lexicon term has no list")
+	}
+	if it.Next() {
+		t.Fatal("Next returned an entry from past the end of the file")
+	}
+	err = it.Err()
+	if !errors.Is(err, io.EOF) || strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Err() = %v, want the short read (io.EOF), not a corrupt list", err)
 	}
 }
 

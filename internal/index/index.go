@@ -382,8 +382,6 @@ func (x *Index) lookup(t kmer.Term) int {
 // forward from from — 1, 2, 4, … slots, never past that bound — and
 // binary-searches the last stride, so the probes stay next to the
 // previous hit instead of restarting from the middle of the lexicon.
-//
-//cafe:hotpath
 func (x *Index) seek(t kmer.Term, from int) int {
 	terms, key := x.terms, uint64(t)
 	if from >= len(terms) || terms[from] >= key {

@@ -60,8 +60,6 @@ func (c *Coder) NumTerms() uint64 { return 1 << uint(2*c.k) }
 // positions for spaced coders). Wildcards are canonicalised to a base;
 // the same rule is applied at query time so the coarse phase stays
 // consistent. It panics if codes is shorter than the window span.
-//
-//cafe:hotpath
 func (c *Coder) Encode(codes []byte) Term {
 	if len(codes) < c.span {
 		panic(fmt.Sprintf("kmer: encode needs %d bases, have %d", c.span, len(codes)))
@@ -104,8 +102,6 @@ func (c *Coder) Extract(dst []Term, codes []byte) []Term {
 // ExtractFunc calls fn(position, term) for every overlapping interval,
 // where position is the offset of the interval window's first base. It
 // avoids materialising the term slice on the indexing hot path.
-//
-//cafe:hotpath
 func (c *Coder) ExtractFunc(codes []byte, fn func(pos int, t Term)) {
 	if len(codes) < c.span {
 		return

@@ -73,8 +73,6 @@ func (c *Coder) Span() int { return c.span }
 
 // encodeSpaced packs the sampled positions of the window starting at
 // codes[at].
-//
-//cafe:hotpath
 func (c *Coder) encodeSpaced(codes []byte, at int) Term {
 	var t uint64
 	for _, p := range c.sample {

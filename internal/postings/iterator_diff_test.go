@@ -265,6 +265,52 @@ func TestIteratorMatchesReference(t *testing.T) {
 // the parameter of a hundred offsets in a 2³¹−1-base sequence (k = 23),
 // a quotient of 128.
 func TestIteratorLongCodes(t *testing.T) {
+	buf, entries, seqs := longCodeList(t)
+	var it Iterator
+	var ref refIterator
+	it.Reset(buf, len(entries), seqs)
+	if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
+		t.Fatalf("valid list does not round-trip: %d entries, err %v", len(got), it.Err())
+	}
+	for n := 0; n <= len(buf); n++ {
+		checkAgainstReference(t, &it, &ref, buf[:n:n], len(entries), seqs)
+	}
+	flipped := append([]byte{}, buf...)
+	for bit := 0; bit < len(buf)*8; bit++ {
+		flipped[bit/8] ^= 0x80 >> (bit % 8)
+		checkAgainstReference(t, &it, &ref, flipped, len(entries), seqs)
+		flipped[bit/8] ^= 0x80 >> (bit % 8)
+	}
+}
+
+// TestIteratorWarmAllocs: once its offset scratch has grown, the
+// iterator decodes a list without allocating, on every arm of Next that
+// a valid list reaches: the one-window codes, the Golomb quotient too
+// long for one window, multi-offset runs through offsetRun, Rice codes
+// longer than a window, and the refill of the list's last bytes.
+func TestIteratorWarmAllocs(t *testing.T) {
+	buf, entries, seqs := longCodeList(t)
+	var it Iterator
+	decode := func() {
+		it.Reset(buf, len(entries), seqs)
+		for it.Next() {
+		}
+		if it.Err() != nil || it.Decoded() != len(entries) {
+			t.Fatalf("decoded %d of %d entries: %v", it.Decoded(), len(entries), it.Err())
+		}
+	}
+	decode() // grow the offset scratch to the longest posting
+	if n := testing.AllocsPerRun(20, decode); n != 0 {
+		t.Fatalf("a warm decode allocates %v times a list, want 0", n)
+	}
+}
+
+// longCodeList is a list with Golomb parameter 1 and one gap of 62 ids,
+// whose quotient is too long for one window, among one-offset postings;
+// every fiftieth posting has a hundred offsets in a 2³¹−1-base sequence,
+// the last two with Rice quotients past a window.
+func longCodeList(t *testing.T) ([]byte, []Entry, Seqs) {
+	t.Helper()
 	lens := make([]int32, 200)
 	var entries []Entry
 	for id := uint32(0); id < 200; id++ {
@@ -295,21 +341,7 @@ func TestIteratorLongCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var it Iterator
-	var ref refIterator
-	it.Reset(buf, len(entries), seqs)
-	if got := decodeAll(it.Next, it.Entry); it.Err() != nil || !equalEntries(got, entries) {
-		t.Fatalf("valid list does not round-trip: %d entries, err %v", len(got), it.Err())
-	}
-	for n := 0; n <= len(buf); n++ {
-		checkAgainstReference(t, &it, &ref, buf[:n:n], len(entries), seqs)
-	}
-	flipped := append([]byte{}, buf...)
-	for bit := 0; bit < len(buf)*8; bit++ {
-		flipped[bit/8] ^= 0x80 >> (bit % 8)
-		checkAgainstReference(t, &it, &ref, flipped, len(entries), seqs)
-		flipped[bit/8] ^= 0x80 >> (bit % 8)
-	}
+	return buf, entries, seqs
 }
 
 // TestIteratorLongQuotientAlignments slides Golomb quotients of 56 to

@@ -56,14 +56,10 @@ func NewSeqs(lens []int32) Seqs {
 }
 
 // Len returns the number of sequences.
-//
-//cafe:hotpath
 func (s Seqs) Len() int { return len(s.lens) }
 
 // offsetParameter is the Rice parameter of a posting's offset gaps:
 // count occurrences spread over a sequence of length bases.
-//
-//cafe:hotpath
 func offsetParameter(length int32, count uint64) uint {
 	return compress.RiceParameter(uint64(max(length, 0)), count)
 }
@@ -198,8 +194,6 @@ func (it *Iterator) Buffer(n int) []byte {
 
 // Reset prepares the iterator over a compressed list with the given
 // document frequency and universe.
-//
-//cafe:hotpath
 func (it *Iterator) Reset(buf []byte, df int, seqs Seqs) {
 	it.r.Reset(buf)
 	it.df = df
@@ -233,8 +227,6 @@ const gammaFast = 28
 
 // Next advances to the next entry, returning false at the end of the
 // list or on error; check Err afterwards.
-//
-//cafe:hotpath
 func (it *Iterator) Next() bool {
 	if it.err != nil || it.read >= it.df {
 		return false
@@ -273,7 +265,7 @@ func (it *Iterator) Next() bool {
 		it.r.SetWindow(pos, cur, ncur)
 		g, err := compress.GetGolomb(&it.r, it.b)
 		if err != nil {
-			it.err = fmt.Errorf("postings: entry %d id: %w", it.read, err) //cafe:allow cold corruption path
+			it.err = fmt.Errorf("postings: entry %d id: %w", it.read, err) // cold corruption path
 			return false
 		}
 		gap = g
@@ -284,7 +276,7 @@ func (it *Iterator) Next() bool {
 	// an error here, not as an out-of-range id that indexes the coarse
 	// accumulator's per-sequence arrays.
 	if gap > uint64(it.numSeqs) || it.prev+int64(gap) >= it.numSeqs {
-		it.err = fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", it.read, gap, it.numSeqs) //cafe:allow cold corruption path
+		it.err = fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", it.read, gap, it.numSeqs) // cold corruption path
 		return false
 	}
 	id := it.prev + int64(gap)
@@ -312,14 +304,14 @@ func (it *Iterator) Next() bool {
 		} else {
 			var err error
 			if count, err = it.slowGamma(pos, cur, ncur); err != nil {
-				it.err = fmt.Errorf("postings: entry %d count: %w", it.read, err) //cafe:allow cold corruption path
+				it.err = fmt.Errorf("postings: entry %d count: %w", it.read, err) // cold corruption path
 				return false
 			}
 			_, pos, cur, ncur = it.r.Window()
 		}
 	}
 	if count > 1<<31 {
-		it.err = fmt.Errorf("postings: entry %d implausible count %d", it.read, count) //cafe:allow cold corruption path
+		it.err = fmt.Errorf("postings: entry %d implausible count %d", it.read, count) // cold corruption path
 		return false
 	}
 
@@ -328,7 +320,7 @@ func (it *Iterator) Next() bool {
 	// the scratch it grows) within the list's own bit length however
 	// long the zero fill would let it run.
 	if int64(count) > int64(len(buf))*8-(int64(pos)*8-int64(ncur)) {
-		it.err = fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", it.read, compress.ErrCorrupt, count) //cafe:allow cold corruption path
+		it.err = fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", it.read, compress.ErrCorrupt, count) // cold corruption path
 		return false
 	}
 	// Offset gaps: Rice codes — q ones, a zero, k low bits — with the
@@ -354,10 +346,10 @@ func (it *Iterator) Next() bool {
 	if n := q + 1 + k; count == 1 && n <= ncur {
 		off := uint64(q)<<(k&63) | cur<<((q+1)&63)>>1>>((63-k)&63)
 		if off >= uint64(it.lens[id]) {
-			it.err = fmt.Errorf("postings: entry %d offset 0: %w: %d runs past sequence %d of length %d", it.read, compress.ErrCorrupt, off, id, it.lens[id]) //cafe:allow cold corruption path
+			it.err = fmt.Errorf("postings: entry %d offset 0: %w: %d runs past sequence %d of length %d", it.read, compress.ErrCorrupt, off, id, it.lens[id]) // cold corruption path
 			return false
 		}
-		offsets = append(offsets, uint32(off)) //cafe:allow amortised scratch, reused across entries and reset by Reset
+		offsets = append(offsets, uint32(off)) // amortised scratch, reused across entries and reset by Reset
 		cur <<= n & 63
 		ncur -= n
 	} else {
@@ -374,7 +366,7 @@ func (it *Iterator) Next() bool {
 	// inside the list, or the entry is zero fill and is not handed out.
 	it.r.SetWindow(pos, cur, ncur)
 	if it.r.Overrun() {
-		it.err = fmt.Errorf("postings: entry %d: %w: runs past the end of the list", it.read, compress.ErrCorrupt) //cafe:allow cold corruption path
+		it.err = fmt.Errorf("postings: entry %d: %w: runs past the end of the list", it.read, compress.ErrCorrupt) // cold corruption path
 		return false
 	}
 	it.prev = id
@@ -384,8 +376,6 @@ func (it *Iterator) Next() bool {
 }
 
 // refillTail is Next's refill once fewer than eight bytes remain.
-//
-//cafe:hotpath
 func (it *Iterator) refillTail(pos int, cur uint64, ncur uint) (int, uint64, uint) {
 	it.r.SetWindow(pos, cur, ncur)
 	it.r.Refill()
@@ -396,8 +386,6 @@ func (it *Iterator) refillTail(pos int, cur uint64, ncur uint) (int, uint64, uin
 // offsetRun decodes a posting's offsets through the general reader,
 // for Next when they are more than one or their code is longer than one
 // window; Next reloads its window from it.r afterwards.
-//
-//cafe:hotpath
 func (it *Iterator) offsetRun(pos int, cur uint64, ncur uint, id int64, count uint64) ([]uint32, error) {
 	it.r.SetWindow(pos, cur, ncur)
 	length := int64(it.lens[id])
@@ -407,21 +395,19 @@ func (it *Iterator) offsetRun(pos int, cur uint64, ncur uint, id int64, count ui
 	for j := uint64(0); j < count; j++ {
 		og, err := compress.GetRice(&it.r, k)
 		if err != nil {
-			return nil, fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err) //cafe:allow cold corruption path
+			return nil, fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err) // cold corruption path
 		}
 		if og >= uint64(length-prevOff) {
-			return nil, fmt.Errorf("postings: entry %d offset %d: %w: gap %d runs past sequence %d of length %d", it.read, j, compress.ErrCorrupt, og, id, length) //cafe:allow cold corruption path
+			return nil, fmt.Errorf("postings: entry %d offset %d: %w: gap %d runs past sequence %d of length %d", it.read, j, compress.ErrCorrupt, og, id, length) // cold corruption path
 		}
 		prevOff += int64(og)
-		offsets = append(offsets, uint32(prevOff)) //cafe:allow amortised scratch, reused across entries and reset by Reset
+		offsets = append(offsets, uint32(prevOff)) // amortised scratch, reused across entries and reset by Reset
 	}
 	return offsets, nil
 }
 
 // slowGamma decodes a gamma code too long for one window through the
 // general reader; the caller reloads its window from it.r afterwards.
-//
-//cafe:hotpath
 func (it *Iterator) slowGamma(pos int, cur uint64, ncur uint) (uint64, error) {
 	it.r.SetWindow(pos, cur, ncur)
 	return compress.GetGamma(&it.r)
@@ -429,19 +415,13 @@ func (it *Iterator) slowGamma(pos int, cur uint64, ncur uint) (uint64, error) {
 
 // Entry returns the current entry. Valid after Next returns true; the
 // Offsets slice is reused by subsequent Next calls.
-//
-//cafe:hotpath
 func (it *Iterator) Entry() Entry { return it.cur }
 
 // Decoded returns the number of entries decoded since Reset — the
 // work-accounting hook the search pipeline's stats use. It equals the
 // document frequency once the list is exhausted.
-//
-//cafe:hotpath
 func (it *Iterator) Decoded() int { return it.read }
 
 // Err returns the first decoding error encountered, or the error given
 // to Fail, if any.
-//
-//cafe:hotpath
 func (it *Iterator) Err() error { return it.err }

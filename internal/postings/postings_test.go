@@ -1,8 +1,11 @@
 package postings
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +131,29 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, err := Decode(buf[:1], len(entries), seqs); err == nil {
 		t.Error("decoded from truncated buffer")
+	}
+	// A cut inside the first posting's offset run names the offset it
+	// lands in, as the reference decoder does, not only the entry.
+	offsetErr := regexp.MustCompile(`^postings: entry 0 offset \d+: `)
+	var it Iterator
+	var ref refIterator
+	named := 0
+	for n := 1; n < len(buf); n++ {
+		it.Reset(buf[:n:n], len(entries), seqs)
+		for it.Next() {
+		}
+		ref.Reset(buf[:n:n], len(entries), seqs)
+		for ref.Next() {
+		}
+		if want := offsetErr.FindString(fmt.Sprint(ref.Err())); want != "" {
+			named++
+			if got := fmt.Sprint(it.Err()); !strings.HasPrefix(got, want) {
+				t.Errorf("cut at %d bytes: err = %s, want it to start %q", n, got, want)
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("no cut landed inside the first posting's offsets")
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -94,6 +96,49 @@ func TestSearchErrorClasses(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPagedShortReadReturns500 reaches the 500 path on a real paged
+// database: its index is cut to half its size while it serves, and a
+// search that reads a list past the cut is answered 500 with the read
+// error and counted once in server_errors_total.
+func TestPagedShortReadReturns500(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := testDB(t).SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := nucleodb.OpenPaged(dir, nucleodb.DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	s := newTestServer(t, paged, nil)
+	q := testQueries(paged, 1, 9)[0]
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ndx"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no index files under %s: %v", dir, err)
+	}
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(p, info.Size()/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errors0 := s.mErrors.Value()
+	rec, body := get(t, s.Handler(), "/search?q="+q+"&nocache=1")
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", rec.Code, body)
+	}
+	var resp errorResponse
+	if err := json.Unmarshal(body, &resp); err != nil || !strings.Contains(resp.Error, "EOF") {
+		t.Fatalf("500 body %q, want an error JSON naming the short read", body)
+	}
+	if got := s.mErrors.Value() - errors0; got != 1 {
+		t.Fatalf("server_errors_total moved by %d, want 1", got)
 	}
 }
 

@@ -258,6 +258,28 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 }
 
+// TestBatchTimeoutReturns504 is TestTimeoutReturns504 for /batch: a
+// free worker takes the batch without looking at its deadline, so only
+// the batch's own context can turn it into a 504.
+func TestBatchTimeoutReturns504(t *testing.T) {
+	db := testDB(t)
+	s := newTestServer(t, db, func(c *Config) { c.Workers = 1 })
+	queries := testQueries(db, 2, 4)
+	rec, body := post(t, s.Handler(), "/batch", map[string]any{"queries": queries, "timeout": "1ns"})
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", rec.Code, body)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
+		t.Fatalf("504 body not an error JSON: %s", body)
+	}
+	// The single worker must be free again.
+	rec2, body2 := post(t, s.Handler(), "/batch", map[string]any{"queries": queries})
+	if rec2.Code != http.StatusOK {
+		t.Fatalf("post-timeout batch failed (%d): %s — worker wedged?", rec2.Code, body2)
+	}
+}
+
 // TestQueueFullSheds429: with every worker busy and the queue full,
 // new requests shed immediately with 429 and a Retry-After header.
 func TestQueueFullSheds429(t *testing.T) {

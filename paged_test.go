@@ -3,6 +3,7 @@ package nucleodb
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -277,5 +278,52 @@ func TestPagedSearchAllocs(t *testing.T) {
 	}
 	if onDisk > inMemory+8 {
 		t.Errorf("paged search allocates %.0f objects against %.0f in memory: more than a constant apart", onDisk, inMemory)
+	}
+}
+
+// TestPagedShortReadIsNotTheClients truncates a live paged database's
+// index to half its size after OpenPaged: the search must fail with the
+// short read (io.EOF) of a list past the cut, not with a corrupt list
+// and not with ErrInvalid.
+func TestPagedShortReadIsNotTheClients(t *testing.T) {
+	recs, query, _ := testRecords(94)
+	built, err := Build(recs, DefaultBuildConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := built.SaveSegmented(dir); err != nil {
+		t.Fatal(err)
+	}
+	paged, err := OpenPaged(dir, DefaultScoring())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer paged.Close()
+	truncateIndexes(t, dir)
+	_, err = paged.Search(query, DefaultSearchOptions())
+	if !errors.Is(err, io.EOF) || strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("err = %v, want the short read (io.EOF), not a corrupt list", err)
+	}
+	if errors.Is(err, ErrInvalid) {
+		t.Fatalf("a short paged read matches ErrInvalid: %v", err)
+	}
+}
+
+// truncateIndexes cuts every segment index under dir to half its size.
+func truncateIndexes(t *testing.T, dir string) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ndx"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no index files under %s: %v", dir, err)
+	}
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(p, info.Size()/2); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
