@@ -23,6 +23,11 @@ package align
 // and reloading it at every cell. scoreRow keeps its row best in a
 // register too; traceRow, with one more pointer, keeps it in a stack
 // slot, off the chain.
+//
+// The rows have two routes, chosen once at package initialisation: the
+// Go rows, and on amd64 CPUs with AVX2 the same rows eight cells to a
+// YMM register (banded_amd64.s), which take F by a prefix scan. Both
+// write the same H, E and direction bytes and return the same best.
 
 // negInf marks the sentinel slots. It sits below every score by more
 // than any penalty, so a sentinel less a gap penalty loses every max,
@@ -43,6 +48,27 @@ const negInf = int32(-1 << 30)
 // one huge query does not pin its matrix in every pooled searcher.
 const maxPooledDir = 1 << 20
 
+// rowRoute is one implementation of the banded rows: score and trace
+// keep scoreRow's and traceRow's contracts.
+type rowRoute struct {
+	name  string
+	score func(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, openExt, ext int32) int32
+	trace func(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, left, openExt, ext int32) int32
+}
+
+// goRows is the portable route, and the reference the vector route is
+// tested against.
+var goRows = rowRoute{name: "go", score: scoreRow, trace: traceRow}
+
+// fastestRows is the route the kernels take: the vector route when this
+// CPU has one, else goRows.
+var fastestRows = func() *rowRoute {
+	if r, ok := vectorRows(); ok {
+		return &r
+	}
+	return &goRows
+}()
+
 // BandedScratch is the mutable state of the banded kernels: the H and E
 // rows, the traceback direction matrix (one byte per band cell) and the
 // reversed transcript. One scratch belongs to one goroutine at a time;
@@ -51,6 +77,26 @@ type BandedScratch struct {
 	h, e []int32 // DP rows with their sentinels, reset per call
 	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first
 	ops  []byte  // reversed transcript, copied out before return
+	// route, when set, runs the rows instead of fastestRows. Only the
+	// tests set it.
+	route *rowRoute
+}
+
+// maxVectorExt bounds the gap extension the vector route takes: below
+// it, openExt + 8·ext stays inside an int32 lane (banded_amd64.s). A
+// larger one runs on the Go rows.
+const maxVectorExt = 1 << 27
+
+// rowRoute returns the route sc's rows run on under t: the tests' route
+// if sc has one, else the fastest route t's gap extension admits.
+func (t *Subst) rowRoute(sc *BandedScratch) *rowRoute {
+	switch {
+	case sc.route != nil:
+		return sc.route
+	case t.ext < maxVectorExt:
+		return fastestRows
+	}
+	return &goRows
 }
 
 // rows returns the H and E rows for a band of width columns: H column c
@@ -101,15 +147,15 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 	}
 	lo, width := centre-band, 2*band+1
 	h, e := sc.rows(width)
-	return t.scoreRows(a, b, lo, h, e, 0, 0, 0, 0)
+	return t.scoreRows(t.rowRoute(sc), a, b, lo, h, e, 0, 0, 0, 0)
 }
 
-// scoreRows runs the score pass's rows from row on, over H and E rows
-// (as rows lays them out) that hold row−1's band, carrying the best so
-// far and its end cell. BandedLocalScore starts it at row 0 on zeroed
-// rows; the batched pass hands it a lane's rows when the lane's score
-// outgrows a byte.
-func (t *Subst) scoreRows(a, b []byte, lo int, h, e []int32, row int, best int32, aEnd, bEnd int) (int, int, int) {
+// scoreRows runs the score pass's rows from row on, on route r, over H
+// and E rows (as rows lays them out) that hold row−1's band, carrying
+// the best so far and its end cell. BandedLocalScore starts it at row 0
+// on zeroed rows; the batched pass hands it a lane's rows when the
+// lane's score outgrows a byte.
+func (t *Subst) scoreRows(r *rowRoute, a, b []byte, lo int, h, e []int32, row int, best int32, aEnd, bEnd int) (int, int, int) {
 	width := len(e) - 1
 	first, end := bandRows(len(a), len(b), lo, width)
 	for i := max(first, row); i < end; i++ {
@@ -118,7 +164,7 @@ func (t *Subst) scoreRows(a, b []byte, lo int, h, e []int32, row int, best int32
 		c := jLo - i - lo
 		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
 		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
-		if v := scoreRow(hOut, hUp, eOut, eUp, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
+		if v := r.score(hOut, hUp, eOut, eUp, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
 			best = v
 			aEnd, bEnd = i+1, jLo+firstAt(hOut, v)+1
 		}
@@ -226,6 +272,7 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 	}
 	var best int32
 	bestI, bestJ := -1, -1
+	r := t.rowRoute(sc)
 	first, end := bandRows(len(a), len(b), lo, width)
 	for i := first; i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
@@ -234,7 +281,7 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
 		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
 		dOut := dir[i*width+c:][:len(bs)]
-		if v := traceRow(hOut, hUp, eOut, eUp, dOut, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
+		if v := r.trace(hOut, hUp, eOut, eUp, dOut, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
 			best = v
 			bestI, bestJ = i, jLo+firstAt(hOut, v)
 		}

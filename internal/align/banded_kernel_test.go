@@ -14,7 +14,8 @@ import (
 // entry points and requires their answers to be DeepEqual to the frozen
 // reference implementations'. The scratch is the caller's, reused dirty
 // across calls, so anything a kernel wrongly assumes about it (zeroed
-// rows, a clean direction matrix) shows up here.
+// rows, a clean direction matrix) shows up here; the suites hand it a
+// routedScratch, so every row also runs on every route.
 func checkBandedAgainstRef(t testing.TB, sub *Subst, sc *BandedScratch, a, b []byte, centre, band int) {
 	t.Helper()
 	s := sub.scoring
@@ -49,13 +50,13 @@ func TestBandedKernelsExhaustiveSmallAlphabet(t *testing.T) {
 	sweep := func(name string, s Scoring, as, bs [][]byte) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			var sc BandedScratch
+			sc := routedScratch(t)
 			sub := NewSubst(s)
 			for _, a := range as {
 				for _, b := range bs {
 					for centre := -3; centre <= len(b)+3; centre++ {
 						for _, band := range []int{0, 1, 2, 5} {
-							checkBandedAgainstRef(t, sub, &sc, a, b, centre, band)
+							checkBandedAgainstRef(t, sub, sc, a, b, centre, band)
 						}
 					}
 				}
@@ -106,7 +107,7 @@ func mutate(rng *rand.Rand, src []byte, rate float64) []byte {
 // matrix on either side, and one-base sequences.
 func TestBandedKernelsRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1406))
-	var sc BandedScratch
+	sc := routedScratch(t)
 	for _, s := range stripedScorings {
 		sub := NewSubst(s)
 		for trial := 0; trial < 400; trial++ {
@@ -133,7 +134,7 @@ func TestBandedKernelsRandomDifferential(t *testing.T) {
 			band := rng.Intn(30)
 			// Centres from well left of the matrix to well right of it.
 			centre := rng.Intn(len(a)+len(b)+2*band+9) - len(a) - band - 4
-			checkBandedAgainstRef(t, sub, &sc, a, b, centre, band)
+			checkBandedAgainstRef(t, sub, sc, a, b, centre, band)
 		}
 	}
 }
@@ -148,7 +149,7 @@ func TestBandedKernelsRandomDifferential(t *testing.T) {
 func TestBandedKernelsLargeScores(t *testing.T) {
 	const m = 1 << 18
 	rng := rand.New(rand.NewSource(1409))
-	var sc BandedScratch
+	sc := routedScratch(t)
 	var top int
 	for _, s := range []Scoring{
 		{Match: m, Mismatch: m * 4 / 5, GapOpen: 2 * m, GapExtend: m / 2},
@@ -178,8 +179,8 @@ func TestBandedKernelsLargeScores(t *testing.T) {
 			case 2: // off the right edge: the band ends right of b
 				centre = len(b) - rng.Intn(band+1)
 			}
-			checkBandedAgainstRef(t, sub, &sc, a, b, centre, band)
-			score, _, _ := sub.BandedLocalScore(a, b, centre, band, &sc)
+			checkBandedAgainstRef(t, sub, sc, a, b, centre, band)
+			score, _, _ := sub.BandedLocalScore(a, b, centre, band, sc)
 			top = max(top, score)
 		}
 	}
@@ -224,30 +225,33 @@ func TestSubstMatchesScore(t *testing.T) {
 }
 
 // TestBandedKernelAllocations is the steady-state contract of the
-// scratch entry points: the score pass allocates nothing, the traceback
-// pass only the transcript it returns.
+// scratch entry points on every row route: the score pass allocates
+// nothing, the traceback pass only the transcript it returns.
 func TestBandedKernelAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1408))
 	b := randomSeq(rng, 4000)
 	a := mutate(rng, b[1000:1600], 0.1)
 	sub := NewSubst(DefaultScoring())
-	var sc BandedScratch
-	if score, _, _ := sub.BandedLocalScore(a, b, 1000, 24, &sc); score < 1000 {
-		t.Fatalf("fixture does not align: score %d", score)
-	}
-	sub.BandedLocal(a, b, 1000, 24, &sc) // grow the scratch
-	if n := testing.AllocsPerRun(20, func() { sub.BandedLocalScore(a, b, 1000, 24, &sc) }); n != 0 {
-		t.Errorf("BandedLocalScore allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { sub.BandedLocal(a, b, 1000, 24, &sc) }); n != 1 {
-		t.Errorf("BandedLocal allocates %v times per call, want 1 (the transcript)", n)
+	for _, r := range rowRoutes() {
+		sc := BandedScratch{route: r}
+		if score, _, _ := sub.BandedLocalScore(a, b, 1000, 24, &sc); score < 1000 {
+			t.Fatalf("fixture does not align: score %d", score)
+		}
+		sub.BandedLocal(a, b, 1000, 24, &sc) // grow the scratch
+		if n := testing.AllocsPerRun(20, func() { sub.BandedLocalScore(a, b, 1000, 24, &sc) }); n != 0 {
+			t.Errorf("%s rows: BandedLocalScore allocates %v times per call, want 0", r.name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { sub.BandedLocal(a, b, 1000, 24, &sc) }); n != 1 {
+			t.Errorf("%s rows: BandedLocal allocates %v times per call, want 1 (the transcript)", r.name, n)
+		}
 	}
 }
 
 // FuzzBandedAlign is the differential fuzz target of the banded
 // kernels: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings, band centres and widths must produce
-// answers DeepEqual to the frozen reference implementations'. Run via
+// answers DeepEqual to the frozen reference implementations', with every
+// row the same on every route. Run via
 // `make fuzz-smoke` or `go test -fuzz=FuzzBandedAlign ./internal/align`.
 func FuzzBandedAlign(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, int16(0), uint8(2), uint16(5), uint16(4), uint16(10), uint16(2))
@@ -269,61 +273,76 @@ func FuzzBandedAlign(f *testing.F) {
 		if s := fuzzScoring(match, mism, open, ext); sub.scoring != s {
 			sub = NewSubst(s)
 		}
+		sc.route = routedRows(t)
 		checkBandedAgainstRef(t, sub, &sc, a, b, int(centre)%512, int(band%64))
 	})
 }
 
 // BenchmarkBandedKernels times the banded score and traceback passes
-// through the scratch entry points at band 24 against an 8 kb subject,
-// on the query shapes the served numbers come from: a 600-base
-// homologous query beside the frozen reference implementations it
-// replaced, a 2 000-base homologous query, and a 1 000-base random one
-// (a weak hit, whose row best rarely moves). The batch row scores the
-// 600-base query against eight subjects at once, as a default query's
-// fine phase does: the homolog and seven random ones.
+// through the scratch entry points, one sub-row per row route, at the
+// shapes the service runs:
+//   - band-600 and band-2000: the default band (49 wide) of a 600- and a
+//     2 000-base homologous query against an 8 kb subject — the
+//     tracebacks of a default query, and the hand-off continuation of its
+//     score pass;
+//   - band-random: the same band under a 1 000-base random query, a weak
+//     hit whose row best rarely moves;
+//   - strip-150x700: 150 rows of a 150-base homologous read, 701 wide —
+//     the order of an exact query's traceback strip for a weak hit;
+//   - full-150x7000: the score pass over the whole matrix of a 150-base
+//     read and a 7 kb subject — the exact route's tied-end pass.
+//
+// The frozen reference implementations the kernels replaced run once,
+// on band-600 ("ref"), and the batch row scores the 600-base query
+// against eight subjects at once, as a default query's fine phase does:
+// the homolog and seven random ones.
 func BenchmarkBandedKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	subject := randomSeq(rng, 8000)
 	query := mutate(rng, subject[3000:3600], 0.1)
 	long := mutate(rng, subject[3000:5000], 0.1)
 	weak := randomSeq(rng, 1000)
+	read := mutate(rng, subject[5000:5150], 0.08)
 	s := DefaultScoring()
 	sub := NewSubst(s)
-	var sc BandedScratch
-	run := func(name string, q []byte, fn func(q []byte)) {
+	run := func(name string, cells int64, fn func()) {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(BandedCells(len(q), len(subject), 3000, 24)) // MB/s reads as cells/µs
+			b.SetBytes(cells) // MB/s reads as cells/µs
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				fn(q)
+				fn()
 			}
 		})
 	}
-	score := func(q []byte) { sub.BandedLocalScore(q, subject, 3000, 24, &sc) }
-	traceback := func(q []byte) { sub.BandedLocal(q, subject, 3000, 24, &sc) }
-	run("score", query, score)
-	run("score-ref", query, func(q []byte) { refBandedLocalScore(q, subject, 3000, 24, s) })
-	run("traceback", query, traceback)
-	run("traceback-ref", query, func(q []byte) { refBandedLocal(q, subject, 3000, 24, s) })
-	run("score-2000", long, score)
-	run("traceback-2000", long, traceback)
-	run("score-random", weak, score)
-	run("traceback-random", weak, traceback)
+	band := func(q []byte) int64 { return BandedCells(len(q), len(subject), 3000, 24) }
+	strip := BandedCells(len(read), len(subject), 5000, 350)
+	full := subject[:7000]
+	for _, r := range rowRoutes() {
+		sc := BandedScratch{route: r}
+		for _, q := range []struct {
+			name string
+			q    []byte
+		}{{"band-600", query}, {"band-2000", long}, {"band-random", weak}} {
+			run(r.name+"/score-"+q.name, band(q.q), func() { sub.BandedLocalScore(q.q, subject, 3000, 24, &sc) })
+			run(r.name+"/traceback-"+q.name, band(q.q), func() { sub.BandedLocal(q.q, subject, 3000, 24, &sc) })
+		}
+		run(r.name+"/score-strip-150x700", strip, func() { sub.BandedLocalScore(read, subject, 5000, 350, &sc) })
+		run(r.name+"/traceback-strip-150x700", strip, func() { sub.BandedLocal(read, subject, 5000, 350, &sc) })
+		run(r.name+"/score-full-150x7000", LocalCells(len(read), len(full)), func() { sub.LocalScore(read, full, &sc) })
+	}
+	run("ref/score-band-600", band(query), func() { refBandedLocalScore(query, subject, 3000, 24, s) })
+	run("ref/traceback-band-600", band(query), func() { refBandedLocal(query, subject, 3000, 24, s) })
 
 	lanes := []BatchLane{{B: subject, Centre: 3000}}
-	cells := BandedCells(len(query), len(subject), 3000, 24)
+	cells := band(query)
 	for k := 1; k < BatchLanes; k++ {
 		lanes = append(lanes, BatchLane{B: randomSeq(rng, 8000), Centre: 3000})
 		cells += BandedCells(len(query), 8000, 3000, 24)
 	}
-	var bsc BatchScratch
-	b.Run("batch", func(b *testing.B) {
-		b.SetBytes(cells)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sub.BatchBandedScore(query, 24, lanes, &bsc)
-		}
-	})
+	for _, r := range rowRoutes() {
+		bsc := BatchScratch{banded: BandedScratch{route: r}}
+		run(r.name+"/batch", cells, func() { sub.BatchBandedScore(query, 24, lanes, &bsc) })
+	}
 }
 
 // BenchmarkBatchBreakEven prices a batch of n weak candidates (random

@@ -220,7 +220,7 @@ func (t *Subst) batch(a []byte, band, top int, lanes []BatchLane, sc *BatchScrat
 				// E plus ext.
 				hs[c+1], es[c] = int32(uint8(cells[c].h>>shift)), int32(uint8(cells[c].e>>shift))+t.ext
 			}
-			l.Score, l.AEnd, l.BEnd = t.scoreRows(a, l.B, lo[k], hs, es, i+1, int32(l.Score), l.AEnd, l.BEnd)
+			l.Score, l.AEnd, l.BEnd = t.scoreRows(t.rowRoute(&sc.banded), a, l.B, lo[k], hs, es, i+1, int32(l.Score), l.AEnd, l.BEnd)
 			sc.handedAt[k] = i
 			active &^= 1 << k
 			// Clear the lane for the rows left: zero rows and zero scores.

@@ -28,7 +28,9 @@ type batchCase struct {
 
 // checkBatchAgainstRef runs one BatchBandedScore call over the cases
 // and requires every lane's score, aEnd and bEnd to equal
-// refBandedLocalScore's. The scratch is the caller's, reused dirty.
+// refBandedLocalScore's. The scratch is the caller's, reused dirty; the
+// suites hand it routedBatchScratch, so the rows of the hand-offs and of
+// the small batches also run on every route.
 func checkBatchAgainstRef(t testing.TB, sub *Subst, sc *BatchScratch, a []byte, band int, cases []batchCase) {
 	t.Helper()
 	lanes := make([]BatchLane, len(cases))
@@ -43,6 +45,12 @@ func checkBatchAgainstRef(t testing.TB, sub *Subst, sc *BatchScratch, a []byte, 
 				sub.scoring, sc.forceAt, k, len(cases), a, c.b, c.centre, band, l.Score, l.AEnd, l.BEnd, s, aEnd, bEnd, sc.handedAt)
 		}
 	}
+}
+
+// routedBatchScratch returns a batch scratch whose scalar rows run on
+// every route through routedRows.
+func routedBatchScratch(t testing.TB) *BatchScratch {
+	return &BatchScratch{banded: BandedScratch{route: routedRows(t)}}
 }
 
 // TestBatchBandedExhaustiveSmallAlphabet sweeps every query over {A,C}
@@ -68,11 +76,11 @@ func TestBatchBandedExhaustiveSmallAlphabet(t *testing.T) {
 		t.Run(fmt.Sprintf("%+v", s), func(t *testing.T) {
 			t.Parallel()
 			sub := NewSubst(s)
-			var sc BatchScratch
+			sc := routedBatchScratch(t)
 			for _, a := range queries {
 				for _, band := range []int{0, 1, 2, 5} {
 					for at := 0; at < len(cases); at += BatchLanes {
-						checkBatchAgainstRef(t, sub, &sc, a, band, cases[at:min(at+BatchLanes, len(cases))])
+						checkBatchAgainstRef(t, sub, sc, a, band, cases[at:min(at+BatchLanes, len(cases))])
 					}
 				}
 			}
@@ -129,19 +137,19 @@ func TestBatchBandedRandomDifferential(t *testing.T) {
 	}
 	for _, s := range batchScorings {
 		sub := NewSubst(s)
-		var sc BatchScratch
+		sc := routedBatchScratch(t)
 		handed := 0
 		for trial := 0; trial < trials; trial++ {
 			a, band, cases := randomBatch(rng, 1+trial%BatchLanes)
 			sc.forceAt = 0
-			checkBatchAgainstRef(t, sub, &sc, a, band, cases)
+			checkBatchAgainstRef(t, sub, sc, a, band, cases)
 			for _, at := range sc.handedAt {
 				if at >= 0 {
 					handed++
 				}
 			}
 			for sc.forceAt = 1; sc.forceAt <= len(a); sc.forceAt++ {
-				checkBatchAgainstRef(t, sub, &sc, a, band, cases)
+				checkBatchAgainstRef(t, sub, sc, a, band, cases)
 			}
 		}
 		// Scorings with byte headroom must exercise both exits.
@@ -203,7 +211,8 @@ func TestBatchBandedAllocations(t *testing.T) {
 // FuzzBatchBanded is the differential fuzz target of the batched pass:
 // a query, a blob cut into one to eight subjects, per-lane centres, a
 // band, a small scoring and a forced hand-off row must give every lane
-// refBandedLocalScore's answer. Run via `make fuzz-smoke` or `go test
+// refBandedLocalScore's answer, with every scalar row the same on every
+// route. Run via `make fuzz-smoke` or `go test
 // -fuzz=FuzzBatchBanded ./internal/align`.
 func FuzzBatchBanded(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 2, 3}, []byte{0, 2, 250, 4}, uint8(2), uint8(0), uint16(5), uint16(4), uint16(10), uint16(2))
@@ -236,6 +245,7 @@ func FuzzBatchBanded(f *testing.F) {
 			cases[k] = batchCase{blob[lo:hi], c}
 		}
 		sc.forceAt = int(forceAt)
+		sc.banded.route = routedRows(t)
 		checkBatchAgainstRef(t, sub, &sc, a, int(band%32), cases)
 	})
 }

@@ -69,12 +69,12 @@ func TestLocalStripExhaustiveSmallAlphabet(t *testing.T) {
 		t.Run(fmt.Sprintf("%+v", s), func(t *testing.T) {
 			t.Parallel()
 			sub := NewSubst(s)
-			var sc BandedScratch
+			sc := routedScratch(t)
 			var bv StripedScratch
 			for _, set := range [][][]byte{binary, wild} {
 				for _, a := range set {
 					for _, b := range set {
-						checkLocalAgainstRef(t, sub, &sc, &bv, a, b)
+						checkLocalAgainstRef(t, sub, sc, &bv, a, b)
 					}
 				}
 			}
@@ -92,7 +92,7 @@ func TestLocalStripExhaustiveSmallAlphabet(t *testing.T) {
 // the cell Local ends at and not the one the striped pass sees first.
 func TestLocalStripRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2001))
-	var sc BandedScratch
+	sc := routedScratch(t)
 	var bv StripedScratch
 	for _, s := range localScorings {
 		sub := NewSubst(s)
@@ -137,7 +137,7 @@ func TestLocalStripRandomDifferential(t *testing.T) {
 				b[rng.Intn(len(b))] = Masked
 				a[rng.Intn(len(a))] = Masked
 			}
-			switch unique, cross := checkLocalAgainstRef(t, sub, &sc, &bv, a, b); {
+			switch unique, cross := checkLocalAgainstRef(t, sub, sc, &bv, a, b); {
 			case unique:
 				byColumn++
 			case cross:
@@ -155,18 +155,18 @@ func TestLocalStripRandomDifferential(t *testing.T) {
 // path through every diagonal; Local must still end at the first row
 // that reaches the score, however the run is flanked.
 func TestLocalStripLowComplexity(t *testing.T) {
-	var sc BandedScratch
+	sc := routedScratch(t)
 	var bv StripedScratch
 	polyA := make([]byte, 400) // zero value is BaseA
 	for _, s := range localScorings {
 		sub := NewSubst(s)
 		for _, la := range []int{1, 7, 60} {
 			for _, lb := range []int{1, 59, 60, 61, 400} {
-				if unique, _ := checkLocalAgainstRef(t, sub, &sc, &bv, polyA[:la], polyA[:lb]); unique && lb > la {
+				if unique, _ := checkLocalAgainstRef(t, sub, sc, &bv, polyA[:la], polyA[:lb]); unique && lb > la {
 					t.Fatalf("%+v: striped pass called a %d-column tie unique", s, lb-la+1)
 				}
 				flanked := append(append(seqOf("CGCG"), polyA[:lb]...), seqOf("GCGC")...)
-				checkLocalAgainstRef(t, sub, &sc, &bv, polyA[:la], flanked)
+				checkLocalAgainstRef(t, sub, sc, &bv, polyA[:la], flanked)
 			}
 		}
 	}
@@ -184,11 +184,12 @@ func TestSubstLocalScoreMatchesReference(t *testing.T) {
 	binary7 := enumerate([]byte{dna.BaseA, dna.BaseC}, 7)
 	binary5 := enumerate([]byte{dna.BaseA, dna.BaseC}, 5)
 	wild := enumerate([]byte{dna.BaseA, dna.BaseC, dna.BaseG, dna.WildN}, 3)
-	var sc, ref BandedScratch
+	sc := routedScratch(t)
+	var ref BandedScratch
 	check := func(sub *Subst, a, b []byte) {
 		t.Helper()
 		wScore, wA, wB := refSubstLocalScore(sub, a, b, &ref)
-		if score, aEnd, bEnd := sub.LocalScore(a, b, &sc); score != wScore || aEnd != wA || bEnd != wB {
+		if score, aEnd, bEnd := sub.LocalScore(a, b, sc); score != wScore || aEnd != wA || bEnd != wB {
 			t.Fatalf("LocalScore(%v, %v, %+v) = (%d,%d,%d), frozen loop (%d,%d,%d)", a, b, sub.scoring, score, aEnd, bEnd, wScore, wA, wB)
 		}
 	}
@@ -353,7 +354,8 @@ func TestLocalStripAllocations(t *testing.T) {
 // FuzzLocalAlign is the differential fuzz target of the strip-bounded
 // traceback: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings must align DeepEqual to the frozen
-// full-matrix reference through Local and both hand-overs. Run via
+// full-matrix reference through Local and both hand-overs, with every row
+// the same on every route. Run via
 // `make fuzz-smoke` or `go test -fuzz=FuzzLocalAlign ./internal/align`.
 func FuzzLocalAlign(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, uint16(5), uint16(4), uint16(10), uint16(2))
@@ -376,6 +378,7 @@ func FuzzLocalAlign(f *testing.F) {
 		if s := fuzzScoring(match, mism, open, ext); sub.scoring != s {
 			sub = NewSubst(s)
 		}
+		sc.route = routedRows(t)
 		checkLocalAgainstRef(t, sub, &sc, &bv, a, b)
 	})
 }
