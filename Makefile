@@ -51,7 +51,7 @@ bench-e2e:
 # The contracts a linter once held are tests in the race pass: warm
 # allocation counts on the kernels (TestIteratorWarmAllocs,
 # TestCoarseWarmAllocs, TestBandedKernelAllocations,
-# TestBatchBandedAllocations, TestStripedScoreAllocs), decode and read
+# TestStripedScoreAllocs), decode and read
 # errors that surface (the corrupt-input suites, TestOpenDiskShortRead),
 # and deadlines that reach the work (TestTimeoutReturns504,
 # TestBatchTimeoutReturns504, TestBatchCancelReachesWorkers).
@@ -87,7 +87,6 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzManifestDecode$$' -fuzztime=2s ./internal/segment
 	$(GO) test -run='^$$' -fuzz='^FuzzBitvectorAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzBandedAlign$$' -fuzztime=2s ./internal/align
-	$(GO) test -run='^$$' -fuzz='^FuzzBatchBanded$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzLocalAlign$$' -fuzztime=2s ./internal/align
 	$(GO) test -run='^$$' -fuzz='^FuzzSearchParams$$' -fuzztime=2s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzSeedHandOver$$' -fuzztime=2s ./internal/core

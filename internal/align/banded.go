@@ -44,8 +44,9 @@ package align
 const negInf = int32(-1 << 30)
 
 // maxPooledDir caps the direction matrix a BandedScratch keeps between
-// calls (1 MiB: a 20 kb query at band 25); larger ones are per call, so
-// one huge query does not pin its matrix in every pooled searcher.
+// calls (1 MiB: a 20 kb query at band 25), and the transcript buffer;
+// larger ones are per call, so one huge query does not pin them in every
+// pooled searcher.
 const maxPooledDir = 1 << 20
 
 // rowRoute is one implementation of the banded rows: score and trace
@@ -76,7 +77,7 @@ var fastestRows = func() *rowRoute {
 type BandedScratch struct {
 	h, e []int32 // DP rows with their sentinels, reset per call
 	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first
-	ops  []byte  // reversed transcript, copied out before return
+	ops  []byte  // reversed transcript, copied out before return; kept up to maxPooledDir
 	// route, when set, runs the rows instead of fastestRows. Only the
 	// tests set it.
 	route *rowRoute
@@ -147,18 +148,10 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 	}
 	lo, width := centre-band, 2*band+1
 	h, e := sc.rows(width)
-	return t.scoreRows(t.rowRoute(sc), a, b, lo, h, e, 0, 0, 0, 0)
-}
-
-// scoreRows runs the score pass's rows from row on, on route r, over H
-// and E rows (as rows lays them out) that hold row−1's band, carrying
-// the best so far and its end cell. BandedLocalScore starts it at row 0
-// on zeroed rows; the batched pass hands it a lane's rows when the
-// lane's score outgrows a byte.
-func (t *Subst) scoreRows(r *rowRoute, a, b []byte, lo int, h, e []int32, row int, best int32, aEnd, bEnd int) (int, int, int) {
-	width := len(e) - 1
+	r := t.rowRoute(sc)
+	var best int32
 	first, end := bandRows(len(a), len(b), lo, width)
-	for i := max(first, row); i < end; i++ {
+	for i := first; i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
 		bs := b[jLo:jHi]
 		c := jLo - i - lo
@@ -342,7 +335,9 @@ loop:
 		}
 	}
 	al.AStart, al.BStart = i+1, j+1
-	sc.ops = ops[:0]
+	if cap(ops) <= maxPooledDir {
+		sc.ops = ops[:0]
+	}
 	al.Ops = make([]byte, len(ops)) // the returned transcript, the call's one allocation
 	for x, o := range ops {
 		al.Ops[len(ops)-1-x] = o

@@ -247,22 +247,42 @@ func TestBandedKernelAllocations(t *testing.T) {
 	}
 }
 
+// TestBandedScratchKeepsNoHugeBuffers: a traceback whose direction
+// matrix and transcript each pass maxPooledDir (a 1.1 Mbase self-match
+// at band 0) leaves neither in the scratch, so one huge query does not
+// pin them in every pooled searcher.
+func TestBandedScratchKeepsNoHugeBuffers(t *testing.T) {
+	a := randomSeq(rand.New(rand.NewSource(1409)), maxPooledDir+100_000)
+	var sc BandedScratch
+	if al := NewSubst(DefaultScoring()).BandedLocal(a, a, 0, 0, &sc); len(al.Ops) != len(a) {
+		t.Fatalf("self-match transcript of %d columns, want %d", len(al.Ops), len(a))
+	}
+	if cap(sc.dir) > maxPooledDir || cap(sc.ops) > maxPooledDir {
+		t.Fatalf("scratch keeps a %d-byte direction matrix and a %d-byte transcript, want at most %d each", cap(sc.dir), cap(sc.ops), maxPooledDir)
+	}
+}
+
 // FuzzBandedAlign is the differential fuzz target of the banded
 // kernels: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings, band centres and widths must produce
 // answers DeepEqual to the frozen reference implementations', with every
-// row the same on every route. Run via
-// `make fuzz-smoke` or `go test -fuzz=FuzzBandedAlign ./internal/align`.
+// row the same on every route. The fine phase scores a band over a
+// window of the subject, so the kernels also run on a window holding
+// every band cell, starting up to off bases before the band's first
+// column, with the centre shifted by its start: the answers are the
+// whole subject's, in window coordinates. Run via `make fuzz-smoke` or
+// `go test -fuzz=FuzzBandedAlign ./internal/align`.
 func FuzzBandedAlign(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, int16(0), uint8(2), uint16(5), uint16(4), uint16(10), uint16(2))
-	f.Add([]byte{0, 0, 0, 0, 0}, []byte{1, 1, 1, 1}, int16(-2), uint8(0), uint16(1), uint16(1), uint16(0), uint16(1))
-	f.Add([]byte{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, []byte{14, 14, 14}, int16(3), uint8(5), uint16(9), uint16(50), uint16(1), uint16(1))
-	f.Add([]byte{0xFF, 0xFF, 0x20, 3, 2, 1, 0}, []byte{3, 2, 1, 0, 0xFF}, int16(-4), uint8(24), uint16(2), uint16(7), uint16(0), uint16(1))
-	f.Add([]byte{2}, []byte{1, 2, 3}, int16(1), uint8(1), uint16(5), uint16(0), uint16(2), uint16(1))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, int16(0), uint8(2), uint16(5), uint16(4), uint16(10), uint16(2), uint16(0))
+	f.Add([]byte{0, 0, 0, 0, 0}, []byte{1, 1, 1, 1}, int16(-2), uint8(0), uint16(1), uint16(1), uint16(0), uint16(1), uint16(1))
+	f.Add([]byte{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}, []byte{14, 14, 14}, int16(3), uint8(5), uint16(9), uint16(50), uint16(1), uint16(1), uint16(2))
+	f.Add([]byte{0xFF, 0xFF, 0x20, 3, 2, 1, 0}, []byte{3, 2, 1, 0, 0xFF}, int16(-4), uint8(24), uint16(2), uint16(7), uint16(0), uint16(1), uint16(3))
+	f.Add([]byte{2}, []byte{1, 2, 3}, int16(1), uint8(1), uint16(5), uint16(0), uint16(2), uint16(1), uint16(0))
+	f.Add([]byte{0, 1, 2, 3, 3, 2, 1, 0, 0, 1}, []byte{3, 3, 3, 0, 1, 2, 3, 3, 2, 1, 0, 0, 1, 2, 2}, int16(6), uint8(2), uint16(5), uint16(4), uint16(10), uint16(2), uint16(4))
 
 	var sc BandedScratch
 	sub := NewSubst(DefaultScoring())
-	f.Fuzz(func(t *testing.T, a, b []byte, centre int16, band uint8, match, mism, open, ext uint16) {
+	f.Fuzz(func(t *testing.T, a, b []byte, centre int16, band uint8, match, mism, open, ext uint16, off uint16) {
 		// Bound the DP so mutated inputs stay fast.
 		if len(a) > 300 {
 			a = a[:300]
@@ -274,7 +294,33 @@ func FuzzBandedAlign(f *testing.F) {
 			sub = NewSubst(s)
 		}
 		sc.route = routedRows(t)
-		checkBandedAgainstRef(t, sub, &sc, a, b, int(centre)%512, int(band%64))
+		c, w := int(centre)%512, int(band%64)
+		checkBandedAgainstRef(t, sub, &sc, a, b, c, w)
+
+		// The window: the band's columns over a's rows, clipped to b, and
+		// up to off bases more on the left.
+		lo := min(max(c-w, 0), len(b))
+		hi := max(min(c+w+len(a), len(b)), lo)
+		from := lo - int(off)%(lo+1)
+		win, wc := b[from:hi], c-from
+		checkBandedAgainstRef(t, sub, &sc, a, win, wc, w)
+		score, aEnd, bEnd := sub.BandedLocalScore(a, b, c, w, &sc)
+		wScore, wAEnd, wBEnd := sub.BandedLocalScore(a, win, wc, w, &sc)
+		if score > 0 {
+			wBEnd += from
+		}
+		if wScore != score || wAEnd != aEnd || wBEnd != bEnd {
+			t.Fatalf("window [%d,%d) of %d: score (%d,%d,%d), whole subject (%d,%d,%d)", from, hi, len(b), wScore, wAEnd, wBEnd, score, aEnd, bEnd)
+		}
+		want := sub.BandedLocal(a, b, c, w, &sc)
+		got := sub.BandedLocal(a, win, wc, w, &sc)
+		if got.Score > 0 {
+			got.BStart += from
+			got.BEnd += from
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("window [%d,%d) of %d:\n got %+v\nwant %+v", from, hi, len(b), got, want)
+		}
 	})
 }
 
@@ -283,8 +329,8 @@ func FuzzBandedAlign(f *testing.F) {
 // shapes the service runs:
 //   - band-600 and band-2000: the default band (49 wide) of a 600- and a
 //     2 000-base homologous query against an 8 kb subject — the
-//     tracebacks of a default query, and the hand-off continuation of its
-//     score pass;
+//     tracebacks of a default query, and the score pass of its
+//     homologs;
 //   - band-random: the same band under a 1 000-base random query, a weak
 //     hit whose row best rarely moves;
 //   - strip-150x700: 150 rows of a 150-base homologous read, 701 wide —
@@ -293,9 +339,7 @@ func FuzzBandedAlign(f *testing.F) {
 //     read and a 7 kb subject — the exact route's tied-end pass.
 //
 // The frozen reference implementations the kernels replaced run once,
-// on band-600 ("ref"), and the batch row scores the 600-base query
-// against eight subjects at once, as a default query's fine phase does:
-// the homolog and seven random ones.
+// on band-600 ("ref").
 func BenchmarkBandedKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	subject := randomSeq(rng, 8000)
@@ -332,49 +376,4 @@ func BenchmarkBandedKernels(b *testing.B) {
 	}
 	run("ref/score-band-600", band(query), func() { refBandedLocalScore(query, subject, 3000, 24, s) })
 	run("ref/traceback-band-600", band(query), func() { refBandedLocal(query, subject, 3000, 24, s) })
-
-	lanes := []BatchLane{{B: subject, Centre: 3000}}
-	cells := band(query)
-	for k := 1; k < BatchLanes; k++ {
-		lanes = append(lanes, BatchLane{B: randomSeq(rng, 8000), Centre: 3000})
-		cells += BandedCells(len(query), 8000, 3000, 24)
-	}
-	for _, r := range rowRoutes() {
-		bsc := BatchScratch{banded: BandedScratch{route: r}}
-		run(r.name+"/batch", cells, func() { sub.BatchBandedScore(query, 24, lanes, &bsc) })
-	}
-}
-
-// BenchmarkBatchBreakEven prices a batch of n weak candidates (random
-// 600-base subjects against a random 600-base query, band 24) in the
-// byte lanes ("lanes-n", which bypasses minBatchLanes) and in the scalar
-// kernel one after another ("scalar-n"); minBatchLanes is the smallest n
-// whose lanes win.
-func BenchmarkBatchBreakEven(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	query := randomSeq(rng, 600)
-	sub := NewSubst(DefaultScoring())
-	top := 127 - sub.scoring.Match - sub.scoring.Mismatch
-	var lanes []BatchLane
-	for k := 0; k < BatchLanes; k++ {
-		lanes = append(lanes, BatchLane{B: randomSeq(rng, 648), Centre: 24})
-	}
-	var sc BatchScratch
-	for n := 1; n <= BatchLanes; n++ {
-		cells := int64(n) * BandedCells(len(query), 648, 24, 24)
-		b.Run(fmt.Sprintf("lanes-%d", n), func(b *testing.B) {
-			b.SetBytes(cells)
-			for i := 0; i < b.N; i++ {
-				sub.batch(query, 24, top, lanes[:n], &sc)
-			}
-		})
-		b.Run(fmt.Sprintf("scalar-%d", n), func(b *testing.B) {
-			b.SetBytes(cells)
-			for i := 0; i < b.N; i++ {
-				for _, l := range lanes[:n] {
-					sub.BandedLocalScore(query, l.B, l.Centre, 24, &sc.banded)
-				}
-			}
-		})
-	}
 }

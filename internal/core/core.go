@@ -337,11 +337,6 @@ type Searcher struct {
 	// candidate with the scalar fallback. Only this package's tests set
 	// it: the reference the equivalence suites hold the route to.
 	scalarFine bool
-	// scalarBanded makes FineBanded score every candidate alone, with the
-	// scalar kernel over its whole sequence, instead of in batches over
-	// band windows. Only this package's tests set it: the reference the
-	// batched route is held to.
-	scalarBanded bool
 }
 
 // fineScratch returns n pooled worker scratches, one per fine worker,
@@ -640,7 +635,7 @@ func (s *Searcher) read(id, from, to int, sc *workerScratch) []byte {
 // appends one record per candidate to s.recs, the fine phase scores
 // them, and the join folds their work into st and keeps the records that
 // passed, in candidate order. Cancellation is checked between posting
-// lists (coarse) and before each claimed batch (fine).
+// lists (coarse) and before each claimed record (fine).
 func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) error {
 	t0 := time.Now()
 	// A seed anchors the prescreen extension and centres a band the
@@ -657,24 +652,18 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if opts.FineMode == FineFull && len(recs) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
-	// Workers claim batches of records in turn: FineFull one record,
-	// FineBanded up to align.BatchLanes, scored together one per byte
-	// lane. A worker writes only the records it claimed, so the workers
-	// share nothing but the claim counter, and the output is the same at
-	// any worker count.
-	batch := 1
-	if opts.FineMode == FineBanded && !s.scalarBanded {
-		batch = align.BatchLanes
-	}
-	workers := max(1, min(opts.FineWorkers, (len(recs)+batch-1)/batch))
+	// Workers claim one record at a time. A worker writes only the records
+	// it claimed, so the workers share nothing but the claim counter, and
+	// the output is the same at any worker count.
+	workers := max(1, min(opts.FineWorkers, len(recs)))
 	var next atomic.Int64
 	claim := func(sc *workerScratch) {
 		for ctx.Err() == nil {
-			lo := (int(next.Add(1)) - 1) * batch
-			if lo >= len(recs) {
+			i := int(next.Add(1)) - 1
+			if i >= len(recs) {
 				return
 			}
-			s.fine(query, recs[lo:min(lo+batch, len(recs))], opts, sc)
+			s.fine(query, &recs[i], opts, sc)
 		}
 	}
 	scratches := s.fineScratch(workers)
@@ -719,75 +708,49 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	return nil
 }
 
-// fine scores one claimed batch of records on the worker's scratch sc,
-// writing their fine-phase fields. It reads only searcher state that is
-// immutable during the fine phase, so workers run it concurrently on
-// disjoint batches.
-func (s *Searcher) fine(query []byte, recs []candRec, opts Options, sc *workerScratch) {
-	var lanes [align.BatchLanes]align.BatchLane
-	nl := 0
-	for i := range recs {
-		r := &recs[i]
-		n := s.src.SeqLen(r.id)
-		var seq []byte // the whole subject, read when something needs it
-		if opts.Prescreen > 0 {
-			p0 := time.Now()
-			seq = s.read(r.id, 0, n, sc)
-			score, _, _, _, _ := align.ExtendUngapped(
-				query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
-			r.prescreen = time.Since(p0)
-			r.rejected = score < opts.Prescreen
-			if r.rejected {
-				continue
-			}
-		}
-		switch opts.FineMode {
-		case FineFull:
-			// Exact score and end cell, no transcript.
-			if seq == nil {
-				seq = s.read(r.id, 0, n, sc)
-			}
-			var unique bool
-			if !s.scalarFine {
-				r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &sc.bv)
-			}
-			if !r.striped {
-				// A pair beyond the lanes' capacity.
-				r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &sc.banded)
-			}
-			r.tied = r.striped && r.score > 0 && !unique
-			r.cells = align.LocalCells(len(query), n)
-		case FineBanded:
-			r.cells = align.BandedCells(len(query), n, r.centre, opts.Band)
-			if s.scalarBanded {
-				r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, 0, n, sc), r.centre, opts.Band, &sc.banded)
-				continue
-			}
-			// Each record's band window is read from the store into the
-			// worker's scratch, and one BatchBandedScore call scores them.
-			from, to := bandWindow(r.centre, opts.Band, len(query), n)
-			sc.windows[nl] = s.src.AppendRange(sc.windows[nl][:0], r.id, from, to) // AppendRange decodes into dst and keeps no reference to it
-			lanes[nl] = align.BatchLane{B: sc.windows[nl], Centre: r.centre - from}
-			nl++
-		}
-	}
-	if nl == 0 {
-		return
-	}
-	s.subst.BatchBandedScore(query, opts.Band, lanes[:nl], &sc.batch)
-	// The lanes are the batch's unrejected records, in order.
-	k := 0
-	for i := range recs {
-		r := &recs[i]
+// fine scores one claimed record on the worker's scratch sc, writing
+// its fine-phase fields. It reads only searcher state that is immutable
+// during the fine phase, so workers run it concurrently on disjoint
+// records.
+func (s *Searcher) fine(query []byte, r *candRec, opts Options, sc *workerScratch) {
+	n := s.src.SeqLen(r.id)
+	var seq []byte // the whole subject, read when something needs it
+	if opts.Prescreen > 0 {
+		p0 := time.Now()
+		seq = s.read(r.id, 0, n, sc)
+		score, _, _, _, _ := align.ExtendUngapped(
+			query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
+		r.prescreen = time.Since(p0)
+		r.rejected = score < opts.Prescreen
 		if r.rejected {
-			continue
+			return
 		}
-		l := lanes[k]
-		k++
-		r.score, r.aEnd, r.bEnd = l.Score, l.AEnd, l.BEnd
-		if l.Score > 0 {
-			r.bEnd += r.centre - l.Centre // back to subject coordinates
+	}
+	switch opts.FineMode {
+	case FineFull:
+		// Exact score and end cell, no transcript.
+		if seq == nil {
+			seq = s.read(r.id, 0, n, sc)
 		}
+		var unique bool
+		if !s.scalarFine {
+			r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &sc.bv)
+		}
+		if !r.striped {
+			// A pair beyond the lanes' capacity.
+			r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &sc.banded)
+		}
+		r.tied = r.striped && r.score > 0 && !unique
+		r.cells = align.LocalCells(len(query), n)
+	case FineBanded:
+		// The band reads only its window of the subject, which the
+		// kernel scores with the centre shifted by the window's start.
+		from, to := bandWindow(r.centre, opts.Band, len(query), n)
+		r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, from, to, sc), r.centre-from, opts.Band, &sc.banded)
+		if r.score > 0 {
+			r.bEnd += from // back to subject coordinates
+		}
+		r.cells = align.BandedCells(len(query), n, r.centre, opts.Band)
 	}
 }
 
@@ -1039,16 +1002,14 @@ type seedHit struct {
 // scratches and read buffers. One scratch belongs to exactly one fine
 // worker at a time (see Searcher.fineScratch).
 type workerScratch struct {
-	// bv, banded and batch are the kernel scratches (the striped
-	// kernel's DP columns; the banded kernels' rows, direction matrix and
-	// transcript; the batched pass's lanes), reused across candidates.
+	// bv and banded are the kernel scratches (the striped kernel's DP
+	// columns; the banded kernels' rows, direction matrix and
+	// transcript), reused across candidates.
 	bv     align.StripedScratch
 	banded align.BandedScratch
-	batch  align.BatchScratch
-	// seq holds the worker's last whole-subject or traceback read, and
-	// windows the band windows of its current batch, one per lane.
-	seq     []byte                   // subject bases, overwritten by the worker's next read
-	windows [align.BatchLanes][]byte // band windows, overwritten by the worker's next batch
+	// seq holds the worker's last read: a whole subject, or a band's
+	// window of one.
+	seq []byte // subject bases, overwritten by the worker's next read
 }
 
 // accumulators is the coarse-phase scratch: per-sequence distinct-term
