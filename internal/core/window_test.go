@@ -53,7 +53,7 @@ func checkWholeSubject(t *testing.T, name string, s *Searcher, store *db.Store, 
 	}
 }
 
-// TestWindowedBandedMatchesWholeSubject holds the banded fine phase,
+// TestBatchedBandedMatchesScalar holds the banded fine phase,
 // which scores each candidate alone over its band's window of the
 // subject, to the whole subject: every reported record's score, end and
 // alignment are the banded kernels' over the whole stored sequence
@@ -63,8 +63,9 @@ func checkWholeSubject(t *testing.T, name string, s *Searcher, store *db.Store, 
 // covers every coarse mode (centres from the coarse walk under
 // CoarseDiagonal, from the seed hand-over otherwise), both strands and
 // the prescreen, over one segment, three with tombstones and a paged
-// index.
-func TestWindowedBandedMatchesWholeSubject(t *testing.T) {
+// index. The name dates from the byte-lane batch, which this test held
+// to a scalar route; both are gone and the reference is now computed here.
+func TestBatchedBandedMatchesScalar(t *testing.T) {
 	f, queries := handOverFixture(t, 730, index.Options{K: 9})
 	layouts := segmentations(t, f, rand.New(rand.NewSource(731)))
 	for layout, s := range layouts {
@@ -101,11 +102,11 @@ func TestWindowedBandedMatchesWholeSubject(t *testing.T) {
 	}
 }
 
-// TestWindowedBandedReportsTranscripts: on a collection of long subjects
+// TestBatchedBandedReportsTranscripts: on a collection of long subjects
 // whose homologs sit deep inside them, the reported results' spans are
 // in subject coordinates and their transcripts are the whole-subject
 // traceback's, read back from the window the traceback decoded.
-func TestWindowedBandedReportsTranscripts(t *testing.T) {
+func TestBatchedBandedReportsTranscripts(t *testing.T) {
 	rng := rand.New(rand.NewSource(732))
 	f := makeFixture(t, 733, index.Options{K: 9})
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
@@ -142,12 +143,12 @@ func TestWindowedBandedReportsTranscripts(t *testing.T) {
 	}
 }
 
-// TestWindowedBandedHammer drives the fine phase's per-worker scratch —
+// TestBatchedBandedHammer drives the fine phase's per-worker scratch —
 // kernel rows and window reads — hard: eight fine workers, both strands,
 // the prescreen, repeated searches, each held to the whole subject and
 // byte-identical to one worker's. The race detector (make check, CI's
 // race job) turns any scratch shared between workers into a failure.
-func TestWindowedBandedHammer(t *testing.T) {
+func TestBatchedBandedHammer(t *testing.T) {
 	f, queries := handOverFixture(t, 734, index.Options{K: 9})
 	s, serial := newTestSearcher(t, f), newTestSearcher(t, f)
 	opts := DefaultOptions()
