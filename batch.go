@@ -12,14 +12,10 @@ import (
 
 // SearchBatch evaluates many queries concurrently and returns the
 // per-query result lists in input order. Each worker owns its own
-// searcher state (borrowed from the Database's searcher pool), so
-// throughput scales with cores. workers ≤ 0 uses all CPUs. The first
-// error aborts the batch.
-//
-// opts.FineWorkers applies inside every query, so it multiplies with
-// the batch fan-out: a batch at full CPU width usually wants it at 0
-// (serial) — the batch is already saturating the cores — while a
-// latency-bound batch of a few heavy queries benefits from setting it.
+// searcher state (borrowed from the Database's searcher pool) and runs
+// one query at a time from start to finish, so throughput scales with
+// cores; nothing inside one query runs in parallel. workers ≤ 0 uses
+// all CPUs. The first error aborts the batch.
 func (d *Database) SearchBatch(queries []string, opts SearchOptions, workers int) ([][]Result, error) {
 	out, _, err := d.SearchBatchWithStatsContext(context.Background(), queries, opts, workers)
 	return out, err

@@ -157,6 +157,37 @@ func TestPipeline(t *testing.T) {
 		t.Fatalf("library Exact search (id, score) rows:\n%s\nwant the golden's:\n%s", strings.Join(rows, "\n"), strings.Join(want, "\n"))
 	}
 
+	// -show on minus-strand hits: the reverse complements of the queries
+	// find their families on the minus strand, and each printed
+	// alignment is the reverse-complemented query's, so under -exact its
+	// score is the one listed for the answer above it.
+	var rcFasta strings.Builder
+	for i, q := range qs {
+		fmt.Fprintf(&rcFasta, ">rc%d\n%s\n", i, dna.String(dna.ReverseComplement(q.Codes)))
+	}
+	rcQueries := filepath.Join(work, "rc.fasta")
+	if err := os.WriteFile(rcQueries, []byte(rcFasta.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, tools["cafe-search"], "-db", dbDir, "-queries", rcQueries, "-exact", "-strands", "-limit", "3", "-show", "3")
+	answerRE := regexp.MustCompile(`^\s+\d+\. score (\d+) `)
+	shownRE := regexp.MustCompile(`^\s+score (\d+),`)
+	var listed string
+	minus, shown := false, 0
+	for _, line := range strings.Split(out, "\n") {
+		if m := answerRE.FindStringSubmatch(line); m != nil {
+			listed, minus = m[1], strings.Contains(line, "(minus strand)")
+		} else if m := shownRE.FindStringSubmatch(line); m != nil && minus {
+			if m[1] != listed {
+				t.Fatalf("minus-strand answer listed at score %s shows an alignment at score %s:\n%s", listed, m[1], out)
+			}
+			shown++
+		}
+	}
+	if shown == 0 {
+		t.Fatalf("cafe-search -strands -show printed no minus-strand alignment:\n%s", out)
+	}
+
 	// Inspect.
 	out = run(t, tools["cafe-inspect"], "-db", dbDir, "-top", "3")
 	for _, want := range []string{"store:", "index:", "posting-list lengths", "most frequent intervals"} {

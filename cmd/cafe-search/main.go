@@ -53,7 +53,6 @@ func main() {
 		nucleodb.CoarseDistinct, nucleodb.CoarseTotal, nucleodb.CoarseNormalised, nucleodb.CoarseDiagonal))
 	flag.IntVar(&opts.MinScore, "minscore", opts.MinScore, "minimum alignment score")
 	flag.BoolVar(&opts.BothStrands, "strands", opts.BothStrands, "search both strands")
-	flag.IntVar(&opts.FineWorkers, "fine-workers", opts.FineWorkers, "align candidates concurrently in the fine phase (0 = serial; results are identical)")
 	flag.Parse()
 	if *dbDir == "" || (*q == "" && *queryFile == "") {
 		flag.Usage()
@@ -129,7 +128,16 @@ func main() {
 			}
 			fmt.Println()
 			if i < *show {
-				text, err := db.Alignment(nq.seq, r.ID)
+				aq := nq.seq
+				if r.Reverse {
+					// A minus-strand hit aligns the reverse-complemented query.
+					codes, err := dna.Encode([]byte(nq.seq))
+					if err != nil {
+						log.Fatal(err)
+					}
+					aq = dna.String(dna.ReverseComplement(codes))
+				}
+				text, err := db.Alignment(aq, r.ID)
 				if err != nil {
 					log.Fatal(err)
 				}

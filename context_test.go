@@ -25,7 +25,7 @@ func searchCtx(ctx context.Context, db *Database, query string, opts SearchOptio
 // TestSearchContextCancelledProperty: for random corpora and queries,
 // a search with an already-cancelled context returns
 // context.Canceled and no results — regardless of options (strands,
-// prescreen, parallel fine phase, exact alignment).
+// prescreen, no result limit, exact alignment).
 func TestSearchContextCancelledProperty(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -39,7 +39,7 @@ func TestSearchContextCancelledProperty(t *testing.T) {
 		for _, opts := range []SearchOptions{
 			DefaultSearchOptions(),
 			{Candidates: 50, MinCoarseHits: 1, Band: 16, Limit: 10, BothStrands: true, Prescreen: 20},
-			{Candidates: 100, MinCoarseHits: 2, Band: 24, FineWorkers: 4},
+			{Candidates: 100, MinCoarseHits: 2, Band: 24},
 			{Candidates: 30, MinCoarseHits: 1, Exact: true, Limit: 5},
 		} {
 			q := query
@@ -117,7 +117,7 @@ func TestSearchContextBackgroundEquivalence(t *testing.T) {
 		}
 		for _, opts := range []SearchOptions{
 			DefaultSearchOptions(),
-			{Candidates: 40, MinCoarseHits: 1, Band: 16, Limit: 10, BothStrands: true, Prescreen: 15, FineWorkers: 3},
+			{Candidates: 40, MinCoarseHits: 1, Band: 16, Limit: 10, BothStrands: true, Prescreen: 15},
 		} {
 			plain, err := db.Search(query, opts)
 			if err != nil {

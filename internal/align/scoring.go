@@ -68,8 +68,8 @@ func (s Scoring) Score(a, b byte) int {
 // substitution scores as one table row per query code — so a DP row
 // picks its row once and every cell is a single indexed load instead of
 // a Score call — and the gap penalties as int32. A Subst is immutable
-// once built and safe for concurrent use; the searcher builds one per
-// Scoring and shares it across fine workers.
+// once built and safe for concurrent use; a searcher builds one per
+// Scoring.
 type Subst struct {
 	scoring      Scoring
 	openExt, ext int32

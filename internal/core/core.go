@@ -15,8 +15,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"nucleodb/internal/align"
@@ -38,7 +36,7 @@ type Source interface {
 	AppendRange(dst []byte, i, from, to int) []byte
 }
 
-// maxPooledSeq caps the whole-subject buffer a fine worker keeps between
+// maxPooledSeq caps the whole-subject buffer the searcher keeps between
 // candidates (1 MiB); a longer subject is read into a buffer of its own,
 // so one huge sequence does not pin its bases in every pooled searcher.
 const maxPooledSeq = 1 << 20
@@ -169,10 +167,6 @@ type Options struct {
 	// expensive) fine alignment — the three-phase structure of the
 	// production CAFE design.
 	Prescreen int
-	// FineWorkers aligns candidates concurrently in the fine phase,
-	// reducing single-query latency on multicore machines. 0 or 1 is
-	// serial. Results are identical at any setting.
-	FineWorkers int
 }
 
 // DefaultOptions returns the configuration of the headline experiments.
@@ -236,9 +230,6 @@ func (o Options) validate() error {
 	if o.Prescreen < 0 {
 		return fmt.Errorf("core: negative Prescreen %d", o.Prescreen)
 	}
-	if o.FineWorkers < 0 {
-		return fmt.Errorf("core: negative FineWorkers %d", o.FineWorkers)
-	}
 	return nil
 }
 
@@ -280,7 +271,7 @@ type Searcher struct {
 	src     Source
 	scoring align.Scoring
 	// subst is scoring compiled for the scalar kernels' inner loops,
-	// built once here and shared read-only by every fine worker.
+	// built once here.
 	subst *align.Subst
 
 	// coder and opts are shared by every segment (the constructor
@@ -319,13 +310,12 @@ type Searcher struct {
 	// which each admitted candidate's seed is read (see seedLog).
 	log seedLog
 
-	// scratch holds one kernel scratch per fine worker, grown to the
-	// high-water FineWorkers and reused across candidates.
-	scratch []*workerScratch
+	// scratch is the fine phase's and the tracebacks' kernel scratch
+	// and read buffer, reused across candidates and queries.
+	scratch kernelScratch
 
 	// bvProfile is the pooled striped query profile of the FineFull
-	// score pass, rebuilt once per strand (Build reuses its backing)
-	// and read-only while fine workers score against it.
+	// score pass, rebuilt once per strand (Build reuses its backing).
 	bvProfile align.StripedProfile
 
 	// stats receives the counters of a search whose caller passed no
@@ -337,17 +327,6 @@ type Searcher struct {
 	// candidate with the scalar fallback. Only this package's tests set
 	// it: the reference the equivalence suites hold the route to.
 	scalarFine bool
-}
-
-// fineScratch returns n pooled worker scratches, one per fine worker,
-// growing the pool at each high-water mark.
-//
-// Scratch is reused across candidates and queries.
-func (s *Searcher) fineScratch(n int) []*workerScratch {
-	for len(s.scratch) < n {
-		s.scratch = append(s.scratch, new(workerScratch))
-	}
-	return s.scratch[:n]
 }
 
 // NewSearcher returns a single-segment searcher over idx and src — the
@@ -543,10 +522,7 @@ func (s *Searcher) rank(opts Options) []candRec {
 // not score itself can reach it.
 func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, recs []candRec, opts Options, st *SearchStats) ([]Result, error) {
 	t0 := time.Now()
-	// Tracebacks run serially after the fine phase's join, on the first
-	// fine worker's scratch.
-	sc := s.fineScratch(1)[0]
-	banded := &sc.banded
+	banded := &s.scratch.banded
 	out := make([]Result, len(recs))
 	for i, r := range recs {
 		out[i] = Result{ID: r.id, Score: r.score, Coarse: r.coarse, Reverse: r.reverse,
@@ -573,11 +549,11 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 			aEnd, bEnd := r.aEnd, r.bEnd
 			var subject []byte
 			if r.tied {
-				subject = s.read(r.id, 0, n, sc)
+				subject = s.read(r.id, 0, n)
 				_, aEnd, bEnd = s.subst.LocalScore(q, subject, banded)
 				st.TracebackDPCells += align.LocalCells(len(q), n)
 			} else {
-				subject = s.read(r.id, 0, bEnd, sc)
+				subject = s.read(r.id, 0, bEnd)
 			}
 			out[i].Alignment = s.subst.LocalEndingAt(q, subject, r.score, aEnd, bEnd, banded)
 			st.TracebackAlignments++
@@ -591,7 +567,7 @@ func (s *Searcher) finishTracebacks(ctx context.Context, query, rcQuery []byte, 
 		// the start would cost more cells than it saves. It reads only
 		// the band's window of the subject.
 		from, to := bandWindow(r.centre, opts.Band, r.aEnd, n)
-		al := s.subst.BandedLocal(q[:r.aEnd], s.read(r.id, from, to, sc), r.centre-from, opts.Band, banded)
+		al := s.subst.BandedLocal(q[:r.aEnd], s.read(r.id, from, to), r.centre-from, opts.Band, banded)
 		st.TracebackAlignments++
 		st.TracebackDPCells += align.BandedCells(r.aEnd, n, r.centre, opts.Band)
 		if al.Score != r.score {
@@ -618,24 +594,22 @@ func bandWindow(centre, band, rows, n int) (from, to int) {
 	return from, to
 }
 
-// read decodes bases [from, to) of sequence id into the worker's pooled
-// buffer and returns them; the slice is valid until the worker's next
+// read decodes bases [from, to) of sequence id into the searcher's
+// pooled buffer and returns them; the slice is valid until the next
 // read.
-//
-// The bases live in the worker's scratch until its next read.
-func (s *Searcher) read(id, from, to int, sc *workerScratch) []byte {
-	seq := s.src.AppendRange(sc.seq[:0], id, from, to) // AppendRange decodes into dst and keeps no reference to it
+func (s *Searcher) read(id, from, to int) []byte {
+	seq := s.src.AppendRange(s.scratch.seq[:0], id, from, to) // AppendRange decodes into dst and keeps no reference to it
 	if cap(seq) <= maxPooledSeq {
-		sc.seq = seq
+		s.scratch.seq = seq
 	}
 	return seq
 }
 
 // searchStrand evaluates one orientation of the query: the coarse phase
-// appends one record per candidate to s.recs, the fine phase scores
-// them, and the join folds their work into st and keeps the records that
-// passed, in candidate order. Cancellation is checked between posting
-// lists (coarse) and before each claimed record (fine).
+// appends one record per candidate to s.recs, and the fine phase scores
+// them in candidate order, folds each one's work into st and keeps the
+// records that passed. Cancellation is checked between posting lists
+// (coarse) and before each record (fine).
 func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) error {
 	t0 := time.Now()
 	// A seed anchors the prescreen extension and centres a band the
@@ -652,42 +626,15 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if opts.FineMode == FineFull && len(recs) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
-	// Workers claim one record at a time. A worker writes only the records
-	// it claimed, so the workers share nothing but the claim counter, and
-	// the output is the same at any worker count.
-	workers := max(1, min(opts.FineWorkers, len(recs)))
-	var next atomic.Int64
-	claim := func(sc *workerScratch) {
-		for ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			if i >= len(recs) {
-				return
-			}
-			s.fine(query, &recs[i], opts, sc)
-		}
-	}
-	scratches := s.fineScratch(workers)
-	if workers == 1 {
-		claim(scratches[0])
-	} else {
-		var wg sync.WaitGroup
-		for _, sc := range scratches {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				claim(sc)
-			}()
-		}
-		wg.Wait()
-	}
-	if err := ctx.Err(); err != nil {
-		st.FineTime += time.Since(t0)
-		return err
-	}
-	// The join, in candidate order: fold every record's work into st, and
-	// move the records that passed to the front of the strand's records.
+	// The records that passed move to the front of the strand's records.
 	kept := first
-	for _, r := range recs {
+	for i := range recs {
+		if err := ctx.Err(); err != nil {
+			st.FineTime += time.Since(t0)
+			return err
+		}
+		r := &recs[i]
+		s.fine(query, r, opts)
 		st.PrescreenTime += r.prescreen
 		if r.rejected {
 			st.PrescreenRejections++
@@ -699,7 +646,7 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 			st.BitvectorAlignments++
 		}
 		if r.score >= opts.MinScore {
-			s.recs[kept] = r
+			s.recs[kept] = *r
 			kept++
 		}
 	}
@@ -708,16 +655,13 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	return nil
 }
 
-// fine scores one claimed record on the worker's scratch sc, writing
-// its fine-phase fields. It reads only searcher state that is immutable
-// during the fine phase, so workers run it concurrently on disjoint
-// records.
-func (s *Searcher) fine(query []byte, r *candRec, opts Options, sc *workerScratch) {
+// fine scores one record, writing its fine-phase fields.
+func (s *Searcher) fine(query []byte, r *candRec, opts Options) {
 	n := s.src.SeqLen(r.id)
 	var seq []byte // the whole subject, read when something needs it
 	if opts.Prescreen > 0 {
 		p0 := time.Now()
-		seq = s.read(r.id, 0, n, sc)
+		seq = s.read(r.id, 0, n)
 		score, _, _, _, _ := align.ExtendUngapped(
 			query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
 		r.prescreen = time.Since(p0)
@@ -730,15 +674,15 @@ func (s *Searcher) fine(query []byte, r *candRec, opts Options, sc *workerScratc
 	case FineFull:
 		// Exact score and end cell, no transcript.
 		if seq == nil {
-			seq = s.read(r.id, 0, n, sc)
+			seq = s.read(r.id, 0, n)
 		}
 		var unique bool
 		if !s.scalarFine {
-			r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &sc.bv)
+			r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &s.scratch.bv)
 		}
 		if !r.striped {
 			// A pair beyond the lanes' capacity.
-			r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &sc.banded)
+			r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &s.scratch.banded)
 		}
 		r.tied = r.striped && r.score > 0 && !unique
 		r.cells = align.LocalCells(len(query), n)
@@ -746,7 +690,7 @@ func (s *Searcher) fine(query []byte, r *candRec, opts Options, sc *workerScratc
 		// The band reads only its window of the subject, which the
 		// kernel scores with the centre shifted by the window's start.
 		from, to := bandWindow(r.centre, opts.Band, len(query), n)
-		r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, from, to, sc), r.centre-from, opts.Band, &sc.banded)
+		r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, from, to), r.centre-from, opts.Band, &s.scratch.banded)
 		if r.score > 0 {
 			r.bEnd += from // back to subject coordinates
 		}
@@ -998,18 +942,17 @@ type seedHit struct {
 	diag, qPos, sPos int
 }
 
-// workerScratch is one fine worker's reusable state: its kernel
-// scratches and read buffers. One scratch belongs to exactly one fine
-// worker at a time (see Searcher.fineScratch).
-type workerScratch struct {
+// kernelScratch is the searcher's reusable fine-phase state: its
+// kernel scratches and read buffer.
+type kernelScratch struct {
 	// bv and banded are the kernel scratches (the striped kernel's DP
 	// columns; the banded kernels' rows, direction matrix and
 	// transcript), reused across candidates.
 	bv     align.StripedScratch
 	banded align.BandedScratch
-	// seq holds the worker's last read: a whole subject, or a band's
-	// window of one.
-	seq []byte // subject bases, overwritten by the worker's next read
+	// seq holds the last read: a whole subject, or a band's window of
+	// one.
+	seq []byte // subject bases, overwritten by the next read
 }
 
 // accumulators is the coarse-phase scratch: per-sequence distinct-term

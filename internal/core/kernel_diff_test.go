@@ -76,11 +76,11 @@ func stripedEnd(t *testing.T, s *Searcher, strand, subject []byte) (bEnd int, un
 // the striped score pass: the same FineFull search run through the
 // scalar fallback alone (the test-only Searcher.scalarFine) and through
 // the striped route must return byte-identical result lists — scores,
-// rankings, spans and transcripts — across every coarse mode, both
-// strand settings, and a serial and a parallel fine phase, on a
-// collection where the striped results reach their transcripts both
-// ways: handed the one column holding every best cell, and through the
-// scalar forward pass when best cells tie across columns.
+// rankings, spans and transcripts — across every coarse mode and both
+// strand settings, on a collection where the striped results reach
+// their transcripts both ways: handed the one column holding every best
+// cell, and through the scalar forward pass when best cells tie across
+// columns.
 func TestFineKernelEquivalence(t *testing.T) {
 	f, queries := tieFixture(t, 61)
 	s := newTestSearcher(t, f)
@@ -88,74 +88,71 @@ func TestFineKernelEquivalence(t *testing.T) {
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
 	for _, mode := range modes {
 		for _, both := range []bool{false, true} {
-			for _, fw := range []int{1, 4} {
-				byColumn, tied, crossed := 0, 0, 0
-				for qi, query := range queries {
-					opts := DefaultOptions()
-					opts.CoarseMode = mode
-					opts.FineMode = FineFull
-					opts.BothStrands = both
-					opts.FineWorkers = fw
+			byColumn, tied, crossed := 0, 0, 0
+			for qi, query := range queries {
+				opts := DefaultOptions()
+				opts.CoarseMode = mode
+				opts.FineMode = FineFull
+				opts.BothStrands = both
 
-					s.scalarFine = true
-					var scalarStats SearchStats
-					want, err := s.SearchWithStatsContext(context.Background(), query, opts, &scalarStats)
-					s.scalarFine = false
-					if err != nil {
-						t.Fatalf("%v both=%v fw=%d query %d scalar: %v", mode, both, fw, qi, err)
-					}
+				s.scalarFine = true
+				var scalarStats SearchStats
+				want, err := s.SearchWithStatsContext(context.Background(), query, opts, &scalarStats)
+				s.scalarFine = false
+				if err != nil {
+					t.Fatalf("%v both=%v query %d scalar: %v", mode, both, qi, err)
+				}
 
-					var bvStats SearchStats
-					got, err := s.SearchWithStatsContext(context.Background(), query, opts, &bvStats)
-					if err != nil {
-						t.Fatalf("%v both=%v fw=%d query %d bitvector: %v", mode, both, fw, qi, err)
-					}
+				var bvStats SearchStats
+				got, err := s.SearchWithStatsContext(context.Background(), query, opts, &bvStats)
+				if err != nil {
+					t.Fatalf("%v both=%v query %d bitvector: %v", mode, both, qi, err)
+				}
 
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%v both=%v fw=%d query %d: bitvector results differ from scalar\n got %+v\nwant %+v",
-							mode, both, fw, qi, got, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v both=%v query %d: bitvector results differ from scalar\n got %+v\nwant %+v",
+						mode, both, qi, got, want)
+				}
+				if len(want) == 0 {
+					t.Fatalf("%v both=%v query %d: degenerate test, no results", mode, both, qi)
+				}
+				for _, r := range got {
+					strand := query
+					if r.Reverse {
+						strand = dna.ReverseComplement(query)
 					}
-					if len(want) == 0 {
-						t.Fatalf("%v both=%v query %d: degenerate test, no results", mode, both, qi)
+					if len(r.Alignment.Ops) == 0 {
+						t.Fatalf("%v both=%v query %d: result %d has no transcript", mode, both, qi, r.ID)
 					}
-					for _, r := range got {
-						strand := query
-						if r.Reverse {
-							strand = dna.ReverseComplement(query)
-						}
-						if len(r.Alignment.Ops) == 0 {
-							t.Fatalf("%v both=%v fw=%d query %d: result %d has no transcript", mode, both, fw, qi, r.ID)
-						}
-						switch bEnd, unique := stripedEnd(t, s, strand, f.store.Sequence(r.ID)); {
-						case unique:
-							byColumn++
-						case bEnd != r.Alignment.BEnd:
-							crossed++
-						default:
-							tied++
-						}
-					}
-
-					// The kernels did the same logical work and counted
-					// themselves truthfully.
-					if scalarStats.BitvectorAlignments != 0 {
-						t.Fatalf("scalar stats: bitvector alignments %d", scalarStats.BitvectorAlignments)
-					}
-					if bvStats.BitvectorAlignments != bvStats.FineAlignments {
-						t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
-							bvStats.BitvectorAlignments, bvStats.FineAlignments)
-					}
-					if bvStats.FineAlignments != scalarStats.FineAlignments ||
-						bvStats.FineDPCells != scalarStats.FineDPCells {
-						t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
-							bvStats.FineAlignments, bvStats.FineDPCells,
-							scalarStats.FineAlignments, scalarStats.FineDPCells)
+					switch bEnd, unique := stripedEnd(t, s, strand, f.store.Sequence(r.ID)); {
+					case unique:
+						byColumn++
+					case bEnd != r.Alignment.BEnd:
+						crossed++
+					default:
+						tied++
 					}
 				}
-				if byColumn < 3 || tied < 2 || crossed < 1 {
-					t.Fatalf("%v both=%v fw=%d: %d results traced from their end column, %d through the tie fallback and %d of those ending in a later column than the striped pass saw — the collection must force all three",
-						mode, both, fw, byColumn, tied+crossed, crossed)
+
+				// The kernels did the same logical work and counted
+				// themselves truthfully.
+				if scalarStats.BitvectorAlignments != 0 {
+					t.Fatalf("scalar stats: bitvector alignments %d", scalarStats.BitvectorAlignments)
 				}
+				if bvStats.BitvectorAlignments != bvStats.FineAlignments {
+					t.Fatalf("bitvector stats: %d of %d alignments used the kernel (unexpected fallback at these sizes)",
+						bvStats.BitvectorAlignments, bvStats.FineAlignments)
+				}
+				if bvStats.FineAlignments != scalarStats.FineAlignments ||
+					bvStats.FineDPCells != scalarStats.FineDPCells {
+					t.Fatalf("kernels did different fine work: bitvector %d/%d cells, scalar %d/%d cells",
+						bvStats.FineAlignments, bvStats.FineDPCells,
+						scalarStats.FineAlignments, scalarStats.FineDPCells)
+				}
+			}
+			if byColumn < 3 || tied < 2 || crossed < 1 {
+				t.Fatalf("%v both=%v: %d results traced from their end column, %d through the tie fallback and %d of those ending in a later column than the striped pass saw — the collection must force all three",
+					mode, both, byColumn, tied+crossed, crossed)
 			}
 		}
 	}
@@ -243,11 +240,10 @@ func TestFineKernelDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestFineKernelCancellation extends PR 5's countdown-ctx coverage into
+// TestFineKernelCancellation extends the countdown-ctx coverage into
 // the FineFull fine phase: cancellation observed between candidates
-// (serial and parallel fine) and during the deferred full tracebacks
-// must surface ctx.Err() with no partial results, and the searcher must
-// stay usable.
+// and during the deferred full tracebacks must surface ctx.Err() with
+// no partial results, and the searcher must stay usable.
 func TestFineKernelCancellation(t *testing.T) {
 	f := makeFixture(t, 65, index.Options{K: 9})
 	s := newTestSearcher(t, f)
@@ -257,7 +253,7 @@ func TestFineKernelCancellation(t *testing.T) {
 
 	// Measure the poll budget of each stage from an uncancelled run:
 	// 1 entry check + one per query term (coarse) + one per candidate
-	// (serial fine) + one per deferred traceback.
+	// (fine) + one per deferred traceback.
 	var st SearchStats
 	results, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
 	if err != nil {
@@ -274,31 +270,26 @@ func TestFineKernelCancellation(t *testing.T) {
 		"mid-traceback": int64(coarsePolls + finePolls + 1),
 	}
 	for name, allow := range cancelAt {
-		for _, workers := range []int{1, 4} {
-			opts.FineWorkers = workers
-			ctx := newCountdownCtx(allow)
-			rs, err := s.SearchWithStatsContext(ctx, f.query, opts, nil)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s workers=%d: err = %v, want context.Canceled", name, workers, err)
-			}
-			if rs != nil {
-				t.Errorf("%s workers=%d: cancelled search returned %d partial results", name, workers, len(rs))
-			}
-			after, err := s.Search(f.query, opts)
-			if err != nil || len(after) == 0 {
-				t.Fatalf("%s workers=%d: searcher unusable after cancellation: %v (%d results)",
-					name, workers, err, len(after))
-			}
+		ctx := newCountdownCtx(allow)
+		rs, err := s.SearchWithStatsContext(ctx, f.query, opts, nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		if rs != nil {
+			t.Errorf("%s: cancelled search returned %d partial results", name, len(rs))
+		}
+		after, err := s.Search(f.query, opts)
+		if err != nil || len(after) == 0 {
+			t.Fatalf("%s: searcher unusable after cancellation: %v (%d results)", name, err, len(after))
 		}
 	}
 }
 
 // TestFineKernelScratchHammer drives the pooled striped profile and
-// per-worker scratches hard under a parallel fine phase, both strands,
-// across repeated searches — the race detector (make test-race, CI's
-// race job) turns any scratch-sharing bug into a failure, and the
-// result must stay byte-identical to the serial scalar reference every
-// iteration.
+// kernel scratch across repeated searches on one searcher, both
+// strands: the result must stay byte-identical to the scalar reference
+// every iteration, so no state a search leaves in the scratch reaches
+// the next one's answers.
 func TestFineKernelScratchHammer(t *testing.T) {
 	f := makeFixture(t, 66, index.Options{K: 9})
 	s := newTestSearcher(t, f)
@@ -313,15 +304,13 @@ func TestFineKernelScratchHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	opts := ref
-	opts.FineWorkers = 8
 	for i := 0; i < 25; i++ {
-		got, err := s.Search(f.query, opts)
+		got, err := s.Search(f.query, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("iteration %d: parallel striped differs from serial scalar", i)
+			t.Fatalf("iteration %d: striped differs from scalar", i)
 		}
 	}
 }

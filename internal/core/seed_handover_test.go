@@ -343,33 +343,30 @@ func TestSeedLogOverflowIsAnError(t *testing.T) {
 	}
 }
 
-// TestSeedHandOverHammer runs many queries through one searcher with
-// eight fine workers. Under -race it shows the log, the seeds and the
-// term array are only read while the workers run — they are rebuilt
-// between fine phases, on the calling goroutine — and the answers equal
-// a serial searcher's.
+// TestSeedHandOverHammer runs many queries through one searcher: the
+// log, the seeds and the term array it rebuilds for every query leave
+// nothing behind that changes the next query's answers, which equal a
+// fresh searcher's.
 func TestSeedHandOverHammer(t *testing.T) {
 	f := makeFixture(t, 612, index.DefaultOptions())
-	parallel, serial := newTestSearcher(t, f), newTestSearcher(t, f)
+	reused := newTestSearcher(t, f)
 	rng := rand.New(rand.NewSource(612))
 	opts := DefaultOptions()
 	opts.Prescreen = 30 // a seed for every candidate
-	popts := opts
-	popts.FineWorkers = 8
 	for i := 0; i < 40; i++ {
 		root := f.store.Sequence(rng.Intn(f.store.Len()))
 		query := gen.Fragment(rng, root, 100+rng.Intn(150))
-		opts.BothStrands, popts.BothStrands = i%2 == 0, i%2 == 0
-		want, err := serial.Search(query, opts)
+		opts.BothStrands = i%2 == 0
+		want, err := newTestSearcher(t, f).Search(query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := parallel.Search(query, popts)
+		got, err := reused.Search(query, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: 8 fine workers returned\n%+v\nserial returned\n%+v", i, got, want)
+			t.Fatalf("query %d: the reused searcher returned\n%+v\na fresh one returned\n%+v", i, got, want)
 		}
 	}
 }

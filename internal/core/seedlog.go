@@ -78,8 +78,8 @@ type candPosting struct {
 
 // seedLog is the coarse walk's record of the postings it decoded, and
 // the scratch of the hand-over that reads it back. It is written by the
-// walk and read by the hand-over, both on the searcher's goroutine; the
-// fine workers see only the seeds it writes into the candidates' records.
+// walk and read by the hand-over; the fine phase sees only the seeds it
+// writes into the candidates' records.
 type seedLog struct {
 	recs  []seedRec    // query-lifetime log, truncated at the start of each logging walk
 	offs  []uint32     // offsets of the logged postings that have several

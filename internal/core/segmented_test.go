@@ -50,9 +50,8 @@ func splitSegments(t *testing.T, f *fixture, rng *rand.Rand, k int) []Segment {
 // invariant: a searcher over any segmentation of the collection
 // returns results byte-identical to the monolithic searcher, for every
 // coarse mode, both fine modes — FineFull through the striped route and
-// through the scalar pass alone (the test-only scalarFine) — and a
-// serial and a parallel fine phase, segment count 1 through 8 with
-// random boundaries.
+// through the scalar pass alone (the test-only scalarFine) — segment
+// count 1 through 8 with random boundaries.
 func TestSegmentedSearchEquivalence(t *testing.T) {
 	f := makeFixture(t, 77, index.Options{K: 9})
 	mono := newTestSearcher(t, f)
@@ -68,7 +67,6 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 		{FineFull, true},
 	}
 	modes := []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal}
-	fineWorkers := []int{0, 2}
 
 	for k := 1; k <= 8; k++ {
 		segs := splitSegments(t, f, rng, k)
@@ -94,40 +92,36 @@ func TestSegmentedSearchEquivalence(t *testing.T) {
 				t.Fatalf("k=%d mode=%v: Coarse ranks %d candidates, monolithic %d; lists differ", k, cm, len(gotC), len(wantC))
 			}
 			for _, fc := range fines {
-				for _, fw := range fineWorkers {
-					opts := DefaultOptions()
-					opts.CoarseMode = cm
-					opts.FineMode = fc.mode
-					mono.scalarFine, seg.scalarFine = fc.scalar, fc.scalar
-					opts.FineWorkers = fw
-					opts.BothStrands = cm == CoarseDiagonal // exercise the strand loop too
-					name := fmt.Sprintf("k=%d mode=%v fine=%v scalar=%v workers=%d",
-						k, cm, fc.mode, fc.scalar, fw)
+				opts := DefaultOptions()
+				opts.CoarseMode = cm
+				opts.FineMode = fc.mode
+				mono.scalarFine, seg.scalarFine = fc.scalar, fc.scalar
+				opts.BothStrands = cm == CoarseDiagonal // exercise the strand loop too
+				name := fmt.Sprintf("k=%d mode=%v fine=%v scalar=%v", k, cm, fc.mode, fc.scalar)
 
-					var wantSt, gotSt SearchStats
-					want, err := mono.SearchWithStatsContext(context.Background(), f.query, opts, &wantSt)
-					if err != nil {
-						t.Fatalf("%s: mono: %v", name, err)
-					}
-					got, err := seg.SearchWithStatsContext(context.Background(), f.query, opts, &gotSt)
-					if err != nil {
-						t.Fatalf("%s: segmented: %v", name, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: segmented results diverge\n got %+v\nwant %+v", name, got, want)
-					}
-					// Postings decoded are partitioned, never duplicated
-					// or dropped, across segments.
-					if gotSt.PostingsDecoded != wantSt.PostingsDecoded {
-						t.Errorf("%s: PostingsDecoded %d != %d", name, gotSt.PostingsDecoded, wantSt.PostingsDecoded)
-					}
-					strands := 1
-					if opts.BothStrands {
-						strands = 2
-					}
-					if gotSt.Segments != k*strands {
-						t.Errorf("%s: stats Segments = %d, want %d", name, gotSt.Segments, k*strands)
-					}
+				var wantSt, gotSt SearchStats
+				want, err := mono.SearchWithStatsContext(context.Background(), f.query, opts, &wantSt)
+				if err != nil {
+					t.Fatalf("%s: mono: %v", name, err)
+				}
+				got, err := seg.SearchWithStatsContext(context.Background(), f.query, opts, &gotSt)
+				if err != nil {
+					t.Fatalf("%s: segmented: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: segmented results diverge\n got %+v\nwant %+v", name, got, want)
+				}
+				// Postings decoded are partitioned, never duplicated
+				// or dropped, across segments.
+				if gotSt.PostingsDecoded != wantSt.PostingsDecoded {
+					t.Errorf("%s: PostingsDecoded %d != %d", name, gotSt.PostingsDecoded, wantSt.PostingsDecoded)
+				}
+				strands := 1
+				if opts.BothStrands {
+					strands = 2
+				}
+				if gotSt.Segments != k*strands {
+					t.Errorf("%s: stats Segments = %d, want %d", name, gotSt.Segments, k*strands)
 				}
 			}
 		}

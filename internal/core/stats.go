@@ -70,9 +70,8 @@ type SearchStats struct {
 	// Per-stage wall time. CoarseTime, FineTime, TracebackTime and
 	// TotalTime are disjoint-interval wall clocks, so the first three
 	// sum to at most TotalTime (the remainder is ranking, merging and
-	// result assembly). PrescreenTime is a subset of FineTime measured
-	// per candidate; with FineWorkers > 1 it sums across workers and
-	// may exceed the fine phase's wall time.
+	// result assembly). PrescreenTime is the part of FineTime spent in
+	// the prescreen, summed over the candidates.
 	CoarseTime    time.Duration `json:"coarse_ns"`
 	PrescreenTime time.Duration `json:"prescreen_ns"`
 	FineTime      time.Duration `json:"fine_ns"`

@@ -65,9 +65,6 @@ func TestStatsEquivalenceProperty(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					opts.Prescreen = 40
 				}
-				if rng.Intn(2) == 0 {
-					opts.FineWorkers = 4
-				}
 
 				// Fresh searchers so scratch-state reuse cannot leak
 				// between the two runs.
@@ -88,9 +85,7 @@ func TestStatsEquivalenceProperty(t *testing.T) {
 				}
 				checkStatsInvariants(t, &st, opts, want)
 
-				// Serial only: a parallel fine phase's goroutines make the
-				// count depend on the scheduler.
-				if trial > 0 || opts.FineWorkers > 1 {
+				if trial > 0 {
 					continue
 				}
 				withNil := testing.AllocsPerRun(5, func() { plain.Search(query, opts) })
@@ -149,10 +144,10 @@ func checkStatsInvariants(t *testing.T, st *SearchStats, opts Options, results [
 	if st.Strands != wantStrands {
 		t.Fatalf("Strands = %d, want %d", st.Strands, wantStrands)
 	}
-	checkDurationInvariants(t, st, opts)
+	checkDurationInvariants(t, st)
 }
 
-func checkDurationInvariants(t *testing.T, st *SearchStats, opts Options) {
+func checkDurationInvariants(t *testing.T, st *SearchStats) {
 	t.Helper()
 	for _, d := range []struct {
 		name string
@@ -180,10 +175,9 @@ func checkDurationInvariants(t *testing.T, st *SearchStats, opts Options) {
 	if gap := st.TotalTime - st.StageTime(); gap > st.TotalTime/2+100*time.Millisecond {
 		t.Fatalf("stages %v account for too little of total %v", st.StageTime(), st.TotalTime)
 	}
-	// Per-candidate prescreen clocks are subsets of the fine phase;
-	// only a parallel fine phase can sum past its wall clock.
-	if opts.FineWorkers <= 1 && st.PrescreenTime > st.FineTime {
-		t.Fatalf("serial PrescreenTime %v > FineTime %v", st.PrescreenTime, st.FineTime)
+	// Per-candidate prescreen clocks are subsets of the fine phase.
+	if st.PrescreenTime > st.FineTime {
+		t.Fatalf("PrescreenTime %v > FineTime %v", st.PrescreenTime, st.FineTime)
 	}
 }
 

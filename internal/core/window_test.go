@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -13,13 +12,6 @@ import (
 	"nucleodb/internal/gen"
 	"nucleodb/internal/index"
 )
-
-// workCounters returns st without its wall clocks: the counters two
-// runs of the same search must agree on to the digit.
-func workCounters(st SearchStats) SearchStats {
-	st.CoarseTime, st.PrescreenTime, st.FineTime, st.TracebackTime, st.TotalTime = 0, 0, 0, 0, 0
-	return st
-}
 
 // checkWholeSubject holds a banded search's results, which the fine
 // phase scored and traced over each candidate's band window, to the
@@ -57,13 +49,10 @@ func checkWholeSubject(t *testing.T, name string, s *Searcher, store *db.Store, 
 // which scores each candidate alone over its band's window of the
 // subject, to the whole subject: every reported record's score, end and
 // alignment are the banded kernels' over the whole stored sequence
-// (checkWholeSubject), and every work counter (lists, postings, fine and
-// traceback cells) is the same at one, three and eight fine workers
-// (workers claim records; output stays in candidate order). The grid
-// covers every coarse mode (centres from the coarse walk under
-// CoarseDiagonal, from the seed hand-over otherwise), both strands and
-// the prescreen, over one segment, three with tombstones and a paged
-// index. The name dates from the byte-lane batch, which this test held
+// (checkWholeSubject). The grid covers every coarse mode (centres from
+// the coarse walk under CoarseDiagonal, from the seed hand-over
+// otherwise), both strands and the prescreen, over one segment, three
+// with tombstones and a paged index. The name dates from the byte-lane batch, which this test held
 // to a scalar route; both are gone and the reference is now computed here.
 func TestBatchedBandedMatchesScalar(t *testing.T) {
 	f, queries := handOverFixture(t, 730, index.Options{K: 9})
@@ -73,28 +62,19 @@ func TestBatchedBandedMatchesScalar(t *testing.T) {
 			for _, cm := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
 				for _, both := range []bool{false, true} {
 					for _, prescreen := range []int{0, 30} {
-						var serial SearchStats
-						for _, workers := range []int{1, 3, 8} {
-							opts := DefaultOptions()
-							opts.CoarseMode, opts.FineWorkers = cm, workers
-							opts.BothStrands, opts.Prescreen = both, prescreen
-							opts.MinScore, opts.Limit = 0, 0 // every candidate's score and end reach the list
-							name := fmt.Sprintf("%s %s %+v", layout, qname, opts)
-							var st SearchStats
-							got, err := s.SearchWithStatsContext(context.Background(), q, opts, &st)
-							if err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							if len(got) == 0 {
-								t.Fatalf("%s: no results", name)
-							}
-							checkWholeSubject(t, name, s, f.store, q, opts.Band, got)
-							if workers == 1 {
-								serial = st
-							} else if workCounters(st) != workCounters(serial) {
-								t.Fatalf("%s: counters %+v, one worker's %+v", name, workCounters(st), workCounters(serial))
-							}
+						opts := DefaultOptions()
+						opts.CoarseMode = cm
+						opts.BothStrands, opts.Prescreen = both, prescreen
+						opts.MinScore, opts.Limit = 0, 0 // every candidate's score and end reach the list
+						name := fmt.Sprintf("%s %s %+v", layout, qname, opts)
+						got, err := s.Search(q, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
+						if len(got) == 0 {
+							t.Fatalf("%s: no results", name)
+						}
+						checkWholeSubject(t, name, s, f.store, q, opts.Band, got)
 					}
 				}
 			}
@@ -143,31 +123,30 @@ func TestBatchedBandedReportsTranscripts(t *testing.T) {
 	}
 }
 
-// TestBatchedBandedHammer drives the fine phase's per-worker scratch —
-// kernel rows and window reads — hard: eight fine workers, both strands,
-// the prescreen, repeated searches, each held to the whole subject and
-// byte-identical to one worker's. The race detector (make check, CI's
-// race job) turns any scratch shared between workers into a failure.
+// TestBatchedBandedHammer drives the fine phase's scratch — kernel rows
+// and window reads — hard: both strands, the prescreen, every query
+// searched repeatedly on one searcher between the others, each answer
+// byte-identical to a fresh searcher's, which is held to the whole
+// subject.
 func TestBatchedBandedHammer(t *testing.T) {
 	f, queries := handOverFixture(t, 734, index.Options{K: 9})
-	s, serial := newTestSearcher(t, f), newTestSearcher(t, f)
+	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.BothStrands, opts.Prescreen, opts.MinScore = true, 20, 0
 	for qname, q := range queries {
-		want, err := serial.Search(q, opts)
+		fresh := newTestSearcher(t, f)
+		want, err := fresh.Search(q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkWholeSubject(t, qname, serial, f.store, q, opts.Band, want)
-		par := opts
-		par.FineWorkers = 8
+		checkWholeSubject(t, qname, fresh, f.store, q, opts.Band, want)
 		for i := 0; i < 10; i++ {
-			got, err := s.Search(q, par)
+			got, err := s.Search(q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s iteration %d: eight workers differ from one", qname, i)
+				t.Fatalf("%s iteration %d: the reused searcher differs from a fresh one", qname, i)
 			}
 		}
 	}
@@ -203,12 +182,11 @@ func TestFineWindowHoldsTheBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	sc := s.fineScratch(1)[0]
 	for id, d := range at {
 		whole := store.Sequence(id)
 		for centre := d - opts.Band - 2; centre <= d+opts.Band+2; centre++ {
 			r := candRec{id: id, centre: centre}
-			s.fine(query, &r, opts, sc)
+			s.fine(query, &r, opts)
 			score, aEnd, bEnd := align.BandedLocalScore(query, whole, centre, opts.Band, s.scoring)
 			if r.score != score || r.aEnd != aEnd || r.bEnd != bEnd {
 				t.Fatalf("subject %d, match on diagonal %d, centre %d: fine phase (%d,%d,%d), whole subject (%d,%d,%d)",
@@ -267,10 +245,9 @@ func retainedBytes(v reflect.Value) int {
 }
 
 // TestLongQueryLeavesScratchBounded runs one 60 000-base query against
-// eight homologs, two fine workers, and then bounds what each worker's
-// scratch keeps for the searcher's next query: a read buffer of at most
-// maxPooledSeq, a direction matrix of at most align's 1 MiB cap, and the
-// band's rows. The query's band windows and traceback matrices are
+// eight homologs and then bounds what the searcher's scratch keeps for
+// its next query: a read buffer of at most maxPooledSeq, a direction
+// matrix of at most align's 1 MiB cap, and the band's rows. The query's band windows and traceback matrices are
 // larger than those caps, so nothing sized by the query may stay.
 func TestLongQueryLeavesScratchBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(735))
@@ -292,7 +269,6 @@ func TestLongQueryLeavesScratchBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.FineWorkers = 2
 	got, err := s.Search(root, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -302,9 +278,7 @@ func TestLongQueryLeavesScratchBounded(t *testing.T) {
 	}
 	const maxPooledDir = 1 << 20 // align.maxPooledDir
 	bound := maxPooledSeq + maxPooledDir + 64*(2*opts.Band+2)
-	for w, sc := range s.scratch {
-		if n := retainedBytes(reflect.ValueOf(sc)); n > bound {
-			t.Errorf("fine worker %d keeps %d bytes of scratch after a %d-base query, want at most %d", w, n, len(root), bound)
-		}
+	if n := retainedBytes(reflect.ValueOf(s.scratch)); n > bound {
+		t.Errorf("the searcher keeps %d bytes of scratch after a %d-base query, want at most %d", n, len(root), bound)
 	}
 }

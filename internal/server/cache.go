@@ -11,20 +11,10 @@ import (
 // cacheKey keys the result cache: the canonical query letters
 // (encode/decode normalises case and U→T) and the resolved options. The
 // options are the struct itself, so every field — each /search wire name
-// and every server default — is in the key by construction, except what
-// newCacheKey zeroes.
+// and every server default — is in the key by construction.
 type cacheKey struct {
 	query string
 	opts  nucleodb.SearchOptions
-}
-
-// newCacheKey zeroes the options that change how a search runs but not
-// what it answers: FineWorkers, proven result-neutral by
-// TestParallelFineMatchesSerial, so serial and parallel configurations
-// share entries.
-func newCacheKey(canonical string, opts nucleodb.SearchOptions) cacheKey {
-	opts.FineWorkers = 0
-	return cacheKey{query: canonical, opts: opts}
 }
 
 // resultCache is a fixed-capacity LRU over marshalled search

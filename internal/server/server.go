@@ -483,7 +483,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	useCache := !req.NoCache && !req.Stats
 	var key cacheKey
 	if useCache {
-		key = newCacheKey(dna.String(codes), req.SearchOptions)
+		key = cacheKey{query: dna.String(codes), opts: req.SearchOptions}
 		if body, ok := s.cache.get(key); ok {
 			s.mCacheHits.Inc()
 			w.Header().Set("X-Cafe-Cache", "hit")

@@ -422,10 +422,6 @@ type SearchOptions struct {
 	// fine alignment — the three-phase evaluation of the production
 	// CAFE design. 0 disables.
 	Prescreen int `json:"prescreen"`
-	// FineWorkers aligns candidates concurrently in the fine phase
-	// (lower single-query latency on multicore machines); 0 or 1 is
-	// serial. Results are identical at any setting.
-	FineWorkers int `json:"-"`
 }
 
 // DefaultSearchOptions returns the settings of the headline
@@ -443,7 +439,6 @@ func DefaultSearchOptions() SearchOptions {
 		Limit:         d.Limit,
 		BothStrands:   d.BothStrands,
 		Prescreen:     d.Prescreen,
-		FineWorkers:   d.FineWorkers,
 	}
 }
 
@@ -462,7 +457,6 @@ func (o SearchOptions) internal() core.Options {
 		Limit:         o.Limit,
 		BothStrands:   o.BothStrands,
 		Prescreen:     o.Prescreen,
-		FineWorkers:   o.FineWorkers,
 	}
 }
 

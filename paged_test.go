@@ -190,11 +190,10 @@ func TestOpenPagedFeatureCombos(t *testing.T) {
 	}
 	defer paged.Close()
 
-	// Both strands + prescreen + parallel fine on a paged index.
+	// Both strands + prescreen on a paged index.
 	opts := DefaultSearchOptions()
 	opts.BothStrands = true
 	opts.Prescreen = 100
-	opts.FineWorkers = 4
 	rs, err := paged.Search(query, opts)
 	if err != nil {
 		t.Fatal(err)

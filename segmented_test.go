@@ -13,7 +13,7 @@ import (
 
 // searchGrid is the public-API option matrix the equivalence suite
 // compares across: every coarse ranking, both fine phases,
-// strand handling, prescreen, and a serial vs parallel fine phase.
+// strand handling and prescreen.
 func searchGrid() map[string]SearchOptions {
 	grid := map[string]SearchOptions{}
 	base := DefaultSearchOptions()
@@ -38,10 +38,6 @@ func searchGrid() map[string]SearchOptions {
 	strandsTotal.CoarseMode = CoarseTotal
 	strandsTotal.BothStrands = true
 	grid["strands-total"] = strandsTotal
-
-	parallel := base
-	parallel.FineWorkers = 2
-	grid["parallel"] = parallel
 	return grid
 }
 
