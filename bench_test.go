@@ -377,17 +377,12 @@ func BenchmarkQueryLength(b *testing.B) {
 }
 
 // BenchmarkAlignVariants measures the extended aligners against the
-// baseline kernels: linear-space traceback and repeated HSPs.
+// baseline kernels: repeated HSPs.
 func BenchmarkAlignVariants(b *testing.B) {
 	env, _ := benchSetup(b)
 	a := env.Queries[0].Codes
 	s := env.Store.Sequence(0)
 	scoring := align.DefaultScoring()
-	b.Run("local-linear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			align.LocalLinear(a, s, scoring)
-		}
-	})
 	b.Run("local-all-3", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			align.LocalAll(a, s, scoring, 50, 3)

@@ -48,6 +48,35 @@ func run(t *testing.T, tool string, args ...string) string {
 	return string(out)
 }
 
+var (
+	listedRE = regexp.MustCompile(`^\s+\d+\. score (\d+) .*?(?:\(identity (\d+)%.*)?$`)
+	shownRE  = regexp.MustCompile(`^\s+score (\d+), identity (\d+)%`)
+)
+
+// checkShown fails t unless every alignment cafe-search -show printed
+// in out reads the score and identity listed for the answer above it.
+// It returns how many it printed, and how many of those were for
+// minus-strand answers.
+func checkShown(t *testing.T, out string) (shown, minus int) {
+	t.Helper()
+	var listed []string
+	reverse := false
+	for _, line := range strings.Split(out, "\n") {
+		if m := listedRE.FindStringSubmatch(line); m != nil {
+			listed, reverse = m, strings.Contains(line, "(minus strand)")
+		} else if m := shownRE.FindStringSubmatch(line); m != nil {
+			if listed == nil || m[1] != listed[1] || m[2] != listed[2] {
+				t.Fatalf("answer listed as %q shows an alignment at score %s, identity %s%%:\n%s", listed, m[1], m[2], out)
+			}
+			shown++
+			if reverse {
+				minus++
+			}
+		}
+	}
+	return shown, minus
+}
+
 func TestPipeline(t *testing.T) {
 	tools := buildTools(t)
 	work := t.TempDir()
@@ -170,21 +199,19 @@ func TestPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = run(t, tools["cafe-search"], "-db", dbDir, "-queries", rcQueries, "-exact", "-strands", "-limit", "3", "-show", "3")
-	answerRE := regexp.MustCompile(`^\s+\d+\. score (\d+) `)
-	shownRE := regexp.MustCompile(`^\s+score (\d+),`)
-	var listed string
-	minus, shown := false, 0
-	for _, line := range strings.Split(out, "\n") {
-		if m := answerRE.FindStringSubmatch(line); m != nil {
-			listed, minus = m[1], strings.Contains(line, "(minus strand)")
-		} else if m := shownRE.FindStringSubmatch(line); m != nil && minus {
-			if m[1] != listed {
-				t.Fatalf("minus-strand answer listed at score %s shows an alignment at score %s:\n%s", listed, m[1], out)
-			}
-			shown++
-		}
+	if _, minus := checkShown(t, out); minus == 0 {
+		t.Fatalf("cafe-search -exact -strands -show printed no minus-strand alignment:\n%s", out)
 	}
-	if shown == 0 {
+
+	// Under the banded default too, -show prints the alignment the
+	// search traced: each one's score and identity are those listed for
+	// the answer above it, on either strand.
+	out = run(t, tools["cafe-search"], "-db", dbDir, "-queries", queries, "-limit", "5", "-show", "5")
+	if shown, _ := checkShown(t, out); shown != 5*len(qs) {
+		t.Fatalf("cafe-search -show 5 printed %d alignments for %d queries:\n%s", shown, len(qs), out)
+	}
+	out = run(t, tools["cafe-search"], "-db", dbDir, "-queries", rcQueries, "-strands", "-limit", "5", "-show", "5")
+	if _, minus := checkShown(t, out); minus == 0 {
 		t.Fatalf("cafe-search -strands -show printed no minus-strand alignment:\n%s", out)
 	}
 

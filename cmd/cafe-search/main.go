@@ -128,16 +128,7 @@ func main() {
 			}
 			fmt.Println()
 			if i < *show {
-				aq := nq.seq
-				if r.Reverse {
-					// A minus-strand hit aligns the reverse-complemented query.
-					codes, err := dna.Encode([]byte(nq.seq))
-					if err != nil {
-						log.Fatal(err)
-					}
-					aq = dna.String(dna.ReverseComplement(codes))
-				}
-				text, err := db.Alignment(aq, r.ID)
+				text, err := db.Alignment(nq.seq, r)
 				if err != nil {
 					log.Fatal(err)
 				}

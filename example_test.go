@@ -55,22 +55,33 @@ func ExampleDatabase_Search() {
 	// gene: identity 100%, query 0-16
 }
 
-// ExampleDatabase_Alignment renders a full alignment.
+// ExampleDatabase_Alignment renders the alignment a search traced for
+// its best answer.
 func ExampleDatabase_Alignment() {
 	db, err := nucleodb.Build([]nucleodb.Record{
-		{Desc: "ref", Sequence: "ACGTACGTACGT"},
-	}, nucleodb.BuildConfig{IntervalLength: 4, Scoring: nucleodb.DefaultScoring()})
+		{Desc: "ref", Sequence: "GGGGACGTTGCAGGCCTTAAGGCCAGGGG"},
+	}, nucleodb.BuildConfig{IntervalLength: 6, Scoring: nucleodb.DefaultScoring()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	text, err := db.Alignment("ACGTACGT", 0)
+	query := "ACGTTGCAGCCCTTAAGGCCA"
+	opts := nucleodb.DefaultSearchOptions()
+	opts.MinCoarseHits = 1
+	results, err := db.Search(query, opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	r := results[0]
+	fmt.Printf("%s: score %d, identity %.0f%%\n", r.Desc, r.Score, 100*r.Identity)
+	text, err := db.Alignment(query, r)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(text)
 	// Output:
-	// score 40, identity 100% (8/8), gaps 0
-	// Query      1  ACGTACGT  8
-	//               ||||||||
-	// Sbjct      1  ACGTACGT  8
+	// ref: score 96, identity 95%
+	// score 96, identity 95% (20/21), gaps 0
+	// Query      1  ACGTTGCAGCCCTTAAGGCCA  21
+	//               ||||||||| |||||||||||
+	// Sbjct      5  ACGTTGCAGGCCTTAAGGCCA  25
 }

@@ -308,8 +308,6 @@ loop:
 				ops = append(ops, OpMatch) // amortised scratch; stabilises at the longest transcript
 				if t.row(a[i])[b[j]] > 0 {
 					al.Matches++
-				} else {
-					al.Mismatches++
 				}
 				i--
 				j--
@@ -320,14 +318,12 @@ loop:
 			}
 		case stE:
 			ops = append(ops, OpBGap) // amortised scratch; stabilises at the longest transcript
-			al.Gaps++
 			if d&eExtend == 0 {
 				st = stH
 			}
 			i--
 		case stF:
 			ops = append(ops, OpAGap) // amortised scratch; stabilises at the longest transcript
-			al.Gaps++
 			if d&fExtend == 0 {
 				st = stH
 			}

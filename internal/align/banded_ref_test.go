@@ -139,8 +139,6 @@ loop:
 				ops = append(ops, OpMatch)
 				if s.Score(a[i], b[j]) > 0 {
 					al.Matches++
-				} else {
-					al.Mismatches++
 				}
 				i--
 				j--
@@ -154,7 +152,6 @@ loop:
 			}
 		case stE:
 			ops = append(ops, OpBGap)
-			al.Gaps++
 			if d&eExtend == 0 {
 				st = stH
 			}
@@ -164,7 +161,6 @@ loop:
 			}
 		case stF:
 			ops = append(ops, OpAGap)
-			al.Gaps++
 			if d&fExtend == 0 {
 				st = stH
 			}

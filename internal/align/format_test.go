@@ -31,7 +31,7 @@ func TestFormatWithGapAndMismatch(t *testing.T) {
 	b := append(append([]byte{}, a[:8]...), a[9:]...) // delete base 8
 	b[2] = (b[2] + 1) % dna.NumBases                  // mismatch near start
 	al := Local(a, b, s)
-	if al.Gaps == 0 {
+	if !gapped(al) {
 		t.Skip("alignment chose no gap; scoring change?")
 	}
 	out := Format(a, b, al, 60)
@@ -88,5 +88,34 @@ func TestFormatPositionsConsistent(t *testing.T) {
 	}
 	if starts[0] != "1" || starts[1] != "33" {
 		t.Errorf("block starts = %v, want [1 33 ...]", starts)
+	}
+}
+
+func TestFits(t *testing.T) {
+	a := seqOf("ACGTACGTACGTACGT")
+	b := append(append([]byte{}, a[:8]...), a[9:]...)
+	al := Local(a, b, DefaultScoring())
+	if !al.Fits(len(a), len(b)) {
+		t.Fatalf("Local's own alignment does not fit its sequences: %+v", al)
+	}
+	for name, edit := range map[string]func(*Alignment){
+		"short query":   func(x *Alignment) {},
+		"start moved":   func(x *Alignment) { x.AStart++ },
+		"end moved":     func(x *Alignment) { x.BEnd-- },
+		"negative span": func(x *Alignment) { x.Ops, x.AStart = nil, -1 },
+		"reversed span": func(x *Alignment) { x.Ops, x.BStart = nil, x.BEnd+1 },
+	} {
+		x := al
+		edit(&x)
+		aLen := len(a)
+		if name == "short query" {
+			aLen = al.AEnd - 1
+		}
+		if x.Fits(aLen, len(b)) {
+			t.Errorf("%s: %+v fits a %d-base a", name, x, aLen)
+		}
+	}
+	if x := (Alignment{Score: 9, AStart: 2, AEnd: 5, BStart: 0, BEnd: 3}); !x.Fits(5, 3) {
+		t.Errorf("score-only alignment inside both sequences does not fit: %+v", x)
 	}
 }

@@ -51,10 +51,9 @@ type Alignment struct {
 	// OpMatch/OpAGap/OpBGap columns. Empty for score-only alignments.
 	Ops []byte
 
-	// Column counters derived from the transcript.
-	Matches    int
-	Mismatches int
-	Gaps       int
+	// Matches counts the transcript's OpMatch columns whose bases
+	// score as a match.
+	Matches int
 }
 
 // Identity returns the fraction of transcript columns that are matches,

@@ -166,8 +166,6 @@ loop:
 				ops = append(ops, OpMatch)
 				if t.row(a[i-1])[b[j-1]] > 0 {
 					al.Matches++
-				} else {
-					al.Mismatches++
 				}
 				i--
 				j--
@@ -179,7 +177,6 @@ loop:
 		case stE:
 			// Vertical gap: consume a[i-1], gap in b.
 			ops = append(ops, OpBGap)
-			al.Gaps++
 			if d&eExtend == 0 {
 				st = stH
 			}
@@ -187,7 +184,6 @@ loop:
 		case stF:
 			// Horizontal gap: consume b[j-1], gap in a.
 			ops = append(ops, OpAGap)
-			al.Gaps++
 			if d&fExtend == 0 {
 				st = stH
 			}

@@ -257,7 +257,7 @@ func TestStripedHandoverTiesAndLazyF(t *testing.T) {
 				// in the subject that spans a stripe boundary.
 				cut := append(append([]byte(nil), a[:len(a)/3]...), a[2*len(a)/3:]...)
 				checkStripedHandover(t, p, &sc, a, cut, s)
-				if al := Local(a, cut, s); al.Gaps > 0 {
+				if al := Local(a, cut, s); gapped(al) {
 					lazy++
 				}
 			}
@@ -617,7 +617,7 @@ func TestStripedWidening(t *testing.T) {
 		if count(checkWidening(t, p, &sc, a, b, cheapGaps)) != k {
 			t.Fatalf("cheap-gap insertion into a %d-base query widened elsewhere than after column %d", len(a), k)
 		}
-		if al := Local(a, b, cheapGaps); al.Gaps > 0 && al.AStart <= at && al.AEnd > at+k {
+		if al := Local(a, b, cheapGaps); gapped(al) && al.AStart <= at && al.AEnd > at+k {
 			bridged++
 		}
 	}

@@ -481,10 +481,10 @@ type Result struct {
 	Desc string
 	// Score is the local alignment score under the database's scoring.
 	Score int
-	// Identity is the fraction of matching alignment columns. Both the
-	// default (banded) and Exact fine phases produce transcripts for
-	// reported results, so this is normally populated; it is 0 only
-	// when no transcript exists: a score-0 result (reported only under
+	// Identity is the fraction of matching columns in the traced
+	// alignment Alignment renders. Every reported result and HSP is
+	// traced, so this is normally populated; it is 0 only when no
+	// transcript exists: a score-0 result (reported only under
 	// MinScore 0), or an Exact result whose traceback strip would
 	// exceed 2^28 cells, which is reported with its score and end but
 	// no transcript.
@@ -504,6 +504,8 @@ type Result struct {
 	// them automatically).
 	Bits   float64
 	EValue float64
+
+	ops []byte // the traced transcript over the spans, which Alignment renders
 }
 
 // SearchStats reports the work one search performed, stage by stage:
@@ -647,6 +649,7 @@ func (d *Database) results(set *segment.Set, rs []core.Result, queryLen int) []R
 			SubjectStart: r.Alignment.BStart,
 			SubjectEnd:   r.Alignment.BEnd,
 			Reverse:      r.Reverse,
+			ops:          r.Alignment.Ops,
 		}
 		if statsErr == nil {
 			out[i].Bits = params.BitScore(r.Score)
@@ -669,25 +672,39 @@ func (d *Database) Statistics() (stats.Params, error) {
 	return d.statsP, d.statsErr
 }
 
-// Alignment renders the optimal local alignment of a query against one
-// stored record in the conventional three-line blocks, computed in
-// linear space so record length is not a concern:
+// Alignment renders r, a result of searching query (as searched; a
+// Reverse result's alignment is its reverse complement's) on this
+// database, in the conventional three-line blocks. It shows the
+// transcript the search traced, so the score, spans and identity are
+// r's; a result without one renders as a one-line summary.
 //
 //	score 240, identity 96% (48/50), gaps 1
 //	Query      1  ACGTACGT-ACGT ...
 //	              |||| |||  |||
 //	Sbjct     41  ACGTTCGTNACGT ...
-func (d *Database) Alignment(query string, id int) (string, error) {
+//
+// It is an error for query not to be DNA, for r's record to be out of
+// range or deleted since the search, or for r not to fit query and the
+// record, as when query is not the one searched.
+func (d *Database) Alignment(query string, r Result) (string, error) {
 	codes, err := dna.Encode([]byte(query))
 	if err != nil {
 		return "", fmt.Errorf("nucleodb: query: %w", err)
 	}
+	if r.Reverse {
+		codes = dna.ReverseComplement(codes)
+	}
 	set := d.snap.Load()
-	if err := checkLive(set, id); err != nil {
+	if err := checkLive(set, r.ID); err != nil {
 		return "", err
 	}
-	subject := set.Sequence(id)
-	al := align.LocalLinear(codes, subject, d.scoring)
+	subject := set.Sequence(r.ID)
+	al := align.Alignment{Score: r.Score, AStart: r.QueryStart, AEnd: r.QueryEnd,
+		BStart: r.SubjectStart, BEnd: r.SubjectEnd, Ops: r.ops}
+	if !al.Fits(len(codes), len(subject)) {
+		return "", fmt.Errorf("nucleodb: alignment over query %d-%d, subject %d-%d does not fit a %d-base query and record %d's %d bases",
+			r.QueryStart, r.QueryEnd, r.SubjectStart, r.SubjectEnd, len(codes), r.ID, len(subject))
+	}
 	return align.Format(codes, subject, al, 60), nil
 }
 
@@ -998,8 +1015,9 @@ func (d *Database) StopCompactor() {
 // HSPs returns up to max high-scoring segment pairs of the query
 // against one record, best-first and pairwise disjoint in the subject
 // — the view search tools give when a query matches a record in
-// several places. Each returned Result carries spans, identity, and
-// significance; minScore prunes noise-level segments.
+// several places. Each returned Result carries spans, identity,
+// significance and a transcript Alignment renders; minScore prunes
+// noise-level segments.
 func (d *Database) HSPs(query string, id, max, minScore int) ([]Result, error) {
 	codes, err := dna.Encode([]byte(query))
 	if err != nil {

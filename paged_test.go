@@ -201,17 +201,17 @@ func TestOpenPagedFeatureCombos(t *testing.T) {
 	if len(rs) == 0 {
 		t.Fatal("no results")
 	}
-	// HSPs and Alignment work against the paged store too.
-	if _, err := paged.HSPs(query, rs[0].ID, 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	text, err := paged.Alignment(query, rs[0].ID)
+	// HSPs and Alignment work against the paged store too: a search
+	// result and a segment pair each render their own alignment.
+	hsps, err := paged.HSPs(query, rs[0].ID, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text == "" {
-		t.Error("empty alignment text")
+	if len(hsps) == 0 {
+		t.Fatal("no HSPs")
 	}
+	checkRendered(t, "paged search", paged, query, rs[0])
+	checkRendered(t, "paged HSP", paged, query, hsps[0])
 }
 
 func TestOpenPagedMissing(t *testing.T) {

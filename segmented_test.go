@@ -407,6 +407,14 @@ func TestDeletedRecordUnreadable(t *testing.T) {
 	if db.Sequence(0) == "" {
 		t.Fatal("record 0 empty before Delete; test premise broken")
 	}
+	// A result on record 0 from before the Delete.
+	hits, err := db.HSPs(query, 0, 1, 1)
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("HSPs on record 0: %d results, err %v", len(hits), err)
+	}
+	if _, err := db.Alignment(query, hits[0]); err != nil {
+		t.Fatalf("Alignment on live record 0: %v", err)
+	}
 	if err := db.Delete(0); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +423,7 @@ func TestDeletedRecordUnreadable(t *testing.T) {
 		if got := db.Sequence(0); got != "" {
 			t.Errorf("%s: Sequence(0) returned %d bases of a deleted record", when, len(got))
 		}
-		if _, err := db.Alignment(query, 0); err == nil || !strings.Contains(err.Error(), "record id 0 is deleted") {
+		if _, err := db.Alignment(query, hits[0]); err == nil || !strings.Contains(err.Error(), "record id 0 is deleted") {
 			t.Errorf("%s: Alignment on a deleted record: err = %v", when, err)
 		}
 		if rs, err := db.HSPs(query, 0, 3, 1); err == nil || !strings.Contains(err.Error(), "record id 0 is deleted") {
