@@ -22,12 +22,28 @@ package align
 // segLen = ⌈n/L⌉ vectors a column, lane l of vector w holds query
 // position l·segLen + w. Striping puts each lane's vertical
 // (gap-in-subject) dependency in the same lane of the previous vector, so
-// the F state threads through the inner loop as a single carried vector,
-// with the classic lazy-F correction loop handling the rare cross-stripe
-// propagation. A profile row interleaves each vector of biased scores
-// with its bias vector, and the scratch each H vector with its E vector,
-// so the column loop walks two arrays. A vector is one uint64 word on
-// the uint64 route and four on the AVX2 route, lane l in word l/(64/bits).
+// the F state threads through the inner loop as a single carried vector.
+// A profile row interleaves each vector of biased scores with its bias
+// vector, and the scratch each H vector with its E vector, so the column
+// loop walks two arrays. A vector is one uint64 word on the uint64 route
+// and four on the AVX2 route, lane l in word l/(64/bits).
+//
+// F across stripes. What crosses from one lane's stripe into the next is
+// carried by a prefix scan (the scan formulation of Farrar's kernel, as
+// in Daily's Parasail), not by Farrar's lazy-F loop: under DNA scoring at
+// 32 lanes a gap crosses a stripe boundary in nearly every column, and
+// the loop then ran several data-dependent passes a column (EXPERIMENTS
+// E29). The main loop leaves in its F vector what each lane's stripe
+// passes down. Shifted one lane up, that vector is scanned across the
+// lanes, Hillis–Steele: Z = max(Z, Z shifted s lanes up − s·segLen·ext)
+// for s = 1, 2, 4, …, saturating, which gives every lane the F entering
+// its stripe from all the stripes above it. One correction sweep then
+// raises H to that F and re-feeds E from the raised H, until F ≤ H −
+// (open+ext) in every lane. This is exact: a cell raised by F opens no
+// stronger F than the F that raised it, since open+ext ≥ ext, so the
+// scan's F is all that crosses the stripes. A step whose decay reaches
+// the lane cap changes no lane, so a profile keeps only the steps below
+// it: a 1 000-base query keeps one in byte lanes.
 //
 // Lanes are unsigned values kept at or below their cap (0x7F, 0x7FFF):
 // every DP value is a local-alignment score (≥ 0). Keeping the per-lane
@@ -122,11 +138,12 @@ func laneTop[T lane](x uint64) int {
 }
 
 // walker walks the subject columns b through the H/E columns he, with
-// the profile rows prof ((dna.NumCodes+1) rows of len(he) words) and the
-// packed gap penalties, until a column holds a lane at or above best
-// (packed). It returns that column's index and its best lane, or len(b)
-// and 0 when no column does.
-type walker func(he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int)
+// the profile rows prof ((dna.NumCodes+1) rows of len(he) words), the
+// packed decays of the cross-lane scan's steps and the packed gap
+// penalties, until a column holds a lane at or above best (packed). It
+// returns that column's index and its best lane, or len(b) and 0 when no
+// column does.
+type walker func(he, prof, decay []uint64, b []byte, openExt, ext, best uint64) (i, m int)
 
 // route is one implementation of the striped column: how many uint64
 // words a vector spans and the kernel of each lane geometry.
@@ -164,7 +181,10 @@ type stripes struct {
 	prof    []uint64
 	openExt uint64 // packed GapOpen+GapExtend
 	ext     uint64 // packed GapExtend
-	walk    walker // the route's kernel of this geometry
+	// decay holds, packed, the decay s·segLen·GapExtend of each step of
+	// the cross-lane scan (s = 1, 2, 4, …) that stays below the lane cap.
+	decay []uint64
+	walk  walker // the route's kernel of this geometry
 }
 
 // buildStripes stripes q under s in T lanes of route r into t, reusing
@@ -179,6 +199,10 @@ func buildStripes[T lane](t *stripes, q []byte, s Scoring, r route) {
 	t.segLen, t.vec = segLen, r.vec
 	t.openExt = packLane[T](s.GapOpen + s.GapExtend)
 	t.ext = packLane[T](s.GapExtend)
+	t.decay = t.decay[:0]
+	for step := 1; step < lanes && step*segLen*s.GapExtend < laneCap[T](); step *= 2 {
+		t.decay = append(t.decay, packLane[T](step*segLen*s.GapExtend))
+	}
 	t.walk = r.wide
 	if bits == 8 {
 		t.walk = r.narrow
@@ -361,7 +385,7 @@ func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column 
 	for at.next < len(b) {
 		// The kernel returns only at a column whose best reaches
 		// max(score, 1): one that sets or ties the score.
-		i, m := t.walk(he, prof, b[at.next:], t.openExt, t.ext, packLane[T](max(at.score, 1)))
+		i, m := t.walk(he, prof, t.decay, b[at.next:], t.openExt, t.ext, packLane[T](max(at.score, 1)))
 		if i += at.next; i == len(b) {
 			break
 		}
@@ -383,11 +407,11 @@ func scan[T lane](t *stripes, b []byte, he []uint64, top int, at column) column 
 
 // walkColumns is the uint64 route's kernel: stripedColumn for each
 // subject column, until one has a lane at or above best.
-func walkColumns[T lane](he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int) {
+func walkColumns[T lane](he, prof, decay []uint64, b []byte, openExt, ext, best uint64) (i, m int) {
 	words, hi := len(he), laneHi[T]()
 	for i, c := range b {
 		c = min(c, neverMatches)
-		colBest := stripedColumn[T](he, prof[int(c)*words:(int(c)+1)*words], openExt, ext)
+		colBest := stripedColumn[T](he, prof[int(c)*words:(int(c)+1)*words], decay, openExt, ext)
 		// Top bits survive in the lanes where colBest ≥ best (see
 		// laneSubSat).
 		if ((colBest|hi)-best)&hi != 0 {
@@ -399,9 +423,10 @@ func walkColumns[T lane](he, prof []uint64, b []byte, openExt, ext, best uint64)
 
 // stripedColumn advances the interleaved H/E column he by one subject
 // column whose profile row is prof, and returns the column's lane-wise
-// best H. It is a leaf function, so its loop-carried vectors have the
-// registers to themselves.
-func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint64) {
+// best H. decay holds the packed decays of the cross-lane scan's steps.
+// It is a leaf function, so its loop-carried vectors have the registers
+// to themselves.
+func stripedColumn[T lane](he, prof, decay []uint64, openExt, ext uint64) (colBest uint64) {
 	prof = prof[:len(he)]
 	// Diagonal carry-in: the previous column's last H word, shifted one
 	// lane up, so lane l starts from lane l−1's stripe end. Lane 0 gets
@@ -428,26 +453,40 @@ func stripedColumn[T lane](he, prof []uint64, openExt, ext uint64) (colBest uint
 		vH, he[w] = he[w], vH
 	}
 
-	// Lazy-F: propagate F across stripe boundaries. Each pass shifts F
-	// one lane up and re-sweeps the column until F can no longer
-	// improve any cell (F ≤ H − (open+ext) everywhere means every later
-	// F value is dominated by one the main loop already produced). H
-	// cells raised here also re-feed the E column — the scalar
-	// recurrence allows a gap-gap corner, so exact equality needs E to
-	// see the corrected H.
-	for k := 64 / laneBits[T](); k > 0; k-- {
-		vF <<= laneBits[T]()
-		for w := 0; w+1 < len(he); w += 2 {
-			vH := he[w]
-			if laneSubSat[T](vF, laneSubSat[T](vH, openExt)) == 0 {
-				return colBest
-			}
-			vH = laneMax[T](vH, vF)
-			he[w] = vH
-			colBest = laneMax[T](colBest, vH)
-			he[w+1] = laneMax[T](he[w+1], laneSubSat[T](vH, openExt))
-			vF = laneSubSat[T](vF, ext)
+	// vF holds what each lane's stripe passes down. Shifted one lane up
+	// and scanned across the lanes, it becomes the F entering each
+	// stripe from every stripe above it, decayed by segLen·ext a lane.
+	// When the shifted vector raises no cell of the first vector (the
+	// sweep's exit test there), the main loop's F dominates it down every
+	// stripe, so what each stripe passes down already holds what crossed
+	// into it: the scan would change nothing, and the column is done.
+	vF <<= laneBits[T]()
+	if laneSubSat[T](vF, laneSubSat[T](he[0], openExt)) == 0 {
+		return colBest
+	}
+	// No lane reaches another when every lane is within the first step's
+	// decay, segLen·ext: the scan would change nothing then either.
+	if len(decay) > 0 && laneSubSat[T](vF, decay[0]) != 0 {
+		for step, d := range decay {
+			vF = laneMax[T](vF, laneSubSat[T](vF<<(laneBits[T]()<<step), d))
 		}
+	}
+	// The correction sweep raises H to F down the stripes, and re-feeds
+	// E from each raised cell, so that E holds the scalar recurrence's
+	// value at a gap-gap corner (no score depends on it: EXPERIMENTS E29).
+	// It stops once F ≤ H − (open+ext) in every lane: the main loop's F
+	// from there on already dominates this one, so it raises no later
+	// cell.
+	for w := 0; w+1 < len(he); w += 2 {
+		vH := he[w]
+		if laneSubSat[T](vF, laneSubSat[T](vH, openExt)) == 0 {
+			break
+		}
+		vH = laneMax[T](vH, vF)
+		he[w] = vH
+		colBest = laneMax[T](colBest, vH)
+		he[w+1] = laneMax[T](he[w+1], laneSubSat[T](vH, openExt))
+		vF = laneSubSat[T](vF, ext)
 	}
 	return colBest
 }

@@ -7,9 +7,9 @@ var avx2 = route{name: "avx2", vec: 4, narrow: walkAVX2x8, wide: walkAVX2x16}
 // walkAVX2x8 is walkColumns[uint8] in YMM registers (striped_amd64.s).
 //
 //go:noescape
-func walkAVX2x8(he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int)
+func walkAVX2x8(he, prof, decay []uint64, b []byte, openExt, ext, best uint64) (i, m int)
 
 // walkAVX2x16 is walkColumns[uint16] in YMM registers.
 //
 //go:noescape
-func walkAVX2x16(he, prof []uint64, b []byte, openExt, ext, best uint64) (i, m int)
+func walkAVX2x16(he, prof, decay []uint64, b []byte, openExt, ext, best uint64) (i, m int)

@@ -42,11 +42,23 @@ func FuzzBitvectorAlign(f *testing.F) {
 	f.Add(self, self, uint16(4), uint16(4), uint16(10), uint16(1))
 	bridge := append(append([]byte(nil), self[:8]...), self[16:40]...)
 	f.Add(self[:40], bridge, uint16(8), uint16(50), uint16(1), uint16(0))
+	// The committed corpus adds 300- and 600-base queries against homologs
+	// with a piece cut out over the middle of the AVX2 layouts, where the
+	// cross-lane scan carries F from one 128-bit half into the other: 30
+	// bases from byte lane 14 to 17 under the default scoring (three byte
+	// scan steps kept, the fourth saturated), 125 bases from word lane 5
+	// to 9 after the pair widens under free gap opens, and 2 bases from
+	// byte lane 15 to 16 under a gap extension of 13, where the byte scan
+	// keeps no step.
 
 	f.Fuzz(func(t *testing.T, a, b []byte, match, mism, open, ext uint16) {
-		// Bound the quadratic DP so mutated inputs stay fast.
-		if len(a) > 300 {
-			a = a[:300]
+		// Bound the quadratic DP so mutated inputs stay fast. The query,
+		// which the kernel stripes, runs to 600 bases, so that the
+		// cross-lane scan of F runs several steps and drops those whose
+		// decay saturates; the subject to 300, which keeps min(n, m)
+		// under the capacity floor below.
+		if len(a) > 600 {
+			a = a[:600]
 		}
 		if len(b) > 300 {
 			b = b[:300]
@@ -56,8 +68,8 @@ func FuzzBitvectorAlign(f *testing.F) {
 		var sc StripedScratch
 		got, _, _, ok := p.Score(b, &sc)
 		if !ok {
-			// With Match+Mismatch ≤ 127 the capacity floor is ≥ 509, far
-			// above the length bound: a refusal here is a kernel bug.
+			// With Match+Mismatch ≤ 127 the capacity floor is ≥ 509, above
+			// the subject's length bound: a refusal here is a kernel bug.
 			t.Fatalf("kernel refused len %d×%d under %+v", len(a), len(b), s)
 		}
 		want, _, _ := LocalScore(a, b, s)

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -11,8 +12,9 @@ import (
 // stripedScorings are the schemes the differential tests sweep: the
 // headline parameters plus edit-distance-like, zero-mismatch (every
 // substitution scores +Match or 0), zero-open (linear gaps), and a
-// cheap-gap scheme that makes gap-gap corners (the lazy-F/E coupling
-// the kernel must reproduce exactly) optimal wherever possible.
+// cheap-gap scheme that makes gap-gap corners (the correction sweep's
+// re-feeding of E, which the kernel must reproduce exactly) optimal
+// wherever possible.
 var stripedScorings = []Scoring{
 	DefaultScoring(),
 	{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1},
@@ -174,7 +176,13 @@ func (rp *routedProfile) Score(b []byte, sc *StripedScratch) (score, bEnd int, u
 func checkStripedHandover(t testing.TB, p *routedProfile, sc *StripedScratch, a, b []byte, s Scoring) {
 	t.Helper()
 	H, _, _ := refDP(a, b, s)
-	bests := columnBests(H)
+	checkStripedBests(t, p, sc, a, b, s, columnBests(H))
+}
+
+// checkStripedBests is checkStripedHandover against the brute-force
+// column bests of a against b, as columnBests gives them.
+func checkStripedBests(t testing.TB, p *routedProfile, sc *StripedScratch, a, b []byte, s Scoring, bests []int) {
+	t.Helper()
 	wScore, wEnd, wUnique := bestColumns(bests)
 	wWiden := -1
 	if past := firstPast(bests, byteHeadroom(s)); past > 0 && past < len(b) {
@@ -223,18 +231,19 @@ func TestStripedMatchesLocalScoreRandom(t *testing.T) {
 // TestStripedHandoverTiesAndLazyF aims the hand-over at what random
 // full-alphabet pairs rarely produce. Two-letter sequences tie
 // constantly, so "unique" is false about as often as true; gaps nearly
-// free make the lazy-F loop (a gap in the subject crossing a stripe
-// boundary) run in most columns and raise cells there, and those cells
-// feed the column maximum the ≥-test looks at. A cell raised by lazy-F
-// sits below the cell its gap opened from, in the same column, so it can
-// never be the column's best — which is exactly what checking every
-// subject prefix, where each column is the last for once, would catch if
-// the kernel got it wrong.
+// free make a gap in the subject cross a stripe boundary in most
+// columns (what the lazy-F loop of the name carried, and the cross-lane
+// scan carries now), so the correction sweep raises cells there, and
+// those cells feed the column maximum the ≥-test looks at. A cell raised
+// by the sweep sits below the cell its gap opened from, in the same
+// column, so it can never be the column's best — which is exactly what
+// checking every subject prefix, where each column is the last for once,
+// would catch if the kernel got it wrong.
 func TestStripedHandoverTiesAndLazyF(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	cheapGaps := Scoring{Match: 9, Mismatch: 50, GapOpen: 1, GapExtend: 1}
 	var sc StripedScratch
-	ties, lazy := 0, 0
+	ties, bridges := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		a, b := make([]byte, 9+rng.Intn(40)), make([]byte, 1+rng.Intn(60))
 		for i := range a {
@@ -258,13 +267,129 @@ func TestStripedHandoverTiesAndLazyF(t *testing.T) {
 				cut := append(append([]byte(nil), a[:len(a)/3]...), a[2*len(a)/3:]...)
 				checkStripedHandover(t, p, &sc, a, cut, s)
 				if al := Local(a, cut, s); gapped(al) {
-					lazy++
+					bridges++
 				}
 			}
 		}
 	}
-	if ties < 200 || lazy < 20 {
-		t.Fatalf("fixture too tame: %d tied prefixes, %d gapped bridges", ties, lazy)
+	if ties < 200 || bridges < 20 {
+		t.Fatalf("fixture too tame: %d tied prefixes, %d gapped bridges", ties, bridges)
+	}
+}
+
+// crossings is what crossLaneDP finds a fixture's gaps in the subject
+// to do in the AVX2 layouts: raise a cell in the byte layout's high
+// 128-bit half (lanes 16–31) from a row in its low half, do the same
+// across the word layout's halves (lanes 0–7, 8–15) in a column that
+// runs in word lanes, and cross two byte lanes or more, which takes the
+// scan's steps.
+type crossings struct{ byteHalf, wordHalf, multi bool }
+
+// crossLaneDP is the brute force in linear space, column by column as
+// the kernel runs, for queries too long for refDP's matrices: it returns
+// every column's best cell (as columnBests gives them) and what the
+// fixture's gaps cross. A gap in the subject runs down a column; the
+// cell it raises counts when the gap alone sets its value and, opened as
+// late as possible, leaves from a query row of another lane.
+func crossLaneDP(a, b []byte, s Scoring) (bests []int, x crossings) {
+	const negInf = -(1 << 28)
+	n := len(a)
+	seg8, seg16 := (n+31)/32, (n+15)/16 // vectors a column of the AVX2 layouts
+	top := byteHeadroom(s)
+	sub := NewSubst(s)
+	hPrev, fPrev := make([]int, n+1), make([]int, n+1) // column j−1: H, and the gap in the query
+	hCur, fCur := make([]int, n+1), make([]int, n+1)
+	for i := range fPrev {
+		fPrev[i] = negInf
+	}
+	bests = make([]int, len(b)+1)
+	words := top == 0 // this column runs in word lanes
+	for j := 1; j <= len(b); j++ {
+		e, from := negInf, 0 // the gap in the subject entering row i, and the row it opened below
+		for i := 1; i <= n; i++ {
+			if open := hCur[i-1] - s.GapOpen - s.GapExtend; open >= e-s.GapExtend {
+				e, from = open, i-1
+			} else {
+				e -= s.GapExtend
+			}
+			fCur[i] = max(fPrev[i]-s.GapExtend, hPrev[i]-s.GapOpen-s.GapExtend)
+			diag := hPrev[i-1] + int(sub.row(a[i-1])[b[j-1]])
+			hCur[i] = max(0, diag, e, fCur[i])
+			bests[j] = max(bests[j], hCur[i])
+			if from > 0 && e > max(0, diag, fCur[i]) {
+				src, dst := from-1, i-1 // query positions
+				x.byteHalf = x.byteHalf || src/seg8 < 16 && dst/seg8 >= 16
+				x.wordHalf = x.wordHalf || words && src/seg16 < 8 && dst/seg16 >= 8
+				x.multi = x.multi || dst/seg8-src/seg8 >= 2
+			}
+		}
+		words = words || bests[j] > top
+		hPrev, hCur, fPrev, fCur = hCur, hPrev, fCur, fPrev
+	}
+	return bests, x
+}
+
+// TestStripedCrossLaneGaps aims the cross-lane scan of F at gaps in the
+// subject that cross stripe boundaries: each fixture is a homolog of up
+// to 400 query bases with a piece of 1 to 3·segLen bases cut out (segLen
+// of the AVX2 byte layout), the cut placed over a lane boundary — the
+// first and last of the byte layout, and the middle of each layout,
+// where the AVX2 scan carries F from the low 128-bit half into the high
+// one (byte lane 15→16, word lane 7→8) and the uint64 route from the low
+// half of a word into the high one. Query lengths straddle the byte
+// layout's 32 lanes (160 fills them, 161 pads them) up to a long query,
+// under the default scoring, free gap opens, and a gap extension so dear
+// that the byte scan's first step would decay a lane to nothing (the
+// byte profiles then keep no step, and the scan is the one-lane shift
+// alone). Every route must answer as the brute force and the frozen
+// 16-bit kernel do, and widen after the same column.
+func TestStripedCrossLaneGaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var sc StripedScratch
+	var seen crossings
+	saturated := 0
+	for _, n := range []int{150, 160, 161, 512, 2000} {
+		seg8 := (n + 31) / 32
+		dear := Scoring{Match: 5, Mismatch: 4, GapOpen: 3, GapExtend: (laneCap[uint8]() + seg8 - 1) / seg8}
+		var bounds []int
+		for _, at := range []int{seg8, 16 * seg8, 31 * seg8, 8 * ((n + 15) / 16), 4 * ((n + 7) / 8), 2 * ((n + 3) / 4)} {
+			if at < n-1 && !slices.Contains(bounds, at) {
+				bounds = append(bounds, at)
+			}
+		}
+		lens := []int{1, 2, seg8 - 1, seg8, seg8 + 1, 2 * seg8, 3 * seg8}
+		a := randomSeq(rng, n)
+		for _, s := range []Scoring{DefaultScoring(), {Match: 5, Mismatch: 4, GapOpen: 0, GapExtend: 2}, dear} {
+			p := newRoutedProfile(t, a, s)
+			for _, rp := range p.ps {
+				if s == dear && len(rp.narrow.decay) == 0 {
+					saturated++
+				}
+			}
+			for _, at := range bounds {
+				for _, l := range lens {
+					// The cut [from, from+l) holds position at, so the gap
+					// leaves from a row below the boundary and lands above it.
+					from := max(1, at-rng.Intn(l))
+					if from+l > n {
+						continue
+					}
+					// The homolog spans at most 200 query bases each side
+					// of the cut, which keeps the long queries' brute force
+					// small.
+					b := append(randomSeq(rng, 30), a[max(0, from-200):from]...)
+					b = append(append(b, a[from+l:min(n, from+l+200)]...), randomSeq(rng, 30)...)
+					bests, x := crossLaneDP(a, b, s)
+					seen.byteHalf = seen.byteHalf || x.byteHalf
+					seen.wordHalf = seen.wordHalf || x.wordHalf
+					seen.multi = seen.multi || x.multi
+					checkStripedBests(t, p, &sc, a, b, s, bests)
+				}
+			}
+		}
+	}
+	if !seen.byteHalf || !seen.wordHalf || !seen.multi || saturated == 0 {
+		t.Fatalf("fixture too tame: crossings %+v, %d byte profiles without a scan step under the dear gaps", seen, saturated)
 	}
 }
 
@@ -528,13 +653,14 @@ func checkWidening(t *testing.T, p *routedProfile, sc *StripedScratch, a, b []by
 	return past, tiers
 }
 
-// lazyOnly reports whether subject column j of the brute-force matrices
+// crossOnly reports whether subject column j of the brute-force matrices
 // holds a cell that only a gap in the subject crossing a stripe of the
 // byte layout reaches: a cell whose value comes from that gap alone, and
 // whose gap, even opened as late as possible, starts in another lane.
 // The main loop carries the gap state within a lane only, so the byte
-// kernel's lazy-F pass is what raises such a cell.
-func lazyOnly(a, b []byte, s Scoring, H, E, F [][]int, j int) bool {
+// kernel's cross-lane scan and correction sweep are what raise such a
+// cell.
+func crossOnly(a, b []byte, s Scoring, H, E, F [][]int, j int) bool {
 	segLen := (len(a) + 7) / 8
 	for i := 2; i <= len(a); i++ {
 		diag := H[i-1][j-1] + s.Score(a[i-1], b[j-1])
@@ -558,7 +684,8 @@ func lazyOnly(a, b []byte, s Scoring, H, E, F [][]int, j int) bool {
 // before it and the one after. The fixtures reach the widening:
 //   - after the first column: at Match 60 a single match passes the
 //     47 points of byte headroom;
-//   - at a column whose extra cells only lazy-F raises: a piece of the
+//   - at a column whose extra cells only the correction sweep raises: a
+//     piece of the
 //     query with a gap cut out right after the widening column, under
 //     nearly free gaps, so the cells below the gap's start are raised
 //     across a stripe boundary in exactly the column the H and E words
@@ -595,7 +722,7 @@ func TestStripedWidening(t *testing.T) {
 		}
 	}
 
-	lazy, bridged := 0, 0
+	crossed, bridged := 0, 0
 	for trial := 0; trial < 60; trial++ {
 		a := randomSeq(rng, 30+rng.Intn(31))
 		p := newRoutedProfile(t, a, cheapGaps)
@@ -607,8 +734,8 @@ func TestStripedWidening(t *testing.T) {
 		if count(checkWidening(t, p, &sc, a, b, cheapGaps)) != k {
 			t.Fatalf("cheap-gap copy of a %d-base query widened elsewhere than after column %d", len(a), k)
 		}
-		if H, E, F := refDP(a, b, cheapGaps); lazyOnly(a, b, cheapGaps, H, E, F, k) {
-			lazy++
+		if H, E, F := refDP(a, b, cheapGaps); crossOnly(a, b, cheapGaps, H, E, F, k) {
+			crossed++
 		}
 		// The other gap direction: subject bases inserted after the
 		// widening column, so a gap in the query straddles it and the
@@ -633,11 +760,11 @@ func TestStripedWidening(t *testing.T) {
 		}
 	}
 
-	t.Logf("prefixes finished in bytes %d, widened %d, 16-bit only %d; %d widened after the first column, %d at a lazy-F column, %d bridged it with a gap in the query, %d padding fixtures widened",
-		tiers[0], tiers[1], tiers[2], firsts, lazy, bridged, widened)
-	if tiers[0] < 500 || tiers[1] < 500 || tiers[2] < 500 || firsts < 20 || lazy < 30 || bridged < 30 || widened < 60 {
-		t.Fatalf("fixture too tame: %v prefixes by tier, %d first-column, %d lazy-F, %d bridged and %d padding widenings",
-			tiers, firsts, lazy, bridged, widened)
+	t.Logf("prefixes finished in bytes %d, widened %d, 16-bit only %d; %d widened after the first column, %d at a cross-stripe column, %d bridged it with a gap in the query, %d padding fixtures widened",
+		tiers[0], tiers[1], tiers[2], firsts, crossed, bridged, widened)
+	if tiers[0] < 500 || tiers[1] < 500 || tiers[2] < 500 || firsts < 20 || crossed < 30 || bridged < 30 || widened < 60 {
+		t.Fatalf("fixture too tame: %v prefixes by tier, %d first-column, %d cross-stripe, %d bridged and %d padding widenings",
+			tiers, firsts, crossed, bridged, widened)
 	}
 }
 
@@ -698,11 +825,12 @@ func checkLanePrimitives[T lane](t *testing.T, bits uint, hi uint64) {
 // on the fine phase's typical shape (400-base query, ~900-base
 // candidate), times the bitvector kernel on every route on the served
 // exact shape (150-base read, 5 000-base subject) in byte lanes
-// throughout, in 16-bit lanes throughout and across a widening, and — on BenchmarkBandedKernels' 600 × 8 000
-// pair — the two ways to the exact transcript once the score pass is
-// done: the
-// frozen full-matrix traceback and the strip LocalEndingAt traces from
-// the end column. MB/s reads as nominal full-matrix cells per µs.
+// throughout, in 16-bit lanes throughout and across a widening, and on
+// 64- to 2 000-base queries against a 6 000-base subject, and — on
+// BenchmarkBandedKernels' 600 × 8 000 pair — the two ways to the exact
+// transcript once the score pass is done: the frozen full-matrix
+// traceback and the strip LocalEndingAt traces from the end column.
+// MB/s reads as nominal full-matrix cells per µs.
 func BenchmarkFineKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	query := randCodes(rng, 400)
@@ -748,6 +876,21 @@ func BenchmarkFineKernels(b *testing.B) {
 	bitvector("bitvector-150x5000", read, weak, false)
 	bitvector("bitvector-150x5000-words", read, weak, true)
 	bitvector("bitvector-150x5000-homolog", read, strong, false)
+
+	// The query-length guard: 64- to 2 000-base queries against a
+	// 6 000-base subject, unrelated and with a homolog planted at base
+	// 2 000. The cross-lane scan runs fewer steps the longer the query
+	// (one at 1 000 bases in AVX2 byte lanes), and its correction sweep
+	// more vectors.
+	for _, n := range []int{64, 150, 600, 2000} {
+		query := randomSeq(rng, n)
+		subject := randomSeq(rng, 6000)
+		homolog := slices.Clone(subject)
+		copy(homolog[2000:], mutate(rng, query, 0.05))
+		name := fmt.Sprintf("bitvector-%dx6000", n)
+		bitvector(name, query, subject, false)
+		bitvector(name+"-homolog", query, homolog, false)
+	}
 
 	rng = rand.New(rand.NewSource(2))
 	subject = randomSeq(rng, 8000)
