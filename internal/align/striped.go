@@ -38,10 +38,11 @@ package align
 // lanes, Hillis–Steele: Z = max(Z, Z shifted s lanes up − s·segLen·ext)
 // for s = 1, 2, 4, …, saturating, which gives every lane the F entering
 // its stripe from all the stripes above it. One correction sweep then
-// raises H to that F and re-feeds E from the raised H, until F ≤ H −
-// (open+ext) in every lane. This is exact: a cell raised by F opens no
-// stronger F than the F that raised it, since open+ext ≥ ext, so the
-// scan's F is all that crosses the stripes. A step whose decay reaches
+// raises H to that F, until F ≤ H − (open+ext) in every lane. This is
+// exact: a cell raised by F opens no stronger F than the F that raised
+// it, since open+ext ≥ ext, so the scan's F is all that crosses the
+// stripes. The sweep leaves E as the main loop fed it: a raised cell's
+// E is a gap-gap corner that no H needs (see stripedColumn). A step whose decay reaches
 // the lane cap changes no lane, so a profile keeps only the steps below
 // it: a 1 000-base query keeps one in byte lanes.
 //
@@ -471,12 +472,19 @@ func stripedColumn[T lane](he, prof, decay []uint64, openExt, ext uint64) (colBe
 			vF = laneMax[T](vF, laneSubSat[T](vF<<(laneBits[T]()<<step), d))
 		}
 	}
-	// The correction sweep raises H to F down the stripes, and re-feeds
-	// E from each raised cell, so that E holds the scalar recurrence's
-	// value at a gap-gap corner (no score depends on it: EXPERIMENTS E29).
-	// It stops once F ≤ H − (open+ext) in every lane: the main loop's F
-	// from there on already dominates this one, so it raises no later
-	// cell.
+	// The correction sweep raises H to F down the stripes. It stops once
+	// F ≤ H − (open+ext) in every lane: the main loop's F from there on
+	// already dominates this one, so it raises no later cell.
+	//
+	// It does not re-feed E from a raised cell, though the scalar
+	// recurrence would: no H depends on that E (EXPERIMENTS E29). A cell
+	// (i, j) raised to F holds a path that runs down column j from some
+	// (i−k, j), and would feed E(i, j+1) that path turned right:
+	// H(i−k, j) − 2·open − (k+1)·ext. The path that turns right first,
+	// at (i−k, j), and then runs down column j+1 reaches (i, j+1) with
+	// the same value, and column j+1's own main loop, scan and sweep
+	// compute it. So every H, and with it every score, column best and
+	// widening, is the same; E only ever reaches an answer through H.
 	for w := 0; w+1 < len(he); w += 2 {
 		vH := he[w]
 		if laneSubSat[T](vF, laneSubSat[T](vH, openExt)) == 0 {
@@ -485,7 +493,6 @@ func stripedColumn[T lane](he, prof, decay []uint64, openExt, ext uint64) (colBe
 		vH = laneMax[T](vH, vF)
 		he[w] = vH
 		colBest = laneMax[T](colBest, vH)
-		he[w+1] = laneMax[T](he[w+1], laneSubSat[T](vH, openExt))
 		vF = laneSubSat[T](vF, ext)
 	}
 	return colBest

@@ -65,14 +65,15 @@
 	VPTEST     Y6, Y6
 
 // CORRECT_STEP raises H of vector pair R10 to F, feeds the raised H into
-// the column's best and E, and decays F by ext.
+// the column's best, and decays F by ext. It leaves E as the main loop
+// fed it, as stripedColumn does: a raised cell's E would hold a path that
+// runs down the column and turns right, and the path that turns right
+// first and runs down the next column reaches the same cell with the
+// same value, so no H depends on it (EXPERIMENTS E29).
 #define CORRECT_STEP(subus, maxu) \
 	maxu       Y1, Y0, Y0; \
 	VMOVDQU    Y0, (DI)(R10*1); \
 	maxu       Y0, Y2, Y2; \
-	subus      Y15, Y0, Y4; \
-	maxu       32(DI)(R10*1), Y4, Y4; \
-	VMOVDQU    Y4, 32(DI)(R10*1); \
 	subus      Y14, Y1, Y1
 
 // ROW points AX at the profile row of subject byte b[DX], the

@@ -12,9 +12,9 @@ import (
 // stripedScorings are the schemes the differential tests sweep: the
 // headline parameters plus edit-distance-like, zero-mismatch (every
 // substitution scores +Match or 0), zero-open (linear gaps), and a
-// cheap-gap scheme that makes gap-gap corners (the correction sweep's
-// re-feeding of E, which the kernel must reproduce exactly) optimal
-// wherever possible.
+// cheap-gap scheme that makes gap-gap corners optimal wherever
+// possible (the correction sweep does not re-feed E from the cells it
+// raises, and these schemes check that no score needed it).
 var stripedScorings = []Scoring{
 	DefaultScoring(),
 	{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1},

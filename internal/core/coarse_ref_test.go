@@ -31,9 +31,10 @@ func refTermSet(coder *kmer.Coder, query []byte) map[kmer.Term][]int {
 
 // refCoarse is the coarse phase as it was before the merge-join walk,
 // frozen: it builds the term map, visits it in Go's map order, finds
-// each list with the lexicon's binary search (ReaderStats) and selects
-// with a full sort. The production coarse must return exactly its
-// candidates, topK ≤ 0 meaning all of them.
+// each list with the lexicon's binary search (ReaderStats), decodes
+// every entry through postings.Iterator into a pair of plain counters
+// per sequence, and selects with a full sort. The production coarse
+// must return exactly its candidates, topK ≤ 0 meaning all of them.
 func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) ([]Candidate, error) {
 	if minHits < 1 {
 		minHits = 1
@@ -46,7 +47,9 @@ func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) (
 	var cands []Candidate
 	var it postings.Iterator
 	for _, seg := range s.segs {
-		acc := newAccumulators(seg.Index.NumSeqs())
+		distinct := make([]int, seg.Index.NumSeqs())
+		total := make([]int, seg.Index.NumSeqs())
+		var touched []int
 		diag := newDiagAcc(mode == CoarseDiagonal)
 		for t, qPositions := range termSet {
 			if df, _ := seg.Index.ReaderStats(t, &it); df == 0 {
@@ -54,7 +57,11 @@ func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) (
 			}
 			for it.Next() {
 				e := it.Entry()
-				acc.bump(int(e.ID), 1, int(e.Count))
+				if distinct[e.ID] == 0 {
+					touched = append(touched, int(e.ID))
+				}
+				distinct[e.ID]++
+				total[e.ID] += int(e.Count)
 				if diag != nil {
 					for _, qp := range qPositions {
 						for _, off := range e.Offsets {
@@ -71,8 +78,8 @@ func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) (
 		if diag != nil {
 			diagBest = diag.finalize()
 		}
-		for _, local := range acc.touched {
-			hits := int(acc.distinct[local])
+		for _, local := range touched {
+			hits := distinct[local]
 			if hits < minHits {
 				continue
 			}
@@ -84,7 +91,7 @@ func (s *Searcher) refCoarse(query []byte, mode CoarseMode, minHits, topK int) (
 			case CoarseDistinct:
 				c.Score = float64(hits)
 			case CoarseTotal:
-				c.Score = float64(acc.total[local])
+				c.Score = float64(total[local])
 			case CoarseNormalised:
 				c.Score = float64(hits) / math.Log2(float64(seg.Index.SeqLen(local))+16)
 			case CoarseDiagonal:

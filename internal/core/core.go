@@ -289,7 +289,12 @@ type Searcher struct {
 	// Scratch reused across queries. acc is sized for the largest
 	// segment and reset per segment.
 	acc accumulators
-	it  postings.Iterator
+	// arena holds the lists a paged index reads for one query, kept
+	// until the hand-over has read their offsets (see Index.ListFrom).
+	arena []byte // query-lifetime list copies, truncated at the start of each coarse call
+	// walk is the id and count scratch of a walk that logs nothing, and
+	// the offsets the diagonal mode reads; both are refilled per list.
+	walk struct{ ids, counts, offs []uint32 }
 	// terms is the current query's intervals, one packed (term, query
 	// position) pair each, sorted — so ordered by term, then position —
 	// and rebuilt at the start of each coarse call. It is the one
@@ -374,6 +379,14 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 	if total != src.Len() {
 		return nil, fmt.Errorf("core: segments index %d sequences, store has %d", total, src.Len())
 	}
+	// The seed log holds a global id in 31 bits (postings.Multi).
+	if total > math.MaxInt32 {
+		return nil, fmt.Errorf("core: segments index %d sequences, more than 2³¹−1", total)
+	}
+	logSegs := make([]logSegment, len(segs))
+	for i, sg := range segs {
+		logSegs[i] = logSegment{seqs: sg.Index.Seqs(), base: uint32(sg.Base)}
+	}
 	return &Searcher{
 		segs:     append([]Segment(nil), segs...),
 		src:      src,
@@ -383,7 +396,7 @@ func NewSegmentedSearcher(segs []Segment, src Source, scoring align.Scoring, sna
 		opts:     opts,
 		snapshot: snapshot,
 		acc:      newAccumulators(maxSeqs),
-		log:      seedLog{candOf: make([]int32, total)},
+		log:      seedLog{candOf: make([]int32, total), segs: logSegs},
 	}, nil
 }
 
@@ -773,9 +786,15 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	if logging {
 		s.log.reset()
 	}
+	s.arena = s.arena[:0]
+	defer func() {
+		if cap(s.arena) > maxPooledArena {
+			s.arena = nil
+		}
+	}()
 
-	for _, seg := range s.segs {
-		diag, err := s.accumulate(ctx, seg, mode, logging, st)
+	for i, seg := range s.segs {
+		diag, err := s.accumulate(ctx, i, mode, logging, st)
 		if err != nil {
 			return nil, err
 		}
@@ -792,7 +811,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 			case CoarseDistinct:
 				c.Score = float64(hits)
 			case CoarseTotal:
-				c.Score = float64(s.acc.total[local])
+				c.Score = float64(s.acc.total(local))
 			case CoarseNormalised:
 				c.Score = float64(hits) / math.Log2(float64(seg.Index.SeqLen(local))+16)
 			case CoarseDiagonal:
@@ -804,7 +823,7 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 		}
 
 		for _, local := range s.acc.touched {
-			hits := int(s.acc.distinct[local])
+			hits := s.acc.distinct(local)
 			if hits < minHits {
 				continue
 			}
@@ -833,7 +852,10 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 			s.recs = append(s.recs, candRec{id: c.ID, coarse: c.Score, centre: c.Diag})
 		}
 		if logging {
-			s.log.handOver(s.recs[first:], s.terms, len(query), mode != CoarseDiagonal)
+			if err := s.log.handOver(s.recs[first:], s.terms, len(query), mode != CoarseDiagonal); err != nil {
+				s.recs = s.recs[:first]
+				return nil, err
+			}
 		}
 		return out, nil
 	}
@@ -841,20 +863,28 @@ func (s *Searcher) coarse(ctx context.Context, query []byte, mode CoarseMode, mi
 	return cands, nil
 }
 
-// accumulate walks every posting list the query's terms have in one
-// segment into the searcher's accumulator. Accumulator slots are the
+// accumulate walks every posting list the query's terms have in
+// segment si into the searcher's accumulator. Accumulator slots are the
 // segment's local ids. The walk is a merge-join: the query's terms
 // ascend, so each lexicon search resumes where the last one ended and
 // the lists are read in ascending blob offset.
 //
-// With log set, every posting is also appended to the seed log; a walk
-// that would pass its 31-bit indexes fails (see maxLogIndex).
-func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode, log bool, st *SearchStats) (*diagAcc, error) {
+// Each list's id stream is decoded into the seed log with log set (a
+// walk that would pass its 31-bit indexes fails, see maxLogIndex), into
+// per-list scratch otherwise, and the accumulators are bumped from
+// there. Offsets are read only by the diagonal mode, right after the
+// ids, and by the hand-over.
+func (s *Searcher) accumulate(ctx context.Context, si int, mode CoarseMode, log bool, st *SearchStats) (*diagAcc, error) {
+	seg := s.segs[si]
 	s.acc.reset()
 	diag := newDiagAcc(mode == CoarseDiagonal)
-	// The log lives in locals for the walk, so the per-posting appends
+	// The log lives in locals for the walk, so the per-list appends
 	// neither reload nor store the slice headers through s.
-	recs, offs, lists, base := s.log.recs, s.log.offs, s.log.lists, uint32(seg.Base)
+	ids, counts, lists := s.log.ids, s.log.counts, s.log.lists
+	if !log {
+		ids, counts = s.walk.ids, s.walk.counts
+	}
+	arena, base, seqs := s.arena, uint32(seg.Base), seg.Index.Seqs()
 	slot := 0
 	for rest := s.terms; len(rest) > 0; {
 		if err := ctx.Err(); err != nil {
@@ -868,51 +898,73 @@ func (s *Searcher) accumulate(ctx context.Context, seg Segment, mode CoarseMode,
 		lo := len(s.terms) - len(rest)
 		var run []queryTerm // the query positions of t
 		run, rest = rest[:n], rest[n:]
-		var df, listBytes int
-		df, listBytes, slot = seg.Index.ReaderStatsFrom(t, slot, &s.it)
+		if !log {
+			ids, counts, arena = ids[:0], counts[:0], arena[:0]
+		}
+		list, df, next, grown, err := seg.Index.ListFrom(t, slot, arena)
+		slot = next
+		if err != nil {
+			return nil, fmt.Errorf("core: term %d postings: %w", t, err)
+		}
 		if df == 0 {
 			continue
 		}
+		arena = grown
 		st.PostingLists++
-		st.PostingsBytesRead += int64(listBytes)
-		if log {
-			if len(recs) > maxLogIndex-df {
-				return nil, logOverflow(len(recs), len(offs), t)
-			}
-			lists = append(lists, loggedList{int32(len(recs)), int32(lo), int32(lo + n)})
+		st.PostingsBytesRead += int64(len(list))
+		if log && len(ids) > maxLogIndex-df {
+			return nil, logOverflow(len(ids), len(s.log.offs), t)
 		}
-		for s.it.Next() {
-			e := s.it.Entry()
-			s.acc.bump(int(e.ID), 1, int(e.Count))
-			if log {
-				r := seedRec{id: base + e.ID}
-				if e.Count == 1 {
-					r.off = e.Offsets[0]
-				} else {
-					if len(offs) > maxLogIndex {
-						return nil, logOverflow(len(recs), len(offs), t)
-					}
-					r.off = multiOffsets | uint32(len(offs))
-					offs = append(offs, e.Count)
-					offs = append(offs, e.Offsets...)
-				}
-				recs = append(recs, r)
-			}
-			if diag != nil {
-				for _, qt := range run {
-					for _, off := range e.Offsets {
-						diag.add(e.ID, int(off)-qt.pos())
-					}
-				}
-			}
-		}
-		if err := s.it.Err(); err != nil {
+		start, c0 := len(ids), len(counts)
+		var bit int64
+		if ids, counts, bit, err = postings.IDs(ids, counts, list, df, seqs, base); err != nil {
 			return nil, fmt.Errorf("core: term %d postings: %w", t, err)
 		}
-		st.PostingsDecoded += int64(s.it.Decoded())
+		if log {
+			lists = append(lists, loggedList{list: list, bit: bit, start: int32(start), counts: int32(c0), lo: int32(lo), hi: int32(lo + n), seg: int32(si)}) // amortised scratch, like ids
+		}
+		s.acc.add(ids[start:], counts[c0:], base)
+		if diag != nil {
+			if err := s.diagonals(diag, list, bit, ids[start:], counts[c0:], base, seqs, run); err != nil {
+				return nil, fmt.Errorf("core: term %d postings: %w", t, err)
+			}
+		}
+		st.PostingsDecoded += int64(df)
 	}
-	s.log.recs, s.log.offs, s.log.lists = recs, offs, lists
+	if log {
+		s.log.ids, s.log.counts, s.log.lists = ids, counts, lists
+	} else {
+		s.walk.ids, s.walk.counts = ids, counts
+	}
+	s.arena = arena
 	return diag, nil
+}
+
+// diagonals decodes the offsets of one list's postings, logged as ids
+// and counts with base, and adds each hit's diagonal against every
+// query position in run to diag.
+func (s *Searcher) diagonals(diag *diagAcc, list []byte, bit int64, ids, counts []uint32, base uint32, seqs postings.Seqs, run []queryTerm) error {
+	offs, err := postings.Offsets(s.walk.offs[:0], list, bit, ids, counts, base, nil, seqs)
+	s.walk.offs = offs
+	if err != nil {
+		return err
+	}
+	p := 0
+	for _, r := range ids {
+		posting := offs[p : p+1]
+		if r&postings.Multi != 0 {
+			posting = offs[p+1 : p+1+int(offs[p])]
+			p++
+		}
+		p += len(posting)
+		local := r&^postings.Multi - base
+		for _, qt := range run {
+			for _, off := range posting {
+				diag.add(local, int(off)-qt.pos())
+			}
+		}
+	}
+	return nil
 }
 
 // queryTerm is one interval of the query: its term in the high 32 bits
@@ -957,33 +1009,50 @@ type kernelScratch struct {
 	seq []byte // subject bases, overwritten by the next read
 }
 
-// accumulators is the coarse-phase scratch: per-sequence distinct-term
-// and total-occurrence counters with O(touched) reset.
+// accumulators is the coarse-phase scratch: one word per sequence, the
+// distinct query intervals it holds in the low half and their total
+// occurrences in the high half, with O(touched) reset. A half wraps
+// where an int32 counter would overflow, or later.
 type accumulators struct {
-	distinct []int32
-	total    []int32
-	touched  []int
+	w       []uint64
+	touched []int
 }
 
 func newAccumulators(n int) accumulators {
-	return accumulators{
-		distinct: make([]int32, n),
-		total:    make([]int32, n),
-	}
+	return accumulators{w: make([]uint64, n)}
 }
 
-func (a *accumulators) bump(id, distinct, total int) {
-	if a.distinct[id] == 0 && a.total[id] == 0 {
-		a.touched = append(a.touched, id) // amortised scratch; stabilises at the high-water mark across queries
+// add bumps the sequences of one list's postings, as postings.IDs
+// logged them with base: ids, with postings.Multi flagging a posting
+// whose count is next in counts.
+func (a *accumulators) add(ids, counts []uint32, base uint32) {
+	w, touched := a.w, a.touched
+	ci := 0
+	for _, r := range ids {
+		inc := uint64(1) | 1<<32
+		if r&postings.Multi != 0 {
+			inc = 1 | uint64(counts[ci])<<32
+			ci++
+		}
+		local := r&^postings.Multi - base
+		v := w[local]
+		if v == 0 {
+			touched = append(touched, int(local)) // amortised scratch; stabilises at the high-water mark across queries
+		}
+		w[local] = v + inc
 	}
-	a.distinct[id] += int32(distinct)
-	a.total[id] += int32(total)
+	a.touched = touched
 }
+
+// distinct returns the distinct query intervals sequence id holds.
+func (a *accumulators) distinct(id int) int { return int(uint32(a.w[id])) }
+
+// total returns their total occurrences in sequence id.
+func (a *accumulators) total(id int) uint32 { return uint32(a.w[id] >> 32) }
 
 func (a *accumulators) reset() {
 	for _, id := range a.touched {
-		a.distinct[id] = 0
-		a.total[id] = 0
+		a.w[id] = 0
 	}
 	a.touched = a.touched[:0]
 }

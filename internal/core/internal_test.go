@@ -1,30 +1,53 @@
 package core
 
 import (
+	"reflect"
 	"testing"
+
+	"nucleodb/internal/postings"
 )
 
+// TestAccumulators: the packed word counts distinct intervals in its
+// low half and total occurrences in its high half, a one-offset posting
+// adding 1 to each and a postings.Multi one 1 and its side count, with
+// the ids rebased to the segment; reset clears every touched word.
 func TestAccumulators(t *testing.T) {
+	const base = 100
 	acc := newAccumulators(10)
-	acc.bump(3, 1, 5)
-	acc.bump(3, 1, 2)
-	acc.bump(7, 1, 1)
-	if acc.distinct[3] != 2 || acc.total[3] != 7 {
-		t.Errorf("seq 3 counters = %d/%d", acc.distinct[3], acc.total[3])
+	acc.add([]uint32{base + 3, base + 7 | postings.Multi, base + 9}, []uint32{4}, base)
+	acc.add([]uint32{base + 3 | postings.Multi, base + 7}, []uint32{5}, base)
+	for _, c := range []struct {
+		id, distinct int
+		total        uint32
+	}{{3, 2, 6}, {7, 2, 5}, {9, 1, 1}, {0, 0, 0}} {
+		if d, tot := acc.distinct(c.id), acc.total(c.id); d != c.distinct || tot != c.total {
+			t.Errorf("seq %d counters = %d/%d, want %d/%d", c.id, d, tot, c.distinct, c.total)
+		}
 	}
-	if len(acc.touched) != 2 {
+	if acc.w[3] != 2|6<<32 {
+		t.Errorf("seq 3 word = %#x, want distinct 2 low and total 6 high", acc.w[3])
+	}
+	if !reflect.DeepEqual(acc.touched, []int{3, 7, 9}) {
 		t.Errorf("touched = %v", acc.touched)
 	}
+	// A count of 2³¹, the largest a list holds, lands in the high half
+	// without disturbing the low one.
+	acc.add([]uint32{base + 1 | postings.Multi}, []uint32{1 << 31}, base)
+	if acc.distinct(1) != 1 || acc.total(1) != 1<<31 {
+		t.Errorf("seq 1 counters = %d/%d, want 1/2³¹", acc.distinct(1), acc.total(1))
+	}
 	acc.reset()
-	if acc.distinct[3] != 0 || acc.total[3] != 0 || acc.distinct[7] != 0 {
-		t.Error("reset left residue")
+	for id := range acc.w {
+		if acc.w[id] != 0 {
+			t.Errorf("reset left residue in seq %d: %#x", id, acc.w[id])
+		}
 	}
 	if len(acc.touched) != 0 {
 		t.Error("touched not cleared")
 	}
 	// Reuse after reset.
-	acc.bump(3, 1, 1)
-	if acc.distinct[3] != 1 || len(acc.touched) != 1 {
+	acc.add([]uint32{base + 3}, nil, base)
+	if acc.distinct(3) != 1 || acc.total(3) != 1 || len(acc.touched) != 1 {
 		t.Error("reuse after reset broken")
 	}
 }

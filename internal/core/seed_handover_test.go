@@ -210,7 +210,7 @@ func TestSeedHandOverMatchesBestSeed(t *testing.T) {
 					for _, mode := range []CoarseMode{CoarseDistinct, CoarseTotal, CoarseNormalised, CoarseDiagonal} {
 						name := fmt.Sprintf("%+v %s %s %v", io, layout, qname, mode)
 						compared += checkHandOver(t, s, strand, mode, name)
-						multi = multi || len(s.log.offs) > 0
+						multi = multi || len(s.log.counts) > 0
 					}
 				}
 			}
@@ -274,8 +274,8 @@ func TestSeedHandOverFallbacks(t *testing.T) {
 	}
 	huge := gen.RandomSequence(rng, 3000, uniform, 0)
 	checkHandOver(t, s, huge, CoarseDistinct, "past 2²⁰")
-	if n := len(s.log.recs); n != 0 {
-		t.Fatalf("searcher kept %d records", n)
+	if n := len(s.log.ids); n != 0 {
+		t.Fatalf("searcher kept %d logged postings", n)
 	}
 	var st SearchStats
 	if _, err := s.SearchWithStatsContext(context.Background(), huge, DefaultOptions(), &st); err != nil {
@@ -389,53 +389,65 @@ func TestCoarseWritesNoLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if cap(s.log.recs) != 0 || cap(s.log.lists) != 0 || cap(s.log.offs) != 0 {
-		t.Fatalf("log written: %d records, %d lists, %d offsets", len(s.log.recs), len(s.log.lists), len(s.log.offs))
+	if cap(s.log.ids) != 0 || cap(s.log.counts) != 0 || cap(s.log.lists) != 0 || cap(s.log.offs) != 0 {
+		t.Fatalf("log written: %d postings, %d counts, %d lists, %d offsets", len(s.log.ids), len(s.log.counts), len(s.log.lists), len(s.log.offs))
 	}
 	if _, err := s.Search(f.query, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.log.recs) == 0 {
+	if len(s.log.ids) == 0 {
 		t.Fatal("a default search logged nothing: the probe proves nothing")
 	}
 }
 
 // TestPooledSeedLogCapped: a searcher keeps a normal query's log for the
-// next query, but not one past maxPooledSeedLog records.
+// next query, but not one past maxPooledSeedLog postings; and a searcher
+// over a paged index keeps a normal query's arena of lists, but not one
+// past maxPooledArena bytes.
 func TestPooledSeedLogCapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(750))
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
 	var store db.Store
-	for i := 0; i < 1500; i++ {
+	for i := 0; i < 3000; i++ {
 		store.Add("r", gen.RandomSequence(rng, 400, uniform, 0))
 	}
 	// 4-mers: nearly every sequence holds nearly every term, so a query
-	// with all 256 walks ≈ 1500 × 200 postings.
+	// with all 256 walks ≈ 3000 × 200 postings in ≈ 1.3 MB of lists.
 	idx, err := index.Build(&store, index.Options{K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSearcher(idx, &store, align.DefaultScoring())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := &fixture{store: &store, idx: idx}
 	small, huge := store.Sequence(0)[:40], gen.RandomSequence(rng, 3000, uniform, 0)
-	if checkHandOver(t, s, small, CoarseDistinct, "small") == 0 || cap(s.log.recs) == 0 {
-		t.Fatal("a small query's log was not kept")
-	}
-	checkHandOver(t, s, huge, CoarseDistinct, "huge")
-	if n := len(s.log.recs); n != 0 {
-		t.Fatalf("searcher kept %d records", n)
-	}
-	var st SearchStats
-	if _, err := s.SearchWithStatsContext(context.Background(), huge, DefaultOptions(), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.PostingsDecoded <= maxPooledSeedLog {
-		t.Fatalf("the huge query walks %d postings, want more than %d", st.PostingsDecoded, maxPooledSeedLog)
-	}
-	if cap(s.log.recs) > maxPooledSeedLog || cap(s.log.offs) > maxPooledSeedLog || len(s.log.count) > maxPooledSeedLog {
-		t.Fatalf("searcher keeps %d records, %d offsets, %d diagonals", cap(s.log.recs), cap(s.log.offs), len(s.log.count))
+	for layout, s := range segmentations(t, f, rng) {
+		if layout == "3-segments" {
+			continue
+		}
+		if checkHandOver(t, s, small, CoarseDistinct, layout+" small") == 0 || cap(s.log.ids) == 0 {
+			t.Fatalf("%s: a small query's log was not kept", layout)
+		}
+		if layout == "paged" && cap(s.arena) == 0 {
+			t.Fatal("paged: a small query's arena was not kept")
+		}
+		checkHandOver(t, s, huge, CoarseDistinct, layout+" huge")
+		if n := len(s.log.ids); n != 0 {
+			t.Fatalf("%s: searcher kept %d logged postings", layout, n)
+		}
+		var st SearchStats
+		if _, err := s.SearchWithStatsContext(context.Background(), huge, DefaultOptions(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.PostingsDecoded <= maxPooledSeedLog || st.PostingsBytesRead <= maxPooledArena {
+			t.Fatalf("%s: the huge query walks %d postings in %d bytes, want more than %d and %d",
+				layout, st.PostingsDecoded, st.PostingsBytesRead, maxPooledSeedLog, maxPooledArena)
+		}
+		if cap(s.log.ids) > maxPooledSeedLog || cap(s.log.counts) > maxPooledSeedLog || cap(s.log.offs) > maxPooledSeedLog || len(s.log.count) > maxPooledSeedLog {
+			t.Fatalf("%s: searcher keeps %d postings, %d counts, %d offsets, %d diagonals",
+				layout, cap(s.log.ids), cap(s.log.counts), cap(s.log.offs), len(s.log.count))
+		}
+		if cap(s.arena) > maxPooledArena {
+			t.Fatalf("%s: searcher keeps a %d-byte arena", layout, cap(s.arena))
+		}
 	}
 }
 
@@ -527,12 +539,15 @@ func FuzzSeedHandOver(f *testing.F) {
 	})
 }
 
-// BenchmarkSeedHandOver prices the seed log for one default query
-// (1 000 bases, 100 candidates) on the collection the served-path
-// benchmark and BenchmarkPostingsDecode use (17 777 generated sequences,
-// default index): the coarse walk without and with the log, and the
-// hand-over alone. The log and hand-over cost is the second row minus
-// the first. Kernel evidence only: the served path is judged end to end.
+// BenchmarkSeedHandOver prices the seed log on the collection the
+// served-path benchmark and BenchmarkPostingsDecode use (17 777
+// generated sequences, default index), for one 1 000-base query at two
+// candidate budgets: 100 (served_default's) and 3 (coarse_scan's). Each
+// budget has the coarse walk without and with the log, and the hand-over
+// alone; the log and hand-over cost is the second row minus the first.
+// With 100 candidates the hand-over walks nearly every offset stream to
+// its end, with 3 only up to the candidates' last postings. Kernel
+// evidence only: the served path is judged end to end.
 func BenchmarkSeedHandOver(b *testing.B) {
 	col, err := gen.Generate(gen.DefaultConfig(17777, 1))
 	if err != nil {
@@ -556,31 +571,35 @@ func BenchmarkSeedHandOver(b *testing.B) {
 	}
 	query := gen.Fragment(rand.New(rand.NewSource(1)), root, 1000)
 	ctx, opts := context.Background(), DefaultOptions()
-	coarse := func(seeded bool) []Candidate {
-		s.recs = s.recs[:0]
-		cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, opts.Candidates, seeded, &s.stats)
-		if err != nil {
-			b.Fatal(err)
+	for _, budget := range []int{100, 3} {
+		coarse := func(seeded bool) []Candidate {
+			s.recs = s.recs[:0]
+			cands, err := s.coarse(ctx, query, opts.CoarseMode, opts.MinCoarseHits, budget, seeded, &s.stats)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return cands
 		}
-		return cands
+		name := fmt.Sprintf("candidates=%d/", budget)
+		b.Run(name+"coarse", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				coarse(false)
+			}
+		})
+		b.Run(name+"coarse+log+hand-over", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				coarse(true)
+			}
+		})
+		if cands := coarse(true); len(cands) != budget {
+			b.Fatalf("%d candidates, want %d", len(cands), budget)
+		}
+		b.Run(name+"hand-over", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := s.log.handOver(s.recs, s.terms, len(query), true); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("coarse", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coarse(false)
-		}
-	})
-	b.Run("coarse+log+hand-over", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			coarse(true)
-		}
-	})
-	cands := coarse(true)
-	if len(cands) != opts.Candidates {
-		b.Fatalf("%d candidates, want %d", len(cands), opts.Candidates)
-	}
-	b.Run("hand-over", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.log.handOver(s.recs, s.terms, len(query), true)
-		}
-	})
 }

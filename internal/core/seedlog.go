@@ -5,16 +5,21 @@ import (
 	"math"
 
 	"nucleodb/internal/kmer"
+	"nucleodb/internal/postings"
 )
 
 // The seed hand-over, the one source of a candidate's seed. The index
 // is built with the same interval coder over the same store codes the
 // fine phase aligns, so a candidate's postings under the query's terms
 // hold exactly the (query position, subject position) pairs the two
-// share, less those of stopped terms, which have no list. The coarse
-// walk decodes those offsets anyway; it appends each posting to a flat
-// log, and after top-k one pass over the log buckets the admitted
-// candidates' postings, from which each candidate's seed is read.
+// share, less those of stopped terms, which have no list. A list keeps
+// its postings' ids apart from their offsets (package postings), so the
+// coarse walk decodes ids only, straight into a flat log; after top-k
+// the hand-over visits each logged list that holds an admitted
+// candidate, walks its offset stream to its last admitted posting —
+// skipping the other postings' codes — and buckets the admitted
+// postings' offsets by candidate, from which each candidate's seed is
+// read.
 //
 // The log is flat rather than chained per sequence: a chain costs the
 // walk a read and a write of the sequence's chain head per posting,
@@ -22,55 +27,61 @@ import (
 // E21).
 //
 // The log has no cap. A walk decodes each distinct term's list once per
-// segment, so it logs at most one 8-byte record per posting in the
-// index, and a posting with several offsets adds 4 bytes for its count
-// and 4 per offset to the side array. A 2 000-base query on a 16 Mbase
-// collection logs ≈ 110 k records, and a query spanning the whole
-// vocabulary would log every posting and offset: ≈ 126 MB on the
-// benchmark collection, where 99.5 % of postings have one offset, but
-// about 4 bytes per indexed base on a few long sequences, such as a
-// genome's chromosomes, where nearly every posting has many (≈ 90 MB
-// for a 2 000-base query at 3 Gbase). Past 2³¹ records or offsets the
-// walk fails (maxLogIndex).
+// segment, so it logs at most one 4-byte word per posting in the index,
+// plus 4 bytes for the count of each posting with several offsets, and
+// keeps every list it logged readable until the hand-over: a slice of
+// the in-memory blob, or a copy in the searcher's arena under a paged
+// index. A 2 000-base query on a 16 Mbase collection logs ≈ 110 k
+// words; a query spanning the whole vocabulary would log every posting:
+// ≈ 63 MB on the benchmark collection, plus the arena (the whole
+// postings blob, under a paged index). The hand-over adds only the
+// admitted candidates' offsets. Past 2³¹ logged postings, or offsets
+// handed over, the walk fails (maxLogIndex).
 
-// maxPooledSeedLog caps the records a searcher keeps between queries
-// (2 MiB); a larger log is dropped after its hand-over, so one huge
-// query does not pin its log in every pooled searcher.
+// maxPooledSeedLog caps the words a searcher keeps in each of the log's
+// arrays between queries (1 MiB each); a larger log is dropped after its
+// hand-over, so one huge query does not pin its log in every pooled
+// searcher.
 const maxPooledSeedLog = 1 << 18
 
-// seedRec is one logged posting: its sequence's global id and its
-// offsets. Which list it came from, and so the query positions of its
-// term, is the logged list whose records span it.
-type seedRec struct {
-	id uint32
-	// off is the posting's one offset or, with multiOffsets set, the
-	// index in seedLog.offs of its offset count, which its offsets follow.
-	off uint32
-}
+// maxPooledArena caps the bytes of paged lists a searcher keeps between
+// queries (1 MiB), for the same reason.
+const maxPooledArena = 1 << 20
 
-// multiOffsets flags a record whose posting has several offsets. Offsets
-// are below it: a subject's length is an int32.
+// multiOffsets flags a bucketed posting whose off field indexes its
+// offset count in seedLog.offs, which its offsets follow. Offsets are
+// below it: a subject's length is an int32.
 const multiOffsets = 1 << 31
 
-// maxLogIndex is the largest record and offset index the log's 31-bit
-// fields hold (loggedList.start, a multiOffsets record's off). A walk
+// maxLogIndex is the largest posting and offset index the log's 31-bit
+// fields hold (loggedList.start, a multiOffsets posting's off). A walk
 // that would log past it fails with an internal error rather than
-// wrap; only a query whose lists hold more than 2³¹ postings or
-// offsets reaches it. A variable so that tests can reach it.
+// wrap; only a query whose lists hold more than 2³¹ postings, or whose
+// admitted candidates' postings hold more than 2³¹ offsets, reaches it.
+// A variable so that tests can reach it.
 var maxLogIndex = math.MaxInt32
 
 // logOverflow is the walk's error when term's list would pass
-// maxLogIndex, with recs records and offs offsets logged.
-func logOverflow(recs, offs int, term kmer.Term) error {
-	return fmt.Errorf("core: seed log of %d postings and %d offsets cannot index term %d's postings: the query's lists pass 2³¹", recs, offs, term)
+// maxLogIndex, with ids postings and offs offsets logged.
+func logOverflow(ids, offs int, term kmer.Term) error {
+	return fmt.Errorf("core: seed log of %d postings and %d offsets cannot index term %d's postings: the query's lists pass 2³¹", ids, offs, term)
 }
 
-// loggedList is one posting list of the log: where its records start,
-// and the run [lo, hi) of its term in the searcher's term array.
-type loggedList struct{ start, lo, hi int32 }
+// loggedList is one posting list of the log: the list itself, the bit
+// where its offset stream starts, where its ids and its side counts
+// start in the log, the run [lo, hi) of its term in the searcher's term
+// array, and its segment.
+type loggedList struct {
+	list          []byte
+	bit           int64
+	start, counts int32
+	lo, hi        int32
+	seg           int32
+}
 
 // candPosting is one admitted candidate's logged posting, as the
-// hand-over buckets it: the record's off field and its list.
+// hand-over buckets it: its one offset, or with multiOffsets set the
+// index of its offsets in seedLog.offs; and its list.
 type candPosting struct {
 	off  uint32
 	list int32
@@ -81,14 +92,26 @@ type candPosting struct {
 // walk and read by the hand-over; the fine phase sees only the seeds it
 // writes into the candidates' records.
 type seedLog struct {
-	recs  []seedRec    // query-lifetime log, truncated at the start of each logging walk
-	offs  []uint32     // offsets of the logged postings that have several
-	lists []loggedList // one per logged list, in walk order
+	// ids holds one word per logged posting: its sequence's global id,
+	// with postings.Multi set when it has several offsets, whose count
+	// is next in counts. Query-lifetime, truncated at the start of each
+	// logging walk, like counts and lists.
+	ids    []uint32
+	counts []uint32
+	lists  []loggedList // one per logged list, in walk order
+	// segs holds each segment's universe and first global id, by the
+	// segment's index in the searcher.
+	segs []logSegment
 
 	// candOf maps a global id to its admitted candidate's index + 1
 	// during a hand-over, and is all zero otherwise.
 	candOf []int32
-	// postings buckets the log's postings by admitted candidate.
+	// want and offs are one hand-over's scratch: the admitted postings
+	// of the list being walked, and the offsets of every admitted
+	// posting, a multi-offset posting's after its count.
+	want []int32
+	offs []uint32
+	// postings buckets the admitted postings by candidate.
 	postings [][]candPosting // one bucket per admitted candidate, refilled by each hand-over
 	// count and first are indexed by diagonal + query length: the hits
 	// on each diagonal and the smallest subject position among them.
@@ -99,16 +122,25 @@ type seedLog struct {
 	diags []int32
 }
 
+// logSegment is what the hand-over needs of a segment to read its lists'
+// offsets.
+type logSegment struct {
+	seqs postings.Seqs
+	base uint32
+}
+
 // reset empties the log for a new walk.
 func (l *seedLog) reset() {
-	l.recs, l.offs, l.lists = l.recs[:0], l.offs[:0], l.lists[:0]
+	l.ids, l.counts, l.lists = l.ids[:0], l.counts[:0], l.lists[:0]
 }
 
 // handOver sets each admitted candidate's record's seed and, with
-// centre set, its band centre to the seed's diagonal. One pass over the
-// log buckets the candidates' postings; each bucket then yields its
-// seed. It drops backing over maxPooledSeedLog afterwards.
-func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre bool) {
+// centre set, its band centre to the seed's diagonal. For each logged
+// list it finds the admitted postings among the list's ids, reads their
+// offsets (postings.Offsets) into buckets by candidate, and then reads
+// each bucket's seed. A list whose offsets fail to decode fails the
+// hand-over. It drops backing over maxPooledSeedLog afterwards.
+func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre bool) error {
 	for i, r := range recs {
 		l.candOf[r.id] = int32(i + 1)
 	}
@@ -119,20 +151,14 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 	for i := range buckets {
 		buckets[i] = buckets[i][:0]
 	}
-	for j, ls := range l.lists {
-		end := len(l.recs)
-		if j+1 < len(l.lists) {
-			end = int(l.lists[j+1].start)
-		}
-		for _, r := range l.recs[ls.start:end] {
-			if ci := l.candOf[r.id]; ci != 0 {
-				buckets[ci-1] = append(buckets[ci-1], candPosting{r.off, int32(j)}) // amortised scratch; stabilises at the high-water mark across queries
-			}
-		}
-	}
+	var err error
+	l.offs, err = l.bucket(l.offs[:0], buckets, terms)
 	for i := range recs {
 		r := &recs[i]
 		l.candOf[r.id] = 0
+		if err != nil {
+			continue
+		}
 		r.seed = l.seed(buckets[i], terms, qlen)
 		if centre {
 			r.centre = r.seed.diag
@@ -145,8 +171,8 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 	if kept > maxPooledSeedLog {
 		l.postings = nil
 	}
-	if cap(l.recs) > maxPooledSeedLog {
-		l.recs, l.lists = nil, nil
+	if cap(l.ids) > maxPooledSeedLog || cap(l.counts) > maxPooledSeedLog {
+		l.ids, l.counts, l.lists, l.want = nil, nil, nil, nil
 	}
 	if cap(l.offs) > maxPooledSeedLog {
 		l.offs = nil
@@ -154,6 +180,51 @@ func (l *seedLog) handOver(recs []candRec, terms []queryTerm, qlen int, centre b
 	if len(l.count) > maxPooledSeedLog {
 		l.count, l.first, l.diags = nil, nil, nil
 	}
+	return err
+}
+
+// bucket reads the admitted postings' offsets, list by list, onto
+// offs, and buckets the postings, candidate i's in buckets[i]. It
+// returns offs.
+func (l *seedLog) bucket(offs []uint32, buckets [][]candPosting, terms []queryTerm) ([]uint32, error) {
+	for j, ls := range l.lists {
+		end := len(l.ids)
+		if j+1 < len(l.lists) {
+			end = int(l.lists[j+1].start)
+		}
+		ids := l.ids[ls.start:end]
+		want := l.want[:0]
+		for i, r := range ids {
+			if l.candOf[r&^postings.Multi] != 0 {
+				want = append(want, int32(i)) // amortised scratch; stabilises at the high-water mark across queries
+			}
+		}
+		l.want = want
+		if len(want) == 0 {
+			continue
+		}
+		sg := l.segs[ls.seg]
+		p := len(offs)
+		var err error
+		if offs, err = postings.Offsets(offs, ls.list, ls.bit, ids, l.counts[ls.counts:], sg.base, want, sg.seqs); err != nil {
+			return offs, fmt.Errorf("core: term %d postings: %w", terms[ls.lo].term(), err)
+		}
+		if len(offs) > maxLogIndex {
+			return offs, logOverflow(len(l.ids), len(offs), terms[ls.lo].term())
+		}
+		for _, i := range want {
+			r := ids[i]
+			cp := candPosting{off: offs[p], list: int32(j)}
+			if r&postings.Multi != 0 {
+				cp.off = multiOffsets | uint32(p)
+				p += int(offs[p])
+			}
+			p++
+			ci := l.candOf[r&^postings.Multi] - 1
+			buckets[ci] = append(buckets[ci], cp) // amortised scratch; stabilises at the high-water mark across queries
+		}
+	}
+	return offs, nil
 }
 
 // seed returns the seed of the sequence whose postings are ps: the

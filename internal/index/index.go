@@ -10,6 +10,7 @@ package index
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -436,21 +437,41 @@ func (x *Index) ReaderStats(t kmer.Term, it *postings.Iterator) (df, bytes int) 
 	return x.readSlot(x.lookup(t), it)
 }
 
-// ReaderStatsFrom is ReaderStats for a caller that asks for its terms
-// in ascending order, as the coarse walk does: the lexicon search
-// resumes at slot from — the value the previous call returned, 0 before
-// the first — so the walk is a merge-join of the query's sorted terms
-// against the sorted lexicon, and lists are read in ascending blob
-// offset (sequentially, on a paged index).
-func (x *Index) ReaderStatsFrom(t kmer.Term, from int, it *postings.Iterator) (df, bytes, next int) {
+// ListFrom returns the posting list of term t and its document
+// frequency (a nil list and 0 when t has none), for a caller that asks
+// for its terms in ascending order, as the coarse walk does: the lexicon
+// search resumes at slot from — the next value the previous call
+// returned, 0 before the first — so the walk is a merge-join of the
+// query's sorted terms against the sorted lexicon, and lists are read in
+// ascending blob offset (sequentially, on a paged index).
+//
+// An in-memory index returns a slice of its blob and arena as it was. A
+// paged index reads the list from disk onto the end of arena, followed
+// by postings.Slack zero bytes, and returns the grown arena; a list it
+// returned stays valid while the caller does not write over that part
+// of the arena. Either way the list's backing array runs on past its end
+// (into the blob's next lists, or the slack), which the decoders read
+// words from. A failed read returns the error and arena as it was.
+func (x *Index) ListFrom(t kmer.Term, from int, arena []byte) (list []byte, df, next int, grown []byte, err error) {
 	next = x.seek(t, from)
-	slot := -1
-	if next < len(x.terms) && x.terms[next] == uint64(t) {
-		slot = next
+	if next >= len(x.terms) || x.terms[next] != uint64(t) {
+		return nil, 0, next, arena, nil
 	}
-	df, bytes = x.readSlot(slot, it)
-	return df, bytes, next
+	off, n := x.listSpan(next)
+	if x.fetch == nil {
+		return x.blob[off : off+uint64(n)], int(x.dfs[next]), next, arena, nil
+	}
+	start := len(arena)
+	grown = slices.Grow(arena, int(n)+postings.Slack)[:start+int(n)+postings.Slack] // amortised arena: the caller's, reused across queries
+	clear(grown[start+int(n):])
+	if list, err = x.fetch(off, n, grown[start:start+int(n)]); err != nil {
+		return nil, int(x.dfs[next]), next, arena, err
+	}
+	return list, int(x.dfs[next]), next, grown, nil
 }
+
+// Seqs returns the universe the index's lists are coded against.
+func (x *Index) Seqs() postings.Seqs { return x.seqs }
 
 // readSlot positions it over the list of lexicon slot i (-1: no list).
 // A paged index reads the list into the iterator's own buffer, which
@@ -476,7 +497,7 @@ func (x *Index) readSlot(i int, it *postings.Iterator) (df, bytes int) {
 }
 
 // Postings decodes and returns the full posting list of term t.
-// Intended for tests and tools; query evaluation uses ReaderStatsFrom.
+// Intended for tests and tools; query evaluation uses ListFrom.
 func (x *Index) Postings(t kmer.Term) ([]postings.Entry, error) {
 	i := x.lookup(t)
 	if i < 0 {

@@ -382,12 +382,18 @@ func TestSeekMatchesSearch(t *testing.T) {
 					t.Fatalf("%+v: seek(%d, from %d) = %d, binary search = %d", opts, term, from, got, want)
 				}
 			}
-			// The merge-join's use: ReaderStatsFrom agrees with ReaderStats.
-			var a, b postings.Iterator
-			df, bytes := idx.ReaderStats(kmer.Term(term), &a)
-			gdf, gbytes, next := idx.ReaderStatsFrom(kmer.Term(term), want/2, &b)
-			if gdf != df || gbytes != bytes || next != want {
-				t.Fatalf("%+v: ReaderStatsFrom(%d) = (%d, %d, %d), ReaderStats = (%d, %d), slot %d", opts, term, gdf, gbytes, next, df, bytes, want)
+			// The merge-join's use: ListFrom agrees with ReaderStats and
+			// hands out the lexicon's list.
+			var a postings.Iterator
+			df, size := idx.ReaderStats(kmer.Term(term), &a)
+			list, gdf, next, _, err := idx.ListFrom(kmer.Term(term), want/2, nil)
+			if err != nil || gdf != df || len(list) != size || next != want {
+				t.Fatalf("%+v: ListFrom(%d) = (%d bytes, %d, %d, %v), ReaderStats = (%d, %d), slot %d", opts, term, len(list), gdf, next, err, df, size, want)
+			}
+			if df > 0 {
+				if whole, _ := idx.listBytes(want, nil); !bytes.Equal(list, whole) {
+					t.Fatalf("%+v: ListFrom(%d) returned other bytes than the lexicon's list", opts, term)
+				}
 			}
 		}
 		for i := 0; i < n; i++ {

@@ -10,14 +10,20 @@ import (
 	"nucleodb/internal/postings"
 )
 
-// indexMagic identifies the on-disk index format, version 2: posting
-// lists whose offset gaps are Rice-coded with a parameter from their
-// sequence's length. Version 1 (oldIndexMagic) gamma-coded them; it is
-// refused, not decoded.
-const (
-	indexMagic    = "NDBidx2\n"
-	oldIndexMagic = "NDBidx1\n"
-)
+// indexMagic identifies the on-disk index format, version 3: posting
+// lists split into an id stream and an offset stream (see package
+// postings), offset gaps Rice-coded with a parameter from their
+// sequence's length. Version 2 interleaved each posting's id, count and
+// offsets, and version 1 also gamma-coded the offsets; both are refused,
+// not decoded (refusedMagics).
+const indexMagic = "NDBidx3\n"
+
+// refusedMagics names the earlier formats' magics and what changed
+// since, for the rebuild message.
+var refusedMagics = map[string]string{
+	"NDBidx1\n": "gamma-coded offsets",
+	"NDBidx2\n": "interleaved ids and offsets",
+}
 
 // SerializedBytes returns the exact on-disk size of the index: the
 // measure the size experiments report, since the disk format
@@ -172,8 +178,8 @@ func loadHeader(r io.Reader) (*Index, uint64, *bufio.Reader, int64, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fail(fmt.Errorf("index: load: %w", err))
 	}
-	if string(magic) == oldIndexMagic {
-		return fail(fmt.Errorf("index: load: index format %q (gamma-coded offsets) is no longer read: rebuild with cafe-build -in <fasta> -db DIR", strings.TrimSpace(oldIndexMagic)))
+	if what, ok := refusedMagics[string(magic)]; ok {
+		return fail(fmt.Errorf("index: load: index format %q (%s) is no longer read: rebuild with cafe-build -in <fasta> -db DIR", strings.TrimSpace(string(magic)), what))
 	}
 	if string(magic) != indexMagic {
 		return fail(fmt.Errorf("index: load: bad magic %q", magic))

@@ -48,40 +48,45 @@ func TestOffsetsFreeIndexRefused(t *testing.T) {
 	}
 }
 
-// TestGammaOffsetIndexRefused pins the one incompatibility of the Rice
-// offset code: an index in the previous format (magic NDBidx1, offsets
-// gamma-coded) is refused by Load and OpenDisk from its magic alone,
-// with the message that names the rebuild, and OpenDisk leaves no file
-// open behind the refusal.
+// TestGammaOffsetIndexRefused pins the incompatibilities of the index
+// format: an image in an earlier format — magic NDBidx1 (offsets
+// gamma-coded) or NDBidx2 (each posting's id, count and offsets
+// interleaved, before the lists were split into an id stream and an
+// offset stream) — is refused by Load and OpenDisk from its magic
+// alone, with the message that names the format and the rebuild, and
+// OpenDisk leaves no file open behind the refusal.
 func TestGammaOffsetIndexRefused(t *testing.T) {
 	img := saveImage(t, DefaultOptions())
 	if !bytes.HasPrefix(img, []byte(indexMagic)) {
 		t.Fatalf("image starts %q, want %q", img[:len(indexMagic)], indexMagic)
 	}
-	old := append([]byte(oldIndexMagic), img[len(indexMagic):]...)
 	dir := t.TempDir()
-	for name, data := range map[string][]byte{"whole": old, "magic-only": old[:len(oldIndexMagic)]} {
-		path := filepath.Join(dir, name+".ndx")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		x, loadErr := Load(bytes.NewReader(data))
-		if x != nil {
-			t.Errorf("Load of the %s image returned an index beside its error", name)
-		}
-		before := openFiles()
-		x, diskErr := OpenDisk(path)
-		if x != nil {
-			x.Close()
-			t.Errorf("OpenDisk of the %s image returned an index", name)
-		}
-		if after := openFiles(); after != before {
-			t.Errorf("OpenDisk of the %s image left %d files open, had %d", name, after, before)
-		}
-		for via, err := range map[string]error{"Load": loadErr, "OpenDisk": diskErr} {
-			if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") ||
-				!strings.Contains(err.Error(), "NDBidx1") {
-				t.Errorf("%s of the %s image: %v, want the rebuild message naming NDBidx1", via, name, err)
+	for _, magic := range []string{"NDBidx1\n", "NDBidx2\n"} {
+		old := append([]byte(magic), img[len(indexMagic):]...)
+		for name, data := range map[string][]byte{"whole": old, "magic-only": old[:len(magic)]} {
+			name = strings.TrimSpace(magic) + " " + name
+			path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".ndx")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			x, loadErr := Load(bytes.NewReader(data))
+			if x != nil {
+				t.Errorf("Load of the %s image returned an index beside its error", name)
+			}
+			before := openFiles()
+			x, diskErr := OpenDisk(path)
+			if x != nil {
+				x.Close()
+				t.Errorf("OpenDisk of the %s image returned an index", name)
+			}
+			if after := openFiles(); after != before {
+				t.Errorf("OpenDisk of the %s image left %d files open, had %d", name, after, before)
+			}
+			for via, err := range map[string]error{"Load": loadErr, "OpenDisk": diskErr} {
+				if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") ||
+					!strings.Contains(err.Error(), strings.TrimSpace(magic)) {
+					t.Errorf("%s of the %s image: %v, want the rebuild message naming %s", via, name, err, strings.TrimSpace(magic))
+				}
 			}
 		}
 	}

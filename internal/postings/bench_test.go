@@ -83,6 +83,37 @@ func BenchmarkPostingsDecode(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
 	})
+	// ids decodes the id streams alone, as the coarse walk does; ids+all
+	// adds every posting's offsets through Offsets' walk, as the
+	// diagonal coarse mode does.
+	b.Run("ids", func(b *testing.B) {
+		var ids, counts []uint32
+		for i := 0; i < b.N; i++ {
+			for l, buf := range lists {
+				var err error
+				if ids, counts, _, err = IDs(ids[:0], counts[:0], buf, dfs[l], seqs, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+	})
+	b.Run("ids+all", func(b *testing.B) {
+		var ids, counts, offs []uint32
+		for i := 0; i < b.N; i++ {
+			for l, buf := range lists {
+				var from int64
+				var err error
+				if ids, counts, from, err = IDs(ids[:0], counts[:0], buf, dfs[l], seqs, 0); err != nil {
+					b.Fatal(err)
+				}
+				if offs, err = Offsets(offs[:0], buf, from, ids, counts, 0, nil, seqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*postings), "ns/posting")
+	})
 	// two and four walk the lists in pairs and fours, one iterator each,
 	// advancing them in turn: independent bit windows an out-of-order
 	// core could overlap, where one list is one serial dependency chain.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -88,6 +89,105 @@ func checkAgainstReference(t testing.TB, it *Iterator, ref *refIterator, buf []b
 	if errors.Is(ref.Err(), compress.ErrCorrupt) && len(want) == df {
 		t.Fatalf("reference errored after a complete list: %v", ref.Err())
 	}
+	checkBackings(t, buf, df, seqs, got, it.Err(), ref, want)
+}
+
+// checkBackings holds the decoders to the list's own bytes, on one byte
+// string whose entries before the first error (and that error) the
+// Iterator gave as got and gotErr with nothing past the list, and ref,
+// which has decoded the same list, refEntries: from a backing that runs
+// on past the list in zero bytes, and in 0xFF bytes, the Iterator
+// yields the same entries and the same error; IDs fails iff the
+// reference's id stream does, and otherwise logs its ids and counts;
+// Offsets over every posting fails iff the reference fails and
+// otherwise yields every entry's offsets; and Offsets over every other
+// posting, when the reference decodes the whole list, yields theirs.
+func checkBackings(t testing.TB, buf []byte, df int, seqs Seqs, got []Entry, gotErr error, ref *refIterator, refEntries []Entry) {
+	t.Helper()
+	refIDOK := df <= 0 || len(ref.ids) == df   // its first Next decoded the whole id stream
+	base := uint32(min(7, Multi-1-seqs.Len())) // ids plus base stay below Multi
+	for _, fill := range []byte{0x00, 0xFF} {
+		backing := append(make([]byte, 0, len(buf)+3*Slack), buf...)
+		for len(backing) < cap(backing) {
+			backing = append(backing, fill)
+		}
+		list := backing[:len(buf)]
+		var it Iterator
+		it.Reset(list, df, seqs)
+		n, same := 0, true
+		for same && it.Next() {
+			same = n < len(got) && equalEntries([]Entry{it.Entry()}, got[n:n+1])
+			n++
+		}
+		if !same || n != len(got) || fmt.Sprint(it.Err()) != fmt.Sprint(gotErr) {
+			t.Fatalf("df %d, %d bytes %x, backing filled with %#x: %d entries agree (err %v), without the backing %d (err %v)",
+				df, len(buf), clip(buf), fill, n, it.Err(), len(got), gotErr)
+		}
+
+		ids, counts, from, err := IDs([]uint32{1, 2}, []uint32{3}, list, df, seqs, base)
+		if (err == nil) != refIDOK {
+			t.Fatalf("df %d, %d bytes %x, backing %#x: IDs err = %v, reference id stream decoded: %v (err %v)", df, len(buf), clip(buf), fill, err, refIDOK, ref.Err())
+		}
+		if err != nil {
+			if len(ids) != 2 || len(counts) != 1 {
+				t.Fatalf("a failed IDs left %d ids and %d counts behind, was given 2 and 1", len(ids), len(counts))
+			}
+			continue
+		}
+		ids, counts = ids[2:], counts[1:]
+		var wantIDs, wantCounts []uint32
+		for i, id := range ref.ids {
+			w := uint32(id) + base
+			if ref.counts[i] > 1 {
+				w |= Multi
+				wantCounts = append(wantCounts, uint32(ref.counts[i]))
+			}
+			wantIDs = append(wantIDs, w)
+		}
+		if !slices.Equal(ids, wantIDs) || !slices.Equal(counts, wantCounts) {
+			t.Fatalf("df %d, %d bytes %x, backing %#x: IDs logged %v / %v, want %v / %v", df, len(buf), clip(buf), fill, tail32(ids), tail32(counts), tail32(wantIDs), tail32(wantCounts))
+		}
+
+		all, err := Offsets(nil, list, from, ids, counts, base, nil, seqs)
+		if (err == nil) != (ref.Err() == nil) {
+			t.Fatalf("df %d, %d bytes %x, backing %#x: Offsets of every posting err = %v, reference err = %v", df, len(buf), clip(buf), fill, err, ref.Err())
+		}
+		if err == nil && !slices.Equal(all, logged(refEntries, 1)) {
+			t.Fatalf("df %d, %d bytes %x, backing %#x: Offsets of every posting = %v, want %v", df, len(buf), clip(buf), fill, tail32(all), tail32(logged(refEntries, 1)))
+		}
+		var every2 []int32
+		for i := 0; i < len(ids); i += 2 {
+			every2 = append(every2, int32(i))
+		}
+		some, err := Offsets([]uint32{9}, list, from, ids, counts, base, every2, seqs)
+		if ref.Err() == nil && (err != nil || !slices.Equal(some[1:], logged(refEntries, 2))) {
+			t.Fatalf("df %d, %d bytes %x, backing %#x: Offsets of every other posting = %v (err %v), want %v", df, len(buf), clip(buf), fill, tail32(some[1:]), err, tail32(logged(refEntries, 2)))
+		}
+	}
+}
+
+// logged lays out entries' offsets as Offsets appends them — a
+// one-offset posting's offset, or a count and then the offsets — for
+// every step-th posting from the first.
+func logged(entries []Entry, step int) []uint32 {
+	var out []uint32
+	for i, e := range entries {
+		if i%step != 0 {
+			continue
+		}
+		if e.Count > 1 {
+			out = append(out, e.Count)
+		}
+		out = append(out, e.Offsets...)
+	}
+	return out
+}
+
+func tail32(v []uint32) []uint32 {
+	if len(v) > 8 {
+		return v[len(v)-8:]
+	}
+	return v
 }
 
 func clip(b []byte) []byte {
@@ -283,11 +383,12 @@ func TestIteratorLongCodes(t *testing.T) {
 	}
 }
 
-// TestIteratorWarmAllocs: once its offset scratch has grown, the
-// iterator decodes a list without allocating, on every arm of Next that
-// a valid list reaches: the one-window codes, the Golomb quotient too
-// long for one window, multi-offset runs through offsetRun, Rice codes
-// longer than a window, and the refill of the list's last bytes.
+// TestIteratorWarmAllocs: once its id and offset scratch has grown, the
+// iterator decodes a list without allocating, on every arm of Next and
+// of the IDs and Offsets loops under it that a valid list reaches: the
+// one-window codes, the Golomb quotient too long for one window,
+// multi-offset runs, Rice codes longer than a window, and the refill of
+// the list's last bytes.
 func TestIteratorWarmAllocs(t *testing.T) {
 	buf, entries, seqs := longCodeList(t)
 	var it Iterator

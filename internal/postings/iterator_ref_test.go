@@ -7,18 +7,18 @@ import (
 	"nucleodb/internal/compress"
 )
 
-// refIterator is the posting decoder as it stood before the
-// word-at-a-time rewrite, frozen verbatim: a byte-at-a-time bit reader
-// whose every ReadUnary/ReadBits call returns an error, and an iterator
-// that makes five to seven such calls per posting. It is the contract
-// the production Iterator is held to — on every byte string both yield
-// the same entries before the first error, and one errors iff the other
-// does (see TestIteratorMatchesReference and FuzzPostingsDecode). Do not
-// optimise it. Since the offset gaps became Rice codes it has their arm
-// (refGetRice, its parameter computed per posting rather than read from
-// Seqs' table) and their rule — an offset at or past its sequence's
-// length is corrupt — and, since every list stores offsets, decodes
-// them for every posting; nothing else is new.
+// refIterator is the contract the production decoders are held to: a
+// plain decoder of the split layout over a byte-at-a-time bit reader
+// whose every ReadUnary/ReadBits call returns an error when the list
+// runs out. Its first Next decodes the whole id stream — each posting's
+// Golomb id gap and gamma count, the gap checked against the universe
+// and the count against 2³¹ — so an error there surfaces before any
+// entry; each Next then decodes one posting's Rice-coded offset gaps,
+// with the parameter computed per posting rather than read from Seqs'
+// table, an offset at or past its sequence's length being corrupt. On
+// every byte string the production Iterator yields the same entries
+// before the first error, and errs iff it does (TestIteratorMatchesReference,
+// FuzzPostingsDecode). Do not optimise it.
 
 type refBitReader struct {
 	buf  []byte
@@ -168,12 +168,12 @@ func refGetTruncated(r *refBitReader, b uint64) (uint64, error) {
 
 type refIterator struct {
 	r       refBitReader
-	b       uint64 // golomb parameter
 	df      int
 	read    int
 	numSeqs int64 // identifier universe; decoded ids must stay below it
 	lens    []int32
-	prev    int64 // last absolute id decoded, -1 before the first
+	ids     []int64 // the id stream, decoded by the first Next
+	counts  []uint64
 	cur     Entry
 	offsets []uint32
 	err     error
@@ -183,44 +183,49 @@ func (it *refIterator) Reset(buf []byte, df int, seqs Seqs) {
 	it.r.Reset(buf)
 	it.df = df
 	it.read = 0
-	numSeqs := seqs.Len()
-	it.numSeqs = int64(numSeqs)
+	it.numSeqs = int64(seqs.Len())
 	it.lens = seqs.lens
+	it.ids, it.counts = it.ids[:0], it.counts[:0]
 	it.cur = Entry{}
 	it.err = nil
-	if df > 0 {
-		it.b = compress.GolombParameter(uint64(numSeqs), uint64(df))
+}
+
+// idStream decodes the df (id gap, count) pairs of the id stream.
+func (it *refIterator) idStream() error {
+	b := compress.GolombParameter(uint64(it.numSeqs), uint64(it.df))
+	prev := int64(-1)
+	for i := 0; i < it.df; i++ {
+		gap, err := refGetGolomb(&it.r, b)
+		if err != nil {
+			return fmt.Errorf("postings: entry %d id: %w", i, err)
+		}
+		if gap > uint64(it.numSeqs) || prev+int64(gap) >= it.numSeqs {
+			return fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", i, gap, it.numSeqs)
+		}
+		prev += int64(gap)
+		count, err := refGetGamma(&it.r)
+		if err != nil {
+			return fmt.Errorf("postings: entry %d count: %w", i, err)
+		}
+		if count == 0 || count > 1<<31 {
+			return fmt.Errorf("postings: entry %d implausible count %d", i, count)
+		}
+		it.ids = append(it.ids, prev)
+		it.counts = append(it.counts, count)
 	}
-	it.prev = -1
+	return nil
 }
 
 func (it *refIterator) Next() bool {
 	if it.err != nil || it.read >= it.df {
 		return false
 	}
-	gap, err := refGetGolomb(&it.r, it.b)
-	if err != nil {
-		it.err = fmt.Errorf("postings: entry %d id: %w", it.read, err)
-		return false
+	if it.read == 0 {
+		if it.err = it.idStream(); it.err != nil {
+			return false
+		}
 	}
-	// Guard before widening to uint32: a corrupt gap run must surface as
-	// an error here, not as an out-of-range id that indexes the coarse
-	// accumulator's per-sequence arrays.
-	if gap > uint64(it.numSeqs) || it.prev+int64(gap) >= it.numSeqs {
-		it.err = fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", it.read, gap, it.numSeqs)
-		return false
-	}
-	id := it.prev + int64(gap)
-	it.prev = id
-	count, err := refGetGamma(&it.r)
-	if err != nil {
-		it.err = fmt.Errorf("postings: entry %d count: %w", it.read, err)
-		return false
-	}
-	if count == 0 || count > 1<<31 {
-		it.err = fmt.Errorf("postings: entry %d implausible count %d", it.read, count)
-		return false
-	}
+	id, count := it.ids[it.read], it.counts[it.read]
 	it.offsets = it.offsets[:0]
 	length := int64(it.lens[id])
 	k := offsetParameter(it.lens[id], count)

@@ -14,12 +14,26 @@
 // 27 or more. Neither parameter is stored: the document frequency lives
 // in the lexicon and the sequence lengths in Seqs, so a list is
 // decodable given its document frequency and Seqs.
+//
+// A list is two streams in one bit string, as a text index keeps its
+// document data apart from its positions: first every posting's id gap
+// and count (the id stream), then every posting's offset gaps (the
+// offset stream), each posting's codes in list order, with no padding
+// between the two. Ranking needs only the id stream (IDs); a posting's
+// offsets are read after ranking, for the few postings that need them
+// (Offsets), skipping the others' codes. Both decoders read whole
+// 64-bit words, and read them from the list's backing array past its
+// end when it runs on (the next list in a blob, or Slack bytes a reader
+// appends), so that the last codes of a list take the word path too;
+// what lies there is never trusted: every decoder checks that no bit
+// it consumed lay past the list's own length.
 package postings
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"nucleodb/internal/compress"
@@ -64,6 +78,17 @@ func offsetParameter(length int32, count uint64) uint {
 	return compress.RiceParameter(uint64(max(length, 0)), count)
 }
 
+// Slack is the number of bytes past a list's end that let the decoders
+// read its last codes a whole word at a time. A reader that copies a
+// list into a buffer of its own appends them; their contents do not
+// matter.
+const Slack = 8
+
+// Multi flags an id that IDs logged for a posting with more than one
+// offset, whose count it appended to the counts array. Identifiers are
+// below it: a universe holds at most 2³¹−1 sequences.
+const Multi = 1 << 31
+
 // Encode compresses entries into a byte buffer. Entries must be in
 // strictly ascending ID order, every ID below seqs.Len() and every
 // offset below its sequence's length.
@@ -81,6 +106,8 @@ func Encode(entries []Entry, seqs Seqs) ([]byte, error) {
 		compress.PutGolomb(w, uint64(int64(e.ID)-prev), b)
 		prev = int64(e.ID)
 		compress.PutGamma(w, uint64(e.Count))
+	}
+	for _, e := range entries {
 		k := uint(seqs.rice1[e.ID])
 		if e.Count > 1 {
 			k = offsetParameter(seqs.lens[e.ID], uint64(e.Count))
@@ -129,6 +156,336 @@ func validate(entries []Entry, seqs Seqs) error {
 	return nil
 }
 
+// window is a decoder's place in a list, as compress.BitReader keeps
+// it: the byte the next refill reads, and a left-aligned window whose
+// top ncur bits are accounted for, so 8·pos − ncur bits are consumed.
+type window struct {
+	pos  int
+	cur  uint64
+	ncur uint
+}
+
+// consumed returns the bits consumed so far.
+func (w window) consumed() int64 { return int64(w.pos)*8 - int64(w.ncur) }
+
+// overran reports whether a consumed bit lay past a list of n bytes.
+func (w window) overran(n int) bool { return w.consumed() > int64(n)*8 }
+
+// refill is BitReader.Refill's word arm, for a decoder that keeps its
+// window in locals: it ORs in the big-endian word at backing[pos:],
+// which must hold eight bytes, and accounts for its whole bytes, so at
+// least 56 bits are accounted afterwards. Shift counts already below 64
+// are masked with 63, which spares the compiler the range fix-up Go's
+// shifts otherwise need.
+func refill(backing []byte, pos int, cur uint64, ncur uint) (int, uint64, uint) {
+	cur |= binary.BigEndian.Uint64(backing[pos:]) >> (ncur & 63)
+	n := (63 - ncur) >> 3
+	return pos + int(n), cur, ncur + n<<3
+}
+
+// rice decodes the Rice code with parameter k at the top of cur — q
+// ones, a zero, k low bits — and returns its value and its length n in
+// bits, which the caller checks against the window's accounted bits.
+// The low bits' shift can be a full 64 (k = 0) and is split into
+// 1 + (63 − k).
+func rice(cur uint64, k uint) (gap uint64, n uint) {
+	q := uint(bits.LeadingZeros64(^cur))
+	return uint64(q)<<(k&63) | cur<<((q+1)&63)>>1>>((63-k)&63) + 1, q + 1 + k
+}
+
+// refillTail tops the window up through the general reader over list,
+// which reads its bytes and zeros past it: the refill once fewer than
+// eight bytes of the backing remain.
+func refillTail(list []byte, w window) window {
+	var r compress.BitReader
+	r.Reset(list)
+	r.SetWindow(w.pos, w.cur, w.ncur)
+	r.Refill()
+	_, w.pos, w.cur, w.ncur = r.Window()
+	return w
+}
+
+// seek returns the window at bit from of list.
+func seek(list []byte, from int64) window {
+	var r compress.BitReader
+	r.Reset(list)
+	r.SetWindow(int(from>>3), 0, 0)
+	r.Refill()
+	_, pos, cur, ncur := r.Window()
+	skip := uint(from & 7)
+	return window{pos: pos, cur: cur << skip, ncur: ncur - skip}
+}
+
+// IDs decodes the id stream of list, which holds df postings over seqs.
+// It appends each posting's id plus base to ids, with Multi set when the
+// posting has more than one offset, and each such posting's count to
+// counts, and returns the bit at which the list's offset stream starts.
+// On error ids and counts come back as they were given. base plus
+// seqs.Len() must not pass 2³¹−1, so that no id reaches Multi.
+//
+// One loop, which makes no call, decodes the postings whose codes fit
+// one refilled window and whose count is 1 (the one-bit gamma code).
+// It leaves for the general reader on a longer code, a count above 1,
+// or the last eight bytes of the list's backing, for that one posting,
+// and resumes. A decoded id at or past the universe is corrupt; so is a
+// stream that ends past the list, which the loop checks once, at the
+// end.
+func IDs(ids, counts []uint32, list []byte, df int, seqs Seqs, base uint32) ([]uint32, []uint32, int64, error) {
+	if df <= 0 {
+		return ids, counts, 0, nil
+	}
+	n0, c0 := len(ids), len(counts)
+	ids = slices.Grow(ids, df)[:n0+df] // amortised scratch: the caller's log or per-list buffer
+	out := ids[n0:]
+	// The list's Golomb parameter b and its truncated-binary constants:
+	// k = ⌈log₂ b⌉, t = 2ᵏ − b; remainders below t take k−1 bits, the
+	// rest k (both 0 when b is 1).
+	b := compress.GolombParameter(uint64(seqs.Len()), uint64(df))
+	k := uint(bits.Len64(b - 1))
+	t, km1 := 1<<k-b, max(k, 1)-1
+	numSeqs := int64(seqs.Len())
+	backing := list[:cap(list)]
+	pos, cur, ncur := 0, uint64(0), uint(0)
+	prev := int64(-1)
+	i := 0
+	for {
+		for ; i < len(out) && pos+8 <= len(backing); i++ {
+			pos, cur, ncur = refill(backing, pos, cur, ncur)
+			// Golomb: the quotient in unary, the remainder in truncated
+			// binary, then the count's first bit; ncur ≥ 56 holds them.
+			// The remainder's shift can be a full 64 (k or k−1 = 0) and
+			// is split into 1 + (63 − width).
+			q := uint(bits.LeadingZeros64(^cur))
+			if q+k >= 54 {
+				break
+			}
+			c := cur << ((q + 1) & 63)
+			// The remainder's width without a branch: k−1 bits when they
+			// read below t (lt = 1), else k bits less t.
+			short := c >> 1 >> ((63 - km1) & 63)
+			lt := (short - t) >> 63
+			used := k - uint(lt)
+			rem := c>>1>>((63-used)&63) - t&(lt-1)
+			c <<= used & 63
+			id := prev + int64(uint64(q)*b+rem+1)
+			if int64(c) < 0 || id >= numSeqs {
+				break // a count above 1, or a corrupt gap: the general reader's
+			}
+			cur = c << 1
+			ncur -= q + used + 2
+			out[i] = base + uint32(id)
+			prev = id
+		}
+		if i == len(out) {
+			break
+		}
+		// One posting through the general reader, over the list alone.
+		var r compress.BitReader
+		r.Reset(list)
+		r.SetWindow(pos, cur, ncur)
+		id, count, err := slowID(&r, b, prev, numSeqs, i)
+		if err != nil {
+			// The window may hold the backing's bytes past the list; the
+			// error is named from the list's own.
+			return ids[:n0], counts[:c0], 0, idStreamError(list, df, seqs)
+		}
+		_, pos, cur, ncur = r.Window()
+		out[i] = base + uint32(id)
+		if count > 1 {
+			out[i] |= Multi
+			counts = append(counts, uint32(count)) // amortised scratch, like ids
+		}
+		prev = id
+		i++
+	}
+	w := window{pos, cur, ncur}
+	if w.overran(len(list)) {
+		return ids[:n0], counts[:c0], 0, idStreamError(list, df, seqs)
+	}
+	return ids, counts, w.consumed(), nil
+}
+
+// slowID decodes posting i's id gap and count through the general
+// reader, whose every code checks that it ends within the list.
+func slowID(r *compress.BitReader, b uint64, prev, numSeqs int64, i int) (id int64, count uint64, err error) {
+	gap, err := compress.GetGolomb(r, b)
+	if err != nil {
+		return 0, 0, fmt.Errorf("postings: entry %d id: %w", i, err) // cold corruption path
+	}
+	// Guard before widening to uint32: a corrupt gap run must surface as
+	// an error here, not as an out-of-range id that indexes the coarse
+	// accumulators.
+	if gap > uint64(numSeqs) || prev+int64(gap) >= numSeqs {
+		return 0, 0, fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", i, gap, numSeqs) // cold corruption path
+	}
+	count, err = compress.GetGamma(r)
+	if err != nil {
+		return 0, 0, fmt.Errorf("postings: entry %d count: %w", i, err) // cold corruption path
+	}
+	if count > 1<<31 {
+		return 0, 0, fmt.Errorf("postings: entry %d implausible count %d", i, count) // cold corruption path
+	}
+	return prev + int64(gap), count, nil
+}
+
+// idStreamError re-decodes an id stream that failed through the general
+// reader alone, over the list's own bytes and zeros past them, to name
+// the posting it failed in: the name does not depend on what the
+// backing holds past the list.
+func idStreamError(list []byte, df int, seqs Seqs) error {
+	var r compress.BitReader
+	r.Reset(list)
+	b := compress.GolombParameter(uint64(seqs.Len()), uint64(df))
+	prev := int64(-1)
+	for i := 0; i < df; i++ {
+		id, _, err := slowID(&r, b, prev, int64(seqs.Len()), i)
+		if err != nil {
+			return err
+		}
+		prev = id
+	}
+	return fmt.Errorf("postings: %w: id stream runs past the end of the list", compress.ErrCorrupt) // cold corruption path
+}
+
+// Offsets decodes offsets from list's offset stream, which starts at
+// bit from (as IDs returned it). ids is the list's id stream as IDs
+// logged it with base, and counts its counts from the list's first
+// Multi posting on. want names the postings to decode, ascending
+// indexes into ids, or every posting when nil. The walk skips the other
+// postings' codes, each with the parameter its id and count give, and
+// stops after the last posting named.
+//
+// For each posting named it appends to dst the posting's one offset,
+// or, for a Multi posting, its count and then its offsets. A decoded
+// offset at or past its sequence's end is corrupt, as is a walk that
+// consumed a bit past the list; a skipped code is not range-checked.
+func Offsets(dst []uint32, list []byte, from int64, ids, counts []uint32, base uint32, want []int32, seqs Seqs) ([]uint32, error) {
+	end := len(ids)
+	if want != nil {
+		if len(want) == 0 {
+			return dst, nil
+		}
+		end = int(want[len(want)-1]) + 1
+	}
+	dst, w, _, err := walk(dst, list, seek(list, from), ids[:end], counts, 0, base, want, seqs)
+	if err == nil && w.overran(len(list)) {
+		err = fmt.Errorf("postings: %w: offset stream runs past the end of the list", compress.ErrCorrupt) // cold corruption path
+	}
+	return dst, err
+}
+
+// walk decodes or skips the offset codes of postings ids[i:] from the
+// window w, as Offsets describes; counts holds the counts of their
+// Multi postings, and want, when not nil, names postings at or after i.
+// It returns dst, the window after the last posting, how many counts it
+// read, and the first error, naming the posting by its index in ids.
+func walk(dst []uint32, list []byte, w window, ids, counts []uint32, i int, base uint32, want []int32, seqs Seqs) ([]uint32, window, int, error) {
+	backing := list[:cap(list)]
+	lens, rice1 := seqs.lens, seqs.rice1
+	pos, cur, ncur := w.pos, w.cur, w.ncur
+	ci := 0
+	for ; i < len(ids); i++ {
+		// The one-offset postings before the next one wanted are skipped
+		// a code at a time, while their codes fit a refilled window.
+		if len(want) > 0 {
+			for stop := int(want[0]); i < stop && pos+8 <= len(backing); i++ {
+				r := ids[i]
+				if r&Multi != 0 {
+					break
+				}
+				pos, cur, ncur = refill(backing, pos, cur, ncur)
+				n := uint(bits.LeadingZeros64(^cur)) + 1 + uint(rice1[r-base])
+				if n > ncur {
+					break
+				}
+				cur <<= n & 63
+				ncur -= n
+			}
+		}
+		take := want == nil
+		if len(want) > 0 && int(want[0]) == i {
+			take, want = true, want[1:]
+		}
+		r := ids[i]
+		id := r&^Multi - base
+		count, k := uint32(1), uint(rice1[id])
+		if r&Multi != 0 {
+			count = counts[ci]
+			ci++
+			// A code costs at least one bit, so a count above the bits
+			// the list has left is corrupt; rejecting it here bounds the
+			// walk by the list's length however long the backing runs.
+			if int64(count) > int64(len(list))*8-(window{pos, cur, ncur}).consumed() {
+				return dst, window{pos, cur, ncur}, ci, fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", i, compress.ErrCorrupt, count) // cold corruption path
+			}
+			k = offsetParameter(lens[id], uint64(count))
+			if take {
+				dst = append(dst, count) // amortised scratch: the caller's
+			}
+		}
+		length := int64(lens[id])
+		prevOff := int64(-1)
+		for j := uint32(0); j < count; j++ {
+			if pos+8 <= len(backing) {
+				pos, cur, ncur = refill(backing, pos, cur, ncur)
+			} else {
+				t := refillTail(list, window{pos, cur, ncur})
+				pos, cur, ncur = t.pos, t.cur, t.ncur
+			}
+			gap, n := rice(cur, k)
+			if n <= ncur {
+				cur <<= n & 63
+				ncur -= n
+			} else {
+				// A code longer than the window: the general reader's.
+				var r compress.BitReader
+				r.Reset(list)
+				r.SetWindow(pos, cur, ncur)
+				g, err := compress.GetRice(&r, k)
+				if err != nil {
+					return dst, window{pos, cur, ncur}, ci, fmt.Errorf("postings: entry %d offset %d: %w", i, j, err) // cold corruption path
+				}
+				gap = g
+				_, pos, cur, ncur = r.Window()
+			}
+			if !take {
+				continue
+			}
+			// An offset at or past the sequence's end is corrupt, which
+			// also keeps it within uint32.
+			if gap >= uint64(length-prevOff) {
+				return dst, window{pos, cur, ncur}, ci, fmt.Errorf("postings: entry %d offset %d: %w: gap %d runs past sequence %d of length %d", i, j, compress.ErrCorrupt, gap, id, length) // cold corruption path
+			}
+			prevOff += int64(gap)
+			dst = append(dst, uint32(prevOff)) // amortised scratch: the caller's
+		}
+	}
+	return dst, window{pos, cur, ncur}, ci, nil
+}
+
+// postingError re-decodes posting i's offsets from the window w through
+// the general reader alone, whose every code checks that it ends within
+// the list, to name the offset a posting that failed ran out in.
+func postingError(list []byte, w window, i int, id, count uint32, seqs Seqs) error {
+	var r compress.BitReader
+	r.Reset(list)
+	r.SetWindow(w.pos, w.cur, w.ncur)
+	length := int64(seqs.lens[id])
+	k := offsetParameter(seqs.lens[id], uint64(count))
+	prevOff := int64(-1)
+	for j := uint32(0); j < count; j++ {
+		gap, err := compress.GetRice(&r, k)
+		if err != nil {
+			return fmt.Errorf("postings: entry %d offset %d: %w", i, j, err)
+		}
+		if gap >= uint64(length-prevOff) {
+			return fmt.Errorf("postings: entry %d offset %d: %w: gap %d runs past sequence %d of length %d", i, j, compress.ErrCorrupt, gap, id, length)
+		}
+		prevOff += int64(gap)
+	}
+	return nil
+}
+
 // Decode expands a compressed list. df is the entry count recorded in
 // the lexicon; seqs must match the encoding call.
 func Decode(buf []byte, df int, seqs Seqs) ([]Entry, error) {
@@ -149,31 +506,22 @@ func Decode(buf []byte, df int, seqs Seqs) ([]Entry, error) {
 	return entries, nil
 }
 
-// Iterator streams a compressed list without allocating per entry; the
-// coarse-search hot path uses it directly. The Offsets slice returned by
-// Entry is reused between calls to Next. The zero value is an empty
-// iterator.
+// Iterator streams a compressed list entry by entry without allocating
+// per entry. The Offsets slice returned by Entry is reused between
+// calls to Next. The zero value is an empty iterator.
 //
-// Decoding is word-at-a-time: Next lifts the bit reader's window into
-// locals, takes each code's unary part with one leading-zeros count and
-// its binary part with one shift, and checks once, before the entry is
-// handed out, that no consumed bit lay beyond the list (the reader
-// zero-fills past the end, so a truncated list decodes a garbage tail
-// that this check, or a value check before it, rejects). Codes too long
-// for one window go through the general reader.
+// Its first Next decodes the whole id stream (IDs), so an error there
+// surfaces before any entry; each Next then decodes one posting's
+// offsets through Offsets' walk.
 type Iterator struct {
-	r compress.BitReader
-	// Golomb parameter b of the whole list and its truncated-binary
-	// constants: k = ⌈log₂ b⌉, t = 2ᵏ − b; remainders below t take
-	// km1 = k−1 bits, the rest k (both 0 when b is 1).
-	b, t    uint64
-	k, km1  uint
-	df      int // entries in the list
+	list    []byte
+	df      int
+	seqs    Seqs
+	ids     []uint32 // the id stream, decoded by the first Next
+	counts  []uint32
+	w       window // the offset stream's next posting
+	ci      int    // counts' index at that posting
 	read    int
-	numSeqs int64 // identifier universe; decoded ids must stay below it
-	lens    []int32
-	rice1   []uint8 // Seqs.rice1: the offset parameter of a count-1 posting
-	prev    int64   // last absolute id decoded, -1 before the first
 	cur     Entry
 	offsets []uint32
 	err     error
@@ -195,20 +543,11 @@ func (it *Iterator) Buffer(n int) []byte {
 // Reset prepares the iterator over a compressed list with the given
 // document frequency and universe.
 func (it *Iterator) Reset(buf []byte, df int, seqs Seqs) {
-	it.r.Reset(buf)
-	it.df = df
-	it.read = 0
-	it.numSeqs = int64(seqs.Len())
-	it.lens, it.rice1 = seqs.lens, seqs.rice1
+	it.list, it.df, it.seqs = buf, df, seqs
+	it.ids, it.counts = it.ids[:0], it.counts[:0]
+	it.w, it.ci, it.read = window{}, 0, 0
 	it.cur = Entry{}
 	it.err = nil
-	if df > 0 {
-		it.b = compress.GolombParameter(uint64(it.numSeqs), uint64(df))
-		it.k = uint(bits.Len64(it.b - 1))
-		it.t = 1<<it.k - it.b
-		it.km1 = max(it.k, 1) - 1
-	}
-	it.prev = -1
 }
 
 // Fail leaves the iterator empty with err as its error, for a caller
@@ -220,197 +559,59 @@ func (it *Iterator) Fail(err error) {
 	it.err = err
 }
 
-// gammaFast bounds the unary part of a gamma code decoded from one
-// window: below it the code is at most 2·27+1 = 55 bits, within the 56
-// a refill guarantees.
-const gammaFast = 28
-
 // Next advances to the next entry, returning false at the end of the
 // list or on error; check Err afterwards.
 func (it *Iterator) Next() bool {
 	if it.err != nil || it.read >= it.df {
 		return false
 	}
-	buf, pos, cur, ncur := it.r.Window()
-
-	// Identifier gap: Golomb — quotient in unary, remainder in truncated
-	// binary. Both widths of the remainder are taken and one selected, so
-	// the coin-flip between them is a conditional move, not a branch.
-	// The refill is BitReader.Refill's word arm written out (here and
-	// twice below: as a call it cost the prototype 9 % of the coarse
-	// phase). Shift counts already below 64 are masked with 63, which
-	// spares the compiler the range fix-up Go's shifts otherwise need;
-	// the two remainder shifts can be a full 64 (k or km1 = 0) and are
-	// split into 1 + (63 − width).
-	if pos+8 <= len(buf) {
-		cur |= binary.BigEndian.Uint64(buf[pos:]) >> (ncur & 63)
-		n := (63 - ncur) >> 3
-		pos += int(n)
-		ncur += n << 3
-	} else {
-		pos, cur, ncur = it.refillTail(pos, cur, ncur)
-	}
-	var gap uint64
-	if q := uint(bits.LeadingZeros64(^cur)); q+1+it.k < 56 {
-		cur <<= (q + 1) & 63
-		short := cur >> 1 >> ((63 - it.km1) & 63)
-		rem, used := cur>>1>>((63-it.k)&63)-it.t, it.k
-		if short < it.t {
-			rem, used = short, it.km1
-		}
-		cur <<= used & 63
-		ncur -= q + 1 + used
-		gap = uint64(q)*it.b + rem + 1
-	} else {
-		it.r.SetWindow(pos, cur, ncur)
-		g, err := compress.GetGolomb(&it.r, it.b)
+	if it.read == 0 {
+		ids, counts, from, err := IDs(it.ids[:0], it.counts[:0], it.list, it.df, it.seqs, 0)
+		it.ids, it.counts = ids, counts
 		if err != nil {
-			it.err = fmt.Errorf("postings: entry %d id: %w", it.read, err) // cold corruption path
-			return false
-		}
-		gap = g
-		it.r.Refill() // the count's fast arm below expects an accounted bit
-		_, pos, cur, ncur = it.r.Window()
-	}
-	// Guard before widening to uint32: a corrupt gap run must surface as
-	// an error here, not as an out-of-range id that indexes the coarse
-	// accumulator's per-sequence arrays.
-	if gap > uint64(it.numSeqs) || it.prev+int64(gap) >= it.numSeqs {
-		it.err = fmt.Errorf("postings: entry %d id gap %d runs outside universe %d", it.read, gap, it.numSeqs) // cold corruption path
-		return false
-	}
-	id := it.prev + int64(gap)
-
-	// Occurrence count: gamma, on this collection almost always the
-	// one-bit code of 1.
-	var count uint64
-	if int64(cur) >= 0 {
-		count = 1 // the one-bit code; the fast Golomb arm left at least one bit
-		cur <<= 1
-		ncur--
-	} else {
-		if pos+8 <= len(buf) {
-			cur |= binary.BigEndian.Uint64(buf[pos:]) >> (ncur & 63)
-			n := (63 - ncur) >> 3
-			pos += int(n)
-			ncur += n << 3
-		} else {
-			pos, cur, ncur = it.refillTail(pos, cur, ncur)
-		}
-		if n := uint(bits.LeadingZeros64(^cur)); n < gammaFast {
-			count = cur<<(n&63)>>((63-n)&63) | 1<<(n&63)
-			cur <<= (2*n + 1) & 63
-			ncur -= 2*n + 1
-		} else {
-			var err error
-			if count, err = it.slowGamma(pos, cur, ncur); err != nil {
-				it.err = fmt.Errorf("postings: entry %d count: %w", it.read, err) // cold corruption path
-				return false
-			}
-			_, pos, cur, ncur = it.r.Window()
-		}
-	}
-	if count > 1<<31 {
-		it.err = fmt.Errorf("postings: entry %d implausible count %d", it.read, count) // cold corruption path
-		return false
-	}
-
-	// An offset costs at least one bit, so a count above the bits the
-	// list has left is corrupt; rejecting it here keeps the loop (and
-	// the scratch it grows) within the list's own bit length however
-	// long the zero fill would let it run.
-	if int64(count) > int64(len(buf))*8-(int64(pos)*8-int64(ncur)) {
-		it.err = fmt.Errorf("postings: entry %d: %w: count %d exceeds the bits left in the list", it.read, compress.ErrCorrupt, count) // cold corruption path
-		return false
-	}
-	// Offset gaps: Rice codes — q ones, a zero, k low bits — with the
-	// parameter of the posting's sequence and count. The one offset of
-	// a count-1 posting, nearly every posting, is decoded here from the
-	// window with k from the table; a longer run, or a code longer than
-	// the window, goes through offsetRun. An offset at or past the
-	// sequence's end is corrupt, which also keeps it within uint32.
-	offsets := it.offsets[:0]
-	k := uint(it.rice1[id])
-	q := uint(bits.LeadingZeros64(^cur))
-	if q+1+k > ncur {
-		if pos+8 <= len(buf) {
-			cur |= binary.BigEndian.Uint64(buf[pos:]) >> (ncur & 63)
-			n := (63 - ncur) >> 3
-			pos += int(n)
-			ncur += n << 3
-		} else {
-			pos, cur, ncur = it.refillTail(pos, cur, ncur)
-		}
-		q = uint(bits.LeadingZeros64(^cur))
-	}
-	if n := q + 1 + k; count == 1 && n <= ncur {
-		off := uint64(q)<<(k&63) | cur<<((q+1)&63)>>1>>((63-k)&63)
-		if off >= uint64(it.lens[id]) {
-			it.err = fmt.Errorf("postings: entry %d offset 0: %w: %d runs past sequence %d of length %d", it.read, compress.ErrCorrupt, off, id, it.lens[id]) // cold corruption path
-			return false
-		}
-		offsets = append(offsets, uint32(off)) // amortised scratch, reused across entries and reset by Reset
-		cur <<= n & 63
-		ncur -= n
-	} else {
-		var err error
-		if offsets, err = it.offsetRun(pos, cur, ncur, id, count); err != nil {
 			it.err = err
 			return false
 		}
-		_, pos, cur, ncur = it.r.Window()
+		it.w = seek(it.list, from)
 	}
+	i := it.read
+	// A one-offset posting whose code fits the refilled window, nearly
+	// every posting, is decoded here with walk's refill and code.
+	if id := it.ids[i]; id&Multi == 0 && it.w.pos+8 <= cap(it.list) {
+		pos, cur, ncur := refill(it.list[:cap(it.list)], it.w.pos, it.w.cur, it.w.ncur)
+		gap, n := rice(cur, uint(it.seqs.rice1[id]))
+		w := window{pos, cur << (n & 63), ncur - n}
+		if n <= ncur && gap <= uint64(it.seqs.lens[id]) && !w.overran(len(it.list)) {
+			it.offsets = append(it.offsets[:0], uint32(gap-1)) // amortised scratch, reused across entries
+			it.w = w
+			it.cur = Entry{ID: id, Count: 1, Offsets: it.offsets}
+			it.read++
+			return true
+		}
+	}
+	offsets, w, ci, err := walk(it.offsets[:0], it.list, it.w, it.ids[:i+1], it.counts[it.ci:], i, 0, nil, it.seqs)
 	it.offsets = offsets
-
-	// The one overrun check: every bit this entry consumed must lie
-	// inside the list, or the entry is zero fill and is not handed out.
-	it.r.SetWindow(pos, cur, ncur)
-	if it.r.Overrun() {
-		it.err = fmt.Errorf("postings: entry %d: %w: runs past the end of the list", it.read, compress.ErrCorrupt) // cold corruption path
+	if err != nil || w.overran(len(it.list)) {
+		r := it.ids[i]
+		count := uint32(1)
+		if r&Multi != 0 {
+			count = it.counts[it.ci]
+		}
+		if named := postingError(it.list, it.w, i, r&^Multi, count, it.seqs); named != nil {
+			err = named
+		} else if err == nil {
+			err = fmt.Errorf("postings: entry %d: %w: runs past the end of the list", i, compress.ErrCorrupt) // cold corruption path
+		}
+		it.err = err
 		return false
 	}
-	it.prev = id
-	it.cur = Entry{ID: uint32(id), Count: uint32(count), Offsets: offsets}
+	if it.ids[i]&Multi != 0 {
+		offsets = offsets[1:]
+	}
+	it.w, it.ci = w, it.ci+ci
+	it.cur = Entry{ID: it.ids[i] &^ Multi, Count: uint32(len(offsets)), Offsets: offsets}
 	it.read++
 	return true
-}
-
-// refillTail is Next's refill once fewer than eight bytes remain.
-func (it *Iterator) refillTail(pos int, cur uint64, ncur uint) (int, uint64, uint) {
-	it.r.SetWindow(pos, cur, ncur)
-	it.r.Refill()
-	_, pos, cur, ncur = it.r.Window()
-	return pos, cur, ncur
-}
-
-// offsetRun decodes a posting's offsets through the general reader,
-// for Next when they are more than one or their code is longer than one
-// window; Next reloads its window from it.r afterwards.
-func (it *Iterator) offsetRun(pos int, cur uint64, ncur uint, id int64, count uint64) ([]uint32, error) {
-	it.r.SetWindow(pos, cur, ncur)
-	length := int64(it.lens[id])
-	k := offsetParameter(it.lens[id], count)
-	offsets := it.offsets[:0]
-	prevOff := int64(-1)
-	for j := uint64(0); j < count; j++ {
-		og, err := compress.GetRice(&it.r, k)
-		if err != nil {
-			return nil, fmt.Errorf("postings: entry %d offset %d: %w", it.read, j, err) // cold corruption path
-		}
-		if og >= uint64(length-prevOff) {
-			return nil, fmt.Errorf("postings: entry %d offset %d: %w: gap %d runs past sequence %d of length %d", it.read, j, compress.ErrCorrupt, og, id, length) // cold corruption path
-		}
-		prevOff += int64(og)
-		offsets = append(offsets, uint32(prevOff)) // amortised scratch, reused across entries and reset by Reset
-	}
-	return offsets, nil
-}
-
-// slowGamma decodes a gamma code too long for one window through the
-// general reader; the caller reloads its window from it.r afterwards.
-func (it *Iterator) slowGamma(pos int, cur uint64, ncur uint) (uint64, error) {
-	it.r.SetWindow(pos, cur, ncur)
-	return compress.GetGamma(&it.r)
 }
 
 // Entry returns the current entry. Valid after Next returns true; the

@@ -228,8 +228,9 @@ func TestOpenDiscardsOldSignatureFiles(t *testing.T) {
 }
 
 // TestOpenRefusesGammaOffsetSegment: a database directory one of whose
-// segments holds an index in the previous format (NDBidx1, offset gaps
-// gamma-coded) is refused by Open and OpenPaged with the rebuild
+// segments holds an index in an earlier format (NDBidx1, offset gaps
+// gamma-coded; NDBidx2, each posting's id, count and offsets
+// interleaved) is refused by Open and OpenPaged with the rebuild
 // command, and nothing is half-opened: no file stays open behind the
 // refusal, the directory is left as it was, and with the segment's
 // index put back the database opens and answers as before.
@@ -253,12 +254,9 @@ func TestOpenRefusesGammaOffsetSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const magic, oldMagic = "NDBidx2\n", "NDBidx1\n"
+	const magic = "NDBidx3\n"
 	if !strings.HasPrefix(string(img), magic) {
 		t.Fatalf("%s starts %q, want %q", last, img[:len(magic)], magic)
-	}
-	if err := os.WriteFile(last, append([]byte(oldMagic), img[len(magic):]...), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	listing := func() string {
 		entries, err := os.ReadDir(dir)
@@ -282,25 +280,30 @@ func TestOpenRefusesGammaOffsetSegment(t *testing.T) {
 		}
 		return len(fds)
 	}
-	before := listing()
-	for _, open := range []struct {
-		name string
-		fn   func(string, Scoring) (*Database, error)
-	}{{"open", Open}, {"paged", OpenPaged}} {
-		fds := openFiles()
-		db, err := open.fn(dir, DefaultScoring())
-		if db != nil {
-			db.Close()
-			t.Errorf("%s: returned a database for a directory with an NDBidx1 segment", open.name)
+	for _, oldMagic := range []string{"NDBidx1\n", "NDBidx2\n"} {
+		if err := os.WriteFile(last, append([]byte(oldMagic), img[len(magic):]...), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") {
-			t.Errorf("%s: %v, want the rebuild message", open.name, err)
-		}
-		if after := openFiles(); after != fds {
-			t.Errorf("%s: %d files open after the refusal, %d before", open.name, after, fds)
-		}
-		if after := listing(); after != before {
-			t.Errorf("%s: the refusal changed the directory:\n%s\nwas\n%s", open.name, after, before)
+		before := listing()
+		for _, open := range []struct {
+			name string
+			fn   func(string, Scoring) (*Database, error)
+		}{{"open", Open}, {"paged", OpenPaged}} {
+			fds := openFiles()
+			db, err := open.fn(dir, DefaultScoring())
+			if db != nil {
+				db.Close()
+				t.Errorf("%s: returned a database for a directory with an %s segment", open.name, strings.TrimSpace(oldMagic))
+			}
+			if err == nil || !strings.Contains(err.Error(), "rebuild with cafe-build -in <fasta> -db DIR") {
+				t.Errorf("%s: %v, want the rebuild message", open.name, err)
+			}
+			if after := openFiles(); after != fds {
+				t.Errorf("%s: %d files open after the refusal, %d before", open.name, after, fds)
+			}
+			if after := listing(); after != before {
+				t.Errorf("%s: the refusal changed the directory:\n%s\nwas\n%s", open.name, after, before)
+			}
 		}
 	}
 	if err := os.WriteFile(last, img, 0o644); err != nil {
