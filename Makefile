@@ -25,9 +25,12 @@ bench:
 # test: every workload, both trace modes, on a 300-sequence collection,
 # answers checked (≈ 10 s) — and the posting decoder's microbenchmark:
 # ns/posting over the lists a 1 000-base query touches in the
-# benchmark's 17 777-sequence index, the production iterator ("word")
-# against the frozen per-call-checked reference ("ref") and against two
-# and four lists decoded in turn ("two", "four"), ≈ 8 s.
+# benchmark's 17 777-sequence index: the id-stream loop the coarse walk
+# runs ("ids"), that loop plus every posting's offsets as the diagonal
+# coarse mode reads them ("ids+all"), the entry iterator with offsets
+# materialised ("word", the decoder bench/'s replay times), the frozen
+# per-call-checked reference ("ref"), and two and four lists decoded in
+# turn ("two", "four"), ≈ 8 s.
 bench-smoke:
 	$(GO) test -count=1 ./bench
 	$(GO) test -run '^$$' -bench '^BenchmarkPostingsDecode$$' -benchtime 50x ./internal/postings
@@ -105,7 +108,7 @@ serve-smoke:
 # per-segment equivalence matrix, and the live-compaction serving e2e.
 # Runs without -short so the full matrices execute.
 segments-equivalence:
-	$(GO) test -count=1 -run '^(TestSegmentedEquivalenceProperty|TestSegmentedSaveReloadEquivalence|TestOpenDiscardsOldSignatureFiles|TestDeleteEquivalence|TestCrashSafety.*|TestSegmentedConcurrentHammer)$$' .
+	$(GO) test -count=1 -run '^(TestSegmentedEquivalenceProperty|TestSegmentedSaveReloadEquivalence|TestOpenDiscardsOldSignatureFiles|TestCompactedStoppingMatchesBuild|TestDeleteEquivalence|TestCrashSafety.*|TestSegmentedConcurrentHammer)$$' .
 	$(GO) test -count=1 -run '^(TestSegmentedSearchEquivalence|TestSegmentedDeletedFilter)$$' ./internal/core
 	$(GO) test -count=1 -run '^TestServeLiveCompactionGolden$$' ./clitest/servertest
 

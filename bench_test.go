@@ -413,26 +413,3 @@ func BenchmarkSearchBatch(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkIndexMerge measures segment merging (Database.Append's
-// cost) against a full rebuild of the combined collection.
-func BenchmarkIndexMerge(b *testing.B) {
-	env, idx := benchSetup(b)
-	segCfg := experiments.Quick(7)
-	segEnv, err := experiments.NewEnv(segCfg, 100_000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	segIdx, _, err := segEnv.BuildIndex(index.Options{K: 9})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := index.Merge(idx, segIdx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	_ = env
-}

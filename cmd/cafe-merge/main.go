@@ -10,11 +10,11 @@
 //	cafe-merge -compact ./mydb [-max-segments 1]
 //
 // With -compact it instead folds a database down to at most
-// -max-segments segments in place (index.Merge over adjacent segments),
-// reclaiming tombstoned records — the follow-up to a merge, a
-// cafe-build -segment-size or a run of Appends. The rewrite is
-// crash-safe: each step writes the merged segment files and swaps the
-// manifest atomically before removing superseded files.
+// -max-segments segments in place (each adjacent run re-indexed as one
+// segment with index.Build), reclaiming tombstoned records — the
+// follow-up to a merge, a cafe-build -segment-size or a run of Appends.
+// The rewrite is crash-safe: each step writes the merged segment files
+// and swaps the manifest atomically before removing superseded files.
 package main
 
 import (

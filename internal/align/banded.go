@@ -73,7 +73,7 @@ var fastestRows = func() *rowRoute {
 // BandedScratch is the mutable state of the banded kernels: the H and E
 // rows, the traceback direction matrix (one byte per band cell) and the
 // reversed transcript. One scratch belongs to one goroutine at a time;
-// the fine phase pools one per worker.
+// each core.Searcher keeps one and reuses it across candidates.
 type BandedScratch struct {
 	h, e []int32 // DP rows with their sentinels, reset per call
 	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first

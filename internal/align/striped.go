@@ -241,12 +241,13 @@ func buildStripes[T lane](t *stripes, q []byte, s Scoring, r route) {
 // row: segLen vector pairs.
 func (t *stripes) words() int { return 2 * t.segLen * t.vec }
 
-// StripedScratch is the per-worker mutable state of one striped score
+// StripedScratch is the mutable state of one striped score
 // evaluation: the H and E (gap-in-query direction) columns of each lane
 // geometry, interleaved word by word. One scratch belongs to one
-// goroutine at a time; the fine phase pools one per worker.
+// goroutine at a time; each core.Searcher keeps one and reuses it
+// across candidates.
 type StripedScratch struct {
-	wide   []uint64 // 16-bit H/E columns, resized and reused across subjects by one worker
+	wide   []uint64 // 16-bit H/E columns, resized and reused across subjects
 	narrow []uint64 // byte-lane H/E columns, likewise
 	// widenedAt is the number of subject columns the last Score call ran
 	// in byte lanes before it widened, or −1 if it did not widen. Only the

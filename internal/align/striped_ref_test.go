@@ -44,10 +44,9 @@ func refLaneMax(x, y uint64) uint64 {
 	return (x & keep) | (y &^ keep)
 }
 
-// refStripedScratch is the per-worker mutable state of one striped score
+// refStripedScratch is the mutable state of one striped score
 // evaluation: the current/previous H columns and the E (gap-in-query
-// direction) column. One scratch belongs to one goroutine at a time;
-// the fine phase pools one per worker.
+// direction) column. One scratch belongs to one goroutine at a time.
 type refStripedScratch struct {
 	cur, prev, e []uint64
 }

@@ -12,10 +12,9 @@ import (
 // operating regime — an on-disk index over a collection too large to
 // hold in memory, where each query touches only its own terms' lists.
 //
-// The returned index supports the full read API (ReaderStats, Postings,
-// Merge as a source) concurrently from multiple goroutines; Save and
-// SerializedBytes are not supported. Close releases the underlying
-// file.
+// The returned index supports the full read API (ReaderStats, Postings)
+// concurrently from multiple goroutines; Save and SerializedBytes are
+// not supported. Close releases the underlying file.
 func OpenDisk(path string) (*Index, error) {
 	f, err := os.Open(path)
 	if err != nil {

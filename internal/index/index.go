@@ -32,8 +32,8 @@ type Options struct {
 	// experiments centre on lengths around 8–12.
 	K int
 	// StoreOffsets is kept for source compatibility. Every posting
-	// stores its in-sequence offsets, and Build, Merge and Load record
-	// the field as true.
+	// stores its in-sequence offsets, and Build and Load record the
+	// field as true.
 	//
 	// Deprecated: offsets are always stored; ignored.
 	StoreOffsets bool
@@ -100,7 +100,7 @@ type Index struct {
 	coder   *kmer.Coder
 	seqLens []int32
 	// seqs is the universe the lists are coded against, derived from
-	// seqLens wherever an Index is made (Build, Merge, Load, OpenDisk)
+	// seqLens wherever an Index is made (Build, Load, OpenDisk)
 	// and never stored.
 	seqs postings.Seqs
 

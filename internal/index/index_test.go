@@ -75,8 +75,8 @@ func TestBuildSmall(t *testing.T) {
 }
 
 // TestBuildWithoutOffsets: options that leave the deprecated
-// StoreOffsets unset still build lists with offsets, and Build, Merge and
-// Load record the field as true, so Options() describes the lists.
+// StoreOffsets unset still build lists with offsets, and Build and Load
+// record the field as true, so Options() describes the lists.
 func TestBuildWithoutOffsets(t *testing.T) {
 	s := storeOf("ACGTACGT", "TTTACGTT")
 	x, err := Build(s, Options{K: 4})
@@ -91,10 +91,6 @@ func TestBuildWithoutOffsets(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("postings = %+v, want %+v", got, want)
 	}
-	merged, err := Merge(x, x)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	if err := x.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -103,7 +99,7 @@ func TestBuildWithoutOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for via, idx := range map[string]*Index{"Build": x, "Merge": merged, "Load": loaded} {
+	for via, idx := range map[string]*Index{"Build": x, "Load": loaded} {
 		if !idx.Options().StoreOffsets {
 			t.Errorf("%s recorded options %+v, want StoreOffsets true", via, idx.Options())
 		}

@@ -90,26 +90,3 @@ func TestSpacedMaskValidation(t *testing.T) {
 		t.Errorf("K = %d, want mask weight 2", idx.K())
 	}
 }
-
-func TestSpacedMergeRequiresSameMask(t *testing.T) {
-	sa := randomStore(214, 10, 200)
-	sb := randomStore(215, 10, 200)
-	a, err := Build(sa, Options{SpacedMask: "1101"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Build(sb, Options{SpacedMask: "1011"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(a, b); err == nil {
-		t.Error("mismatched masks accepted")
-	}
-	b2, err := Build(sb, Options{SpacedMask: "1101"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Merge(a, b2); err != nil {
-		t.Errorf("same-mask merge rejected: %v", err)
-	}
-}

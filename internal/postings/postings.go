@@ -618,9 +618,8 @@ func (it *Iterator) Next() bool {
 // Offsets slice is reused by subsequent Next calls.
 func (it *Iterator) Entry() Entry { return it.cur }
 
-// Decoded returns the number of entries decoded since Reset — the
-// work-accounting hook the search pipeline's stats use. It equals the
-// document frequency once the list is exhausted.
+// Decoded returns the number of entries decoded since Reset. It equals
+// the document frequency once the list is exhausted.
 func (it *Iterator) Decoded() int { return it.read }
 
 // Err returns the first decoding error encountered, or the error given

@@ -56,23 +56,19 @@ func PickRun(segs []*Segment, maxSegments int) (int, int) {
 // sequence bytes and postings are dropped — so global ids stay dense
 // and stable while the dead data's cost disappears.
 //
-// Without tombstones the merged index comes from index.Merge, which is
-// byte-identical to a fresh build over the concatenated records except
-// for the stop list (union of the inputs'; identical when StopFraction
-// is 0, the default). With tombstones the index is rebuilt from the
-// stubbed store. Either way search results over the merged segment are
-// identical to the unmerged run's — the crash-safety suite reopens and
-// re-checks this at every fault point.
+// The merged index is index.Build over the stubbed store with the run's
+// options, so it is byte-identical to a fresh build of the run's records
+// at any stop fraction, mask or tombstone state: stopping is decided
+// again over the folded run. Without stopping (StopFraction 0, the
+// default) search results over the merged segment are identical to the
+// unmerged run's — the crash-safety suite reopens and re-checks this at
+// every fault point.
 //
 // The inputs are immutable and only read, so MergeRun runs safely off
 // the writer lock, concurrent with searches over the same segments.
 func MergeRun(name string, run []*Segment) (*Segment, error) {
 	if len(run) == 0 {
 		return nil, fmt.Errorf("segment: empty merge run")
-	}
-	deleted := 0
-	for _, g := range run {
-		deleted += g.NumDeleted()
 	}
 	store := &db.Store{}
 	for _, g := range run {
@@ -84,24 +80,9 @@ func MergeRun(name string, run []*Segment) (*Segment, error) {
 			}
 		}
 	}
-	var idx *index.Index
-	var err error
-	if deleted == 0 && len(run) > 1 {
-		idx = run[0].Index
-		for _, g := range run[1:] {
-			idx, err = index.Merge(idx, g.Index)
-			if err != nil {
-				return nil, fmt.Errorf("segment: merge: %w", err)
-			}
-		}
-	} else {
-		// Tombstones to reclaim: rebuild from the stubbed store. A run
-		// of one lands here too, so the result never aliases an input
-		// index.
-		idx, err = index.Build(store, run[0].Index.Options())
-		if err != nil {
-			return nil, fmt.Errorf("segment: merge: %w", err)
-		}
+	idx, err := index.Build(store, run[0].Index.Options())
+	if err != nil {
+		return nil, fmt.Errorf("segment: merge: %w", err)
 	}
 	return New(name, store, idx, run[0].Base)
 }

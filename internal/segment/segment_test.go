@@ -1,6 +1,8 @@
 package segment
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -144,6 +146,16 @@ func TestNewSetValidates(t *testing.T) {
 	if _, err := NewSet([]*Segment{a, diff}); err == nil {
 		t.Error("differing build options accepted")
 	}
+	stop := buildSegment(t, rng, "stop", 3, 4, index.Options{K: 8, StopFraction: 0.1})
+	if _, err := NewSet([]*Segment{a, stop}); err == nil {
+		t.Error("differing stop fractions accepted")
+	}
+	// Two masks of equal weight share K but not the terms they index.
+	m1 := buildSegment(t, rng, "m1", 4, 0, index.Options{SpacedMask: "1101"})
+	m2 := buildSegment(t, rng, "m2", 3, 4, index.Options{SpacedMask: "1011"})
+	if _, err := NewSet([]*Segment{m1, m2}); err == nil {
+		t.Error("differing spaced masks of equal weight accepted")
+	}
 }
 
 func TestPickRun(t *testing.T) {
@@ -183,49 +195,87 @@ func TestPickRun(t *testing.T) {
 }
 
 // TestMergeRunEquivalence checks the core compaction invariant: the
-// merged segment's store holds exactly the run's records (with deleted
-// records stubbed) and its index matches a fresh build over them.
+// merged segment's store holds exactly the run's records (deleted
+// records stubbed: description kept, bases dropped) and its index saves
+// byte-identically to index.Build over those records, whatever the
+// run's length, tombstones, stop fraction or mask. Stopping is decided
+// over the folded run, so a stopped fold equals a fresh stopped build.
 func TestMergeRunEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := buildSegment(t, rng, "a", 7, 0, testOpts())
-	b := buildSegment(t, rng, "b", 5, 7, testOpts())
-	bDel, err := b.WithDeleted([]int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, opts := range []index.Options{
+		{K: 8},
+		{K: 8, StopFraction: 0.05},
+		{SpacedMask: "1101100111"},
+		{SpacedMask: "1101100111", StopFraction: 0.05},
+	} {
+		for _, runLen := range []int{1, 2, 8} {
+			for _, deletes := range []string{"none", "some", "all-of-one"} {
+				label := fmt.Sprintf("%+v/run%d/%s", opts, runLen, deletes)
+				run := make([]*Segment, runLen)
+				base := 3 + rng.Intn(5)
+				for i := range run {
+					g := buildSegment(t, rng, SegName(i), 3+rng.Intn(6), base, opts)
+					var del []int
+					switch {
+					case deletes == "some":
+						del = []int{rng.Intn(g.Len())}
+					case deletes == "all-of-one" && i == runLen/2:
+						for j := 0; j < g.Len(); j++ {
+							del = append(del, j)
+						}
+					}
+					if len(del) > 0 {
+						var err error
+						if g, err = g.WithDeleted(del); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run[i] = g
+					base += g.Len()
+				}
+				var want db.Store
+				for _, g := range run {
+					for j := 0; j < g.Len(); j++ {
+						if g.DeletedLocal(j) {
+							want.Add(g.Store.Desc(j), nil)
+						} else {
+							want.Add(g.Store.Desc(j), g.Store.Sequence(j))
+						}
+					}
+				}
 
-	merged, err := MergeRun("m", []*Segment{a, bDel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Base != 0 || merged.Len() != 12 {
-		t.Fatalf("merged base=%d len=%d", merged.Base, merged.Len())
-	}
-	if merged.NumDeleted() != 0 {
-		t.Error("tombstones survived compaction")
-	}
-	// Stubs: deleted records keep desc, lose bases; live records intact.
-	for i := 0; i < 12; i++ {
-		src, local := a, i
-		if i >= 7 {
-			src, local = bDel, i-7
-		}
-		if src.DeletedLocal(local) {
-			if merged.Store.SeqLen(i) != 0 {
-				t.Errorf("deleted record %d kept %d bases", i, merged.Store.SeqLen(i))
+				merged, err := MergeRun("m", run)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if merged.Base != run[0].Base || merged.Len() != want.Len() {
+					t.Fatalf("%s: merged base=%d len=%d, want %d/%d", label, merged.Base, merged.Len(), run[0].Base, want.Len())
+				}
+				if merged.NumDeleted() != 0 {
+					t.Errorf("%s: tombstones survived compaction", label)
+				}
+				for i := 0; i < want.Len(); i++ {
+					if merged.Store.Desc(i) != want.Desc(i) || !bytes.Equal(merged.Store.Sequence(i), want.Sequence(i)) {
+						t.Fatalf("%s: record %d differs from the run's (stubbed) record", label, i)
+					}
+				}
+				fresh, err := index.Build(&want, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got, exp bytes.Buffer
+				if err := merged.Index.Save(&got); err != nil {
+					t.Fatal(err)
+				}
+				if err := fresh.Save(&exp); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+					t.Errorf("%s: merged index (%d stopped) differs from a fresh build (%d stopped)",
+						label, merged.Index.NumStopped(), fresh.NumStopped())
+				}
 			}
-		} else if !reflect.DeepEqual(merged.Store.Sequence(i), src.Store.Sequence(local)) {
-			t.Errorf("record %d corrupted by merge", i)
 		}
-	}
-	// The index equals a fresh build over the stubbed store.
-	want, err := index.Build(merged.Store, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.Index.NumSeqs() != want.NumSeqs() || merged.Index.TotalPostings() != want.TotalPostings() {
-		t.Errorf("merged index diverges from fresh build: %d/%d postings vs %d/%d",
-			merged.Index.NumSeqs(), merged.Index.TotalPostings(), want.NumSeqs(), want.TotalPostings())
 	}
 
 	if _, err := MergeRun("x", nil); err == nil {

@@ -512,8 +512,8 @@ type Result struct {
 // the coarse phase's index traffic, the prescreen's filtering, the
 // fine phase's dynamic programming, and the per-stage wall time. It is
 // the engine's observability currency — cafe-search prints it behind
-// -stats, cafe-bench emits it in its JSON report, and every search
-// feeds the same numbers into the process-wide metrics registry.
+// -stats, and every search feeds the same numbers into the
+// process-wide metrics registry.
 type SearchStats = core.SearchStats
 
 // Handles into the process-wide registry, fetched once: recording a
@@ -735,7 +735,9 @@ func checkLive(set *segment.Set, id int) error {
 //
 // Appends accumulate segments; a background compactor (StartCompactor)
 // or explicit Compact calls fold them back down. Stopping decisions
-// are per-segment; rebuild from scratch to re-stop globally.
+// are per-segment: the batch's segment stops its own most frequent
+// terms, and compaction re-stops over each run it folds, so a database
+// compacted to one segment stops exactly as a fresh Build would.
 func (d *Database) Append(records []Record) error {
 	var store db.Store
 	for i, r := range records {

@@ -319,6 +319,51 @@ func TestOpenRefusesGammaOffsetSegment(t *testing.T) {
 	}
 }
 
+// TestCompactedStoppingMatchesBuild: with index stopping on, a database
+// grown by appends and compacted to one segment answers, and stops
+// terms, exactly as a fresh Build of the same records. Each segment
+// stops its own most frequent terms; compaction rebuilds the folded
+// run, so stopping is decided again over the whole collection.
+func TestCompactedStoppingMatchesBuild(t *testing.T) {
+	recs, query, _ := testRecords(360)
+	cfg := DefaultBuildConfig()
+	cfg.StopFraction = 0.01
+	mono, err := Build(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := splitRecords(rand.New(rand.NewSource(361)), recs, 4)
+	db, err := Build(batches[0], cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.SetMaxSegments(math.MaxInt32)
+	for _, b := range batches[1:] {
+		if err := db.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetMaxSegments(1)
+	for {
+		n, err := db.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+	}
+	if got := db.NumSegments(); got != 1 {
+		t.Fatalf("full compaction left %d segments", got)
+	}
+	if got, want := db.Stats().TermsStopped, mono.Stats().TermsStopped; got != want || want == 0 {
+		t.Fatalf("compacted database stops %d terms, a fresh build %d", got, want)
+	}
+	for i, q := range []string{query, query[:120], recs[len(recs)-1].Sequence[:300]} {
+		mustEqualResults(t, fmt.Sprintf("query%d", i), db, mono, q)
+	}
+}
+
 // TestDeleteEquivalence: tombstoned records vanish immediately and
 // survivors score identically to a database where the deleted records
 // were empty stubs from the start — before AND after compaction
