@@ -30,10 +30,13 @@ bench:
 # coarse mode reads them ("ids+all"), the entry iterator with offsets
 # materialised ("word", the decoder bench/'s replay times), the frozen
 # per-call-checked reference ("ref"), and two and four lists decoded in
-# turn ("two", "four"), ≈ 8 s.
+# turn ("two", "four"), ≈ 8 s — and one iteration of every banded-kernel
+# shape on each pass route (BenchmarkBandedKernels), so the benchmark a
+# kernel claim rests on builds and runs.
 bench-smoke:
 	$(GO) test -count=1 ./bench
 	$(GO) test -run '^$$' -bench '^BenchmarkPostingsDecode$$' -benchtime 50x ./internal/postings
+	$(GO) test -run '^$$' -bench '^BenchmarkBandedKernels$$' -benchtime 1x ./internal/align
 
 # Two back-to-back 10-second runs of the default-query workload through
 # the real path (HTTP → queue → coarse → fine → traceback → JSON) and

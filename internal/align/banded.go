@@ -16,18 +16,19 @@ package align
 // which is all the band-edge handling there is. Each row ranges over
 // its slice of b, so the inner loops carry no bounds checks.
 //
-// Each kernel's row is a leaf function (scoreRow, traceRow) over that
-// row's slices, so the row loop has the registers to itself. Inline in
-// the kernel it would share them with the row setup, and the compiler
-// would keep the loop-carried left → F → H chain on the stack, storing
-// and reloading it at every cell. scoreRow keeps its row best in a
-// register too; traceRow, with one more pointer, keeps it in a stack
-// slot, off the chain.
+// Each kernel is one pass over the band's rows. Its Go route calls a
+// leaf function a row (scoreRow, traceRow), so the row loop has the
+// registers to itself. Inline in the pass it would share them with the
+// row setup, and the compiler would keep the loop-carried left → F → H
+// chain on the stack, storing and reloading it at every cell. scoreRow
+// keeps its row best in a register too; traceRow, with one more
+// pointer, keeps it in a stack slot, off the chain.
 //
-// The rows have two routes, chosen once at package initialisation: the
-// Go rows, and on amd64 CPUs with AVX2 the same rows eight cells to a
-// YMM register (banded_amd64.s), which take F by a prefix scan. Both
-// write the same H, E and direction bytes and return the same best.
+// The passes have two routes, chosen once at package initialisation:
+// the Go pass, and on amd64 CPUs with AVX2 the same pass eight cells to
+// a YMM register (banded_amd64.s), which walks the rows itself and takes
+// F by a prefix scan. Both write the same H, E and direction bytes and
+// return the same best and end.
 
 // negInf marks the sentinel slots. It sits below every score by more
 // than any penalty, so a sentinel less a gap penalty loses every max,
@@ -49,25 +50,33 @@ const negInf = int32(-1 << 30)
 // pooled searcher.
 const maxPooledDir = 1 << 20
 
-// rowRoute is one implementation of the banded rows: score and trace
-// keep scoreRow's and traceRow's contracts.
-type rowRoute struct {
+// passRoute is one implementation of the banded passes. A pass runs the
+// rows [first, end) of a's band in b — width columns from diagonal lo —
+// over the H and E rows h and e, laid out as BandedScratch.rows lays
+// them out, with the scores of tab and the gap costs openExt and ext,
+// starting from the best so far, best. It returns the best it ends with
+// and the (exclusive) end of the first cell that holds it in row-major
+// order — a later row that only equals the best does not move it, and
+// in a row the first column of the best does — or best, 0, 0 when no
+// cell beats best. trace also writes each cell's direction byte at
+// dir[i·width+c], for band column c of row i.
+type passRoute struct {
 	name  string
-	score func(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, openExt, ext int32) int32
-	trace func(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, left, openExt, ext int32) int32
+	score func(h, e []int32, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int)
+	trace func(h, e []int32, dir, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int)
 }
 
-// goRows is the portable route, and the reference the vector route is
+// goPass is the portable route, and the reference the vector route is
 // tested against.
-var goRows = rowRoute{name: "go", score: scoreRow, trace: traceRow}
+var goPass = passRoute{name: "go", score: scorePass, trace: tracePass}
 
-// fastestRows is the route the kernels take: the vector route when this
-// CPU has one, else goRows.
-var fastestRows = func() *rowRoute {
-	if r, ok := vectorRows(); ok {
+// fastestPass is the route the kernels take: the vector route when this
+// CPU has one, else goPass.
+var fastestPass = func() *passRoute {
+	if r, ok := vectorPass(); ok {
 		return &r
 	}
-	return &goRows
+	return &goPass
 }()
 
 // BandedScratch is the mutable state of the banded kernels: the H and E
@@ -78,26 +87,26 @@ type BandedScratch struct {
 	h, e []int32 // DP rows with their sentinels, reset per call
 	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first
 	ops  []byte  // reversed transcript, copied out before return; kept up to maxPooledDir
-	// route, when set, runs the rows instead of fastestRows. Only the
+	// route, when set, runs the passes instead of fastestPass. Only the
 	// tests set it.
-	route *rowRoute
+	route *passRoute
 }
 
 // maxVectorExt bounds the gap extension the vector route takes: below
 // it, openExt + 8·ext stays inside an int32 lane (banded_amd64.s). A
-// larger one runs on the Go rows.
+// larger one runs on the Go pass.
 const maxVectorExt = 1 << 27
 
-// rowRoute returns the route sc's rows run on under t: the tests' route
-// if sc has one, else the fastest route t's gap extension admits.
-func (t *Subst) rowRoute(sc *BandedScratch) *rowRoute {
+// passRoute returns the route sc's passes run on under t: the tests'
+// route if sc has one, else the fastest route t's gap extension admits.
+func (t *Subst) passRoute(sc *BandedScratch) *passRoute {
 	switch {
 	case sc.route != nil:
 		return sc.route
 	case t.ext < maxVectorExt:
-		return fastestRows
+		return fastestPass
 	}
-	return &goRows
+	return &goPass
 }
 
 // rows returns the H and E rows for a band of width columns: H column c
@@ -148,29 +157,35 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 	}
 	lo, width := centre-band, 2*band+1
 	h, e := sc.rows(width)
-	r := t.rowRoute(sc)
-	var best int32
 	first, end := bandRows(len(a), len(b), lo, width)
+	best, aEnd, bEnd := t.passRoute(sc).score(h, e, a, b, lo, width, first, end, &t.tab, t.openExt, t.ext, 0)
+	return int(best), aEnd, bEnd
+}
+
+// scorePass is the Go route's score pass: scoreRow over each row, and
+// the best's first column only in a row that beats the best so far.
+func scorePass(h, e []int32, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int) {
+	var aEnd, bEnd int
 	for i := first; i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
 		bs := b[jLo:jHi]
 		c := jLo - i - lo
 		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
 		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
-		if v := r.score(hOut, hUp, eOut, eUp, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
+		if v := scoreRow(hOut, hUp, eOut, eUp, bs, tableRow(tab, a[i]), h[c], openExt, ext); v > best {
 			best = v
 			aEnd, bEnd = i+1, jLo+firstAt(hOut, v)+1
 		}
 	}
-	return int(best), aEnd, bEnd
+	return best, aEnd, bEnd
 }
 
 // scoreRow is one band row of the score pass: it overwrites hOut and
 // eOut, whose slots still hold the row above (hOut[x] is cell x's
 // diagonal neighbour, hUp[x] its vertical one), and returns the row's
-// best H; left is the H cell left of the row. The caller finds the
-// best's first column only when the row beats the best so far: tracking
-// it in the loop costs a register the loop does not have.
+// best H; left is the H cell left of the row. The pass finds the best's
+// first column only when the row beats the best so far: tracking it in
+// the loop costs a register the loop does not have.
 //
 // F does not wait for the H left of it. With he the cell's best from
 // the diagonal or E (≥ 0), F(x) = max(F(x−1)−ext, H(x−1)−openExt, 0)
@@ -234,6 +249,24 @@ func signBit(v int32) byte {
 	return byte(uint32(v) >> 31)
 }
 
+// tracePass is the Go route's traceback pass: traceRow over each row.
+func tracePass(h, e []int32, dir, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int) {
+	var aEnd, bEnd int
+	for i := first; i < end; i++ {
+		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
+		bs := b[jLo:jHi]
+		c := jLo - i - lo
+		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
+		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
+		dOut := dir[i*width+c:][:len(bs)]
+		if v := traceRow(hOut, hUp, eOut, eUp, dOut, bs, tableRow(tab, a[i]), h[c], openExt, ext); v > best {
+			best = v
+			aEnd, bEnd = i+1, jLo+firstAt(hOut, v)+1
+		}
+	}
+	return best, aEnd, bEnd
+}
+
 // BandedLocal computes the banded local alignment of a and b with a
 // full affine-gap traceback. Memory is one byte per band cell —
 // O(len(a)·band) — so wide bands on long sequences stay cheap. The score
@@ -263,26 +296,12 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 			sc.dir = dir
 		}
 	}
-	var best int32
-	bestI, bestJ := -1, -1
-	r := t.rowRoute(sc)
 	first, end := bandRows(len(a), len(b), lo, width)
-	for i := first; i < end; i++ {
-		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
-		bs := b[jLo:jHi]
-		c := jLo - i - lo
-		hOut, hUp := h[c+1:][:len(bs)], h[c+2:][:len(bs)]
-		eOut, eUp := e[c:][:len(bs)], e[c+1:][:len(bs)]
-		dOut := dir[i*width+c:][:len(bs)]
-		if v := r.trace(hOut, hUp, eOut, eUp, dOut, bs, t.row(a[i]), h[c], t.openExt, t.ext); v > best {
-			best = v
-			bestI, bestJ = i, jLo+firstAt(hOut, v)
-		}
-	}
+	best, aEnd, bEnd := t.passRoute(sc).trace(h, e, dir[:len(a)*width], a, b, lo, width, first, end, &t.tab, t.openExt, t.ext, 0)
 	if best == 0 {
 		return Alignment{}
 	}
-	al := Alignment{Score: int(best), AEnd: bestI + 1, BEnd: bestJ + 1}
+	al := Alignment{Score: int(best), AEnd: aEnd, BEnd: bEnd}
 
 	// Traceback mirrors Local's H/E/F state machine over band columns.
 	const (
@@ -290,7 +309,7 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 		stE
 		stF
 	)
-	i, j, st := bestI, bestJ, stH
+	i, j, st := aEnd-1, bEnd-1, stH
 	ops := sc.ops[:0]
 loop:
 	for i >= 0 && j >= 0 {

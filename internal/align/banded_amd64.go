@@ -1,19 +1,19 @@
 package align
 
-// avx2Rows is the banded rows' vector route: scoreRow and traceRow eight
-// int32 cells to a YMM register (banded_amd64.s).
-var avx2Rows = rowRoute{name: "avx2", score: scoreRowAVX2, trace: traceRowAVX2}
+// avx2Pass is the banded passes' vector route: scorePass and tracePass
+// eight int32 cells to a YMM register (banded_amd64.s).
+var avx2Pass = passRoute{name: "avx2", score: scorePassAVX2, trace: tracePassAVX2}
 
-// vectorRows returns the banded rows' AVX2 route and whether this CPU can
-// take it.
-func vectorRows() (rowRoute, bool) { return avx2Rows, hasAVX2() }
+// vectorPass returns the banded passes' AVX2 route and whether this CPU
+// can take it.
+func vectorPass() (passRoute, bool) { return avx2Pass, hasAVX2() }
 
-// scoreRowAVX2 is scoreRow in YMM registers.
+// scorePassAVX2 is scorePass in YMM registers.
 //
 //go:noescape
-func scoreRowAVX2(hOut, hUp, eOut, eUp []int32, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32)
+func scorePassAVX2(h, e []int32, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (score int32, aEnd, bEnd int)
 
-// traceRowAVX2 is traceRow in YMM registers.
+// tracePassAVX2 is tracePass in YMM registers.
 //
 //go:noescape
-func traceRowAVX2(hOut, hUp, eOut, eUp []int32, dOut, bs []byte, sub *[256]int32, left, openExt, ext int32) (best int32)
+func tracePassAVX2(h, e []int32, dir, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (score int32, aEnd, bEnd int)

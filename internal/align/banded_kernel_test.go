@@ -15,7 +15,7 @@ import (
 // reference implementations'. The scratch is the caller's, reused dirty
 // across calls, so anything a kernel wrongly assumes about it (zeroed
 // rows, a clean direction matrix) shows up here; the suites hand it a
-// routedScratch, so every row also runs on every route.
+// routedScratch, so every pass also runs on every route.
 func checkBandedAgainstRef(t testing.TB, sub *Subst, sc *BandedScratch, a, b []byte, centre, band int) {
 	t.Helper()
 	s := sub.scoring
@@ -225,24 +225,24 @@ func TestSubstMatchesScore(t *testing.T) {
 }
 
 // TestBandedKernelAllocations is the steady-state contract of the
-// scratch entry points on every row route: the score pass allocates
+// scratch entry points on every pass route: the score pass allocates
 // nothing, the traceback pass only the transcript it returns.
 func TestBandedKernelAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1408))
 	b := randomSeq(rng, 4000)
 	a := mutate(rng, b[1000:1600], 0.1)
 	sub := NewSubst(DefaultScoring())
-	for _, r := range rowRoutes() {
+	for _, r := range passRoutes() {
 		sc := BandedScratch{route: r}
 		if score, _, _ := sub.BandedLocalScore(a, b, 1000, 24, &sc); score < 1000 {
 			t.Fatalf("fixture does not align: score %d", score)
 		}
 		sub.BandedLocal(a, b, 1000, 24, &sc) // grow the scratch
 		if n := testing.AllocsPerRun(20, func() { sub.BandedLocalScore(a, b, 1000, 24, &sc) }); n != 0 {
-			t.Errorf("%s rows: BandedLocalScore allocates %v times per call, want 0", r.name, n)
+			t.Errorf("%s pass: BandedLocalScore allocates %v times per call, want 0", r.name, n)
 		}
 		if n := testing.AllocsPerRun(20, func() { sub.BandedLocal(a, b, 1000, 24, &sc) }); n != 1 {
-			t.Errorf("%s rows: BandedLocal allocates %v times per call, want 1 (the transcript)", r.name, n)
+			t.Errorf("%s pass: BandedLocal allocates %v times per call, want 1 (the transcript)", r.name, n)
 		}
 	}
 }
@@ -266,7 +266,7 @@ func TestBandedScratchKeepsNoHugeBuffers(t *testing.T) {
 // kernels: arbitrary byte sequences (codes, wildcards, junk, Masked)
 // under arbitrary small scorings, band centres and widths must produce
 // answers DeepEqual to the frozen reference implementations', with every
-// row the same on every route. The fine phase scores a band over a
+// pass the same on every route. The fine phase scores a band over a
 // window of the subject, so the kernels also run on a window holding
 // every band cell, starting up to off bases before the band's first
 // column, with the centre shifted by its start: the answers are the
@@ -293,7 +293,7 @@ func FuzzBandedAlign(f *testing.F) {
 		if s := fuzzScoring(match, mism, open, ext); sub.scoring != s {
 			sub = NewSubst(s)
 		}
-		sc.route = routedRows(t)
+		sc.route = routedPass(t)
 		c, w := int(centre)%512, int(band%64)
 		checkBandedAgainstRef(t, sub, &sc, a, b, c, w)
 
@@ -325,7 +325,7 @@ func FuzzBandedAlign(f *testing.F) {
 }
 
 // BenchmarkBandedKernels times the banded score and traceback passes
-// through the scratch entry points, one sub-row per row route, at the
+// through the scratch entry points, one sub-row per pass route, at the
 // shapes the service runs:
 //   - band-600 and band-2000: the default band (49 wide) of a 600- and a
 //     2 000-base homologous query against an 8 kb subject — the
@@ -361,7 +361,7 @@ func BenchmarkBandedKernels(b *testing.B) {
 	band := func(q []byte) int64 { return BandedCells(len(q), len(subject), 3000, 24) }
 	strip := BandedCells(len(read), len(subject), 5000, 350)
 	full := subject[:7000]
-	for _, r := range rowRoutes() {
+	for _, r := range passRoutes() {
 		sc := BandedScratch{route: r}
 		for _, q := range []struct {
 			name string

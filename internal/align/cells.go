@@ -19,30 +19,29 @@ func LocalCells(la, lb int) int64 {
 // BandedLocal) evaluate for sequences of length la and lb with the
 // given band centre and half-width: the intersection of the diagonal
 // strip centre±band with the matrix, mirroring the aligner's row
-// clipping exactly.
+// clipping exactly. Over the rows the band meets, it sums each row's
+// clipped right end less its clipped left end, as two clamped
+// arithmetic series, so its cost does not grow with la.
 func BandedCells(la, lb, centre, band int) int64 {
 	if la <= 0 || lb <= 0 || band < 0 {
 		return 0
 	}
-	lo, hi := centre-band, centre+band
-	var cells int64
-	for i := 0; i < la; i++ {
-		jLo, jHi := i+lo, i+hi
-		if jLo < 0 {
-			jLo = 0
-		}
-		if jHi >= lb {
-			jHi = lb - 1
-		}
-		if jLo > jHi {
-			if i+lo > lb-1 {
-				break
-			}
-			continue
-		}
-		cells += int64(jHi - jLo + 1)
+	lo, width := centre-band, 2*band+1
+	first, end := bandRows(la, lb, lo, width)
+	if first >= end {
+		return 0
 	}
-	return cells
+	// Row i spans [max(i+lo, 0), min(i+lo+width, lb)): the right end is
+	// lb from row lb−lo−width on, the left end 0 up to row −lo.
+	right := min(max(lb-lo-width, first), end)
+	left := min(max(-lo, first), end)
+	return series(first, right, lo+width) + int64(end-right)*int64(lb) - series(left, end, lo)
+}
+
+// series returns the sum of i+c over i in [a, b).
+func series(a, b, c int) int64 {
+	n := int64(b - a)
+	return n*(int64(a)+int64(b)-1)/2 + n*int64(c)
 }
 
 // traceStrip is the region LocalEndingAt traces for an alignment of the

@@ -9,15 +9,15 @@ import (
 
 // TestVectorRouteMatchesCPUInfo holds the CPUID detection to the flags
 // Linux lists in /proc/cpuinfo. A detector that wrongly said no would
-// send every exact query down the uint64 route and every banded row down
-// the Go rows, and keep every other test green. Linux lists avx2 only
+// send every exact query down the uint64 route and every banded pass down
+// the Go pass, and keep every other test green. Linux lists avx2 only
 // when it saves the YMM state (it clears AVX and AVX2 when XSAVE is
 // off), and lists the operating-system half as osxsave on some kernels
 // and only as xsave on others, so either counts.
 // The test logs both kernels' routes, so a verbose run shows which
 // kernels the machine tested.
 func TestVectorRouteMatchesCPUInfo(t *testing.T) {
-	t.Logf("striped kernel route: %s; banded row route: %s", fastest.name, fastestRows.name)
+	t.Logf("striped kernel route: %s; banded pass route: %s", fastest.name, fastestPass.name)
 	if runtime.GOOS != "linux" {
 		t.Skipf("no /proc/cpuinfo on %s", runtime.GOOS)
 	}
@@ -45,7 +45,7 @@ func TestVectorRouteMatchesCPUInfo(t *testing.T) {
 	if (fastest.name == avx2.name) != want {
 		t.Fatalf("Build takes the %s route with AVX2 usable %v", fastest.name, want)
 	}
-	if _, got := vectorRows(); got != want || (fastestRows == &goRows) == want {
-		t.Fatalf("the banded rows take the %s route (vector rows %v) with AVX2 usable %v", fastestRows.name, got, want)
+	if _, got := vectorPass(); got != want || (fastestPass == &goPass) == want {
+		t.Fatalf("the banded passes take the %s route (vector pass %v) with AVX2 usable %v", fastestPass.name, got, want)
 	}
 }

@@ -6,5 +6,5 @@ package align
 // the striped kernel runs on its uint64 route.
 func vectorRoute() (route, bool) { return route{}, false }
 
-// vectorRows reports the same for the banded rows: they run in Go.
-func vectorRows() (rowRoute, bool) { return rowRoute{}, false }
+// vectorPass reports the same for the banded passes: they run in Go.
+func vectorPass() (passRoute, bool) { return passRoute{}, false }

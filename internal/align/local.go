@@ -18,9 +18,9 @@ func LocalScore(a, b []byte, s Scoring) (score, aEnd, bEnd int) {
 // LocalScore is the package-level function on a compiled scoring and
 // caller-owned scratch; it allocates nothing once sc has grown. It is
 // the banded score pass over a band of every diagonal from −len(a) to
-// len(b), which is the whole matrix: each row runs on the banded row
-// route (scoreRow, or eight cells to a YMM register on AVX2), and the
-// best cell is the first in row-major order, as above. The rows it
+// len(b), which is the whole matrix, on the banded pass route (the Go
+// pass, or the whole pass eight cells to a YMM register on AVX2), and
+// the best cell is the first in row-major order, as above. The rows it
 // grows in sc are len(a)+len(b) cells wide.
 func (t *Subst) LocalScore(a, b []byte, sc *BandedScratch) (score, aEnd, bEnd int) {
 	band := (len(a) + len(b)) / 2 // 2·band+1 ≥ len(a)+len(b) diagonals

@@ -378,7 +378,7 @@ func FuzzLocalAlign(f *testing.F) {
 		if s := fuzzScoring(match, mism, open, ext); sub.scoring != s {
 			sub = NewSubst(s)
 		}
-		sc.route = routedRows(t)
+		sc.route = routedPass(t)
 		checkLocalAgainstRef(t, sub, &sc, &bv, a, b)
 	})
 }

@@ -75,8 +75,12 @@ type Subst struct {
 	openExt, ext int32
 	// tab[a][b] == scoring.Score(a, b). The last row answers for every
 	// query byte outside the alphabet (Masked, junk): all mismatches.
-	tab [dna.NumCodes + 1][256]int32
+	tab substTable
 }
+
+// substTable is Subst's table: a row of 256 scores per query code, and
+// one more for every byte outside the alphabet.
+type substTable = [dna.NumCodes + 1][256]int32
 
 // NewSubst compiles s.
 func NewSubst(s Scoring) *Subst {
@@ -98,11 +102,14 @@ func (t *Subst) build(s Scoring) {
 
 // row returns the substitution scores of query code a against every
 // subject byte; indexing it with a byte needs no bounds check.
-func (t *Subst) row(a byte) *[256]int32 {
+func (t *Subst) row(a byte) *[256]int32 { return tableRow(&t.tab, a) }
+
+// tableRow returns tab's row for query code a.
+func tableRow(tab *substTable, a byte) *[256]int32 {
 	if a > dna.NumCodes {
 		a = dna.NumCodes
 	}
-	return &t.tab[a]
+	return &tab[a]
 }
 
 // kernel is what a Scoring-taking entry point (Local, LocalScore,
