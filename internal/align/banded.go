@@ -25,10 +25,14 @@ package align
 // pointer, keeps it in a stack slot, off the chain.
 //
 // The passes have two routes, chosen once at package initialisation:
-// the Go pass, and on amd64 CPUs with AVX2 the same pass eight cells to
-// a YMM register (banded_amd64.s), which walks the rows itself and takes
-// F by a prefix scan. Both write the same H, E and direction bytes and
-// return the same best and end.
+// the Go pass, and on amd64 CPUs with AVX2 the same pass in YMM
+// registers (banded_amd64.s), which walks the rows itself and takes F
+// by a prefix scan. The AVX2 route runs a pass sixteen int16 cells to a
+// register over int16 rows when the pass's scores fit them (fitsNarrow,
+// decided once per pass from the scoring and the number of rows — at
+// the default scoring, queries up to ≈ 3 000 bases), and eight int32
+// cells to a register otherwise. Every route writes the same H, E and
+// direction bytes and returns the same best and end.
 
 // negInf marks the sentinel slots. It sits below every score by more
 // than any penalty, so a sentinel less a gap penalty loses every max,
@@ -41,8 +45,30 @@ package align
 // negInf − GapOpen. So none wraps while best + Match + Mismatch +
 // GapOpen + GapExtend < 2^31: at Match 5, a perfect alignment of 4·10^8
 // bases. TestBandedKernelsLargeScores holds the flags to the reference
-// at scores of 2.6·10^8.
+// at scores of 2.6·10^8. Validate keeps every penalty below 2^30, and
+// the search refuses a query whose best + Match + Mismatch + GapOpen +
+// GapExtend could reach 2^31 (Scoring.FitsQuery).
 const negInf = int32(-1 << 30)
+
+// negInf16 is negInf in the narrow passes' int16 rows. A narrow pass
+// runs only while its cells' largest score plus Match + Mismatch +
+// openExt + 16·ext is at most narrowMax (fitsNarrow), so every finite
+// term it computes lies in (−2^14, 2^14), its scan's terms biased by
+// 2^14 in (0, 2^15), and a sentinel less openExt stays at or above
+// −2^15: no term wraps, and each flag compares the values the int32
+// pass does. The sentinel terms meet each other as they do there — the
+// E terms at the right end of a row, negInf16 − openExt against
+// negInf16 − ext — so their flags match too.
+const negInf16 = int16(-1 << 14)
+
+// narrowMax bounds a narrow pass (negInf16): its largest score plus
+// Match + Mismatch + openExt + 16·ext must not pass it.
+const narrowMax = 1<<14 - 1
+
+// narrowPad is the slots past each int16 row the narrow passes may read
+// and write: a row's last block runs whole, and writes back what it read
+// in the lanes past the row.
+const narrowPad = 16
 
 // maxPooledDir caps the direction matrix a BandedScratch keeps between
 // calls (1 MiB: a 20 kb query at band 25), and the transcript buffer;
@@ -53,17 +79,23 @@ const maxPooledDir = 1 << 20
 // passRoute is one implementation of the banded passes. A pass runs the
 // rows [first, end) of a's band in b — width columns from diagonal lo —
 // over the H and E rows h and e, laid out as BandedScratch.rows lays
-// them out, with the scores of tab and the gap costs openExt and ext,
-// starting from the best so far, best. It returns the best it ends with
-// and the (exclusive) end of the first cell that holds it in row-major
-// order — a later row that only equals the best does not move it, and
-// in a row the first column of the best does — or best, 0, 0 when no
-// cell beats best. trace also writes each cell's direction byte at
-// dir[i·width+c], for band column c of row i.
+// them out, with the scores and gap costs of t, starting from the best
+// so far, best. It returns the best it ends with and the (exclusive) end
+// of the first cell that holds it in row-major order — a later row that
+// only equals the best does not move it, and in a row the first column
+// of the best does — or best, 0, 0 when no cell beats best. trace also
+// writes each cell's direction byte at dir[i·width+c], for band column c
+// of row i.
+//
+// score16 and trace16, when set, are the same passes over int16 rows,
+// laid out as BandedScratch.rows16 lays them out, for the passes
+// fitsNarrow admits; best must be at most narrowMax+1.
 type passRoute struct {
-	name  string
-	score func(h, e []int32, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int)
-	trace func(h, e []int32, dir, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int)
+	name    string
+	score   func(h, e []int32, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
+	trace   func(h, e []int32, dir, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
+	score16 func(h, e []int16, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
+	trace16 func(h, e []int16, dir, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
 }
 
 // goPass is the portable route, and the reference the vector route is
@@ -80,21 +112,24 @@ var fastestPass = func() *passRoute {
 }()
 
 // BandedScratch is the mutable state of the banded kernels: the H and E
-// rows, the traceback direction matrix (one byte per band cell) and the
-// reversed transcript. One scratch belongs to one goroutine at a time;
-// each core.Searcher keeps one and reuses it across candidates.
+// rows, in int32 cells and in int16 cells for the narrow passes, the
+// traceback direction matrix (one byte per band cell) and the reversed
+// transcript. One scratch belongs to one goroutine at a time; each
+// core.Searcher keeps one and reuses it across candidates.
 type BandedScratch struct {
-	h, e []int32 // DP rows with their sentinels, reset per call
-	dir  []byte  // direction matrix, every cell the traceback reads is rewritten first
-	ops  []byte  // reversed transcript, copied out before return; kept up to maxPooledDir
+	h, e     []int32 // DP rows with their sentinels, reset per call
+	h16, e16 []int16 // the same in int16 cells, with narrowPad slots past each
+	dir      []byte  // direction matrix, every cell the traceback reads is rewritten first
+	ops      []byte  // reversed transcript, copied out before return; kept up to maxPooledDir
 	// route, when set, runs the passes instead of fastestPass. Only the
 	// tests set it.
 	route *passRoute
 }
 
-// maxVectorExt bounds the gap extension the vector route takes: below
-// it, openExt + 8·ext stays inside an int32 lane (banded_amd64.s). A
-// larger one runs on the Go pass.
+// maxVectorExt bounds the gap extension the int32 vector passes take:
+// below it, openExt + 8·ext stays inside an int32 lane (banded_amd64.s).
+// A larger one runs on the Go pass. The narrow passes have their own,
+// smaller bound (fitsNarrow).
 const maxVectorExt = 1 << 27
 
 // passRoute returns the route sc's passes run on under t: the tests'
@@ -107,6 +142,21 @@ func (t *Subst) passRoute(sc *BandedScratch) *passRoute {
 		return fastestPass
 	}
 	return &goPass
+}
+
+// fitsNarrow reports whether a pass whose H and E cells stay at most top
+// runs in int16 lanes: every substitution score an int8, and top +
+// Match + Mismatch + openExt + 16·ext at most narrowMax (negInf16 says
+// why that suffices).
+func (t *Subst) fitsNarrow(top int64) bool {
+	return t.narrowSpan >= 0 && top <= narrowMax-t.narrowSpan
+}
+
+// narrowRows reports whether route r runs the pass of rows [first, end)
+// in int16 lanes. The rows start at zero, so no cell of row i scores
+// above Match·(i+1−first).
+func (t *Subst) narrowRows(r *passRoute, first, end int) bool {
+	return r.score16 != nil && t.fitsNarrow(int64(t.scoring.Match)*int64(end-first))
 }
 
 // rows returns the H and E rows for a band of width columns: H column c
@@ -122,6 +172,21 @@ func (sc *BandedScratch) rows(width int) (h, e []int32) {
 	clear(h)
 	clear(e)
 	h[0], h[width+1], e[width] = negInf, negInf, negInf
+	return h, e
+}
+
+// rows16 is rows for the narrow passes: int16 cells, the sentinels
+// negInf16, and narrowPad slots past each row, which the passes read and
+// write back unchanged.
+func (sc *BandedScratch) rows16(width int) (h, e []int16) {
+	if cap(sc.h16) < width+2+narrowPad {
+		sc.h16 = make([]int16, width+2+narrowPad) // grows once to the widest band
+		sc.e16 = make([]int16, width+1+narrowPad) // grows once to the widest band
+	}
+	h, e = sc.h16[:width+2], sc.e16[:width+1]
+	clear(h)
+	clear(e)
+	h[0], h[width+1], e[width] = negInf16, negInf16, negInf16
 	return h, e
 }
 
@@ -156,16 +221,24 @@ func (t *Subst) BandedLocalScore(a, b []byte, centre, band int, sc *BandedScratc
 		return 0, 0, 0
 	}
 	lo, width := centre-band, 2*band+1
-	h, e := sc.rows(width)
 	first, end := bandRows(len(a), len(b), lo, width)
-	best, aEnd, bEnd := t.passRoute(sc).score(h, e, a, b, lo, width, first, end, &t.tab, t.openExt, t.ext, 0)
+	r := t.passRoute(sc)
+	var best int32
+	if t.narrowRows(r, first, end) {
+		h, e := sc.rows16(width)
+		best, aEnd, bEnd = r.score16(h, e, a, b, lo, width, first, end, t, 0)
+	} else {
+		h, e := sc.rows(width)
+		best, aEnd, bEnd = r.score(h, e, a, b, lo, width, first, end, t, 0)
+	}
 	return int(best), aEnd, bEnd
 }
 
 // scorePass is the Go route's score pass: scoreRow over each row, and
 // the best's first column only in a row that beats the best so far.
-func scorePass(h, e []int32, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int) {
+func scorePass(h, e []int32, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int) {
 	var aEnd, bEnd int
+	tab, openExt, ext := &t.tab, t.openExt, t.ext
 	for i := first; i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
 		bs := b[jLo:jHi]
@@ -250,8 +323,9 @@ func signBit(v int32) byte {
 }
 
 // tracePass is the Go route's traceback pass: traceRow over each row.
-func tracePass(h, e []int32, dir, a, b []byte, lo, width, first, end int, tab *substTable, openExt, ext, best int32) (int32, int, int) {
+func tracePass(h, e []int32, dir, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int) {
 	var aEnd, bEnd int
+	tab, openExt, ext := &t.tab, t.openExt, t.ext
 	for i := first; i < end; i++ {
 		jLo, jHi := max(i+lo, 0), min(i+lo+width, len(b))
 		bs := b[jLo:jHi]
@@ -288,7 +362,6 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 		return Alignment{}
 	}
 	lo, width := centre-band, 2*band+1
-	h, e := sc.rows(width)
 	dir := sc.dir
 	if need := len(a) * width; cap(dir) < need {
 		dir = make([]byte, need) // grows once to the high-water query length, outside the per-cell loop
@@ -296,8 +369,20 @@ func (t *Subst) BandedLocal(a, b []byte, centre, band int, sc *BandedScratch) Al
 			sc.dir = dir
 		}
 	}
+	dir = dir[:len(a)*width]
 	first, end := bandRows(len(a), len(b), lo, width)
-	best, aEnd, bEnd := t.passRoute(sc).trace(h, e, dir[:len(a)*width], a, b, lo, width, first, end, &t.tab, t.openExt, t.ext, 0)
+	r := t.passRoute(sc)
+	var (
+		best       int32
+		aEnd, bEnd int
+	)
+	if t.narrowRows(r, first, end) {
+		h, e := sc.rows16(width)
+		best, aEnd, bEnd = r.trace16(h, e, dir, a, b, lo, width, first, end, t, 0)
+	} else {
+		h, e := sc.rows(width)
+		best, aEnd, bEnd = r.trace(h, e, dir, a, b, lo, width, first, end, t, 0)
+	}
 	if best == 0 {
 		return Alignment{}
 	}

@@ -325,21 +325,25 @@ func FuzzBandedAlign(f *testing.F) {
 }
 
 // BenchmarkBandedKernels times the banded score and traceback passes
-// through the scratch entry points, one sub-row per pass route, at the
-// shapes the service runs:
+// through the scratch entry points, one sub-row per pass route (go,
+// avx2-int32 and avx2, which runs every pass here in int16 lanes), at
+// the shapes the service runs:
 //   - band-600 and band-2000: the default band (49 wide) of a 600- and a
 //     2 000-base homologous query against an 8 kb subject — the
 //     tracebacks of a default query, and the score pass of its
 //     homologs;
 //   - band-random: the same band under a 1 000-base random query, a weak
 //     hit whose row best rarely moves;
+//   - band12-600 and band12-random: the same at band 12, rows of 25
+//     cells;
 //   - strip-150x700: 150 rows of a 150-base homologous read, 701 wide —
 //     the order of an exact query's traceback strip for a weak hit;
 //   - full-150x7000: the score pass over the whole matrix of a 150-base
 //     read and a 7 kb subject — the exact route's tied-end pass.
 //
-// The frozen reference implementations the kernels replaced run once,
-// on band-600 ("ref").
+// Each row reports ns/row, the time per band row, beside cells/µs (as
+// MB/s). The frozen reference implementations the kernels replaced run
+// once, on band-600 ("ref").
 func BenchmarkBandedKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	subject := randomSeq(rng, 8000)
@@ -349,16 +353,21 @@ func BenchmarkBandedKernels(b *testing.B) {
 	read := mutate(rng, subject[5000:5150], 0.08)
 	s := DefaultScoring()
 	sub := NewSubst(s)
-	run := func(name string, cells int64, fn func()) {
+	// run times fn, a pass over rows band rows of cells cells.
+	run := func(name string, cells int64, rows int, fn func()) {
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(cells) // MB/s reads as cells/µs
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fn()
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/row")
 		})
 	}
-	band := func(q []byte) int64 { return BandedCells(len(q), len(subject), 3000, 24) }
+	bandRowsOf := func(la, lb, centre, band int) int {
+		first, end := bandRows(la, lb, centre-band, 2*band+1)
+		return end - first
+	}
 	strip := BandedCells(len(read), len(subject), 5000, 350)
 	full := subject[:7000]
 	for _, r := range passRoutes() {
@@ -366,14 +375,18 @@ func BenchmarkBandedKernels(b *testing.B) {
 		for _, q := range []struct {
 			name string
 			q    []byte
-		}{{"band-600", query}, {"band-2000", long}, {"band-random", weak}} {
-			run(r.name+"/score-"+q.name, band(q.q), func() { sub.BandedLocalScore(q.q, subject, 3000, 24, &sc) })
-			run(r.name+"/traceback-"+q.name, band(q.q), func() { sub.BandedLocal(q.q, subject, 3000, 24, &sc) })
+			band int
+		}{{"band-600", query, 24}, {"band-2000", long, 24}, {"band-random", weak, 24}, {"band12-600", query, 12}, {"band12-random", weak, 12}} {
+			cells, rows := BandedCells(len(q.q), len(subject), 3000, q.band), bandRowsOf(len(q.q), len(subject), 3000, q.band)
+			run(r.name+"/score-"+q.name, cells, rows, func() { sub.BandedLocalScore(q.q, subject, 3000, q.band, &sc) })
+			run(r.name+"/traceback-"+q.name, cells, rows, func() { sub.BandedLocal(q.q, subject, 3000, q.band, &sc) })
 		}
-		run(r.name+"/score-strip-150x700", strip, func() { sub.BandedLocalScore(read, subject, 5000, 350, &sc) })
-		run(r.name+"/traceback-strip-150x700", strip, func() { sub.BandedLocal(read, subject, 5000, 350, &sc) })
-		run(r.name+"/score-full-150x7000", LocalCells(len(read), len(full)), func() { sub.LocalScore(read, full, &sc) })
+		stripRows := bandRowsOf(len(read), len(subject), 5000, 350)
+		run(r.name+"/score-strip-150x700", strip, stripRows, func() { sub.BandedLocalScore(read, subject, 5000, 350, &sc) })
+		run(r.name+"/traceback-strip-150x700", strip, stripRows, func() { sub.BandedLocal(read, subject, 5000, 350, &sc) })
+		run(r.name+"/score-full-150x7000", LocalCells(len(read), len(full)), len(read), func() { sub.LocalScore(read, full, &sc) })
 	}
-	run("ref/score-band-600", band(query), func() { refBandedLocalScore(query, subject, 3000, 24, s) })
-	run("ref/traceback-band-600", band(query), func() { refBandedLocal(query, subject, 3000, 24, s) })
+	band := BandedCells(len(query), len(subject), 3000, 24)
+	run("ref/score-band-600", band, len(query), func() { refBandedLocalScore(query, subject, 3000, 24, s) })
+	run("ref/traceback-band-600", band, len(query), func() { refBandedLocal(query, subject, 3000, 24, s) })
 }

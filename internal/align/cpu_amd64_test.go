@@ -14,10 +14,15 @@ import (
 // when it saves the YMM state (it clears AVX and AVX2 when XSAVE is
 // off), and lists the operating-system half as osxsave on some kernels
 // and only as xsave on others, so either counts.
-// The test logs both kernels' routes, so a verbose run shows which
-// kernels the machine tested.
+// The test logs both kernels' routes, and the lane widths the banded
+// passes run in, so a verbose run shows which kernels the machine
+// tested.
 func TestVectorRouteMatchesCPUInfo(t *testing.T) {
-	t.Logf("striped kernel route: %s; banded pass route: %s", fastest.name, fastestPass.name)
+	lanes := "int32 cells"
+	if fastestPass.score16 != nil {
+		lanes = "int16 lanes where a pass fits them, int32 lanes otherwise"
+	}
+	t.Logf("striped kernel route: %s; banded pass route: %s, %s", fastest.name, fastestPass.name, lanes)
 	if runtime.GOOS != "linux" {
 		t.Skipf("no /proc/cpuinfo on %s", runtime.GOOS)
 	}

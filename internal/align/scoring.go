@@ -7,6 +7,7 @@ package align
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"nucleodb/internal/dna"
@@ -29,6 +30,13 @@ func DefaultScoring() Scoring {
 	return Scoring{Match: 5, Mismatch: 4, GapOpen: 10, GapExtend: 2}
 }
 
+// maxScore bounds every parameter of a Scoring: Match, Mismatch and
+// GapOpen+GapExtend must each stay below it. The kernels hold scores in
+// int32 cells under sentinels of −2^30 (negInf), which leave room for
+// one such penalty before they wrap; the alignment scores themselves
+// are bounded per query (FitsQuery).
+const maxScore = 1 << 30
+
 // Validate reports whether the scoring scheme is usable.
 func (s Scoring) Validate() error {
 	if s.Match <= 0 {
@@ -40,7 +48,23 @@ func (s Scoring) Validate() error {
 	if s.GapExtend <= 0 {
 		return fmt.Errorf("align: gap extend %d must be positive", s.GapExtend)
 	}
+	// Each term first, so the sum cannot overflow a 32-bit int.
+	if s.Match >= maxScore || s.Mismatch >= maxScore || s.GapOpen >= maxScore || s.GapExtend >= maxScore || s.GapOpen+s.GapExtend >= maxScore {
+		return fmt.Errorf("align: match %d, mismatch %d and gap open+extend %d must each be below 2^30", s.Match, s.Mismatch, s.GapOpen+s.GapExtend)
+	}
 	return nil
+}
+
+// maxQueryScore bounds a query's alignments: the kernels' flags and
+// sentinels (negInf) stay exact while Match·len(query) + Match +
+// Mismatch + GapOpen + GapExtend, the largest score a query of that
+// length can reach plus one step of every penalty, is below it.
+const maxQueryScore = 1 << 31
+
+// FitsQuery reports whether a query of n bases stays inside
+// maxQueryScore under s, which must be valid.
+func (s Scoring) FitsQuery(n int) bool {
+	return int64(s.Match)*int64(n)+int64(s.Match)+int64(s.Mismatch)+int64(s.GapOpen)+int64(s.GapExtend) < maxQueryScore
 }
 
 // Masked is a pseudo-code that never matches anything, not even
@@ -76,11 +100,27 @@ type Subst struct {
 	// tab[a][b] == scoring.Score(a, b). The last row answers for every
 	// query byte outside the alphabet (Masked, junk): all mismatches.
 	tab substTable
+	// tab16 is tab's first 16 columns as int8, the table the narrow
+	// passes look subject bytes up in with VPSHUFB. Column 15 is outside
+	// the alphabet, so it holds the score of every subject byte from 15
+	// up, and the passes clamp each byte to 15 before the lookup.
+	tab16 narrowTable
+	// narrowSpan is Match + Mismatch + openExt + 16·ext, what a narrow
+	// pass needs above its cells' largest score (fitsNarrow), or −1 when
+	// a substitution score does not fit int8 and no pass runs narrow.
+	narrowSpan int64
 }
 
 // substTable is Subst's table: a row of 256 scores per query code, and
 // one more for every byte outside the alphabet.
 type substTable = [dna.NumCodes + 1][256]int32
+
+// narrowTable is Subst's int8 table: a row of 16 scores per query code.
+type narrowTable = [dna.NumCodes + 1][16]int8
+
+// tab16's column 15 stands for every byte past the alphabet only while
+// the alphabet ends below it: this fails to compile otherwise.
+var _ [15 - dna.NumCodes]struct{}
 
 // NewSubst compiles s.
 func NewSubst(s Scoring) *Subst {
@@ -97,6 +137,15 @@ func (t *Subst) build(s Scoring) {
 		for b := range t.tab[a] {
 			t.tab[a][b] = int32(s.Score(byte(a), byte(b)))
 		}
+	}
+	t.narrowSpan = -1
+	if s.Match <= math.MaxInt8 && s.Mismatch <= -math.MinInt8 {
+		for a := range t.tab16 {
+			for b := range t.tab16[a] {
+				t.tab16[a][b] = int8(t.tab[a][b])
+			}
+		}
+		t.narrowSpan = int64(s.Match) + int64(s.Mismatch) + int64(t.openExt) + 16*int64(t.ext)
 	}
 }
 

@@ -186,7 +186,9 @@ func DefaultOptions() Options {
 
 // ErrInvalid marks a search error as the caller's: options Validate
 // rejects, or a query this index cannot evaluate (shorter than its
-// interval). Everything else a
+// interval, or long enough that Match·len(query) + Match + Mismatch +
+// GapOpen + GapExtend reaches 2^31, past the kernels' int32 scores:
+// align.Scoring.FitsQuery). Everything else a
 // search returns — a corrupt posting list, a failed read under a paged
 // index — is the database's or the machine's fault. Test with errors.Is.
 var ErrInvalid = errors.New("invalid search request")
@@ -466,6 +468,9 @@ func (s *Searcher) Search(query []byte, opts Options) ([]Result, error) {
 func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
+	}
+	if !s.scoring.FitsQuery(len(query)) {
+		return nil, Invalid(fmt.Errorf("core: a query of %d bases could score past 2^31 under match %d", len(query), s.scoring.Match))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -194,5 +195,27 @@ func TestNewSegmentedSearcherValidates(t *testing.T) {
 	}
 	if _, err := NewSegmentedSearcher(segs, &double, align.DefaultScoring(), nil); err == nil {
 		t.Error("mixed build options accepted")
+	}
+}
+
+// TestSearchRejectsQueriesPastInt32Scores: a query whose perfect score
+// plus one step of every penalty reaches 2^31 is the caller's error,
+// ErrInvalid, at Match 2^27 from 15 bases on; at 14 bases the search
+// runs, and a scoring Validate rejects (Match 2^30) builds no searcher.
+func TestSearchRejectsQueriesPastInt32Scores(t *testing.T) {
+	f := makeFixture(t, 81, index.Options{K: 9})
+	big := align.Scoring{Match: 1 << 27, Mismatch: 1, GapOpen: 1, GapExtend: 1}
+	s, err := NewSearcher(f.idx, f.store, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Search(f.query[:14], DefaultOptions()); err != nil {
+		t.Fatalf("14-base query at Match 2^27: %v", err)
+	}
+	if _, err := s.Search(f.query[:15], DefaultOptions()); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("15-base query at Match 2^27: %v, want ErrInvalid", err)
+	}
+	if _, err := NewSearcher(f.idx, f.store, align.Scoring{Match: 1 << 30, GapExtend: 1}); err == nil {
+		t.Fatal("Match 2^30 accepted")
 	}
 }

@@ -691,3 +691,32 @@ func TestHammerDuringShutdown(t *testing.T) {
 		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
 	}
 }
+
+// TestQueryPastInt32ScoresIs400: a query long enough to score past 2^31
+// under the database's scoring (Match 2^27, from 15 bases on) is the
+// client's error, a 400, and the server answers a shorter one.
+func TestQueryPastInt32ScoresIs400(t *testing.T) {
+	col, err := gen.Generate(gen.DefaultConfig(20, 43))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]nucleodb.Record, len(col.Records))
+	for i, r := range col.Records {
+		recs[i] = nucleodb.Record{Desc: r.Desc, Sequence: dna.String(r.Codes)}
+	}
+	cfg := nucleodb.DefaultBuildConfig()
+	cfg.Scoring = nucleodb.Scoring{Match: 1 << 27, Mismatch: 1, GapOpen: 1, GapExtend: 1}
+	db, err := nucleodb.Build(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, db, nil)
+	seq := db.Sequence(0)
+	if rec, body := get(t, s.Handler(), "/search?nocache=1&q="+seq[:14]); rec.Code != http.StatusOK {
+		t.Fatalf("14-base query: status %d, want 200: %s", rec.Code, body)
+	}
+	rec, body := get(t, s.Handler(), "/search?nocache=1&q="+seq[:15])
+	if rec.Code != http.StatusBadRequest || !strings.Contains(string(body), "2^31") {
+		t.Fatalf("15-base query: status %d, want 400 naming 2^31: %s", rec.Code, body)
+	}
+}
