@@ -33,6 +33,15 @@ package align
 // the default scoring, queries up to ≈ 3 000 bases), and eight int32
 // cells to a register otherwise. Every route writes the same H, E and
 // direction bytes and returns the same best and end.
+//
+// The score pass has a third form for a batch of candidates,
+// BandedLocalScoreLanes (banded_lanes.go): on the AVX2 route, sixteen
+// candidates to a register, one to an int16 lane, for a query the
+// int16 lanes admit whole and a batch of at least minVectorLanes; every
+// other batch (int32 scores, the Go route, fewer candidates) runs
+// BandedLocalScore candidate by candidate. The tracebacks, the strips
+// of LocalScore and LocalEndingAt and the exact route stay on the
+// single-candidate passes.
 
 // negInf marks the sentinel slots. It sits below every score by more
 // than any penalty, so a sentinel less a gap penalty loses every max,
@@ -90,12 +99,19 @@ const maxPooledDir = 1 << 20
 // score16 and trace16, when set, are the same passes over int16 rows,
 // laid out as BandedScratch.rows16 lays them out, for the passes
 // fitsNarrow admits; best must be at most narrowMax+1.
+//
+// lanes16, when set, is the vector batch (banded_lanes.go): the score
+// pass over every row of a, MaxLanes windows at once, one to an int16
+// lane, over the transposed windows cols and the rows h and e, laid out
+// as BandedScratch.laneCols and laneRows lay them out, for the queries
+// fitsNarrow admits.
 type passRoute struct {
 	name    string
 	score   func(h, e []int32, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
 	trace   func(h, e []int32, dir, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
 	score16 func(h, e []int16, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
 	trace16 func(h, e []int16, dir, a, b []byte, lo, width, first, end int, t *Subst, best int32) (int32, int, int)
+	lanes16 func(h, e []int16, cols, a []byte, width int, t *Subst, ends *laneEnds)
 }
 
 // goPass is the portable route, and the reference the vector route is
@@ -113,14 +129,21 @@ var fastestPass = func() *passRoute {
 
 // BandedScratch is the mutable state of the banded kernels: the H and E
 // rows, in int32 cells and in int16 cells for the narrow passes, the
-// traceback direction matrix (one byte per band cell) and the reversed
-// transcript. One scratch belongs to one goroutine at a time; each
-// core.Searcher keeps one and reuses it across candidates.
+// traceback direction matrix (one byte per band cell), the reversed
+// transcript, and the vector batch's rows and windows. One scratch
+// belongs to one goroutine at a time; each core.Searcher keeps one and
+// reuses it across candidates.
 type BandedScratch struct {
 	h, e     []int32 // DP rows with their sentinels, reset per call
 	h16, e16 []int16 // the same in int16 cells, with narrowPad slots past each
 	dir      []byte  // direction matrix, every cell the traceback reads is rewritten first
 	ops      []byte  // reversed transcript, copied out before return; kept up to maxPooledDir
+	// laneH and laneE are the vector batch's H and E rows, MaxLanes
+	// cells a band column, cols its transposed windows, kept up to
+	// maxPooledCols, and ends what it returns.
+	laneH, laneE []int16
+	cols         []byte
+	ends         laneEnds
 	// route, when set, runs the passes instead of fastestPass. Only the
 	// tests set it.
 	route *passRoute

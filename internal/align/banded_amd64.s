@@ -662,7 +662,7 @@ tracetailslow:
 // mismatch. The direction bytes pack 16 to an XMM store.
 //
 // A row's last cells run in general registers when there is one of them
-// (scorePass, as in int32 lanes: the default band's rows of 49), and
+// (the default band's rows of 49 leave one), in both passes, and
 // otherwise as one whole block that reads up to 15 slots past the row
 // and writes back, in the lanes past it, what it read (VPBLENDVB): the
 // narrowPad slots take those reads and writes. The block's subject
@@ -1220,8 +1220,11 @@ ntraceblock:
 	JB      ntraceblock
 
 ntracetail:
-	CMPQ      AX, CX
-	JAE       ntracebest
+	MOVQ      CX, R13
+	SUBQ      AX, R13
+	JZ        ntracebest
+	CMPQ      R13, $1
+	JE        ntracecell
 	NLOAD_TAIL
 	NTRACE_E(Y2, Y0, Y1)
 	VPBLENDVB Y5, (R8)(AX*2), Y1, Y1
@@ -1245,6 +1248,65 @@ ntracedir:
 	INCQ    R12
 	CMPQ    R12, R13
 	JB      ntracedir
+	JMP     ntracebest
+
+	// A last cell alone runs as traceRow runs it, as in scorePass: DX
+	// hd, then he, then H; R11 E, then F; R12 the direction byte's bits,
+	// the gap bits (the E-extend bit, and the F-extend bit from lane 15
+	// of Y6) parked at 48(SP) while R12 takes the H-source bits.
+ntracecell:
+	MOVBLZX      (BX)(AX*1), R11
+	MOVL         $15, R13
+	CMPL         R11, R13
+	CMOVLGT      R13, R11
+	MOVBLSX      (DX)(R11*1), DX
+	MOVWLSX      (DI)(AX*2), R11
+	ADDL         R11, DX
+	MOVWLSX      2(DI)(AX*2), R11
+	SUBL         OPENEXT, R11
+	MOVWLSX      2(R8)(AX*2), R13
+	SUBL         EXT, R13
+	MOVL         R11, R12
+	SUBL         R13, R12
+	SHRL         $31, R12
+	SHLL         $2, R12
+	CMPL         R13, R11
+	CMOVLGT      R13, R11
+	XORL         R13, R13
+	CMPL         R11, R13
+	CMOVLLT      R13, R11
+	MOVW         R11, (R8)(AX*2)
+	VEXTRACTI128 $1, Y6, X0
+	VPEXTRW      $7, X0, R13
+	ORL          R13, R12
+	MOVB         R12, 48(SP)
+	MOVL         DX, R12
+	SUBL         R11, R12
+	SHRL         $31, R12
+	INCL         R12
+	CMPL         DX, R11
+	CMOVLLT      R11, DX
+	VMOVD        X12, R11
+	MOVWLSX      R11, R11
+	MOVWLSX      CARRY0, R13
+	ADDL         R13, R11
+	MOVL         DX, R13
+	SUBL         R11, R13
+	SARL         $31, R13
+	ANDL         $3, R13
+	ORL          R13, R12
+	CMPL         DX, R11
+	CMOVLLT      R11, DX
+	MOVW         DX, (DI)(AX*2)
+	MOVL         DX, R13
+	NEGL         R13
+	SARL         $31, R13
+	ANDL         R13, R12
+	MOVBLZX      48(SP), R13
+	ORL          R13, R12
+	MOVB         R12, (R10)(AX*1)
+	VMOVD        DX, X0
+	VPMAXSW      Y0, Y11, Y11
 
 ntracebest:
 	NNEW_BEST(ntracenext)
@@ -1263,5 +1325,159 @@ ntracenext:
 	JLT  ntracerow
 
 ntracedone:
+	VZEROUPPER
+	RET
+
+// The vector batch, scoreLanesAVX2x16 (banded_lanes.go): the score pass
+// over every row of a for up to sixteen candidates at once, one to an
+// int16 lane, over their band windows transposed into position-major
+// bytes (BandedScratch.laneCols: position p = i + c of band column c in
+// row i, sixteen bytes a position). H and E are one register a band
+// column, updated in place as the single passes update their rows: the
+// column's slot holds the diagonal neighbour and the next slot the
+// vertical one. A row has one query code, so its substitution scores
+// are one VPSHUFB of the code's int8 row (Subst.tab16) over the
+// position's sixteen bytes. F runs along the columns as scoreRow's own
+// recurrence, F = max(F − ext, he(x−1) − openExt), one cell a step, so
+// there is no scan and no correction.
+//
+// Every gap term is clamped at 0 by an unsigned saturating subtraction,
+// the E term as scoreRow clamps it and the F terms where scoreRow leaves
+// them unclamped, which changes no H: he is at least 0 and H = max(he,
+// F). So every cell is in [0, 2^15) but hd, which is at least
+// −Mismatch, and the column past the band, which stands for the
+// sentinels, is 0: against it the E terms clamp to 0 as they do against
+// negInf, and F starts each row at 0, as max(negInf − openExt, 0) is.
+// Under fitsNarrow over all of a's rows no cell passes 2^14.
+//
+// Why the pad is safe. A lane's window covers all of its band's cells
+// that lie in its subject; a position outside it holds lanePad, which
+// scores at most 0 against every query code. Left of the subject every
+// neighbour a cell reads is left of it too, so by induction each H and E
+// there is 0 — the boundary the single pass reads from its untouched
+// slots. Right of the subject every value comes from an earlier cell,
+// less a gap cost (GapExtend > 0, which Validate requires) or plus a pad
+// score of at most 0, and no valid cell reads it, as the band moves right
+// a column a row. So no such cell exceeds the best of the valid cells in
+// its row and the rows above; left of and right of the subject lie before
+// and after the row's valid cells. Each lane keeps the first cell in
+// row-major order that strictly beats its best, which is then always a
+// valid cell, and the single pass's end.
+//
+// Each row's maximum starts at the lanes' bests, so one compare tells
+// which lanes the row beat. For those the row and the first column that
+// holds the new best are blended into two index registers; the column
+// is a count over the row just written of the columns before the first
+// that holds it, four columns a step until every such lane has found it.
+//
+// Registers: DI and R8 the H and E rows, SI the row's first position, DX
+// a, R9 its length, R14 the row, BX the table, R13 the row's end, AX the
+// column (sixteen bytes a column). Y15 openExt, Y14 ext, Y13 1, Y12 F,
+// Y11 the next cell's he − openExt, X10 the row's table, Y9 the row's
+// maximum, Y8 the bests, Y7 the next cell's diagonal, Y4 and Y5 the
+// bests' rows and columns; Y0–Y3 hold a cell, and Y0 the lanes a row
+// beat.
+
+// LANE_COUNT takes one column of the row just written: it clears from
+// Y1 the lanes whose maximum (Y9) the column holds, and adds 1 to Y3 in
+// the lanes still set. So Y3 counts the columns before the first that
+// holds a lane's maximum, and the count stops there: the column. The
+// rows have three columns past the sentinel, as the last step of four
+// may read them.
+#define LANE_COUNT(col) \
+	VPCMPEQW col, Y9, Y2; \
+	VPANDN   Y1, Y2, Y1; \
+	VPSUBW   Y1, Y3, Y3
+
+// func scoreLanesAVX2x16(h, e []int16, cols, a []byte, width int, t *Subst, ends *laneEnds)
+TEXT ·scoreLanesAVX2x16(SB), NOSPLIT, $0-120
+	MOVQ         h_base+0(FP), DI
+	MOVQ         e_base+24(FP), R8
+	MOVQ         cols_base+48(FP), SI
+	MOVQ         a_base+72(FP), DX
+	MOVQ         a_len+80(FP), R9
+	MOVQ         width+96(FP), R13
+	SHLQ         $4, R13
+	MOVQ         t+104(FP), BX
+	MOVL         Subst_openExt(BX), R11
+	VMOVD        R11, X15
+	VPBROADCASTW X15, Y15
+	MOVL         Subst_ext(BX), R11
+	VMOVD        R11, X14
+	VPBROADCASTW X14, Y14
+	LEAQ         Subst_tab16(BX), BX
+	VMOVDQU      wordOne<>(SB), Y13
+	VPXOR        Y8, Y8, Y8
+	VPXOR        Y4, Y4, Y4
+	VPXOR        Y5, Y5, Y5
+	XORQ         R14, R14
+
+lanerow:
+	MOVBLZX (DX)(R14*1), R11
+	MOVL    $15, R12
+	CMPL    R11, R12
+	CMOVLGT R12, R11
+	SHLQ    $4, R11
+	VMOVDQU (BX)(R11*1), X10
+	VPXOR   Y12, Y12, Y12
+	VPXOR   Y11, Y11, Y11
+	VMOVDQA Y8, Y9
+	VMOVDQU (DI), Y7
+	XORQ    AX, AX
+
+lanecell:
+	VPSHUFB   (SI)(AX*1), X10, X3
+	VPMOVSXBW X3, Y3
+	VPADDW    Y7, Y3, Y2
+	VMOVDQU   32(DI)(AX*2), Y7
+	VPSUBUSW  Y15, Y7, Y0
+	VMOVDQU   32(R8)(AX*2), Y1
+	VPSUBUSW  Y14, Y1, Y1
+	VPMAXSW   Y0, Y1, Y1
+	VMOVDQU   Y1, (R8)(AX*2)
+	VPMAXSW   Y1, Y2, Y2
+	VPSUBUSW  Y14, Y12, Y12
+	VPMAXSW   Y11, Y12, Y12
+	VPSUBUSW  Y15, Y2, Y11
+	VPMAXSW   Y12, Y2, Y2
+	VMOVDQU   Y2, (DI)(AX*2)
+	VPMAXSW   Y2, Y9, Y9
+	ADDQ      $16, AX
+	CMPQ      AX, R13
+	JB        lanecell
+
+	// The lanes whose best the row beat take the row, and the first
+	// column that holds the row's maximum, counted four columns a step.
+	VPCMPGTW     Y8, Y9, Y0
+	VPTEST       Y0, Y0
+	JZ           lanenext
+	VMOVDQA      Y9, Y8
+	VMOVD        R14, X1
+	VPBROADCASTW X1, Y1
+	VPBLENDVB    Y0, Y1, Y4, Y4
+	VMOVDQA      Y0, Y1
+	VPXOR        Y3, Y3, Y3
+	MOVQ         DI, R11
+
+lanefind:
+	LANE_COUNT(0(R11))
+	LANE_COUNT(32(R11))
+	LANE_COUNT(64(R11))
+	LANE_COUNT(96(R11))
+	ADDQ   $128, R11
+	VPTEST Y1, Y1
+	JNZ    lanefind
+	VPBLENDVB Y0, Y3, Y5, Y5
+
+lanenext:
+	ADDQ $16, SI
+	INCQ R14
+	CMPQ R14, R9
+	JLT  lanerow
+
+	MOVQ    ends+112(FP), R11
+	VMOVDQU Y8, laneEnds_best(R11)
+	VMOVDQU Y4, laneEnds_row(R11)
+	VMOVDQU Y5, laneEnds_col(R11)
 	VZEROUPPER
 	RET

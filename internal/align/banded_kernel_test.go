@@ -225,24 +225,35 @@ func TestSubstMatchesScore(t *testing.T) {
 }
 
 // TestBandedKernelAllocations is the steady-state contract of the
-// scratch entry points on every pass route: the score pass allocates
-// nothing, the traceback pass only the transcript it returns.
+// scratch entry points on every pass route: the score pass and the
+// batch (on the vector batch where the route has one, lane by lane
+// where it does not) allocate nothing, the traceback pass only the
+// transcript it returns.
 func TestBandedKernelAllocations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1408))
 	b := randomSeq(rng, 4000)
 	a := mutate(rng, b[1000:1600], 0.1)
 	sub := NewSubst(DefaultScoring())
+	windows, centres := make([][]byte, MaxLanes), make([]int, MaxLanes)
+	for l := range windows {
+		windows[l], centres[l] = windowOf(b, 1000+l-MaxLanes/2, 24, len(a))
+	}
+	out := make([]LaneScore, MaxLanes)
 	for _, r := range passRoutes() {
 		sc := BandedScratch{route: r}
 		if score, _, _ := sub.BandedLocalScore(a, b, 1000, 24, &sc); score < 1000 {
 			t.Fatalf("fixture does not align: score %d", score)
 		}
 		sub.BandedLocal(a, b, 1000, 24, &sc) // grow the scratch
+		sub.BandedLocalScoreLanes(a, windows, centres, 24, &sc, out)
 		if n := testing.AllocsPerRun(20, func() { sub.BandedLocalScore(a, b, 1000, 24, &sc) }); n != 0 {
 			t.Errorf("%s pass: BandedLocalScore allocates %v times per call, want 0", r.name, n)
 		}
 		if n := testing.AllocsPerRun(20, func() { sub.BandedLocal(a, b, 1000, 24, &sc) }); n != 1 {
 			t.Errorf("%s pass: BandedLocal allocates %v times per call, want 1 (the transcript)", r.name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { sub.BandedLocalScoreLanes(a, windows, centres, 24, &sc, out) }); n != 0 {
+			t.Errorf("%s pass: BandedLocalScoreLanes of %d windows allocates %v times per call, want 0", r.name, len(windows), n)
 		}
 	}
 }
@@ -260,6 +271,25 @@ func TestBandedScratchKeepsNoHugeBuffers(t *testing.T) {
 	if cap(sc.dir) > maxPooledDir || cap(sc.ops) > maxPooledDir {
 		t.Fatalf("scratch keeps a %d-byte direction matrix and a %d-byte transcript, want at most %d each", cap(sc.dir), cap(sc.ops), maxPooledDir)
 	}
+
+	// A batch whose transposed windows pass maxPooledCols (a 3 000-base
+	// query at band 1 000: 5 000 positions of MaxLanes bytes) scores
+	// them in a buffer of its own, and a default one afterwards keeps
+	// its own in the scratch.
+	sub := NewSubst(DefaultScoring())
+	windows, centres := make([][]byte, MaxLanes), make([]int, MaxLanes)
+	for l := range windows {
+		windows[l], centres[l] = a[:5000], l
+	}
+	out := make([]LaneScore, MaxLanes)
+	sub.BandedLocalScoreLanes(a[:3000], windows, centres, 1000, &sc, out)
+	if cap(sc.cols) > maxPooledCols {
+		t.Fatalf("scratch keeps %d bytes of transposed windows, want at most %d", cap(sc.cols), maxPooledCols)
+	}
+	sub.BandedLocalScoreLanes(a[:600], windows, centres, 24, &sc, out)
+	if _, ok := vectorPass(); ok && cap(sc.cols) == 0 {
+		t.Fatal("a default batch keeps no transposed windows in the scratch")
+	}
 }
 
 // FuzzBandedAlign is the differential fuzz target of the banded
@@ -270,8 +300,10 @@ func TestBandedScratchKeepsNoHugeBuffers(t *testing.T) {
 // window of the subject, so the kernels also run on a window holding
 // every band cell, starting up to off bases before the band's first
 // column, with the centre shifted by its start: the answers are the
-// whole subject's, in window coordinates. Run via `make fuzz-smoke` or
-// `go test -fuzz=FuzzBandedAlign ./internal/align`.
+// whole subject's, in window coordinates. Then the batch scores b cut
+// into up to MaxLanes windows, each lane its own BandedLocalScore. Run
+// via `make fuzz-smoke` or `go test -fuzz=FuzzBandedAlign
+// ./internal/align`.
 func FuzzBandedAlign(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, []byte{0, 1, 2, 3}, int16(0), uint8(2), uint16(5), uint16(4), uint16(10), uint16(2), uint16(0))
 	f.Add([]byte{0, 0, 0, 0, 0}, []byte{1, 1, 1, 1}, int16(-2), uint8(0), uint16(1), uint16(1), uint16(0), uint16(1), uint16(1))
@@ -321,6 +353,31 @@ func FuzzBandedAlign(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("window [%d,%d) of %d:\n got %+v\nwant %+v", from, hi, len(b), got, want)
 		}
+
+		// The batch: b cut into 1 + off%MaxLanes overlapping windows,
+		// lane l's band centred on c+l in b, each lane DeepEqual to its
+		// BandedLocalScore, through BandedLocalScoreLanes and, where the
+		// query fits it, through the vector batch itself.
+		n := 1 + int(off)%MaxLanes
+		windows, centres := make([][]byte, n), make([]int, n)
+		lanes := make([]LaneScore, n)
+		for l := range n {
+			wf, wt := l*len(b)/(n+1), (l+2)*len(b)/(n+1)
+			windows[l], centres[l] = b[wf:wt], c+l-wf
+			lanes[l].Score, lanes[l].AEnd, lanes[l].BEnd = sub.BandedLocalScore(a, windows[l], centres[l], w, &sc)
+		}
+		batch := make([]LaneScore, n)
+		sub.BandedLocalScoreLanes(a, windows, centres, w, &sc, batch)
+		if !reflect.DeepEqual(batch, lanes) {
+			t.Fatalf("BandedLocalScoreLanes of %d windows:\n got %v\nwant %v", n, batch, lanes)
+		}
+		if r, ok := vectorPass(); ok && sub.vectorLanes(&r, len(a), w) {
+			vsc := BandedScratch{route: &r}
+			sub.scoreLanes(&r, a, windows, centres, w, &vsc, batch)
+			if !reflect.DeepEqual(batch, lanes) {
+				t.Fatalf("the vector batch of %d windows:\n got %v\nwant %v", n, batch, lanes)
+			}
+		}
 	})
 }
 
@@ -340,6 +397,12 @@ func FuzzBandedAlign(f *testing.F) {
 //     the order of an exact query's traceback strip for a weak hit;
 //   - full-150x7000: the score pass over the whole matrix of a 150-base
 //     read and a 7 kb subject — the exact route's tied-end pass.
+//
+// Then, on the AVX2 route, the vector batch: lanesN-L-bandB scores N
+// windows against an L-base query (150, 600 and 2 000 bases) at band B
+// (24 and 12) in one batch, beside single-L-bandB, the sixteen windows
+// scored one at a time on the int16 pass; their ns/row is per
+// candidate-row, the time over the rows of every window scored.
 //
 // Each row reports ns/row, the time per band row, beside cells/µs (as
 // MB/s). The frozen reference implementations the kernels replaced run
@@ -385,6 +448,37 @@ func BenchmarkBandedKernels(b *testing.B) {
 		run(r.name+"/score-strip-150x700", strip, stripRows, func() { sub.BandedLocalScore(read, subject, 5000, 350, &sc) })
 		run(r.name+"/traceback-strip-150x700", strip, stripRows, func() { sub.BandedLocal(read, subject, 5000, 350, &sc) })
 		run(r.name+"/score-full-150x7000", LocalCells(len(read), len(full)), len(read), func() { sub.LocalScore(read, full, &sc) })
+	}
+	// The vector batch against the single int16 pass, in ns per
+	// candidate-row: n of 16 windows (homologs and random subjects in
+	// turn) scored in one batch, and the 16 scored one at a time.
+	if r, ok := vectorPass(); ok {
+		for _, la := range []int{150, 600, 2000} {
+			q := mutate(rng, subject[1000:1000+la], 0.1)[:la]
+			for _, band := range []int{24, 12} {
+				windows, centres := make([][]byte, MaxLanes), make([]int, MaxLanes)
+				for l := range windows {
+					s := randomSeq(rng, la+4*band)
+					if l%2 == 0 {
+						copy(s[band:], mutate(rng, q, 0.1))
+					}
+					windows[l], centres[l] = windowOf(s, band+rng.Intn(5)-2, band, la)
+				}
+				out := make([]LaneScore, MaxLanes)
+				sc := BandedScratch{route: &r}
+				name := fmt.Sprintf("%d-band%d", la, band)
+				for _, n := range []int{1, 2, 4, 8, 16} {
+					run(fmt.Sprintf("%s/lanes%d-%s", r.name, n, name), BandedCells(la, len(windows[0]), centres[0], band)*int64(n), la*n, func() {
+						sub.scoreLanes(&r, q, windows[:n], centres[:n], band, &sc, out[:n])
+					})
+				}
+				run(fmt.Sprintf("%s/single-%s", r.name, name), BandedCells(la, len(windows[0]), centres[0], band)*MaxLanes, la*MaxLanes, func() {
+					for l, w := range windows {
+						sub.BandedLocalScore(q, w, centres[l], band, &sc)
+					}
+				})
+			}
+		}
 	}
 	band := BandedCells(len(query), len(subject), 3000, 24)
 	run("ref/score-band-600", band, len(query), func() { refBandedLocalScore(query, subject, 3000, 24, s) })

@@ -459,10 +459,12 @@ func (s *Searcher) Search(query []byte, opts Options) ([]Result, error) {
 // does not want the numbers, and they go to the searcher's own scratch.
 //
 // Cancellation is cooperative: the evaluation checks ctx between
-// posting lists in the coarse phase and between candidates in the
-// prescreen/fine/traceback phases — coarse enough that the hot decode
-// and DP loops stay allocation-free, fine enough that even a long
-// Smith–Waterman fine phase stops within one candidate's alignment. On
+// posting lists in the coarse phase, between batches of candidates in
+// the prescreen and fine phases (one candidate under FineFull, at most
+// align.MaxLanes, 16, under FineBanded) and between tracebacks — coarse
+// enough that the hot decode and DP loops stay allocation-free, fine
+// enough that even a long Smith–Waterman fine phase stops within one
+// batch of at most 16 candidates' alignments. On
 // cancellation it returns ctx.Err() (so errors.Is(err,
 // context.Canceled) works) and no results.
 func (s *Searcher) SearchWithStatsContext(ctx context.Context, query []byte, opts Options, st *SearchStats) ([]Result, error) {
@@ -627,9 +629,11 @@ func (s *Searcher) read(id, from, to int) []byte {
 
 // searchStrand evaluates one orientation of the query: the coarse phase
 // appends one record per candidate to s.recs, and the fine phase scores
-// them in candidate order, folds each one's work into st and keeps the
-// records that passed. Cancellation is checked between posting lists
-// (coarse) and before each record (fine).
+// them in candidate order, in batches of up to align.MaxLanes under
+// FineBanded and one at a time under FineFull, folds each one's work
+// into st and keeps the records that passed. Cancellation is checked
+// between posting lists (coarse) and before each batch (fine), so a
+// cancelled fine phase stops within one batch of at most 16.
 func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options, st *SearchStats) error {
 	t0 := time.Now()
 	// A seed anchors the prescreen extension and centres a band the
@@ -646,28 +650,35 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	if opts.FineMode == FineFull && len(recs) > 0 {
 		s.bvProfile.Build(query, s.scoring)
 	}
+	batch := 1
+	if opts.FineMode == FineBanded {
+		batch = align.MaxLanes
+	}
 	// The records that passed move to the front of the strand's records.
 	kept := first
-	for i := range recs {
+	for start := 0; start < len(recs); start += batch {
 		if err := ctx.Err(); err != nil {
 			st.FineTime += time.Since(t0)
 			return err
 		}
-		r := &recs[i]
-		s.fine(query, r, opts)
-		st.PrescreenTime += r.prescreen
-		if r.rejected {
-			st.PrescreenRejections++
-			continue
-		}
-		st.FineAlignments++
-		st.FineDPCells += r.cells
-		if r.striped {
-			st.BitvectorAlignments++
-		}
-		if r.score >= opts.MinScore {
-			s.recs[kept] = *r
-			kept++
+		group := recs[start:min(start+batch, len(recs))]
+		s.fine(query, group, opts)
+		for i := range group {
+			r := &group[i]
+			st.PrescreenTime += r.prescreen
+			if r.rejected {
+				st.PrescreenRejections++
+				continue
+			}
+			st.FineAlignments++
+			st.FineDPCells += r.cells
+			if r.striped {
+				st.BitvectorAlignments++
+			}
+			if r.score >= opts.MinScore {
+				s.recs[kept] = *r
+				kept++
+			}
 		}
 	}
 	s.recs = s.recs[:kept]
@@ -675,46 +686,83 @@ func (s *Searcher) searchStrand(ctx context.Context, query []byte, opts Options,
 	return nil
 }
 
-// fine scores one record, writing its fine-phase fields.
-func (s *Searcher) fine(query []byte, r *candRec, opts Options) {
-	n := s.src.SeqLen(r.id)
-	var seq []byte // the whole subject, read when something needs it
-	if opts.Prescreen > 0 {
-		p0 := time.Now()
-		seq = s.read(r.id, 0, n)
-		score, _, _, _, _ := align.ExtendUngapped(
-			query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
-		r.prescreen = time.Since(p0)
-		r.rejected = score < opts.Prescreen
-		if r.rejected {
-			return
+// fine scores a batch of records, writing their fine-phase fields: each
+// one's prescreen first, then under FineFull each one alone, and under
+// FineBanded every record the prescreen kept in one
+// BandedLocalScoreLanes call over the records' band windows.
+func (s *Searcher) fine(query []byte, recs []candRec, opts Options) {
+	var lanes [align.MaxLanes]int // the banded records, by index in recs
+	k := 0
+	for i := range recs {
+		r := &recs[i]
+		n := s.src.SeqLen(r.id)
+		var seq []byte // the whole subject, read when something needs it
+		if opts.Prescreen > 0 {
+			p0 := time.Now()
+			seq = s.read(r.id, 0, n)
+			score, _, _, _, _ := align.ExtendUngapped(
+				query, seq, r.seed.qPos, r.seed.sPos, s.opts.K, s.scoring, prescreenXDrop)
+			r.prescreen = time.Since(p0)
+			r.rejected = score < opts.Prescreen
+			if r.rejected {
+				continue
+			}
+		}
+		switch opts.FineMode {
+		case FineFull:
+			// Exact score and end cell, no transcript.
+			if seq == nil {
+				seq = s.read(r.id, 0, n)
+			}
+			var unique bool
+			if !s.scalarFine {
+				r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &s.scratch.bv)
+			}
+			if !r.striped {
+				// A pair beyond the lanes' capacity.
+				r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &s.scratch.banded)
+			}
+			r.tied = r.striped && r.score > 0 && !unique
+			r.cells = align.LocalCells(len(query), n)
+		case FineBanded:
+			r.cells = align.BandedCells(len(query), n, r.centre, opts.Band)
+			lanes[k] = i
+			k++
 		}
 	}
-	switch opts.FineMode {
-	case FineFull:
-		// Exact score and end cell, no transcript.
-		if seq == nil {
-			seq = s.read(r.id, 0, n)
-		}
-		var unique bool
-		if !s.scalarFine {
-			r.score, r.bEnd, unique, r.striped = s.bvProfile.Score(seq, &s.scratch.bv)
-		}
-		if !r.striped {
-			// A pair beyond the lanes' capacity.
-			r.score, r.aEnd, r.bEnd = s.subst.LocalScore(query, seq, &s.scratch.banded)
-		}
-		r.tied = r.striped && r.score > 0 && !unique
-		r.cells = align.LocalCells(len(query), n)
-	case FineBanded:
-		// The band reads only its window of the subject, which the
-		// kernel scores with the centre shifted by the window's start.
-		from, to := bandWindow(r.centre, opts.Band, len(query), n)
-		r.score, r.aEnd, r.bEnd = s.subst.BandedLocalScore(query, s.read(r.id, from, to), r.centre-from, opts.Band, &s.scratch.banded)
+	if k == 0 {
+		return
+	}
+	// The bands read only their windows of the subjects, one after
+	// another in the read buffer, which the kernel scores with each
+	// centre shifted by its window's start.
+	var (
+		from, ends, centres [align.MaxLanes]int
+		windows             [align.MaxLanes][]byte
+		out                 [align.MaxLanes]align.LaneScore
+	)
+	buf := s.scratch.seq[:0]
+	for j, i := range lanes[:k] {
+		r := &recs[i]
+		var to int
+		from[j], to = bandWindow(r.centre, opts.Band, len(query), s.src.SeqLen(r.id))
+		buf = s.src.AppendRange(buf, r.id, from[j], to) // AppendRange appends to buf and keeps no reference to it
+		ends[j], centres[j] = len(buf), r.centre-from[j]
+	}
+	if cap(buf) <= maxPooledSeq {
+		s.scratch.seq = buf
+	}
+	start := 0
+	for j := range k {
+		windows[j], start = buf[start:ends[j]], ends[j]
+	}
+	s.subst.BandedLocalScoreLanes(query, windows[:k], centres[:k], opts.Band, &s.scratch.banded, out[:k])
+	for j, i := range lanes[:k] {
+		r := &recs[i]
+		r.score, r.aEnd, r.bEnd = out[j].Score, out[j].AEnd, out[j].BEnd
 		if r.score > 0 {
-			r.bEnd += from // back to subject coordinates
+			r.bEnd += from[j] // back to subject coordinates
 		}
-		r.cells = align.BandedCells(len(query), n, r.centre, opts.Band)
 	}
 }
 

@@ -285,6 +285,47 @@ func TestFineKernelCancellation(t *testing.T) {
 	}
 }
 
+// TestBandedFineCancellation does the same for the FineBanded fine
+// phase, which scores the candidates in batches of up to align.MaxLanes
+// and checks ctx before each batch: cancelled before a batch mid-fine,
+// the search returns context.Canceled and no results, its stats show
+// that it scored exactly the batches before that one, and the searcher
+// answers the same query afterwards as it did before.
+func TestBandedFineCancellation(t *testing.T) {
+	f := batchFixture(t, 67)
+	s := newTestSearcher(t, f)
+	opts := DefaultOptions()
+
+	var st SearchStats
+	want, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := (st.CoarseCandidates + align.MaxLanes - 1) / align.MaxLanes
+	if len(want) == 0 || batches < 3 {
+		t.Fatalf("degenerate fixture: %d candidates, %d results", st.CoarseCandidates, len(want))
+	}
+	for _, before := range []int{1, batches / 2, batches - 1} {
+		// The entry check and one per query term pass, then one per
+		// batch until the one of batch `before`.
+		var got SearchStats
+		rs, err := s.SearchWithStatsContext(newCountdownCtx(int64(1+st.QueryTerms+before)), f.query, opts, &got)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled before batch %d: err = %v, want context.Canceled", before, err)
+		}
+		if rs != nil {
+			t.Errorf("cancelled before batch %d: %d partial results", before, len(rs))
+		}
+		if n := got.FineAlignments + got.PrescreenRejections; n != before*align.MaxLanes {
+			t.Errorf("cancelled before batch %d: the fine phase scored %d candidates, want the %d of the batches before it", before, n, before*align.MaxLanes)
+		}
+		after, err := s.Search(f.query, opts)
+		if err != nil || !reflect.DeepEqual(after, want) {
+			t.Fatalf("cancelled before batch %d: the searcher answers differently afterwards (err %v)", before, err)
+		}
+	}
+}
+
 // TestFineKernelScratchHammer drives the pooled striped profile and
 // kernel scratch across repeated searches on one searcher, both
 // strands: the result must stay byte-identical to the scalar reference

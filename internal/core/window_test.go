@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -45,15 +46,16 @@ func checkWholeSubject(t *testing.T, name string, s *Searcher, store *db.Store, 
 	}
 }
 
-// TestBatchedBandedMatchesScalar holds the banded fine phase,
-// which scores each candidate alone over its band's window of the
-// subject, to the whole subject: every reported record's score, end and
-// alignment are the banded kernels' over the whole stored sequence
-// (checkWholeSubject). The grid covers every coarse mode (centres from
-// the coarse walk under CoarseDiagonal, from the seed hand-over
-// otherwise), both strands and the prescreen, over one segment, three
-// with tombstones and a paged index. The name dates from the byte-lane batch, which this test held
-// to a scalar route; both are gone and the reference is now computed here.
+// TestBatchedBandedMatchesScalar holds the banded fine phase, which
+// scores the candidates in batches of up to align.MaxLanes, each over
+// its band's window of the subject, to the whole subject: every
+// reported record's score, end and alignment are the banded kernels'
+// over the whole stored sequence (checkWholeSubject). The grid covers
+// every coarse mode (centres from the coarse walk under CoarseDiagonal,
+// from the seed hand-over otherwise), both strands and the prescreen,
+// over one segment, three with tombstones and a paged index, and then,
+// on batchFixture, the candidate budgets at the edges of the fine
+// phase's batches.
 func TestBatchedBandedMatchesScalar(t *testing.T) {
 	f, queries := handOverFixture(t, 730, index.Options{K: 9})
 	layouts := segmentations(t, f, rand.New(rand.NewSource(731)))
@@ -80,6 +82,70 @@ func TestBatchedBandedMatchesScalar(t *testing.T) {
 			}
 		}
 	}
+
+	// Candidate budgets of 1, 15, 16, 17 and 100: one batch of one lane,
+	// one batch short of full, one full, one full and one alone, six
+	// full and a partial one, on both strands.
+	f = batchFixture(t, 737)
+	layouts = segmentations(t, f, rand.New(rand.NewSource(738)))
+	for layout, s := range layouts {
+		for _, candidates := range []int{1, 15, 16, 17, 100} {
+			for _, prescreen := range []int{0, 30} {
+				opts := DefaultOptions()
+				opts.Candidates, opts.BothStrands, opts.Prescreen = candidates, true, prescreen
+				opts.MinScore, opts.Limit = 0, 0
+				name := fmt.Sprintf("%s, %d candidates, prescreen %d", layout, candidates, prescreen)
+				var st SearchStats
+				got, err := s.SearchWithStatsContext(context.Background(), f.query, opts, &st)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if st.CoarseCandidates != 2*candidates {
+					t.Fatalf("%s: %d candidates over both strands, want %d: the fixture must fill the budget", name, st.CoarseCandidates, 2*candidates)
+				}
+				if len(got) == 0 {
+					t.Fatalf("%s: no results", name)
+				}
+				checkWholeSubject(t, name, s, f.store, f.query, opts.Band, got)
+			}
+		}
+	}
+}
+
+// batchFixture is a collection in which a 250-base query has more than
+// 100 candidates on each strand: 30 homologs of the sequence the query
+// is cut from and 300 random sequences, each holding a mutated 50-base
+// piece of the query or of its reverse complement, so that the fine
+// phase's batches of align.MaxLanes run full, partial and alone.
+func batchFixture(t *testing.T, seed int64) *fixture {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
+	root := gen.RandomSequence(rng, 800, uniform, 0)
+	query := gen.Fragment(rng, root, 250)
+	rc := dna.ReverseComplement(query)
+	var store db.Store
+	family := map[int]bool{}
+	model := gen.MutationModel{SubstitutionRate: 0.08, InsertionRate: 0.01, DeletionRate: 0.01}
+	for i := 0; i < 30; i++ {
+		family[store.Add("family", gen.Mutate(rng, root, model))] = true
+	}
+	for i := 0; i < 300; i++ {
+		seq := gen.RandomSequence(rng, 300+rng.Intn(400), uniform, 0.002)
+		src := query
+		if i%2 == 1 {
+			src = rc
+		}
+		at := rng.Intn(len(src) - 50)
+		piece := gen.Mutate(rng, src[at:at+50], gen.MutationModel{SubstitutionRate: 0.03})
+		copy(seq[rng.Intn(len(seq)-len(piece)):], piece)
+		store.Add("piece", seq)
+	}
+	idx, err := index.Build(&store, index.Options{K: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{store: &store, idx: idx, query: query, family: family}
 }
 
 // TestBatchedBandedReportsTranscripts: on a collection of long subjects
@@ -130,9 +196,48 @@ func TestBatchedBandedReportsTranscripts(t *testing.T) {
 // subject.
 func TestBatchedBandedHammer(t *testing.T) {
 	f, queries := handOverFixture(t, 734, index.Options{K: 9})
-	s := newTestSearcher(t, f)
 	opts := DefaultOptions()
 	opts.BothStrands, opts.Prescreen, opts.MinScore = true, 20, 0
+	hammerBanded(t, f, queries, opts)
+
+	// The batch fixture at each candidate budget of
+	// TestBatchedBandedMatchesScalar's batch grid, the budgets searched
+	// in turn on one searcher.
+	f = batchFixture(t, 739)
+	opts.MinScore = 0
+	s := newTestSearcher(t, f)
+	for _, candidates := range []int{1, 15, 16, 17, 100} {
+		opts.Candidates = candidates
+		fresh := newTestSearcher(t, f)
+		want, err := fresh.Search(f.query, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWholeSubject(t, fmt.Sprint(candidates, " candidates"), fresh, f.store, f.query, opts.Band, want)
+		for i := 0; i < 3; i++ {
+			for _, other := range []int{1, 100, candidates} {
+				opts.Candidates = other
+				if _, err := s.Search(f.query, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, err := s.Search(f.query, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d candidates, iteration %d: the reused searcher differs from a fresh one", candidates, i)
+			}
+		}
+	}
+}
+
+// hammerBanded searches every query ten times on one searcher, between
+// the others, and holds each answer byte-identical to a fresh
+// searcher's, which is held to the whole subject.
+func hammerBanded(t *testing.T, f *fixture, queries map[string][]byte, opts Options) {
+	t.Helper()
+	s := newTestSearcher(t, f)
 	for qname, q := range queries {
 		fresh := newTestSearcher(t, f)
 		want, err := fresh.Search(q, opts)
@@ -152,11 +257,11 @@ func TestBatchedBandedHammer(t *testing.T) {
 	}
 }
 
-// TestFineWindowHoldsTheBand scores single records through the fine
-// phase with band centres that put a perfect match of the query on
-// every diagonal of the band, its edges included, and just outside it,
-// on subjects where the match sits mid-sequence, at the start and at
-// the end. Each record's score and end must be the banded kernel's over
+// TestFineWindowHoldsTheBand scores records through the fine phase, one
+// alone and then in batches as the fine loop takes them, with band
+// centres that put a perfect match of the query on every diagonal of
+// the band, its edges included, and just outside it, on subjects where
+// the match sits mid-sequence, at the start and at the end. Each record's score and end must be the banded kernel's over
 // the whole subject: a window one base short on either side loses the
 // match's first or last cell when it lies on the band's edge diagonal.
 func TestFineWindowHoldsTheBand(t *testing.T) {
@@ -184,13 +289,20 @@ func TestFineWindowHoldsTheBand(t *testing.T) {
 	opts := DefaultOptions()
 	for id, d := range at {
 		whole := store.Sequence(id)
+		var recs []candRec
 		for centre := d - opts.Band - 2; centre <= d+opts.Band+2; centre++ {
-			r := candRec{id: id, centre: centre}
-			s.fine(query, &r, opts)
-			score, aEnd, bEnd := align.BandedLocalScore(query, whole, centre, opts.Band, s.scoring)
+			recs = append(recs, candRec{id: id, centre: centre})
+		}
+		// One record alone, then batches as the fine phase takes them.
+		s.fine(query, recs[:1], opts)
+		for start := 0; start < len(recs); start += align.MaxLanes {
+			s.fine(query, recs[start:min(start+align.MaxLanes, len(recs))], opts)
+		}
+		for _, r := range recs {
+			score, aEnd, bEnd := align.BandedLocalScore(query, whole, r.centre, opts.Band, s.scoring)
 			if r.score != score || r.aEnd != aEnd || r.bEnd != bEnd {
 				t.Fatalf("subject %d, match on diagonal %d, centre %d: fine phase (%d,%d,%d), whole subject (%d,%d,%d)",
-					id, d, centre, r.score, r.aEnd, r.bEnd, score, aEnd, bEnd)
+					id, d, r.centre, r.score, r.aEnd, r.bEnd, score, aEnd, bEnd)
 			}
 		}
 	}
@@ -247,8 +359,10 @@ func retainedBytes(v reflect.Value) int {
 // TestLongQueryLeavesScratchBounded runs one 60 000-base query against
 // eight homologs and then bounds what the searcher's scratch keeps for
 // its next query: a read buffer of at most maxPooledSeq, a direction
-// matrix of at most align's 1 MiB cap, and the band's rows. The query's band windows and traceback matrices are
-// larger than those caps, so nothing sized by the query may stay.
+// matrix of at most align's 1 MiB cap, and the band's rows. The query's
+// band windows and traceback matrices are larger than those caps, so
+// nothing sized by the query may stay. Then a query at a wide band runs
+// the batch over transposed windows past their cap, which stay neither.
 func TestLongQueryLeavesScratchBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(735))
 	uniform := [4]float64{0.25, 0.25, 0.25, 0.25}
@@ -280,5 +394,23 @@ func TestLongQueryLeavesScratchBounded(t *testing.T) {
 	bound := maxPooledSeq + maxPooledDir + 64*(2*opts.Band+2)
 	if n := retainedBytes(reflect.ValueOf(s.scratch)); n > bound {
 		t.Errorf("the searcher keeps %d bytes of scratch after a %d-base query, want at most %d", n, len(root), bound)
+	}
+
+	// A 3 000-base query at band 1 000 scores its candidates on the
+	// vector batch (in int16 lanes) where this CPU has one, over
+	// transposed windows of 5 000 positions of align.MaxLanes bytes,
+	// past the 64 KiB the scratch keeps of them. The batch's rows are
+	// two of align.MaxLanes int16 cells a band column.
+	opts.Band = 1000
+	if _, err := s.Search(root[:3000], opts); err != nil {
+		t.Fatal(err)
+	}
+	const maxPooledCols = 1 << 16 // align.maxPooledCols
+	bound = maxPooledSeq + maxPooledDir + 64*(2*opts.Band+2) + 4*align.MaxLanes*(2*opts.Band+5)
+	if n := retainedBytes(reflect.ValueOf(s.scratch)); n > bound {
+		t.Errorf("the searcher keeps %d bytes of scratch after a 3 000-base query at band %d, want at most %d", n, opts.Band, bound)
+	}
+	if n := reflect.ValueOf(s.scratch).FieldByName("banded").FieldByName("cols").Cap(); n > maxPooledCols {
+		t.Errorf("the searcher keeps %d bytes of transposed windows after a 3 000-base query at band %d, want at most %d", n, opts.Band, maxPooledCols)
 	}
 }
